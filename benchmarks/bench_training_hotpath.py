@@ -52,8 +52,9 @@ def test_training_hotpath(benchmark, report_writer):
         f"per-run legacy seconds:  {[f'{t:.3f}' for t in result.per_run_legacy_seconds]}",
         f"per-run pooled seconds:  {[f'{t:.3f}' for t in result.per_run_pooled_seconds]}",
         "note: the pooled kernels are asserted bit-exact against the legacy",
-        "replica — identical operations in identical order, reused storage —",
-        "so the speedup is pure allocation/validation overhead removed.",
+        "replica — identical per-row arithmetic — so the speedup is allocation",
+        "and validation overhead removed, line-search candidates rejected by an",
+        "exact K-wide bound, and cache-blocked entry gathers.",
     ]
     report_writer("training_hotpath", "\n".join(lines))
     write_bench_json(
@@ -70,6 +71,8 @@ def test_training_hotpath(benchmark, report_writer):
             ),
             workspace_reuses=result.workspace_reuses,
             peak_workspace_bytes=result.peak_workspace_bytes,
+            evaluated_rows=result.evaluated_rows,
+            line_search_rows=result.line_search_rows,
         ),
         **params,
     )

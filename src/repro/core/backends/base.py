@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -24,6 +24,13 @@ class SweepStats:
         Number of rows whose Armijo line search accepted a step.
     n_backtracks:
         Total number of step-size halvings performed across all rows.
+    n_evaluated_rows:
+        Row-level evaluations of the nnz-wide positive-entry objective the
+        line search actually performed.  Without pruning this would be
+        ``n_accepted + n_backtracks``; the vectorized kernel skips every
+        candidate whose K-wide lower bound already fails the Armijo test.
+        Deterministic per problem, but a cost diagnostic rather than a
+        result (0 for backends that do not count), so excluded from equality.
     workspace_bytes:
         Scratch bytes of the pooled sweep workspace(s) the sweep ran in
         (summed across shards).  Zero for backends without workspaces.
@@ -39,6 +46,7 @@ class SweepStats:
     n_rows: int
     n_accepted: int
     n_backtracks: int
+    n_evaluated_rows: int = field(default=0, compare=False)
     workspace_bytes: int = field(default=0, compare=False)
     workspace_allocations: int = field(default=0, compare=False)
     workspace_reuses: int = field(default=0, compare=False)
@@ -53,22 +61,12 @@ class SweepStats:
     @classmethod
     def combined(cls, parts: Iterable["SweepStats"]) -> "SweepStats":
         """Aggregate the stats of disjoint row shards of one sweep."""
-        n_rows = n_accepted = n_backtracks = 0
-        workspace_bytes = workspace_allocations = workspace_reuses = 0
-        for part in parts:
-            n_rows += part.n_rows
-            n_accepted += part.n_accepted
-            n_backtracks += part.n_backtracks
-            workspace_bytes += part.workspace_bytes
-            workspace_allocations += part.workspace_allocations
-            workspace_reuses += part.workspace_reuses
+        parts = list(parts)
         return cls(
-            n_rows=n_rows,
-            n_accepted=n_accepted,
-            n_backtracks=n_backtracks,
-            workspace_bytes=workspace_bytes,
-            workspace_allocations=workspace_allocations,
-            workspace_reuses=workspace_reuses,
+            **{
+                spec.name: sum(getattr(part, spec.name) for part in parts)
+                for spec in fields(cls)
+            }
         )
 
 

@@ -189,24 +189,24 @@ class SweepSide:
         )
 
         weights: Optional[np.ndarray] = None
-        if row_positive_weights is not None or col_positive_weights is not None:
-            weights = np.ones(csr.nnz, dtype=target)
-            if row_positive_weights is not None:
-                row_positive_weights = np.asarray(row_positive_weights)
-                if row_positive_weights.shape != (n_rows,):
-                    raise ConfigurationError(
-                        f"row_positive_weights must have shape ({n_rows},), got "
-                        f"{row_positive_weights.shape}"
-                    )
-                weights *= row_positive_weights[row_index].astype(target, copy=False)
-            if col_positive_weights is not None:
-                col_positive_weights = np.asarray(col_positive_weights)
-                if col_positive_weights.shape != (n_cols,):
-                    raise ConfigurationError(
-                        f"col_positive_weights must have shape ({n_cols},), got "
-                        f"{col_positive_weights.shape}"
-                    )
-                weights *= col_positive_weights[csr.indices].astype(target, copy=False)
+        for name, given, size, entry_index in (
+            ("row_positive_weights", row_positive_weights, n_rows, row_index),
+            ("col_positive_weights", col_positive_weights, n_cols, csr.indices),
+        ):
+            if given is None:
+                continue
+            given = np.asarray(given)
+            if given.shape != (size,):
+                raise ConfigurationError(
+                    f"{name} must have shape ({size},), got {given.shape}"
+                )
+            # The line search prunes candidates with a lower bound that holds
+            # only when every positive term is >= 0, i.e. every weight is.
+            if not np.all(np.isfinite(given) & (given >= 0)):
+                raise ConfigurationError(f"{name} must be finite and non-negative")
+            if weights is None:
+                weights = np.ones(csr.nnz, dtype=target)
+            weights *= given[entry_index].astype(target, copy=False)
         return cls(matrix=csr, row_index=row_index, entry_weights=weights)
 
 

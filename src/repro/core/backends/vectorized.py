@@ -5,8 +5,9 @@ over the positive ratings: each positive ``(u, i)`` contributes
 ``f_u * alpha(<f_u, f_i>)`` to item ``i``'s gradient, accumulated with atomic
 adds.  The same structure maps onto one sparse-matrix product here:
 
-* compute the affinity of every positive entry in one ``einsum`` over the
-  plan's precomputed entry list (the "thread block per rating" of the paper),
+* compute the affinity of every positive entry by ``einsum`` over the plan's
+  precomputed entry list (the "thread block per rating" of the paper), in
+  cache-sized blocks (:func:`repro.core.objective.entry_affinities`),
 * scatter ``weight * alpha(affinity)`` back through the plan's CSR structure
   and multiply by the fixed factors to accumulate all row gradients at once
   (the atomic-add reduction),
@@ -35,6 +36,30 @@ the test suite asserts against the preserved legacy replica in
 :mod:`repro.experiments.training_hotpath`.  Under float32 the objective
 reductions now stay in float32 (the old ``np.bincount`` silently
 accumulated in float64), keeping every intermediate in the training dtype.
+
+**Pruned line search — why it is exact.**  The kernel evaluates a candidate
+``c`` of a row as ``v = fl(fl(pos + unk) + pen)`` with
+``pos = -sum_e w_e log(1 - exp(-a_e))``, ``unk = fl(<c, unknown>)`` and
+``pen = fl(lambda * fl(<c, c>))``, and accepts it iff
+``fl(v - current) <= rhs``.  Every ``log(1 - exp(-a))`` is ``<= 0`` (its
+argument ``-expm1(-a)`` lies in ``(0, 1]``) and every weight is ``>= 0``
+(:meth:`SweepSide.build` rejects anything else), so each product is ``<= 0``,
+their sequential sum is ``<= 0``, and ``pos >= 0`` (possibly ``-0.0``, which
+adds like ``+0.0``).  IEEE-754 round-to-nearest addition and subtraction are
+monotone in each argument — ``x <= y`` implies ``fl(x + z) <= fl(y + z)`` —
+hence ``fl(pos + unk) >= fl(0 + unk) = unk``, then
+``v >= fl(unk + pen) =: lb``, then ``fl(v - current) >= fl(lb - current)``.
+So ``fl(lb - current) > rhs`` implies the full test fails: the row is
+rejected from K-wide quantities alone, with the same outcome the nnz-wide
+evaluation would have produced, and only rows with
+``fl(lb - current) <= rhs`` are evaluated.  ``lb`` is not an extra
+computation — ``unk`` and ``pen`` are the tail every evaluation needs anyway.
+NaNs agree too: ``lb`` is NaN only when ``unk`` or ``pen`` is NaN or they are
+opposite infinities, and then ``v`` is NaN as well (an infinite ``lb`` equal
+to ``current`` likewise forces ``v`` to the same infinity or NaN, so both
+margins are NaN); a NaN on either side of ``<=`` is false, i.e. rejected, in
+both the pruning test and the full test.
+``SweepStats.n_evaluated_rows`` counts the rows that reach the nnz-wide pass.
 """
 
 from __future__ import annotations
@@ -42,20 +67,16 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.backends.base import Backend, SweepStats
 from repro.core.backends.plan import SweepSide
-from repro.core.backends.workspace import (
-    SweepWorkspace,
-    csr_row_sums_into,
-)
+from repro.core.backends.workspace import SweepWorkspace, csr_row_sums_into
 from repro.core.objective import (
-    gradient_ratio,
+    entry_affinities,
     gradient_ratio_into,
-    safe_log1mexp,
     safe_log1mexp_into,
 )
+from repro.exceptions import ConfigurationError
 
 
 class VectorizedBackend(Backend):
@@ -78,20 +99,10 @@ class VectorizedBackend(Backend):
     ) -> Tuple[np.ndarray, SweepStats]:
         dtype = row_factors.dtype
         if not (col_factors.dtype == dtype and plan.dtype == dtype):
-            # Exotic mixed-dtype callers (the supported training and fold-in
-            # paths always match factor and plan dtypes) keep the allocating
-            # kernel — pooled buffers are single-dtype.
-            return self._sweep_rows_unpooled(
-                plan,
-                row_factors,
-                col_factors,
-                regularization,
-                sigma,
-                beta,
-                max_backtracks,
-                start,
-                stop,
-                total_col_sum,
+            raise ConfigurationError(
+                f"row factors ({dtype}), column factors ({col_factors.dtype}) and "
+                f"the plan ({plan.dtype}) must share one dtype: the pooled "
+                "workspace is single-dtype"
             )
 
         n_local = stop - start
@@ -103,7 +114,7 @@ class VectorizedBackend(Backend):
         workspace_bytes = workspace.nbytes
         was_fresh = workspace.fresh
         try:
-            new_factors, n_accepted, n_backtracks = self._pooled_sweep(
+            new_factors, n_accepted, n_backtracks, n_evaluated = self._pooled_sweep(
                 workspace,
                 local_factors,
                 col_factors,
@@ -119,6 +130,7 @@ class VectorizedBackend(Backend):
             n_rows=n_local,
             n_accepted=n_accepted,
             n_backtracks=n_backtracks,
+            n_evaluated_rows=n_evaluated,
             workspace_bytes=workspace_bytes,
             workspace_allocations=int(was_fresh),
             workspace_reuses=int(not was_fresh),
@@ -135,7 +147,7 @@ class VectorizedBackend(Backend):
         beta: float,
         max_backtracks: int,
         total_col_sum: np.ndarray,
-    ) -> Tuple[np.ndarray, int, int]:
+    ) -> Tuple[np.ndarray, int, int, int]:
         """One sweep through the pooled arena; zero scratch allocations.
 
         Every operation below replicates the allocating kernel's exact
@@ -149,11 +161,10 @@ class VectorizedBackend(Backend):
         # mode="clip" everywhere: plan indices are in range by construction,
         # and clip mode lets ``take`` write straight into the pooled block
         # (mode="raise" buffers through a fresh temporary).
-        np.take(local_factors, ws.entry_rows, axis=0, out=ws.gather_rows, mode="clip")
-        np.take(col_factors, ws.indices, axis=0, out=ws.gather_cols, mode="clip")
-        affinities = np.einsum(
-            "ij,ij->i", ws.gather_rows, ws.gather_cols, out=ws.entry_a
-        )
+        affinities = entry_affinities(
+            local_factors, ws.entry_rows, col_factors, ws.indices,
+            out=ws.entry_a, scratch=(ws.gather_rows, ws.gather_cols),
+        )  # fmt: skip
         ratios = gradient_ratio_into(affinities, out=ws.entry_b, scratch=ws.entry_c)
         if ws.entry_weights is not None:
             np.multiply(ratios, ws.entry_weights, out=ratios)
@@ -203,7 +214,7 @@ class VectorizedBackend(Backend):
         cur_steps.fill(1.0)
         nxt_rows, nxt_steps = ws.active_a, ws.step_b
         n_active = n_local
-        n_backtracks = 0
+        n_backtracks = n_evaluated = 0
 
         for _ in range(max_backtracks + 1):
             if n_active == 0:
@@ -219,21 +230,57 @@ class VectorizedBackend(Backend):
             np.subtract(lf, candidates, out=candidates)
             np.maximum(0.0, candidates, out=candidates)
 
-            candidate_values = VectorizedBackend._candidate_objectives(
-                ws, candidates, act, col_factors, regularization
-            )
-
             differences = ws.diff_rows[:n_active]
             np.subtract(candidates, lf, out=differences)
             rhs = ws.armijo_rhs[:n_active]
             np.einsum("ij,ij->i", grads, differences, out=rhs)
             np.multiply(rhs, sigma, out=rhs)
 
-            margin = ws.row_tmp[:n_active]
-            np.take(current_values, act, out=margin, mode="clip")
-            np.subtract(candidate_values, margin, out=margin)
+            # The K-wide tail of the candidate objective, for every active
+            # row: <cand, unknown sums> and lambda * ||cand||^2.
+            unknown = ws.scratch_rows[:n_active]
+            np.take(unknown_sums, act, axis=0, out=unknown, mode="clip")
+            tail_unknown = ws.tail_unknown[:n_active]
+            np.einsum("ij,ij->i", candidates, unknown, out=tail_unknown)
+            tail_penalty = ws.tail_penalty[:n_active]
+            np.einsum("ij,ij->i", candidates, candidates, out=tail_penalty)
+            np.multiply(tail_penalty, regularization, out=tail_penalty)
+
+            # Prune: the tail alone bounds the candidate value from below
+            # (module docstring), so a row whose bound already fails the
+            # Armijo test is rejected without its nnz-wide evaluation.
+            bound_margin = ws.row_tmp[:n_active]
+            np.add(tail_unknown, tail_penalty, out=bound_margin)
+            np.take(current_values, act, out=ws.row_tmp2[:n_active], mode="clip")
+            np.subtract(bound_margin, ws.row_tmp2[:n_active], out=bound_margin)
+            evaluate = ws.evaluate[:n_active]
+            np.less_equal(bound_margin, rhs, out=evaluate)
+            n_eval = int(np.count_nonzero(evaluate))
+            n_evaluated += n_eval
+
             accepted = ws.accepted[:n_active]
-            np.less_equal(margin, rhs, out=accepted)
+            accepted.fill(False)
+            if n_eval:
+                eval_pos = ws.eval_pos[:n_eval]
+                np.compress(evaluate, ws.arange_rows[:n_active], out=eval_pos)
+                eval_rows = ws.eval_rows[:n_eval]
+                np.compress(evaluate, act, out=eval_rows)
+                # value = (positive part + unknown part) + penalty, grouped
+                # left to right as in the allocating kernel.
+                values = VectorizedBackend._positive_parts(
+                    ws, candidates, eval_pos, eval_rows, col_factors
+                )
+                tmp = ws.row_tmp2[:n_eval]
+                np.compress(evaluate, tail_unknown, out=tmp)
+                np.add(values, tmp, out=values)
+                np.compress(evaluate, tail_penalty, out=tmp)
+                np.add(values, tmp, out=values)
+                np.take(current_values, eval_rows, out=tmp, mode="clip")
+                np.subtract(values, tmp, out=values)  # now the Armijo margin
+                np.compress(evaluate, rhs, out=tmp)
+                eval_accepted = ws.eval_accepted[:n_eval]
+                np.less_equal(values, tmp, out=eval_accepted)
+                accepted[eval_pos] = eval_accepted
 
             n_acc = int(np.count_nonzero(accepted))
             if n_acc:
@@ -257,68 +304,68 @@ class VectorizedBackend(Backend):
             nxt_steps = ws.step_b if cur_steps is ws.step_a else ws.step_a
             n_active = n_next
 
-        return new_factors, n_local - n_active, n_backtracks
+        return new_factors, n_local - n_active, n_backtracks, n_evaluated
 
     # ------------------------------------------------------------------ #
     # Row objective helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _candidate_objectives(
+    def _positive_parts(
         ws: SweepWorkspace,
         candidates: np.ndarray,
-        active_rows: np.ndarray,
+        cand_pos: np.ndarray,
+        rows: np.ndarray,
         col_factors: np.ndarray,
-        regularization: float,
     ) -> np.ndarray:
-        """Objective values of the active rows at their Armijo candidates.
+        """``-sum_e w_e log(1 - exp(-a_e))`` of the rows the bound let through.
 
-        ``candidates[k]`` is the candidate for the shard-local row
-        ``active_rows[k]``.  Writes into ``ws.candidate_values`` — zero
-        allocations.  On the first backtracking iteration every row is
-        active, so the plan's cached full-range entry structure is reused
-        verbatim (no index building at all); later, shrinking active sets
-        build a sub-CSR in pooled integer buffers via a compress /
-        boundary-scatter / cumsum expansion instead of the allocating
-        ``np.arange``/``np.repeat`` machinery the old kernel rebuilt per
-        backtrack iteration.
+        ``rows[j]`` is a shard-local row whose Armijo candidate is
+        ``candidates[cand_pos[j]]``.  Writes into ``ws.candidate_values`` —
+        zero allocations.  When every row of the shard is evaluated the
+        plan's cached full-range entry structure is reused verbatim (no
+        index building at all); otherwise a sub-CSR over ``rows`` is built
+        in pooled integer buffers via a compress / boundary-scatter / cumsum
+        expansion instead of the allocating ``np.arange``/``np.repeat``
+        machinery the old kernel rebuilt per backtrack iteration.
         """
-        n_active = candidates.shape[0]
-        out = ws.candidate_values[:n_active]
+        n_eval = rows.shape[0]
+        out = ws.candidate_values[:n_eval]
         weights = ws.entry_weights
         positions = None
 
-        if n_active == ws.n_local:
+        if n_eval == ws.n_local:
             total = ws.nnz_local
             rows_entries = ws.entry_rows
             cols_entries = ws.indices
             sub_indptr = ws.row_starts
         else:
-            starts = ws.starts[:n_active]
-            np.take(ws.row_starts, active_rows, out=starts, mode="clip")
-            counts = ws.counts[:n_active]
-            np.add(active_rows, 1, out=counts)
-            ends = ws.ends[:n_active]
+            starts = ws.starts[:n_eval]
+            np.take(ws.row_starts, rows, out=starts, mode="clip")
+            counts = ws.counts[:n_eval]
+            np.add(rows, 1, out=counts)
+            ends = ws.ends[:n_eval]
             np.take(ws.row_starts, counts, out=ends, mode="clip")
             np.subtract(ends, starts, out=counts)
-            sub_indptr = ws.sub_indptr[: n_active + 1]
+            sub_indptr = ws.sub_indptr[: n_eval + 1]
             sub_indptr[0] = 0
             np.cumsum(counts, out=sub_indptr[1:])
-            total = int(sub_indptr[n_active])
+            total = int(sub_indptr[n_eval])
             if total:
-                # Expand per-entry (row id, CSR position) for the active
-                # rows without ``np.repeat`` (which cannot write into a
-                # pooled buffer): compress away empty rows, scatter ones at
-                # the segment boundaries, cumsum into segment ids, then
-                # gather.  Integer arithmetic — exact by construction.
-                nonempty = ws.nonempty[:n_active]
+                # Expand per-entry (candidate position, CSR position) for
+                # the evaluated rows without ``np.repeat`` (which cannot
+                # write into a pooled buffer): compress away empty rows,
+                # scatter ones at the segment boundaries, cumsum into
+                # segment ids, then gather.  Integer arithmetic — exact by
+                # construction.
+                nonempty = ws.nonempty[:n_eval]
                 np.greater(counts, 0, out=nonempty)
                 n_nonempty = int(np.count_nonzero(nonempty))
                 ne_rows = ws.ne_rows[:n_nonempty]
-                np.compress(nonempty, ws.arange_rows[:n_active], out=ne_rows)
+                np.compress(nonempty, cand_pos, out=ne_rows)
                 ne_starts = ws.ne_starts[:n_nonempty]
                 np.compress(nonempty, starts, out=ne_starts)
                 ne_offsets = ws.ne_offsets[:n_nonempty]
-                np.compress(nonempty, sub_indptr[:n_active], out=ne_offsets)
+                np.compress(nonempty, sub_indptr[:n_eval], out=ne_offsets)
                 seg = ws.entry_seg[:total]
                 seg.fill(0)
                 seg[ne_offsets[1:]] = 1
@@ -334,12 +381,10 @@ class VectorizedBackend(Backend):
                 np.take(ws.indices, positions, out=cols_entries, mode="clip")
 
         if total:
-            rows_gather = ws.gather_rows[:total]
-            np.take(candidates, rows_entries, axis=0, out=rows_gather, mode="clip")
-            cols_gather = ws.gather_cols[:total]
-            np.take(col_factors, cols_entries, axis=0, out=cols_gather, mode="clip")
-            affinities = ws.entry_a[:total]
-            np.einsum("ij,ij->i", rows_gather, cols_gather, out=affinities)
+            affinities = entry_affinities(
+                candidates, rows_entries, col_factors, cols_entries,
+                out=ws.entry_a[:total], scratch=(ws.gather_rows, ws.gather_cols),
+            )  # fmt: skip
             log_terms = safe_log1mexp_into(affinities, out=affinities)
             if weights is not None:
                 if positions is None:
@@ -350,160 +395,9 @@ class VectorizedBackend(Backend):
                     np.multiply(log_terms, entry_w, out=log_terms)
             csr_row_sums_into(
                 sub_indptr, cols_entries, log_terms,
-                (n_active, ws.n_cols), ws.ones_cols, out,
+                (n_eval, ws.n_cols), ws.ones_cols, out,
             )  # fmt: skip
             np.negative(out, out=out)
         else:
-            # The allocating kernel fell back to float64 ``np.zeros`` here
-            # even under float32 training; the pooled buffer keeps the
-            # training dtype (the dtype-consistency rule).
             out.fill(0)
-
-        unknown = ws.scratch_rows[:n_active]
-        np.take(ws.unknown_rows, active_rows, axis=0, out=unknown, mode="clip")
-        tmp = ws.row_tmp2[:n_active]
-        np.einsum("ij,ij->i", candidates, unknown, out=tmp)
-        np.add(out, tmp, out=out)
-        np.einsum("ij,ij->i", candidates, candidates, out=tmp)
-        np.multiply(tmp, regularization, out=tmp)
-        np.add(out, tmp, out=out)
         return out
-
-    # ------------------------------------------------------------------ #
-    # Allocating fallback (mixed factor/plan dtypes only)
-    # ------------------------------------------------------------------ #
-    def _sweep_rows_unpooled(
-        self,
-        plan: SweepSide,
-        row_factors: np.ndarray,
-        col_factors: np.ndarray,
-        regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
-        start: int,
-        stop: int,
-        total_col_sum: np.ndarray,
-    ) -> Tuple[np.ndarray, SweepStats]:
-        """The pre-workspace allocating kernel, kept for mixed-dtype sweeps.
-
-        Callers that pass factors whose dtype differs from the plan's (or
-        from each other) get numpy's usual upcasting semantics, exactly as
-        before the rewrite.  The supported paths never take this branch; a
-        second verbatim copy frozen as the benchmark baseline lives in
-        :mod:`repro.experiments.training_hotpath`.
-        """
-        indptr = plan.matrix.indptr
-        first, last = int(indptr[start]), int(indptr[stop])
-        n_local = stop - start
-        local_factors = row_factors[start:stop]
-
-        entry_rows = plan.row_index[first:last] - start
-        entry_cols = plan.matrix.indices[first:last]
-        entry_weights = (
-            None if plan.entry_weights is None else plan.entry_weights[first:last]
-        )
-        local_indptr = indptr[start : stop + 1] - first
-        local_shape = (n_local, plan.n_cols)
-
-        affinities = np.einsum(
-            "ij,ij->i", local_factors[entry_rows], col_factors[entry_cols]
-        )
-        ratios = gradient_ratio(affinities)
-        if entry_weights is not None:
-            ratios = ratios * entry_weights
-        scatter = sp.csr_matrix((ratios, entry_cols, local_indptr), shape=local_shape)
-        gradient_positive = scatter @ col_factors
-
-        positives = sp.csr_matrix(
-            (plan.matrix.data[first:last], entry_cols, local_indptr), shape=local_shape
-        )
-        positive_sums = positives @ col_factors
-        unknown_sums = total_col_sum[np.newaxis, :] - positive_sums
-
-        gradients = -gradient_positive + unknown_sums + 2.0 * regularization * local_factors
-
-        log_terms = safe_log1mexp(affinities)
-        if entry_weights is not None:
-            log_terms = log_terms * entry_weights
-        positive_part = -np.bincount(entry_rows, weights=log_terms, minlength=n_local)
-        unknown_part = np.einsum("ij,ij->i", local_factors, unknown_sums)
-        penalty = regularization * np.einsum("ij,ij->i", local_factors, local_factors)
-        current_values = positive_part + unknown_part + penalty
-
-        new_factors = local_factors.copy()
-        step_sizes = np.ones(n_local, dtype=row_factors.dtype)
-        active = np.ones(n_local, dtype=bool)
-        n_backtracks = 0
-
-        for _ in range(max_backtracks + 1):
-            if not active.any():
-                break
-            active_rows = np.flatnonzero(active)
-            candidates = np.maximum(
-                0.0,
-                local_factors[active_rows]
-                - step_sizes[active_rows, np.newaxis] * gradients[active_rows],
-            )
-            candidate_values = self._candidate_objectives_unpooled(
-                plan,
-                candidates,
-                active_rows,
-                start,
-                col_factors,
-                unknown_sums,
-                regularization,
-            )
-            differences = candidates - local_factors[active_rows]
-            armijo_rhs = sigma * np.einsum("ij,ij->i", gradients[active_rows], differences)
-            accepted = (candidate_values - current_values[active_rows]) <= armijo_rhs
-
-            accepted_rows = active_rows[accepted]
-            new_factors[accepted_rows] = candidates[accepted]
-            active[accepted_rows] = False
-            n_backtracks += int(np.count_nonzero(~accepted))
-            step_sizes[active] *= beta
-
-        n_accepted = int(n_local - np.count_nonzero(active))
-        stats = SweepStats(n_rows=n_local, n_accepted=n_accepted, n_backtracks=n_backtracks)
-        return new_factors, stats
-
-    @staticmethod
-    def _candidate_objectives_unpooled(
-        plan: SweepSide,
-        candidate_factors: np.ndarray,
-        active_rows: np.ndarray,
-        start: int,
-        col_factors: np.ndarray,
-        unknown_sums: np.ndarray,
-        regularization: float,
-    ) -> np.ndarray:
-        """Allocating candidate objectives, paired with the unpooled sweep."""
-        n_active = len(active_rows)
-        indptr, indices = plan.matrix.indptr, plan.matrix.indices
-        global_rows = active_rows + start
-        counts = (indptr[global_rows + 1] - indptr[global_rows]).astype(np.int64)
-        total_entries = int(counts.sum())
-
-        if total_entries:
-            starts = indptr[global_rows].astype(np.int64)
-            offsets = np.arange(total_entries) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            entry_positions = np.repeat(starts, counts) + offsets
-            rows_entries = np.repeat(np.arange(n_active), counts)
-            cols_entries = indices[entry_positions]
-
-            affinities = np.einsum(
-                "ij,ij->i", candidate_factors[rows_entries], col_factors[cols_entries]
-            )
-            log_terms = safe_log1mexp(affinities)
-            if plan.entry_weights is not None:
-                log_terms = log_terms * plan.entry_weights[entry_positions]
-            positive_part = -np.bincount(rows_entries, weights=log_terms, minlength=n_active)
-        else:
-            positive_part = np.zeros(n_active)
-
-        unknown_part = np.einsum("ij,ij->i", candidate_factors, unknown_sums[active_rows])
-        penalty = regularization * np.einsum("ij,ij->i", candidate_factors, candidate_factors)
-        return positive_part + unknown_part + penalty

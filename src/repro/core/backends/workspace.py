@@ -6,8 +6,7 @@ kernel showed every sweep rebuilding structure that is constant for a fit —
 two ``sp.csr_matrix`` constructions (validation included), the shard-local
 entry row index, the ``np.arange``/``np.repeat`` entry-position machinery of
 every backtracking pass — and churning nnz-sized float temporaries
-(affinities, gradient ratios, log terms) plus ``(nnz, k)`` gather blocks on
-every call.
+(affinities, gradient ratios, log terms) on every call.
 
 A :class:`SweepWorkspace` owns all of that for one ``(row range, k, dtype)``
 shard of one :class:`~repro.core.backends.plan.SweepSide`:
@@ -20,7 +19,10 @@ shard of one :class:`~repro.core.backends.plan.SweepSide`:
 * every float/bool/int scratch array the kernel touches, so gathers run
   through ``np.take(out=)``, sparse products through scipy's raw
   ``csr_matvecs`` kernel into pooled blocks, and the gradient / objective /
-  Armijo arithmetic entirely in place.
+  Armijo arithmetic entirely in place.  The per-entry factor gathers go
+  through one cache-sized ``(block, k)`` pair
+  (:func:`repro.core.objective.entry_affinities`), never an ``(nnz, k)``
+  array, so an arena is O(nnz + n*k + block*k) bytes.
 
 After warm-up a sweep therefore performs **zero** large allocations (the
 returned factor array — caller-owned — is the one exception), which the
@@ -46,6 +48,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.core.objective import affinity_block_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends.plan import SweepSide
@@ -223,8 +227,10 @@ class SweepWorkspace:
         self.entry_a = np.empty(nnz, dtype=dtype)  # affinities -> log terms
         self.entry_b = np.empty(nnz, dtype=dtype)  # ratios == scatter data
         self.entry_c = np.empty(nnz, dtype=dtype)  # expm1 denominator scratch
-        self.gather_rows = np.empty((nnz, k), dtype=dtype)
-        self.gather_cols = np.empty((nnz, k), dtype=dtype)
+        # The one (block, k) pair every entry-affinity pass gathers through.
+        block = min(nnz, affinity_block_entries(k, dtype))
+        self.gather_rows = np.empty((block, k), dtype=dtype)
+        self.gather_cols = np.empty((block, k), dtype=dtype)
 
         # ---- per-row (n, k) blocks ---- #
         self.grad_rows = np.empty((n, k), dtype=dtype)
@@ -241,10 +247,14 @@ class SweepWorkspace:
         self.armijo_rhs = np.empty(n, dtype=dtype)
         self.row_tmp = np.empty(n, dtype=dtype)
         self.row_tmp2 = np.empty(n, dtype=dtype)
+        self.tail_unknown = np.empty(n, dtype=dtype)  # <cand, unknown sums>
+        self.tail_penalty = np.empty(n, dtype=dtype)  # lambda * ||cand||^2
         self.step_a = np.empty(n, dtype=dtype)
         self.step_b = np.empty(n, dtype=dtype)
         self.accepted = np.empty(n, dtype=bool)
         self.not_accepted = np.empty(n, dtype=bool)
+        self.evaluate = np.empty(n, dtype=bool)  # rows the bound cannot reject
+        self.eval_accepted = np.empty(n, dtype=bool)
         self.nonempty = np.empty(n, dtype=bool)
 
         # ---- integer index scratch ---- #
@@ -252,6 +262,8 @@ class SweepWorkspace:
         self.active_a = np.empty(n, dtype=np.int64)
         self.active_b = np.empty(n, dtype=np.int64)
         self.accepted_rows = np.empty(n, dtype=np.int64)
+        self.eval_pos = np.empty(n, dtype=np.int64)
+        self.eval_rows = np.empty(n, dtype=np.int64)
         self.counts = np.empty(n, dtype=np.int64)
         self.starts = np.empty(n, dtype=np.int64)
         self.ends = np.empty(n, dtype=np.int64)
@@ -272,10 +284,12 @@ class SweepWorkspace:
             self.grad_rows, self.unknown_rows, self.scratch_rows,
             self.lf_rows, self.cand_rows, self.diff_rows, self.grad_gather,
             self.current_values, self.candidate_values, self.armijo_rhs,
-            self.row_tmp, self.row_tmp2, self.step_a, self.step_b,
-            self.accepted, self.not_accepted, self.nonempty,
-            self.arange_rows, self.active_a, self.active_b,
-            self.accepted_rows, self.counts, self.starts, self.ends,
+            self.row_tmp, self.row_tmp2, self.tail_unknown, self.tail_penalty,
+            self.step_a, self.step_b,
+            self.accepted, self.not_accepted, self.evaluate, self.eval_accepted,
+            self.nonempty, self.arange_rows, self.active_a, self.active_b,
+            self.accepted_rows, self.eval_pos, self.eval_rows,
+            self.counts, self.starts, self.ends,
             self.ne_rows, self.ne_starts, self.ne_offsets, self.sub_indptr,
             self.arange_entries, self.entry_seg, self.entry_pos,
             self.entry_row_ids, self.entry_col_ids,

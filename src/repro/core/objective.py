@@ -25,6 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.exceptions import ConfigurationError
+
 #: Smallest affinity used inside logarithms / gradient ratios.
 MIN_AFFINITY = 1e-10
 
@@ -86,6 +88,54 @@ def gradient_ratio_into(
     return out
 
 
+#: Bytes the two gather blocks of :func:`entry_affinities` may hold together.
+#: Half a MiB keeps both blocks (and the factor rows they are gathered from)
+#: in a core's L2, so the ``einsum`` reads what ``take`` just wrote from cache
+#: instead of streaming two ``(nnz, K)`` arrays through DRAM.
+_AFFINITY_BLOCK_BYTES = 1 << 19
+
+
+def affinity_block_entries(k: int, dtype) -> int:
+    """Entries per :func:`entry_affinities` block for ``k``-wide factors."""
+    return max(1, _AFFINITY_BLOCK_BYTES // (2 * k * np.dtype(dtype).itemsize))
+
+
+def entry_affinities(
+    row_src: np.ndarray,
+    row_ids: np.ndarray,
+    col_src: np.ndarray,
+    col_ids: np.ndarray,
+    out: np.ndarray,
+    scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """``out[e] = <row_src[row_ids[e]], col_src[col_ids[e]]>``, cache-blocked.
+
+    Runs take -> take -> ``einsum("ij,ij->i")`` over fixed blocks of
+    :func:`affinity_block_entries` entries.  Every affinity is a reduction
+    over its own entry's ``K`` products only, so blocking changes no bit of
+    the result relative to gathering all entries at once.  ``scratch`` is a
+    pair of ``(block, K)`` buffers in ``out``'s dtype (the sweep arena's);
+    without it one pair is allocated per call.  Indices must be in range:
+    ``take`` runs in clip mode so it can write straight into the blocks.
+    """
+    n_entries = row_ids.shape[0]
+    if scratch is None:
+        shape = (
+            min(n_entries, affinity_block_entries(row_src.shape[1], out.dtype)),
+            row_src.shape[1],
+        )
+        scratch = (np.empty(shape, dtype=out.dtype), np.empty(shape, dtype=out.dtype))
+    rows_block, cols_block = scratch
+    block = max(1, rows_block.shape[0])  # an empty entry list has empty blocks
+    for lo in range(0, n_entries, block):
+        hi = min(lo + block, n_entries)
+        rows, cols = rows_block[: hi - lo], cols_block[: hi - lo]
+        row_src.take(row_ids[lo:hi], axis=0, out=rows, mode="clip")
+        col_src.take(col_ids[lo:hi], axis=0, out=cols, mode="clip")
+        np.einsum("ij,ij->i", rows, cols, out=out[lo:hi])
+    return out
+
+
 def positive_affinities(
     matrix: sp.csr_matrix, row_factors: np.ndarray, col_factors: np.ndarray
 ) -> np.ndarray:
@@ -132,6 +182,11 @@ def full_objective(
     matrix on every call; the trainer evaluates through a precomputed plan
     instead.
     """
+    if matrix.shape != (user_factors.shape[0], item_factors.shape[0]):
+        raise ConfigurationError(
+            f"matrix shape {matrix.shape} does not match {user_factors.shape[0]} "
+            f"user and {item_factors.shape[0]} item factor rows"
+        )
     coo = matrix.tocoo()
     entry_weights = None if user_weights is None else user_weights[coo.row]
     objective, _ = objective_from_entries(
@@ -157,10 +212,19 @@ def objective_from_entries(
     :class:`~repro.core.backends.plan.SweepSide` precomputed once per fit
     (user-major: ``entry_rows`` index users, ``entry_cols`` index items,
     ``entry_weights`` is the per-entry R-OCuLaR weight or ``None``) and
-    computes both values in a single pass.
+    computes both values in a single pass.  The affinity pass is the
+    cache-blocked :func:`entry_affinities`, so no ``(nnz, K)`` gather is
+    materialised; the entry indices must be in range for the factors.
     """
-    affinities = np.einsum(
-        "ij,ij->i", user_factors[entry_rows], item_factors[entry_cols]
+    dtype = np.result_type(user_factors, item_factors, np.float32)
+    user_factors = np.asarray(user_factors, dtype=dtype)
+    item_factors = np.asarray(item_factors, dtype=dtype)
+    affinities = entry_affinities(
+        user_factors,
+        entry_rows,
+        item_factors,
+        entry_cols,
+        out=np.empty(len(entry_rows), dtype=dtype),
     )
 
     log_terms = safe_log1mexp(affinities)

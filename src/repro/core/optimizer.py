@@ -128,6 +128,18 @@ class TrainingHistory:
         )
 
     @property
+    def total_evaluated_rows(self) -> int:
+        """Row-level nnz-wide objective evaluations across every sweep of the run.
+
+        ``total_backtracks`` plus the accepted rows is what an unpruned line
+        search would evaluate; the gap is the work the lower bound saved.
+        """
+        return sum(
+            stats.n_evaluated_rows
+            for stats in (*self.item_sweep_stats, *self.user_sweep_stats)
+        )
+
+    @property
     def peak_workspace_bytes(self) -> int:
         """Largest pooled sweep-workspace footprint any sweep of the run used.
 

@@ -218,6 +218,10 @@ class TrainingHotPathResult:
         Pooled-arena reuses over the timed passes (must be positive).
     peak_workspace_bytes:
         High-water scratch footprint across both plan sides.
+    evaluated_rows, line_search_rows:
+        Per timed pass: row-level nnz-wide objective evaluations the pooled
+        kernel performed, and what an unpruned line search would have
+        performed (accepted rows + backtracks).  Counts, not timings.
     """
 
     n_users: int
@@ -232,6 +236,8 @@ class TrainingHotPathResult:
     workspace_allocations_after_warmup: int
     workspace_reuses: int
     peak_workspace_bytes: int
+    evaluated_rows: int = 0
+    line_search_rows: int = 0
     per_run_legacy_seconds: List[float] = field(default_factory=list)
     per_run_pooled_seconds: List[float] = field(default_factory=list)
 
@@ -297,7 +303,9 @@ class TrainingHotPathResult:
             f"workspace allocations after warm-up: "
             f"{self.workspace_allocations_after_warmup} "
             f"(reuses: {self.workspace_reuses}, "
-            f"peak scratch: {self.peak_workspace_bytes / 1e6:.1f} MB)"
+            f"peak scratch: {self.peak_workspace_bytes / 1e6:.1f} MB), "
+            f"nnz-wide row evaluations: {self.evaluated_rows:,} of "
+            f"{self.line_search_rows:,} line-search rows"
         )
         return "\n".join([header, table, verdict])
 
@@ -329,12 +337,16 @@ def run_sweep_trajectory(
     n_sweeps: int,
     regularization: float,
     max_backtracks: int = 20,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``n_sweeps`` alternating item/user sweeps — the trainer's inner loop."""
+) -> Tuple[np.ndarray, np.ndarray, SweepStats]:
+    """``n_sweeps`` alternating item/user sweeps — the trainer's inner loop.
+
+    Returns the final factors and the summed stats of every sweep.
+    """
     users = user_factors.copy()
     items = item_factors.copy()
+    stats = []
     for _ in range(n_sweeps):
-        items, _ = backend.sweep(
+        items, item_stats = backend.sweep(
             None,
             items,
             users,
@@ -342,7 +354,7 @@ def run_sweep_trajectory(
             max_backtracks=max_backtracks,
             plan=plan.item_side,
         )
-        users, _ = backend.sweep(
+        users, user_stats = backend.sweep(
             None,
             users,
             items,
@@ -350,7 +362,8 @@ def run_sweep_trajectory(
             max_backtracks=max_backtracks,
             plan=plan.user_side,
         )
-    return users, items
+        stats += [item_stats, user_stats]
+    return users, items, SweepStats.combined(stats)
 
 
 def _store_totals(plan: SweepPlan) -> Tuple[int, int, int]:
@@ -411,7 +424,7 @@ def run_training_hotpath(
     legacy_users = legacy_items = None
     for _ in range(n_repeats):
         start = time.perf_counter()
-        legacy_users, legacy_items = run_sweep_trajectory(
+        legacy_users, legacy_items, _ = run_sweep_trajectory(
             legacy, legacy_plan, user0, item0, n_sweeps, regularization
         )
         legacy_times.append(time.perf_counter() - start)
@@ -420,7 +433,7 @@ def run_training_hotpath(
     pooled_users = pooled_items = None
     for _ in range(n_repeats):
         start = time.perf_counter()
-        pooled_users, pooled_items = run_sweep_trajectory(
+        pooled_users, pooled_items, pooled_stats = run_sweep_trajectory(
             pooled, pooled_plan, user0, item0, n_sweeps, regularization
         )
         pooled_times.append(time.perf_counter() - start)
@@ -444,6 +457,8 @@ def run_training_hotpath(
         workspace_allocations_after_warmup=int(allocations - allocations_at_warmup),
         workspace_reuses=int(reuses - reuses_at_warmup),
         peak_workspace_bytes=int(peak_bytes),
+        evaluated_rows=pooled_stats.n_evaluated_rows,
+        line_search_rows=pooled_stats.n_accepted + pooled_stats.n_backtracks,
         per_run_legacy_seconds=legacy_times,
         per_run_pooled_seconds=pooled_times,
     )

@@ -205,6 +205,7 @@ class ServingGateway:
                 "peak_workspace_bytes": history.peak_workspace_bytes,
                 "workspace_allocations": history.total_workspace_allocations,
                 "workspace_reuses": history.total_workspace_reuses,
+                "evaluated_rows": history.total_evaluated_rows,
             }
         return payload
 

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import objective as objective_module
 from repro.core.objective import (
     armijo_accept,
+    entry_affinities,
     full_objective,
     gradient_ratio,
     negative_log_likelihood,
+    objective_from_entries,
     positive_affinities,
     relative_user_weights,
     row_gradient,
@@ -18,6 +21,7 @@ from repro.core.objective import (
     safe_log1mexp,
     split_known_unknown_sums,
 )
+from repro.exceptions import ConfigurationError
 
 
 @pytest.fixture
@@ -107,6 +111,67 @@ class TestFullObjective:
         matrix = sp.csr_matrix(np.ones((3, 3)))
         factors = np.full((3, 1), 5.0)
         assert full_objective(matrix, factors, factors, 0.0) < 0.01
+
+
+def fancy_index_objective(rows, cols, weights, user_factors, item_factors, lam):
+    """``objective_from_entries`` as it was before blocking: full (nnz, K) gathers."""
+    affinities = np.einsum("ij,ij->i", user_factors[rows], item_factors[cols])
+    log_terms = safe_log1mexp(affinities)
+    if weights is not None:
+        log_terms = log_terms * weights
+    positive_part = -float(np.sum(log_terms))
+    total_affinity = float(user_factors.sum(axis=0) @ item_factors.sum(axis=0))
+    likelihood = positive_part + (total_affinity - float(np.sum(affinities)))
+    penalty = lam * (float(np.sum(user_factors**2)) + float(np.sum(item_factors**2)))
+    return likelihood + penalty, likelihood
+
+
+class TestBlockedEntryAffinities:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("block_entries", [1, 2, 1000])
+    def test_objective_is_bitwise_the_fancy_index_form(
+        self, tiny_problem, monkeypatch, weighted, block_entries
+    ):
+        matrix, user_factors, item_factors = tiny_problem
+        monkeypatch.setattr(
+            objective_module, "_AFFINITY_BLOCK_BYTES", block_entries * 2 * 2 * 8
+        )
+        coo = matrix.tocoo()
+        weights = np.array([0.5, 1.5, 2.0])[coo.row] if weighted else None
+        blocked = objective_from_entries(
+            coo.row, coo.col, weights, user_factors, item_factors, 0.7
+        )
+        reference = fancy_index_objective(
+            coo.row, coo.col, weights, user_factors, item_factors, 0.7
+        )
+        assert blocked == reference  # identical floats, not merely close
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_multi_block_affinities_match_one_shot_gather(self, dtype):
+        rng = np.random.default_rng(3)
+        k, n_entries = 50, 5000  # several default-sized blocks plus a ragged tail
+        rows_src = rng.random((70, k)).astype(dtype)
+        cols_src = rng.random((90, k)).astype(dtype)
+        rows = rng.integers(0, 70, n_entries)
+        cols = rng.integers(0, 90, n_entries)
+        assert n_entries > 3 * objective_module.affinity_block_entries(k, dtype)
+        out = np.empty(n_entries, dtype=dtype)
+        entry_affinities(rows_src, rows, cols_src, cols, out=out)
+        assert np.array_equal(
+            out, np.einsum("ij,ij->i", rows_src[rows], cols_src[cols])
+        )
+
+    def test_empty_entry_list(self):
+        out = entry_affinities(
+            np.ones((2, 3)), np.empty(0, np.int64), np.ones((2, 3)),
+            np.empty(0, np.int64), out=np.empty(0),
+        )  # fmt: skip
+        assert out.shape == (0,)
+
+    def test_full_objective_rejects_mismatched_factor_shapes(self, tiny_problem):
+        matrix, user_factors, item_factors = tiny_problem
+        with pytest.raises(ConfigurationError, match="does not match"):
+            full_objective(matrix, user_factors[:2], item_factors, 0.1)
 
 
 class TestRowObjectiveAndGradient:

@@ -51,6 +51,18 @@ class TestSweepSide:
         with pytest.raises(ConfigurationError):
             SweepSide.build(matrix, col_positive_weights=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["row_positive_weights", "col_positive_weights"])
+    def test_negative_or_non_finite_weights_rejected(self, bad, which):
+        # The pruned line search's lower bound needs every positive term >= 0.
+        matrix = sp.csr_matrix(np.eye(4))
+        weights = np.ones(4)
+        weights[2] = bad
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            SweepSide.build(matrix, **{which: weights})
+        weights[2] = 0.0  # zero is a legal weight
+        assert SweepSide.build(matrix, **{which: weights}).entry_weights[2] == 0.0
+
     def test_dtype_cast(self, matrix):
         side = SweepSide.build(matrix, dtype=np.float32)
         assert side.dtype == np.float32

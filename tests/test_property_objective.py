@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -121,3 +122,49 @@ def test_row_gradient_is_gradient_of_row_objective(problem, row_seed):
             - row_objective(minus, positive, None, unknown, lam)
         ) / (2 * epsilon)
         np.testing.assert_allclose(analytic[index], numeric, rtol=5e-3, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("regularization", [0.0, 1e-6, 10.0])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_positive=st.integers(min_value=0, max_value=12),
+    scale=st.sampled_from([1e-6, 0.02, 1.0, 40.0]),
+    weighted=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_line_search_bound_never_exceeds_the_candidate_value(
+    dtype, regularization, seed, n_positive, scale, weighted
+):
+    """``fl(<f, unknown> + lambda ||f||^2) <= fl(row objective)``, in floating point.
+
+    The pruned Armijo search rejects a candidate from this K-wide tail alone;
+    that is exact only if the bound holds for the *rounded* values the kernel
+    compares — the positive part is ``>= +0`` and IEEE addition is monotone.
+    The grouping below is the kernel's: ``(positive + unknown) + penalty``.
+    """
+    rng = np.random.default_rng(seed)
+    k = 5
+    factor = rng.uniform(0.0, scale, size=k).astype(dtype)
+    positives = rng.uniform(0.0, scale, size=(n_positive, k)).astype(dtype)
+    weights = rng.uniform(0.0, 3.0, size=n_positive).astype(dtype)
+    # Unknown sums are non-negative in exact arithmetic but carry rounding
+    # noise of either sign in the kernel; the bound must not care.
+    unknown = rng.uniform(-1e-3, 50.0 * scale, size=k).astype(dtype)
+    lam = dtype(regularization)
+
+    log_terms = safe_log1mexp(positives @ factor)
+    if weighted:
+        log_terms = log_terms * weights
+    assert log_terms.dtype == dtype
+    positive_part = -np.sum(log_terms, dtype=dtype)
+    assert positive_part >= 0
+    unknown_part = np.dot(factor, unknown)
+    penalty = np.dot(factor, factor) * lam
+    value = (positive_part + unknown_part) + penalty
+    bound = unknown_part + penalty
+    assert value.dtype == bound.dtype == dtype
+    assert bound <= value
+    # ... and the margins the Armijo test actually compares stay ordered.
+    current = dtype(rng.uniform(-10.0, 1e4))
+    assert bound - current <= value - current

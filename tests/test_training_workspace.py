@@ -41,6 +41,7 @@ from repro.core.backends.workspace import (
     csr_row_sums_into,
 )
 from repro.core.objective import (
+    affinity_block_entries,
     gradient_ratio,
     gradient_ratio_into,
     safe_log1mexp,
@@ -48,6 +49,7 @@ from repro.core.objective import (
 )
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
+from repro.exceptions import ConfigurationError
 from repro.experiments.training_hotpath import _LegacySweepBackend
 
 
@@ -157,6 +159,168 @@ class TestLegacyParity:
 
 
 # --------------------------------------------------------------------------- #
+# Pruned line search and blocked gathers on a heavy-backtrack problem
+# --------------------------------------------------------------------------- #
+def _heavy_backtrack_problem(seed=0, n_rows=40, n_cols=150, k=50):
+    """lambda=10 at K=50 from small factors: ~9 halvings before any row accepts."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_rows, n_cols)) < 0.3).astype(float)
+    dense[0] = 0.0
+    matrix = sp.csr_matrix(dense)
+    row_factors = rng.uniform(0.0, 0.02, size=(n_rows, k))
+    col_factors = rng.uniform(0.0, 0.02, size=(n_cols, k))
+    row_weights = rng.uniform(0.5, 2.5, n_rows)
+    return matrix, row_factors, col_factors, row_weights
+
+
+class TestPrunedLineSearch:
+    REGULARIZATION = 10.0
+
+    def _kwargs(self, weighted, row_weights):
+        kwargs = dict(regularization=self.REGULARIZATION)
+        if weighted:
+            kwargs["row_positive_weights"] = row_weights
+        return kwargs
+
+    def _fitted_model(self):
+        matrix, _spec = make_netflix_like(n_users=80, n_items=30, random_state=0)
+        model = OCuLaR(
+            n_coclusters=50,
+            regularization=self.REGULARIZATION,
+            max_iterations=2,
+            tolerance=0.0,
+            random_state=0,
+        )
+        with pytest.warns(Warning):
+            model.fit(matrix)
+        return model
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_pruning_skips_evaluations_but_not_backtracks(self, weighted):
+        matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem()
+        kwargs = self._kwargs(weighted, row_weights)
+        legacy, legacy_stats = _LegacySweepBackend().sweep(
+            matrix, row_factors, col_factors, **kwargs
+        )
+        pruned, stats = VectorizedBackend().sweep(
+            matrix, row_factors, col_factors, **kwargs
+        )
+        assert np.array_equal(legacy, pruned)
+        # The problem is what it claims to be: >= 8 halvings per row.
+        assert stats.n_backtracks >= 8 * stats.n_rows
+        # Rejected-by-bound rows count as backtracks exactly as before ...
+        assert stats.n_backtracks == legacy_stats.n_backtracks
+        assert stats.n_accepted == legacy_stats.n_accepted == stats.n_rows
+        # ... but most never reach the nnz-wide objective.  Unpruned, every
+        # accepted row and every backtrack is one row-level evaluation.
+        assert 0 < stats.n_evaluated_rows < stats.n_rows + stats.n_backtracks
+        assert stats.n_evaluated_rows >= stats.n_accepted
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sharded_parity_on_every_executor(self, executor, weighted):
+        if executor == "process" and not os.path.isdir("/dev/shm"):
+            pytest.skip("requires a /dev/shm mount")
+        matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem(1)
+        kwargs = self._kwargs(weighted, row_weights)
+        legacy, legacy_stats = _LegacySweepBackend().sweep(
+            matrix, row_factors, col_factors, **kwargs
+        )
+        _, serial_stats = VectorizedBackend().sweep(
+            matrix, row_factors, col_factors, **kwargs
+        )
+        with ParallelBackend(n_workers=2, n_shards=3, executor=executor) as backend:
+            sharded, stats = backend.sweep(matrix, row_factors, col_factors, **kwargs)
+        assert np.array_equal(legacy, sharded)
+        assert stats == legacy_stats
+        # Pruning is row-local too: shards skip exactly the serial sweep's rows.
+        assert stats.n_evaluated_rows == serial_stats.n_evaluated_rows
+
+    def test_multi_sweep_trajectory_and_evaluation_count_repeat(self):
+        matrix, row_factors, col_factors, _ = _heavy_backtrack_problem(2)
+        plan_l, plan_p = SweepSide.build(matrix), SweepSide.build(matrix)
+        legacy_rows = pruned_rows = row_factors
+        counts = []
+        for _ in range(4):
+            legacy_rows, _ = _LegacySweepBackend().sweep(
+                None, legacy_rows, col_factors, self.REGULARIZATION, plan=plan_l
+            )
+            pruned_rows, stats = VectorizedBackend().sweep(
+                None, pruned_rows, col_factors, self.REGULARIZATION, plan=plan_p
+            )
+            assert np.array_equal(legacy_rows, pruned_rows)
+            counts.append(stats.n_evaluated_rows)
+        rerun = row_factors
+        for expected in counts:
+            rerun, stats = VectorizedBackend().sweep(
+                None, rerun, col_factors, self.REGULARIZATION, plan=plan_p
+            )
+            assert stats.n_evaluated_rows == expected  # a count, not a timing
+
+    def test_fold_in_users_unchanged_by_the_new_kernel(self):
+        from repro.serving.fold_in import clear_fold_in_plan_cache, fold_in_users
+
+        model = self._fitted_model()
+        new_users = [[2, 5, 7], [], [0, 1, 2, 3, 11, 29]]
+        clear_fold_in_plan_cache()
+        before = fold_in_users(model, new_users, backend=_LegacySweepBackend())
+        clear_fold_in_plan_cache()
+        after = fold_in_users(model, new_users, backend=VectorizedBackend())
+        clear_fold_in_plan_cache()
+        assert np.array_equal(before, after)
+
+    def test_history_totals_evaluated_rows(self):
+        model = self._fitted_model()
+        history = model.history_
+        sweeps = (*history.item_sweep_stats, *history.user_sweep_stats)
+        assert history.total_evaluated_rows == sum(s.n_evaluated_rows for s in sweeps)
+        unpruned = sum(s.n_accepted for s in sweeps) + history.total_backtracks
+        assert 0 < history.total_evaluated_rows < unpruned
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_arena_is_not_nnz_times_k(self, dtype):
+        # Wide K and many entries: an (nnz, k) gather pair alone would be
+        # 2 * nnz * k * itemsize bytes; the arena must stay within
+        # O(nnz + n*k + block*k).
+        rng = np.random.default_rng(0)
+        n_rows, n_cols, k = 300, 400, 64
+        matrix = sp.csr_matrix((rng.random((n_rows, n_cols)) < 0.2).astype(float))
+        side = SweepSide.build(matrix, dtype=dtype)
+        arena = side.workspaces.acquire(side, 0, n_rows, k, dtype)
+        itemsize = np.dtype(dtype).itemsize
+        block = affinity_block_entries(k, dtype)
+        assert arena.gather_rows.shape == arena.gather_cols.shape == (block, k)
+        assert matrix.nnz > 4 * block  # the bound below is not vacuous
+        budget = (
+            (8 * 8 + 3 * itemsize) * matrix.nnz  # int64 index scratch + entry floats
+            + 8 * n_rows * k * itemsize  # per-row (n, k) blocks
+            + 2 * block * k * itemsize  # the gather pair
+            + 32 * 8 * (n_rows + n_cols + 1)  # per-row / per-column vectors
+        )
+        assert arena.nbytes <= budget
+        assert arena.nbytes < 2 * matrix.nnz * k * itemsize
+        side.workspaces.release(arena)
+
+    def test_blocked_gathers_span_many_blocks_exactly(self, monkeypatch):
+        # Shrink the block so even this small problem crosses dozens of block
+        # boundaries (including a ragged last block) in every gather pass.
+        from repro.core import objective
+
+        monkeypatch.setattr(objective, "_AFFINITY_BLOCK_BYTES", 7 * 2 * 50 * 8)
+        matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem(3)
+        legacy, _ = _LegacySweepBackend().sweep(
+            matrix, row_factors, col_factors, 10.0, row_positive_weights=row_weights
+        )
+        plan = SweepSide.build(matrix, row_positive_weights=row_weights)
+        blocked, _ = VectorizedBackend().sweep(
+            None, row_factors, col_factors, 10.0, plan=plan
+        )
+        arena = plan.workspaces.acquire(plan, 0, plan.n_rows, 50, np.float64)
+        assert arena.gather_rows.shape == (7, 50)
+        assert np.array_equal(legacy, blocked)
+
+
+# --------------------------------------------------------------------------- #
 # Dtype consistency (the float32 reduction fix) and in-place helpers
 # --------------------------------------------------------------------------- #
 class TestDtypeConsistency:
@@ -185,16 +349,18 @@ class TestDtypeConsistency:
         )
         np.testing.assert_allclose(full, half, rtol=1e-3, atol=1e-4)
 
-    def test_mixed_dtype_falls_back_to_allocating_kernel(self):
-        # float64 factors against a float32 plan is unsupported-but-legal:
-        # it must keep the old upcasting kernel, not crash in pooled buffers.
+    def test_mixed_dtype_raises_configuration_error(self):
+        # float64 factors against a float32 plan: no supported path produces
+        # it, and the one (pooled, single-dtype) kernel refuses it with a
+        # typed error before touching the store.
         matrix, row_factors, col_factors, _ = _random_problem(9)
         plan = SweepSide.build(matrix, dtype=np.float32)
-        mixed, stats = VectorizedBackend().sweep(
-            None, row_factors, col_factors, 0.2, plan=plan
-        )
-        assert mixed.dtype == np.float64
-        assert stats.workspace_allocations == 0  # never touched the store
+        with pytest.raises(ConfigurationError, match="share one dtype"):
+            VectorizedBackend().sweep(None, row_factors, col_factors, 0.2, plan=plan)
+        with pytest.raises(ConfigurationError, match="share one dtype"):
+            VectorizedBackend().sweep(
+                None, row_factors.astype(np.float32), col_factors, 0.2, plan=plan
+            )
         assert plan.workspaces.stats().allocations == 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
