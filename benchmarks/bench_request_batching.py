@@ -2,17 +2,23 @@
 without the micro-batching front-end.
 
 The paper's deployment serves many concurrent B2B clients, each asking for a
-handful of users at a time.  Unbatched, every such request is one sharded
-dispatch — for a four-user request the executor round-trip dwarfs the four
-rows of BLAS work, so dispatch overhead bounds users/s.  The
-:class:`~repro.runtime.BatchingFrontEnd` coalesces concurrent requests into
-micro-batches under a latency bound; this benchmark drives the same client
-threads down both paths and reports users/s, the coalescing ratio (runtime
-dispatches per client request) and the batch occupancy.
+handful of users at a time.  Unbatched, every such request is one runtime
+call; a four-user request makes one shard, so the runtime serves it on the
+client's own thread and the call's fixed cost is paid for four rows of BLAS
+work.  The :class:`~repro.runtime.BatchingFrontEnd` coalesces concurrent
+requests into micro-batches under a latency bound; this benchmark drives the
+same client threads down both paths and reports users/s on each, the
+coalescing ratio (runtime dispatches per client request) and the batch
+occupancy.
 
-Batched throughput is asserted >= unbatched in full mode on hosts with at
-least :data:`WORKERS` cores; rankings are asserted identical request by
-request on both paths, always.
+Real coalescing is asserted, and rankings are asserted identical request by
+request on both paths, always.  The two rates are reported, not ordered.
+While a one-shard call paid an executor round-trip the batched path won
+every run (1.65-2.5x over three full-mode runs on a 2-core host).  With the
+round-trip gone, six full-mode runs on the same host read 9.9k-11.3k
+users/s batched (one dispatcher thread behind a 4 ms window) against
+6.3k-12.9k unbatched (16 client threads contending for the interpreter):
+a ratio anywhere between 0.8x and 1.75x, so neither order is asserted.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import time
 
 import numpy as np
 from _report import write_bench_json
-from conftest import run_once, scaled, smoke_mode
+from conftest import run_once, scaled
 
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
@@ -117,7 +123,8 @@ def test_batched_vs_unbatched_small_requests(benchmark, report_writer):
             RecommendRequest(users=requests[0], n_items=params["top_n"])
         )
 
-        # Unbatched: each client request is its own sharded runtime dispatch.
+        # Unbatched: each client request is its own runtime call (one shard,
+        # served in process on the client thread).
         calls_before = runtime.serving_calls
         unbatched_seconds, unbatched = _run_clients(
             CLIENTS,
@@ -202,13 +209,6 @@ def test_batched_vs_unbatched_small_requests(benchmark, report_writer):
         users_per_request=params["users_per_request"],
     )
 
-    # Coalescing must be real (fewer dispatches than requests), and with
-    # dispatch overhead amortised over whole batches the batched path must
-    # serve at least as many users per second as one-dispatch-per-request.
+    # Coalescing must be real: fewer dispatches than requests.
     assert batched_calls < params["n_requests"]
     assert stats.mean_occupancy > params["users_per_request"]
-    if not smoke_mode() and (os.cpu_count() or 1) >= WORKERS:
-        assert batched_rate >= unbatched_rate, (
-            f"micro-batching served {batched_rate:,.0f} users/s vs "
-            f"{unbatched_rate:,.0f} unbatched"
-        )

@@ -66,6 +66,7 @@ import itertools
 import os
 import pickle
 import queue
+import socket
 import sys
 import threading
 import time
@@ -313,8 +314,15 @@ def _serve_ctrl(
             connection.send(("ok", None))
             stop.set()
             try:
-                listener.close()
-            except Exception:
+                # Closing the listener from this thread does not wake the
+                # agent's blocked ``accept``; one throwaway connection does
+                # (to loopback when bound to a wildcard, which only Linux
+                # lets a client connect to).
+                host, port = listener.address[:2]
+                if host in ("", "0.0.0.0", "::"):
+                    host = "localhost"
+                socket.create_connection((host, port), timeout=1.0).close()
+            except OSError:
                 pass
             return
         else:

@@ -1,12 +1,12 @@
 """Micro-batching request front-end for the long-lived runtime.
 
 The paper's deployment serves many concurrent B2B clients, each asking for
-recommendations for a handful of users at a time.  Dispatching every such
-request through :meth:`~repro.runtime.RecommenderRuntime.recommend`
-individually wastes the sharded serving machinery on tiny fan-outs: a
-four-user request pays one executor round-trip for four rows of BLAS work,
-so under high request concurrency the dispatch overhead — not the scoring —
-bounds users/s.
+recommendations for a handful of users at a time.  A request that small
+makes one shard, which the runtime serves on the caller's thread (no
+executor round-trip — see :mod:`repro.runtime.service`), but it still pays
+the fixed cost of a whole engine call (~0.1 ms) for four rows of BLAS work,
+so under high request concurrency that per-call overhead — not the scoring
+— bounds users/s.
 
 :class:`BatchingFrontEnd` closes that gap with classic micro-batching:
 
@@ -21,9 +21,10 @@ bounds users/s.
   :attr:`~repro.api.RecommendRequest.options` (known-user top-N vs fold-in
   cold-start, and by serving options), each group's rows are flattened by
   :func:`~repro.serving.batch.merge_request_lists` into one merged request,
-  and a single runtime call serves it through the existing sharded
-  descriptor path — the batch rides the same machinery, just with real
-  occupancy;
+  and a single runtime call serves it — in process while the merged rows
+  fit one shard (``max_batch_users`` below the engine's chunk size, the
+  usual case), through the sharded descriptor path beyond — the batch
+  rides the same machinery, just with real occupancy;
 * **scatter** — per-row rankings (and scores, when asked) are sliced back
   per request (:func:`~repro.serving.batch.scatter_results`) and delivered
   through the futures as :class:`~repro.api.RecommendResponse` objects.

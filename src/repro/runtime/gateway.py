@@ -21,8 +21,11 @@ Wire protocol — newline-delimited JSON, one frame per line:
 * success frame: ``{"id": ..., "ok": true, ...response.to_dict()}``;
 * error frame: ``{"id": ..., "ok": false, "error": {"code": ..., "message":
   ...}}`` with codes ``bad-json``, ``bad-request``, ``unknown-op``,
-  ``not-fitted``, ``closing`` and ``server-error``.  Errors are per-frame:
-  a malformed request never kills its connection, let alone the server.
+  ``frame-too-large``, ``not-fitted``, ``closing`` and ``server-error``.
+  Errors are per-frame: a malformed request never kills its connection,
+  let alone the server — a frame over ``max_frame_bytes`` is discarded up
+  to its newline, answered (with ``"id": null``; it was never parsed) and
+  the connection reads on.
 
 Admission control and fairness: at most ``max_inflight`` requests are
 inside the batcher at a time.  Arrivals beyond that park in a
@@ -72,6 +75,26 @@ def _error_frame(rid, code: str, message: str) -> dict:
     return {"id": rid, "ok": False, "error": {"code": code, "message": message}}
 
 
+async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next newline-terminated frame; ``b""`` at EOF.
+
+    ``None`` stands for a frame longer than the reader's limit: its bytes are
+    dropped as they arrive, up to and including its newline, so the stream
+    is back on a frame boundary and memory stays bounded by the limit.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:  # EOF
+            return None if oversized else error.partial
+        except asyncio.LimitOverrunError as error:
+            oversized = True
+            await reader.readexactly(error.consumed)
+            continue
+        return None if oversized else line
+
+
 class ServingGateway:
     """Asyncio front door bridging socket clients onto a batching front-end.
 
@@ -90,6 +113,10 @@ class ServingGateway:
         Pipelining bound per connection: a connection with this many frames
         outstanding is not read from until one resolves, so one client
         cannot queue unbounded memory server-side.
+    max_frame_bytes:
+        Longest request frame accepted (default 1 MiB — a cold-start
+        payload of thousands of interactions fits); a longer one is
+        answered with a ``frame-too-large`` error frame.
     fair_queue:
         The tenant arbitration queue; defaults to an equal-weight
         :class:`~repro.runtime.fairness.WeightedFairQueue`.
@@ -106,6 +133,7 @@ class ServingGateway:
         port: int = 0,
         max_inflight: int = 64,
         max_connection_inflight: int = 256,
+        max_frame_bytes: int = 1 << 20,
         fair_queue: Optional[WeightedFairQueue] = None,
     ) -> None:
         self._front = front
@@ -115,6 +143,7 @@ class ServingGateway:
         self.max_connection_inflight = check_positive_int(
             max_connection_inflight, "max_connection_inflight"
         )
+        self.max_frame_bytes = check_positive_int(max_frame_bytes, "max_frame_bytes")
         self._queue = fair_queue if fair_queue is not None else WeightedFairQueue()
         self._server: Optional[asyncio.AbstractServer] = None
         self._closing = False
@@ -217,7 +246,7 @@ class ServingGateway:
         if self._server is not None:
             raise ConfigurationError("the gateway is already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=self.max_frame_bytes
         )
         return self
 
@@ -305,9 +334,16 @@ class ServingGateway:
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await _read_frame(reader)
                 except (ConnectionError, OSError):
                     break
+                if line is None:
+                    self._frames += 1
+                    await self._send_error(
+                        writer, write_lock, None, "frame-too-large",
+                        f"frame exceeds max_frame_bytes={self.max_frame_bytes}",
+                    )
+                    continue
                 if not line:
                     break  # EOF: client closed its write side
                 line = line.strip()

@@ -25,6 +25,12 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   attach zero-copy.  Rankings are byte-identical to the single-process
   :class:`~repro.serving.engine.TopNEngine`;
 
+* **no fan-out without a fan**: a serving call whose rows make one shard
+  (``shard_size`` defaults to the engine's chunk size) runs on the calling
+  thread, on the pinned generation's in-process engine — the rule the
+  training layer's ``ParallelBackend._sweep_rows`` already follows.  Only
+  two or more shards go to the executor;
+
 * **generation swap semantics**: :meth:`update` republishes under a fresh
   generation and retires the old one — unlinked immediately when idle, or
   when its last in-flight serving call drains (each call holds a reference
@@ -43,7 +49,8 @@ import pickle
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -98,27 +105,44 @@ class ServingStats:
     ----------
     path:
         ``"shared"`` when shards carried only shm descriptors, ``"local"``
-        when the engine ran in (or was shipped from) the calling process.
+        when the engine ran in (or was shipped from) the calling process —
+        which every call of at most one shard does.
     n_shards:
-        Number of shard tasks dispatched.
+        Number of shard tasks the rows made.
     generation:
         Generation of the published engine the call served from (shared
         path only).
-    spec_bytes:
-        Pickled size of the :class:`~repro.serving.shared.SharedEngineSpec`
-        — the entire model-dependent payload of a shared-path task.  A few
-        hundred bytes regardless of model size; compare with the megabytes
-        a pickled engine costs per task.
-    max_task_bytes:
-        Pickled size of the largest complete task tuple (descriptors plus
-        the shard's user list / row range).
     """
 
     path: str
     n_shards: int
     generation: Optional[int] = None
-    spec_bytes: Optional[int] = None
-    max_task_bytes: Optional[int] = None
+    # Largest task of a shared-path call (descriptors first, then the shard's
+    # user list / row range): what the two sizes are measured from, if read.
+    _task: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def shared(cls, generation: int, tasks: List[tuple]) -> "ServingStats":
+        """Stats of a descriptor-path call; every shard but the last is full,
+        so the first task is a largest one."""
+        stats = cls("shared", len(tasks), generation)
+        object.__setattr__(stats, "_task", tasks[0])
+        return stats
+
+    @cached_property
+    def spec_bytes(self) -> Optional[int]:
+        """Pickled size of the :class:`~repro.serving.shared.SharedEngineSpec`.
+
+        The entire model-dependent payload of a shared-path task: a few
+        hundred bytes regardless of model size; compare with the megabytes
+        a pickled engine costs per task.
+        """
+        return None if self._task is None else len(pickle.dumps(self._task[0]))
+
+    @cached_property
+    def max_task_bytes(self) -> Optional[int]:
+        """Pickled size of the largest complete task tuple, on first read."""
+        return None if self._task is None else len(pickle.dumps(self._task))
 
 
 @dataclass(frozen=True)
@@ -987,13 +1011,22 @@ class RecommenderRuntime:
                 user_list[start : start + shard_size]
                 for start in range(0, len(user_list), shard_size)
             ]
-            if spec is not None and shards:
+            if len(shards) <= 1:
+                # No fan-out without a fan: one shard runs here, on the
+                # pinned generation's in-process engine (the reference the
+                # workers are bit-identical to), not through the pool.
+                shard_results = [
+                    _serve_shard(engine, shard, n_items, exclude_seen, return_scores)
+                    for shard in shards
+                ]
+                stats = ServingStats(path="local", n_shards=len(shards))
+            elif spec is not None:
                 tasks = [
                     (spec, shard, n_items, exclude_seen, return_scores)
                     for shard in shards
                 ]
                 shard_results = self._executor.starmap(_topn_shard, tasks)
-                stats = self._shared_stats(spec, generation, tasks, key=lambda t: len(t[1]))
+                stats = ServingStats.shared(generation, tasks)
             else:
                 shard_results = self._scheduler.starmap(
                     _serve_shard,
@@ -1057,7 +1090,15 @@ class RecommenderRuntime:
                 backend=self._backend,
             )
             n_rows = scores.shape[0]
-            if spec is None or n_rows == 0:
+            if shard_size is None:
+                shard_size = engine.chunk_size
+            check_positive_int(shard_size, "shard_size")
+            ranges = [
+                (start, min(start + shard_size, n_rows))
+                for start in range(0, n_rows, shard_size)
+            ]
+            if spec is None or len(ranges) <= 1:
+                # One shard (or no publication): rank here, like top-N does.
                 self._record_serving_call(ServingStats(path="local", n_shards=1))
                 ranked = engine.rank_scored(
                     scores,
@@ -1070,9 +1111,6 @@ class RecommenderRuntime:
                     ranked = ranked[0]  # flat result embeds the score block
                 rankings, ranked_scores = self._flatten_shards([ranked], return_scores)
                 return rankings, ranked_scores, 1, generation
-            if shard_size is None:
-                shard_size = max(1, -(-n_rows // self.n_shards))
-            check_positive_int(shard_size, "shard_size")
             # Non-evictable like the engine segments: these are unpublished
             # in the ``finally`` below, so pinning them costs nothing, and a
             # silent LRU eviction under concurrent-call pressure would fail
@@ -1087,10 +1125,6 @@ class RecommenderRuntime:
                 else None
             )
             try:
-                ranges = [
-                    (start, min(start + shard_size, n_rows))
-                    for start in range(0, n_rows, shard_size)
-                ]
                 tasks = [
                     (spec, scores_spec, seen_spec, start, stop, n_items, return_scores)
                     for start, stop in ranges
@@ -1104,9 +1138,7 @@ class RecommenderRuntime:
         finally:
             # Per-call reference, exactly as in the top-N path.
             self._release_spec(spec)
-        self._record_serving_call(
-            self._shared_stats(spec, generation, tasks, key=lambda task: 0)
-        )
+        self._record_serving_call(ServingStats.shared(generation, tasks))
         rankings, ranked_scores = self._flatten_shards(shard_results, return_scores)
         return rankings, ranked_scores, len(tasks), generation
 
@@ -1217,21 +1249,6 @@ class RecommenderRuntime:
         with self._swap_lock:
             self.serving_calls += 1
             self.last_serving_stats = stats
-
-    def _shared_stats(self, spec, generation, tasks, key) -> ServingStats:
-        """Stats for a shared-path call, pickling one representative task.
-
-        ``starmap`` already serialised every task; re-pickling the whole
-        list just for a statistic would double that work on the hot path,
-        so only the task ``key`` selects as largest is measured.
-        """
-        return ServingStats(
-            path="shared",
-            n_shards=len(tasks),
-            generation=generation,
-            spec_bytes=len(pickle.dumps(spec)),
-            max_task_bytes=len(pickle.dumps(max(tasks, key=key))),
-        )
 
     def _check_open(self) -> None:
         if self._closed:

@@ -114,8 +114,14 @@ class TestClusterBasics:
         executor = ClusterExecutor(n_nodes=2, task_timeout=60)
         processes = [node.process for node in executor._nodes]
         assert all(process.is_alive() for process in processes)
+        started = time.perf_counter()
         executor.shutdown()
+        elapsed = time.perf_counter() - started
         assert all(not process.is_alive() for process in processes)
+        # The agents exit on the ("shutdown",) request itself (exit code 0),
+        # not by the SIGKILL that follows each 5 s join timeout.
+        assert [process.exitcode for process in processes] == [0, 0]
+        assert elapsed < 1.0, f"shutdown took {elapsed:.2f} s"
 
 
 class TestServingParity:
@@ -315,6 +321,30 @@ class TestExternalAgents:
                     executor.kill_node(0)  # not ours to SIGKILL
         finally:
             agent.terminate()
+            agent.join(timeout=10)
+
+    def test_wildcard_bound_agent_exits_on_shutdown(self):
+        # Started as documented (``--host 0.0.0.0``): the shutdown wake-up
+        # must reach the listener through loopback, not the wildcard address.
+        authkey = b"repro-test-authkey"
+        context = get_context("spawn")
+        parent, child = context.Pipe(duplex=False)
+        agent = context.Process(
+            target=_agent_main, args=("0.0.0.0", 0, authkey, child), daemon=True
+        )
+        agent.start()
+        child.close()
+        try:
+            assert parent.poll(30), "external agent never reported its address"
+            _host, port = parent.recv()
+            ClusterExecutor(
+                addresses=[("127.0.0.1", port)], authkey=authkey, task_timeout=60
+            ).shutdown()
+            agent.join(timeout=5)
+            assert agent.exitcode == 0
+        finally:
+            parent.close()
+            agent.kill()
             agent.join(timeout=10)
 
     def test_external_addresses_require_authkey(self):

@@ -345,7 +345,10 @@ class TestServingParity:
                 RecommendRequest(users=users, n_items=7), shard_size=shard_size
             )
             assert runtime.last_serving_stats.n_shards == n_shards
-            assert runtime.last_serving_stats.path == "shared"
+            # One shard is served in process; only a real fan-out uses the pool.
+            assert runtime.last_serving_stats.path == (
+                "local" if n_shards == 1 else "shared"
+            )
             assert len(result.rankings) == len(users)
             for expected, got in zip(reference, result.rankings):
                 assert np.array_equal(expected, got)
@@ -465,6 +468,139 @@ class TestServingParity:
             assert runtime.last_serving_stats.path == "shared"
             for expected, got in zip(reference, result.rankings):
                 assert np.array_equal(expected, got)
+
+
+# --------------------------------------------------------------------------- #
+# The dispatch rule: one shard runs on the caller's thread, two or more fan out
+# --------------------------------------------------------------------------- #
+def _rows_equal(got, want) -> bool:
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for a, b in zip(got, want)
+    )
+
+
+class TestOneShardDispatch:
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_one_shard_equals_forced_shards_equals_engine(
+        self, corpus, fitted_reference, executor
+    ):
+        model, engine = fitted_reference
+        fanned_path = "shared" if executor == "process" else "local"
+        users = list(range(40))
+        cold = [[1, 5, 9], [2, 3], [0, 10, 20, 30], [], [7]]
+        with RecommenderRuntime(executor=executor, max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+
+            def serve(request, shard_size, path, n_shards):
+                calls = runtime.serving_calls
+                response = runtime.recommend(request, shard_size=shard_size)
+                stats = runtime.last_serving_stats
+                assert (stats.path, stats.n_shards) == (path, n_shards)
+                assert runtime.serving_calls == calls + 1
+                return response
+
+            for with_scores in (False, True):
+                request = RecommendRequest(
+                    users=users, n_items=5, with_scores=with_scores
+                )
+                one = serve(request, None, "local", 1)
+                fanned = serve(request, 16, fanned_path, 3)
+                want = engine.recommend_batch(
+                    users, n_items=5, return_scores=with_scores
+                )
+                want_rankings, want_scores = want if with_scores else (want, None)
+                for response in (one, fanned):
+                    assert _rows_equal(response.rankings, want_rankings)
+                    if with_scores:
+                        assert _rows_equal(response.scores, want_scores)
+                    else:
+                        assert response.scores is None
+
+            request = RecommendRequest(interactions=cold, n_items=6, n_sweeps=8)
+            want = recommend_folded(engine, cold, model=model, n_items=6, n_sweeps=8)
+            assert _rows_equal(serve(request, None, "local", 1).rankings, want)
+            # Thread/serial runtimes publish nothing and always rank in process.
+            fanned_shards = 3 if executor == "process" else 1
+            fanned = serve(request, 2, fanned_path, fanned_shards)
+            assert _rows_equal(fanned.rankings, want)
+
+            # A mixed request: two published users, two ingested after publish.
+            first = corpus.n_users
+            fresh_rows = [[3, 4, 11], [8]]
+            runtime.ingest(
+                [(first + i, item) for i, row in enumerate(fresh_rows) for item in row],
+                n_new_users=2,
+            )
+            request = RecommendRequest(users=[first + 1, 0, first, 5], n_items=4)
+            known = engine.recommend_batch([0, 5], n_items=4)
+            folded = recommend_folded(engine, fresh_rows, model=model, n_items=4)
+            want = [folded[1], known[0], folded[0], known[1]]
+            for shard_size in (None, 1):
+                response = runtime.recommend(request, shard_size=shard_size)
+                assert _rows_equal(response.rankings, want)
+                assert response.generation == runtime.generation
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
+    def test_session_pins_old_generation_for_one_shard_calls(self, corpus, fitted_reference):
+        _model_ref, engine = fitted_reference
+        before = _dev_shm_entries()
+        request = RecommendRequest(users=(3, 1, 4), n_items=5)
+        cold = RecommendRequest(interactions=[[1, 5, 9]], n_items=5, n_sweeps=4)
+        with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            old_generation = runtime.publish()
+            old_names = set(runtime.published_spec.segment_names())
+            old_cold = runtime.recommend(cold).rankings
+            session = runtime.serving_session()
+            runtime.fit(_model(random_state=9), corpus)
+            runtime.update()
+            new = runtime.recommend(request)
+            assert new.generation == old_generation + 1
+            # The session's one-shard calls run in process — on the engine of
+            # the generation it pinned, not the one now published.
+            pinned = session.recommend(request)
+            assert runtime.last_serving_stats.path == "local"
+            assert pinned.generation == old_generation
+            assert _rows_equal(pinned.rankings, engine.recommend_batch([3, 1, 4], n_items=5))
+            assert not _rows_equal(pinned.rankings, new.rankings)
+            assert _rows_equal(session.recommend(cold).rankings, old_cold)
+            # In-process serving never attached the retired segments, but the
+            # session's reference still keeps them linked until it releases.
+            assert old_names <= _dev_shm_entries()
+            session.release()
+            assert not (old_names & _dev_shm_entries())
+        assert _dev_shm_entries() <= before
+
+    def test_concurrent_one_user_requests_match_reference(self, corpus, fitted_reference):
+        _model_ref, engine = fitted_reference
+        reference = engine.recommend_batch(range(corpus.n_users), n_items=5)
+        with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+            mismatches: list = []
+
+            def client(offset: int) -> None:
+                try:
+                    for step in range(200):
+                        user = (offset * 37 + step * 7) % corpus.n_users
+                        got = runtime.recommend(
+                            RecommendRequest(users=(user,), n_items=5)
+                        ).rankings
+                        if not _rows_equal(got, [reference[user]]):
+                            mismatches.append(user)
+                except Exception as exc:  # pragma: no cover - failure mode
+                    mismatches.append(exc)
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert mismatches == []
+            assert runtime.serving_calls == 16 * 200
+            assert runtime.last_serving_stats.path == "local"
 
 
 # --------------------------------------------------------------------------- #

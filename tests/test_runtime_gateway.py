@@ -179,6 +179,43 @@ class TestFailureModes:
         response = client.recommend(RecommendRequest(users=(1,), n_items=3))
         assert len(response.rankings) == 1
 
+    def test_frame_over_default_stream_limit_is_served(self, runtime, client):
+        # 128 KiB is an ordinary cold-start payload; asyncio's default 64 KiB
+        # stream limit used to kill the connection with no reply.
+        rows = [list(range(50))] * 1000
+        request = RecommendRequest(interactions=rows, n_items=4, n_sweeps=1)
+        assert len(str(request.to_dict())) > 128 * 1024
+        client.send_frame({"id": "big", **request.to_dict()})
+        frame = client.recv_frame()
+        assert frame["ok"] is True and frame["id"] == "big"
+        expected = runtime.recommend(request).rankings
+        assert frame["rankings"] == [list(map(int, row)) for row in expected]
+
+    def test_oversized_frame_gets_typed_error_and_connection_survives(self, runtime):
+        with BatchingFrontEnd(runtime, max_delay_ms=2) as front:
+            with GatewayThread(front, max_frame_bytes=64 * 1024) as gw:
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                    c.send_frame({"id": 1, "users": [0] * (64 * 1024), "n_items": 3})
+                    frame = c.recv_frame()
+                    assert frame == {
+                        "id": None,
+                        "ok": False,
+                        "error": {
+                            "code": "frame-too-large",
+                            "message": "frame exceeds max_frame_bytes=65536",
+                        },
+                    }
+                    # Resynchronised at the newline: the same socket serves on,
+                    # and a frame just under the limit is still a frame.
+                    response = c.recommend(RecommendRequest(users=(1, 2), n_items=3))
+                    expected = runtime.engine.recommend_batch([1, 2], n_items=3)
+                    assert all(
+                        np.array_equal(a, b) for a, b in zip(response.rankings, expected)
+                    )
+                    c.send_frame({"id": 2, "users": [0] * 30000, "n_items": 1})
+                    assert c.recv_frame()["ok"] is True
+                    assert c.stats()["gateway"]["errors"] == {"frame-too-large": 1}
+
     def test_non_object_frame_rejected(self, client):
         client.send_frame([1, 2, 3])
         frame = client.recv_frame()
