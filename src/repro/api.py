@@ -1,13 +1,9 @@
 """The unified request/response vocabulary every serving entrypoint speaks.
 
-Before this module the runtime had three divergent entrypoints — the
-in-process :class:`~repro.serving.engine.TopNEngine`, the
-:class:`~repro.runtime.RecommenderRuntime` pair ``topn`` /
-``recommend_folded``, and the micro-batcher's ``submit`` /
-``submit_folded`` — each with its own ad-hoc argument vocabulary.  The
-network gateway would have been a fourth.  Instead, every path now accepts
-one typed :class:`RecommendRequest` and produces one typed
-:class:`RecommendResponse`:
+Every serving path — in process, micro-batched, or over the network —
+accepts one typed :class:`RecommendRequest` and produces one typed
+:class:`RecommendResponse`, instead of each growing its own ad-hoc argument
+vocabulary:
 
 * ``RecommenderRuntime.recommend(request)`` — blocking, in-process;
 * ``BatchingFrontEnd.submit_request(request)`` — a future, micro-batched;

@@ -53,15 +53,18 @@ from repro.core.backends.base import Backend, SweepStats
 from repro.core.backends.plan import SweepSide
 from repro.core.backends.vectorized import VectorizedBackend
 from repro.exceptions import ConfigurationError
-from repro.parallel.scheduler import ShardScheduler
-from repro.parallel.shared_memory import (
+from repro.parallel.publication import (
+    PublishedKeys,
     SharedArraySpec,
     SharedCsrSpec,
+    supports_publication,
+)
+from repro.parallel.scheduler import ShardScheduler
+from repro.parallel.shared_memory import (
     attach_shared_array,
     attach_shared_csr,
     close_stale_attachments,
     register_attachment_holder,
-    supports_publication,
 )
 from repro.utils.validation import check_positive_int
 
@@ -229,10 +232,11 @@ class ParallelBackend(Backend):
         self._scheduler = ShardScheduler(
             executor, max_workers=self.n_workers if isinstance(executor, str) else None
         )
-        # Keys this backend published on a shared-memory executor, so a
+        # What this backend published on a publishing executor, so a
         # backend borrowing someone else's executor (e.g. the runtime's warm
-        # pool) can remove exactly its own footprint on shutdown.
-        self._published_keys: set = set()
+        # pool) can remove exactly its own footprint on shutdown.  Bound to
+        # the executor on the first descriptor sweep.
+        self._published: Optional[PublishedKeys] = None
         # Shared-memory sweeps publish into slots keyed by (name, shape,
         # dtype): two concurrent sweeps through one backend (a refit racing
         # a fold-in on the runtime's warm pool) would overwrite each other's
@@ -272,14 +276,26 @@ class ParallelBackend(Backend):
         common = (regularization, sigma, beta, max_backtracks)
         if supports_publication(executor):
             with self._sweep_lock:
-                side_spec = self._publish_side(executor, plan)
-                row_spec = self._publish_slot(
-                    executor,
+                if self._published is None:
+                    self._published = PublishedKeys(executor)
+                published = self._published
+                # Every plan array is static, so re-presenting the same plan
+                # side on later sweeps returns the existing descriptors
+                # without copying (copy-once per fit).
+                side_spec = SharedSideSpec(
+                    csr=published.static_csr(plan.matrix),
+                    row_index=published.static(plan.row_index),
+                    entry_weights=(
+                        None
+                        if plan.entry_weights is None
+                        else published.static(plan.entry_weights)
+                    ),
+                )
+                row_spec = published.slot(
                     ("row_factors", row_factors.shape, row_factors.dtype.str),
                     row_factors,
                 )
-                col_spec = self._publish_slot(
-                    executor,
+                col_spec = published.slot(
                     ("col_factors", col_factors.shape, col_factors.dtype.str),
                     col_factors,
                 )
@@ -303,44 +319,6 @@ class ParallelBackend(Backend):
         return factors, stats
 
     # ------------------------------------------------------------------ #
-    # Shared-memory publication
-    # ------------------------------------------------------------------ #
-    def _publish_slot(self, executor, key, array: np.ndarray) -> SharedArraySpec:
-        """Publish a refreshable slot, remembering the key for cleanup."""
-        spec = executor.publish(key, array)
-        self._published_keys.add(key)
-        return spec
-
-    def _publish_static(self, executor, array: np.ndarray) -> SharedArraySpec:
-        """Publish write-once data, remembering its slot key for cleanup."""
-        spec = executor.publish_static(array)
-        self._published_keys.add(("static", id(array)))
-        return spec
-
-    def _publish_side(self, executor, plan: SweepSide) -> SharedSideSpec:
-        """Place a sweep side's arrays in shared memory (copy-once per fit).
-
-        Every array is published via ``publish_static``, so re-presenting
-        the same plan side on later sweeps returns the existing descriptors
-        without copying.
-        """
-        matrix = plan.matrix
-        return SharedSideSpec(
-            csr=SharedCsrSpec(
-                shape=tuple(matrix.shape),
-                data=self._publish_static(executor, matrix.data),
-                indices=self._publish_static(executor, matrix.indices),
-                indptr=self._publish_static(executor, matrix.indptr),
-            ),
-            row_index=self._publish_static(executor, plan.row_index),
-            entry_weights=(
-                None
-                if plan.entry_weights is None
-                else self._publish_static(executor, plan.entry_weights)
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
     # Pool lifecycle
     # ------------------------------------------------------------------ #
     def release_published(self) -> None:
@@ -355,16 +333,9 @@ class ParallelBackend(Backend):
         ride the executor's LRU.
         """
         with self._sweep_lock:
-            executor = self._scheduler.live_executor
-            if (
-                self._published_keys
-                and executor is not None
-                and supports_publication(executor)
-                and not getattr(executor, "is_shut_down", False)
-            ):
-                for key in self._published_keys:
-                    executor.unpublish(key)
-            self._published_keys.clear()
+            if self._published is not None:
+                self._published.release()
+                self._published = None
 
     def shutdown(self) -> None:
         """Release what this backend holds (a later sweep recreates it all).

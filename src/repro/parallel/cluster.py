@@ -10,17 +10,16 @@ agents it spawns itself, or agents started on other machines with
 
 Three ideas carry the design:
 
-* **Descriptors, not arrays.**  The executor exposes the same publication
-  capability as :class:`~repro.parallel.shared_memory.SharedMemoryProcessExecutor`
-  (``publish`` / ``publish_static`` / ``unpublish``), so the training
-  backend and the serving runtime ship ``(row_range, spec)`` tasks
-  unchanged.  Published arrays live in a driver-side object store;
-  tasks carry :class:`ClusterArrayRef` descriptors (a store key plus shape
-  and dtype).  A node fetches each key **once**, caches the array for the
-  publication's lifetime, and is told to evict it when the driver retires
-  the publication (a model-generation swap, a per-call fold-in block) — so
-  one model version crosses the wire to each node one time, not once per
-  shard.
+* **Descriptors, not arrays.**  The executor composes the same
+  :class:`~repro.parallel.publication.PublicationTable` as the
+  shared-memory process pool, so the training backend and the serving
+  runtime ship ``(row_range, spec)`` tasks unchanged.  Only the store
+  differs: published arrays live in a driver-side object store and tasks
+  carry ``remote`` :class:`~repro.parallel.publication.SharedArraySpec`
+  descriptors.  A node fetches each key **once**, caches the array, and is
+  told to evict it when the driver retires the publication (a
+  model-generation swap, a per-call fold-in block) — so one model version
+  crosses the wire to each node one time, not once per shard.
 * **Fault tolerance is first-class.**  Each node runs its tasks over a
   dedicated connection with a per-task reply timeout.  A task that *raises*
   propagates its exception (first failure in submission order, remote
@@ -71,15 +70,15 @@ import sys
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import AuthenticationError, get_context
 from multiprocessing.connection import Client, Connection, Listener
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ExecutorShutDownError, WorkerCrashError
+from repro.parallel.publication import PublicationTable, SharedArraySpec
 from repro.parallel.shared_memory import evict_holder_claims
 from repro.utils.validation import check_positive_int
 
@@ -95,48 +94,6 @@ TASK_DELAY_ENV = "REPRO_CLUSTER_TASK_DELAY_MS"
 EXIT_INJECTED_DEATH = 17
 
 _AGENT_START_TIMEOUT = 30.0
-
-
-# --------------------------------------------------------------------------- #
-# Object descriptors
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ClusterArrayRef:
-    """Descriptor of one array in the driver's object store (picklable).
-
-    The cluster twin of :class:`~repro.parallel.shared_memory.SharedArraySpec`:
-    tasks carry refs, nodes materialise them.  ``attach()`` serves from the
-    node's local cache, fetching from the driver store only the first time a
-    key reaches the node — this is what makes descriptor serving
-    fetch-once-per-node-per-generation.
-    """
-
-    key: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-    @property
-    def shm_name(self) -> str:
-        """The store key, under the generic "segment name" protocol.
-
-        Name-based machinery written for shared memory (engine caches
-        keyed by segment names, attachment-holder claims, eviction) works
-        on cluster refs through this alias.
-        """
-        return self.key
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the described array in bytes."""
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
-    def attach(self) -> np.ndarray:
-        """Materialise the array inside an agent (cached, fetch-once)."""
-        return _node_runtime().fetch(self)
-
-    def is_live(self) -> bool:
-        """Whether the publication behind this ref is still live (node side)."""
-        return _node_runtime().is_live(self.key)
 
 
 # --------------------------------------------------------------------------- #
@@ -160,32 +117,34 @@ class _NodeRuntime:
         self.tasks_executed = 0
         self._die_after: Optional[int] = None
 
-    def fetch(self, ref: ClusterArrayRef) -> np.ndarray:
-        """The node-local array for ``ref``, fetching from the driver once."""
+    def fetch(self, spec: SharedArraySpec) -> np.ndarray:
+        """The node-local array for ``spec``, fetched from the driver at most once."""
+        key = spec.shm_name
         with self._lock:
-            cached = self._objects.get(ref.key)
+            cached = self._objects.get(key)
         if cached is not None:
             return cached
         connection = Client(self.store_address, authkey=self.authkey)
         try:
-            connection.send(("get", [ref.key]))
+            connection.send(("get", [key]))
             payload = connection.recv()
         finally:
             connection.close()
-        array = payload.get(ref.key)
+        array = payload.get(key)
         if array is None:
             raise KeyError(
-                f"cluster object {ref.key!r} is not in the driver store "
+                f"cluster object {key!r} is not in the driver store "
                 "(retired or never published)"
             )
-        array = np.asarray(array).reshape(ref.shape)
+        array = np.asarray(array).reshape(spec.shape)
         with self._lock:
-            self._objects[ref.key] = array
-            self.fetch_counts[ref.key] = self.fetch_counts.get(ref.key, 0) + 1
-            self._evicted.discard(ref.key)
+            self._objects[key] = array
+            self.fetch_counts[key] = self.fetch_counts.get(key, 0) + 1
+            self._evicted.discard(key)
         return array
 
     def is_live(self, key: str) -> bool:
+        """Whether the driver has not (yet) told this node to evict ``key``."""
         with self._lock:
             return key not in self._evicted
 
@@ -230,18 +189,20 @@ class _NodeRuntime:
 
 
 #: The agent process's runtime; rebuilt when a driver with a new object
-#: store says hello.  ``None`` outside agent processes — attaching a
-#: ClusterArrayRef anywhere else is a programming error and raises.
+#: store says hello.  ``None`` outside agent processes — attaching a remote
+#: descriptor anywhere else is a programming error and raises.
 _NODE_RUNTIME: Optional[_NodeRuntime] = None
 _RUNTIME_LOCK = threading.Lock()
 
 
-def _node_runtime() -> _NodeRuntime:
+def node_runtime() -> _NodeRuntime:
+    """The agent process's object cache, which remote descriptors attach through."""
     runtime = _NODE_RUNTIME
     if runtime is None:
         raise RuntimeError(
-            "no cluster node runtime in this process; a ClusterArrayRef can "
-            "only be attached inside a cluster agent executing a task"
+            "no cluster node runtime in this process; a remote array "
+            "descriptor can only be attached inside a cluster agent "
+            "executing a task"
         )
     return runtime
 
@@ -405,15 +366,21 @@ class _StoreServer:
 
     One listener, a thread per connected node; nodes connect lazily on
     their first fetch and requests are answered straight out of the table.
-    The store holds the *published* arrays — eviction policy (LRU cap,
-    generation retirement) lives in :class:`ClusterExecutor`, which owns
-    the table keys.
+    This is the ``write``/``retire`` store of the executor's
+    :class:`~repro.parallel.publication.PublicationTable`, which owns the
+    policy (keys, LRU cap, generation retirement); ``evict`` receives the
+    names of retired publications so the executor can tell its nodes.
     """
 
-    def __init__(self, host: str, authkey: bytes) -> None:
+    def __init__(
+        self, host: str, authkey: bytes, evict: Callable[[List[str]], None]
+    ) -> None:
         self._listener = Listener((host, 0), authkey=authkey)
         self._objects: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
+        self._evict = evict
+        self._uid = f"{os.getpid()}-{next(_CLUSTER_IDS)}"
+        self._serials = itertools.count(1)
         threading.Thread(
             target=self._accept_loop, daemon=True, name="repro-cluster-store"
         ).start()
@@ -454,13 +421,31 @@ class _StoreServer:
             except Exception:
                 pass
 
-    def put(self, key: str, array: np.ndarray) -> None:
-        with self._lock:
-            self._objects[key] = array
+    def write(
+        self, array: np.ndarray, previous: Optional[SharedArraySpec], pinned: bool
+    ) -> SharedArraySpec:
+        """Store ``array`` under a fresh name (``previous`` is never reused).
 
-    def remove(self, key: str) -> None:
+        Node caches hold fetched *copies*, so rewriting a slot in place could
+        never reach them — a new name forces exactly one re-fetch per node.
+        An unpinned array is snapshotted, like the shared-memory memcpy:
+        later caller mutations must not leak into what nodes fetch.
+        """
+        name = f"repro-cluster-{self._uid}-{next(self._serials)}"
+        spec = SharedArraySpec(name, tuple(array.shape), array.dtype.str, remote=True)
         with self._lock:
-            self._objects.pop(key, None)
+            self._objects[spec.shm_name] = array if pinned else array.copy()
+        return spec
+
+    def retire(self, specs: List[SharedArraySpec]) -> None:
+        """Drop retired publications here and from every node's cache."""
+        if not specs:
+            return
+        names = [spec.shm_name for spec in specs]
+        with self._lock:
+            for name in names:
+                self._objects.pop(name, None)
+        self._evict(names)
 
     def close(self) -> None:
         try:
@@ -548,13 +533,6 @@ def _rebuild_remote_error(reply: Tuple) -> BaseException:
     return error
 
 
-@dataclass
-class _StoreEntry:
-    ref: ClusterArrayRef
-    pinned: Optional[np.ndarray]
-    evictable: bool
-
-
 def _parse_address(address: Any) -> Tuple[str, int]:
     if isinstance(address, str):
         host, _, port = address.rpartition(":")
@@ -582,10 +560,14 @@ class ClusterExecutor:
     executor contract — order-stable ``map``/``starmap``, first-failure
     propagation with the remote traceback attached, idempotent
     ``shutdown``, :class:`~repro.exceptions.ExecutorShutDownError` on
-    post-shutdown submission — plus the array-publication capability
-    (``publish``/``publish_static``/``unpublish``), which is what lets the
-    descriptor fast paths treat "8 machines" and "8 local processes" as the
-    same shape.
+    post-shutdown submission — plus the array-publication capability,
+    which is what lets the descriptor fast paths treat "8 machines" and
+    "8 local processes" as the same shape: ``publish``, ``publish_static``
+    and ``unpublish`` are the methods of a
+    :class:`~repro.parallel.publication.PublicationTable` over the driver's
+    object store.  Refreshing a slot mints a fresh store key (one re-fetch
+    per node); on ``unpublish`` every node drops the retired arrays, and any
+    engine rebuilt over them, on the spot.
 
     Parameters
     ----------
@@ -606,9 +588,9 @@ class ClusterExecutor:
         How many times one task may be re-dispatched after node deaths
         before it fails with :class:`~repro.exceptions.WorkerCrashError`.
     max_objects:
-        Soft LRU cap on concurrently published objects, mirroring the
-        shared-memory executor's ``max_segments`` (non-evictable
-        publications are never silently dropped).
+        Soft LRU cap on concurrently published objects — the table
+        capacity the shared-memory executor calls ``max_segments``
+        (non-evictable publications are never silently dropped).
     store_host:
         Interface the object store binds; make it externally reachable
         (and routable from the agents) for true multi-machine runs.
@@ -635,11 +617,6 @@ class ClusterExecutor:
         self._task_timeout = float(task_timeout)
         self._ctrl_timeout = float(ctrl_timeout)
         self._max_task_retries = int(max_task_retries)
-        self._max_objects = int(max_objects)
-        self._uid = f"{os.getpid()}-{next(_CLUSTER_IDS)}"
-        self._store_key_counter = itertools.count(1)
-        self._objects: "OrderedDict[Hashable, _StoreEntry]" = OrderedDict()
-        self._objects_lock = threading.RLock()
         self._tasks: "queue.Queue[_QueuedTask]" = queue.Queue()
         self._nodes: List[_NodeHandle] = []
         self._nodes_lock = threading.Lock()
@@ -664,7 +641,15 @@ class ClusterExecutor:
             self._authkey = bytes(authkey) if authkey is not None else os.urandom(16)
             agent_plan = []
 
-        self._store = _StoreServer(store_host, self._authkey)
+        self._store = _StoreServer(
+            store_host, self._authkey, lambda keys: self._broadcast(("evict", keys))
+        )
+        self._publications = PublicationTable(self._store, int(max_objects))
+        self.publish = self._publications.publish
+        self.publish_static = self._publications.publish_static
+        self.unpublish = self._publications.unpublish
+        #: Store keys of every live publication (for tests).
+        self.active_store_keys = self._publications.names
         try:
             if not agent_plan:
                 agent_plan = [self._spawn_local_agent(i) for i in range(n_nodes)]
@@ -900,130 +885,6 @@ class ClusterExecutor:
         return [node for node in self._nodes if node.alive]
 
     # ------------------------------------------------------------------ #
-    # Publication (the object-store capability)
-    # ------------------------------------------------------------------ #
-    def publish(
-        self, key: Hashable, array: np.ndarray, evictable: bool = True
-    ) -> ClusterArrayRef:
-        """Place (or refresh) a published slot in the driver object store.
-
-        Unlike the shared-memory slot (which rewrites bytes in place), a
-        refresh mints a fresh store key and retires the old one: node caches
-        hold fetched *copies*, so in-place rewriting could never reach them —
-        a new key forces exactly one re-fetch per node.
-        """
-        self._check_publishable()
-        array = np.ascontiguousarray(array)
-        with self._objects_lock:
-            store_key = self._next_store_key()
-            ref = ClusterArrayRef(
-                key=store_key, shape=tuple(array.shape), dtype=array.dtype.str
-            )
-            # Snapshot semantics, like the shared-memory memcpy: later caller
-            # mutations of `array` must not leak into what nodes fetch.
-            self._store.put(store_key, array.copy())
-            previous = self._objects.pop(key, None)
-            self._objects[key] = _StoreEntry(ref=ref, pinned=None, evictable=evictable)
-            retired = [previous.ref.key] if previous is not None else []
-            retired.extend(self._collect_over_cap())
-        self._retire_store_keys(retired)
-        return ref
-
-    def publish_static(self, array: np.ndarray) -> ClusterArrayRef:
-        """Publish write-once data, keyed (and pinned) by array identity.
-
-        Republishing the same array object returns the existing ref without
-        touching bytes — a fit's plan arrays cross the wire to each node
-        once, no matter how many sweeps reference them.
-        """
-        self._check_publishable()
-        array = np.asarray(array)
-        if not array.flags.c_contiguous:
-            raise ValueError(
-                "publish_static requires a C-contiguous array; copy it first "
-                "(a non-contiguous source would silently republish every call)"
-            )
-        key = ("static", id(array))
-        with self._objects_lock:
-            entry = self._objects.get(key)
-            if entry is not None and entry.pinned is array:
-                self._objects.move_to_end(key)
-                return entry.ref
-            store_key = self._next_store_key()
-            ref = ClusterArrayRef(
-                key=store_key, shape=tuple(array.shape), dtype=array.dtype.str
-            )
-            self._store.put(store_key, array)  # pinned: serve the source itself
-            previous = self._objects.pop(key, None)
-            self._objects[key] = _StoreEntry(ref=ref, pinned=array, evictable=True)
-            retired = [previous.ref.key] if previous is not None else []
-            retired.extend(self._collect_over_cap())
-        self._retire_store_keys(retired)
-        return ref
-
-    def unpublish(self, key: Hashable) -> bool:
-        """Retire one published slot; nodes evict their cached copies.
-
-        Returns whether the key was live.  This is the generation-retirement
-        hook: the serving runtime unpublishes an old model version here and
-        every node drops that version's arrays (and any engine rebuilt over
-        them) on the spot.
-        """
-        if self._shut_down:
-            return False
-        with self._objects_lock:
-            entry = self._objects.pop(key, None)
-        if entry is None:
-            return False
-        self._retire_store_keys([entry.ref.key])
-        return True
-
-    def release_static(self) -> int:
-        """Retire every ``publish_static`` slot; returns how many."""
-        with self._objects_lock:
-            static_keys = [
-                key
-                for key in self._objects
-                if isinstance(key, tuple) and key and key[0] == "static"
-            ]
-            retired = [self._objects.pop(key).ref.key for key in static_keys]
-        self._retire_store_keys(retired)
-        return len(static_keys)
-
-    def active_store_keys(self) -> List[str]:
-        """Store keys of every live publication (for tests)."""
-        with self._objects_lock:
-            return [entry.ref.key for entry in self._objects.values()]
-
-    def _next_store_key(self) -> str:
-        return f"repro-cluster-{self._uid}-{next(self._store_key_counter)}"
-
-    def _collect_over_cap(self) -> List[str]:
-        retired = []
-        while len(self._objects) > self._max_objects:
-            oldest = next(
-                (k for k, entry in self._objects.items() if entry.evictable), None
-            )
-            if oldest is None:
-                break
-            retired.append(self._objects.pop(oldest).ref.key)
-        return retired
-
-    def _retire_store_keys(self, store_keys: List[str]) -> None:
-        if not store_keys:
-            return
-        for store_key in store_keys:
-            self._store.remove(store_key)
-        self._broadcast(("evict", list(store_keys)))
-
-    def _check_publishable(self) -> None:
-        if self._shut_down:
-            raise ExecutorShutDownError(
-                "cannot publish to a shut-down ClusterExecutor; objects stored "
-                "now would never be retired"
-            )
-
-    # ------------------------------------------------------------------ #
     # Control channel
     # ------------------------------------------------------------------ #
     def _ctrl_request(
@@ -1131,9 +992,8 @@ class ClusterExecutor:
                 if node.process.is_alive():
                     node.process.kill()
                     node.process.join(timeout=5.0)
+        self._publications.close()
         self._store.close()
-        with self._objects_lock:
-            self._objects.clear()
 
     def __enter__(self) -> "ClusterExecutor":
         return self

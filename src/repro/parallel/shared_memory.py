@@ -1,31 +1,27 @@
-"""Shared-memory process execution: ship descriptors, not arrays.
+"""Shared-memory process execution: the publication protocol over ``/dev/shm``.
 
 A plain :class:`~repro.parallel.executor.ProcessExecutor` pickles every task's
 arguments into the worker — for a sharded sweep that means serialising the
 CSR plan and both factor matrices once *per shard per sweep*, which swamps
 the kernel time on anything but tiny problems.  The
-:class:`SharedMemoryProcessExecutor` removes that cost: large arrays are
-placed in POSIX shared memory (``multiprocessing.shared_memory``) once, and
-tasks carry only :class:`SharedArraySpec` descriptors — a segment name plus
-shape and dtype.  Workers attach to the segments by name (zero-copy) and
-rebuild NumPy views on the shared buffers.
+:class:`SharedMemoryProcessExecutor` removes that cost by composing the
+:class:`~repro.parallel.publication.PublicationTable` with a POSIX
+shared-memory store: write-once data (the sweep plan's CSR arrays) is copied
+into a segment once per fit, per-sweep data (the factor matrices) refreshes
+its slot's segment in place, and tasks carry only
+:class:`~repro.parallel.publication.SharedArraySpec` descriptors.
 
-Two publication modes cover the sweep engine's needs:
-
-* :meth:`SharedMemoryProcessExecutor.publish_static` — write-once data such
-  as the :class:`~repro.core.backends.plan.SweepPlan` CSR arrays.  The
-  executor pins the source array and skips the copy entirely when the same
-  array object is published again, so a whole fit pays one memcpy per plan
-  array.
-* :meth:`SharedMemoryProcessExecutor.publish` — per-sweep data such as the
-  factor matrices.  A slot keyed by ``(name, shape, dtype)`` reuses its
-  segment across sweeps and refreshes the bytes each time (one memcpy,
-  instead of one pickle per task).
+This module is also the **worker side of every descriptor**:
+:func:`attach_shared_array` maps a segment by name (zero-copy, cached per
+worker process) or, for a ``remote`` descriptor, asks the cluster agent's
+object cache, which fetches the bytes from the driver once per node — so
+worker functions run unchanged on local processes and on remote nodes.
 
 Lifecycle: the executor owns every segment it created and unlinks them all
-in :meth:`shutdown` — after shutdown there are no leaked ``/dev/shm``
-entries, which the test-suite verifies.  Workers only ever *attach*; their
-mappings die with the worker processes when the pool is shut down.
+in :meth:`~SharedMemoryProcessExecutor.shutdown` — after shutdown there are
+no leaked ``/dev/shm`` entries, which the test-suite verifies.  Workers only
+ever *attach*; their mappings die with the worker processes when the pool is
+shut down.
 """
 
 from __future__ import annotations
@@ -33,71 +29,15 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Collection, Hashable, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ExecutorShutDownError
 from repro.parallel.executor import _PoolExecutor, _resolve_workers
-
-
-def supports_publication(executor: object) -> bool:
-    """Whether ``executor`` offers the array-publication capability.
-
-    The descriptor fast paths (training sweeps and serving shipping
-    ``(row_range, spec)`` tasks instead of arrays) are gated on this rather
-    than on a concrete class: any executor exposing ``publish``,
-    ``publish_static`` and ``unpublish`` qualifies — the shared-memory
-    process pool publishes to ``/dev/shm``, the cluster executor to its
-    driver-side object store.
-    """
-    return all(
-        callable(getattr(executor, method, None))
-        for method in ("publish", "publish_static", "unpublish")
-    )
-
-
-@dataclass(frozen=True)
-class SharedArraySpec:
-    """Descriptor of one NumPy array living in a shared-memory segment.
-
-    Small and picklable — this is what task arguments carry instead of the
-    array itself.  :func:`attach_shared_array` turns it back into an
-    ``np.ndarray`` view inside a worker.
-    """
-
-    shm_name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the described array in bytes."""
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
-
-@dataclass(frozen=True)
-class SharedCsrSpec:
-    """Shared-memory descriptors of one CSR matrix (picklable).
-
-    The three-array (``data``/``indices``/``indptr``) form every CSR
-    publication in the system uses — the training plan sides and the
-    serving seen-mask both compose it.
-    """
-
-    shape: Tuple[int, int]
-    data: "SharedArraySpec"
-    indices: "SharedArraySpec"
-    indptr: "SharedArraySpec"
-
-    def segment_names(self) -> list:
-        """Names of the segments backing this matrix."""
-        return [self.data.shm_name, self.indices.shm_name, self.indptr.shm_name]
+from repro.parallel.publication import PublicationTable, SharedArraySpec, SharedCsrSpec
 
 
 def _unregister_attachment(segment: shared_memory.SharedMemory) -> None:
@@ -130,21 +70,25 @@ def _unregister_attachment(segment: shared_memory.SharedMemory) -> None:
 _ATTACHMENTS: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
 
 
+def _remote_cache():
+    """The cluster agent's object cache (late import: cluster imports this module)."""
+    from repro.parallel.cluster import node_runtime
+
+    return node_runtime()
+
+
 def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
     """Materialise an array descriptor as an ndarray (worker side).
 
-    For a :class:`SharedArraySpec` the returned array is backed directly by
-    the shared segment — reading it is zero-copy.  Descriptors from other
-    publication substrates (the cluster executor's
-    :class:`~repro.parallel.cluster.ClusterArrayRef`) provide their own
-    ``attach()`` and are dispatched to it, so worker functions written
-    against shared memory run unchanged on remote nodes.  Callers must treat
-    the result as read-only: it is shared with the publishing process and
-    every sibling worker.
+    A shared-memory descriptor is backed directly by its segment — reading
+    it is zero-copy.  A ``remote`` descriptor is served from the cluster
+    agent's object cache, which fetches the bytes from the driver's store
+    the first time the name reaches the node.  Callers must treat the result
+    as read-only: it is shared with the publishing process and every sibling
+    worker.
     """
-    attach = getattr(spec, "attach", None)
-    if attach is not None:
-        return attach()
+    if spec.remote:
+        return _remote_cache().fetch(spec)
     segment = _ATTACHMENTS.get(spec.shm_name)
     if segment is None:
         segment = shared_memory.SharedMemory(name=spec.shm_name)
@@ -155,37 +99,28 @@ def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
     return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
 
 
-def segment_exists(name: str) -> bool:
-    """Whether the shared-memory segment ``name`` is still linked.
+def spec_is_live(spec: SharedArraySpec) -> bool:
+    """Whether the publication behind one array descriptor is still live.
 
-    Fast path on Linux: the segment is a file under ``/dev/shm``.  On hosts
-    without that mount (macOS) a probe attach answers the same question —
-    opened and closed immediately, with the attach-side resource-tracker
-    registration undone so the probe can never unlink the segment at exit.
+    Worker-side caches use this to prune entries whose backing publication
+    the driver has retired: a remote name the node was told to evict, or a
+    segment that is no longer linked.  On Linux a segment is a file under
+    ``/dev/shm``; on hosts without that mount (macOS) a probe attach answers
+    the same question — opened and closed immediately, with the attach-side
+    resource-tracker registration undone so the probe can never unlink the
+    segment at exit.
     """
+    if spec.remote:
+        return _remote_cache().is_live(spec.shm_name)
     if os.path.isdir("/dev/shm"):
-        return os.path.exists(os.path.join("/dev/shm", name))
+        return os.path.exists(os.path.join("/dev/shm", spec.shm_name))
     try:
-        probe = shared_memory.SharedMemory(name=name)
+        probe = shared_memory.SharedMemory(name=spec.shm_name)
     except FileNotFoundError:
         return False
     _unregister_attachment(probe)
     probe.close()
     return True
-
-
-def spec_is_live(spec: object) -> bool:
-    """Whether the publication behind one array descriptor is still live.
-
-    Worker-side caches use this to prune entries whose backing publication
-    the driver has retired.  Shared-memory specs answer by probing the
-    segment name; descriptors with their own ``is_live()`` (cluster object
-    refs) answer for themselves.
-    """
-    is_live = getattr(spec, "is_live", None)
-    if callable(is_live):
-        return bool(is_live())
-    return segment_exists(spec.shm_name)
 
 
 def touch_attachments(names: Collection[str]) -> None:
@@ -343,22 +278,35 @@ def _close_attachment(name: str) -> bool:
     return True
 
 
-class _Segment:
-    """One owned shared-memory segment plus its publication bookkeeping."""
+class _SegmentStore:
+    """The POSIX shared-memory store behind a :class:`PublicationTable`."""
 
-    __slots__ = ("memory", "spec", "pinned", "evictable")
+    def __init__(self) -> None:
+        self._segments: Dict[str, shared_memory.SharedMemory] = {}
 
-    def __init__(
-        self,
-        memory: shared_memory.SharedMemory,
-        spec: SharedArraySpec,
-        pinned: Optional[np.ndarray],
-        evictable: bool = True,
-    ) -> None:
-        self.memory = memory
-        self.spec = spec
-        self.pinned = pinned
-        self.evictable = evictable
+    def write(
+        self, array: np.ndarray, previous: Optional[SharedArraySpec], pinned: bool
+    ) -> SharedArraySpec:
+        """Copy ``array`` into ``previous``'s segment when it fits, else a new one."""
+        spec = previous
+        if spec is None or (spec.shape, spec.dtype) != (array.shape, array.dtype.str):
+            # Zero-size arrays (empty matrices) still need a valid segment.
+            memory = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
+            spec = SharedArraySpec(memory.name, tuple(array.shape), array.dtype.str)
+            self._segments[spec.shm_name] = memory
+        buffer = self._segments[spec.shm_name].buf
+        np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=buffer)[...] = array
+        return spec
+
+    def retire(self, specs: List[SharedArraySpec]) -> None:
+        """Close and unlink the segments behind ``specs``."""
+        for spec in specs:
+            memory = self._segments.pop(spec.shm_name)
+            try:
+                memory.close()
+                memory.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
 
 
 class SharedMemoryProcessExecutor(_PoolExecutor):
@@ -366,8 +314,11 @@ class SharedMemoryProcessExecutor(_PoolExecutor):
 
     Behaves exactly like :class:`~repro.parallel.executor.ProcessExecutor`
     for plain ``map``/``starmap`` (tasks and arguments are pickled), and
-    additionally lets callers place large arrays in shared memory so tasks
-    can reference them by :class:`SharedArraySpec` instead of by value.
+    additionally lets tasks reference large arrays by :class:`SharedArraySpec`
+    instead of by value: ``publish``, ``publish_static`` and ``unpublish``
+    are the methods of a :class:`~repro.parallel.publication.PublicationTable`
+    over ``/dev/shm``.  A slot keeps its segment (bytes rewritten in place)
+    while the published shape and dtype stay the same.
 
     Parameters
     ----------
@@ -384,170 +335,16 @@ class SharedMemoryProcessExecutor(_PoolExecutor):
         self.max_workers = _resolve_workers(max_workers)
         if max_segments < 1:
             raise ValueError("max_segments must be at least 1")
-        self._max_segments = max_segments
-        self._segments: "OrderedDict[Hashable, _Segment]" = OrderedDict()
-        # The segment table is shared by every publisher thread — a serving
-        # runtime publishes per-call fold-in blocks from request threads
-        # while a refit publishes sweep slots from the training thread.
-        # All table access (publish/unpublish/evict/shutdown) holds this
-        # lock; task submission itself is the pool's own thread-safe path.
-        self._segments_lock = threading.RLock()
+        self._publications = PublicationTable(_SegmentStore(), max_segments)
+        self.publish = self._publications.publish
+        self.publish_static = self._publications.publish_static
+        self.unpublish = self._publications.unpublish
+        #: Names of every segment this executor currently owns (for tests).
+        self.active_segment_names = self._publications.names
         super().__init__(
             concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
         )
 
-    # ------------------------------------------------------------------ #
-    # Publication
-    # ------------------------------------------------------------------ #
-    def publish(
-        self, key: Hashable, array: np.ndarray, evictable: bool = True
-    ) -> SharedArraySpec:
-        """Place (or refresh) a mutable slot in shared memory.
-
-        The slot identified by ``key`` keeps its segment as long as the
-        published shape and dtype stay the same; the bytes are rewritten on
-        every call, so per-sweep data like factor matrices costs one memcpy
-        per sweep rather than one pickle per task.
-
-        ``evictable=False`` exempts the slot from the ``max_segments`` LRU —
-        for publications that must stay attachable until explicitly
-        unpublished (a serving runtime's live model generation), where a
-        silent eviction would surface as ``FileNotFoundError`` in a worker.
-        """
-        array = np.ascontiguousarray(array)
-        with self._segments_lock:
-            segment = self._segments.get(key)
-            if segment is not None and (
-                segment.spec.shape != array.shape
-                or segment.spec.dtype != array.dtype.str
-            ):
-                self._unlink(key)
-                segment = None
-            if segment is None:
-                segment = self._allocate(key, array, pinned=None, evictable=evictable)
-            self._segments.move_to_end(key)
-            self._view(segment)[...] = array
-            return segment.spec
-
-    def publish_static(self, array: np.ndarray) -> SharedArraySpec:
-        """Place write-once data in shared memory, copying at most once.
-
-        Keyed on the identity of ``array``, which the executor pins (holds a
-        reference to) so the key stays valid: republishing the same array
-        object returns the existing descriptor without touching the bytes.
-        This is what makes "plan arrays are placed in shared memory once per
-        fit" literal — every sweep re-presents the same plan arrays and only
-        the first presentation copies.
-        """
-        array = np.asarray(array)
-        if not array.flags.c_contiguous:
-            raise ValueError(
-                "publish_static requires a C-contiguous array; copy it first "
-                "(a non-contiguous source would silently republish every call)"
-            )
-        key = ("static", id(array))
-        with self._segments_lock:
-            segment = self._segments.get(key)
-            if segment is not None and segment.pinned is array:
-                self._segments.move_to_end(key)
-                return segment.spec
-            segment = self._allocate(key, array, pinned=array)
-            self._view(segment)[...] = array
-            return segment.spec
-
-    def unpublish(self, key: Hashable) -> bool:
-        """Unlink one published slot; returns whether the key was live.
-
-        The model-version swap of the serving runtime uses this: a new
-        generation's segments are published under fresh keys, then the old
-        generation is unpublished.  Workers still attached to the old
-        segments keep valid mappings (POSIX unlink removes the name, not
-        existing maps), so in-flight tasks finish safely while the
-        ``/dev/shm`` entries disappear immediately.
-        """
-        with self._segments_lock:
-            if key not in self._segments:
-                return False
-            self._unlink(key)
-            return True
-
-    def release_static(self) -> int:
-        """Unlink every ``publish_static`` segment; returns how many.
-
-        Static segments are pinned to their source arrays for the duration
-        of one computation (a fit's plan arrays).  A long-lived executor
-        reused across many fits calls this between them so dead plans do not
-        ride the LRU until eviction.
-        """
-        with self._segments_lock:
-            static_keys = [
-                key
-                for key in self._segments
-                if isinstance(key, tuple) and key and key[0] == "static"
-            ]
-            for key in static_keys:
-                self._unlink(key)
-            return len(static_keys)
-
-    def active_segment_names(self) -> list[str]:
-        """Names of every segment this executor currently owns (for tests)."""
-        with self._segments_lock:
-            return [segment.spec.shm_name for segment in self._segments.values()]
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _allocate(
-        self,
-        key: Hashable,
-        array: np.ndarray,
-        pinned: Optional[np.ndarray],
-        evictable: bool = True,
-    ) -> _Segment:
-        if self.is_shut_down:
-            raise ExecutorShutDownError(
-                "cannot publish to a shut-down SharedMemoryProcessExecutor; "
-                "segments created now would never be unlinked"
-            )
-        while len(self._segments) >= self._max_segments:
-            # Evict the least recently used *evictable* segment.  Pinned-off
-            # (non-evictable) publications are skipped: max_segments is a
-            # soft cap, and silently unlinking a live serving generation
-            # would be far worse than exceeding it.
-            oldest = next(
-                (k for k, seg in self._segments.items() if seg.evictable), None
-            )
-            if oldest is None:
-                break
-            self._unlink(oldest)
-        # Zero-size arrays (empty matrices) still need a valid segment.
-        memory = shared_memory.SharedMemory(create=True, size=max(int(array.nbytes), 1))
-        spec = SharedArraySpec(
-            shm_name=memory.name, shape=tuple(array.shape), dtype=array.dtype.str
-        )
-        segment = _Segment(memory=memory, spec=spec, pinned=pinned, evictable=evictable)
-        self._segments[key] = segment
-        return segment
-
-    @staticmethod
-    def _view(segment: _Segment) -> np.ndarray:
-        return np.ndarray(
-            segment.spec.shape,
-            dtype=np.dtype(segment.spec.dtype),
-            buffer=segment.memory.buf,
-        )
-
-    def _unlink(self, key: Hashable) -> None:
-        segment = self._segments.pop(key)
-        try:
-            segment.memory.close()
-            segment.memory.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Drain the worker pool, then unlink every owned segment.
 
@@ -559,12 +356,10 @@ class SharedMemoryProcessExecutor(_PoolExecutor):
         if self.is_shut_down:
             return
         super().shutdown()
-        with self._segments_lock:
-            for key in list(self._segments):
-                self._unlink(key)
+        self._publications.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(max_workers={self.max_workers}, "
-            f"segments={len(self._segments)})"
+            f"segments={len(self._publications.names())})"
         )

@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -324,108 +323,6 @@ class BatchingFrontEnd:
     ) -> RecommendResponse:
         """Submit one request and block for its response (client shape)."""
         return self.submit_request(request).result(timeout=timeout)
-
-    # ------------------------------------------------------------------ #
-    # Deprecated pre-gateway entrypoints (kept as shims)
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-    ) -> "Future[RecommendResponse]":
-        """Deprecated: use :meth:`submit_request` with a RecommendRequest."""
-        warnings.warn(
-            "BatchingFrontEnd.submit(users, ...) is deprecated; build a "
-            "RecommendRequest(users=...) and call submit_request(request)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(
-            RecommendRequest(
-                users=tuple(int(user) for user in users),
-                n_items=n_items,
-                exclude_seen=exclude_seen,
-            )
-        )
-
-    def submit_folded(
-        self,
-        interactions: Sequence[Sequence[int]],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        n_sweeps: int = 30,
-        tolerance: float = 1e-8,
-    ) -> "Future[RecommendResponse]":
-        """Deprecated: use :meth:`submit_request` with a RecommendRequest."""
-        warnings.warn(
-            "BatchingFrontEnd.submit_folded(interactions, ...) is deprecated; "
-            "build a RecommendRequest(interactions=...) and call "
-            "submit_request(request)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(
-            RecommendRequest(
-                interactions=tuple(
-                    tuple(int(item) for item in np.asarray(list(items), dtype=np.int64).ravel())
-                    for items in interactions
-                ),
-                n_items=n_items,
-                exclude_seen=exclude_seen,
-                n_sweeps=n_sweeps,
-                tolerance=tolerance,
-            )
-        )
-
-    def topn_blocking(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        timeout: Optional[float] = None,
-    ) -> List[np.ndarray]:
-        """Deprecated: use :meth:`recommend` with a RecommendRequest."""
-        warnings.warn(
-            "BatchingFrontEnd.topn_blocking is deprecated; call "
-            "recommend(RecommendRequest(users=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = RecommendRequest(
-            users=tuple(int(user) for user in users),
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-        )
-        return self.submit_request(request).result(timeout=timeout).rankings
-
-    def recommend_folded_blocking(
-        self,
-        interactions: Sequence[Sequence[int]],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        n_sweeps: int = 30,
-        tolerance: float = 1e-8,
-        timeout: Optional[float] = None,
-    ) -> List[np.ndarray]:
-        """Deprecated: use :meth:`recommend` with a RecommendRequest."""
-        warnings.warn(
-            "BatchingFrontEnd.recommend_folded_blocking is deprecated; call "
-            "recommend(RecommendRequest(interactions=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = RecommendRequest(
-            interactions=tuple(
-                tuple(int(item) for item in np.asarray(list(items), dtype=np.int64).ravel())
-                for items in interactions
-            ),
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            n_sweeps=n_sweeps,
-            tolerance=tolerance,
-        )
-        return self.submit_request(request).result(timeout=timeout).rankings
 
     # ------------------------------------------------------------------ #
     # Dispatcher side

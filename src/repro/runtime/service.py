@@ -18,12 +18,12 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   per fit (``benchmarks/bench_runtime.py`` measures the difference);
 
 * **one publication per model version**: :meth:`publish` pushes the trained
-  factor matrices and the CSR seen-mask through the
-  :class:`~repro.parallel.shared_memory.SharedArraySpec` machinery, so every
-  process-sharded :meth:`topn` / :meth:`recommend_folded` call ships only
-  ``(row_range, descriptors)`` — no factor bytes per task — and workers
-  attach zero-copy.  Rankings are byte-identical to the single-process
-  :class:`~repro.serving.engine.TopNEngine`;
+  factor matrices and the CSR seen-mask through the publication protocol
+  (:mod:`repro.parallel.publication`), so every sharded :meth:`recommend`
+  call on a publishing executor ships only ``(row_range, descriptors)`` —
+  no factor bytes per task — and workers attach zero-copy (``"process"``)
+  or fetch once per node (``"cluster"``).  Rankings are byte-identical to
+  the single-process :class:`~repro.serving.engine.TopNEngine`;
 
 * **no fan-out without a fan**: a serving call whose rows make one shard
   (``shard_size`` defaults to the engine's chunk size) runs on the calling
@@ -48,7 +48,6 @@ import os
 import pickle
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -61,7 +60,8 @@ from repro.core.objective import full_objective
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ShardScheduler, supports_publication
-from repro.serving.batch import BatchServingResult, _serve_shard
+from repro.parallel.publication import PublishedKeys
+from repro.serving.batch import _serve_shard
 from repro.serving.engine import DEFAULT_CHUNK_SIZE, TopNEngine
 from repro.core.factors import FactorModel
 from repro.serving.fold_in import _interactions_to_csr, extend_factors, fold_in_scores
@@ -71,7 +71,6 @@ from repro.serving.shared import (
     _rank_scored_shard,
     _topn_shard,
     next_generation,
-    publish_csr,
     publish_engine,
     unpublish_engine,
 )
@@ -197,8 +196,8 @@ class ServingSession:
 
     Acquired through :meth:`RecommenderRuntime.serving_session`: the session
     takes one in-flight reference on the generation published at acquisition
-    time, and every :meth:`topn` / :meth:`recommend_folded` routed through it
-    serves **that** version — even if :meth:`RecommenderRuntime.update`
+    time, and every :meth:`recommend` routed through it serves **that**
+    version — even if :meth:`RecommenderRuntime.update`
     swaps the runtime to a newer generation mid-flight (the pinned
     generation's segments stay attachable until the session releases).  This
     is the generation-safety hook the micro-batching front-end builds on: a
@@ -208,7 +207,7 @@ class ServingSession:
     Use as a context manager (or call :meth:`release` exactly once)::
 
         with runtime.serving_session() as session:
-            result = session.topn(users, n_items=10)
+            response = session.recommend(RecommendRequest(users=users))
     """
 
     def __init__(self, runtime: "RecommenderRuntime") -> None:
@@ -255,32 +254,6 @@ class ServingSession:
         """:meth:`RecommenderRuntime.recommend` against the pinned generation."""
         return self._runtime.recommend(request, session=self, shard_size=shard_size)
 
-    def topn(self, users: Sequence[int], **kwargs) -> BatchServingResult:
-        """Deprecated: use :meth:`recommend` with a known-users request."""
-        warnings.warn(
-            "ServingSession.topn() is deprecated; use "
-            "session.recommend(RecommendRequest(users=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        user_list, rankings, _scores, n_shards, _generation = self._runtime._serve_topn(
-            users, session=self, **kwargs
-        )
-        return BatchServingResult(users=user_list, rankings=rankings, n_shards=n_shards)
-
-    def recommend_folded(self, interactions, **kwargs) -> List[np.ndarray]:
-        """Deprecated: use :meth:`recommend` with an interactions request."""
-        warnings.warn(
-            "ServingSession.recommend_folded() is deprecated; use "
-            "session.recommend(RecommendRequest(interactions=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rankings, _scores, _n_shards, _generation = self._runtime._serve_folded(
-            interactions, session=self, **kwargs
-        )
-        return rankings
-
     def release(self) -> None:
         """Drop the session's generation reference; idempotent.
 
@@ -313,10 +286,10 @@ class RecommenderRuntime:
     executor:
         Executor name from the :mod:`repro.parallel.scheduler` registry
         (``"process"`` — the default and the reason this class exists —
-        ``"thread"`` or ``"serial"``), or a prebuilt instance.  A name is
-        owned: the runtime builds the executor once and shuts it down in
-        :meth:`close`.  An instance is borrowed: the runtime unpublishes its
-        own segments on close but leaves the executor running.
+        ``"cluster"``, ``"thread"`` or ``"serial"``), or a prebuilt
+        instance.  A name is owned: the runtime builds the executor once and
+        shuts it down in :meth:`close`.  An instance is borrowed: the runtime
+        unpublishes its own segments on close but leaves the executor running.
     max_workers:
         Pool size for a name-built executor (default: the CPU count).
     n_shards:
@@ -337,7 +310,9 @@ class RecommenderRuntime:
         with RecommenderRuntime(executor="process", max_workers=8) as runtime:
             runtime.fit(OCuLaR(n_coclusters=100, regularization=10.0), matrix)
             runtime.publish()                       # model version 1 serves
-            lists = runtime.topn(range(matrix.n_users), n_items=10)
+            response = runtime.recommend(
+                RecommendRequest(users=range(matrix.n_users), n_items=10)
+            )
             ...
             runtime.refit(new_matrix)               # same warm pool
             runtime.update()                        # swap to version 2
@@ -906,80 +881,16 @@ class RecommenderRuntime:
             batch_users=request.n_rows,
         )
 
-    def topn(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-    ) -> BatchServingResult:
-        """Deprecated: use :meth:`recommend` with ``RecommendRequest(users=...)``."""
-        warnings.warn(
-            "RecommenderRuntime.topn() is deprecated; use "
-            "runtime.recommend(RecommendRequest(users=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        user_list, rankings, _scores, n_shards, _generation = self._serve_topn(
-            users,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            shard_size=shard_size,
-            session=session,
-        )
-        return BatchServingResult(users=user_list, rankings=rankings, n_shards=n_shards)
-
-    def recommend_folded(
-        self,
-        interactions,
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        n_sweeps: int = 30,
-        tolerance: float = 1e-8,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-    ) -> TopNResult:
-        """Deprecated: use :meth:`recommend` with ``RecommendRequest(interactions=...)``."""
-        warnings.warn(
-            "RecommenderRuntime.recommend_folded() is deprecated; use "
-            "runtime.recommend(RecommendRequest(interactions=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rankings, _scores, _n_shards, _generation = self._serve_folded(
-            interactions,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            n_sweeps=n_sweeps,
-            tolerance=tolerance,
-            shard_size=shard_size,
-            session=session,
-        )
-        return rankings
-
     @staticmethod
     def _flatten_shards(shard_results, return_scores: bool):
         """Concatenate per-shard results, splitting off scores when present.
 
         Shard workers return flat :class:`TopNResult` blocks (score block
         embedded when requested), so flattening is a single vstack of
-        contiguous arrays.  The legacy list/tuple shard shape is still
-        accepted for third-party executors shipping older workers.
+        contiguous arrays.
         """
-        shard_results = list(shard_results)
-        if all(isinstance(result, TopNResult) for result in shard_results):
-            merged = TopNResult.concat(shard_results)
-            return merged, (merged.score_rows() if return_scores else None)
-        rankings: List[np.ndarray] = []
-        scores: List[np.ndarray] = []
-        for result in shard_results:
-            if return_scores:
-                rankings.extend(result[0])
-                scores.extend(result[1])
-            else:
-                rankings.extend(result)
-        return rankings, (scores if return_scores else None)
+        merged = TopNResult.concat(list(shard_results))
+        return merged, (merged.score_rows() if return_scores else None)
 
     def _serve_topn(
         self,
@@ -1111,30 +1022,28 @@ class RecommenderRuntime:
                     ranked = ranked[0]  # flat result embeds the score block
                 rankings, ranked_scores = self._flatten_shards([ranked], return_scores)
                 return rankings, ranked_scores, 1, generation
-            # Non-evictable like the engine segments: these are unpublished
-            # in the ``finally`` below, so pinning them costs nothing, and a
+            # Non-evictable like the engine segments: these are retired in
+            # the ``finally`` below, so pinning them costs nothing, and a
             # silent LRU eviction under concurrent-call pressure would fail
             # a worker's attach mid-call.
             call_key = ("folded", next_generation())
-            scores_spec = self._executor.publish(
-                call_key + ("scores",), scores, evictable=False
-            )
-            seen_spec = (
-                publish_csr(self._executor, csr, call_key + ("seen",), evictable=False)
-                if exclude_seen
-                else None
-            )
+            published = PublishedKeys(self._executor)
             try:
+                scores_spec = published.slot(
+                    call_key + ("scores",), scores, evictable=False
+                )
+                seen_spec = (
+                    published.csr_slots(call_key + ("seen",), csr, evictable=False)
+                    if exclude_seen
+                    else None
+                )
                 tasks = [
                     (spec, scores_spec, seen_spec, start, stop, n_items, return_scores)
                     for start, stop in ranges
                 ]
                 shard_results = self._executor.starmap(_rank_scored_shard, tasks)
             finally:
-                self._executor.unpublish(call_key + ("scores",))
-                if seen_spec is not None:
-                    for field in ("data", "indices", "indptr"):
-                        self._executor.unpublish(call_key + ("seen", field))
+                published.release()
         finally:
             # Per-call reference, exactly as in the top-N path.
             self._release_spec(spec)

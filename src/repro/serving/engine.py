@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -418,34 +417,6 @@ class TopNEngine:
         if return_scores:
             return result, result.score_rows()
         return result
-
-    def recommend_batch_lists(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        chunk_size: Optional[int] = None,
-        return_scores: bool = False,
-    ):
-        """Deprecated list-of-arrays shim over :meth:`recommend_batch`."""
-        warnings.warn(
-            "TopNEngine.recommend_batch_lists() is deprecated; recommend_batch() "
-            "returns a TopNResult that supports the same row-wise access "
-            "(use .as_lists() if a plain list is required)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.recommend_batch(
-            users,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            chunk_size=chunk_size,
-            return_scores=return_scores,
-        )
-        if return_scores:
-            rankings, scores = result
-            return rankings.as_lists(), scores
-        return result.as_lists()
 
     def recommend_many(
         self,

@@ -1,16 +1,19 @@
-"""Zero-copy shared-memory serving: publish a ``TopNEngine`` as descriptors.
+"""Descriptor serving: publish a ``TopNEngine`` once, ship a few names per task.
 
 ``serve_sharded(executor="process")`` originally pickled the whole
 :class:`~repro.serving.engine.TopNEngine` — factor matrices and training CSR
 included — into every shard task, which swamps task dispatch for any model
-worth sharding.  This module removes that cost with the same
-:class:`~repro.parallel.shared_memory.SharedArraySpec` machinery the training
-engine uses: the engine's factor matrices and the training-CSR seen-mask are
-placed in shared memory **once per model version**, and shard tasks carry
-only a :class:`SharedEngineSpec` — a handful of segment names — plus their
-user lists.  Workers attach the segments zero-copy and rebuild an engine
-whose rankings are byte-identical to the publishing process's engine (the
-arrays are literally the same bytes and the kernels are the same code).
+worth sharding.  This module removes that cost with the same publication
+protocol (:mod:`repro.parallel.publication`) the training engine uses: the
+engine's factor matrices and the training-CSR seen-mask are published
+**once per model version** on any publication-capable executor — into
+``/dev/shm`` by the process pool, into the driver's object store by the
+cluster — and shard tasks carry only a :class:`SharedEngineSpec` — five
+:class:`~repro.parallel.publication.SharedArraySpec` descriptors — plus
+their user lists.  Workers attach the descriptors (mapped zero-copy, or
+fetched once per node) and rebuild an engine whose rankings are
+byte-identical to the publishing process's engine (the arrays are the same
+bytes and the kernels are the same code).
 
 Producers: :func:`publish_engine` / :func:`unpublish_engine` (used per call
 by :func:`~repro.serving.batch.serve_sharded`, and per model *generation* by
@@ -18,9 +21,9 @@ by :func:`~repro.serving.batch.serve_sharded`, and per model *generation* by
 across many serving calls and swaps it atomically on model updates).
 
 Workers: :func:`attach_engine` caches the rebuilt engine per spec; when a new
-generation arrives it drops engines of old generations and closes their now
-unreferenced attachments, so long-lived workers do not accumulate mappings of
-unlinked segments.
+generation arrives it drops engines of retired generations and closes their
+now unreferenced attachments, so long-lived workers do not accumulate
+mappings of unlinked segments.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-import scipy.sparse as sp
-
 from repro.data.interactions import InteractionMatrix
 from repro.core.factors import FactorModel
-from repro.parallel.shared_memory import (
+from repro.parallel.publication import (
+    CSR_FIELDS,
     SharedArraySpec,
     SharedCsrSpec,
+    csr_keys,
+)
+from repro.parallel.shared_memory import (
     attach_shared_array,
     attach_shared_csr,
     close_stale_attachments,
@@ -68,28 +73,13 @@ class SharedEngineSpec:
     #: same bytes.
     dtype: Optional[str] = None
 
+    def array_specs(self) -> List[SharedArraySpec]:
+        """The five component array descriptors, in key-layout order."""
+        return [self.user_factors, self.item_factors, *self.seen.array_specs()]
+
     def segment_names(self) -> List[str]:
-        """Names of every segment backing this engine."""
-        return [
-            self.user_factors.shm_name,
-            self.item_factors.shm_name,
-            *self.seen.segment_names(),
-        ]
-
-    def array_specs(self) -> List[Any]:
-        """The five component array descriptors, in key-layout order.
-
-        The generic form of :meth:`segment_names`: liveness probing and
-        fetch bookkeeping work per *descriptor* (shared-memory spec or
-        cluster object ref), not per segment-name string.
-        """
-        return [
-            self.user_factors,
-            self.item_factors,
-            self.seen.data,
-            self.seen.indices,
-            self.seen.indptr,
-        ]
+        """Names of every publication backing this engine."""
+        return [spec.shm_name for spec in self.array_specs()]
 
 
 #: Process-wide source of unique publication generations.  ``itertools.count``
@@ -111,35 +101,8 @@ def _engine_keys(generation: int) -> List[Tuple]:
     return [
         ("engine", generation, "user_factors"),
         ("engine", generation, "item_factors"),
-        ("engine", generation, "seen", "data"),
-        ("engine", generation, "seen", "indices"),
-        ("engine", generation, "seen", "indptr"),
+        *csr_keys(("engine", generation, "seen")),
     ]
-
-
-def publish_csr(
-    executor: Any,
-    matrix: sp.csr_matrix,
-    key_prefix: Tuple,
-    evictable: bool = True,
-) -> SharedCsrSpec:
-    """Publish a CSR matrix's three arrays under ``key_prefix``-derived keys.
-
-    ``executor`` is any publication-capable executor (see
-    :func:`~repro.parallel.shared_memory.supports_publication`): the
-    shared-memory pool yields segment-backed specs, the cluster executor
-    object-store refs — both compose into the same :class:`SharedCsrSpec`.
-    """
-    return SharedCsrSpec(
-        shape=tuple(matrix.shape),
-        data=executor.publish(key_prefix + ("data",), matrix.data, evictable=evictable),
-        indices=executor.publish(
-            key_prefix + ("indices",), matrix.indices, evictable=evictable
-        ),
-        indptr=executor.publish(
-            key_prefix + ("indptr",), matrix.indptr, evictable=evictable
-        ),
-    )
 
 
 def publish_engine(
@@ -147,11 +110,13 @@ def publish_engine(
     engine: TopNEngine,
     generation: Optional[int] = None,
 ) -> SharedEngineSpec:
-    """Place an engine's factor matrices and seen-mask in shared memory.
+    """Publish an engine's factor matrices and seen-mask on ``executor``.
 
-    One copy per array per model version; the returned spec is the complete
-    task payload for :func:`_topn_shard`.  Requires a factor-path engine —
-    model-path engines have no arrays to share and must be pickled instead.
+    ``executor`` is any publication-capable executor (see
+    :func:`~repro.parallel.publication.supports_publication`).  One copy per
+    array per model version; the returned spec is the complete task payload
+    for :func:`_topn_shard`.  Requires a factor-path engine — model-path
+    engines have no arrays to share and must be pickled instead.
     """
     if engine.factors is None:
         raise ValueError(
@@ -161,35 +126,38 @@ def publish_engine(
     if generation is None:
         generation = next_generation()
     csr = engine.train_matrix.csr()
-    user_key, item_key = _engine_keys(generation)[:2]
+    arrays = (
+        engine.serving_user_factors,
+        engine.serving_item_factors,
+        *(getattr(csr, field) for field in CSR_FIELDS),
+    )
     # Non-evictable: a published model version must stay attachable until
     # unpublish_engine — LRU churn from per-call publications (fold-in
     # blocks) must never silently unlink a generation workers still serve.
     # The *serving*-dtype arrays are published (for a float32-serving engine
     # that is half the shared-memory footprint and bandwidth), so workers
     # score byte-identically to the publisher without casting.
+    user_factors, item_factors, *seen = (
+        executor.publish(key, array, evictable=False)
+        for key, array in zip(_engine_keys(generation), arrays)
+    )
     return SharedEngineSpec(
         generation=generation,
         chunk_size=engine.chunk_size,
-        user_factors=executor.publish(
-            user_key, engine.serving_user_factors, evictable=False
-        ),
-        item_factors=executor.publish(
-            item_key, engine.serving_item_factors, evictable=False
-        ),
-        seen=publish_csr(
-            executor, csr, ("engine", generation, "seen"), evictable=False
-        ),
+        user_factors=user_factors,
+        item_factors=item_factors,
+        seen=SharedCsrSpec(tuple(csr.shape), *seen),
         dtype=str(engine.serving_dtype),
     )
 
 
 def unpublish_engine(executor: Any, spec: SharedEngineSpec) -> None:
-    """Unlink one published engine generation.
+    """Retire one published engine generation.
 
     Safe while serving tasks are in flight: workers already attached keep
-    valid mappings until their processes exit or prune them; only the
-    ``/dev/shm`` names disappear now.
+    valid mappings until their processes exit or prune them (only the
+    ``/dev/shm`` names disappear now), and cluster nodes keep their fetched
+    copies until the eviction reaches them.
     """
     for key in _engine_keys(spec.generation):
         executor.unpublish(key)

@@ -23,9 +23,8 @@ from repro.data.synthetic import make_paper_toy_example, make_planted_coclusters
 def _silence_convergence_warnings():
     """Tests use tiny iteration budgets; convergence warnings are expected.
 
-    Deprecations raised from ``repro`` itself stay fatal: internal code must
-    never call its own deprecated shims.  ``tests/test_deprecation_shims.py``
-    overrides the filter locally to exercise them.
+    Deprecations raised from ``repro`` itself stay fatal: the package ships
+    no deprecated entrypoints, and must not grow callers of one unnoticed.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,7 +1,6 @@
 """Tests for the unified request/response API: validation, the option
 grouping key, the JSON codecs (strict requests, lenient responses), and the
-runtime's single ``recommend(request)`` dispatcher with its deprecation
-shims."""
+runtime's single ``recommend(request)`` dispatcher."""
 
 from __future__ import annotations
 
@@ -159,7 +158,7 @@ class TestRecommendResponse:
 
 
 # --------------------------------------------------------------------------- #
-# The runtime dispatcher and its deprecation shims
+# The runtime dispatcher
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def runtime():
@@ -211,27 +210,6 @@ class TestRuntimeDispatcher:
     def test_rejects_non_request(self, runtime):
         with pytest.raises(ConfigurationError, match="RecommendRequest"):
             runtime.recommend([0, 1, 2])
-
-    def test_old_topn_warns_but_works(self, runtime):
-        with pytest.warns(DeprecationWarning, match="topn"):
-            result = runtime.topn([0, 1], n_items=4)
-        expected = runtime.recommend(RecommendRequest(users=(0, 1), n_items=4))
-        assert all(np.array_equal(a, b) for a, b in zip(result.rankings, expected.rankings))
-
-    def test_old_recommend_folded_warns_but_works(self, runtime):
-        with pytest.warns(DeprecationWarning, match="recommend_folded"):
-            rankings = runtime.recommend_folded([[1, 2]], n_items=4)
-        expected = runtime.recommend(
-            RecommendRequest(interactions=((1, 2),), n_items=4)
-        )
-        assert np.array_equal(rankings[0], expected.rankings[0])
-
-    def test_old_session_entrypoints_warn(self, runtime):
-        with runtime.serving_session() as session:
-            with pytest.warns(DeprecationWarning):
-                session.topn([0], n_items=3)
-            with pytest.warns(DeprecationWarning):
-                session.recommend_folded([[1]], n_items=3)
 
     def test_default_tenant_constant(self):
         assert RecommendRequest(users=(1,)).tenant == DEFAULT_TENANT

@@ -28,7 +28,7 @@ from repro.exceptions import (
     ExecutorShutDownError,
     WorkerCrashError,
 )
-from repro.parallel import ClusterExecutor
+from repro.parallel import ClusterExecutor, attach_shared_array
 from repro.parallel.cluster import TASK_DELAY_ENV, _agent_main
 from repro.runtime import RecommenderRuntime
 from repro.serving.batch import serve_sharded
@@ -56,7 +56,7 @@ def sleep_forever() -> None:  # pragma: no cover - killed by the timeout path
 
 def fetch_sum(ref) -> float:
     """Attach a published ref inside the agent and reduce it."""
-    return float(ref.attach().sum())
+    return float(attach_shared_array(ref).sum())
 
 
 @pytest.fixture(scope="module")
@@ -229,13 +229,13 @@ class TestObjectStore:
             total = executor.starmap(fetch_sum, [(first,), (first,)])
             assert total == [15.0, 15.0]
             second = executor.publish("slot", np.arange(8, dtype=np.float64))
-            assert second.key != first.key
-            assert executor.active_store_keys() == [second.key]
+            assert second.shm_name != first.shm_name
+            assert executor.active_store_keys() == [second.shm_name]
             # Every node that cached the old generation evicted it.
             for node_stats in executor.node_stats().values():
-                if first.key in node_stats["fetch_counts"]:
-                    assert first.key in node_stats["evicted"]
-                assert first.key not in node_stats["store_keys"]
+                if first.shm_name in node_stats["fetch_counts"]:
+                    assert first.shm_name in node_stats["evicted"]
+                assert first.shm_name not in node_stats["store_keys"]
 
     def test_unpublish_evicts_node_caches(self):
         with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
@@ -244,8 +244,8 @@ class TestObjectStore:
             assert executor.unpublish("slot") is True
             assert executor.active_store_keys() == []
             for node_stats in executor.node_stats().values():
-                if ref.key in node_stats["fetch_counts"]:
-                    assert ref.key in node_stats["evicted"]
+                if ref.shm_name in node_stats["fetch_counts"]:
+                    assert ref.shm_name in node_stats["evicted"]
 
     def test_publish_snapshots_the_array(self):
         # Mutating the source after publish must not leak into what nodes

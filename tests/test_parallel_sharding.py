@@ -470,15 +470,6 @@ class TestSharedMemoryPublication:
             assert executor.unpublish("never-published") is False
         assert _dev_shm_entries() <= before
 
-    def test_release_static_only_drops_static_segments(self):
-        with SharedMemoryProcessExecutor(max_workers=1) as executor:
-            slot = executor.publish("slot", np.zeros(4))
-            executor.publish_static(np.ones(4))
-            executor.publish_static(np.full(4, 2.0))
-            assert executor.release_static() == 2
-            assert executor.active_segment_names() == [slot.shm_name]
-            assert executor.release_static() == 0
-
     def test_double_shutdown_is_idempotent(self):
         executor = SharedMemoryProcessExecutor(max_workers=1)
         executor.publish("slot", np.zeros(4))

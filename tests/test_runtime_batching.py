@@ -1,7 +1,6 @@
 """Tests for the micro-batching request front-end: coalescing correctness
 (batched rankings exactly equal the unbatched per-request path), the latency
-bound and size cap, drain-on-close semantics, the batching stats snapshot,
-and the deprecated pre-gateway entrypoints."""
+bound and size cap, drain-on-close semantics and the batching stats snapshot."""
 
 from __future__ import annotations
 
@@ -396,42 +395,6 @@ class TestLifecycle:
         with BatchingFrontEnd(runtime) as front:
             with pytest.raises(ConfigurationError):
                 front.submit_request([0, 1])  # not a RecommendRequest
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated pre-gateway entrypoints
-# --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_submit_warns_but_coalesces(self, runtime):
-        expected = _topn(runtime, [0, 1], n_items=5)
-        with BatchingFrontEnd(runtime, max_delay_ms=5) as front:
-            with pytest.warns(DeprecationWarning, match="submit_request"):
-                future = front.submit([0, 1], n_items=5)
-            response = future.result(timeout=RESULT_TIMEOUT)
-        for got, ref in zip(response.rankings, expected):
-            assert np.array_equal(got, ref)
-
-    def test_submit_folded_warns_but_coalesces(self, runtime):
-        expected = _folded(runtime, [[4, 5]], n_items=5, n_sweeps=5)
-        with BatchingFrontEnd(runtime, max_delay_ms=5) as front:
-            with pytest.warns(DeprecationWarning, match="submit_request"):
-                future = front.submit_folded([[4, 5]], n_items=5, n_sweeps=5)
-            response = future.result(timeout=RESULT_TIMEOUT)
-        assert np.array_equal(response.rankings[0], expected[0])
-
-    def test_blocking_helpers_warn_but_work(self, runtime):
-        expected = _topn(runtime, [8, 9], n_items=5)
-        expected_fold = _folded(runtime, [[4, 5]], n_items=5, n_sweeps=5)
-        with BatchingFrontEnd(runtime, max_delay_ms=5) as front:
-            with pytest.warns(DeprecationWarning, match="recommend"):
-                got = front.topn_blocking([8, 9], n_items=5, timeout=RESULT_TIMEOUT)
-            for have, want in zip(got, expected):
-                assert np.array_equal(have, want)
-            with pytest.warns(DeprecationWarning, match="recommend"):
-                folded = front.recommend_folded_blocking(
-                    [[4, 5]], n_items=5, n_sweeps=5, timeout=RESULT_TIMEOUT
-                )
-            assert np.array_equal(folded[0], expected_fold[0])
 
 
 # --------------------------------------------------------------------------- #

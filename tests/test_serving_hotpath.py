@@ -358,20 +358,6 @@ class TestEngineHotPath:
         result, scores = engine.rank_scored(empty, n_items=4, return_scores=True)
         assert result == [] and scores == []
 
-    def test_recommend_batch_lists_shim_warns(self, fitted_movielens_model):
-        import warnings as _warnings
-
-        engine = TopNEngine.from_model(fitted_movielens_model)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                engine.recommend_batch_lists([0, 1], n_items=5)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", DeprecationWarning)
-            lists = engine.recommend_batch_lists([0, 1], n_items=5)
-        assert isinstance(lists, list)
-        assert TopNResult.from_rows(lists) == engine.recommend_batch([0, 1], n_items=5)
-
     def test_invalid_serving_dtype_rejected(self, fitted_movielens_model):
         with pytest.raises(ConfigurationError):
             TopNEngine.from_model(fitted_movielens_model, dtype="int32")
