@@ -53,7 +53,6 @@ DEFAULT_RATIO = 5.0
 #: Benchmarks not listed here (accuracy tables, parity checks) are not
 #: perf-gated — their own asserts guard correctness.
 HEADLINES: Dict[str, Tuple[str, str]] = {
-    "serving_hotpath": ("speedup", "higher"),
     "training_hotpath": ("speedup", "higher"),
     "serving_throughput": ("speedup", "higher"),
     "gateway_throughput": ("gateway_users_per_s", "higher"),

@@ -31,7 +31,6 @@ from repro.experiments.incremental import (
     make_drifting_corpus,
     run_incremental_study,
 )
-from repro.experiments.hotpath import run_serving_hotpath
 from repro.experiments.training_hotpath import run_training_hotpath
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "run_deployment_example",
     "make_drifting_corpus",
     "run_incremental_study",
-    "run_serving_hotpath",
     "run_training_hotpath",
 ]

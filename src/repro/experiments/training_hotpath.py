@@ -9,8 +9,7 @@ run in identical order and only the storage is reused.  This experiment
 pins both against :class:`_LegacySweepBackend`, a faithful replica of the
 pre-rewrite ``VectorizedBackend`` hot loop (two ``sp.csr_matrix``
 constructions per sweep, fancy-index gathers, ``np.arange``/``np.repeat``
-machinery per backtrack), frozen here the way the serving benchmark froze
-``_LegacyTopNEngine``.
+machinery per backtrack), frozen here.
 
 Both engines run the same alternating item/user sweep trajectory from the
 same random non-negative factors, so they perform identical mathematics on

@@ -769,12 +769,20 @@ class RecommenderRuntime:
             # (their ingested interactions against the published factors),
             # pinned to the same generation as everyone else in the request.
             reference = session._engine if session is not None else self._engine
-            if reference is not None and any(
-                int(user) >= reference.train_matrix.n_users for user in request.users
+            try:
+                users = np.asarray(request.users, dtype=np.int64)
+            except OverflowError as error:
+                raise ConfigurationError(
+                    "user indices must fit a 64-bit integer"
+                ) from error
+            if (
+                reference is not None
+                and users.size
+                and users.max() >= reference.train_matrix.n_users
             ):
-                return self._recommend_mixed(request, session, shard_size, started)
-            _users, rankings, scores, _n_shards, generation = self._serve_topn(
-                request.users,
+                return self._recommend_mixed(request, users, session, shard_size, started)
+            rankings, scores, _n_shards, generation = self._serve_topn(
+                users,
                 n_items=request.n_items,
                 exclude_seen=request.exclude_seen,
                 shard_size=shard_size,
@@ -803,6 +811,7 @@ class RecommenderRuntime:
     def _recommend_mixed(
         self,
         request: RecommendRequest,
+        users: np.ndarray,
         session: Optional[ServingSession],
         shard_size: Optional[int],
         started: float,
@@ -823,9 +832,9 @@ class RecommenderRuntime:
         try:
             engine = active._engine
             limit = engine.train_matrix.n_users
-            users = [int(user) for user in request.users]
-            known_idx = [i for i, user in enumerate(users) if user < limit]
-            fresh_idx = [i for i, user in enumerate(users) if user >= limit]
+            known = users < limit
+            known_idx = np.flatnonzero(known)
+            fresh_idx = np.flatnonzero(~known)
             matrix = self.train_matrix
             if matrix is None or not hasattr(matrix, "items_of_user"):
                 raise ConfigurationError(
@@ -837,24 +846,24 @@ class RecommenderRuntime:
                 [None] * len(users) if request.with_scores else None
             )
             generation = active.generation
-            if known_idx:
-                _ul, known_rankings, known_scores, _ns, generation = self._serve_topn(
-                    [users[i] for i in known_idx],
+            if known_idx.size:
+                known_rankings, known_scores, _ns, generation = self._serve_topn(
+                    users[known_idx],
                     n_items=request.n_items,
                     exclude_seen=request.exclude_seen,
                     shard_size=shard_size,
                     session=active,
                     return_scores=request.with_scores,
                 )
-                for position, index in enumerate(known_idx):
+                for position, index in enumerate(known_idx.tolist()):
                     rankings[index] = known_rankings[position]
                     if scores is not None:
                         scores[index] = known_scores[position]
-            if fresh_idx:
+            if fresh_idx.size:
                 catalogue = engine.n_items
                 interactions = []
-                for index in fresh_idx:
-                    row = matrix.items_of_user(users[index])
+                for user in users[fresh_idx].tolist():
+                    row = matrix.items_of_user(user)
                     interactions.append([int(item) for item in row if item < catalogue])
                 folded_rankings, folded_scores, _ns, generation = self._serve_folded(
                     interactions,
@@ -866,7 +875,7 @@ class RecommenderRuntime:
                     session=active,
                     return_scores=request.with_scores,
                 )
-                for position, index in enumerate(fresh_idx):
+                for position, index in enumerate(fresh_idx.tolist()):
                     rankings[index] = folded_rankings[position]
                     if scores is not None:
                         scores[index] = folded_scores[position]
@@ -894,18 +903,19 @@ class RecommenderRuntime:
 
     def _serve_topn(
         self,
-        users: Sequence[int],
+        users: np.ndarray,
         n_items: int = 10,
         exclude_seen: bool = True,
         shard_size: Optional[int] = None,
         session: Optional[ServingSession] = None,
         return_scores: bool = False,
-    ) -> Tuple[List[int], TopNResult, Optional[List[np.ndarray]], int, int]:
+    ) -> Tuple[TopNResult, Optional[List[np.ndarray]], int, int]:
         """Sharded known-users top-N over the warm pool.
 
         On the shared path each task carries only the published engine's
-        descriptors and its user shard; rankings are ``np.array_equal`` to
-        the single-process engine's for every user.
+        descriptors and its user shard — a slice of one int64 index array,
+        which the worker's engine takes as it is; rankings are
+        ``np.array_equal`` to the single-process engine's for every user.
         """
         self._check_open()
         check_positive_int(n_items, "n_items")
@@ -914,13 +924,12 @@ class RecommenderRuntime:
         else:
             engine, spec, _model, generation = session._acquire_for_call()
         try:
-            user_list = [int(user) for user in users]
             if shard_size is None:
                 shard_size = engine.chunk_size
             check_positive_int(shard_size, "shard_size")
             shards = [
-                user_list[start : start + shard_size]
-                for start in range(0, len(user_list), shard_size)
+                users[start : start + shard_size]
+                for start in range(0, len(users), shard_size)
             ]
             if len(shards) <= 1:
                 # No fan-out without a fan: one shard runs here, on the
@@ -954,7 +963,7 @@ class RecommenderRuntime:
             self._release_spec(spec)
         rankings, scores = self._flatten_shards(shard_results, return_scores)
         self._record_serving_call(stats)
-        return user_list, rankings, scores, len(shards), generation
+        return rankings, scores, len(shards), generation
 
     def _serve_folded(
         self,

@@ -10,8 +10,9 @@ chunks:
 * one BLAS matrix product per chunk against the item factors (falling back
   to :meth:`~repro.base.Recommender.score_users` for models without a
   factor representation, so every recommender is served by the same path),
-* already-seen training items masked directly from the CSR structure
-  (``indptr``/``indices``), never densifying the interaction matrix,
+* already-seen training items masked by one flat scatter built from the CSR
+  structure (``indptr``/``indices``), never densifying the interaction
+  matrix,
 * top-N selection with :func:`numpy.argpartition` followed by a stable sort
   of only the selected entries, instead of a full per-row sort.
 
@@ -20,11 +21,13 @@ block comes from a :class:`~repro.serving.buffers.ScoreBufferPool` (the
 gather of the chunk's user factors too), the chunk size autotunes so
 ``chunk × n_items × itemsize`` stays inside a byte budget, and results land
 directly in the flat :class:`~repro.serving.results.TopNResult` blocks
-instead of per-user list objects.  On multi-core hosts the BLAS product of
-chunk ``k+1`` overlaps the masking/selection of chunk ``k`` on a prefetch
-thread (NumPy releases the GIL inside the gemm); chunks are independent and
-write disjoint output rows, so pipelined rankings are bitwise the serial
-ones.
+instead of per-user list objects.  What a chunk still allocates is small
+next to its score block: the mask's index arrays, as long as the chunk has
+training positives, and the selection's ``(chunk, n)`` arrays.  On
+multi-core hosts the BLAS product of chunk ``k+1`` overlaps the
+masking/selection of chunk ``k`` on a prefetch thread (NumPy releases the
+GIL inside the gemm); chunks are independent and write disjoint output
+rows, so pipelined rankings are bitwise the serial ones.
 
 Engines can also serve at a reduced precision: ``dtype="float32"`` casts
 the factor matrices once at construction and scores every chunk at half the
@@ -66,6 +69,10 @@ DEFAULT_CHUNK_SIZE = 1024
 #: Serving dtypes the engine accepts (scores are ranked, not summed, so
 #: half-width floats keep ranking quality; see the float32 parity tests).
 _SERVING_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+#: Calls of at most this many rows mask by direct slice writes: building the
+#: flat scatter costs more than the loop it replaces until about eight rows.
+_DIRECT_MASK_ROWS = 8
 
 
 # --------------------------------------------------------------------------- #
@@ -292,11 +299,15 @@ class TopNEngine:
 
         The factor path gathers the chunk's user factors and computes
         ``exp(-aff) - 1`` with in-place ufuncs into a pooled block: one BLAS
-        product, zero fresh allocations in steady state.  IEEE subtraction
-        is antisymmetric (``fl(e - 1) == -fl(1 - e)`` exactly), so this is
-        bitwise the negation of the probability ``1 - exp(-aff)`` that the
-        per-user reference path ranks by.  The caller must release the
-        returned block back to :attr:`pool`.
+        product, zero fresh allocations in steady state.  The sign goes on
+        the gathered ``(rows, K)`` factors, not on the ``(rows, n_items)``
+        product: rounding to nearest is symmetric, so ``(-g) @ F.T`` is
+        bitwise ``-(g @ F.T)`` (fused multiply-adds included) except for the
+        sign of an exact zero, which ``exp`` maps to the same ``1.0``.  IEEE
+        subtraction is antisymmetric (``fl(e - 1) == -fl(1 - e)`` exactly),
+        so the block is bitwise the negation of the probability
+        ``1 - exp(-aff)`` that the per-user reference path ranks by.  The
+        caller must release the returned block back to :attr:`pool`.
         """
         rows = users.shape[0]
         if self._serving_user_factors is not None:
@@ -304,10 +315,10 @@ class TopNEngine:
                 rows, self._serving_user_factors.shape[1], self.serving_dtype
             )
             np.take(self._serving_user_factors, users, axis=0, out=gather)
+            np.negative(gather, out=gather)
             block = self.pool.take(rows, self.n_items, self.serving_dtype)
             np.matmul(gather, self._serving_item_factors.T, out=block)
             self.pool.release(gather)
-            np.negative(block, out=block)
             np.exp(block, out=block)
             np.subtract(block, 1.0, out=block)
             return block
@@ -344,7 +355,10 @@ class TopNEngine:
         computed for the selection, no rescoring pass.
         """
         check_positive_int(n_items, "n_items")
-        user_array = np.asarray(list(users), dtype=np.int64)
+        # An index array (the shards the runtime cuts) is taken as it is.
+        user_array = np.asarray(
+            users if isinstance(users, np.ndarray) else list(users), dtype=np.int64
+        )
         n = min(n_items, self.n_items)
         if user_array.size == 0:
             return TopNResult.empty(width=n, with_scores=with_scores)
@@ -485,7 +499,7 @@ class TopNEngine:
         if n_rows == 0:
             result = TopNResult.empty(width=n, with_scores=return_scores)
             return (result, []) if return_scores else result
-        if writable and raw.flags.writeable:
+        if writable and raw.flags.writeable and raw.flags.c_contiguous:
             neg_scores = np.negative(raw, out=raw)
             pooled = None
         else:
@@ -526,18 +540,37 @@ class TopNEngine:
         """Write ``+inf`` over the training positives of ``rows``, in place.
 
         ``neg_scores`` holds negated scores, so ``+inf`` here plays the role
-        ``-inf`` plays in the per-user reference path.  Each row's positives
-        are sliced straight out of the CSR ``indptr``/``indices`` arrays —
-        no densified mask and no full-size scratch arrays; the only
-        temporaries are the two ``len(rows)``-long pointer gathers.
+        ``-inf`` plays in the per-user reference path.  The positives come
+        straight out of the CSR ``indptr``/``indices`` arrays — no densified
+        mask — and go in as one scatter through the flat view of the block,
+        which must be C-contiguous (pooled blocks are).  An ascending
+        contiguous row range, which every shard of a batch pass is, reads
+        its columns as a single ``indices`` view; any other row set gathers
+        them.  The temporaries are ``len(rows)``-long pointer arrays and
+        ``nnz(rows)``-long index arrays.  A call of a few rows writes each
+        row's slice directly instead.
         """
         indptr, indices = csr.indptr, csr.indices
         rows = np.asarray(rows, dtype=np.int64)
+        n_rows = rows.shape[0]
+        if n_rows <= _DIRECT_MASK_ROWS:
+            for i, row in enumerate(rows.tolist()):
+                start, stop = indptr[row], indptr[row + 1]
+                if start != stop:
+                    neg_scores[i, indices[start:stop]] = np.inf
+            return
         starts = indptr[rows]
-        stops = indptr[rows + 1]
-        for i, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-            if start != stop:
-                neg_scores[i, indices[start:stop]] = np.inf
+        counts = indptr[rows + 1] - starts
+        if (np.diff(rows) == 1).all():
+            columns = indices[starts[0] : indptr[rows[-1] + 1]]
+        else:
+            ends = np.cumsum(counts)
+            columns = indices[
+                np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+            ]
+        flat = np.repeat(np.arange(n_rows) * neg_scores.shape[1], counts)
+        flat += columns
+        neg_scores.reshape(-1)[flat] = np.inf
 
     def _select_chunk(
         self,

@@ -7,6 +7,7 @@ use fixed seeds; the suite is fully deterministic.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -32,6 +33,55 @@ def _silence_convergence_warnings():
             "error", category=DeprecationWarning, module=r"repro(\..*)?$"
         )
         yield
+
+
+class ShmLedger:
+    """The shared-memory segments published in this process during one test.
+
+    The hygiene tests assert that exactly these are gone afterwards.  They
+    do not diff all of ``/dev/shm``: another suite or a benchmark running on
+    the same host creates and unlinks segments of its own in the meantime.
+    """
+
+    def __init__(self) -> None:
+        self.names: set = set()
+
+    @staticmethod
+    def entries() -> set:
+        """Current ``/dev/shm`` entries (empty where the mount does not exist)."""
+        if not os.path.isdir("/dev/shm"):
+            return set()
+        return set(os.listdir("/dev/shm"))
+
+    def live(self) -> set:
+        """The recorded segments that still exist."""
+        return self.names & self.entries()
+
+    def assert_gone(self) -> None:
+        assert self.names, "the test published no segment, so nothing was checked"
+        assert not self.live(), f"segments left in /dev/shm: {sorted(self.live())}"
+
+
+@pytest.fixture
+def shm_ledger(monkeypatch):
+    """Records every segment a shared-memory executor creates while the test runs.
+
+    Hooked where segments are made, so executors that a fit or a
+    ``serve_sharded`` call builds by name and shuts down itself are covered
+    like the ones the test holds.
+    """
+    from repro.parallel.shared_memory import _SegmentStore
+
+    ledger = ShmLedger()
+    write = _SegmentStore.write
+
+    def recording_write(store, array, previous, pinned):
+        spec = write(store, array, previous, pinned)
+        ledger.names.add(spec.shm_name)
+        return spec
+
+    monkeypatch.setattr(_SegmentStore, "write", recording_write)
+    return ledger
 
 
 @pytest.fixture(scope="session")

@@ -32,13 +32,6 @@ from repro.parallel import (
 from repro.parallel import scheduler as scheduler_module
 
 
-def _dev_shm_entries() -> set:
-    """Current /dev/shm entries (empty set where the mount does not exist)."""
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(os.listdir("/dev/shm"))
-
-
 # --------------------------------------------------------------------------- #
 # nnz-balanced shard boundaries (pure function of the plan)
 # --------------------------------------------------------------------------- #
@@ -324,15 +317,14 @@ class TestSharedMemoryPublication:
             with pytest.raises(ValueError):
                 executor.publish_static(np.zeros((4, 4))[:, ::2])
 
-    def test_shutdown_unlinks_all_segments(self):
-        before = _dev_shm_entries()
+    def test_shutdown_unlinks_all_segments(self, shm_ledger):
         executor = SharedMemoryProcessExecutor(max_workers=1)
         executor.publish("a", np.zeros(1000))
         executor.publish_static(np.ones(1000))
         assert len(executor.active_segment_names()) == 2
         executor.shutdown()
         assert executor.active_segment_names() == []
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
     def test_segment_cap_evicts_oldest(self):
         with SharedMemoryProcessExecutor(max_workers=1, max_segments=2) as executor:
@@ -457,18 +449,17 @@ class TestSharedMemoryPublication:
         with SharedMemoryProcessExecutor(max_workers=2) as executor:
             assert executor.starmap(divmod, [(7, 3), (9, 2)]) == [(2, 1), (4, 1)]
 
-    def test_unpublish_single_slot(self):
-        before = _dev_shm_entries()
+    def test_unpublish_single_slot(self, shm_ledger):
         with SharedMemoryProcessExecutor(max_workers=1) as executor:
             spec = executor.publish("slot", np.zeros(8))
-            assert spec.shm_name in _dev_shm_entries()
+            assert spec.shm_name in shm_ledger.entries()
             assert executor.unpublish("slot") is True
-            assert spec.shm_name not in _dev_shm_entries()
+            assert spec.shm_name not in shm_ledger.entries()
             assert executor.active_segment_names() == []
             # Unknown keys report False instead of raising.
             assert executor.unpublish("slot") is False
             assert executor.unpublish("never-published") is False
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
     def test_double_shutdown_is_idempotent(self):
         executor = SharedMemoryProcessExecutor(max_workers=1)
@@ -571,9 +562,21 @@ class TestThreeWayExecutorParity:
 # --------------------------------------------------------------------------- #
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestSharedMemoryFitLifecycle:
-    def test_name_configured_fit_unlinks_everything(self):
+    def test_ledger_sees_a_segment_until_its_owner_unlinks_it(self, shm_ledger):
+        # The hygiene assertions below are only as good as the ledger.
+        with pytest.raises(AssertionError, match="published no segment"):
+            shm_ledger.assert_gone()
+        executor = SharedMemoryProcessExecutor(max_workers=1)
+        try:
+            executor.publish("slot", np.zeros(10))
+            with pytest.raises(AssertionError, match="segments left"):
+                shm_ledger.assert_gone()
+        finally:
+            executor.shutdown()
+        shm_ledger.assert_gone()
+
+    def test_name_configured_fit_unlinks_everything(self, shm_ledger):
         matrix, _spec = make_netflix_like(n_users=100, n_items=40, random_state=1)
-        before = _dev_shm_entries()
         model = OCuLaR(
             n_coclusters=5,
             regularization=5.0,
@@ -586,11 +589,10 @@ class TestSharedMemoryFitLifecycle:
         )
         with pytest.warns(Warning):
             model.fit(matrix)
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
-    def test_borrowed_backend_cleans_up_on_exit(self):
+    def test_borrowed_backend_cleans_up_on_exit(self, shm_ledger):
         matrix, _spec = make_netflix_like(n_users=100, n_items=40, random_state=1)
-        before = _dev_shm_entries()
         with ParallelBackend(n_workers=2, n_shards=2, executor="process") as backend:
             model = OCuLaR(
                 n_coclusters=5,
@@ -604,6 +606,6 @@ class TestSharedMemoryFitLifecycle:
                 model.fit(matrix)
             # The fit borrowed the backend, so its segments live until the
             # owner releases them...
-            assert len(_dev_shm_entries() - before) > 0
+            assert shm_ledger.live()
         # ...which the context exit just did.
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()

@@ -141,8 +141,8 @@ class TestRunGateAndMain:
     def test_main_passes_on_clean_dirs(self, perf_gate, tmp_path, capsys):
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
-        _write(baselines, "serving_hotpath", {"speedup": 2.0})
-        _write(results, "serving_hotpath", {"speedup": 1.9})
+        _write(baselines, "training_hotpath", {"speedup": 2.0})
+        _write(results, "training_hotpath", {"speedup": 1.9})
         code = perf_gate.main(["--results", str(results), "--baselines", str(baselines)])
         assert code == 0
         captured = capsys.readouterr().out
@@ -151,8 +151,8 @@ class TestRunGateAndMain:
     def test_main_fails_on_regression(self, perf_gate, tmp_path, capsys):
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
-        _write(baselines, "serving_hotpath", {"speedup": 10.0})
-        _write(results, "serving_hotpath", {"speedup": 0.5})
+        _write(baselines, "training_hotpath", {"speedup": 10.0})
+        _write(results, "training_hotpath", {"speedup": 0.5})
         code = perf_gate.main(["--results", str(results), "--baselines", str(baselines)])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
@@ -160,8 +160,8 @@ class TestRunGateAndMain:
     def test_main_ratio_flag(self, perf_gate, tmp_path):
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
-        _write(baselines, "serving_hotpath", {"speedup": 10.0})
-        _write(results, "serving_hotpath", {"speedup": 4.0})
+        _write(baselines, "training_hotpath", {"speedup": 10.0})
+        _write(results, "training_hotpath", {"speedup": 4.0})
         assert perf_gate.main(
             ["--results", str(results), "--baselines", str(baselines), "--ratio", "2.0"]
         ) == 1
@@ -172,10 +172,10 @@ class TestRunGateAndMain:
     def test_unparseable_result_skips(self, perf_gate, tmp_path):
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
-        _write(baselines, "serving_hotpath", {"speedup": 2.0})
+        _write(baselines, "training_hotpath", {"speedup": 2.0})
         results.mkdir()
-        (results / "BENCH_serving_hotpath.json").write_text("{not json", encoding="utf-8")
+        (results / "BENCH_training_hotpath.json").write_text("{not json", encoding="utf-8")
         outcomes = perf_gate.run_gate(results, baselines)
         by_name = {o.bench: o for o in outcomes}
-        assert by_name["serving_hotpath"].status == "skip"
+        assert by_name["training_hotpath"].status == "skip"
         assert all(o.status != "fail" for o in outcomes)

@@ -22,13 +22,6 @@ from repro.serving import TopNEngine, recommend_folded, serve_sharded
 from repro.serving.shared import _topn_shard
 
 
-def _dev_shm_entries() -> set:
-    """Current /dev/shm entries (empty set where the mount does not exist)."""
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(os.listdir("/dev/shm"))
-
-
 @pytest.fixture(scope="module")
 def corpus():
     matrix, _spec = make_netflix_like(n_users=150, n_items=60, random_state=0)
@@ -124,14 +117,14 @@ class TestWarmPool:
 # --------------------------------------------------------------------------- #
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestGenerationLifecycle:
-    def test_publish_swap_unlinks_old_generation(self, corpus):
+    def test_publish_swap_unlinks_old_generation(self, corpus, shm_ledger):
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             first = runtime.publish()
             first_spec = runtime.published_spec
             assert first_spec is not None
             first_names = set(first_spec.segment_names())
-            assert first_names <= _dev_shm_entries()
+            assert first_names <= shm_ledger.entries()
 
             second = runtime.update()
             assert second == first + 1
@@ -140,17 +133,17 @@ class TestGenerationLifecycle:
             assert second_spec.generation != first_spec.generation
             # The old generation's names are gone from /dev/shm and from the
             # executor's books; the new one is live.
-            assert not (first_names & _dev_shm_entries())
+            assert not (first_names & shm_ledger.entries())
             assert not (
                 first_names & set(runtime.executor.active_segment_names())
             )
-            assert set(second_spec.segment_names()) <= _dev_shm_entries()
+            assert set(second_spec.segment_names()) <= shm_ledger.entries()
             # Serving still works after the swap.
             assert runtime.recommend(
                 RecommendRequest(users=(0, 1, 2), n_items=3)
             ).rankings
 
-    def test_swap_defers_unlink_until_inflight_calls_drain(self, corpus):
+    def test_swap_defers_unlink_until_inflight_calls_drain(self, corpus, shm_ledger):
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
@@ -163,14 +156,14 @@ class TestGenerationLifecycle:
             runtime.update()
             # Old generation retired, not unlinked: the in-flight call's
             # workers can still attach by name.
-            assert old_names <= _dev_shm_entries()
+            assert old_names <= shm_ledger.entries()
             result = runtime._executor.starmap(
                 _topn_shard, [(old_spec, [0, 1, 2], 3, True)]
             )
             assert len(result[0]) == 3
             runtime._release_spec(spec)
             # Last reference dropped: the retired generation unlinks now.
-            assert not (old_names & _dev_shm_entries())
+            assert not (old_names & shm_ledger.entries())
             # The new generation serves normally.
             assert runtime.recommend(
                 RecommendRequest(users=(0, 1), n_items=3)
@@ -193,8 +186,7 @@ class TestGenerationLifecycle:
             for want, have in zip(expected, got):
                 assert np.array_equal(want, have)
 
-    def test_close_leaves_dev_shm_clean(self, corpus):
-        before = _dev_shm_entries()
+    def test_close_leaves_dev_shm_clean(self, corpus, shm_ledger):
         runtime = RecommenderRuntime(executor="process", max_workers=2)
         runtime.fit(_model(), corpus)
         runtime.publish()
@@ -203,12 +195,11 @@ class TestGenerationLifecycle:
             RecommendRequest(interactions=[[1, 2, 3]], n_items=5, n_sweeps=5)
         )
         runtime.close()
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
         runtime.close()  # idempotent
 
-    def test_close_with_serving_in_flight(self, corpus):
+    def test_close_with_serving_in_flight(self, corpus, shm_ledger):
         """Concurrent serving while the runtime closes: /dev/shm still ends clean."""
-        before = _dev_shm_entries()
         runtime = RecommenderRuntime(executor="process", max_workers=2)
         runtime.fit(_model(), corpus)
         runtime.publish()
@@ -238,10 +229,9 @@ class TestGenerationLifecycle:
             stop.set()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
-    def test_borrowed_executor_survives_close_and_is_unpublished(self, corpus):
-        before = _dev_shm_entries()
+    def test_borrowed_executor_survives_close_and_is_unpublished(self, corpus, shm_ledger):
         with SharedMemoryProcessExecutor(max_workers=2) as executor:
             runtime = RecommenderRuntime(executor=executor)
             runtime.fit(_model(), corpus)
@@ -254,9 +244,9 @@ class TestGenerationLifecycle:
             assert executor.starmap(divmod, [(9, 2)]) == [(4, 1)]
             # ...but holds nothing the runtime published.
             assert executor.active_segment_names() == []
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
-    def test_borrowed_close_defers_unlink_for_inflight_calls(self, corpus):
+    def test_borrowed_close_defers_unlink_for_inflight_calls(self, corpus, shm_ledger):
         with SharedMemoryProcessExecutor(max_workers=2) as executor:
             runtime = RecommenderRuntime(executor=executor)
             runtime.fit(_model(), corpus)
@@ -266,14 +256,14 @@ class TestGenerationLifecycle:
             # close() must honor the in-flight reference: the generation
             # stays attachable until the call drains.
             names = set(spec.segment_names())
-            assert names <= _dev_shm_entries()
+            assert names <= shm_ledger.entries()
             result = executor.starmap(_topn_shard, [(spec, [0, 1], 3, True)])
             assert len(result[0]) == 2
             runtime._release_spec(spec)
-            assert not (names & _dev_shm_entries())
+            assert not (names & shm_ledger.entries())
             assert executor.active_segment_names() == []
 
-    def test_session_call_reference_survives_racing_release(self, corpus):
+    def test_session_call_reference_survives_racing_release(self, corpus, shm_ledger):
         # A session shared across threads: a call takes its own generation
         # reference, so release() (or close) racing the call can never pull
         # the segments out from under it mid-flight.
@@ -291,13 +281,13 @@ class TestGenerationLifecycle:
             session.release()
             session.release()  # double release: atomic, no double-decrement
             runtime.update()
-            assert names <= _dev_shm_entries()  # still attachable
+            assert names <= shm_ledger.entries()  # still attachable
             result = runtime._executor.starmap(
                 _topn_shard, [(spec, [0, 1], 3, True)]
             )
             assert len(result[0]) == 2
             runtime._release_spec(call_spec)  # the call's own reference
-            assert not (names & _dev_shm_entries())
+            assert not (names & shm_ledger.entries())
             # A released session refuses new calls.
             with pytest.raises(ConfigurationError):
                 session.recommend(RecommendRequest(users=(0,)))
@@ -324,6 +314,17 @@ class TestGenerationLifecycle:
             runtime.fit(_model(), corpus)
         with pytest.raises(ConfigurationError):
             runtime.recommend(RecommendRequest(users=(0,)))
+
+    def test_user_index_beyond_64_bits_is_a_typed_error(self, corpus):
+        # The request's users become one int64 array; an id that cannot be
+        # one is the caller's error, never an OverflowError from numpy.
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+            for user in (2**70, -(2**70)):
+                with pytest.raises(ConfigurationError):
+                    runtime.recommend(RecommendRequest(users=(0, user), n_items=3))
+            assert runtime.recommend(RecommendRequest(users=(), n_items=3)).rankings == []
 
 
 # --------------------------------------------------------------------------- #
@@ -542,9 +543,10 @@ class TestOneShardDispatch:
                 assert response.generation == runtime.generation
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
-    def test_session_pins_old_generation_for_one_shard_calls(self, corpus, fitted_reference):
+    def test_session_pins_old_generation_for_one_shard_calls(
+        self, corpus, fitted_reference, shm_ledger
+    ):
         _model_ref, engine = fitted_reference
-        before = _dev_shm_entries()
         request = RecommendRequest(users=(3, 1, 4), n_items=5)
         cold = RecommendRequest(interactions=[[1, 5, 9]], n_items=5, n_sweeps=4)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
@@ -567,10 +569,10 @@ class TestOneShardDispatch:
             assert _rows_equal(session.recommend(cold).rankings, old_cold)
             # In-process serving never attached the retired segments, but the
             # session's reference still keeps them linked until it releases.
-            assert old_names <= _dev_shm_entries()
+            assert old_names <= shm_ledger.entries()
             session.release()
-            assert not (old_names & _dev_shm_entries())
-        assert _dev_shm_entries() <= before
+            assert not (old_names & shm_ledger.entries())
+        shm_ledger.assert_gone()
 
     def test_concurrent_one_user_requests_match_reference(self, corpus, fitted_reference):
         _model_ref, engine = fitted_reference

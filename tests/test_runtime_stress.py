@@ -34,12 +34,6 @@ MIN_GENERATIONS = 3
 N_USERS, N_ITEMS = 150, 60
 
 
-def _dev_shm_entries() -> set:
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(os.listdir("/dev/shm"))
-
-
 def _model(seed: int) -> OCuLaR:
     return OCuLaR(
         n_coclusters=6,
@@ -125,8 +119,7 @@ def _join_all(threads):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestFrontEndUnderChurn:
-    def test_mixed_requests_vs_refit_update_loop(self, corpus):
-        before = _dev_shm_entries()
+    def test_mixed_requests_vs_refit_update_loop(self, corpus, shm_ledger):
         ledger = _GenerationLedger()
         errors: list = []
         responses: list = []  # (kind, payload, BatchedResponse); append is atomic
@@ -207,14 +200,13 @@ class TestFrontEndUnderChurn:
             # All retired generations drained: the executor owns exactly the
             # live publication (2 factor arrays + 3 seen-mask arrays).
             assert len(runtime.executor.active_segment_names()) == 5
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestRuntimeSessionsUnderChurn:
-    def test_pinned_sessions_vs_refit_update_loop(self, corpus):
+    def test_pinned_sessions_vs_refit_update_loop(self, corpus, shm_ledger):
         """PR-4 runtime + session hook race-freedom, no front-end involved."""
-        before = _dev_shm_entries()
         ledger = _GenerationLedger()
         errors: list = []
         observed: list = []  # (generation, users, rankings)
@@ -260,15 +252,14 @@ class TestRuntimeSessionsUnderChurn:
                 for got, ref in zip(rankings, want):
                     assert np.array_equal(got, ref), generation
             assert len(runtime.executor.active_segment_names()) == 5
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
-    def test_ab_serving_two_pinned_generations(self, corpus):
+    def test_ab_serving_two_pinned_generations(self, corpus, shm_ledger):
         """A/B shape: two generations pinned and served alternately.
 
         The older generation is retired by the swap but stays attachable
         while its session holds a reference; workers keep engines for both
         cached (MAX_CACHED_ENGINES >= 2), so alternation does not thrash."""
-        before = _dev_shm_entries()
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             model_a = _model(0)
             runtime.fit(model_a, corpus)
@@ -295,20 +286,20 @@ class TestRuntimeSessionsUnderChurn:
                 for got, ref in zip(got_b, want_b):
                     assert np.array_equal(got, ref)
             # While pinned, the retired A generation is still in /dev/shm...
-            assert names_a <= _dev_shm_entries()
+            assert names_a <= shm_ledger.entries()
             session_a.release()
             # ...and unlinks as soon as its last reference drains.
-            assert not (names_a & _dev_shm_entries())
+            assert not (names_a & shm_ledger.entries())
             session_b.release()
             assert runtime.recommend(
                 RecommendRequest(users=users[:5], n_items=5)
             ).rankings  # still serving
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestIngestWarmRefitChurn:
-    def test_ingest_and_warm_refit_loop_vs_serving_traffic(self, corpus):
+    def test_ingest_and_warm_refit_loop_vs_serving_traffic(self, corpus, shm_ledger):
         """Incremental lifecycle under load: ingest → serve-fresh-now → warm
         refit → update, in a background loop, while 16 client threads hammer
         known-user requests through pinned sessions.
@@ -317,7 +308,6 @@ class TestIngestWarmRefitChurn:
         mixed known+fresh response replays exactly against the generation
         that served it, (c) each background refit really warm-started, and
         (d) /dev/shm is clean after the runtime exits."""
-        before = _dev_shm_entries()
         ledger = _GenerationLedger()
         errors: list = []
         observed: list = []  # client (generation, users, rankings)
@@ -411,7 +401,7 @@ class TestIngestWarmRefitChurn:
                 )
                 assert np.array_equal(response.rankings[1], want_fresh[0])
             assert len(runtime.executor.active_segment_names()) == 5
-        assert _dev_shm_entries() <= before
+        shm_ledger.assert_gone()
 
 
 class TestWarmBackendFoldInRefitChurn:

@@ -305,16 +305,46 @@ class TestEngineHotPath:
             assert np.all(np.diff(row_scores) <= 0)
 
     def test_zero_allocations_after_warmup(self, fitted_movielens_model):
-        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=32)
+        # Serial chunking takes and releases blocks in one fixed order, so
+        # the warm-up pass allocates everything any later pass needs.
+        for dtype in ("float64", "float32"):
+            engine = TopNEngine.from_model(
+                fitted_movielens_model, chunk_size=32, dtype=dtype, pipeline=False
+            )
+            users = list(range(120))
+            engine.topn(users, n_items=10)  # warm-up pass
+            warm = engine.pool.stats().allocations
+            for _ in range(3):
+                engine.topn(users, n_items=10)
+            after = engine.pool.stats()
+            assert after.allocations == warm
+            assert after.reuses > 0
+            assert after.outstanding == 0
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("chunk_size, bound", [(30, 3), (32, 4)])
+    def test_pipelined_allocations_stay_within_structural_bound(
+        self, fitted_movielens_model, dtype, chunk_size, bound
+    ):
+        # Pipelined, how many blocks a pass needs depends on whether the
+        # prefetch thread takes chunk k+1's block before or after the caller
+        # releases chunk k's, so no single pass is "the" warm-up.  What holds
+        # whatever the timing: one gather block (taken and released inside
+        # one scoring call, and scoring calls do not overlap), two full score
+        # blocks (one being selected from, one being scored into), and, when
+        # the last chunk is shorter, one block of its size allocated if it
+        # was scored while no full block was free.  120 users in chunks of
+        # 30 have no short chunk; in chunks of 32 the last has 24 rows.
+        engine = TopNEngine.from_model(
+            fitted_movielens_model, chunk_size=chunk_size, dtype=dtype, pipeline=True
+        )
         users = list(range(120))
-        engine.topn(users, n_items=10)  # warm-up pass
-        warm = engine.pool.stats().allocations
-        for _ in range(3):
+        for _ in range(6):
             engine.topn(users, n_items=10)
-        after = engine.pool.stats()
-        assert after.allocations == warm
-        assert after.reuses > 0
-        assert after.outstanding == 0
+            stats = engine.pool.stats()
+            assert stats.allocations <= bound
+            assert stats.outstanding == 0
+        assert stats.reuses > 0
 
     def test_pipelined_matches_serial_exactly(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=16)
@@ -472,6 +502,157 @@ class TestMaskSeen:
         assert np.isinf(neg_scores[0, 1]) and np.isinf(neg_scores[0, 4])
         assert np.isinf(neg_scores[1, 2])
         assert np.isfinite(neg_scores).sum() == 12 - 3
+
+
+# --------------------------------------------------------------------------- #
+# Kernel parity: the negated-and-masked block against a plain reference
+# --------------------------------------------------------------------------- #
+def _reference_mask(neg_scores, rows, csr):
+    """One slice write per row: the loop ``_mask_seen`` replaced by a scatter."""
+    indptr, indices = csr.indptr, csr.indices
+    for i, row in enumerate(np.asarray(rows).tolist()):
+        neg_scores[i, indices[indptr[row] : indptr[row + 1]]] = np.inf
+
+
+def _reference_neg_scores(engine, users):
+    """``-(g @ F.T)`` -> ``exp`` -> ``- 1``: the sign applied after the product."""
+    gathered = engine.serving_user_factors[users]
+    block = np.negative(gathered @ engine.serving_item_factors.T)
+    np.exp(block, out=block)
+    np.subtract(block, 1.0, out=block)
+    return block
+
+
+def _bits(array):
+    """The array's bytes as integers, so ``0.0`` and ``-0.0`` compare unequal."""
+    return array.view(np.int64 if array.dtype == np.float64 else np.int32)
+
+
+@pytest.fixture(scope="module", params=["float64", "float32"])
+def kernel_engine(request):
+    """Random factors with exact zeros, over a corpus with empty user rows.
+
+    Users ``0..9`` have all-zero factors (every affinity is exactly zero) and
+    every fifth user has no training positives.
+    """
+    from repro.core.factors import FactorModel
+    from repro.data.interactions import InteractionMatrix
+
+    rng = np.random.default_rng(42)
+    n_users, n_items, k = 90, 70, 6
+    user_factors = rng.random((n_users, k)) * (rng.random((n_users, k)) < 0.6)
+    item_factors = rng.random((n_items, k)) * (rng.random((n_items, k)) < 0.6)
+    user_factors[:10] = 0.0
+    dense = (rng.random((n_users, n_items)) < 0.15).astype(float)
+    dense[::5] = 0.0
+    dtype = np.dtype(request.param)
+    factors = FactorModel(user_factors.astype(dtype), item_factors.astype(dtype))
+    # One chunk holds every user set below: a BLAS product's last bits can
+    # depend on the block's row count, and the reference scores in one call.
+    return TopNEngine.from_factors(
+        factors, InteractionMatrix.from_dense(dense), chunk_size=128, pipeline=False
+    )
+
+
+def _user_sets():
+    rng = np.random.default_rng(7)
+    return {
+        "none": np.arange(0),
+        "one": np.array([13]),
+        "one-empty-row": np.array([5]),
+        "four": np.array([41, 3, 77, 20]),
+        "four-contiguous": np.arange(4, 8),
+        # Either side of the row count at which the mask becomes a scatter.
+        "eight": np.array([8, 70, 2, 33, 5, 61, 19, 40]),
+        "nine": np.array([8, 70, 2, 33, 5, 61, 19, 40, 0]),
+        "nine-contiguous": np.arange(30, 39),
+        "contiguous": np.arange(17, 66),
+        "contiguous-from-zero": np.arange(90),
+        "random": rng.permutation(90)[:40],
+        "duplicates": rng.integers(0, 90, size=50),
+        "descending": np.arange(60, 20, -1),
+    }
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("name", list(_user_sets()))
+    def test_block_equals_reference(self, kernel_engine, name):
+        engine = kernel_engine
+        users = _user_sets()[name]
+        csr = engine.train_matrix.csr()
+        want = _reference_neg_scores(engine, users)
+        _reference_mask(want, users, csr)
+        got = engine._neg_scores_pooled(users)
+        try:
+            engine._mask_seen(got, users, csr)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)  # infinities included
+        finally:
+            engine.pool.release(got)
+
+    @pytest.mark.parametrize("name", list(_user_sets()))
+    def test_topn_equals_selection_of_the_reference_block(self, kernel_engine, name):
+        engine = kernel_engine
+        users = _user_sets()[name]
+        csr = engine.train_matrix.csr()
+        block = _reference_neg_scores(engine, users)
+        raw = np.negative(block)
+        _reference_mask(block, users, csr)
+        n = 9
+        want_items = np.full((len(users), n), -1, dtype=np.int32)
+        want_lengths = np.empty(len(users), dtype=np.int32)
+        if len(users):
+            TopNEngine._select_rows(block, n, want_items, want_lengths, None, row0=0)
+        # Array, list and tuple inputs take different conversions in topn.
+        for form in (users, users.tolist(), tuple(users.tolist())):
+            got = engine.topn(form, n_items=n, with_scores=True)
+            assert np.array_equal(got.items, want_items)
+            assert np.array_equal(got.lengths, want_lengths)
+        # Scores are the bits of 1 - exp(-aff), the sign of zero included:
+        # a zero affinity scores -0.0 on both paths (the negation of the
+        # +0.0 that exp(-0) - 1 leaves).
+        for row, (items, scores) in enumerate(zip(got, got.score_rows())):
+            want_scores = raw[row, items]
+            assert np.array_equal(_bits(scores), _bits(want_scores))
+            assert np.array_equal(np.signbit(scores), np.signbit(want_scores))
+
+    def test_zero_affinity_rows_are_exercised(self, kernel_engine):
+        # Guards the fixture: the sign-of-zero case above must not be vacuous.
+        users = np.arange(10)
+        result = kernel_engine.topn(users, n_items=5, with_scores=True)
+        scores = np.concatenate(result.score_rows())
+        assert scores.size and not scores.any()
+        assert np.signbit(scores).all()
+
+    def test_rank_scored_on_a_read_only_strided_block(self, kernel_engine):
+        engine = kernel_engine
+        rng = np.random.default_rng(3)
+        wide = rng.random((23, 2 * engine.n_items)).astype(engine.serving_dtype)
+        scores = wide[:, ::2]
+        scores.flags.writeable = False
+        assert not scores.flags.c_contiguous
+        seen = sp.random(23, engine.n_items, density=0.2, random_state=9, format="csr")
+        block = np.negative(scores)
+        _reference_mask(block, np.arange(23), seen)
+        want_items = np.full((23, 8), -1, dtype=np.int32)
+        want_lengths = np.empty(23, dtype=np.int32)
+        TopNEngine._select_rows(block, 8, want_items, want_lengths, None, row0=0)
+        kept = scores.copy()
+        got = engine.rank_scored(scores, n_items=8, seen=seen)
+        assert np.array_equal(got.items, want_items)
+        assert np.array_equal(got.lengths, want_lengths)
+        assert np.array_equal(scores, kept)
+
+    def test_rank_scored_writable_strided_block(self, kernel_engine):
+        # The flat scatter needs a C-contiguous block; a strided one the
+        # caller gave up is therefore ranked from a pooled copy.
+        engine = kernel_engine
+        rng = np.random.default_rng(4)
+        wide = rng.random((12, 2 * engine.n_items)).astype(engine.serving_dtype)
+        seen = sp.random(12, engine.n_items, density=0.2, random_state=2, format="csr")
+        want = engine.rank_scored(wide[:, ::2].copy(), n_items=6, seen=seen)
+        got = engine.rank_scored(wide[:, ::2], n_items=6, seen=seen, writable=True)
+        assert got == want
 
 
 # --------------------------------------------------------------------------- #
