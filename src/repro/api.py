@@ -258,11 +258,6 @@ class RecommendResponse:
     batch_requests: int = 1
     batch_users: int = 0
 
-    @property
-    def queue_seconds(self) -> float:
-        """Queue wait in seconds (compatibility with the pre-gateway API)."""
-        return self.queue_ms / 1000.0
-
     # ------------------------------------------------------------------ #
     # Codecs
     # ------------------------------------------------------------------ #
@@ -330,14 +325,8 @@ class RecommendResponse:
         return cls.from_dict(payload)
 
 
-# Backwards-compatible name: the micro-batcher's futures used to resolve to
-# a BatchedResponse; they now resolve to the unified RecommendResponse,
-# which carries every field the old dataclass had (queue_seconds included).
-BatchedResponse = RecommendResponse
-
 __all__ = [
     "DEFAULT_TENANT",
-    "BatchedResponse",
     "RecommendRequest",
     "RecommendResponse",
 ]

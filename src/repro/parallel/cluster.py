@@ -18,8 +18,8 @@ Three ideas carry the design:
   carry ``remote`` :class:`~repro.parallel.publication.SharedArraySpec`
   descriptors.  A node fetches each key **once**, caches the array, and is
   told to evict it when the driver retires the publication (a
-  model-generation swap, a per-call fold-in block) — so one model version
-  crosses the wire to each node one time, not once per shard.
+  model-generation swap, the end of a fit) — so one model version crosses
+  the wire to each node one time, not once per shard.
 * **Fault tolerance is first-class.**  Each node runs its tasks over a
   dedicated connection with a per-task reply timeout.  A task that *raises*
   propagates its exception (first failure in submission order, remote

@@ -101,36 +101,24 @@ class PublishedKeys:
 
     Publishes through to a publication-capable ``executor`` and records
     every key, so :meth:`release` retires exactly the client's own footprint
-    — a training backend's plan arrays and factor slots, one serving call's
-    score block — and nothing of the executor's other users.
+    — a training backend's plan arrays and factor slots — and nothing of
+    the executor's other users.
     """
 
     def __init__(self, executor: Any) -> None:
         self._executor = executor
         self._keys: set = set()
 
-    def slot(
-        self, key: Hashable, array: np.ndarray, evictable: bool = True
-    ) -> SharedArraySpec:
+    def slot(self, key: Hashable, array: np.ndarray) -> SharedArraySpec:
         """:meth:`PublicationTable.publish` on the executor, key recorded."""
         self._keys.add(key)
-        return self._executor.publish(key, array, evictable=evictable)
+        return self._executor.publish(key, array)
 
     def static(self, array: np.ndarray) -> SharedArraySpec:
         """:meth:`PublicationTable.publish_static` on the executor, key recorded."""
         spec = self._executor.publish_static(array)
         self._keys.add(_static_key(array))
         return spec
-
-    def csr_slots(
-        self, key_prefix: Tuple, matrix: sp.csr_matrix, evictable: bool = True
-    ) -> SharedCsrSpec:
-        """Publish a CSR matrix's three arrays as slots under ``key_prefix``."""
-        specs = (
-            self.slot(key, getattr(matrix, field), evictable)
-            for key, field in zip(csr_keys(key_prefix), CSR_FIELDS)
-        )
-        return SharedCsrSpec(tuple(matrix.shape), *specs)
 
     def static_csr(self, matrix: sp.csr_matrix) -> SharedCsrSpec:
         """Publish a CSR matrix's three arrays as write-once static data."""
@@ -175,9 +163,9 @@ class PublicationTable:
         self._store = store
         self._capacity = capacity
         self._entries: "OrderedDict[Hashable, _Publication]" = OrderedDict()
-        # Shared by every publisher thread: a serving runtime publishes
-        # per-call fold-in blocks from request threads while a refit
-        # publishes sweep slots from the training thread.
+        # Shared by every publisher thread: a serving runtime's fold-in
+        # sweeps publish factor slots from request threads while a refit
+        # publishes its own from the training thread.
         self._lock = threading.Lock()
         self._closed = False
 

@@ -47,11 +47,16 @@ def _unregister_attachment(segment: shared_memory.SharedMemory) -> None:
     as on create (bpo-38119); a worker with its *own* tracker (spawn /
     forkserver start methods) would then unlink the segment when it exits,
     destroying it under the owner's feet — so such attachments are
-    unregistered.  Forked workers instead inherit the creator's tracker:
-    their attach-registration is an idempotent re-add, and unregistering
-    would strip the creator's own entry, so they are left alone.
-    Python 3.13+ exposes ``track=False`` for this; this helper covers the
-    older releases the project supports.
+    unregistered.  Forked workers are left alone, on the condition that
+    they share the creator's tracker: their attach-registration is then an
+    idempotent re-add, and unregistering would strip the creator's own
+    entry.  They share it only if it was running when they were forked —
+    a worker forked earlier starts a tracker of its own on its first attach,
+    which at exit reports every segment the worker ever attached as leaked
+    and tries to unlink it — so :class:`SharedMemoryProcessExecutor` starts
+    the tracker before it builds its pool.  Python 3.13+ exposes
+    ``track=False`` for this; this helper covers the older releases the
+    project supports.
     """
     try:
         if multiprocessing.get_start_method() == "fork":
@@ -211,10 +216,10 @@ def close_stale_attachments(
 ) -> int:
     """Close cached attachments outside ``active`` + every holder's claims.
 
-    A long-lived worker that serves successive model generations (or
-    per-call fold-in blocks) would otherwise keep every old segment mapped
-    forever — the publisher's unlink removes the ``/dev/shm`` *name*, not
-    existing mappings.  Only run between tasks of the single-threaded worker
+    A long-lived worker that serves successive model generations would
+    otherwise keep every old segment mapped forever — the publisher's
+    unlink removes the ``/dev/shm`` *name*, not existing mappings.  Only
+    run between tasks of the single-threaded worker
     loop: names claimed by a registered holder (cached sweep sides, cached
     engines) are never touched, because closing a mapped view segfaults on
     the next read.  Returns the number of attachments closed.
@@ -341,6 +346,9 @@ class SharedMemoryProcessExecutor(_PoolExecutor):
         self.unpublish = self._publications.unpublish
         #: Names of every segment this executor currently owns (for tests).
         self.active_segment_names = self._publications.names
+        # Workers forked before the first segment exists (a warm-up task)
+        # must inherit this process's tracker; see _unregister_attachment.
+        resource_tracker.ensure_running()
         super().__init__(
             concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
         )

@@ -23,7 +23,7 @@ dataclasses, with per-tenant weighted fair queueing
 :mod:`repro.runtime.gateway`.
 """
 
-from repro.api import BatchedResponse, RecommendRequest, RecommendResponse
+from repro.api import RecommendRequest, RecommendResponse
 from repro.runtime.adaptive import AdaptiveDelayController
 from repro.runtime.batching import BatchingFrontEnd, BatchingStats
 from repro.runtime.fairness import WeightedFairQueue
@@ -42,7 +42,6 @@ from repro.runtime.service import (
 
 __all__ = [
     "AdaptiveDelayController",
-    "BatchedResponse",
     "IngestStats",
     "BatchingFrontEnd",
     "BatchingStats",

@@ -61,7 +61,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import BatchedResponse, RecommendRequest, RecommendResponse
+from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError
 from repro.parallel.executor import DispatcherThread
 from repro.runtime.adaptive import AdaptiveDelayController
@@ -69,7 +69,6 @@ from repro.serving.batch import merge_request_lists, scatter_results
 from repro.utils.validation import check_non_negative_float, check_positive_int
 
 __all__ = [
-    "BatchedResponse",
     "BatchingFrontEnd",
     "BatchingStats",
 ]

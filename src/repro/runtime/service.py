@@ -20,25 +20,31 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
 * **one publication per model version**: :meth:`publish` pushes the trained
   factor matrices and the CSR seen-mask through the publication protocol
   (:mod:`repro.parallel.publication`), so every sharded :meth:`recommend`
-  call on a publishing executor ships only ``(row_range, descriptors)`` —
+  call on a publishing executor ships only ``(user shard, descriptors)`` —
   no factor bytes per task — and workers attach zero-copy (``"process"``)
   or fetch once per node (``"cluster"``).  Rankings are byte-identical to
   the single-process :class:`~repro.serving.engine.TopNEngine`;
 
-* **no fan-out without a fan**: a serving call whose rows make one shard
-  (``shard_size`` defaults to the engine's chunk size) runs on the calling
-  thread, on the pinned generation's in-process engine — the rule the
-  training layer's ``ParallelBackend._sweep_rows`` already follows.  Only
-  two or more shards go to the executor;
+* **one request path**: :meth:`recommend` pins a generation once — a
+  reference in the :mod:`~repro.runtime.generations` table, dropped when
+  the call returns.  Known users go through the one dispatcher,
+  :func:`~repro.serving.batch.fan_out_topn`, and there is no fan-out
+  without a fan: a call whose users make one shard (``shard_size``
+  defaults to the engine's chunk size) runs on the calling thread, on the
+  pinned generation's in-process engine — the rule the training layer's
+  ``ParallelBackend._sweep_rows`` already follows.  Cold-start rows are
+  ranked where they were folded in and scored, on that same engine:
+  ranking is a few percent of a cold-start call, so a fan-out has nothing
+  to win there;
 
 * **generation swap semantics**: :meth:`update` republishes under a fresh
   generation and retires the old one — unlinked immediately when idle, or
-  when its last in-flight serving call drains (each call holds a reference
-  on the generation it snapshotted), so a swap never races a worker that
-  has yet to attach.  Workers prune stale attachments when the new
-  generation reaches them.  On :meth:`close` (or context exit) the owned
-  executor is drained and every segment unlinked — ``/dev/shm`` is
-  verifiably clean afterwards, which the test-suite asserts.
+  when its last holder (an in-flight call, a :class:`ServingSession`) lets
+  go, so a swap never races a worker that has yet to attach.  Workers
+  prune stale attachments when the new generation reaches them.  On
+  :meth:`close` (or context exit) the owned executor is drained and every
+  segment unlinked — ``/dev/shm`` is verifiably clean afterwards, which
+  the test-suite asserts.
 """
 
 from __future__ import annotations
@@ -50,30 +56,23 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.api import RecommendRequest, RecommendResponse
 from repro.core.backends import ParallelBackend
+from repro.core.factors import FactorModel
 from repro.core.objective import full_objective
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ShardScheduler, supports_publication
-from repro.parallel.publication import PublishedKeys
-from repro.serving.batch import _serve_shard
+from repro.runtime.generations import GenerationTable, _Generation
+from repro.serving.batch import fan_out_topn
 from repro.serving.engine import DEFAULT_CHUNK_SIZE, TopNEngine
-from repro.core.factors import FactorModel
 from repro.serving.fold_in import _interactions_to_csr, extend_factors, fold_in_scores
 from repro.serving.results import TopNResult
-from repro.serving.shared import (
-    SharedEngineSpec,
-    _rank_scored_shard,
-    _topn_shard,
-    next_generation,
-    publish_engine,
-    unpublish_engine,
-)
+from repro.serving.shared import SharedEngineSpec, publish_engine
 from repro.utils.validation import check_positive_int
 
 
@@ -116,17 +115,9 @@ class ServingStats:
     path: str
     n_shards: int
     generation: Optional[int] = None
-    # Largest task of a shared-path call (descriptors first, then the shard's
-    # user list / row range): what the two sizes are measured from, if read.
-    _task: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def shared(cls, generation: int, tasks: List[tuple]) -> "ServingStats":
-        """Stats of a descriptor-path call; every shard but the last is full,
-        so the first task is a largest one."""
-        stats = cls("shared", len(tasks), generation)
-        object.__setattr__(stats, "_task", tasks[0])
-        return stats
+    #: Largest task of a shared-path call (descriptors first, then the
+    #: shard's users): what the two sizes are measured from, if read.
+    task: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def spec_bytes(self) -> Optional[int]:
@@ -136,12 +127,12 @@ class ServingStats:
         hundred bytes regardless of model size; compare with the megabytes
         a pickled engine costs per task.
         """
-        return None if self._task is None else len(pickle.dumps(self._task[0]))
+        return None if self.task is None else len(pickle.dumps(self.task[0]))
 
     @cached_property
     def max_task_bytes(self) -> Optional[int]:
         """Pickled size of the largest complete task tuple, on first read."""
-        return None if self._task is None else len(pickle.dumps(self._task))
+        return None if self.task is None else len(pickle.dumps(self.task))
 
 
 @dataclass(frozen=True)
@@ -212,41 +203,32 @@ class ServingSession:
 
     def __init__(self, runtime: "RecommenderRuntime") -> None:
         self._runtime = runtime
-        (
-            self._engine,
-            self._spec,
-            self._model,
-            self._generation,
-        ) = runtime._serving_snapshot()
+        self._held = runtime._generations.pin()
+        self._spec = self._held.spec  # what the shm-hygiene tests look up
         self._released = False
-        # Guards the release flag: sessions may be shared across threads
-        # (the documented "series of calls" shape), so release() must be
-        # atomic and a call must never acquire after release dropped the
-        # session's reference.
+        # Sessions may be shared across threads (the documented "series of
+        # calls" shape): release() must drop the session's reference once.
         self._lock = threading.Lock()
 
     @property
     def generation(self) -> int:
         """The runtime generation this session is pinned to."""
-        return self._generation
+        return self._held.number
 
     @property
     def released(self) -> bool:
         """Whether :meth:`release` has run."""
         return self._released
 
-    def _acquire_for_call(self):
-        """Snapshot plus one per-call generation reference (caller releases).
+    def _held_generation(self) -> _Generation:
+        """The pinned generation, for a call about to take its own reference.
 
-        The extra reference means a concurrent :meth:`release` — or another
-        thread's call finishing — can never drop the pinned generation to
-        zero while this call is between snapshot and worker attach.
+        A release racing this check is safe: the table refuses a reference
+        on a generation that has gone, and one that has not is servable.
         """
-        with self._lock:
-            if self._released:
-                raise ConfigurationError("the serving session has been released")
-            self._runtime._acquire_spec(self._spec)
-        return self._engine, self._spec, self._model, self._generation
+        if self._released:
+            raise ConfigurationError("the serving session has been released")
+        return self._held
 
     def recommend(
         self, request: RecommendRequest, shard_size: Optional[int] = None
@@ -265,7 +247,7 @@ class ServingSession:
             if self._released:
                 return
             self._released = True
-        self._runtime._release_spec(self._spec)
+        self._runtime._generations.unpin(self._held)
 
     def __enter__(self) -> "ServingSession":
         return self
@@ -275,7 +257,7 @@ class ServingSession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "released" if self._released else "pinned"
-        return f"{type(self).__name__}(generation={self._generation}, {state})"
+        return f"{type(self).__name__}(generation={self.generation}, {state})"
 
 
 class RecommenderRuntime:
@@ -359,26 +341,19 @@ class RecommenderRuntime:
         self._backend = ParallelBackend(n_shards=self.n_shards, executor=self._executor)
         self.model = None
         self.train_matrix = None
-        self.generation = 0
         # Drift bookkeeping for the incremental-refit policy: the corpus
         # size at (and per-interaction objective of) the last *full* fit.
         self._full_fit_nnz: Optional[int] = None
         self._baseline_objective_per_nnz: Optional[float] = None
         self.last_refit_mode: Optional[str] = None
-        # Sharded serving dispatches this runtime has performed — the
-        # coalescing ratio of a batching front-end is visible as
+        # Serving dispatches this runtime has performed — the coalescing
+        # ratio of a batching front-end is visible as
         # serving_calls << requests submitted.
         self.serving_calls = 0
         self.last_serving_stats: Optional[ServingStats] = None
-        self._engine: Optional[TopNEngine] = None
-        self._published: Optional[SharedEngineSpec] = None
-        self._published_model = None
-        # Serving calls in flight per publication generation, and retired
-        # generations whose unlink waits for their last in-flight call — a
-        # swap must never pull segments out from under a call that already
-        # snapshotted them (a worker that had not attached yet would fail).
-        self._inflight: Dict[int, int] = {}
-        self._retired: Dict[int, SharedEngineSpec] = {}
+        # The published generations and who holds them: every request pins
+        # one for its duration, every session until it is released.
+        self._generations = GenerationTable(self._executor)
         self._swap_lock = threading.Lock()
         self._closed = False
 
@@ -396,14 +371,21 @@ class RecommenderRuntime:
         return self._backend
 
     @property
+    def generation(self) -> int:
+        """Number of the newest published model version (0 before the first)."""
+        return self._generations.number
+
+    @property
     def engine(self) -> Optional[TopNEngine]:
         """The serving engine of the currently published model version."""
-        return self._engine
+        current = self._generations.current
+        return None if current is None else current.engine
 
     @property
     def published_spec(self) -> Optional[SharedEngineSpec]:
         """Descriptors of the published generation (``None`` on the local path)."""
-        return self._published
+        current = self._generations.current
+        return None if current is None else current.spec
 
     @property
     def closed(self) -> bool:
@@ -673,10 +655,9 @@ class RecommenderRuntime:
         with a factor-path engine — publishes its factor matrices and CSR
         seen-mask once, under a fresh generation.  The previously published
         generation is unlinked after the swap — immediately when idle, or as
-        soon as its last in-flight serving call completes (each call holds a
-        reference on the generation it snapshotted, so a swap can never pull
-        segments out from under it).  Returns the runtime's generation
-        number.
+        soon as its last holder lets go (each call pins the generation it
+        serves from, so a swap can never pull segments out from under it).
+        Returns the runtime's generation number.
         """
         self._check_open()
         model = self.model if model is None else model
@@ -700,21 +681,8 @@ class RecommenderRuntime:
             if isinstance(factors, FactorModel)
             else None
         )
-        with self._swap_lock:
-            previous = self._published
-            self.model = model
-            self._engine = engine
-            self._published = spec
-            self._published_model = solver
-            self.generation += 1
-            generation = self.generation
-            if previous is not None and self._inflight.get(previous.generation):
-                # Unlink deferred to _release_spec of the last in-flight call.
-                self._retired[previous.generation] = previous
-                previous = None
-        if previous is not None:
-            unpublish_engine(self._executor, previous)
-        return generation
+        self.model = model
+        return self._generations.install(engine, spec, solver)
 
     def update(self, model=None) -> int:
         """Swap the serving state to a new model version.
@@ -747,318 +715,148 @@ class RecommenderRuntime:
     ) -> RecommendResponse:
         """Serve one :class:`~repro.api.RecommendRequest` — the unified entrypoint.
 
-        Dispatches per request kind: known users (``request.users``) go down
-        the sharded top-N path, cold-start rows (``request.interactions``)
-        down the fold-in path.  Rankings are ``np.array_equal`` to the
+        Pins one generation for the whole call — the currently published
+        one, or the one ``session`` holds — and serves per request kind:
+        known users (``request.users``) fan out as top-N shards, cold-start
+        rows (``request.interactions``) are folded in, scored and ranked on
+        the pinned engine.  Rankings are ``np.array_equal`` to the
         single-process :class:`~repro.serving.engine.TopNEngine` for the
         same model version.  Thread-safe: concurrent calls may interleave
         with :meth:`update` and each call serves one consistent model
-        version — the currently published one, or the one pinned by
-        ``session`` when given (the session then owns the generation
-        reference; this call does not release it).  ``shard_size`` is an
-        operational knob (rows per worker task), not part of the request.
+        version.  ``shard_size`` is an operational knob (known users per
+        worker task), not part of the request.
         """
         if not isinstance(request, RecommendRequest):
             raise ConfigurationError(
                 f"recommend() takes a RecommendRequest, got {type(request).__name__}"
             )
         started = time.perf_counter()
-        if request.kind == "topn":
-            # Users ingested after the published generation's fit are not in
-            # its factor matrix; they are served through the fold-in path
-            # (their ingested interactions against the published factors),
-            # pinned to the same generation as everyone else in the request.
-            reference = session._engine if session is not None else self._engine
-            try:
-                users = np.asarray(request.users, dtype=np.int64)
-            except OverflowError as error:
-                raise ConfigurationError(
-                    "user indices must fit a 64-bit integer"
-                ) from error
-            if (
-                reference is not None
-                and users.size
-                and users.max() >= reference.train_matrix.n_users
-            ):
-                return self._recommend_mixed(request, users, session, shard_size, started)
-            rankings, scores, _n_shards, generation = self._serve_topn(
-                users,
-                n_items=request.n_items,
-                exclude_seen=request.exclude_seen,
-                shard_size=shard_size,
-                session=session,
-                return_scores=request.with_scores,
-            )
-        else:
-            rankings, scores, _n_shards, generation = self._serve_folded(
-                [list(row) for row in request.interactions],
-                n_items=request.n_items,
-                exclude_seen=request.exclude_seen,
-                n_sweeps=request.n_sweeps,
-                tolerance=request.tolerance,
-                shard_size=shard_size,
-                session=session,
-                return_scores=request.with_scores,
-            )
+        self._check_open()
+        pinned = self._generations.pin(
+            None if session is None else session._held_generation()
+        )
+        try:
+            if request.kind == "topn":
+                rankings = self._rank_users(pinned, request, shard_size)
+            else:
+                rankings = self._rank_cold(pinned, request, request.interactions)
+        finally:
+            self._generations.unpin(pinned)
         return RecommendResponse(
             rankings=rankings,
-            scores=scores,
-            generation=generation,
+            scores=rankings.score_rows() if request.with_scores else None,
+            generation=pinned.number,
             serve_ms=(time.perf_counter() - started) * 1000.0,
             batch_users=request.n_rows,
         )
 
-    def _recommend_mixed(
+    def _rank_users(
+        self, pinned: _Generation, request: RecommendRequest, shard_size: Optional[int]
+    ) -> TopNResult:
+        """Top-N for the request's users, in request order.
+
+        Users inside the pinned generation's corpus go down the sharded
+        top-N path.  Users ingested after it are not in its factor matrix:
+        they are folded in from their accumulated interactions (restricted
+        to the published catalogue — ingested *items* only enter rankings
+        after a refit + update) against the same pinned generation, so a
+        mid-flight :meth:`update` can never split the batch across model
+        versions.
+        """
+        try:
+            users = np.asarray(request.users, dtype=np.int64)
+        except OverflowError as error:
+            raise ConfigurationError("user indices must fit a 64-bit integer") from error
+        engine = pinned.engine
+        fresh = users >= engine.train_matrix.n_users
+        if not fresh.any():
+            return self._rank_known(pinned, request, users, shard_size)
+        matrix = self.train_matrix
+        if matrix is None or not hasattr(matrix, "items_of_user"):
+            raise ConfigurationError(
+                "serving post-ingest users requires the runtime's stored "
+                "InteractionMatrix corpus"
+            )
+        catalogue = engine.n_items
+        interactions = [
+            [int(item) for item in matrix.items_of_user(user) if item < catalogue]
+            for user in users[fresh].tolist()
+        ]
+        parts = []
+        if not fresh.all():
+            parts.append(self._rank_known(pinned, request, users[~fresh], shard_size))
+        parts.append(self._rank_cold(pinned, request, interactions))
+        # The parts hold the known rows, then the folded ones; a request
+        # row's place in that order is its rank under a stable sort on
+        # ``fresh``.
+        return TopNResult.concat(parts)[np.argsort(np.argsort(fresh, kind="stable"))]
+
+    def _rank_known(
         self,
+        pinned: _Generation,
         request: RecommendRequest,
         users: np.ndarray,
-        session: Optional[ServingSession],
         shard_size: Optional[int],
-        started: float,
-    ) -> RecommendResponse:
-        """Serve a top-N request mixing published and post-ingest users.
-
-        Users inside the published generation's corpus go down the normal
-        sharded top-N path; users ingested after it are folded in from their
-        accumulated interactions (restricted to the published catalogue —
-        ingested *items* only enter rankings after a refit + update).  Both
-        halves run against one pinned generation — a caller-provided session
-        or a private one — and the results are merged back into request
-        order, so a mid-flight :meth:`update` can never split the batch
-        across model versions.
-        """
-        own = self.serving_session() if session is None else None
-        active = session if own is None else own
-        try:
-            engine = active._engine
-            limit = engine.train_matrix.n_users
-            known = users < limit
-            known_idx = np.flatnonzero(known)
-            fresh_idx = np.flatnonzero(~known)
-            matrix = self.train_matrix
-            if matrix is None or not hasattr(matrix, "items_of_user"):
-                raise ConfigurationError(
-                    "serving post-ingest users requires the runtime's stored "
-                    "InteractionMatrix corpus"
-                )
-            rankings: List[Optional[np.ndarray]] = [None] * len(users)
-            scores: Optional[List[Optional[np.ndarray]]] = (
-                [None] * len(users) if request.with_scores else None
-            )
-            generation = active.generation
-            if known_idx.size:
-                known_rankings, known_scores, _ns, generation = self._serve_topn(
-                    users[known_idx],
-                    n_items=request.n_items,
-                    exclude_seen=request.exclude_seen,
-                    shard_size=shard_size,
-                    session=active,
-                    return_scores=request.with_scores,
-                )
-                for position, index in enumerate(known_idx.tolist()):
-                    rankings[index] = known_rankings[position]
-                    if scores is not None:
-                        scores[index] = known_scores[position]
-            if fresh_idx.size:
-                catalogue = engine.n_items
-                interactions = []
-                for user in users[fresh_idx].tolist():
-                    row = matrix.items_of_user(user)
-                    interactions.append([int(item) for item in row if item < catalogue])
-                folded_rankings, folded_scores, _ns, generation = self._serve_folded(
-                    interactions,
-                    n_items=request.n_items,
-                    exclude_seen=request.exclude_seen,
-                    n_sweeps=request.n_sweeps,
-                    tolerance=request.tolerance,
-                    shard_size=shard_size,
-                    session=active,
-                    return_scores=request.with_scores,
-                )
-                for position, index in enumerate(fresh_idx.tolist()):
-                    rankings[index] = folded_rankings[position]
-                    if scores is not None:
-                        scores[index] = folded_scores[position]
-        finally:
-            if own is not None:
-                own.release()
-        return RecommendResponse(
-            rankings=rankings,
-            scores=scores,
-            generation=generation,
-            serve_ms=(time.perf_counter() - started) * 1000.0,
-            batch_users=request.n_rows,
-        )
-
-    @staticmethod
-    def _flatten_shards(shard_results, return_scores: bool):
-        """Concatenate per-shard results, splitting off scores when present.
-
-        Shard workers return flat :class:`TopNResult` blocks (score block
-        embedded when requested), so flattening is a single vstack of
-        contiguous arrays.
-        """
-        merged = TopNResult.concat(list(shard_results))
-        return merged, (merged.score_rows() if return_scores else None)
-
-    def _serve_topn(
-        self,
-        users: np.ndarray,
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-        return_scores: bool = False,
-    ) -> Tuple[TopNResult, Optional[List[np.ndarray]], int, int]:
+    ) -> TopNResult:
         """Sharded known-users top-N over the warm pool.
 
-        On the shared path each task carries only the published engine's
-        descriptors and its user shard — a slice of one int64 index array,
-        which the worker's engine takes as it is; rankings are
-        ``np.array_equal`` to the single-process engine's for every user.
+        On the shared path each task carries only the pinned generation's
+        descriptors and its user shard; rankings are ``np.array_equal`` to
+        the single-process engine's for every user.
         """
-        self._check_open()
-        check_positive_int(n_items, "n_items")
-        if session is None:
-            engine, spec, _model, generation = self._serving_snapshot()
-        else:
-            engine, spec, _model, generation = session._acquire_for_call()
-        try:
-            if shard_size is None:
-                shard_size = engine.chunk_size
-            check_positive_int(shard_size, "shard_size")
-            shards = [
-                users[start : start + shard_size]
-                for start in range(0, len(users), shard_size)
-            ]
-            if len(shards) <= 1:
-                # No fan-out without a fan: one shard runs here, on the
-                # pinned generation's in-process engine (the reference the
-                # workers are bit-identical to), not through the pool.
-                shard_results = [
-                    _serve_shard(engine, shard, n_items, exclude_seen, return_scores)
-                    for shard in shards
-                ]
-                stats = ServingStats(path="local", n_shards=len(shards))
-            elif spec is not None:
-                tasks = [
-                    (spec, shard, n_items, exclude_seen, return_scores)
-                    for shard in shards
-                ]
-                shard_results = self._executor.starmap(_topn_shard, tasks)
-                stats = ServingStats.shared(generation, tasks)
-            else:
-                shard_results = self._scheduler.starmap(
-                    _serve_shard,
-                    [
-                        (engine, shard, n_items, exclude_seen, return_scores)
-                        for shard in shards
-                    ],
-                )
-                stats = ServingStats(path="local", n_shards=len(shards))
-        finally:
-            # Per-call reference: taken by _serving_snapshot on the direct
-            # path and by _acquire_for_call on the session path (the session
-            # keeps its own reference until it is released).
-            self._release_spec(spec)
-        rankings, scores = self._flatten_shards(shard_results, return_scores)
-        self._record_serving_call(stats)
-        return rankings, scores, len(shards), generation
+        rankings, n_shards, shipped = fan_out_topn(
+            self._scheduler,
+            pinned.engine,
+            users,
+            request.n_items,
+            request.exclude_seen,
+            shard_size=shard_size,
+            return_scores=request.with_scores,
+            spec=pinned.spec,
+        )
+        self._record_serving_call(
+            ServingStats("local", n_shards)
+            if shipped is None
+            else ServingStats("shared", n_shards, pinned.number, shipped)
+        )
+        return rankings
 
-    def _serve_folded(
-        self,
-        interactions,
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        n_sweeps: int = 30,
-        tolerance: float = 1e-8,
-        shard_size: Optional[int] = None,
-        session: Optional[ServingSession] = None,
-        return_scores: bool = False,
-    ) -> Tuple[TopNResult, Optional[List[np.ndarray]], int, int]:
-        """Cold-start serving through the runtime.
+    def _rank_cold(
+        self, pinned: _Generation, request: RecommendRequest, interactions
+    ) -> TopNResult:
+        """Cold-start serving: fold in, score and rank on the pinned engine.
 
-        Folds the unseen interaction vectors into the **published** model
-        version — the one the top-N path serves, even if a later :meth:`fit`
-        has since replaced :attr:`model` (or the one pinned by ``session``
-        when given) — on the warm backend (all backends sweep
-        bit-identically, so the folded factors match a vectorized fold
-        exactly), scores them, and ranks: on the shared path the score block
-        and the seen-mask are published once for the call and each shard
-        task ranks its ``(row_range)`` from descriptors; rankings equal
+        The interaction vectors are folded into the **pinned** model version
+        — even if a later :meth:`fit` has since replaced :attr:`model` — on
+        the warm backend (all backends sweep bit-identically, so the folded
+        factors match a vectorized fold exactly); rankings equal
         :func:`repro.serving.fold_in.recommend_folded` exactly.
         """
-        self._check_open()
-        check_positive_int(n_items, "n_items")
-        check_positive_int(n_sweeps, "n_sweeps")
-        if session is None:
-            engine, spec, model, generation = self._serving_snapshot()
-        else:
-            engine, spec, model, generation = session._acquire_for_call()
-        try:
-            if engine.factors is None:
-                raise ConfigurationError(
-                    "cold-start serving requires a factor-path model version"
-                )
-            csr = _interactions_to_csr(interactions, engine.n_items)
-            scores = fold_in_scores(
-                engine,
-                csr,
-                model=model,  # the publish-time solver snapshot (or None)
-                n_sweeps=n_sweeps,
-                tolerance=tolerance,
-                backend=self._backend,
+        engine = pinned.engine
+        if engine.factors is None:
+            raise ConfigurationError(
+                "cold-start serving requires a factor-path model version"
             )
-            n_rows = scores.shape[0]
-            if shard_size is None:
-                shard_size = engine.chunk_size
-            check_positive_int(shard_size, "shard_size")
-            ranges = [
-                (start, min(start + shard_size, n_rows))
-                for start in range(0, n_rows, shard_size)
-            ]
-            if spec is None or len(ranges) <= 1:
-                # One shard (or no publication): rank here, like top-N does.
-                self._record_serving_call(ServingStats(path="local", n_shards=1))
-                ranked = engine.rank_scored(
-                    scores,
-                    n_items=n_items,
-                    seen=csr if exclude_seen else None,
-                    return_scores=return_scores,
-                    writable=True,  # the fold-in block is this call's own
-                )
-                if return_scores:
-                    ranked = ranked[0]  # flat result embeds the score block
-                rankings, ranked_scores = self._flatten_shards([ranked], return_scores)
-                return rankings, ranked_scores, 1, generation
-            # Non-evictable like the engine segments: these are retired in
-            # the ``finally`` below, so pinning them costs nothing, and a
-            # silent LRU eviction under concurrent-call pressure would fail
-            # a worker's attach mid-call.
-            call_key = ("folded", next_generation())
-            published = PublishedKeys(self._executor)
-            try:
-                scores_spec = published.slot(
-                    call_key + ("scores",), scores, evictable=False
-                )
-                seen_spec = (
-                    published.csr_slots(call_key + ("seen",), csr, evictable=False)
-                    if exclude_seen
-                    else None
-                )
-                tasks = [
-                    (spec, scores_spec, seen_spec, start, stop, n_items, return_scores)
-                    for start, stop in ranges
-                ]
-                shard_results = self._executor.starmap(_rank_scored_shard, tasks)
-            finally:
-                published.release()
-        finally:
-            # Per-call reference, exactly as in the top-N path.
-            self._release_spec(spec)
-        self._record_serving_call(ServingStats.shared(generation, tasks))
-        rankings, ranked_scores = self._flatten_shards(shard_results, return_scores)
-        return rankings, ranked_scores, len(tasks), generation
+        csr = _interactions_to_csr(interactions, engine.n_items)
+        scores = fold_in_scores(
+            engine,
+            csr,
+            model=pinned.solver,  # the publish-time solver snapshot (or None)
+            n_sweeps=request.n_sweeps,
+            tolerance=request.tolerance,
+            backend=self._backend,
+        )
+        ranked = engine.rank_scored(
+            scores,
+            n_items=request.n_items,
+            seen=csr if request.exclude_seen else None,
+            return_scores=request.with_scores,
+            writable=True,  # the fold-in block is this call's own
+        )
+        self._record_serving_call(ServingStats(path="local", n_shards=1))
+        # With scores, rank_scored pairs the flat result (score block
+        # embedded) with per-row views of it.
+        return ranked[0] if request.with_scores else ranked
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1074,30 +872,10 @@ class RecommenderRuntime:
         if self._closed:
             return
         self._closed = True
-        with self._swap_lock:
-            candidates = [self._published, *self._retired.values()]
-            self._published = None
-            self._published_model = None
-            self._retired.clear()
-            self._engine = None
-            idle, busy = [], []
-            for spec in candidates:
-                if spec is None:
-                    continue
-                (busy if self._inflight.get(spec.generation) else idle).append(spec)
-            # Generations with serving calls still in flight go back on the
-            # retired list: _release_spec unlinks each when its last call
-            # drains, exactly like a publish-time swap.  (Only reachable on
-            # a borrowed executor — the owned path below drains the pool
-            # before any unlink.)
-            for spec in busy:
-                self._retired[spec.generation] = spec
-        if not self._scheduler.owns_executor:
-            # Borrowed executor: remove exactly the runtime's idle
-            # publications and leave everything else (the backend's shutdown
-            # below does the same for its plan/factor slots).
-            for spec in idle:
-                unpublish_engine(self._executor, spec)
+        # Unlinked now when idle; a generation some call or session still
+        # holds unlinks when that holder lets go, exactly like a swap (on an
+        # owned executor the shutdown below has by then removed it anyway).
+        self._generations.close()
         self._backend.shutdown()
         self._scheduler.shutdown()
 
@@ -1110,58 +888,6 @@ class RecommenderRuntime:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _serving_snapshot(self):
-        """One consistent (engine, spec, model, generation) view for a serving call.
-
-        When the snapshot carries a published spec, the call also takes a
-        reference on its generation; the caller **must** pair this with
-        :meth:`_release_spec` (``try``/``finally``) so a retired generation
-        is unlinked exactly when its last call drains.
-        """
-        with self._swap_lock:
-            engine = self._engine
-            spec = self._published
-            model = self._published_model
-            generation = self.generation
-            if spec is not None:
-                self._inflight[spec.generation] = (
-                    self._inflight.get(spec.generation, 0) + 1
-                )
-        if engine is None:
-            raise NotFittedError(
-                "no model version is published; call runtime.publish() first"
-            )
-        return engine, spec, model, generation
-
-    def _acquire_spec(self, spec: Optional[SharedEngineSpec]) -> None:
-        """Take one additional in-flight reference on an already-held generation.
-
-        Only valid while another reference is live (a session's own), which
-        the session's lock guarantees: the generation cannot have been
-        unlinked between the check and the increment.
-        """
-        if spec is None:
-            return
-        with self._swap_lock:
-            self._inflight[spec.generation] = (
-                self._inflight.get(spec.generation, 0) + 1
-            )
-
-    def _release_spec(self, spec: Optional[SharedEngineSpec]) -> None:
-        """Drop a serving call's generation reference; unlink if retired + idle."""
-        if spec is None:
-            return
-        retired = None
-        with self._swap_lock:
-            count = self._inflight.get(spec.generation, 0) - 1
-            if count > 0:
-                self._inflight[spec.generation] = count
-            else:
-                self._inflight.pop(spec.generation, None)
-                retired = self._retired.pop(spec.generation, None)
-        if retired is not None:
-            unpublish_engine(self._executor, retired)
-
     def _record_serving_call(self, stats: ServingStats) -> None:
         """Count one completed serving dispatch and expose its stats."""
         with self._swap_lock:

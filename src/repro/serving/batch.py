@@ -2,24 +2,25 @@
 
 The nightly job of Section VIII serves every client.  On one machine the
 chunked :class:`~repro.serving.engine.TopNEngine` already removes the
-per-user Python overhead; this module adds the scale-out axis, splitting the
-user list into shards and mapping them over an executor resolved through the
-:mod:`repro.parallel.scheduler` registry — by name (``"thread"`` for
-BLAS-bound scoring, ``"process"`` for GIL-free workers, ``"serial"`` for
-tests) or as a prebuilt instance.
+per-user Python overhead; this module adds the scale-out axis.
+:func:`fan_out_topn` is the one place that cuts users into shards — slices
+of one int64 index array — and decides how a shard travels, for
+:func:`serve_sharded` and for the runtime's ``recommend`` alike:
 
-When the executor is a
-:class:`~repro.parallel.shared_memory.SharedMemoryProcessExecutor` (the
-``"process"`` registry entry) and the engine runs on the factor path, the
-engine is **published, not pickled**: its factor matrices and seen-mask go
-to shared memory once for the whole call and each shard task carries only a
-:class:`~repro.serving.shared.SharedEngineSpec` — no factor bytes per task.
-Rankings are unchanged; the workers run the same engine kernels over the
-same bytes.
+* one shard runs here, on the caller's thread and engine — no fan-out
+  without a fan, so a small call builds no pool and publishes nothing
+  (:func:`serve_sharded` still hands a lone shard to an executor
+  *instance*: passing one in asks for the shards to run on it);
+* a factor-path engine on a publication-capable executor (``"process"``,
+  ``"cluster"``) is **published, not pickled** — by the runtime once per
+  generation, otherwise for the one call — and each task carries only a
+  :class:`~repro.serving.shared.SharedEngineSpec`, no factor bytes;
+* anything else ships the engine by value, so it must be picklable on a
+  process executor.
 
-Executors return results in submission order, so the output is order-stable:
-the list of rankings is aligned with the input users no matter which
-executor ran the shards — the test-suite asserts all three agree exactly.
+Executors return results in submission order, so the rankings are aligned
+with the input users no matter which executor ran the shards — the
+test-suite asserts all of them agree exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ import numpy as np
 from repro.parallel import ShardScheduler, supports_publication
 from repro.serving.engine import TopNEngine
 from repro.serving.results import TopNResult
-from repro.serving.shared import _topn_shard, publish_engine, unpublish_engine
+from repro.serving.shared import (
+    SharedEngineSpec,
+    _topn_shard,
+    publish_engine,
+    unpublish_engine,
+)
 from repro.utils.validation import check_positive_int
 
 
@@ -79,25 +85,6 @@ def scatter_results(
     return [list(results[start:stop]) for start, stop in spans]
 
 
-def _serve_shard(
-    engine: TopNEngine,
-    users: List[int],
-    n_items: int,
-    exclude_seen: bool,
-    return_scores: bool = False,
-) -> TopNResult:
-    """Module-level shard worker (picklable for :class:`ProcessExecutor`).
-
-    Returns the shard's flat :class:`TopNResult`; with ``return_scores``
-    the result's score block rides along, so the shard pickles as three
-    contiguous arrays either way and callers flatten shards with
-    :meth:`TopNResult.concat`.
-    """
-    return engine.topn(
-        users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
-    )
-
-
 @dataclass
 class BatchServingResult:
     """Outcome of a sharded serving run.
@@ -123,6 +110,57 @@ class BatchServingResult:
         return dict(zip(self.users, self.rankings))
 
 
+def fan_out_topn(
+    scheduler: ShardScheduler,
+    engine: TopNEngine,
+    users: np.ndarray,
+    n_items: int,
+    exclude_seen: bool,
+    shard_size: Optional[int] = None,
+    return_scores: bool = False,
+    spec: Optional[SharedEngineSpec] = None,
+    min_fan: int = 2,
+) -> Tuple[TopNResult, int, Optional[tuple]]:
+    """Cut ``users`` into shards and serve them by the module's three rules.
+
+    ``spec`` is ``engine``'s standing publication on the scheduler's
+    executor, when the caller holds one; without it a fan-out that
+    publishes does so for this call only, leaving a borrowed executor as it
+    was handed in.  ``shard_size`` defaults to the engine's chunk size, so a
+    shard is one BLAS call in its worker.  Fewer than ``min_fan`` shards run
+    here.
+
+    Returns the rankings (aligned with ``users``), the number of shards, and
+    the first task shipped with descriptors — a largest one, every shard but
+    the last being full — or ``None`` when no descriptors travelled.
+    """
+    if shard_size is None:
+        shard_size = engine.chunk_size
+    check_positive_int(shard_size, "shard_size")
+    shards = [users[start : start + shard_size] for start in range(0, len(users), shard_size)]
+    if len(shards) < min_fan:
+        results = [
+            _topn_shard(engine, shard, n_items, exclude_seen, return_scores) for shard in shards
+        ]
+        return TopNResult.concat(results), len(shards), None
+    executor = scheduler.executor
+    per_call = spec is None and supports_publication(executor) and engine.factors is not None
+    if per_call:
+        spec = publish_engine(executor, engine)
+    try:
+        tasks = [
+            (engine if spec is None else spec, shard, n_items, exclude_seen, return_scores)
+            for shard in shards
+        ]
+        results = executor.starmap(_topn_shard, tasks)
+    finally:
+        if per_call:
+            unpublish_engine(executor, spec)
+    # Shards of one call share a width, so flattening is one vstack of the
+    # flat blocks — no per-user list rebuilding.
+    return TopNResult.concat(results), len(shards), None if spec is None else tasks[0]
+
+
 def serve_sharded(
     engine: TopNEngine,
     users: Sequence[int],
@@ -136,14 +174,15 @@ def serve_sharded(
     Parameters
     ----------
     engine:
-        The scoring engine.  Factor-path engines served on a
-        publication-capable executor (the shared-memory process pool, the
-        cluster executor) are published once per call — descriptors per
-        task, zero factor bytes; on any other process executor — or for
-        model-path engines — the engine is pickled per shard, so it must be
-        picklable there.
+        The scoring engine.  When the users make two or more shards, a
+        factor-path engine on a publication-capable executor (the
+        shared-memory process pool, the cluster executor) is published once
+        for the call — descriptors per task, zero factor bytes; on any
+        other process executor — or for model-path engines — the engine is
+        pickled per shard, so it must be picklable there.
     users:
-        Users to serve, any order, duplicates allowed.
+        Users to serve, any order, duplicates allowed; a sequence or an
+        integer array.
     n_items:
         List length per user.
     exclude_seen:
@@ -151,41 +190,30 @@ def serve_sharded(
     executor:
         A name from the :mod:`repro.parallel.scheduler` registry
         (``"serial"``, ``"thread"``, ``"process"``, ``"cluster"``) — the
-        executor is then built for this call and shut down afterwards — or
-        any prebuilt
-        instance with ``starmap`` (the caller keeps its lifecycle).
+        executor is then built only if the users make two or more shards
+        (one shard is served on the calling thread), and shut down
+        afterwards — or any prebuilt instance with ``starmap``, which runs
+        every shard, a lone one included (the caller keeps its lifecycle).
         Defaults to ``"serial"``.
     shard_size:
-        Users per shard; defaults to the engine's chunk size, so each
-        shard is one BLAS call in the worker.
+        Users per shard; defaults to the engine's chunk size.
     """
-    user_list = [int(user) for user in users]
-    if shard_size is None:
-        shard_size = engine.chunk_size
-    check_positive_int(shard_size, "shard_size")
-
-    shards = [user_list[start : start + shard_size] for start in range(0, len(user_list), shard_size)]
-    # The scheduler owns a name-built executor (shut down on exit) and
-    # borrows an instance (left running for its owner).
+    user_array = np.asarray(
+        users if isinstance(users, np.ndarray) else list(users), dtype=np.int64
+    )
+    # The scheduler owns a name-built executor (built on first use, shut
+    # down on exit) and borrows an instance (left running for its owner).
     with ShardScheduler("serial" if executor is None else executor) as scheduler:
-        live = scheduler.executor if shards else None
-        if live is not None and supports_publication(live) and engine.factors is not None:
-            # Descriptor path: one publication per call, no factor bytes per
-            # task.  Unpublished in ``finally`` so a borrowed executor is
-            # left exactly as it was handed in.
-            spec = publish_engine(live, engine)
-            try:
-                shard_results = scheduler.starmap(
-                    _topn_shard,
-                    [(spec, shard, n_items, exclude_seen) for shard in shards],
-                )
-            finally:
-                unpublish_engine(live, spec)
-        else:
-            shard_results = scheduler.starmap(
-                _serve_shard, [(engine, shard, n_items, exclude_seen) for shard in shards]
-            )
-    # Shards of one call share a width, so flattening is one vstack of the
-    # flat blocks — no per-user list rebuilding.
-    rankings = TopNResult.concat(shard_results)
-    return BatchServingResult(users=user_list, rankings=rankings, n_shards=len(shards))
+        rankings, n_shards, _shipped = fan_out_topn(
+            scheduler,
+            engine,
+            user_array,
+            n_items,
+            exclude_seen,
+            shard_size,
+            # A name only says what to build if the call fans out; an
+            # instance was handed in to run the shards (the benchmark's
+            # executor probes and the cluster drills count tasks on it).
+            min_fan=2 if scheduler.owns_executor else 1,
+        )
+    return BatchServingResult(users=user_array.tolist(), rankings=rankings, n_shards=n_shards)

@@ -535,9 +535,9 @@ def fold_in_scores(
     """Fold a cold-start CSR batch in and return its dense score block.
 
     The fold-and-score half of :func:`recommend_folded`, shared with the
-    runtime's cold-start path (which ranks the block through shard workers
-    instead of in process).  ``csr`` must already be validated against the
-    engine's catalogue (:func:`_interactions_to_csr`).
+    runtime's cold-start path (which folds on its warm backend and ranks
+    with the request's score option).  ``csr`` must already be validated
+    against the engine's catalogue (:func:`_interactions_to_csr`).
     """
     if model is not None:
         folded = fold_in_users(

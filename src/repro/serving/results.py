@@ -19,8 +19,8 @@ The container still *behaves* like the old list: ``len``, iteration,
 against a plain list of arrays all work, so row-wise consumers are
 unchanged.  Slicing returns another :class:`TopNResult` view — this is what
 makes the micro-batcher's scatter a single array slice instead of a Python
-list copy — and cross-process transport pickles three contiguous buffers
-instead of thousands of objects.
+list copy — an index array gathers rows into a new one, and cross-process
+transport pickles three contiguous buffers instead of thousands of objects.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class TopNResult(Sequence):
         return self.items.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, slice) or getattr(index, "ndim", 0):  # or an index array
             return TopNResult(
                 self.items[index],
                 self.lengths[index],

@@ -16,14 +16,17 @@ byte-identical to the publishing process's engine (the arrays are the same
 bytes and the kernels are the same code).
 
 Producers: :func:`publish_engine` / :func:`unpublish_engine` (used per call
-by :func:`~repro.serving.batch.serve_sharded`, and per model *generation* by
-:class:`~repro.runtime.RecommenderRuntime`, which holds one publication
-across many serving calls and swaps it atomically on model updates).
+by :func:`~repro.serving.batch.serve_sharded` when it fans out, and per model
+*generation* by :class:`~repro.runtime.RecommenderRuntime`, which holds one
+publication across many serving calls and swaps it atomically on model
+updates).  Only known-user top-N travels this way: cold-start rows are
+ranked in the process that folded and scored them.
 
-Workers: :func:`attach_engine` caches the rebuilt engine per spec; when a new
-generation arrives it drops engines of retired generations and closes their
-now unreferenced attachments, so long-lived workers do not accumulate
-mappings of unlinked segments.
+Workers: :func:`_topn_shard` is the one shard worker — it takes an engine as
+it is and attaches a spec.  :func:`attach_engine` caches the rebuilt engine
+per spec; when a new generation arrives it drops engines of retired
+generations and closes their now unreferenced attachments, so long-lived
+workers do not accumulate mappings of unlinked segments.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import itertools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.data.interactions import InteractionMatrix
 from repro.core.factors import FactorModel
@@ -51,6 +54,7 @@ from repro.parallel.shared_memory import (
     touch_attachments,
 )
 from repro.serving.engine import TopNEngine
+from repro.serving.results import TopNResult
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,6 @@ class SharedEngineSpec:
 _GENERATIONS = itertools.count(1)
 
 
-def next_generation() -> int:
-    """Reserve a fresh, process-unique publication generation."""
-    return next(_GENERATIONS)
-
-
 def _engine_keys(generation: int) -> List[Tuple]:
     """The executor slot keys one engine generation occupies.
 
@@ -105,11 +104,7 @@ def _engine_keys(generation: int) -> List[Tuple]:
     ]
 
 
-def publish_engine(
-    executor: Any,
-    engine: TopNEngine,
-    generation: Optional[int] = None,
-) -> SharedEngineSpec:
+def publish_engine(executor: Any, engine: TopNEngine) -> SharedEngineSpec:
     """Publish an engine's factor matrices and seen-mask on ``executor``.
 
     ``executor`` is any publication-capable executor (see
@@ -123,8 +118,7 @@ def publish_engine(
             "publish_engine requires a factor-path TopNEngine; model-path "
             "engines must be shipped by value"
         )
-    if generation is None:
-        generation = next_generation()
+    generation = next(_GENERATIONS)
     csr = engine.train_matrix.csr()
     arrays = (
         engine.serving_user_factors,
@@ -132,8 +126,9 @@ def publish_engine(
         *(getattr(csr, field) for field in CSR_FIELDS),
     )
     # Non-evictable: a published model version must stay attachable until
-    # unpublish_engine — LRU churn from per-call publications (fold-in
-    # blocks) must never silently unlink a generation workers still serve.
+    # unpublish_engine — LRU churn from other publications (a refit's plan
+    # and factor slots) must never silently unlink a generation workers
+    # still serve.
     # The *serving*-dtype arrays are published (for a float32-serving engine
     # that is half the shared-memory footprint and bandwidth), so workers
     # score byte-identically to the publisher without casting.
@@ -281,57 +276,23 @@ def attach_engine(
 
 
 def _topn_shard(
-    spec: SharedEngineSpec,
-    users: List[int],
+    engine: Union[TopNEngine, SharedEngineSpec],
+    users: Sequence[int],
     n_items: int,
     exclude_seen: bool,
     return_scores: bool = False,
-):
-    """Serve one user shard from shared-memory descriptors (worker side).
+) -> TopNResult:
+    """Serve one user shard — the one shard worker of every serving path.
 
-    Returns the shard's flat :class:`~repro.serving.results.TopNResult`
-    (score block embedded when ``return_scores``), which pickles back to the
-    caller as three contiguous arrays instead of ``O(shard)`` row objects.
+    ``engine`` is the engine itself (the calling thread's, or one pickled
+    into the task) or the descriptors of a published one, which the worker
+    attaches.  Returns the shard's flat
+    :class:`~repro.serving.results.TopNResult` (score block embedded when
+    ``return_scores``), which pickles back to the caller as three contiguous
+    arrays instead of ``O(shard)`` row objects.
     """
-    return attach_engine(spec, max_bytes=attachment_budget_bytes()).topn(
+    if isinstance(engine, SharedEngineSpec):
+        engine = attach_engine(engine, max_bytes=attachment_budget_bytes())
+    return engine.topn(
         users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
     )
-
-
-def _rank_scored_shard(
-    spec: SharedEngineSpec,
-    scores: SharedArraySpec,
-    seen: Optional[SharedCsrSpec],
-    start: int,
-    stop: int,
-    n_items: int,
-    return_scores: bool = False,
-):
-    """Rank rows ``[start, stop)`` of a published score block (worker side).
-
-    Used by the runtime's cold-start path: the fold-in scores are published
-    once per call and each shard ranks its row slice.  Per-row ranking is
-    row-independent, so the slice's rankings are bitwise the rankings the
-    single-process :meth:`TopNEngine.rank_scored` produces for those rows.
-    Returns the shard's flat :class:`~repro.serving.results.TopNResult`
-    (score block embedded when ``return_scores``).
-    """
-    engine = attach_engine(spec, max_bytes=attachment_budget_bytes())
-    score_rows = attach_shared_array(scores)[start:stop]
-    seen_rows = attach_shared_csr(seen)[start:stop] if seen is not None else None
-    ranked = engine.rank_scored(
-        score_rows, n_items=n_items, seen=seen_rows, return_scores=return_scores
-    )
-    if return_scores:
-        # rank_scored returns a (result, score-views) pair; the flat result
-        # already embeds the score block, so ship only it across processes.
-        ranked = ranked[0]
-    # The score/seen segments are per *call*, not per model version: drop
-    # their attachments now (the views above die with this frame) or a
-    # cold-start service would grow one mapped block per call until the next
-    # generation swap.  Segments any worker-side cache still views — this
-    # engine, other cached engines, the training plan sides — are protected
-    # by the registered attachment holders.
-    del score_rows, seen_rows
-    close_stale_attachments(set(spec.segment_names()))
-    return ranked

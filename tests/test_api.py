@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import (
     DEFAULT_TENANT,
-    BatchedResponse,
     RecommendRequest,
     RecommendResponse,
 )
@@ -138,7 +137,7 @@ class TestRecommendResponse:
         assert all(np.allclose(a, b) for a, b in zip(decoded.scores, response.scores))
         assert decoded.generation == 4
         assert decoded.batch_id == 9
-        assert decoded.queue_seconds == pytest.approx(0.0015)
+        assert decoded.queue_ms == pytest.approx(1.5)
 
     def test_lenient_decode_ignores_gateway_envelope(self):
         frame = {"id": 7, "ok": True, "rankings": [[1, 2]], "generation": 3}
@@ -146,10 +145,6 @@ class TestRecommendResponse:
         assert decoded.generation == 3
         assert decoded.scores is None
         assert np.array_equal(decoded.rankings[0], [1, 2])
-
-    def test_batched_response_is_the_same_type(self):
-        # The pre-gateway name must keep resolving to the unified response.
-        assert BatchedResponse is RecommendResponse
 
     def test_wire_frames_are_compact_json(self):
         text = RecommendRequest(users=(1,)).to_json()

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -19,7 +21,6 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import SharedMemoryProcessExecutor
 from repro.runtime import RecommenderRuntime
 from repro.serving import TopNEngine, recommend_folded, serve_sharded
-from repro.serving.shared import _topn_shard
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,39 @@ class TestWarmPool:
                 # A warm pool never restarts its processes, so every PID
                 # observed after later fits was already serving fit #1.
                 assert runtime.worker_pids() <= initial
+
+    def test_pool_forked_before_first_segment_shares_the_resource_tracker(self):
+        # worker_pids() before the first fit forks the pool before any
+        # segment exists.  Workers forked without the parent's resource
+        # tracker each start their own on first attach, and at exit it
+        # reports every segment they attached as leaked — on stderr, after
+        # the program's own output.
+        script = """
+import warnings
+from repro.core.ocular import OCuLaR
+from repro.data.datasets import make_netflix_like
+from repro.exceptions import ConvergenceWarning
+from repro.runtime import RecommenderRuntime
+
+warnings.simplefilter("ignore", ConvergenceWarning)
+matrix, _spec = make_netflix_like(n_users=150, n_items=60, random_state=0)
+with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+    assert runtime.worker_pids()
+    for seed in (0, 1):
+        runtime.fit(OCuLaR(n_coclusters=6, max_iterations=2, random_state=seed), matrix)
+    runtime.publish()
+print("done")
+"""
+        source = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "done"
+        assert done.stderr == ""
 
     def test_fit_backend_override_is_borrowed_and_config_untouched(self, corpus):
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
@@ -147,21 +181,21 @@ class TestGenerationLifecycle:
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
-            old_spec = runtime.published_spec
-            old_names = set(old_spec.segment_names())
-            # Simulate a serving call that snapshotted generation 1 and has
-            # not dispatched yet (the race a swap must tolerate).
-            _engine, spec, _mod, _gen = runtime._serving_snapshot()
-            assert spec is old_spec
+            old_names = set(runtime.published_spec.segment_names())
+            # A holder pinned generation 1 and has not dispatched yet (the
+            # race a swap must tolerate).
+            session = runtime.serving_session()
             runtime.update()
-            # Old generation retired, not unlinked: the in-flight call's
-            # workers can still attach by name.
+            # Old generation retired, not unlinked: the holder's workers can
+            # still attach by name (one user per shard forces the pool).
             assert old_names <= shm_ledger.entries()
-            result = runtime._executor.starmap(
-                _topn_shard, [(old_spec, [0, 1, 2], 3, True)]
+            response = session.recommend(
+                RecommendRequest(users=(0, 1, 2), n_items=3), shard_size=1
             )
-            assert len(result[0]) == 3
-            runtime._release_spec(spec)
+            assert runtime.last_serving_stats.path == "shared"
+            assert response.generation == session.generation == 1
+            assert len(response.rankings) == 3
+            session.release()
             # Last reference dropped: the retired generation unlinks now.
             assert not (old_names & shm_ledger.entries())
             # The new generation serves normally.
@@ -251,46 +285,91 @@ class TestGenerationLifecycle:
             runtime = RecommenderRuntime(executor=executor)
             runtime.fit(_model(), corpus)
             runtime.publish()
-            _engine, spec, _mod, _gen = runtime._serving_snapshot()  # in flight
+            names = set(runtime.published_spec.segment_names())
+            session = runtime.serving_session()  # a holder in flight
             runtime.close()
-            # close() must honor the in-flight reference: the generation
-            # stays attachable until the call drains.
-            names = set(spec.segment_names())
+            # close() must honor the holder's reference: the generation
+            # stays linked, and on the executor's books, until it lets go.
             assert names <= shm_ledger.entries()
-            result = executor.starmap(_topn_shard, [(spec, [0, 1], 3, True)])
-            assert len(result[0]) == 2
-            runtime._release_spec(spec)
+            assert names <= set(executor.active_segment_names())
+            session.release()
             assert not (names & shm_ledger.entries())
             assert executor.active_segment_names() == []
 
     def test_session_call_reference_survives_racing_release(self, corpus, shm_ledger):
-        # A session shared across threads: a call takes its own generation
-        # reference, so release() (or close) racing the call can never pull
-        # the segments out from under it mid-flight.
+        # Two holders of one generation (a shared session's call takes its
+        # own reference the same way): releasing one, or swapping the model
+        # version, can never pull the segments out from under the other.
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            names = set(runtime.published_spec.segment_names())
             session = runtime.serving_session()
-            spec = session._spec
-            names = set(spec.segment_names())
-            # Simulate a call in progress: per-call reference acquired...
-            engine, call_spec, _mod, _gen = session._acquire_for_call()
-            assert call_spec is spec
-            # ...then the session is released and the model version swapped
-            # while the call is still in flight.
+            in_flight = runtime.serving_session()
             session.release()
             session.release()  # double release: atomic, no double-decrement
             runtime.update()
             assert names <= shm_ledger.entries()  # still attachable
-            result = runtime._executor.starmap(
-                _topn_shard, [(spec, [0, 1], 3, True)]
+            response = in_flight.recommend(
+                RecommendRequest(users=(0, 1), n_items=3), shard_size=1
             )
-            assert len(result[0]) == 2
-            runtime._release_spec(call_spec)  # the call's own reference
+            assert runtime.last_serving_stats.path == "shared"
+            assert len(response.rankings) == 2
+            in_flight.release()  # the last reference
             assert not (names & shm_ledger.entries())
             # A released session refuses new calls.
-            with pytest.raises(ConfigurationError):
-                session.recommend(RecommendRequest(users=(0,)))
+            for released in (session, in_flight):
+                with pytest.raises(ConfigurationError):
+                    released.recommend(RecommendRequest(users=(0,)))
+
+    def test_shared_session_calls_race_release_and_swap(
+        self, corpus, fitted_reference, shm_ledger
+    ):
+        # More threads than cores call through one shared session while it
+        # is released and the model version swapped under them.  Every call
+        # either answers from the pinned generation — its workers attach the
+        # retired segments by name — or is refused with the typed error, and
+        # the segments are gone once the last call has drained.
+        _model_ref, engine = fitted_reference
+        want = engine.recommend_batch([0, 1, 2], n_items=3)
+        request = RecommendRequest(users=(0, 1, 2), n_items=3)
+        served: list = []
+        failures: list = []
+
+        def client(session) -> None:
+            try:
+                while True:
+                    response = session.recommend(request, shard_size=1)
+                    served.append((response.generation, response.rankings == want))
+            except ConfigurationError:
+                return  # released: the one refusal a client may see
+            except Exception as exc:  # pragma: no cover - failure mode
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+                runtime.fit(_model(), corpus)
+                runtime.publish()
+                names = set(runtime.published_spec.segment_names())
+                session = runtime.serving_session()
+                threads = [
+                    threading.Thread(target=client, args=(session,)) for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                runtime.fit(_model(random_state=9), corpus)
+                runtime.update()
+                session.release()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                assert served and all(entry == (1, True) for entry in served)
+                assert not (names & shm_ledger.entries())
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_publish_requires_fitted_model(self, corpus):
         with RecommenderRuntime(executor="serial") as runtime:
@@ -369,7 +448,10 @@ class TestServingParity:
                 RecommendRequest(interactions=cold, n_items=6, n_sweeps=8),
                 shard_size=shard_size,
             ).rankings
-            assert runtime.last_serving_stats.n_shards == n_shards
+            # Cold-start rows are ranked where they were scored, whatever
+            # shard_size says: it cuts known users only.
+            stats = runtime.last_serving_stats
+            assert (stats.path, stats.n_shards) == ("local", 1)
             assert len(got) == len(cold)
             for expected, lists in zip(reference, got):
                 assert np.array_equal(expected, lists)
@@ -520,11 +602,11 @@ class TestOneShardDispatch:
 
             request = RecommendRequest(interactions=cold, n_items=6, n_sweeps=8)
             want = recommend_folded(engine, cold, model=model, n_items=6, n_sweeps=8)
-            assert _rows_equal(serve(request, None, "local", 1).rankings, want)
-            # Thread/serial runtimes publish nothing and always rank in process.
-            fanned_shards = 3 if executor == "process" else 1
-            fanned = serve(request, 2, fanned_path, fanned_shards)
-            assert _rows_equal(fanned.rankings, want)
+            # Cold-start rows rank in process on every executor, at any
+            # shard_size.
+            for shard_size in (None, 2):
+                response = serve(request, shard_size, "local", 1)
+                assert _rows_equal(response.rankings, want)
 
             # A mixed request: two published users, two ingested after publish.
             first = corpus.n_users
@@ -541,6 +623,27 @@ class TestOneShardDispatch:
                 response = runtime.recommend(request, shard_size=shard_size)
                 assert _rows_equal(response.rankings, want)
                 assert response.generation == runtime.generation
+            # The merged result is one flat block, scores included, in
+            # request order — also when no known user is left in it.
+            known_scores = runtime.recommend(
+                RecommendRequest(users=[0, 5], n_items=4, with_scores=True)
+            ).scores
+            cold_scores = runtime.recommend(
+                RecommendRequest(interactions=fresh_rows, n_items=4, with_scores=True)
+            ).scores
+            scored = runtime.recommend(
+                RecommendRequest(users=request.users, n_items=4, with_scores=True)
+            )
+            assert _rows_equal(scored.rankings, want)
+            assert _rows_equal(
+                scored.scores,
+                [cold_scores[1], known_scores[0], cold_scores[0], known_scores[1]],
+            )
+            only_fresh = runtime.recommend(
+                RecommendRequest(users=[first + 1, first], n_items=4, with_scores=True)
+            )
+            assert _rows_equal(only_fresh.rankings, [folded[1], folded[0]])
+            assert _rows_equal(only_fresh.scores, [cold_scores[1], cold_scores[0]])
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
     def test_session_pins_old_generation_for_one_shard_calls(
@@ -629,6 +732,32 @@ class TestServeShardedDescriptorPath:
             assert len(result.rankings) == 50
             # The call unpublishes what it published on the borrowed executor.
             assert executor.active_segment_names() == []
+
+    def test_one_shard_call_runs_here_and_publishes_nothing(
+        self, fitted_reference, shm_ledger
+    ):
+        _model_ref, engine = fitted_reference
+        users = list(range(50))
+        result = serve_sharded(engine, users, n_items=5, executor="process")
+        assert result.n_shards == 1
+        # No fan-out without a fan: no engine segment was ever created.
+        assert shm_ledger.names == set()
+        assert result.rankings == engine.topn(users, n_items=5)
+        # The same users cut in two are published for the call, then retired.
+        fanned = serve_sharded(
+            engine, users, n_items=5, executor="process", shard_size=25
+        )
+        assert fanned.rankings == result.rankings
+        shm_ledger.assert_gone()
+
+    def test_accepts_an_index_array(self, fitted_reference):
+        _model_ref, engine = fitted_reference
+        users = [9, 1, 44, 1]  # unsorted, with a duplicate
+        result = serve_sharded(engine, np.array(users), n_items=5, shard_size=3)
+        assert result.users == users
+        assert result.n_shards == 2
+        assert result.rankings == engine.topn(users, n_items=5)
+        assert set(result.as_dict()) == {1, 9, 44}
 
 
 # --------------------------------------------------------------------------- #

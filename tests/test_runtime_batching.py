@@ -251,7 +251,7 @@ class TestBatchFormation:
         # Dispatch + serving margin on a loaded CI box; the point is that it
         # is nowhere near a multiple of the bound, let alone unbounded.
         assert elapsed < 10.0
-        assert response.queue_seconds < 10.0
+        assert response.queue_ms < 10_000.0
 
     def test_size_cap_seals_before_deadline(self, runtime):
         # The latency bound is far beyond the test timeout; only the size
@@ -306,7 +306,7 @@ class TestBatchFormation:
                 RecommendRequest(users=(0,), n_items=5)
             ).result(timeout=RESULT_TIMEOUT)
         assert response.queue_ms >= 0.0
-        assert response.queue_seconds == pytest.approx(response.queue_ms / 1000.0)
+        assert response.queue_ms < RESULT_TIMEOUT * 1000.0
         assert response.serve_ms >= 0.0
 
 

@@ -90,6 +90,9 @@ class TestTopNResult:
         np.testing.assert_array_equal(tail[0], [3, 4])
         # Zero-copy: the slice shares the parent's buffer.
         assert tail.items.base is result.items
+        # An index array gathers rows (the mixed known/cold merge's reorder).
+        assert result[np.array([2, 0])] == [[5], [1, 2]]
+        np.testing.assert_array_equal(result[np.int64(1)], [3, 4])
 
     def test_equality_against_lists(self):
         rows = [np.array([2, 0]), np.array([1])]
