@@ -19,8 +19,10 @@ This benchmark measures the asyncio gateway end to end:
 * **Adaptive delay under light load** — a single client sends sparse
   sequential requests.  A static front-end holds every lone request for
   the full ``max_delay_ms`` window; the adaptive controller sees that the
-  arrival rate cannot buy occupancy and walks the delay down to the
-  floor.  Both per-request latency medians are recorded and compared.
+  arrival rate cannot buy occupancy and, from its first control period on,
+  holds nothing at all (its delay rests at the floor, the hold in force —
+  ``final_delay_ms`` — is 0).  Both per-request latency medians are
+  recorded and compared.
 
 Rankings are asserted identical to the in-process engine on every path.
 """
@@ -376,9 +378,9 @@ def test_adaptive_delay_beats_static_under_light_load(benchmark, report_writer):
         n_requests=params["n_requests"],
     )
 
-    # Lone requests cannot buy occupancy, so the controller must have left
-    # the ceiling; with the delay at the floor the wire-level median must
-    # drop measurably below the static configuration's.
+    # Lone requests cannot buy occupancy, so the controller must have
+    # stopped holding; with no timed wait the wire-level median must drop
+    # measurably below the static configuration's.
     assert final_delay < params["ceiling_ms"]
     if not smoke_mode():
         assert adaptive_p50 < static_p50, (

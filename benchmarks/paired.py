@@ -1,12 +1,14 @@
 """Paired parent/change runs of the end-to-end benchmark, and their verdict.
 
     python3 benchmarks/paired.py --workload batch-topn --seed 0 --pairs 10 --parent HEAD
+    python3 benchmarks/paired.py --workload all --claim primary_p50_ms@wire-closed --parent HEAD
 
 Runs ``benchmarks/e2e/run.py --workload W --seed S`` N times on each of two
-checkouts, alternating which side goes first, and prints per end-to-end
-metric both medians, both quartile pairs, the pairs each side won (ties
-count for neither) and the verdict by the rule of the ``choosing-metrics``
-guide, section 8:
+checkouts, alternating which side goes first, for every ``--workload`` given
+(``all`` = the workloads of ``BENCHMARK.json``), and prints one table per
+workload: per end-to-end metric both medians, both quartile pairs, the
+pairs each side won (ties count for neither) and the verdict by the rule of
+the ``choosing-metrics`` guide, section 8:
 
 * ``gain`` — the change wins at least nine tenths of all pairs run and the
   medians differ by more than the distance between the parent's quartiles;
@@ -15,6 +17,12 @@ guide, section 8:
 * ``unresolved`` — the parent's own runs spread wider than that bound, and
   the change's runs are not every one better than every one of the parent's;
 * ``unchanged`` — anything else.
+
+The last line checks a claim the way the pipeline does: ``regression:
+<metric>@<workload>`` if any pair reads so (a larger failed share counts as
+``failed@<workload>``), else ``claim met`` if the ``--claim
+<metric>@<workload>`` pair reads ``gain``, else ``claim not met``; the exit
+status is 0 only for ``claim met`` (or ``no claim``, without ``--claim``).
 
 A side is a directory holding a checkout, or a git revision, which is then
 checked out into a temporary ``git worktree`` and removed afterwards.  The
@@ -33,7 +41,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,16 +137,64 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def metric_rows(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> Dict[str, dict]:
+    """:func:`compare` for every end-to-end metric of one workload's runs."""
+    rows = {}
+    for metric in end_to_end:
+        parent, change = (
+            [run["metrics"][metric["name"]]["value"] for run in runs[side]]
+            for side in ("parent", "change")
+        )
+        rows[metric["name"]] = compare(parent, change, metric["better"], metric["bound"])
+    return rows
+
+
+def failed_share(results: List[dict]) -> float:
+    return sum(run["failed"] for run in results) / max(1, sum(run["attempted"] for run in results))
+
+
+def verdicts(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> Dict[str, str]:
+    """Metric -> verdict for one workload; ``failed`` regresses if its share grew."""
+    found = {name: row["verdict"] for name, row in metric_rows(runs, end_to_end).items()}
+    grew = failed_share(runs["change"]) > failed_share(runs["parent"])
+    found["failed"] = "regression" if grew else "unchanged"
+    return found
+
+
+def conclude(
+    found: Dict[str, Dict[str, str]], claim: Optional[Tuple[str, str]]
+) -> Tuple[str, int]:
+    """The last line and the exit status, from workload -> metric -> verdict.
+
+    ``claim`` is ``(metric, workload)``.  Any regression outranks the claim.
+    """
+    regressions = [
+        f"{metric}@{workload}"
+        for workload, by_metric in found.items()
+        for metric, verdict in by_metric.items()
+        if verdict == "regression"
+    ]
+    if regressions:
+        return "regression: " + ", ".join(regressions), 1
+    if claim is None:
+        return "no claim", 0
+    metric, workload = claim
+    if found.get(workload, {}).get(metric) == "gain":
+        return "claim met", 0
+    return "claim not met", 1
+
+
+def parse_claim(text: str) -> Tuple[str, str]:
+    metric, at, workload = text.partition("@")
+    if not (metric and at and workload):
+        raise argparse.ArgumentTypeError(f"a claim reads <metric>@<workload>, got {text!r}")
+    return metric, workload
+
+
 def report(runs: Dict[str, List[dict]], end_to_end: List[dict]) -> List[str]:
     """The table: one line per end-to-end metric, then each side's failures."""
     lines = []
-    for metric in end_to_end:
-        name = metric["name"]
-        parent, change = (
-            [run["metrics"][name]["value"] for run in runs[side]]
-            for side in ("parent", "change")
-        )
-        row = compare(parent, change, metric["better"], metric["bound"])
+    for name, row in metric_rows(runs, end_to_end).items():
         p, c = row["parent"], row["change"]
         lines.append(
             f"{name:18s} parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  "
@@ -157,7 +213,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", action="append", required=True,
+        help="repeatable; 'all' stands for the workloads of BENCHMARK.json",
+    )
+    parser.add_argument(
+        "--claim", type=parse_claim, help="<metric>@<workload> that must read 'gain'"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="directory or git revision")
@@ -167,27 +229,44 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also write every run's result object to this JSON file")
     args = parser.parse_args(argv)
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = benchmark["end_to_end"]
+    workloads: List[str] = []
+    for name in args.workload:
+        names = [w["name"] for w in benchmark["workloads"]] if name == "all" else [name]
+        workloads.extend(w for w in names if w not in workloads)
+    if args.claim and (
+        args.claim[1] not in workloads
+        or args.claim[0] not in [metric["name"] for metric in end_to_end]
+    ):
+        parser.error(f"--claim {'@'.join(args.claim)} names no metric of a workload being run")
+    runs: Dict[str, Dict[str, List[dict]]] = {}
     with ExitStack() as stack:
-        trees = {side: stack.enter_context(checkout(getattr(args, side))) for side in runs}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed)
-                runs[side].append(result)
-                values = {name: entry["value"] for name, entry in result["metrics"].items()}
-                print(
-                    f"pair {pair} {side}: correct {result['correct']} "
-                    f"failed {result['failed']} {json.dumps(values)}",
-                    flush=True,
-                )
-    print(f"== {args.workload}, seed {args.seed}, {args.pairs} alternating pairs ==")
-    print("\n".join(report(runs, end_to_end)))
-    if args.out:
-        record = {"workload": args.workload, "seed": args.seed, **runs}
-        Path(args.out).write_text(json.dumps(record, indent=1))
-    return 0
+        trees = {
+            side: stack.enter_context(checkout(getattr(args, side)))
+            for side in ("parent", "change")
+        }
+        for workload in workloads:
+            runs[workload] = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(trees[side], workload, args.seed)
+                    runs[workload][side].append(result)
+                    values = {name: entry["value"] for name, entry in result["metrics"].items()}
+                    print(
+                        f"{workload} pair {pair} {side}: correct {result['correct']} "
+                        f"failed {result['failed']} {json.dumps(values)}",
+                        flush=True,
+                    )
+            print(f"== {workload}, seed {args.seed}, {args.pairs} alternating pairs ==")
+            print("\n".join(report(runs[workload], end_to_end)), flush=True)
+            if args.out:
+                Path(args.out).write_text(json.dumps({"seed": args.seed, "runs": runs}, indent=1))
+    found = {workload: verdicts(runs[workload], end_to_end) for workload in workloads}
+    line, status = conclude(found, args.claim)
+    print(line)
+    return status
 
 
 if __name__ == "__main__":

@@ -11,20 +11,24 @@ driven by two signals the front-end already measures:
 
 * **arrival rate** — submissions per second over a sliding window.  The
   product ``rate x delay`` estimates how much *company* a request that
-  waits the full window can expect.  When that estimate is below
-  :attr:`min_companions`, waiting cannot buy occupancy and the delay
-  shrinks toward :attr:`floor_ms` (latency mode).
+  waits the full window can expect.  While that estimate is below
+  :attr:`min_companions`, waiting cannot buy occupancy: the delay shrinks
+  toward :attr:`floor_ms` and :attr:`~AdaptiveDelayController.hold_ms` —
+  the hold the front-end applies — is ``0.0``, so a request nobody is
+  expected to join is sealed at once, without a timed wait.
 * **queue-wait p95** — the tail of submission-to-dispatch waits.  While the
   p95 is comfortably inside the SLO target (below ``slo_fraction`` of it)
   *and* traffic is heavy enough to fill batches, the delay grows toward
-  :attr:`ceiling_ms` (occupancy mode).  The moment the p95 crosses
-  :attr:`slo_p95_ms`, the delay shrinks multiplicatively — the SLO is a
-  hard bound the controller backs away from, whatever the load.
+  :attr:`ceiling_ms` (occupancy mode) and the hold is the delay.  The
+  moment the p95 crosses :attr:`slo_p95_ms`, the delay shrinks
+  multiplicatively — the SLO is a hard bound the controller backs away
+  from, whatever the load.
 
 Multiplicative-increase / multiplicative-decrease keeps the loop stable:
 the delay moves a bounded factor per adjustment, adjustments happen at most
 once per :attr:`adjust_interval_s`, and the value is always clamped to
-``[floor_ms, ceiling_ms]``.
+``[floor_ms, ceiling_ms]`` — :attr:`floor_ms` is the smallest *non-zero*
+hold, the point the delay can only grow from once company is expected.
 
 The controller is deliberately clock-free: every observation carries an
 explicit ``now`` timestamp (the front-end passes ``time.monotonic()``), so
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Sequence, Tuple
+from typing import Deque, Sequence
 
 import numpy as np
 
@@ -46,14 +50,55 @@ from repro.utils.validation import check_positive_float
 _WINDOW = 4096
 
 
+class SlidingWindow:
+    """Samples of the last ``window_s`` seconds, the newest ``_WINDOW`` kept.
+
+    Timestamps arrive (near-)monotonic, so old ones leave from the left and
+    the rate is a length, not a scan; :meth:`extend` also keeps one float per
+    timestamp, in a flat ring.  Not thread-safe: the owner locks.
+    """
+
+    def __init__(self, window_s: float) -> None:
+        self.window_s = window_s
+        self._stamps: Deque[float] = deque(maxlen=_WINDOW)
+        self._ring = np.zeros(_WINDOW)
+        self._end = 0  # ring position after the newest value
+
+    def add(self, now: float, count: int = 1) -> None:
+        self._stamps.extend((now,) * count)
+
+    def extend(self, now: float, values: Sequence[float]) -> None:
+        self.add(now, len(values))
+        self._ring.put(np.arange(self._end, self._end + len(values)), values, mode="wrap")
+        self._end = (self._end + len(values)) % _WINDOW
+
+    def count(self, now: float) -> int:
+        """Samples younger than ``window_s`` at ``now`` (older ones are dropped)."""
+        stamps, horizon = self._stamps, now - self.window_s
+        while stamps and stamps[0] <= horizon:
+            stamps.popleft()
+        return len(stamps)
+
+    def rate(self, now: float) -> float:
+        return self.count(now) / self.window_s
+
+    def values(self, now: float) -> np.ndarray:
+        """The :meth:`extend` values younger than ``window_s``, oldest first."""
+        start = self._end - self.count(now)
+        if start >= 0:
+            return self._ring[start : self._end]
+        return np.concatenate((self._ring[start:], self._ring[: self._end]))
+
+
 class AdaptiveDelayController:
     """SLO-bounded controller for the micro-batcher's accumulation delay.
 
     Parameters
     ----------
     floor_ms / ceiling_ms:
-        Hard bounds for the delay.  The floor is the latency mode (light
-        load), the ceiling the occupancy mode (heavy load, SLO permitting).
+        Hard bounds for the delay.  The ceiling is the occupancy mode (heavy
+        load, SLO permitting); the floor is the smallest non-zero hold —
+        under light load the delay rests there and the hold itself is 0.
     slo_p95_ms:
         Queue-latency SLO target: whenever the observed queue-wait p95
         exceeds it, the delay shrinks — regardless of load.
@@ -66,7 +111,7 @@ class AdaptiveDelayController:
     min_companions:
         Minimum expected batch company (``arrival rate x delay``) for
         holding the window open to be worth anything; below it the
-        controller treats the load as light and shrinks.
+        controller treats the load as light: it shrinks and does not hold.
     slo_fraction:
         Growth only happens while the p95 is below this fraction of the
         SLO, leaving headroom so one growth step cannot overshoot the
@@ -111,9 +156,9 @@ class AdaptiveDelayController:
         # Start at the ceiling: before any evidence arrives the safe bet is
         # the occupancy bound the operator configured; the first light-load
         # observations walk it down within a few control periods.
-        self._delay_ms = self.ceiling_ms
-        self._arrivals: Deque[float] = deque(maxlen=_WINDOW)
-        self._waits: Deque[Tuple[float, float]] = deque(maxlen=_WINDOW)
+        self._delay_ms = self._hold_ms = self.ceiling_ms
+        self._arrivals = SlidingWindow(self.window_s)
+        self._waits = SlidingWindow(self.window_s)
         self._last_adjust: float = float("-inf")
         self._adjustments = 0
         self._lock = threading.Lock()
@@ -124,7 +169,7 @@ class AdaptiveDelayController:
     def observe_arrival(self, now: float) -> None:
         """Record one request submission at monotonic time ``now``."""
         with self._lock:
-            self._arrivals.append(now)
+            self._arrivals.add(now)
 
     def observe_batch(self, now: float, queue_waits_s: Sequence[float]) -> float:
         """Record a dispatched batch's queue waits; maybe adjust; return delay.
@@ -135,8 +180,7 @@ class AdaptiveDelayController:
         delay from the windowed signals.
         """
         with self._lock:
-            for wait in queue_waits_s:
-                self._waits.append((now, float(wait) * 1000.0))
+            self._waits.extend(now, np.asarray(queue_waits_s, dtype=float) * 1000.0)
             if now - self._last_adjust < self.adjust_interval_s:
                 return self._delay_ms
             self._last_adjust = now
@@ -148,9 +192,17 @@ class AdaptiveDelayController:
     # ------------------------------------------------------------------ #
     @property
     def delay_ms(self) -> float:
-        """The delay the front-end should currently hold batches open for."""
+        """The control variable: how long a hold lasts when there is one."""
         with self._lock:
             return self._delay_ms
+
+    @property
+    def hold_ms(self) -> float:
+        """The hold to apply: :attr:`delay_ms` while ``arrival rate x delay_ms``
+        reaches :attr:`min_companions` (and before the first control period:
+        no evidence yet), ``0.0`` once nobody is expected."""
+        with self._lock:
+            return self._hold_ms
 
     @property
     def adjustments(self) -> int:
@@ -161,31 +213,24 @@ class AdaptiveDelayController:
     def arrival_rate(self, now: float) -> float:
         """Arrivals per second over the sliding window ending at ``now``."""
         with self._lock:
-            return self._rate(now)
+            return self._arrivals.rate(now)
 
     def queue_p95_ms(self, now: float) -> float:
         """Windowed queue-wait p95 in milliseconds (0 with no samples)."""
         with self._lock:
-            waits = self._recent_waits(now)
-            return float(np.percentile(waits, 95)) if waits else 0.0
+            return self._p95(now)
 
     # ------------------------------------------------------------------ #
     # Control law
     # ------------------------------------------------------------------ #
-    def _rate(self, now: float) -> float:
-        horizon = now - self.window_s
-        count = sum(1 for ts in self._arrivals if ts > horizon)
-        return count / self.window_s
-
-    def _recent_waits(self, now: float):
-        horizon = now - self.window_s
-        return [wait for ts, wait in self._waits if ts > horizon]
+    def _p95(self, now: float) -> float:
+        waits = self._waits.values(now)
+        return float(np.percentile(waits, 95)) if len(waits) else 0.0
 
     def _adjust(self, now: float) -> None:
         self._adjustments += 1
-        rate = self._rate(now)
-        waits = self._recent_waits(now)
-        p95 = float(np.percentile(waits, 95)) if waits else 0.0
+        rate = self._arrivals.rate(now)
+        p95 = self._p95(now)
         companions = rate * (self._delay_ms / 1000.0)
         if p95 > self.slo_p95_ms:
             # SLO pressure wins over everything: back off.
@@ -199,6 +244,8 @@ class AdaptiveDelayController:
         else:
             delay = self._delay_ms
         self._delay_ms = float(min(self.ceiling_ms, max(self.floor_ms, delay)))
+        expected = rate * (self._delay_ms / 1000.0)
+        self._hold_ms = self._delay_ms if expected >= self.min_companions else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -29,12 +29,15 @@ so under high request concurrency that per-call overhead — not the scoring
   per request (:func:`~repro.serving.batch.scatter_results`) and delivered
   through the futures as :class:`~repro.api.RecommendResponse` objects.
 
-The accumulation delay is either the static ``max_delay_ms`` or — when an
-:class:`~repro.runtime.adaptive.AdaptiveDelayController` is attached — a
-live value the controller re-tunes against the arrival rate and the queue
-latency SLO: shrinking toward its floor under light load (waiting buys no
-occupancy, so don't), growing toward ``max_delay_ms`` under heavy load
-while the queue-wait p95 stays inside the SLO.
+The accumulation delay is either the static ``max_delay_ms`` — an
+operator's promise to hold, always kept — or, with an
+:class:`~repro.runtime.adaptive.AdaptiveDelayController` attached, its
+``hold_ms``: the live delay while ``arrival rate x delay`` promises
+``min_companions``, and ``0`` otherwise — waiting buys no occupancy, so the
+request is sealed at once, without a timed wait, whether it met an idle
+dispatcher or arrived while the previous batch was being served.  A lone
+``submit_request(r).result()`` then costs ``runtime.recommend(r)`` plus the
+hand-off to the dispatcher thread and back.
 
 Generation safety: every batch is sealed against one
 :class:`~repro.runtime.service.ServingSession`, pinned at dispatch time, so
@@ -64,7 +67,7 @@ import numpy as np
 from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError
 from repro.parallel.executor import DispatcherThread
-from repro.runtime.adaptive import AdaptiveDelayController
+from repro.runtime.adaptive import AdaptiveDelayController, SlidingWindow
 from repro.serving.batch import merge_request_lists, scatter_results
 from repro.utils.validation import check_non_negative_float, check_positive_int
 
@@ -96,7 +99,8 @@ class BatchingStats:
         the recent-request window, in milliseconds.
     current_delay_ms:
         The accumulation delay batches are currently held open for — the
-        static ``max_delay_ms``, or the adaptive controller's live value.
+        static ``max_delay_ms``, or the adaptive controller's hold (``0``
+        while it expects no company).
     pending_requests:
         Requests queued at snapshot time (not yet sealed into a batch).
     arrival_rate_rps:
@@ -131,7 +135,7 @@ class _Pending:
         self.enqueued = time.monotonic()
 
 
-#: Queue-latency / arrival samples retained for the windowed stats.
+#: Queue-latency samples retained for the windowed stats.
 _LATENCY_WINDOW = 4096
 
 #: Sliding window (seconds) for the arrival-rate estimate in :meth:`stats`.
@@ -152,7 +156,7 @@ class BatchingFrontEnd:
         waiting for company.  ``0`` dispatches every poll immediately
         (batching then only coalesces requests that were already queued
         together).  With an adaptive controller this is the delay's
-        *ceiling*; the live value moves below it.
+        *ceiling*; the hold in force is below it, or ``0``.
     max_batch_users:
         Size cap: a batch is sealed as soon as this many merged rows have
         gathered.  A single request larger than the cap is dispatched alone
@@ -207,7 +211,8 @@ class BatchingFrontEnd:
         self._requests = 0
         self._rows = 0
         self._queue_seconds: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._arrivals: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        # Arrivals are recorded once: by the controller when there is one.
+        self._arrivals = SlidingWindow(_RATE_WINDOW_S)
         # Assign before starting: the loop's first step may run before
         # start() returns and reads self._dispatcher.
         self._dispatcher = DispatcherThread(
@@ -246,7 +251,7 @@ class BatchingFrontEnd:
     def current_delay_ms(self) -> float:
         """The accumulation delay batches are held open for right now."""
         if self._controller is not None:
-            return self._controller.delay_ms
+            return self._controller.hold_ms
         return self.max_delay_ms
 
     def stats(self) -> BatchingStats:
@@ -258,8 +263,9 @@ class BatchingFrontEnd:
             rows = self._rows
             waits = list(self._queue_seconds)
             pending = len(self._pending)
-            horizon = now - _RATE_WINDOW_S
-            rate = sum(1 for ts in self._arrivals if ts > horizon) / _RATE_WINDOW_S
+            rate = self._arrivals.rate(now)
+        if self._controller is not None:
+            rate = self._controller.arrival_rate(now)
         if waits:
             p50, p95 = np.percentile(waits, [50, 95])
             worst = max(waits)
@@ -311,7 +317,8 @@ class BatchingFrontEnd:
                 ) from failure
             self._pending.append(pending)
             self._pending_rows += request.n_rows
-            self._arrivals.append(pending.enqueued)
+            if self._controller is None:
+                self._arrivals.add(pending.enqueued)
             self._cond.notify_all()
         if self._controller is not None:
             self._controller.observe_arrival(pending.enqueued)
@@ -351,7 +358,7 @@ class BatchingFrontEnd:
 
         A batch is due when ``max_batch_users`` merged rows are pending,
         when the oldest pending request has waited the current accumulation
-        delay (static or adaptive), or immediately when draining.  Returns
+        delay (static, or the adaptive hold), or immediately when draining.  Returns
         ``[]`` on idle polls so the dispatcher loop stays responsive to stop
         requests.
         """

@@ -6,11 +6,12 @@ does not scale to the paper's B2B deployment shape, where many tenants hold
 long-lived connections and fire small requests at arbitrary times.
 :class:`ServingGateway` puts an asyncio front door on the batcher: one
 event loop multiplexes every connection, each parsed request becomes a
-``front.submit_request()`` future bridged onto the loop with
-:func:`asyncio.wrap_future`, and the response travels back down the same
-connection.  The expensive work (merging, sharded scoring) stays exactly
-where it was — on the batcher's dispatcher and the runtime's executor —
-so the gateway adds concurrency without adding a serving path.
+``front.submit_request()`` future whose result reaches the loop through a
+mailbox (one loop wake-up per batch, not per response), and the response
+travels back down the same connection.  The expensive work (merging,
+sharded scoring) stays exactly where it was — on the batcher's dispatcher
+and the runtime's executor — so the gateway adds concurrency without adding
+a serving path.
 
 Wire protocol — newline-delimited JSON, one frame per line:
 
@@ -53,7 +54,8 @@ import asyncio
 import json
 import socket
 import threading
-from typing import Dict, Optional, Set, Tuple
+from concurrent.futures import Future
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError, NotFittedError, ReproError
@@ -150,6 +152,9 @@ class ServingGateway:
         self._inflight = 0
         self._connections: Set[asyncio.StreamWriter] = set()
         self._tasks: Set[asyncio.Task] = set()
+        # Resolved batcher futures on their way to the loop (see _submit).
+        self._mailbox: List[Tuple[Future, asyncio.Future]] = []
+        self._mailbox_lock = threading.Lock()
         # Counters for the stats frame.
         self._accepted = 0
         self._frames = 0
@@ -320,6 +325,44 @@ class ServingGateway:
             self._inflight += 1
             gate.set_result(None)
 
+    def _submit(self, request: RecommendRequest) -> asyncio.Future:
+        """Submit to the batcher; the loop-side future of the response.
+
+        The dispatcher mails each resolved future and only the first into an
+        empty mailbox wakes the loop (one self-pipe write per batch); a
+        cancelled loop future (disconnect, shutdown) cancels the batcher's.
+        """
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        future = self._front.submit_request(request)
+        waiter.add_done_callback(lambda w: w.cancelled() and future.cancel())
+
+        def post(done: Future) -> None:
+            if waiter.cancelled():
+                return  # nobody to tell, and the loop may be gone
+            with self._mailbox_lock:
+                first = not self._mailbox
+                self._mailbox.append((done, waiter))
+            if first:
+                loop.call_soon_threadsafe(self._drain)
+
+        future.add_done_callback(post)
+        return waiter
+
+    def _drain(self) -> None:
+        """Resolve every loop future mailed since the last wake-up."""
+        with self._mailbox_lock:
+            mail, self._mailbox = self._mailbox, []
+        for future, waiter in mail:
+            if waiter.done():
+                continue  # cancelled on the loop side meanwhile
+            if future.cancelled():
+                waiter.cancel()
+            elif future.exception() is not None:
+                waiter.set_exception(future.exception())
+            else:
+                waiter.set_result(future.result())
+
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
@@ -416,9 +459,7 @@ class ServingGateway:
                 return
             await self._admit(request.tenant)
             try:
-                response = await asyncio.wrap_future(
-                    self._front.submit_request(request)
-                )
+                response = await self._submit(request)
             finally:
                 self._release()
             self._responses += 1
@@ -428,7 +469,9 @@ class ServingGateway:
         except NotFittedError as error:
             await self._send_error(writer, write_lock, rid, "not-fitted", str(error))
         except ConfigurationError as error:
-            await self._send_error(writer, write_lock, rid, "bad-request", str(error))
+            # A closed front-end refuses valid requests too: lifecycle, not client.
+            code = "closing" if self._front.closed else "bad-request"
+            await self._send_error(writer, write_lock, rid, code, str(error))
         except Exception as error:  # noqa: BLE001 - the connection must survive
             await self._send_error(
                 writer, write_lock, rid, "server-error",

@@ -110,3 +110,53 @@ class TestReport:
         assert "won 2 lost 0 of 2" in lines[0]
         assert lines[1] == "parent: failed 0 of 20 attempted, correct True"
         assert lines[2] == "change: failed 1 of 20 attempted, correct False"
+
+
+class TestClaim:
+    END_TO_END = [
+        {"name": "primary_per_s", "better": "higher", "bound": 0.25},
+    ]
+
+    def _runs(self, parent, change, change_failed=0):
+        return {
+            "parent": [_run(value) for value in parent],
+            "change": [_run(value, failed=change_failed) for value in change],
+        }
+
+    def test_verdicts_cover_every_metric_and_the_failed_share(self, paired):
+        found = paired.verdicts(self._runs([100.0, 101.0], [130.0, 131.0]), self.END_TO_END)
+        assert found == {"primary_per_s": "gain", "failed": "unchanged"}
+        found = paired.verdicts(
+            self._runs([100.0, 101.0], [130.0, 131.0], change_failed=1), self.END_TO_END
+        )
+        assert found["failed"] == "regression"
+
+    def test_claim_met_needs_a_gain_on_the_claimed_pair(self, paired):
+        found = {
+            "wire-closed": {"primary_p50_ms": "gain", "setup_s": "unresolved"},
+            "batch-topn": {"primary_p50_ms": "unchanged"},
+        }
+        assert paired.conclude(found, ("primary_p50_ms", "wire-closed")) == ("claim met", 0)
+        assert paired.conclude(found, ("primary_p50_ms", "batch-topn")) == ("claim not met", 1)
+        assert paired.conclude(found, ("setup_s", "wire-closed")) == ("claim not met", 1)
+        assert paired.conclude(found, ("primary_p50_ms", "train-cold")) == ("claim not met", 1)
+        assert paired.conclude(found, None) == ("no claim", 0)
+
+    def test_a_regression_anywhere_outranks_the_claim(self, paired):
+        found = {
+            "wire-closed": {"primary_p50_ms": "gain", "failed": "unchanged"},
+            "batch-topn": {"peak_rss_mb": "regression", "failed": "regression"},
+        }
+        line, status = paired.conclude(found, ("primary_p50_ms", "wire-closed"))
+        assert line == "regression: peak_rss_mb@batch-topn, failed@batch-topn"
+        assert status == 1
+        assert paired.conclude(found, None)[1] == 1
+
+    def test_claims_parse_as_metric_at_workload(self, paired):
+        assert paired.parse_claim("primary_p50_ms@wire-closed") == (
+            "primary_p50_ms",
+            "wire-closed",
+        )
+        for text in ("primary_p50_ms", "@wire-closed", "primary_p50_ms@"):
+            with pytest.raises(Exception, match="<metric>@<workload>"):
+                paired.parse_claim(text)

@@ -6,6 +6,7 @@ jitter, fully deterministic."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -98,6 +99,81 @@ class TestAdaptiveDelayController:
         # Far in the future the window is empty again.
         assert controller.arrival_rate(200.0) == 0.0
         assert controller.queue_p95_ms(200.0) == 0.0
+
+    def test_hold_is_the_ceiling_before_the_first_control_period(self):
+        controller = make_controller()
+        controller.observe_arrival(100.0)
+        assert controller.hold_ms == controller.delay_ms == 16.0
+
+    def test_light_load_holds_nothing_while_delay_rests_at_floor(self):
+        controller = make_controller()
+        for step in range(8):
+            now = 100.0 + step * 0.05
+            controller.observe_arrival(now)
+            controller.observe_batch(now, [0.001])
+            # 20 arrivals/s can bring nobody inside 16 ms, let alone 1 ms.
+            assert controller.hold_ms == 0.0
+        assert controller.delay_ms == controller.floor_ms
+
+    def test_expected_company_holds_for_the_delay(self):
+        controller = make_controller()
+        feed_arrivals(controller, 100.0, rate_rps=2000)
+        controller.observe_batch(100.0, [0.002] * 8)
+        # 2000/s x 16 ms = 32 companions: hold for the whole delay.
+        assert controller.hold_ms == controller.delay_ms == 16.0
+
+    def test_hold_flips_with_the_load_within_one_control_period(self):
+        controller = make_controller(window_s=0.5)
+        now = 100.0
+        for step in range(6):  # light: the delay walks down to the floor
+            now += 0.05
+            controller.observe_arrival(now)
+            controller.observe_batch(now, [0.001])
+        assert (controller.delay_ms, controller.hold_ms) == (1.0, 0.0)
+        now += 0.5
+        feed_arrivals(controller, now, rate_rps=4000, duration=0.5)
+        controller.observe_batch(now, [0.002] * 8)  # heavy: one period
+        assert controller.hold_ms == controller.delay_ms == 2.0
+        now += 1.0  # the heavy arrivals have left the window
+        controller.observe_arrival(now)
+        controller.observe_batch(now, [0.001])  # light again: one period
+        assert controller.hold_ms == 0.0
+        assert controller.delay_ms == 1.0
+
+    def test_hold_follows_the_delay_down_on_an_slo_breach(self):
+        controller = make_controller()
+        feed_arrivals(controller, 100.0, rate_rps=2000)
+        controller.observe_batch(100.0, [0.050] * 8)
+        assert controller.hold_ms == controller.delay_ms == 8.0
+
+    def test_hold_needs_company_at_the_delay_in_force(self):
+        controller = make_controller()
+        # 200/s x 16 ms = 3.2 companions, but the SLO breach halves the
+        # delay and 200/s x 8 ms = 1.6 is nobody worth waiting for.
+        feed_arrivals(controller, 100.0, rate_rps=200)
+        controller.observe_batch(100.0, [0.050] * 8)
+        assert (controller.delay_ms, controller.hold_ms) == (8.0, 0.0)
+
+    def test_windows_keep_the_newest_samples_and_expire_the_old(self):
+        from repro.runtime.adaptive import _WINDOW, SlidingWindow
+
+        stamps = SlidingWindow(window_s=1.0)
+        stamps.add(10.0)
+        stamps.add(10.5, count=3)
+        assert stamps.count(10.9) == 4 and stamps.rate(10.9) == 4.0
+        assert stamps.count(11.0) == 3  # 10.0 is exactly window_s old: gone
+        assert stamps.count(11.5) == 0
+        values = SlidingWindow(window_s=1.0)
+        # Wrap the ring: the window holds the newest _WINDOW values, in order.
+        values.extend(20.0, np.arange(_WINDOW - 2.0))
+        values.extend(20.5, [-1.0, -2.0, -3.0, -4.0, -5.0])
+        recent = values.values(20.9)
+        assert len(recent) == _WINDOW
+        assert recent[0] == 3.0 and list(recent[-5:]) == [-1.0, -2.0, -3.0, -4.0, -5.0]
+        assert list(values.values(21.2)) == [-1.0, -2.0, -3.0, -4.0, -5.0]
+        assert len(values.values(21.5)) == 0
+        values.extend(30.0, np.arange(3.0 * _WINDOW))  # one batch beyond the ring
+        assert list(values.values(30.0)[[0, -1]]) == [2.0 * _WINDOW, 3.0 * _WINDOW - 1]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -524,3 +524,80 @@ class TestAdaptiveFrontEnd:
             assert front.current_delay_ms < 10.0
             assert controller.adjustments > 0
             assert front.stats().current_delay_ms == front.current_delay_ms
+
+
+# --------------------------------------------------------------------------- #
+# Hold only for company: the adaptive hold is 0 when nobody is expected
+# --------------------------------------------------------------------------- #
+class TestHoldOnlyForCompany:
+    #: The smallest non-zero hold is a quarter second, so a held request is
+    #: unmistakable without any tight timing threshold.
+    HOLD_MS = 250.0
+
+    def _front(self, runtime):
+        from repro.runtime.adaptive import AdaptiveDelayController
+
+        # Company is expected from 8 / 250 ms = 32 arrivals/s on, i.e. once 64
+        # arrivals sit in the 2 s window: never for 20 sequential requests.
+        controller = AdaptiveDelayController(
+            floor_ms=self.HOLD_MS,
+            ceiling_ms=self.HOLD_MS,
+            adjust_interval_s=0.005,
+            min_companions=8.0,
+        )
+        return BatchingFrontEnd(runtime, max_delay_ms=self.HOLD_MS, adaptive=controller)
+
+    def test_lone_requests_are_sealed_at_once(self, runtime):
+        expected = [_topn(runtime, [u], n_items=5)[0] for u in range(20)]
+        with self._front(runtime) as front:
+            responses = [
+                front.recommend(RecommendRequest(users=(u,), n_items=5), timeout=RESULT_TIMEOUT)
+                for u in range(20)
+            ]
+            assert front.controller.delay_ms == self.HOLD_MS
+            assert front.current_delay_ms == front.stats().current_delay_ms == 0.0
+        # The first request is held (no evidence yet) and closes the first
+        # control period; nobody is expected after it, so nobody waits.
+        assert all(response.queue_ms < 50.0 for response in responses[1:])
+        assert all(response.batch_requests == 1 for response in responses)
+        for response, want in zip(responses, expected):
+            assert np.array_equal(response.rankings[0], want)
+
+    def test_concurrent_submitters_still_coalesce(self, runtime):
+        expected = {u: _topn(runtime, [u], n_items=5)[0] for u in range(8)}
+        mismatches: list = []
+        with self._front(runtime) as front:
+
+            def client(user: int) -> None:
+                for _ in range(10):
+                    response = front.recommend(
+                        RecommendRequest(users=(user,), n_items=5), timeout=RESULT_TIMEOUT
+                    )
+                    if not np.array_equal(response.rankings[0], expected[user]):
+                        mismatches.append(user)
+
+            threads = [threading.Thread(target=client, args=(u,)) for u in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=RESULT_TIMEOUT)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = front.stats()
+        assert not mismatches
+        assert stats.requests == 80
+        assert stats.mean_requests_per_batch > 1.0
+
+    def test_static_delay_is_a_promise_to_hold(self, runtime):
+        with BatchingFrontEnd(runtime, max_delay_ms=self.HOLD_MS) as front:
+            lone = front.recommend(
+                RecommendRequest(users=(3,), n_items=5), timeout=RESULT_TIMEOUT
+            )
+            assert lone.queue_ms >= 200.0 and lone.batch_requests == 1
+            futures = [
+                front.submit_request(RecommendRequest(users=(u,), n_items=5))
+                for u in range(6)
+            ]
+            merged = [future.result(timeout=RESULT_TIMEOUT) for future in futures]
+        assert {response.batch_requests for response in merged} == {6}
+        assert len({response.batch_id for response in merged}) == 1
+        assert merged[0].queue_ms >= 200.0

@@ -124,6 +124,23 @@ class TestWireProtocol:
             seen = {c.recv_frame()["id"] for _ in range(10)}
         assert seen == {f"frame-{i}" for i in range(10)}
 
+    def test_frames_of_one_batch_are_each_answered_with_their_own_id(self, runtime):
+        # The size cap seals all eight frames into one batch, whose responses
+        # cross to the event loop together; each must reach its own frame.
+        expected = runtime.engine.recommend_batch(list(range(8)), n_items=4)
+        with BatchingFrontEnd(runtime, max_delay_ms=30_000, max_batch_users=8) as front:
+            with GatewayThread(front) as gw:
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                    for user in range(8):
+                        c.send_frame({"id": f"u{user}", "users": [user], "n_items": 4})
+                    frames = {frame["id"]: frame for frame in (c.recv_frame() for _ in range(8))}
+        assert set(frames) == {f"u{user}" for user in range(8)}
+        for user in range(8):
+            frame = frames[f"u{user}"]
+            assert frame["ok"] is True and frame["batch_requests"] == 8
+            assert frame["rankings"] == [list(map(int, expected[user]))]
+        assert len({frame["batch_id"] for frame in frames.values()}) == 1
+
     def test_stats_frame(self, client):
         client.recommend(RecommendRequest(users=(1,), n_items=3))
         stats = client.stats()
@@ -268,6 +285,74 @@ class TestFailureModes:
             gateway.gateway._closing = False
         response = client.recommend(RecommendRequest(users=(1,), n_items=3))
         assert len(response.rankings) == 1
+
+    def test_closed_front_end_answers_closing(self, gateway, client):
+        # A closed front-end behind an open gateway is a server lifecycle
+        # state, not a client error.
+        gateway.gateway.front.close()
+        frame = client.request({"id": "late", "users": [1], "n_items": 3})
+        assert frame["ok"] is False and frame["id"] == "late"
+        assert frame["error"]["code"] == "closing"
+        assert "front-end is closed" in frame["error"]["message"]
+        # The connection survived, and a genuinely bad request is still one.
+        assert client.request({"users": [1], "nitems": 5})["error"]["code"] == "bad-request"
+        assert client.stats()["gateway"]["errors"] == {"closing": 1, "bad-request": 1}
+
+    def test_runtime_exception_reaches_every_member_of_the_batch(self):
+        class BrokenRuntime:
+            generation = 1
+
+            def serving_session(self):
+                return self
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def recommend(self, request):
+                raise RuntimeError("boom")
+
+        with BatchingFrontEnd(BrokenRuntime(), max_delay_ms=30_000, max_batch_users=5) as front:
+            with GatewayThread(front) as gw:
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                    for i in range(5):
+                        c.send_frame({"id": i, "users": [i], "n_items": 3})
+                    frames = [c.recv_frame() for _ in range(5)]
+                    assert sorted(frame["id"] for frame in frames) == list(range(5))
+                    assert {frame["error"]["code"] for frame in frames} == {"server-error"}
+                    assert all("RuntimeError: boom" in f["error"]["message"] for f in frames)
+                    # One failed batch; the connection and the gateway go on.
+                    stats = c.stats()
+                    assert stats["gateway"]["errors"] == {"server-error": 5}
+                    assert stats["batching"]["batches"] == 1
+
+    def test_disconnect_with_frames_in_the_mailbox_cancels_only_its_own(self, runtime):
+        # Hold the mailbox shut: the doomed connection's responses are
+        # resolved by the dispatcher but not yet delivered when it drops.
+        with BatchingFrontEnd(runtime, max_delay_ms=30_000, max_batch_users=3) as front:
+            with GatewayThread(front) as gw:
+                gateway, loop = gw.gateway, gw._loop
+                drain = gateway._drain
+                gateway._drain = lambda: loop.call_later(0.3, drain)
+                doomed = GatewayClient(*gw.address, timeout=RESULT_TIMEOUT)
+                for i in range(3):
+                    doomed.send_frame({"id": i, "users": [i], "n_items": 3})
+                assert _wait_until(lambda: len(gateway._mailbox) == 3)
+                doomed.close()
+                assert _wait_until(lambda: gateway.inflight == 0)
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as survivor:
+                    response = survivor.recommend(
+                        RecommendRequest(users=(4, 5, 6), n_items=3)
+                    )
+                    expected = runtime.engine.recommend_batch([4, 5, 6], n_items=3)
+                    assert all(
+                        np.array_equal(a, b) for a, b in zip(response.rankings, expected)
+                    )
+                    stats = survivor.stats()["gateway"]
+                assert stats["responses"] == 1 and stats["errors"] == {}
+                assert gateway._mailbox == []
 
     def test_disconnect_cancels_only_that_connection(self, runtime):
         # A huge accumulation delay parks requests in the batcher; the batch
