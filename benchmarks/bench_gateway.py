@@ -1,5 +1,5 @@
 """Gateway serving benchmark: open-loop network clients vs the in-process
-blocking path, plus adaptive-vs-static batching delay under light load.
+blocking path.
 
 The paper's deployment exposes the recommender to many B2B tenants at once.
 This benchmark measures the asyncio gateway end to end:
@@ -16,13 +16,6 @@ This benchmark measures the asyncio gateway end to end:
   thread with no round-trip for batching to win back (full-mode runs on a
   2-core host: gateway/in-process between 0.37x and 1.5x over twenty,
   gateway/sharded between 1.7x and 2.8x over ten).
-* **Adaptive delay under light load** — a single client sends sparse
-  sequential requests.  A static front-end holds every lone request for
-  the full ``max_delay_ms`` window; the adaptive controller sees that the
-  arrival rate cannot buy occupancy and, from its first control period on,
-  holds nothing at all (its delay rests at the floor, the hold in force —
-  ``final_delay_ms`` — is 0).  Both per-request latency medians are
-  recorded and compared.
 
 Rankings are asserted identical to the in-process engine on every path.
 """
@@ -41,7 +34,6 @@ from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
 from repro.runtime import (
-    AdaptiveDelayController,
     BatchingFrontEnd,
     GatewayClient,
     GatewayThread,
@@ -274,115 +266,4 @@ def test_gateway_open_loop_vs_blocking(benchmark, report_writer):
         assert gateway_rate >= sharded_rate, (
             f"gateway served {gateway_rate:,.0f} users/s vs "
             f"{sharded_rate:,.0f} sharded blocking"
-        )
-
-
-def test_adaptive_delay_beats_static_under_light_load(benchmark, report_writer):
-    params = scaled(
-        dict(
-            n_users=400,
-            n_items=80,
-            n_coclusters=8,
-            n_requests=24,
-            top_n=10,
-            ceiling_ms=12.0,
-            gap_s=0.02,
-        ),
-        n_users=150,
-        n_items=50,
-        n_coclusters=5,
-        n_requests=10,
-    )
-
-    def drive(front):
-        """Sequential lone requests over the wire; per-request latencies."""
-        latencies = []
-        with GatewayThread(front) as gateway:
-            host, port = gateway.address
-            with GatewayClient(host, port) as client:
-                for user in range(params["n_requests"]):
-                    begin = time.perf_counter()
-                    response = client.recommend(
-                        RecommendRequest(
-                            users=(user % params["n_users"],),
-                            n_items=params["top_n"],
-                        )
-                    )
-                    latencies.append((time.perf_counter() - begin) * 1000.0)
-                    assert len(response.rankings) == 1
-                    time.sleep(params["gap_s"])
-        return latencies
-
-    with RecommenderRuntime(executor="serial") as runtime:
-        _fit_runtime(runtime, params)
-        runtime.recommend(RecommendRequest(users=(0,), n_items=params["top_n"]))
-
-        def compare():
-            with BatchingFrontEnd(
-                runtime, max_delay_ms=params["ceiling_ms"]
-            ) as static_front:
-                static_latencies = drive(static_front)
-            controller = AdaptiveDelayController(
-                floor_ms=0.25,
-                ceiling_ms=params["ceiling_ms"],
-                slo_p95_ms=50.0,
-                adjust_interval_s=0.005,
-            )
-            with BatchingFrontEnd(
-                runtime, max_delay_ms=params["ceiling_ms"], adaptive=controller
-            ) as adaptive_front:
-                adaptive_latencies = drive(adaptive_front)
-                final_delay = adaptive_front.current_delay_ms
-            return static_latencies, adaptive_latencies, final_delay
-
-        static_latencies, adaptive_latencies, final_delay = run_once(
-            benchmark, compare
-        )
-
-    static_p50 = float(np.percentile(static_latencies, 50))
-    adaptive_p50 = float(np.percentile(adaptive_latencies, 50))
-    table = format_table(
-        ["front-end", "p50 latency", "p95 latency", "final delay"],
-        [
-            [
-                "static max_delay",
-                f"{static_p50:.2f} ms",
-                f"{float(np.percentile(static_latencies, 95)):.2f} ms",
-                f"{params['ceiling_ms']:.2f} ms",
-            ],
-            [
-                "adaptive controller",
-                f"{adaptive_p50:.2f} ms",
-                f"{float(np.percentile(adaptive_latencies, 95)):.2f} ms",
-                f"{final_delay:.2f} ms",
-            ],
-        ],
-    )
-    lines = [
-        f"adaptive vs static batching delay — {params['n_requests']} lone "
-        f"requests over the gateway, ceiling {params['ceiling_ms']} ms, "
-        f"{params['gap_s'] * 1000:.0f} ms think time",
-        table,
-        f"p50 reduction: {static_p50 - adaptive_p50:.2f} ms",
-        f"host cores: {os.cpu_count()}",
-    ]
-    report_writer("gateway_adaptive_delay", "\n".join(lines))
-    write_bench_json(
-        "gateway_adaptive_delay",
-        dict(
-            static_p50_ms=static_p50,
-            adaptive_p50_ms=adaptive_p50,
-            final_delay_ms=final_delay,
-        ),
-        ceiling_ms=params["ceiling_ms"],
-        n_requests=params["n_requests"],
-    )
-
-    # Lone requests cannot buy occupancy, so the controller must have
-    # stopped holding; with no timed wait the wire-level median must drop
-    # measurably below the static configuration's.
-    assert final_delay < params["ceiling_ms"]
-    if not smoke_mode():
-        assert adaptive_p50 < static_p50, (
-            f"adaptive p50 {adaptive_p50:.2f} ms vs static {static_p50:.2f} ms"
         )

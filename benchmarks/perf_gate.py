@@ -56,7 +56,6 @@ HEADLINES: Dict[str, Tuple[str, str]] = {
     "training_hotpath": ("speedup", "higher"),
     "serving_throughput": ("speedup", "higher"),
     "gateway_throughput": ("gateway_users_per_s", "higher"),
-    "gateway_adaptive_delay": ("adaptive_p50_ms", "lower"),
     "request_batching": ("batched_users_per_s", "higher"),
     "cluster_serving": ("cluster_users_per_s", "higher"),
     "incremental_refit": ("speedup", "higher"),

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.serving.results import TopNResult
+from repro.utils.validation import check_non_negative_float
 
 #: Default tenant for requests that do not name one.  Tenancy only matters
 #: under gateway backpressure, where the weighted fair queue arbitrates
@@ -56,10 +57,22 @@ _REQUEST_FIELDS = (
 
 
 def _as_int_tuple(values, name: str) -> Tuple[int, ...]:
+    # A string would iterate as its characters: "17" is not users (1, 7).
+    if isinstance(values, (str, bytes)):
+        raise ConfigurationError(f"{name} must be a sequence of integers, got a string")
     try:
-        return tuple(int(value) for value in values)
-    except (TypeError, ValueError) as error:
+        values = tuple(values)
+        ints = tuple(map(int, values))  # inf overflows, NaN is a ValueError
+    except (TypeError, ValueError, OverflowError) as error:
         raise ConfigurationError(f"{name} must be a sequence of integers") from error
+    # Tuples that compare equal hold whole numbers only; in the others "2"
+    # may stand for 2, but 1.7 not for 1.
+    if ints != values and any(
+        isinstance(value, (float, np.floating)) and value != number
+        for value, number in zip(values, ints)
+    ):
+        raise ConfigurationError(f"{name} must be a sequence of integers")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -122,13 +135,9 @@ class RecommendRequest:
             raise ConfigurationError(f"n_sweeps must be a positive integer, got {self.n_sweeps!r}")
         object.__setattr__(self, "exclude_seen", bool(self.exclude_seen))
         object.__setattr__(self, "with_scores", bool(self.with_scores))
-        try:
-            tolerance = float(self.tolerance)
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError("tolerance must be a number") from error
-        if tolerance < 0:
-            raise ConfigurationError(f"tolerance must be non-negative, got {tolerance}")
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(
+            self, "tolerance", check_non_negative_float(self.tolerance, "tolerance")
+        )
         if not isinstance(self.tenant, str) or not self.tenant:
             raise ConfigurationError("tenant must be a non-empty string")
 

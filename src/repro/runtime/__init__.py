@@ -9,11 +9,10 @@ entrypoint is :meth:`~RecommenderRuntime.recommend`, which takes a
 :class:`~repro.api.RecommendResponse`; see :mod:`repro.runtime.service`.
 
 :class:`BatchingFrontEnd` sits in front of a runtime and coalesces many
-small concurrent requests into micro-batches under a latency bound —
-static, or re-tuned live by an :class:`AdaptiveDelayController` against a
-queue-latency SLO — serving each batch against one pinned model version
-(:class:`ServingSession`); see :mod:`repro.runtime.batching` and
-:mod:`repro.runtime.adaptive`.
+small concurrent requests into micro-batches — whatever queued while the
+dispatcher was busy, or what gathers during a fixed hold — serving each
+batch against one pinned model version (:class:`ServingSession`); see
+:mod:`repro.runtime.batching`.
 
 :class:`ServingGateway` (with its :class:`GatewayThread` host and
 :class:`GatewayClient` counterpart) puts an asyncio socket front door on
@@ -24,7 +23,6 @@ dataclasses, with per-tenant weighted fair queueing
 """
 
 from repro.api import RecommendRequest, RecommendResponse
-from repro.runtime.adaptive import AdaptiveDelayController
 from repro.runtime.batching import BatchingFrontEnd, BatchingStats
 from repro.runtime.fairness import WeightedFairQueue
 from repro.runtime.gateway import (
@@ -41,7 +39,6 @@ from repro.runtime.service import (
 )
 
 __all__ = [
-    "AdaptiveDelayController",
     "IngestStats",
     "BatchingFrontEnd",
     "BatchingStats",

@@ -15,8 +15,8 @@ so under high request concurrency that per-call overhead — not the scoring
   :class:`~concurrent.futures.Future` immediately; a dispatcher thread
   (:class:`~repro.parallel.executor.DispatcherThread`) holds the queue open
   until ``max_batch_users`` rows have gathered or the *oldest* request has
-  waited the current accumulation delay — whichever comes first, so a lone
-  request is never held past the latency bound;
+  waited the hold — whichever comes first, so a lone request is never held
+  past it;
 * **merge** — the sealed batch is grouped by
   :attr:`~repro.api.RecommendRequest.options` (known-user top-N vs fold-in
   cold-start, and by serving options), each group's rows are flattened by
@@ -29,14 +29,12 @@ so under high request concurrency that per-call overhead — not the scoring
   per request (:func:`~repro.serving.batch.scatter_results`) and delivered
   through the futures as :class:`~repro.api.RecommendResponse` objects.
 
-The accumulation delay is either the static ``max_delay_ms`` — an
-operator's promise to hold, always kept — or, with an
-:class:`~repro.runtime.adaptive.AdaptiveDelayController` attached, its
-``hold_ms``: the live delay while ``arrival rate x delay`` promises
-``min_companions``, and ``0`` otherwise — waiting buys no occupancy, so the
-request is sealed at once, without a timed wait, whether it met an idle
-dispatcher or arrived while the previous batch was being served.  A lone
-``submit_request(r).result()`` then costs ``runtime.recommend(r)`` plus the
+There is one sealing rule with one number in it, the hold: ``max_delay_ms``
+— an operator's promise to hold, always kept — or ``0`` with
+``adaptive=True``: seal whatever is queued the moment the dispatcher is
+free.  With no hold, occupancy follows load through the queue — a batch is
+what arrived while the previous one was being served — and a lone
+``submit_request(r).result()`` costs ``runtime.recommend(r)`` plus the
 hand-off to the dispatcher thread and back.
 
 Generation safety: every batch is sealed against one
@@ -57,17 +55,17 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError
 from repro.parallel.executor import DispatcherThread
-from repro.runtime.adaptive import AdaptiveDelayController, SlidingWindow
 from repro.serving.batch import merge_request_lists, scatter_results
 from repro.utils.validation import check_non_negative_float, check_positive_int
 
@@ -98,9 +96,8 @@ class BatchingStats:
         Percentiles of request queue latency (submission to dispatch) over
         the recent-request window, in milliseconds.
     current_delay_ms:
-        The accumulation delay batches are currently held open for — the
-        static ``max_delay_ms``, or the adaptive controller's hold (``0``
-        while it expects no company).
+        The accumulation delay batches are held open for — ``max_delay_ms``,
+        or ``0`` with ``adaptive=True``.
     pending_requests:
         Requests queued at snapshot time (not yet sealed into a batch).
     arrival_rate_rps:
@@ -135,11 +132,25 @@ class _Pending:
         self.enqueued = time.monotonic()
 
 
-#: Queue-latency samples retained for the windowed stats.
+#: Queue-latency samples and arrival stamps retained for the windowed stats.
 _LATENCY_WINDOW = 4096
 
 #: Sliding window (seconds) for the arrival-rate estimate in :meth:`stats`.
 _RATE_WINDOW_S = 2.0
+
+
+def _arrival_rate(stamps: Sequence[float], now: float) -> float:
+    """Arrivals per second over the ``_RATE_WINDOW_S`` seconds before ``now``.
+
+    ``stamps`` are the newest ``_LATENCY_WINDOW`` arrival times, oldest
+    first.  When every one of them is inside the window, older arrivals may
+    have been pushed out, so the rate is taken over the span the kept ones
+    cover instead of the whole window.
+    """
+    recent = len(stamps) - bisect_right(stamps, now - _RATE_WINDOW_S)
+    if recent == _LATENCY_WINDOW:
+        return recent / max(now - stamps[0], 1e-9)
+    return recent / _RATE_WINDOW_S
 
 
 class BatchingFrontEnd:
@@ -152,19 +163,21 @@ class BatchingFrontEnd:
         (borrowed — never closed by the front-end).  It must have a
         published model version by the time requests are dispatched.
     max_delay_ms:
-        Latency bound: the longest a sealed batch's *oldest* request is held
-        waiting for company.  ``0`` dispatches every poll immediately
-        (batching then only coalesces requests that were already queued
-        together).  With an adaptive controller this is the delay's
-        *ceiling*; the hold in force is below it, or ``0``.
+        The hold: how long a batch's *oldest* request waits for company
+        before the batch is sealed.  ``0`` seals whatever is queued the
+        moment the dispatcher is free (batching then coalesces the requests
+        that arrived while the previous batch was being served).
     max_batch_users:
         Size cap: a batch is sealed as soon as this many merged rows have
         gathered.  A single request larger than the cap is dispatched alone
         (requests are never split).
     adaptive:
-        ``True`` to attach an :class:`AdaptiveDelayController` whose ceiling
-        is ``max_delay_ms``, or a pre-built controller instance (its own
-        ceiling then governs), or ``None``/``False`` for the static delay.
+        ``True`` is the same policy as ``max_delay_ms=0``, whatever
+        ``max_delay_ms`` says; ``None``/``False`` holds for ``max_delay_ms``.
+        The flag survives only because the frozen end-to-end benchmark
+        builds ``BatchingFrontEnd(runtime, max_delay_ms=5.0,
+        max_batch_users=256, adaptive=True)`` and must keep getting no hold
+        from exactly those arguments.
 
     Use as a context manager; :meth:`close` drains pending requests::
 
@@ -185,22 +198,9 @@ class BatchingFrontEnd:
     ) -> None:
         self.max_delay_ms = check_non_negative_float(max_delay_ms, "max_delay_ms")
         self.max_batch_users = check_positive_int(max_batch_users, "max_batch_users")
-        if adaptive is None or adaptive is False:
-            self._controller: Optional[AdaptiveDelayController] = None
-        elif adaptive is True:
-            # The static bound becomes the adaptive ceiling; the floor stays
-            # at the controller default unless the ceiling is below it.
-            controller = AdaptiveDelayController(
-                floor_ms=min(0.5, max(max_delay_ms, 1e-3)),
-                ceiling_ms=max(max_delay_ms, 1e-3),
-            )
-            self._controller = controller
-        elif isinstance(adaptive, AdaptiveDelayController):
-            self._controller = adaptive
-        else:
-            raise ConfigurationError(
-                "adaptive must be True, an AdaptiveDelayController, or None"
-            )
+        if adaptive is not None and not isinstance(adaptive, bool):
+            raise ConfigurationError("adaptive must be True, False or None")
+        self._delay_ms = 0.0 if adaptive else self.max_delay_ms
         self._runtime = runtime
         self._cond = threading.Condition()
         self._pending: Deque[_Pending] = deque()
@@ -211,8 +211,7 @@ class BatchingFrontEnd:
         self._requests = 0
         self._rows = 0
         self._queue_seconds: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        # Arrivals are recorded once: by the controller when there is one.
-        self._arrivals = SlidingWindow(_RATE_WINDOW_S)
+        self._arrivals: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Assign before starting: the loop's first step may run before
         # start() returns and reads self._dispatcher.
         self._dispatcher = DispatcherThread(
@@ -232,11 +231,6 @@ class BatchingFrontEnd:
         return self._runtime
 
     @property
-    def controller(self) -> Optional[AdaptiveDelayController]:
-        """The attached adaptive delay controller, if any."""
-        return self._controller
-
-    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run."""
         return self._closed
@@ -249,10 +243,8 @@ class BatchingFrontEnd:
 
     @property
     def current_delay_ms(self) -> float:
-        """The accumulation delay batches are held open for right now."""
-        if self._controller is not None:
-            return self._controller.hold_ms
-        return self.max_delay_ms
+        """The accumulation delay batches are held open for."""
+        return self._delay_ms
 
     def stats(self) -> BatchingStats:
         """A consistent snapshot of the front-end's aggregate behaviour."""
@@ -263,9 +255,7 @@ class BatchingFrontEnd:
             rows = self._rows
             waits = list(self._queue_seconds)
             pending = len(self._pending)
-            rate = self._arrivals.rate(now)
-        if self._controller is not None:
-            rate = self._controller.arrival_rate(now)
+            arrivals = list(self._arrivals)
         if waits:
             p50, p95 = np.percentile(waits, [50, 95])
             worst = max(waits)
@@ -282,7 +272,7 @@ class BatchingFrontEnd:
             queue_max_ms=float(worst) * 1000.0,
             current_delay_ms=self.current_delay_ms,
             pending_requests=pending,
-            arrival_rate_rps=rate,
+            arrival_rate_rps=_arrival_rate(arrivals, now),
         )
 
     # ------------------------------------------------------------------ #
@@ -317,11 +307,8 @@ class BatchingFrontEnd:
                 ) from failure
             self._pending.append(pending)
             self._pending_rows += request.n_rows
-            if self._controller is None:
-                self._arrivals.add(pending.enqueued)
+            self._arrivals.append(pending.enqueued)
             self._cond.notify_all()
-        if self._controller is not None:
-            self._controller.observe_arrival(pending.enqueued)
         return future
 
     def recommend(
@@ -357,11 +344,12 @@ class BatchingFrontEnd:
         """Block until a batch is due, then seal and return it.
 
         A batch is due when ``max_batch_users`` merged rows are pending,
-        when the oldest pending request has waited the current accumulation
-        delay (static, or the adaptive hold), or immediately when draining.  Returns
+        when the oldest pending request has waited the hold
+        (:attr:`current_delay_ms`), or immediately when draining.  Returns
         ``[]`` on idle polls so the dispatcher loop stays responsive to stop
         requests.
         """
+        hold = self._delay_ms / 1000.0
         with self._cond:
             while not self._pending:
                 if self._draining or self._dispatcher.stop_requested:
@@ -372,10 +360,7 @@ class BatchingFrontEnd:
                 and not self._dispatcher.stop_requested
                 and self._pending_rows < self.max_batch_users
             ):
-                # Re-read the delay each pass: the adaptive controller may
-                # have re-tuned it since the oldest request arrived.
-                deadline = self._pending[0].enqueued + self.current_delay_ms / 1000.0
-                remaining = deadline - time.monotonic()
+                remaining = self._pending[0].enqueued + hold - time.monotonic()
                 if remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
@@ -414,8 +399,6 @@ class BatchingFrontEnd:
             self._requests += len(batch)
             self._rows += batch_rows
             self._queue_seconds.extend(waits)
-        if self._controller is not None:
-            self._controller.observe_batch(dispatch_start, waits)
         try:
             session = self._runtime.serving_session()
         except Exception as error:
@@ -447,7 +430,9 @@ class BatchingFrontEnd:
         The whole body — merge, serve, scatter, delivery — is guarded: any
         exception resolves the group's futures instead of escaping into the
         dispatcher loop, where it would kill the thread and strand every
-        other waiter.
+        other waiter.  A request fails only on its own account: when a
+        merged call raises, its requests are served one by one against the
+        same pinned session, so only the offender keeps its error.
         """
         try:
             merged_rows, spans = merge_request_lists(
@@ -476,8 +461,15 @@ class BatchingFrontEnd:
                 )
         except Exception as error:
             for pending in group:
-                if not pending.future.done():
+                if pending.future.done():
+                    continue
+                if len(group) == 1:
                     pending.future.set_exception(error)
+                else:
+                    self._serve_group(
+                        session, [pending], batch_id, batch_requests, batch_users,
+                        dispatch_start,
+                    )
 
     def _fail_pending(self, cause: BaseException) -> None:
         """Resolve every queued future after the dispatcher loop died.

@@ -58,7 +58,7 @@ from concurrent.futures import Future
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api import RecommendRequest, RecommendResponse
-from repro.exceptions import ConfigurationError, NotFittedError, ReproError
+from repro.exceptions import ConfigurationError, DataError, NotFittedError, ReproError
 from repro.runtime.fairness import WeightedFairQueue
 from repro.utils.validation import check_positive_int
 
@@ -468,8 +468,10 @@ class ServingGateway:
             raise  # disconnect / shutdown: nobody left to answer
         except NotFittedError as error:
             await self._send_error(writer, write_lock, rid, "not-fitted", str(error))
-        except ConfigurationError as error:
-            # A closed front-end refuses valid requests too: lifecycle, not client.
+        except (ConfigurationError, DataError) as error:
+            # The runtime refused the request's own rows (an id past the corpus
+            # or the catalogue).  A closed front-end refuses valid requests
+            # too: lifecycle, not client.
             code = "closing" if self._front.closed else "bad-request"
             await self._send_error(writer, write_lock, rid, code, str(error))
         except Exception as error:  # noqa: BLE001 - the connection must survive

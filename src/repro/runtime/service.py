@@ -777,6 +777,8 @@ class RecommenderRuntime:
                 "serving post-ingest users requires the runtime's stored "
                 "InteractionMatrix corpus"
             )
+        if users.max() >= matrix.n_users:
+            raise ConfigurationError(f"user indices must lie in [0, {matrix.n_users})")
         catalogue = engine.n_items
         interactions = [
             [int(item) for item in matrix.items_of_user(user) if item < catalogue]

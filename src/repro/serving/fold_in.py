@@ -62,7 +62,13 @@ def _interactions_to_csr(
         cols: list[int] = []
         item_lists = list(interactions)
         for row, items in enumerate(item_lists):
-            for item in np.asarray(items, dtype=np.int64).ravel():
+            try:
+                columns = np.asarray(items, dtype=np.int64).ravel()
+            except OverflowError as error:  # an index no int64 holds
+                raise DataError(
+                    f"interaction {entity} index out of range [0, {n_items})"
+                ) from error
+            for item in columns:
                 item = int(item)
                 if not 0 <= item < n_items:
                     raise DataError(

@@ -7,6 +7,7 @@ the estimators small and their error messages consistent.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -38,7 +39,7 @@ def check_non_negative_float(value: Any, name: str) -> float:
         result = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name} must be a non-negative number, got {value!r}") from exc
-    if not np.isfinite(result) or result < 0:
+    if not math.isfinite(result) or result < 0:
         raise ConfigurationError(f"{name} must be a non-negative number, got {value!r}")
     return result
 

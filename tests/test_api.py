@@ -60,6 +60,17 @@ class TestRecommendRequest:
             RecommendRequest(users=(1,), tolerance=-1.0)
         with pytest.raises(ConfigurationError):
             RecommendRequest(users=(1,), tenant="")
+        # Malformed ids are refused, not reinterpreted: "17" is not users
+        # (1, 7), 1.7 is not user 1, and 1e999 is a typed error like the rest.
+        for users in ("17", b"17", [1.7], [np.float32(2.5)], [1e999], [float("nan")]):
+            with pytest.raises(ConfigurationError, match="sequence of integers"):
+                RecommendRequest(users=users)
+        for interactions in ("17", ["17"], [[1.7]], [[float("-inf")]]):
+            with pytest.raises(ConfigurationError):
+                RecommendRequest(interactions=interactions)
+        for tolerance in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="tolerance"):
+                RecommendRequest(users=(1,), tolerance=tolerance)
 
     def test_request_is_hashable_and_frozen(self):
         request = RecommendRequest(users=(1, 2))
@@ -205,6 +216,12 @@ class TestRuntimeDispatcher:
     def test_rejects_non_request(self, runtime):
         with pytest.raises(ConfigurationError, match="RecommendRequest"):
             runtime.recommend([0, 1, 2])
+
+    @pytest.mark.parametrize("users", [(100,), (3, 100), (-1,), (-1, 100), (2**40,)])
+    def test_user_outside_the_corpus_is_a_configuration_error(self, runtime, users):
+        # One typed error with one wording on both sides of the corpus.
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 100\)"):
+            runtime.recommend(RecommendRequest(users=users))
 
     def test_default_tenant_constant(self):
         assert RecommendRequest(users=(1,)).tenant == DEFAULT_TENANT

@@ -14,8 +14,9 @@ import pytest
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.runtime import BatchingFrontEnd, BatchingStats, RecommenderRuntime
+from repro.runtime.batching import _arrival_rate
 from repro.serving.batch import merge_request_lists, scatter_results
 
 #: Generous wall-clock bound for any future in this suite: far above every
@@ -374,6 +375,34 @@ class TestLifecycle:
             ).result(timeout=RESULT_TIMEOUT)
             assert np.array_equal(again.rankings[0], expected)
 
+    @pytest.mark.parametrize(
+        "good, bad, error",
+        [
+            (dict(users=(3,)), dict(users=(-151,)), ConfigurationError),
+            (dict(users=(3, 4)), dict(users=(150,)), ConfigurationError),
+            (dict(interactions=((2, 9),)), dict(interactions=((9999,),)), DataError),
+        ],
+    )
+    def test_bad_request_fails_alone_in_its_batch(self, runtime, good, bad, error):
+        # Three requests with equal options merge into one runtime call; the
+        # offender's error must not be handed to its batch-mates.
+        good_request = RecommendRequest(n_items=5, tenant="a", **good)
+        expected = runtime.recommend(good_request)
+        with BatchingFrontEnd(runtime, max_delay_ms=200) as front:
+            first = front.submit_request(good_request)
+            offender = front.submit_request(RecommendRequest(n_items=5, tenant="b", **bad))
+            last = front.submit_request(good_request)
+            with pytest.raises(error):
+                offender.result(timeout=RESULT_TIMEOUT)
+            for future in (first, last):
+                response = future.result(timeout=RESULT_TIMEOUT)
+                assert response.generation == expected.generation
+                assert response.batch_requests == 3
+                assert len(response.rankings) == good_request.n_rows
+                for got, want in zip(response.rankings, expected.rankings):
+                    assert np.array_equal(got, want)
+            assert front.stats().batches == 1
+
     def test_queue_seconds_excludes_serving_time(self, runtime):
         # queue_ms is submission-to-dispatch, consistent with the
         # BatchingStats percentiles — bounded by the latency window even
@@ -392,6 +421,9 @@ class TestLifecycle:
             BatchingFrontEnd(runtime, max_batch_users=0)
         with pytest.raises(ConfigurationError):
             BatchingFrontEnd(runtime, adaptive="yes")
+        with pytest.raises(ConfigurationError):
+            # A hand-built delay controller is no longer a way in.
+            BatchingFrontEnd(runtime, adaptive=type("Controller", (), {"delay_ms": 0.0})())
         with BatchingFrontEnd(runtime) as front:
             with pytest.raises(ConfigurationError):
                 front.submit_request([0, 1])  # not a RecommendRequest
@@ -450,6 +482,20 @@ class TestBatchingStats:
             "arrival_rate_rps",
         }
 
+    @pytest.mark.parametrize("rate", [10, 1000, 5000, 50_000])
+    def test_arrival_rate_is_not_capped_by_the_stamp_window(self, rate):
+        # Ten seconds of steady arrivals ending at `now`, of which the
+        # front-end's deque keeps the newest 4096.
+        now = 500.0
+        stamps = [now - i / rate for i in range(10 * rate)][::-1][-4096:]
+        assert _arrival_rate(stamps, now) == pytest.approx(rate, rel=0.01)
+
+    def test_arrival_rate_of_idle_and_stale_traffic_is_zero(self):
+        assert _arrival_rate([], 500.0) == 0.0
+        assert _arrival_rate([1.0, 2.0, 3.0], 500.0) == 0.0
+        # A burst that filled the deque, then silence: all of it has expired.
+        assert _arrival_rate([100.0 + i * 1e-4 for i in range(4096)], 500.0) == 0.0
+
     def test_queue_latency_reflects_accumulation(self, runtime):
         # Two requests submitted together: the first opens the window, both
         # wait ~max_delay_ms (the cap is far away), so p50 >= the bound.
@@ -492,73 +538,33 @@ class TestBatchingStats:
 
 
 # --------------------------------------------------------------------------- #
-# Adaptive delay wired into the front-end
+# One sealing rule: hold for max_delay_ms, or (adaptive=True) not at all
 # --------------------------------------------------------------------------- #
 class TestAdaptiveFrontEnd:
-    def test_adaptive_true_builds_controller(self, runtime):
-        with BatchingFrontEnd(runtime, max_delay_ms=8, adaptive=True) as front:
-            assert front.controller is not None
-            assert front.controller.ceiling_ms == 8.0
-            assert front.current_delay_ms == 8.0
-
     def test_static_front_end_has_no_controller(self, runtime):
         with BatchingFrontEnd(runtime, max_delay_ms=8) as front:
-            assert front.controller is None
             assert front.current_delay_ms == 8.0
 
-    def test_light_load_walks_delay_down(self, runtime):
-        from repro.runtime.adaptive import AdaptiveDelayController
 
-        controller = AdaptiveDelayController(
-            floor_ms=0.25, ceiling_ms=10.0, slo_p95_ms=50.0, adjust_interval_s=0.005
-        )
-        with BatchingFrontEnd(runtime, max_delay_ms=10, adaptive=controller) as front:
-            assert front.controller is controller
-            for i in range(10):
-                front.recommend(
-                    RecommendRequest(users=(i,), n_items=5), timeout=RESULT_TIMEOUT
-                )
-                time.sleep(0.01)
-            # Lone requests cannot buy occupancy: the controller must have
-            # shrunk the delay below the configured ceiling.
-            assert front.current_delay_ms < 10.0
-            assert controller.adjustments > 0
-            assert front.stats().current_delay_ms == front.current_delay_ms
-
-
-# --------------------------------------------------------------------------- #
-# Hold only for company: the adaptive hold is 0 when nobody is expected
-# --------------------------------------------------------------------------- #
 class TestHoldOnlyForCompany:
-    #: The smallest non-zero hold is a quarter second, so a held request is
-    #: unmistakable without any tight timing threshold.
+    #: The static hold is a quarter second, so a held request is unmistakable
+    #: without any tight timing threshold.
     HOLD_MS = 250.0
 
     def _front(self, runtime):
-        from repro.runtime.adaptive import AdaptiveDelayController
-
-        # Company is expected from 8 / 250 ms = 32 arrivals/s on, i.e. once 64
-        # arrivals sit in the 2 s window: never for 20 sequential requests.
-        controller = AdaptiveDelayController(
-            floor_ms=self.HOLD_MS,
-            ceiling_ms=self.HOLD_MS,
-            adjust_interval_s=0.005,
-            min_companions=8.0,
-        )
-        return BatchingFrontEnd(runtime, max_delay_ms=self.HOLD_MS, adaptive=controller)
+        return BatchingFrontEnd(runtime, max_delay_ms=self.HOLD_MS, adaptive=True)
 
     def test_lone_requests_are_sealed_at_once(self, runtime):
         expected = [_topn(runtime, [u], n_items=5)[0] for u in range(20)]
         with self._front(runtime) as front:
+            assert front.current_delay_ms == front.stats().current_delay_ms == 0.0
             responses = [
                 front.recommend(RecommendRequest(users=(u,), n_items=5), timeout=RESULT_TIMEOUT)
                 for u in range(20)
             ]
-            assert front.controller.delay_ms == self.HOLD_MS
             assert front.current_delay_ms == front.stats().current_delay_ms == 0.0
-        # The first request is held (no evidence yet) and closes the first
-        # control period; nobody is expected after it, so nobody waits.
-        assert all(response.queue_ms < 50.0 for response in responses[1:])
+        # Nobody waits, the first request of a fresh front-end included.
+        assert all(response.queue_ms < 50.0 for response in responses)
         assert all(response.batch_requests == 1 for response in responses)
         for response, want in zip(responses, expected):
             assert np.array_equal(response.rankings[0], want)

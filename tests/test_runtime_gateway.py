@@ -24,7 +24,6 @@ from repro.runtime import (
     RecommenderRuntime,
     WeightedFairQueue,
 )
-from repro.runtime.adaptive import AdaptiveDelayController
 
 #: Generous wall-clock bound for any blocking wait in this suite: far above
 #: every configured delay, far below the CI job timeout, so a deadlock fails
@@ -247,6 +246,26 @@ class TestFailureModes:
     def test_invalid_payload_is_bad_request(self, client):
         frame = client.request({"users": [1], "interactions": [[2]]})
         assert frame["error"]["code"] == "bad-request"
+        # Malformed or out-of-range ids are the client's error: never served
+        # as something else, never a server-error.  (120 users, 50 items.)
+        for line in (
+            b'{"users": "17"}',
+            b'{"users": [1.7]}',
+            b'{"users": [1e999]}',
+            b'{"users": [-1]}',
+            b'{"users": [120]}',
+            b'{"users": [3, 36893488147419103232]}',
+            b'{"interactions": "17"}',
+            b'{"interactions": ["17"]}',
+            b'{"interactions": [[9999]]}',
+            b'{"interactions": [[1, 2]], "tolerance": NaN}',
+        ):
+            client._file.write(line + b"\n")
+            client._file.flush()
+            frame = client.recv_frame()
+            assert frame["ok"] is False, line
+            assert frame["error"]["code"] == "bad-request", (line, frame)
+        assert set(client.stats()["gateway"]["errors"]) == {"bad-request"}
 
     def test_client_raises_typed_error(self, client):
         with pytest.raises(GatewayError, match="bad-request") as excinfo:
@@ -327,6 +346,40 @@ class TestFailureModes:
                     stats = c.stats()
                     assert stats["gateway"]["errors"] == {"server-error": 5}
                     assert stats["batching"]["batches"] == 1
+
+    def test_bad_frame_fails_alone_in_a_batch_shared_by_two_tenants(self, runtime):
+        # The size cap seals one batch out of two connections' frames; the
+        # frame with a user past the corpus must not answer for the others.
+        expected = runtime.engine.recommend_batch([3, 4], n_items=4)
+        with BatchingFrontEnd(runtime, max_delay_ms=30_000, max_batch_users=3) as front:
+            with GatewayThread(front) as gw:
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as acme:
+                    with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as mallory:
+                        acme.send_frame(
+                            {"id": "a1", "users": [3], "n_items": 4, "tenant": "acme"}
+                        )
+                        assert _wait_until(lambda: front.pending_requests == 1)
+                        mallory.send_frame(
+                            {"id": "m", "users": [120], "n_items": 4, "tenant": "mallory"}
+                        )
+                        assert _wait_until(lambda: front.pending_requests == 2)
+                        acme.send_frame(
+                            {"id": "a2", "users": [4], "n_items": 4, "tenant": "acme"}
+                        )
+                        bad = mallory.recv_frame()
+                        good = {
+                            frame["id"]: frame
+                            for frame in (acme.recv_frame(), acme.recv_frame())
+                        }
+                        assert acme.stats()["gateway"]["errors"] == {"bad-request": 1}
+        assert bad["id"] == "m" and bad["error"]["code"] == "bad-request"
+        assert "user indices must lie in [0, 120)" in bad["error"]["message"]
+        for rid, want in zip(("a1", "a2"), expected):
+            frame = good[rid]
+            assert frame["ok"] is True and frame["batch_requests"] == 3
+            assert frame["generation"] == runtime.generation
+            assert frame["rankings"] == [list(map(int, want))]
+        assert good["a1"]["batch_id"] == good["a2"]["batch_id"]
 
     def test_disconnect_with_frames_in_the_mailbox_cancels_only_its_own(self, runtime):
         # Hold the mailbox shut: the doomed connection's responses are
@@ -488,20 +541,15 @@ class TestFairnessAndAdaptivity:
                 assert floods_done_at_quiet_end < flood_n - 20
 
     def test_adaptive_delay_drops_under_light_load_through_gateway(self, runtime):
-        controller = AdaptiveDelayController(
-            floor_ms=0.25, ceiling_ms=12.0, slo_p95_ms=50.0, adjust_interval_s=0.005
-        )
-        with BatchingFrontEnd(runtime, max_delay_ms=12, adaptive=controller) as front:
+        # adaptive=True holds nothing, whatever max_delay_ms says: a lone wire
+        # request is sealed at once, the first one included.
+        with BatchingFrontEnd(runtime, max_delay_ms=250, adaptive=True) as front:
             with GatewayThread(front) as gw:
-                host, port = gw.address
-                assert front.current_delay_ms == 12.0
-                with GatewayClient(host, port, timeout=RESULT_TIMEOUT) as c:
-                    for i in range(10):
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                    responses = [
                         c.recommend(RecommendRequest(users=(i,), n_items=3))
-                        time.sleep(0.01)
-                # Lone requests bought no occupancy: the controller walked
-                # the delay down toward its floor.
-                assert front.current_delay_ms < 12.0
-                assert controller.adjustments > 0
-                stats = front.stats()
-                assert stats.current_delay_ms == front.current_delay_ms
+                        for i in range(10)
+                    ]
+                    assert c.stats()["batching"]["current_delay_ms"] == 0.0
+        assert all(response.queue_ms < 50.0 for response in responses)
+        assert all(response.batch_requests == 1 for response in responses)

@@ -199,6 +199,8 @@ class TestFoldIn:
     def test_out_of_range_item_rejected(self, fitted_movielens_model):
         with pytest.raises(DataError):
             fold_in_users(fitted_movielens_model, [[0, 10_000]])
+        with pytest.raises(DataError):  # no int64 holds it: still a typed error
+            fold_in_users(fitted_movielens_model, [[0, 2**70]])
 
     def test_dense_matrix_interactions(self, fitted_movielens_model):
         # A dense 0/1 matrix must be read as a matrix (like the sparse form),
