@@ -1,10 +1,11 @@
 """Machine-readable benchmark reports.
 
-Every ``bench_*.py`` dumps its headline numbers through
-:func:`write_bench_json` next to the human-readable ``results/<name>.txt``
-report.  The JSON files (``results/BENCH_<name>.json``) are uploaded as a CI
-artifact, so the perf trajectory of the repo is a directory of small
-documents instead of numbers buried in pytest logs.
+Every ``bench_*.py`` regenerates a paper table or figure and dumps its
+headline numbers through :func:`write_bench_json` next to the human-readable
+``results/<name>.txt`` report.  The JSON files
+(``results/BENCH_<name>.json``) are uploaded as a CI artifact, so the
+reproduced numbers are a directory of small documents instead of numbers
+buried in pytest logs.
 
 The schema is deliberately flat::
 

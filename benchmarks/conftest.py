@@ -1,11 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper: it runs the
-corresponding experiment once (timed through ``benchmark.pedantic`` with a
-single round, because the experiments themselves take seconds to minutes),
-prints the measured values next to the paper's reported values, and appends
-the same report to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can be
-assembled from the files.
+Every ``bench_*.py`` regenerates one table, figure or ablation of the paper:
+it runs the corresponding experiment once (timed through
+``benchmark.pedantic`` with a single round, because the experiments
+themselves take seconds to minutes), prints the measured values next to the
+paper's reported values, asserts the paper's accuracy and shape claims, and
+appends the same report to ``benchmarks/results/<name>.txt`` so
+EXPERIMENTS.md can be assembled from the files.  None of them gates speed:
+that is the end-to-end benchmark's job (``benchmarks/e2e``,
+``BENCHMARK.json``).
 
 Run with::
 

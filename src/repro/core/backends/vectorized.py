@@ -32,10 +32,10 @@ through the workspace's plan-cached operators (the fit-constant
 place), and the gradient/objective/Armijo arithmetic runs in place.  The
 float64 factors are bit-identical to the pre-rewrite allocating kernel —
 identical operations in identical order, only the storage is reused — which
-the test suite asserts against the preserved legacy replica in
-:mod:`repro.experiments.training_hotpath`.  Under float32 the objective
-reductions now stay in float32 (the old ``np.bincount`` silently
-accumulated in float64), keeping every intermediate in the training dtype.
+``tests/test_training_workspace.py`` asserts against the legacy replica it
+keeps.  Under float32 the objective reductions now stay in float32 (the old
+``np.bincount`` silently accumulated in float64), keeping every
+intermediate in the training dtype.
 
 **Pruned line search — why it is exact.**  The kernel evaluates a candidate
 ``c`` of a row as ``v = fl(fl(pos + unk) + pen)`` with

@@ -2,9 +2,10 @@
 
 Each experiment module exposes a ``run_*`` function returning a plain result
 object and a ``format_*`` function rendering it next to the paper's reported
-numbers.  The ``benchmarks/`` directory wraps these functions in
-pytest-benchmark entries; the modules themselves stay importable from
-examples and tests.
+numbers.  Each ``benchmarks/bench_*.py`` wraps one of these functions in a
+pytest-benchmark entry that checks the paper's accuracy and shape claims;
+the modules themselves stay importable from examples and tests.  Speed is
+measured by the end-to-end benchmark in ``benchmarks/e2e``, not here.
 """
 
 from repro.experiments.zoo import build_model_zoo, MODEL_NAMES
@@ -31,7 +32,6 @@ from repro.experiments.incremental import (
     make_drifting_corpus,
     run_incremental_study,
 )
-from repro.experiments.training_hotpath import run_training_hotpath
 
 __all__ = [
     "build_model_zoo",
@@ -52,5 +52,4 @@ __all__ = [
     "run_deployment_example",
     "make_drifting_corpus",
     "run_incremental_study",
-    "run_training_hotpath",
 ]

@@ -15,7 +15,7 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   :meth:`fit` / :meth:`refit` thread it through the trainer via a borrowed
   :class:`~repro.core.backends.ParallelBackend`, fold-in sweeps run on it,
   and serving shards fan out on it.  Pool start-up is paid once, not once
-  per fit (``benchmarks/bench_runtime.py`` measures the difference);
+  per fit;
 
 * **one publication per model version**: :meth:`publish` pushes the trained
   factor matrices and the CSR seen-mask through the publication protocol
@@ -553,20 +553,22 @@ class RecommenderRuntime:
         choose between a warm and a cold retrain.
         """
         self._check_open()
-        if self.train_matrix is None:
-            raise NotFittedError(
-                "ingest requires a corpus; run runtime.fit(model, matrix) first"
-            )
-        if not isinstance(self.train_matrix, InteractionMatrix):
-            raise ConfigurationError(
-                "ingest requires the stored corpus to be an InteractionMatrix, "
-                f"got {type(self.train_matrix).__name__}"
-            )
         pair_list = [(int(user), int(item)) for user, item in pairs]
-        extended = self.train_matrix.extended_with(
-            pair_list, n_new_users=n_new_users, n_new_items=n_new_items
-        )
+        # Read, extend and replace under one lock: two ingests that both
+        # extended the same old matrix would drop one delta.
         with self._swap_lock:
+            if self.train_matrix is None:
+                raise NotFittedError(
+                    "ingest requires a corpus; run runtime.fit(model, matrix) first"
+                )
+            if not isinstance(self.train_matrix, InteractionMatrix):
+                raise ConfigurationError(
+                    "ingest requires the stored corpus to be an InteractionMatrix, "
+                    f"got {type(self.train_matrix).__name__}"
+                )
+            extended = self.train_matrix.extended_with(
+                pair_list, n_new_users=n_new_users, n_new_items=n_new_items
+            )
             self.train_matrix = extended
         return IngestStats(
             n_pairs=len(pair_list),

@@ -3,6 +3,9 @@ and the runtime's ingest → fold-in-now → warm-refit lifecycle."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,40 @@ def _model(**overrides):
     )
     settings.update(overrides)
     return OCuLaR(**settings)
+
+
+def _ingest_from_threads(runtime, base, n_threads=8, n_rounds=20, **new_rows):
+    """``n_threads`` clients each ingest ``n_rounds`` one-pair deltas at once.
+
+    Every pair is absent from ``base``, so each ingest adds one positive.  A
+    tiny switch interval makes racing interleavings near-certain.  Returns
+    the stats of every ingest.
+    """
+    absent = np.argwhere(base.csr().toarray() == 0)[: n_threads * n_rounds]
+    stats: list = []
+    errors: list = []
+
+    def client(thread: int) -> None:
+        try:
+            for index in range(thread * n_rounds, (thread + 1) * n_rounds):
+                stats.append(runtime.ingest([tuple(absent[index])], **new_rows))
+        except Exception as exc:  # pragma: no cover - failure mode
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(stats) == n_threads * n_rounds
+    return stats
 
 
 # --------------------------------------------------------------------------- #
@@ -134,6 +171,34 @@ class TestRuntimeIngest:
             second = runtime.ingest(old_shape_pairs[half:])
             assert second.drift >= first.drift
             assert runtime.drift == second.drift
+
+    @pytest.mark.parametrize("grows", ["users", "items", "nothing"])
+    def test_concurrent_ingests_keep_every_delta(self, corpus, grows):
+        # Each ingest reads, extends and replaces the stored corpus; two
+        # ingests that extend the same old matrix lose whichever delta is
+        # replaced first.
+        base = corpus.base
+        new_rows = {"users": dict(n_new_users=1), "items": dict(n_new_items=1)}
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), base)
+            stats = _ingest_from_threads(runtime, base, **new_rows.get(grows, {}))
+            grown = runtime.train_matrix
+        n_ingests = len(stats)
+        assert grown.nnz == base.nnz + n_ingests
+        assert grown.n_users == base.n_users + (n_ingests if grows == "users" else 0)
+        assert grown.n_items == base.n_items + (n_ingests if grows == "items" else 0)
+
+    def test_concurrent_ingest_stats_form_one_serial_history(self, corpus):
+        # Every returned IngestStats describes the corpus its own ingest left
+        # behind: one step each of a single serial history, none repeated.
+        base = corpus.base
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), base)
+            stats = _ingest_from_threads(runtime, base, n_new_users=1)
+        steps = sorted(s.nnz - base.nnz for s in stats)
+        assert steps == list(range(1, len(stats) + 1))
+        assert all(s.n_users - base.n_users == s.nnz - base.nnz for s in stats)
+        assert all(s.n_items == base.n_items for s in stats)
 
     def test_ingest_requires_fit(self):
         with RecommenderRuntime(executor="serial") as runtime:

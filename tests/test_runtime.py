@@ -120,6 +120,25 @@ print("done")
                 reference.factors_.item_factors, warm.factors_.item_factors
             )
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_pool_that_served_fits_fits_identically(
+        self, corpus, fitted_reference, executor
+    ):
+        # A pool that has already served fits (and dropped their plans)
+        # computes exactly what a fresh one does, objective history included.
+        reference, _engine = fitted_reference
+        with RecommenderRuntime(executor=executor, max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.fit(_model(random_state=1), corpus)
+            again = runtime.fit(_model(), corpus)
+        assert np.array_equal(
+            reference.factors_.user_factors, again.factors_.user_factors
+        )
+        assert np.array_equal(
+            reference.factors_.item_factors, again.factors_.item_factors
+        )
+        assert again.history_.objective_values == reference.history_.objective_values
+
     def test_refit_uses_stored_matrix(self, corpus):
         with RecommenderRuntime(executor="serial") as runtime:
             with pytest.raises(NotFittedError):

@@ -607,3 +607,62 @@ class TestHoldOnlyForCompany:
         assert {response.batch_requests for response in merged} == {6}
         assert len({response.batch_id for response in merged}) == 1
         assert merged[0].queue_ms >= 200.0
+
+
+# --------------------------------------------------------------------------- #
+# Many client threads, many rows per request
+# --------------------------------------------------------------------------- #
+class TestConcurrentMultiRowRequests:
+    N_CLIENTS, N_ROUNDS = 4, 6
+
+    def _request(self, kind, index, rows_per_request):
+        if kind == "known":
+            users = tuple(
+                (index * rows_per_request + row) % 150 for row in range(rows_per_request)
+            )
+            return RecommendRequest(users=users, n_items=5)
+        interactions = tuple(
+            tuple((7 * index + 3 * row + step) % 60 for step in range(3))
+            for row in range(rows_per_request)
+        )
+        return RecommendRequest(interactions=interactions, n_items=5, n_sweeps=5)
+
+    @pytest.mark.parametrize("rows_per_request", [2, 4])
+    @pytest.mark.parametrize("kind", ["known", "cold"])
+    def test_requests_coalesce_and_rank_as_unbatched(
+        self, runtime, kind, rows_per_request
+    ):
+        n_requests = self.N_CLIENTS * self.N_ROUNDS
+        requests = [
+            self._request(kind, index, rows_per_request) for index in range(n_requests)
+        ]
+        expected = [runtime.recommend(request).rankings for request in requests]
+        mismatches: list = []
+        before = runtime.serving_calls
+        with BatchingFrontEnd(runtime, max_delay_ms=20, max_batch_users=512) as front:
+
+            def client(first: int) -> None:
+                for index in range(first, n_requests, self.N_CLIENTS):
+                    response = front.recommend(requests[index], timeout=RESULT_TIMEOUT)
+                    got = response.rankings
+                    if len(got) != rows_per_request or not all(
+                        np.array_equal(have, want)
+                        for have, want in zip(got, expected[index])
+                    ):
+                        mismatches.append(index)
+
+            threads = [
+                threading.Thread(target=client, args=(c,)) for c in range(self.N_CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=RESULT_TIMEOUT)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = front.stats()
+        assert not mismatches
+        assert stats.requests == n_requests
+        # Coalescing is real: fewer dispatches than requests, and a batch
+        # carries more rows than any one request brings.
+        assert runtime.serving_calls - before < n_requests
+        assert stats.mean_occupancy > rows_per_request

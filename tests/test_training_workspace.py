@@ -4,8 +4,8 @@ Four contracts of the zero-allocation training rewrite:
 
 * **Bit-exactness** — the pooled kernels produce float64 factors
   ``np.array_equal`` to the pre-rewrite allocating kernel (frozen verbatim
-  as ``experiments.training_hotpath._LegacySweepBackend``) at every shard
-  count, under every executor, weighted and unweighted.
+  below as ``_LegacySweepBackend``) at every shard count, under every
+  executor, weighted and unweighted.
 * **Zero allocations after warm-up** — repeated sweeps through one plan
   reuse their arenas; the store counters are the witness.
 * **Lifecycle** — workspaces live exactly as long as their plan: reused
@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from repro.core.backends import (
     VectorizedBackend,
     workspace_cache_size,
 )
-from repro.core.backends.plan import SweepSide
+from repro.core.backends.base import Backend
+from repro.core.backends.plan import SweepPlan, SweepSide
 from repro.core.backends.workspace import (
     WORKSPACE_CACHE_ENV,
     csr_matmul_into,
@@ -44,13 +46,13 @@ from repro.core.objective import (
     affinity_block_entries,
     gradient_ratio,
     gradient_ratio_into,
+    relative_user_weights,
     safe_log1mexp,
     safe_log1mexp_into,
 )
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
 from repro.exceptions import ConfigurationError
-from repro.experiments.training_hotpath import _LegacySweepBackend
 
 
 def _random_problem(seed, n_rows=23, n_cols=14, k=4, density=0.3):
@@ -64,6 +66,167 @@ def _random_problem(seed, n_rows=23, n_cols=14, k=4, density=0.3):
     col_factors = rng.uniform(0.05, 0.9, size=(n_cols, k))
     row_weights = rng.uniform(0.5, 2.5, n_rows)
     return matrix, row_factors, col_factors, row_weights
+
+
+# --------------------------------------------------------------------------- #
+# The frozen legacy kernel
+# --------------------------------------------------------------------------- #
+class _LegacySweepBackend(Backend):
+    """The pre-rewrite vectorized sweep kernel, kept verbatim as the baseline.
+
+    Per sweep: fancy-index ``(nnz, k)`` gathers for the affinity pass, two
+    ``sp.csr_matrix`` constructions (validation included — one of them, the
+    positives operator, has data that never changes during a fit), fresh
+    nnz-sized temporaries for ratios and log terms, a float64
+    ``np.bincount`` reduction, and per-backtrack ``np.arange``/``np.repeat``
+    entry-position machinery in ``_candidate_objectives``.  This is what
+    :class:`~repro.core.backends.vectorized.VectorizedBackend` shipped
+    before the workspace rewrite; the tests below pin the rewrite against
+    it on the same bytes.
+    """
+
+    name = "legacy-vectorized"
+
+    def _sweep_rows(
+        self,
+        plan: SweepSide,
+        row_factors: np.ndarray,
+        col_factors: np.ndarray,
+        regularization: float,
+        sigma: float,
+        beta: float,
+        max_backtracks: int,
+        start: int,
+        stop: int,
+        total_col_sum: np.ndarray,
+    ) -> Tuple[np.ndarray, SweepStats]:
+        indptr = plan.matrix.indptr
+        first, last = int(indptr[start]), int(indptr[stop])
+        n_local = stop - start
+        local_factors = row_factors[start:stop]
+
+        entry_rows = plan.row_index[first:last] - start
+        entry_cols = plan.matrix.indices[first:last]
+        entry_weights = (
+            None if plan.entry_weights is None else plan.entry_weights[first:last]
+        )
+        local_indptr = indptr[start : stop + 1] - first
+        local_shape = (n_local, plan.n_cols)
+
+        affinities = np.einsum(
+            "ij,ij->i", local_factors[entry_rows], col_factors[entry_cols]
+        )
+        ratios = gradient_ratio(affinities)
+        if entry_weights is not None:
+            ratios = ratios * entry_weights
+        scatter = sp.csr_matrix((ratios, entry_cols, local_indptr), shape=local_shape)
+        gradient_positive = scatter @ col_factors
+
+        positives = sp.csr_matrix(
+            (plan.matrix.data[first:last], entry_cols, local_indptr), shape=local_shape
+        )
+        positive_sums = positives @ col_factors
+        unknown_sums = total_col_sum[np.newaxis, :] - positive_sums
+
+        gradients = (
+            -gradient_positive + unknown_sums + 2.0 * regularization * local_factors
+        )
+
+        log_terms = safe_log1mexp(affinities)
+        if entry_weights is not None:
+            log_terms = log_terms * entry_weights
+        positive_part = -np.bincount(entry_rows, weights=log_terms, minlength=n_local)
+        unknown_part = np.einsum("ij,ij->i", local_factors, unknown_sums)
+        penalty = regularization * np.einsum("ij,ij->i", local_factors, local_factors)
+        current_values = positive_part + unknown_part + penalty
+
+        new_factors = local_factors.copy()
+        step_sizes = np.ones(n_local, dtype=row_factors.dtype)
+        active = np.ones(n_local, dtype=bool)
+        n_backtracks = 0
+
+        for _ in range(max_backtracks + 1):
+            if not active.any():
+                break
+            active_rows = np.flatnonzero(active)
+            candidates = np.maximum(
+                0.0,
+                local_factors[active_rows]
+                - step_sizes[active_rows, np.newaxis] * gradients[active_rows],
+            )
+            candidate_values = self._candidate_objectives(
+                plan,
+                candidates,
+                active_rows,
+                start,
+                col_factors,
+                unknown_sums,
+                regularization,
+            )
+            differences = candidates - local_factors[active_rows]
+            armijo_rhs = sigma * np.einsum(
+                "ij,ij->i", gradients[active_rows], differences
+            )
+            accepted = (candidate_values - current_values[active_rows]) <= armijo_rhs
+
+            accepted_rows = active_rows[accepted]
+            new_factors[accepted_rows] = candidates[accepted]
+            active[accepted_rows] = False
+            n_backtracks += int(np.count_nonzero(~accepted))
+            step_sizes[active] *= beta
+
+        n_accepted = int(n_local - np.count_nonzero(active))
+        stats = SweepStats(
+            n_rows=n_local, n_accepted=n_accepted, n_backtracks=n_backtracks
+        )
+        return new_factors, stats
+
+    @staticmethod
+    def _candidate_objectives(
+        plan: SweepSide,
+        candidate_factors: np.ndarray,
+        active_rows: np.ndarray,
+        start: int,
+        col_factors: np.ndarray,
+        unknown_sums: np.ndarray,
+        regularization: float,
+    ) -> np.ndarray:
+        n_active = len(active_rows)
+        indptr, indices = plan.matrix.indptr, plan.matrix.indices
+        global_rows = active_rows + start
+        counts = (indptr[global_rows + 1] - indptr[global_rows]).astype(np.int64)
+        total_entries = int(counts.sum())
+
+        if total_entries:
+            starts = indptr[global_rows].astype(np.int64)
+            offsets = np.arange(total_entries) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            entry_positions = np.repeat(starts, counts) + offsets
+            rows_entries = np.repeat(np.arange(n_active), counts)
+            cols_entries = indices[entry_positions]
+
+            affinities = np.einsum(
+                "ij,ij->i",
+                candidate_factors[rows_entries],
+                col_factors[cols_entries],
+            )
+            log_terms = safe_log1mexp(affinities)
+            if plan.entry_weights is not None:
+                log_terms = log_terms * plan.entry_weights[entry_positions]
+            positive_part = -np.bincount(
+                rows_entries, weights=log_terms, minlength=n_active
+            )
+        else:
+            positive_part = np.zeros(n_active)
+
+        unknown_part = np.einsum(
+            "ij,ij->i", candidate_factors, unknown_sums[active_rows]
+        )
+        penalty = regularization * np.einsum(
+            "ij,ij->i", candidate_factors, candidate_factors
+        )
+        return positive_part + unknown_part + penalty
 
 
 # --------------------------------------------------------------------------- #
@@ -159,6 +322,89 @@ class TestLegacyParity:
 
 
 # --------------------------------------------------------------------------- #
+# The trainer's inner loop on its own plan, against the frozen legacy kernel
+# --------------------------------------------------------------------------- #
+def _trainer_problem(seed=7, n_users=120, n_items=50, k=8, density=0.1):
+    """A corpus with empty users plus the random start factors of a fit."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_users, n_items)) < density).astype(float)
+    dense[:3] = 0.0
+    matrix = sp.csr_matrix(dense)
+    users = rng.random((n_users, k)) * 0.5
+    items = rng.random((n_items, k)) * 0.5
+    return matrix, users, items
+
+
+def _trainer_plan(matrix, weighted, dtype=np.float64):
+    weights = relative_user_weights(matrix) if weighted else None
+    return SweepPlan.build(matrix, user_weights=weights, dtype=dtype)
+
+
+def _alternating_passes(backend, plan, users, items, n_passes, regularization=0.05):
+    """Item sweep then user sweep, ``n_passes`` times; every state and stat."""
+    states, stats = [], []
+    for _ in range(n_passes):
+        items, item_stats = backend.sweep(
+            None, items, users, regularization, plan=plan.item_side
+        )
+        users, user_stats = backend.sweep(
+            None, users, items, regularization, plan=plan.user_side
+        )
+        states += [items, users]
+        stats += [item_stats, user_stats]
+    return states, stats
+
+
+class TestLegacyTrajectory:
+    """Alternating item/user sweeps on a :class:`SweepPlan` — R-OCuLaR
+    weights on both sides, the item side's varying per entry — stay
+    bit-exact to the legacy kernel at every step, under every executor."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_alternating_trajectory_matches_legacy(self, executor, weighted):
+        if executor == "process" and not os.path.isdir("/dev/shm"):
+            pytest.skip("requires a /dev/shm mount")
+        matrix, users, items = _trainer_problem()
+        legacy, legacy_stats = _alternating_passes(
+            _LegacySweepBackend(), _trainer_plan(matrix, weighted), users, items, 3
+        )
+        plan = _trainer_plan(matrix, weighted)
+        if executor == "serial":
+            got, got_stats = _alternating_passes(
+                VectorizedBackend(), plan, users, items, 3
+            )
+        else:
+            with ParallelBackend(n_workers=2, n_shards=3, executor=executor) as backend:
+                got, got_stats = _alternating_passes(backend, plan, users, items, 3)
+        assert len(got) == len(legacy) == 6
+        for want, have in zip(legacy, got):
+            assert have.dtype == np.float64
+            assert np.array_equal(want, have)
+        assert got_stats == legacy_stats  # workspace fields excluded
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_warm_trajectory_builds_no_workspace(self, dtype, weighted):
+        matrix, users, items = _trainer_problem(seed=8)
+        plan = _trainer_plan(matrix, weighted, dtype=dtype)
+        users, items = users.astype(dtype), items.astype(dtype)
+        sides = (plan.item_side, plan.user_side)
+        backend = VectorizedBackend()
+        _alternating_passes(backend, plan, users, items, 1)
+        warm = [side.workspaces.stats() for side in sides]
+        assert [stats.allocations for stats in warm] == [1, 1]
+
+        states, _ = _alternating_passes(backend, plan, users, items, 3)
+        assert all(state.dtype == dtype for state in states)
+        for before, side in zip(warm, sides):
+            after = side.workspaces.stats()
+            assert after.allocations == before.allocations
+            assert after.reuses == before.reuses + 3
+            assert after.outstanding == 0
+
+
+# --------------------------------------------------------------------------- #
 # Pruned line search and blocked gathers on a heavy-backtrack problem
 # --------------------------------------------------------------------------- #
 def _heavy_backtrack_problem(seed=0, n_rows=40, n_cols=150, k=50):
@@ -236,26 +482,41 @@ class TestPrunedLineSearch:
         # Pruning is row-local too: shards skip exactly the serial sweep's rows.
         assert stats.n_evaluated_rows == serial_stats.n_evaluated_rows
 
-    def test_multi_sweep_trajectory_and_evaluation_count_repeat(self):
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_multi_sweep_trajectory_and_evaluation_count_repeat(self, alternating):
+        # ``alternating`` is the trainer's inner loop: each pass sweeps the
+        # columns against the current rows, then the rows against the fresh
+        # columns, so a one-ulp divergence on either side would compound.
         matrix, row_factors, col_factors, _ = _heavy_backtrack_problem(2)
-        plan_l, plan_p = SweepSide.build(matrix), SweepSide.build(matrix)
-        legacy_rows = pruned_rows = row_factors
-        counts = []
-        for _ in range(4):
-            legacy_rows, _ = _LegacySweepBackend().sweep(
-                None, legacy_rows, col_factors, self.REGULARIZATION, plan=plan_l
-            )
-            pruned_rows, stats = VectorizedBackend().sweep(
-                None, pruned_rows, col_factors, self.REGULARIZATION, plan=plan_p
-            )
-            assert np.array_equal(legacy_rows, pruned_rows)
-            counts.append(stats.n_evaluated_rows)
-        rerun = row_factors
-        for expected in counts:
-            rerun, stats = VectorizedBackend().sweep(
-                None, rerun, col_factors, self.REGULARIZATION, plan=plan_p
-            )
-            assert stats.n_evaluated_rows == expected  # a count, not a timing
+        plan_l, plan_p = SweepPlan.build(matrix), SweepPlan.build(matrix)
+
+        def trajectory(backend, plan):
+            rows, cols, path, counts = row_factors, col_factors, [], []
+            for _ in range(4):
+                if alternating:
+                    cols, _ = backend.sweep(
+                        None, cols, rows, self.REGULARIZATION, plan=plan.item_side
+                    )
+                rows, stats = backend.sweep(
+                    None, rows, cols, self.REGULARIZATION, plan=plan.user_side
+                )
+                path += [rows, cols]
+                counts.append(stats.n_evaluated_rows)
+            return path, counts
+
+        def allocations(plan):
+            sides = (plan.user_side, plan.item_side)
+            return [side.workspaces.stats().allocations for side in sides]
+
+        legacy, _ = trajectory(_LegacySweepBackend(), plan_l)
+        pruned, counts = trajectory(VectorizedBackend(), plan_p)
+        for want, got in zip(legacy, pruned):
+            assert np.array_equal(want, got)
+        # A rerun through the warm plan repeats every count (a count, not a
+        # timing) and builds no workspace: every sweep reuses its side's arena.
+        warm = allocations(plan_p)
+        assert trajectory(VectorizedBackend(), plan_p)[1] == counts
+        assert allocations(plan_p) == warm
 
     def test_fold_in_users_unchanged_by_the_new_kernel(self):
         from repro.serving.fold_in import clear_fold_in_plan_cache, fold_in_users
