@@ -34,10 +34,11 @@ Workspace locality: each shard's pooled scratch arena lives on the plan
 side's :class:`~repro.core.backends.workspace.SweepWorkspaceStore`, keyed by
 row range — so under threads the shards of one sweep draw disjoint arenas
 from one store, and under the process executor each worker's cached
-attached side (``_WORKER_SIDES``) carries its own store (stores pickle to
-empty), making workspaces worker-local exactly like the serving pool's
-buffers.  Reuse across the sweeps of a fit is preserved in both cases
-because shard boundaries are deterministic per plan.
+attached side (the worker cache of :mod:`repro.parallel.shared_memory`)
+carries its own store (stores pickle to empty), making workspaces
+worker-local exactly like the serving pool's buffers.  Reuse across the
+sweeps of a fit is preserved in both cases because shard boundaries are
+deterministic per plan.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,33 +64,9 @@ from repro.parallel.scheduler import ShardScheduler
 from repro.parallel.shared_memory import (
     attach_shared_array,
     attach_shared_csr,
-    close_stale_attachments,
-    register_attachment_holder,
+    cached_attach,
 )
 from repro.utils.validation import check_positive_int
-
-
-def shard_ranges(start: int, stop: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Split ``[start, stop)`` into at most ``n_shards`` row-balanced ranges.
-
-    Ranges are non-empty, cover the input exactly, and differ in length by at
-    most one (the first ``(stop - start) % n_shards`` shards take the extra
-    row).  The split depends only on the arguments.  Sweep sharding now uses
-    the nnz-balanced :meth:`SweepSide.shard_ranges` instead; this row-count
-    split remains for work without a CSR structure to balance on.
-    """
-    n_rows = stop - start
-    n_ranges = min(n_shards, n_rows)
-    if n_ranges <= 0:
-        return []
-    base, extra = divmod(n_rows, n_ranges)
-    ranges = []
-    cursor = start
-    for index in range(n_ranges):
-        size = base + (1 if index < extra else 0)
-        ranges.append((cursor, cursor + size))
-        cursor += size
-    return ranges
 
 
 # --------------------------------------------------------------------------- #
@@ -107,52 +84,35 @@ class SharedSideSpec:
     row_index: SharedArraySpec
     entry_weights: Optional[SharedArraySpec]
 
-
-#: Worker-process-local cache of reconstructed sweep sides.  The plan of a
-#: fit is static, so every shard task of every sweep presents the same
-#: descriptors; rebuilding the CSR wrapper once per worker (instead of once
-#: per task) keeps the per-task overhead at a dict lookup.
-_WORKER_SIDES: Dict[SharedSideSpec, SweepSide] = {}
+    def array_specs(self) -> List[SharedArraySpec]:
+        """Every array descriptor the rebuilt side views."""
+        extra = [] if self.entry_weights is None else [self.entry_weights]
+        return [*self.csr.array_specs(), self.row_index, *extra]
 
 
-def _side_segment_names() -> list[str]:
-    """Segment names the cached sweep sides still view (must stay mapped)."""
-    names = []
-    for spec in _WORKER_SIDES:
-        names.extend(spec.csr.segment_names())
-        names.append(spec.row_index.shm_name)
-        if spec.entry_weights is not None:
-            names.append(spec.entry_weights.shm_name)
-    return names
+#: How many sweep sides one worker keeps rebuilt: two per fit, so fits that
+#: share one warm pool (a refit beside fold-in sweeps) do not thrash.
+MAX_CACHED_SIDES = 8
 
 
-register_attachment_holder(_side_segment_names)
+def _build_side(spec: SharedSideSpec) -> SweepSide:
+    return SweepSide(
+        matrix=attach_shared_csr(spec.csr),
+        row_index=attach_shared_array(spec.row_index),
+        entry_weights=(
+            None if spec.entry_weights is None else attach_shared_array(spec.entry_weights)
+        ),
+    )
 
 
 def _attach_side(spec: SharedSideSpec) -> SweepSide:
-    """Rebuild a :class:`SweepSide` over shared-memory buffers (worker side)."""
-    side = _WORKER_SIDES.get(spec)
-    if side is None:
-        if len(_WORKER_SIDES) >= 8:
-            # A worker outliving several fits would otherwise pin stale
-            # mappings; the cache is tiny (2 sides per fit), so just reset.
-            _WORKER_SIDES.clear()
-        side = SweepSide(
-            matrix=attach_shared_csr(spec.csr),
-            row_index=attach_shared_array(spec.row_index),
-            entry_weights=(
-                None
-                if spec.entry_weights is None
-                else attach_shared_array(spec.entry_weights)
-            ),
-        )
-        _WORKER_SIDES[spec] = side
-        # A cache miss marks a new fit reaching this worker: close mappings
-        # of segments no cache still views (dead fits' plans, stale factor
-        # slots), or a warm pool refitting in a loop would pin every past
-        # fit's unlinked memory.  Registered holders protect live views.
-        close_stale_attachments(())
-    return side
+    """Rebuild a :class:`SweepSide` over shared-memory buffers (worker side).
+
+    The plan of a fit is static, so every shard task of every sweep presents
+    the same descriptors and the side is rebuilt once per worker; the first
+    task of a new fit drops the sides of plans the publisher has released.
+    """
+    return cached_attach(spec, _build_side, MAX_CACHED_SIDES)
 
 
 def _sweep_shard_shared(

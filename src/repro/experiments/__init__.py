@@ -21,10 +21,7 @@ from repro.experiments.accuracy import (
     run_table1,
 )
 from repro.experiments.parameters import run_parameter_study
-from repro.experiments.scalability import (
-    run_scalability_study,
-    run_worker_scaling_study,
-)
+from repro.experiments.scalability import run_scalability_study
 from repro.experiments.backends import run_backend_comparison
 from repro.experiments.gridsearch import run_grid_search_experiment
 from repro.experiments.deployment import run_deployment_example
@@ -46,7 +43,6 @@ __all__ = [
     "run_precision_study",
     "run_parameter_study",
     "run_scalability_study",
-    "run_worker_scaling_study",
     "run_backend_comparison",
     "run_grid_search_experiment",
     "run_deployment_example",

@@ -1,5 +1,4 @@
-"""Scalability study: Figure 7 (linear scaling in nnz and K) plus the
-worker-scaling axis of the Figure 8 parallelism story.
+"""Scalability study: Figure 7 (linear scaling in nnz and K).
 
 The paper subsamples increasing fractions of the Netflix dataset and shows
 that the per-iteration training time grows linearly in the number of positive
@@ -8,12 +7,6 @@ Netflix-like synthetic corpus, measures seconds per outer iteration for each
 (fraction, K) pair, and fits a least-squares line through each K series so
 the benchmark can report how close to linear the scaling is (R^2 of the
 linear fit).
-
-The paper's second scalability claim — row subproblems are independent, so
-sweeps parallelise across cores with near-linear scaling (Sections IV/VI,
-Figure 8) — is measured by :func:`run_worker_scaling_study`: the same fit
-repeated with the sharded ``parallel`` backend at increasing worker counts,
-reported as speed-up over the single-threaded ``vectorized`` baseline.
 """
 
 from __future__ import annotations
@@ -179,125 +172,3 @@ def measure_seconds_per_iteration(
     assert model.history_ is not None
     return model.history_.mean_seconds_per_iteration
 
-
-@dataclass
-class WorkerScalingPoint:
-    """Per-iteration timing for one (executor, worker count) configuration."""
-
-    n_workers: int
-    seconds_per_iteration: float
-    executor: str = "thread"
-
-
-@dataclass
-class WorkerScalingResult:
-    """Speed-up versus parallelism: the CPU rendition of Figure 8.
-
-    ``baseline_seconds`` is the single-threaded ``vectorized`` backend; each
-    point is the ``parallel`` backend at one worker count on one executor
-    (thread sharding, shared-memory process sharding, ...).  Because the
-    parallel backend is bit-identical to the baseline on every executor, the
-    comparison is pure wall-clock — the trajectories are the same by
-    construction.
-    """
-
-    baseline_seconds: float = 0.0
-    points: List[WorkerScalingPoint] = field(default_factory=list)
-    n_positives: int = 0
-    n_coclusters: int = 0
-
-    def worker_counts(self) -> List[int]:
-        """Distinct worker counts measured, ascending."""
-        return sorted({point.n_workers for point in self.points})
-
-    def executors(self) -> List[str]:
-        """Distinct executors measured, sorted."""
-        return sorted({point.executor for point in self.points})
-
-    def seconds_at(self, n_workers: int, executor: str = "thread") -> float:
-        """Seconds per iteration at ``n_workers`` on ``executor``."""
-        for point in self.points:
-            if point.n_workers == n_workers and point.executor == executor:
-                return point.seconds_per_iteration
-        raise KeyError(f"no measurement for n_workers={n_workers}, executor={executor!r}")
-
-    def speedup_at(self, n_workers: int, executor: str = "thread") -> float:
-        """Speed-up of ``n_workers`` workers over the vectorized baseline."""
-        seconds = self.seconds_at(n_workers, executor)
-        if seconds <= 0:
-            return float("inf")
-        return self.baseline_seconds / seconds
-
-    def to_text(self) -> str:
-        """Render the worker-scaling table with per-configuration speed-ups."""
-        header = ["executor", "workers", "sec/iteration", "speedup vs vectorized"]
-        rows = [
-            [
-                point.executor,
-                point.n_workers,
-                point.seconds_per_iteration,
-                self.speedup_at(point.n_workers, point.executor),
-            ]
-            for point in sorted(self.points, key=lambda p: (p.executor, p.n_workers))
-        ]
-        lines = [
-            "Figure 8 (CPU) — per-iteration time vs worker count "
-            f"({self.n_positives} positives, K={self.n_coclusters})",
-            f"vectorized baseline: {self.baseline_seconds:.5f} sec/iteration",
-            format_table(header, rows, precision=5),
-        ]
-        return "\n".join(lines)
-
-
-def run_worker_scaling_study(
-    worker_counts: Sequence[int] = (1, 2, 4),
-    n_coclusters: int = 50,
-    n_iterations: int = 3,
-    n_users: int = 1500,
-    n_items: int = 500,
-    executors: Sequence[str] = ("thread",),
-    random_state: RandomStateLike = 0,
-) -> WorkerScalingResult:
-    """Measure parallel-backend speed-up over vectorized per executor and worker count.
-
-    Every configuration times the same fit on the same corpus from the same
-    seed; only the sweep execution differs, so the measured ratios isolate
-    the sharding overhead and the worker-scaling of the row subproblems —
-    the paper's near-linear-scaling claim, on CPU cores instead of CUDA
-    threads.  ``executors`` selects the sharding substrates to compare
-    (``"thread"`` and ``"process"`` cover both sides of the GIL question).
-    """
-    matrix, _spec = make_netflix_like(
-        n_users=n_users, n_items=n_items, random_state=random_state
-    )
-    baseline = measure_seconds_per_iteration(
-        matrix,
-        n_coclusters=int(n_coclusters),
-        n_iterations=n_iterations,
-        backend="vectorized",
-        random_state=random_state,
-    )
-    result = WorkerScalingResult(
-        baseline_seconds=baseline,
-        n_positives=matrix.nnz,
-        n_coclusters=int(n_coclusters),
-    )
-    for executor in executors:
-        for n_workers in worker_counts:
-            seconds = measure_seconds_per_iteration(
-                matrix,
-                n_coclusters=int(n_coclusters),
-                n_iterations=n_iterations,
-                backend="parallel",
-                n_workers=int(n_workers),
-                executor=str(executor),
-                random_state=random_state,
-            )
-            result.points.append(
-                WorkerScalingPoint(
-                    n_workers=int(n_workers),
-                    seconds_per_iteration=seconds,
-                    executor=str(executor),
-                )
-            )
-    return result

@@ -79,7 +79,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ExecutorShutDownError, WorkerCrashError
 from repro.parallel.publication import PublicationTable, SharedArraySpec
-from repro.parallel.shared_memory import evict_holder_claims
+from repro.parallel.shared_memory import drop_cached
 from repro.utils.validation import check_positive_int
 
 #: Node count when ``"cluster"`` is resolved by name without ``max_workers``.
@@ -160,8 +160,7 @@ class _NodeRuntime:
             for key in keys:
                 self._objects.pop(key, None)
                 self._evicted.add(key)
-        for key in keys:
-            evict_holder_claims(key)
+        drop_cached(keys)
 
     def set_die_after(self, n_tasks: int) -> None:
         with self._lock:

@@ -67,10 +67,6 @@ class SharedCsrSpec:
         """The three array descriptors, in :data:`CSR_FIELDS` order."""
         return [self.data, self.indices, self.indptr]
 
-    def segment_names(self) -> List[str]:
-        """Names of the publications backing this matrix."""
-        return [spec.shm_name for spec in self.array_specs()]
-
 
 def supports_publication(executor: object) -> bool:
     """Whether ``executor`` offers the array-publication capability.

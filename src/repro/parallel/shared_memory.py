@@ -12,16 +12,20 @@ its slot's segment in place, and tasks carry only
 :class:`~repro.parallel.publication.SharedArraySpec` descriptors.
 
 This module is also the **worker side of every descriptor**:
-:func:`attach_shared_array` maps a segment by name (zero-copy, cached per
-worker process) or, for a ``remote`` descriptor, asks the cluster agent's
-object cache, which fetches the bytes from the driver once per node — so
-worker functions run unchanged on local processes and on remote nodes.
+:func:`attach_shared_array` maps a segment by name (zero-copy, one mapping
+per worker process) or, for a ``remote`` descriptor, asks the cluster
+agent's object cache, which fetches the bytes from the driver once per node
+— so worker functions run unchanged on local processes and on remote nodes.
+What workers rebuild over descriptors (serving engines, sweep sides) lives
+in one spec-keyed cache, :func:`cached_attach`, which also decides when a
+mapping may close: once no cached entry views it.
 
 Lifecycle: the executor owns every segment it created and unlinks them all
 in :meth:`~SharedMemoryProcessExecutor.shutdown` — after shutdown there are
 no leaked ``/dev/shm`` entries, which the test-suite verifies.  Workers only
-ever *attach*; their mappings die with the worker processes when the pool is
-shut down.
+ever *attach*; a cache miss drops the entries whose publications the
+publisher has retired and closes their mappings, and whatever is left dies
+with the worker processes when the pool is shut down.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import threading
 from collections import OrderedDict
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,13 +71,10 @@ def _unregister_attachment(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
-#: Worker-process-local cache of attached segments, keyed by segment name and
-#: ordered by recency of use (least recently attached first), so the byte
-#: budget of :func:`close_stale_attachments` can evict in LRU order.
-#: Attachments are kept open for the worker's lifetime: repeated tasks of one
-#: fit hit the same plan segments, and the mappings are released by the OS
-#: when the pool's processes exit.
-_ATTACHMENTS: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
+#: Worker-process-local mappings of attached segments, keyed by segment name.
+#: The publisher's unlink removes a ``/dev/shm`` name, not existing mappings,
+#: so :func:`cached_attach` closes the mappings no cached entry views.
+_ATTACHMENTS: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def _remote_cache():
@@ -99,15 +101,13 @@ def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
         segment = shared_memory.SharedMemory(name=spec.shm_name)
         _unregister_attachment(segment)
         _ATTACHMENTS[spec.shm_name] = segment
-    else:
-        _ATTACHMENTS.move_to_end(spec.shm_name)
     return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
 
 
 def spec_is_live(spec: SharedArraySpec) -> bool:
     """Whether the publication behind one array descriptor is still live.
 
-    Worker-side caches use this to prune entries whose backing publication
+    The worker cache uses this to drop entries whose backing publication
     the driver has retired: a remote name the node was told to evict, or a
     segment that is no longer linked.  On Linux a segment is a file under
     ``/dev/shm``; on hosts without that mount (macOS) a probe attach answers
@@ -128,19 +128,6 @@ def spec_is_live(spec: SharedArraySpec) -> bool:
     return True
 
 
-def touch_attachments(names: Collection[str]) -> None:
-    """Refresh the LRU recency of already-mapped segments (worker side).
-
-    Caches that serve from rebuilt objects (an engine-cache hit) never call
-    :func:`attach_shared_array` again, so without this their hottest
-    segments would look least-recently-used to the byte budget and be
-    evicted first.
-    """
-    for name in names:
-        if name in _ATTACHMENTS:
-            _ATTACHMENTS.move_to_end(name)
-
-
 def attach_shared_csr(spec: SharedCsrSpec) -> sp.csr_matrix:
     """Rebuild a CSR matrix over shared buffers (worker side, zero-copy).
 
@@ -155,132 +142,68 @@ def attach_shared_csr(spec: SharedCsrSpec) -> sp.csr_matrix:
     return matrix
 
 
-#: Worker-side caches that hold NumPy views over attached segments register a
-#: provider of the segment names they currently reference.  Closing a mapping
-#: that a cached object still views is a **use-after-unmap segfault** —
-#: ``SharedMemory.close()`` does NOT fail while ndarray views exist — so
-#: :func:`close_stale_attachments` may only close names no provider claims.
-#: A holder may also register an ``evict`` callback that *drops* the cached
-#: objects viewing one segment name; only holders with such a callback can
-#: participate in byte-budget eviction (their claim becomes releasable).
-_ATTACHMENT_HOLDERS: List[Tuple[Callable[[], Collection[str]], Optional[Callable[[str], None]]]] = []
+#: Worker-process-local cache of objects rebuilt over attached descriptors —
+#: serving engines and sweep sides — keyed by their spec (whose
+#: ``array_specs()`` are the publications the object views), least recently
+#: used first.  Closing a mapping a cached object still views is a
+#: **use-after-unmap segfault** — ``SharedMemory.close()`` does NOT fail while
+#: ndarray views exist — so a mapping is closed only once no entry views it.
+_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
-def register_attachment_holder(
-    provider: Callable[[], Collection[str]],
-    evict: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Register a provider of segment names a worker-side cache references.
+def cached_attach(spec: Any, build: Callable[[Any], Any], limit: int) -> Any:
+    """The object ``build(spec)`` rebuilt in this worker, cached per spec.
 
-    ``evict``, when given, is called with a segment name to ask the cache to
-    drop every object viewing that segment (after which the provider must no
-    longer claim it).  Caches without an ``evict`` callback are simply never
-    evicted by the byte budget — their claims are permanent protection.
+    A hit is a dict lookup.  A miss marks a new publication reaching the
+    worker: entries viewing a publication the publisher has retired are
+    dropped (:func:`spec_is_live`), then the least recently used entries of
+    ``spec``'s kind (its type) beyond ``limit`` — one kind never evicts
+    another — then the new entry is built and every mapping no entry views
+    is closed.  So a worker's mapped memory tracks the live publications,
+    not every publication it ever served.  Closing is safe only because the
+    worker loop is single-threaded: no task holds a view across this call.
     """
-    _ATTACHMENT_HOLDERS.append((provider, evict))
+    with _CACHE_LOCK:
+        value = _CACHE.get(spec)
+        if value is not None:
+            _CACHE.move_to_end(spec)
+            return value
+        for key in list(_CACHE):
+            if not all(spec_is_live(array) for array in key.array_specs()):
+                del _CACHE[key]
+        same_kind = [key for key in _CACHE if type(key) is type(spec)]
+        for key in same_kind[: max(len(same_kind) + 1 - limit, 0)]:
+            del _CACHE[key]
+        value = _CACHE[spec] = build(spec)
+        viewed = {array.shm_name for key in _CACHE for array in key.array_specs()}
+        for name in [name for name in _ATTACHMENTS if name not in viewed]:
+            _close_attachment(name)
+    return value
 
 
-def _holder_claims() -> set:
-    """The union of every registered holder's currently claimed names."""
-    claimed = set()
-    for provider, _evict in _ATTACHMENT_HOLDERS:
-        claimed.update(provider())
-    return claimed
+def drop_cached(names: Collection[str]) -> None:
+    """Drop every cached entry that views one of the publications ``names``.
 
-
-def evict_holder_claims(name: str) -> None:
-    """Ask every evict-capable holder to drop cached objects viewing ``name``.
-
-    Used when the publisher retires a publication out from under a worker
-    (a cluster node told to evict a retired generation): caches built over
-    the named descriptor — worker engines, sweep sides — are dropped so the
-    next task rebuilds from live publications instead of serving stale data.
+    A cluster node calls this when the driver retires publications, so the
+    next task rebuilds from live ones instead of serving stale data.  It
+    closes no mapping: a node's arrays are fetched copies, and this runs on
+    the node's control thread, beside the task thread.
     """
-    for provider, evict in list(_ATTACHMENT_HOLDERS):
-        if evict is None:
-            continue
-        try:
-            if name in set(provider()):
-                evict(name)
-        except Exception:  # pragma: no cover - a broken holder must not block
-            pass
+    names = set(names)
+    with _CACHE_LOCK:
+        for key in list(_CACHE):
+            if names.intersection(array.shm_name for array in key.array_specs()):
+                del _CACHE[key]
 
 
-def attached_bytes() -> int:
-    """Total size of this process's currently mapped attachments."""
-    return sum(segment.size for segment in _ATTACHMENTS.values())
-
-
-def close_stale_attachments(
-    active: Collection[str], max_bytes: Optional[int] = None
-) -> int:
-    """Close cached attachments outside ``active`` + every holder's claims.
-
-    A long-lived worker that serves successive model generations would
-    otherwise keep every old segment mapped forever — the publisher's
-    unlink removes the ``/dev/shm`` *name*, not existing mappings.  Only
-    run between tasks of the single-threaded worker
-    loop: names claimed by a registered holder (cached sweep sides, cached
-    engines) are never touched, because closing a mapped view segfaults on
-    the next read.  Returns the number of attachments closed.
-
-    ``max_bytes`` additionally bounds the worker's total mapped bytes: while
-    the remaining attachments exceed the budget, the least-recently-used
-    names outside ``active`` are evicted — holders that registered an
-    ``evict`` callback are asked to drop their cached objects first, so a
-    worker A/B-serving two model generations keeps the recent one mapped and
-    releases the older.  The ``active`` set is never evicted (the current
-    task views it), so the budget is best-effort: a single live generation
-    larger than ``max_bytes`` stays fully mapped.
-    """
-    protected = set(active)
-    claimed = _holder_claims()
-    closed = 0
-    for name in list(_ATTACHMENTS):
-        if name in protected or name in claimed:
-            continue
-        if not _close_attachment(name):
-            continue
-        closed += 1
-    if max_bytes is None:
-        return closed
-    # Budget pass, LRU first: ask evict-capable holders to release their
-    # cached objects for a segment, then close it once nothing claims it.
-    evicted = False
-    for name in list(_ATTACHMENTS):
-        if attached_bytes() <= max_bytes:
-            break
-        if name in protected:
-            continue
-        for provider, evict in _ATTACHMENT_HOLDERS:
-            if evict is not None and name in set(provider()):
-                evict(name)
-                evicted = True
-        if name in _holder_claims():
-            continue  # an evict-less holder still views this mapping
-        if _close_attachment(name):
-            closed += 1
-    if evicted:
-        # Evicting a cached object (an engine spanning several segments)
-        # orphans its sibling mappings; close them now instead of letting
-        # them ride until the next stale pass.
-        claimed = _holder_claims()
-        for name in list(_ATTACHMENTS):
-            if name in protected or name in claimed:
-                continue
-            if _close_attachment(name):
-                closed += 1
-    return closed
-
-
-def _close_attachment(name: str) -> bool:
-    """Close and forget one cached attachment; False on platform close errors."""
+def _close_attachment(name: str) -> None:
+    """Close and forget one mapping; kept on platform close errors."""
     try:
         _ATTACHMENTS[name].close()
     except Exception:  # pragma: no cover - platform-specific close errors
-        return False
+        return
     del _ATTACHMENTS[name]
-    return True
 
 
 class _SegmentStore:

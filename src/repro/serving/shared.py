@@ -23,17 +23,16 @@ updates).  Only known-user top-N travels this way: cold-start rows are
 ranked in the process that folded and scored them.
 
 Workers: :func:`_topn_shard` is the one shard worker — it takes an engine as
-it is and attaches a spec.  :func:`attach_engine` caches the rebuilt engine
-per spec; when a new generation arrives it drops engines of retired
-generations and closes their now unreferenced attachments, so long-lived
-workers do not accumulate mappings of unlinked segments.
+it is and attaches a spec.  :func:`attach_engine` keeps the rebuilt engine
+in the worker cache of :mod:`repro.parallel.shared_memory`, which it shares
+with the training sweep sides: when a new generation arrives, engines (and
+sides) of retired publications are dropped and their mappings closed, so a
+long-lived worker maps the live generations and nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -48,10 +47,7 @@ from repro.parallel.publication import (
 from repro.parallel.shared_memory import (
     attach_shared_array,
     attach_shared_csr,
-    close_stale_attachments,
-    register_attachment_holder,
-    spec_is_live,
-    touch_attachments,
+    cached_attach,
 )
 from repro.serving.engine import TopNEngine
 from repro.serving.results import TopNResult
@@ -158,121 +154,33 @@ def unpublish_engine(executor: Any, spec: SharedEngineSpec) -> None:
         executor.unpublish(key)
 
 
-#: Worker-process-local cache of rebuilt engines, keyed by spec and ordered
-#: by recency (least recently served first).  A serving burst sends many
-#: shard tasks with one spec; the engine is rebuilt once.  Several
-#: generations may be cached at a time — a runtime A/B-serving two model
-#: versions alternates specs, and rebuilding on every alternation would
-#: defeat the cache — bounded by :data:`MAX_CACHED_ENGINES` and by the byte
-#: budget below.
-_WORKER_ENGINES: "OrderedDict[SharedEngineSpec, TopNEngine]" = OrderedDict()
-
 #: How many engine generations one worker keeps rebuilt at a time.  Two
 #: covers A/B serving; the headroom absorbs a swap racing a serving burst.
 MAX_CACHED_ENGINES = 4
 
-#: Environment knob for the worker-side attachment byte budget (in MiB).
-#: Read inside the worker on every shard task, so the value the *publisher*
-#: process exports before building the pool governs its workers (fork and
-#: spawn both inherit the environment).  Unset or non-positive: no budget —
-#: mapped memory is bounded only by :data:`MAX_CACHED_ENGINES`.
-ATTACHMENT_BUDGET_ENV = "REPRO_ATTACHMENT_BUDGET_MB"
+
+def _build_engine(spec: SharedEngineSpec) -> TopNEngine:
+    train_matrix = InteractionMatrix.from_validated_csr(attach_shared_csr(spec.seen))
+    factors = FactorModel(
+        attach_shared_array(spec.user_factors),
+        attach_shared_array(spec.item_factors),
+    )
+    return TopNEngine(
+        train_matrix, factors=factors, chunk_size=spec.chunk_size, dtype=spec.dtype
+    )
 
 
-def attachment_budget_bytes() -> Optional[int]:
-    """The configured worker attachment budget in bytes, or ``None``."""
-    raw = os.environ.get(ATTACHMENT_BUDGET_ENV)
-    if not raw:
-        return None
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        return None
-    if megabytes <= 0:
-        return None
-    return int(megabytes * 1024 * 1024)
-
-
-def _engine_segment_names() -> List[str]:
-    """Segment names the cached engines still view (must stay mapped)."""
-    return [
-        name for spec in _WORKER_ENGINES for name in spec.segment_names()
-    ]
-
-
-def _evict_engine_viewing(name: str) -> None:
-    """Drop every cached engine that views segment ``name`` (budget eviction).
-
-    Dropping the engine releases its ndarray views, after which the holder
-    no longer claims the segment and :func:`close_stale_attachments` may
-    close the mapping safely.
-    """
-    for spec in [s for s in _WORKER_ENGINES if name in s.segment_names()]:
-        del _WORKER_ENGINES[spec]
-
-
-def _prune_unlinked_engines() -> None:
-    """Drop cached engines whose publisher has unlinked their segments.
-
-    The common deployment is a refit loop with ONE live generation: without
-    this, each worker would retain engines (and their mapped pages — unlink
-    removes the name, not existing maps) for the last
-    :data:`MAX_CACHED_ENGINES` generations, multiplying steady-state worker
-    memory for no benefit.  A generation still published — or retired but
-    pinned by an in-flight session (A/B serving) — keeps its segment names
-    and is kept; one whose names are gone can never be served again.
-    """
-    for spec in list(_WORKER_ENGINES):
-        if any(not spec_is_live(array_spec) for array_spec in spec.array_specs()):
-            del _WORKER_ENGINES[spec]
-
-
-register_attachment_holder(_engine_segment_names, evict=_evict_engine_viewing)
-
-
-def attach_engine(
-    spec: SharedEngineSpec, max_bytes: Optional[int] = None
-) -> TopNEngine:
+def attach_engine(spec: SharedEngineSpec) -> TopNEngine:
     """Rebuild (or fetch the cached) engine for ``spec`` inside a worker.
 
-    A spec the worker has not seen marks a generation reaching it for the
-    first time: the least recently served engines beyond
-    :data:`MAX_CACHED_ENGINES` are dropped, then attachments no cache views
-    are closed — with ``max_bytes`` additionally evicting least-recently
-    used generation mappings until the worker's mapped memory fits the
-    budget (the new spec itself is never evicted).  So the worker's mapped
-    memory tracks the models it actively serves rather than every model it
-    ever served.
+    A serving burst sends many shard tasks with one spec; the engine is
+    rebuilt once.  Up to :data:`MAX_CACHED_ENGINES` generations stay cached
+    side by side (a runtime A/B-serving two model versions alternates specs),
+    and a generation reaching the worker for the first time drops the ones
+    the publisher has retired (see
+    :func:`~repro.parallel.shared_memory.cached_attach`).
     """
-    engine = _WORKER_ENGINES.get(spec)
-    if engine is None:
-        # A new generation reaching this worker is the swap moment: first
-        # drop generations the publisher has since unlinked (their mapped
-        # pages are released by close_stale_attachments below), then bound
-        # the survivors by count.
-        _prune_unlinked_engines()
-        while len(_WORKER_ENGINES) >= MAX_CACHED_ENGINES:
-            _WORKER_ENGINES.popitem(last=False)
-        train_matrix = InteractionMatrix.from_validated_csr(attach_shared_csr(spec.seen))
-        factors = FactorModel(
-            attach_shared_array(spec.user_factors),
-            attach_shared_array(spec.item_factors),
-        )
-        engine = TopNEngine(
-            train_matrix,
-            factors=factors,
-            chunk_size=spec.chunk_size,
-            dtype=spec.dtype,
-        )
-        _WORKER_ENGINES[spec] = engine
-        close_stale_attachments(set(spec.segment_names()), max_bytes=max_bytes)
-    else:
-        _WORKER_ENGINES.move_to_end(spec)
-        # A cache hit serves from the rebuilt engine without re-attaching;
-        # refresh its segments' recency too, or the hottest generation's
-        # mappings would be the byte budget's first eviction victims.
-        touch_attachments(spec.segment_names())
-    return engine
+    return cached_attach(spec, _build_engine, MAX_CACHED_ENGINES)
 
 
 def _topn_shard(
@@ -292,7 +200,7 @@ def _topn_shard(
     arrays instead of ``O(shard)`` row objects.
     """
     if isinstance(engine, SharedEngineSpec):
-        engine = attach_engine(engine, max_bytes=attachment_budget_bytes())
+        engine = attach_engine(engine)
     return engine.topn(
         users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
     )

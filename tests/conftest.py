@@ -84,6 +84,21 @@ def shm_ledger(monkeypatch):
     return ledger
 
 
+@pytest.fixture()
+def worker_cache():
+    """This test process plays the worker: start and end with an empty cache."""
+    from repro.parallel import shared_memory as shm
+
+    def reset():
+        shm._CACHE.clear()
+        for name in list(shm._ATTACHMENTS):
+            shm._close_attachment(name)
+
+    reset()
+    yield shm
+    reset()
+
+
 @pytest.fixture(scope="session")
 def toy_dataset():
     """The paper's 12x12 toy example (three overlapping co-clusters)."""

@@ -13,7 +13,6 @@ from repro.core.backends import (
     available_backends,
     get_backend,
 )
-from repro.core.backends.parallel import shard_ranges
 from repro.core.objective import full_objective
 from repro.exceptions import ConfigurationError
 
@@ -65,24 +64,6 @@ class TestRegistry:
             ParallelBackend(n_workers=0)
         with pytest.raises(ConfigurationError):
             ParallelBackend(n_workers=2, n_shards=-1)
-
-
-class TestShardRanges:
-    def test_covers_range_without_gaps(self):
-        ranges = shard_ranges(3, 17, 4)
-        assert ranges[0][0] == 3
-        assert ranges[-1][1] == 17
-        for (_, left_stop), (right_start, _) in zip(ranges, ranges[1:]):
-            assert left_stop == right_start
-
-    def test_balanced_within_one_row(self):
-        sizes = [stop - start for start, stop in shard_ranges(0, 10, 3)]
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_never_produces_empty_shards(self):
-        assert shard_ranges(0, 2, 5) == [(0, 1), (1, 2)]
-        assert shard_ranges(5, 5, 3) == []
 
 
 @pytest.mark.parametrize("backend_name", ALL_BACKENDS)

@@ -19,7 +19,6 @@ from repro.experiments import (
     run_scalability_study,
     run_table1,
     run_toy_example,
-    run_worker_scaling_study,
 )
 from repro.experiments.paper_reference import paper_table1_rows
 from repro.experiments.zoo import default_parameter_grids
@@ -237,47 +236,6 @@ class TestBackendComparison:
             result.trajectories["vectorized"].log_likelihoods,
         )
         assert "parallel over vectorized" in result.to_text()
-
-
-class TestWorkerScaling:
-    def test_study_shape_and_reporting(self):
-        result = run_worker_scaling_study(
-            worker_counts=(1, 2),
-            n_coclusters=6,
-            n_iterations=2,
-            n_users=150,
-            n_items=60,
-            random_state=0,
-        )
-        assert result.baseline_seconds > 0
-        assert result.worker_counts() == [1, 2]
-        for n_workers in (1, 2):
-            assert result.seconds_at(n_workers) > 0
-            assert result.speedup_at(n_workers) > 0
-        text = result.to_text()
-        assert "workers" in text and "vectorized baseline" in text
-        with pytest.raises(KeyError):
-            result.seconds_at(64)
-
-    def test_executor_axis_covers_thread_and_process(self):
-        # Figure 8-style scaling curves over both sharding substrates.
-        result = run_worker_scaling_study(
-            worker_counts=(2,),
-            n_coclusters=5,
-            n_iterations=1,
-            n_users=100,
-            n_items=40,
-            executors=("thread", "process"),
-            random_state=0,
-        )
-        assert result.executors() == ["process", "thread"]
-        assert result.worker_counts() == [2]
-        for executor in ("thread", "process"):
-            assert result.seconds_at(2, executor) > 0
-            assert result.speedup_at(2, executor) > 0
-        assert "process" in result.to_text()
-        with pytest.raises(KeyError):
-            result.seconds_at(2, "serial")
 
 
 class TestGridSearchExperiment:

@@ -12,11 +12,7 @@ import pytest
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.experiments.incremental import (
-    DriftingCorpus,
-    make_drifting_corpus,
-    run_incremental_study,
-)
+from repro.experiments.incremental import make_drifting_corpus, run_incremental_study
 from repro.runtime import IngestStats, RecommenderRuntime
 from repro.runtime.service import DEFAULT_WARM_PLATEAU_TOLERANCE
 

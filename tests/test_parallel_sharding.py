@@ -4,6 +4,7 @@ registry, shared-memory process execution, and cross-executor factor parity."""
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.exceptions import ConfigurationError
 from repro.parallel import (
     SerialExecutor,
     ShardScheduler,
+    SharedArraySpec,
     SharedMemoryProcessExecutor,
     ThreadExecutor,
     attach_shared_array,
@@ -282,6 +284,20 @@ class TestGetBackendExecutor:
 # --------------------------------------------------------------------------- #
 # Shared-memory executor mechanics
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class _ArraysSpec:
+    """A worker-cache key viewing ``arrays`` (the shape of an engine spec)."""
+
+    arrays: tuple
+
+    def array_specs(self):
+        return list(self.arrays)
+
+
+def _attach_all(spec):
+    return [attach_shared_array(array) for array in spec.arrays]
+
+
 class TestSharedMemoryPublication:
     def test_publish_roundtrip_and_slot_reuse(self):
         with SharedMemoryProcessExecutor(max_workers=1) as executor:
@@ -351,97 +367,92 @@ class TestSharedMemoryPublication:
             # max_segments is a soft cap: pinned slots are not sacrificed.
             assert len(executor.active_segment_names()) == 4
 
-    def test_attachment_budget_evicts_lru_claimed_mappings(self):
-        # The worker-side byte budget: holder-claimed mappings (the shape a
-        # cached engine generation has) are evicted least-recently-used
-        # first, via the holder's evict callback, until the worker fits the
-        # budget — the active set is never touched.
-        from repro.parallel import shared_memory as shm
+    def test_cache_hit_skips_build_and_refreshes_lru_order(self, worker_cache):
+        # A hit is a lookup, not a rebuild, and it makes its entry the most
+        # recently used: the cap then evicts the entry not served since.
+        builds = []
 
-        claims: dict = {}  # name -> True, the fake worker-side cache
+        def build(spec):
+            builds.append(spec)
+            return _attach_all(spec)
 
-        def provider():
-            return set(claims)
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            specs = [
+                _ArraysSpec((executor.publish(("lru", index), np.zeros(2)),))
+                for index in range(3)
+            ]
+            first = worker_cache.cached_attach(specs[0], build, 2)
+            worker_cache.cached_attach(specs[1], build, 2)
+            assert worker_cache.cached_attach(specs[0], build, 2) is first
+            assert builds == specs[:2]
+            worker_cache.cached_attach(specs[2], build, 2)
+            assert list(worker_cache._CACHE) == [specs[0], specs[2]]
+            assert specs[1].arrays[0].shm_name not in worker_cache._ATTACHMENTS
+            assert specs[0].arrays[0].shm_name in worker_cache._ATTACHMENTS
 
-        def evict(name):
-            claims.pop(name, None)
+    def test_mapping_shared_by_two_entries_closes_with_the_last(self, worker_cache):
+        # Two entries may view one publication (two engine generations over
+        # one seen-mask): evicting one leaves the mapping to the other.
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            shared = executor.publish("shared", np.arange(3.0))
+            own = [executor.publish(("own", index), np.zeros(2)) for index in range(3)]
+            first = _ArraysSpec((shared, own[0]))
+            second = _ArraysSpec((shared, own[1]))
+            worker_cache.cached_attach(first, _attach_all, 1)
+            views = worker_cache.cached_attach(second, _attach_all, 1)  # evicts first
+            assert list(worker_cache._CACHE) == [second]
+            assert own[0].shm_name not in worker_cache._ATTACHMENTS
+            assert shared.shm_name in worker_cache._ATTACHMENTS
+            np.testing.assert_array_equal(views[0], np.arange(3.0))
+            del views
 
-        holder = (provider, evict)
-        # Flush unclaimed mappings earlier tests left in this process, so
-        # the byte accounting below sees exactly our three segments.
-        shm.close_stale_attachments(())
-        shm._ATTACHMENT_HOLDERS.append(holder)
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                specs = [
-                    executor.publish(("budget", index), np.zeros(1024))
-                    for index in range(3)
-                ]
-                for spec in specs:
-                    attach_shared_array(spec)
-                    claims[spec.shm_name] = True
-                # Refresh recency of the first mapping: 1 is now the LRU.
-                attach_shared_array(specs[0])
-                names = [spec.shm_name for spec in specs]
-                sizes = {
-                    name: shm._ATTACHMENTS[name].size for name in names
-                }
-                assert shm.attached_bytes() >= sum(sizes.values())
+            worker_cache.cached_attach(_ArraysSpec((own[2],)), _attach_all, 1)
+            assert shared.shm_name not in worker_cache._ATTACHMENTS
+            assert own[1].shm_name not in worker_cache._ATTACHMENTS
 
-                # Budget admits two mappings; 2 is active, so the LRU
-                # non-active mapping (1) is evicted, then the pass is under
-                # budget and 0 survives despite being older than 2.
-                budget = shm.attached_bytes() - 1
-                closed = shm.close_stale_attachments({names[2]}, max_bytes=budget)
-                assert closed == 1
-                assert names[1] not in shm._ATTACHMENTS
-                assert names[0] in shm._ATTACHMENTS
-                assert names[2] in shm._ATTACHMENTS
-                assert names[1] not in claims  # the cache was asked to drop it
-                assert shm.attached_bytes() <= budget
+    def test_drop_cached_leaves_mappings_to_the_next_miss(self, worker_cache):
+        # A cluster node's control thread drops entries beside its task
+        # thread, so it closes nothing; the next miss closes what the
+        # dropped entry alone viewed.
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            arrays = [executor.publish(("drop", index), np.zeros(2)) for index in range(3)]
+            dropped = _ArraysSpec((arrays[0],))
+            kept = _ArraysSpec((arrays[1],))
+            worker_cache.cached_attach(dropped, _attach_all, 4)
+            worker_cache.cached_attach(kept, _attach_all, 4)
+            worker_cache.drop_cached([arrays[0].shm_name])
+            assert list(worker_cache._CACHE) == [kept]
+            assert arrays[0].shm_name in worker_cache._ATTACHMENTS
 
-                # An evict-less holder's claims are never evicted: its views
-                # would segfault.  Budget 0 closes everything else but not
-                # the active name or the permanently claimed one.
-                shm._ATTACHMENT_HOLDERS.remove(holder)
-                permanent = (lambda: {names[0]}, None)
-                shm._ATTACHMENT_HOLDERS.append(permanent)
-                try:
-                    shm.close_stale_attachments({names[2]}, max_bytes=0)
-                    assert names[0] in shm._ATTACHMENTS  # claimed, no evictor
-                    assert names[2] in shm._ATTACHMENTS  # active
-                finally:
-                    shm._ATTACHMENT_HOLDERS.remove(permanent)
-                    shm._ATTACHMENT_HOLDERS.append(holder)
-        finally:
-            claims.clear()
-            shm._ATTACHMENT_HOLDERS.remove(holder)
-            shm.close_stale_attachments(())
+            worker_cache.cached_attach(_ArraysSpec((arrays[2],)), _attach_all, 4)
+            assert arrays[0].shm_name not in worker_cache._ATTACHMENTS
+            assert arrays[1].shm_name in worker_cache._ATTACHMENTS
 
-    def test_no_budget_keeps_claimed_mappings(self):
-        # Without max_bytes the original contract holds: claimed mappings
-        # stay open no matter how many there are.
-        from repro.parallel import shared_memory as shm
+    def test_remote_entry_dropped_once_the_node_evicts_it(self, worker_cache, monkeypatch):
+        # Remote descriptors are live until the driver tells the node to
+        # evict them; the first miss after that drops their entries.
+        class Node:
+            def __init__(self):
+                self.evicted = set()
 
-        claims: set = set()
-        holder = (lambda: set(claims), claims.discard)
-        shm._ATTACHMENT_HOLDERS.append(holder)
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                specs = [
-                    executor.publish(("nobudget", index), np.zeros(256))
-                    for index in range(4)
-                ]
-                for spec in specs:
-                    attach_shared_array(spec)
-                    claims.add(spec.shm_name)
-                assert shm.close_stale_attachments(()) == 0
-                for spec in specs:
-                    assert spec.shm_name in shm._ATTACHMENTS
-        finally:
-            claims.clear()
-            shm._ATTACHMENT_HOLDERS.remove(holder)
-            shm.close_stale_attachments(())
+            def fetch(self, spec):
+                return np.zeros(spec.shape, dtype=np.dtype(spec.dtype))
+
+            def is_live(self, key):
+                return key not in self.evicted
+
+        node = Node()
+        monkeypatch.setattr(worker_cache, "_remote_cache", lambda: node)
+        remote = [
+            _ArraysSpec((SharedArraySpec(f"remote-{index}", (2,), "<f8", remote=True),))
+            for index in range(3)
+        ]
+        worker_cache.cached_attach(remote[0], _attach_all, 4)
+        worker_cache.cached_attach(remote[1], _attach_all, 4)
+        assert list(worker_cache._CACHE) == remote[:2]  # live entries survive a miss
+        node.evicted = {"remote-0"}
+        worker_cache.cached_attach(remote[2], _attach_all, 4)
+        assert list(worker_cache._CACHE) == remote[1:]
 
     def test_plain_starmap_still_works(self):
         # The process entry of the registry doubles as an ordinary process

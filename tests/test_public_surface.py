@@ -59,7 +59,6 @@ def test_environment_variables():
         for name in re.findall(r"\bREPRO_[A-Z0-9_]+\b", path.read_text(encoding="utf-8"))
     }
     assert names == {
-        "REPRO_ATTACHMENT_BUDGET_MB",
         "REPRO_CLUSTER_TASK_DELAY_MS",
         "REPRO_SCORE_BUFFER_BUDGET_MB",
         "REPRO_SWEEP_WORKSPACE_CACHE",

@@ -29,6 +29,16 @@ def corpus():
     return matrix
 
 
+def _mapped_segments(_task):
+    """Pool task: this worker's PID and how many segments it has mapped."""
+    import time
+
+    from repro.parallel import shared_memory
+
+    time.sleep(0.05)  # long enough that every worker draws a probe
+    return os.getpid(), len(shared_memory._ATTACHMENTS)
+
+
 def _model(**overrides):
     settings = dict(
         n_coclusters=6,
@@ -221,6 +231,27 @@ class TestGenerationLifecycle:
             assert runtime.recommend(
                 RecommendRequest(users=(0, 1), n_items=3)
             ).rankings
+
+    def test_refit_loop_keeps_worker_mappings_flat(self, corpus):
+        # A warm pool refitting in a loop: each cycle's first sweep, swap
+        # and sharded call reach the workers as new publications.  Worker
+        # mappings must track the live ones, not pile up dead fits' plans.
+        with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+            counts = []
+            for _cycle in range(5):
+                runtime.refit()
+                runtime.update()
+                runtime.recommend(
+                    RecommendRequest(users=range(60), n_items=5), shard_size=20
+                )
+                assert runtime.last_serving_stats.path == "shared"
+                mapped = dict(runtime.executor.map(_mapped_segments, range(8)))
+                assert len(mapped) == 2
+                counts.append(max(mapped.values()))
+        assert counts[0] > 0
+        assert counts == sorted(counts, reverse=True), counts
 
     def test_recommend_folded_serves_published_version(self, corpus, fitted_reference):
         reference_model, engine = fitted_reference

@@ -401,9 +401,27 @@ class TestServeSharded:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side engine cache: A/B generations under the attachment byte budget
+# The worker cache: engines and sweep sides rebuilt over published descriptors
 # --------------------------------------------------------------------------- #
-class TestWorkerEngineCacheBudget:
+def _publish_side(executor, matrix, row_positive_weights=None):
+    """Publish one sweep side the way a sharded sweep does; return its spec."""
+    from repro.core.backends.parallel import SharedSideSpec
+    from repro.core.backends.plan import SweepSide
+    from repro.parallel.publication import PublishedKeys
+
+    side = SweepSide.build(matrix, row_positive_weights=row_positive_weights)
+    published = PublishedKeys(executor)
+    spec = SharedSideSpec(
+        csr=published.static_csr(side.matrix),
+        row_index=published.static(side.row_index),
+        entry_weights=(
+            None if side.entry_weights is None else published.static(side.entry_weights)
+        ),
+    )
+    return spec, published
+
+
+class TestWorkerCache:
     @pytest.fixture()
     def two_engines(self, movielens_small):
         matrix, _spec, split = movielens_small
@@ -419,177 +437,232 @@ class TestWorkerEngineCacheBudget:
             engines.append(TopNEngine.from_model(model))
         return engines
 
-    def test_ab_generations_cached_and_budget_evicts_lru(self, two_engines):
-        # This test process plays the worker: attach both published
-        # generations, prove A/B alternation reuses both cached engines,
-        # then shrink the budget so only the recent generation stays mapped.
-        from repro.parallel import shared_memory as shm
+    def test_ab_generations_reuse_both_engines(self, two_engines, worker_cache):
         from repro.parallel.shared_memory import SharedMemoryProcessExecutor
         from repro.serving import shared as serving_shared
 
         engine_a, engine_b = two_engines
-        serving_shared._WORKER_ENGINES.clear()
-        shm.close_stale_attachments(())
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                spec_a = serving_shared.publish_engine(executor, engine_a)
-                spec_b = serving_shared.publish_engine(executor, engine_b)
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            spec_a = serving_shared.publish_engine(executor, engine_a)
+            spec_b = serving_shared.publish_engine(executor, engine_b)
 
-                worker_a = serving_shared.attach_engine(spec_a)
-                worker_b = serving_shared.attach_engine(spec_b)
-                # A/B shape: re-serving generation A must NOT rebuild it —
-                # both generations stay cached side by side.
-                assert serving_shared.attach_engine(spec_a) is worker_a
-                assert serving_shared.attach_engine(spec_b) is worker_b
-                np.testing.assert_array_equal(
-                    worker_a.recommend_batch([3], n_items=5)[0],
-                    engine_a.recommend_batch([3], n_items=5)[0],
-                )
-                np.testing.assert_array_equal(
-                    worker_b.recommend_batch([3], n_items=5)[0],
-                    engine_b.recommend_batch([3], n_items=5)[0],
-                )
+            worker_a = serving_shared.attach_engine(spec_a)
+            worker_b = serving_shared.attach_engine(spec_b)
+            # A/B shape: re-serving generation A must NOT rebuild it — both
+            # generations stay cached side by side.
+            assert serving_shared.attach_engine(spec_a) is worker_a
+            assert serving_shared.attach_engine(spec_b) is worker_b
+            np.testing.assert_array_equal(
+                worker_a.recommend_batch([3], n_items=5)[0],
+                engine_a.recommend_batch([3], n_items=5)[0],
+            )
+            np.testing.assert_array_equal(
+                worker_b.recommend_batch([3], n_items=5)[0],
+                engine_b.recommend_batch([3], n_items=5)[0],
+            )
+            for name in spec_a.segment_names() + spec_b.segment_names():
+                assert name in worker_cache._ATTACHMENTS
 
-                # Two live generations under a roomy budget: nothing evicted.
-                both = shm.attached_bytes()
-                serving_shared.attach_engine(spec_b, max_bytes=both)
-                assert len(serving_shared._WORKER_ENGINES) == 2
-                assert shm.attached_bytes() <= both
-
-                # Budget below both generations: serving B evicts the LRU
-                # generation (A) — engine dropped, mappings closed — while B
-                # keeps serving from its intact attachments.
-                shm.close_stale_attachments(
-                    set(spec_b.segment_names()), max_bytes=both - 1
-                )
-                assert spec_a not in serving_shared._WORKER_ENGINES
-                assert spec_b in serving_shared._WORKER_ENGINES
-                assert shm.attached_bytes() <= both - 1
-                for name in spec_a.segment_names():
-                    assert name not in shm._ATTACHMENTS
-                survivor = serving_shared.attach_engine(spec_b)
-                np.testing.assert_array_equal(
-                    survivor.recommend_batch([7], n_items=5)[0],
-                    engine_b.recommend_batch([7], n_items=5)[0],
-                )
-
-                # A is still published, so it reattaches on demand.
-                revived = serving_shared.attach_engine(spec_a)
-                np.testing.assert_array_equal(
-                    revived.recommend_batch([3], n_items=5)[0],
-                    engine_a.recommend_batch([3], n_items=5)[0],
-                )
-        finally:
-            serving_shared._WORKER_ENGINES.clear()
-            shm.close_stale_attachments(())
-
-    def test_cache_hit_refreshes_budget_recency(self, two_engines):
-        # Serving a cached generation must refresh its mappings' recency:
-        # the budget evicts the generation that stopped being served, not
-        # the hot one that merely stopped re-attaching.
-        from repro.parallel import shared_memory as shm
-        from repro.parallel.shared_memory import SharedMemoryProcessExecutor
-        from repro.serving import shared as serving_shared
-
-        engine_a, engine_b = two_engines
-        serving_shared._WORKER_ENGINES.clear()
-        shm.close_stale_attachments(())
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                spec_a = serving_shared.publish_engine(executor, engine_a)
-                spec_b = serving_shared.publish_engine(executor, engine_b)
-                serving_shared.attach_engine(spec_a)
-                serving_shared.attach_engine(spec_b)
-                # A is attachment-LRU now; a cache-hit serve of A must make
-                # B the eviction victim instead.
-                serving_shared.attach_engine(spec_a)
-                shm.close_stale_attachments(
-                    set(spec_a.segment_names()),
-                    max_bytes=shm.attached_bytes() - 1,
-                )
-                assert spec_a in serving_shared._WORKER_ENGINES
-                assert spec_b not in serving_shared._WORKER_ENGINES
-                for name in spec_b.segment_names():
-                    assert name not in shm._ATTACHMENTS
-        finally:
-            serving_shared._WORKER_ENGINES.clear()
-            shm.close_stale_attachments(())
-
-    def test_unlinked_generations_pruned_on_swap(self, two_engines):
+    def test_unlinked_generations_pruned_on_swap(self, two_engines, worker_cache):
         # The refit-loop shape: one live generation at a time.  When the
         # publisher unlinks a generation, the next swap reaching the worker
         # drops its cached engine and mappings — steady-state worker memory
         # tracks the live model, not the last N models.
-        import os as os_module
-
-        from repro.parallel import shared_memory as shm
         from repro.parallel.shared_memory import SharedMemoryProcessExecutor
         from repro.serving import shared as serving_shared
 
-        if not os_module.path.isdir("/dev/shm"):
-            pytest.skip("requires a /dev/shm mount")
         engine_a, engine_b = two_engines
-        serving_shared._WORKER_ENGINES.clear()
-        shm.close_stale_attachments(())
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                spec_a = serving_shared.publish_engine(executor, engine_a)
-                spec_b = serving_shared.publish_engine(executor, engine_b)
-                serving_shared.attach_engine(spec_a)
-                serving_shared.attach_engine(spec_b)
-                serving_shared.unpublish_engine(executor, spec_a)  # swap out A
-                spec_c = serving_shared.publish_engine(executor, engine_a)
-                serving_shared.attach_engine(spec_c)  # the swap reaches us
-                assert spec_a not in serving_shared._WORKER_ENGINES
-                for name in spec_a.segment_names():
-                    assert name not in shm._ATTACHMENTS
-                # B is still published (A/B): kept cached and servable.
-                assert spec_b in serving_shared._WORKER_ENGINES
-                assert spec_c in serving_shared._WORKER_ENGINES
-        finally:
-            serving_shared._WORKER_ENGINES.clear()
-            shm.close_stale_attachments(())
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            spec_a = serving_shared.publish_engine(executor, engine_a)
+            spec_b = serving_shared.publish_engine(executor, engine_b)
+            serving_shared.attach_engine(spec_a)
+            serving_shared.attach_engine(spec_b)
+            serving_shared.unpublish_engine(executor, spec_a)  # swap out A
+            spec_c = serving_shared.publish_engine(executor, engine_a)
+            serving_shared.attach_engine(spec_c)  # the swap reaches us
+            assert spec_a not in worker_cache._CACHE
+            for name in spec_a.segment_names():
+                assert name not in worker_cache._ATTACHMENTS
+            # B is still published (A/B): kept cached and servable.
+            assert spec_b in worker_cache._CACHE
+            assert spec_c in worker_cache._CACHE
 
-    def test_engine_cache_count_cap(self, two_engines):
-        from repro.parallel import shared_memory as shm
+    def test_engine_cache_count_cap(self, two_engines, worker_cache):
         from repro.parallel.shared_memory import SharedMemoryProcessExecutor
         from repro.serving import shared as serving_shared
 
         engine_a, _engine_b = two_engines
-        serving_shared._WORKER_ENGINES.clear()
-        shm.close_stale_attachments(())
-        try:
-            with SharedMemoryProcessExecutor(max_workers=1) as executor:
-                specs = [
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            specs = [
+                serving_shared.publish_engine(executor, engine_a)
+                for _ in range(serving_shared.MAX_CACHED_ENGINES + 2)
+            ]
+            for spec in specs:
+                serving_shared.attach_engine(spec)
+            # The count cap bounds cached engines even while every
+            # generation is still published; the most recent ones survive.
+            assert len(worker_cache._CACHE) == serving_shared.MAX_CACHED_ENGINES
+            assert specs[-1] in worker_cache._CACHE
+            assert specs[0] not in worker_cache._CACHE
+            for name in specs[0].segment_names():
+                assert name not in worker_cache._ATTACHMENTS
+
+    def test_miss_never_closes_a_viewed_mapping(
+        self, two_engines, movielens_small, worker_cache
+    ):
+        # Closing a mapping a cached engine still views would segfault on
+        # its next read.  An engine miss and a sweep-side miss each close
+        # the mappings nothing views — never the cached engine's five.
+        from repro.core.backends.parallel import _attach_side
+        from repro.parallel.shared_memory import (
+            SharedMemoryProcessExecutor,
+            attach_shared_array,
+        )
+        from repro.serving import shared as serving_shared
+
+        engine_a, engine_b = two_engines
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            spec_a = serving_shared.publish_engine(executor, engine_a)
+            spec_b = serving_shared.publish_engine(executor, engine_b)
+            stray = executor.publish("stray", np.zeros(8))
+            side_spec, _ = _publish_side(executor, movielens_small[2].train.csr())
+
+            worker_a = serving_shared.attach_engine(spec_a)
+            attach_shared_array(stray)  # a mapping no entry views
+            serving_shared.attach_engine(spec_b)  # engine miss
+            assert stray.shm_name not in worker_cache._ATTACHMENTS
+            worker_side = _attach_side(side_spec)  # side miss
+            assert _attach_side(side_spec) is worker_side
+
+            assert len(spec_a.segment_names()) == 5
+            for name in spec_a.segment_names():
+                assert name in worker_cache._ATTACHMENTS
+            assert serving_shared.attach_engine(spec_a) is worker_a
+            users = list(range(20))
+            np.testing.assert_array_equal(
+                worker_a.recommend_batch(users, n_items=5).items,
+                engine_a.recommend_batch(users, n_items=5).items,
+            )
+            for array in side_spec.array_specs():
+                assert array.shm_name in worker_cache._ATTACHMENTS
+
+    def test_kinds_do_not_evict_each_other(self, two_engines, movielens_small, worker_cache):
+        from repro.core.backends.parallel import MAX_CACHED_SIDES, _attach_side
+        from repro.parallel.shared_memory import SharedMemoryProcessExecutor
+        from repro.serving import shared as serving_shared
+
+        engine_a, _engine_b = two_engines
+        train = movielens_small[2].train.csr()
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            engine_spec = serving_shared.publish_engine(executor, engine_a)
+            worker_engine = serving_shared.attach_engine(engine_spec)
+            side_specs = [
+                _publish_side(executor, train)[0] for _ in range(MAX_CACHED_SIDES + 1)
+            ]
+            for spec in side_specs:
+                _attach_side(spec)
+            # The side cap evicted the oldest side, never the engine.
+            assert side_specs[0] not in worker_cache._CACHE
+            assert all(spec in worker_cache._CACHE for spec in side_specs[1:])
+            assert serving_shared.attach_engine(engine_spec) is worker_engine
+            # And a run of engine misses leaves the sides alone.
+            for _ in range(serving_shared.MAX_CACHED_ENGINES):
+                serving_shared.attach_engine(
                     serving_shared.publish_engine(executor, engine_a)
-                    for _ in range(serving_shared.MAX_CACHED_ENGINES + 2)
-                ]
-                for spec in specs:
-                    serving_shared.attach_engine(spec)
-                # The count cap bounds cached engines even without a budget;
-                # the most recent generations survive.
-                assert (
-                    len(serving_shared._WORKER_ENGINES)
-                    == serving_shared.MAX_CACHED_ENGINES
                 )
-                assert specs[-1] in serving_shared._WORKER_ENGINES
-                assert specs[0] not in serving_shared._WORKER_ENGINES
-        finally:
-            serving_shared._WORKER_ENGINES.clear()
-            shm.close_stale_attachments(())
+            assert engine_spec not in worker_cache._CACHE
+            assert all(spec in worker_cache._CACHE for spec in side_specs[1:])
 
-    def test_attachment_budget_env_parsing(self, monkeypatch):
-        from repro.serving.shared import ATTACHMENT_BUDGET_ENV, attachment_budget_bytes
+    def test_released_plan_sides_dropped_at_next_miss(self, movielens_small, worker_cache):
+        # A refit's first sweep reaching the worker drops the sides of the
+        # plan the previous fit released, with their mappings.
+        from repro.core.backends.parallel import _attach_side
+        from repro.parallel.shared_memory import SharedMemoryProcessExecutor
 
-        monkeypatch.delenv(ATTACHMENT_BUDGET_ENV, raising=False)
-        assert attachment_budget_bytes() is None
-        monkeypatch.setenv(ATTACHMENT_BUDGET_ENV, "64")
-        assert attachment_budget_bytes() == 64 * 1024 * 1024
-        monkeypatch.setenv(ATTACHMENT_BUDGET_ENV, "0.5")
-        assert attachment_budget_bytes() == 512 * 1024
-        for bogus in ("", "not-a-number", "-3", "0"):
-            monkeypatch.setenv(ATTACHMENT_BUDGET_ENV, bogus)
-            assert attachment_budget_bytes() is None
+        train = movielens_small[2].train.csr()
+        weights = np.linspace(1.0, 2.0, train.shape[0])
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            old_spec, old_keys = _publish_side(executor, train, weights)
+            assert old_spec.entry_weights in old_spec.array_specs()
+            assert len(old_spec.array_specs()) == 5
+            old_side = _attach_side(old_spec)
+            np.testing.assert_array_equal(
+                old_side.entry_weights, weights[old_side.row_index]
+            )
+            old_keys.release()
+            new_spec, _ = _publish_side(executor, train)
+            _attach_side(new_spec)
+            assert list(worker_cache._CACHE) == [new_spec]
+            for array in old_spec.array_specs():
+                assert array.shm_name not in worker_cache._ATTACHMENTS
+
+    def test_eviction_thread_races_task_thread(self, worker_cache):
+        # A cluster node drops entries from its control thread while its
+        # task thread looks up and builds; neither may see the cache torn.
+        import sys
+        import threading
+        from dataclasses import dataclass
+
+        from repro.parallel.shared_memory import (
+            SharedMemoryProcessExecutor,
+            cached_attach,
+            drop_cached,
+        )
+
+        @dataclass(frozen=True)
+        class Spec:
+            index: int
+            arrays: tuple
+
+            def array_specs(self):
+                return list(self.arrays)
+
+        errors: list = []
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            arrays = [executor.publish(("race", i), np.zeros(2)) for i in range(40)]
+            specs = [Spec(i, (arrays[i], arrays[(i + 1) % 40])) for i in range(40)]
+
+            def tasks():
+                try:
+                    for step in range(6000):
+                        spec = specs[step % 40]
+                        assert cached_attach(spec, lambda s: ("built", s), 30)[1] is spec
+                except Exception as error:  # pragma: no cover - the failure
+                    errors.append(error)
+
+            def evictions():
+                try:
+                    for step in range(6000):
+                        drop_cached([arrays[(7 * step) % 40].shm_name])
+                except Exception as error:  # pragma: no cover - the failure
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=tasks), threading.Thread(target=evictions)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(worker_cache._CACHE) <= 30
+
+    def test_cluster_evict_drops_entries_viewing_a_name(self, two_engines, worker_cache):
+        from repro.parallel.shared_memory import SharedMemoryProcessExecutor, drop_cached
+        from repro.serving import shared as serving_shared
+
+        engine_a, engine_b = two_engines
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            spec_a = serving_shared.publish_engine(executor, engine_a)
+            spec_b = serving_shared.publish_engine(executor, engine_b)
+            serving_shared.attach_engine(spec_a)
+            serving_shared.attach_engine(spec_b)
+            drop_cached([spec_a.item_factors.shm_name])
+            assert list(worker_cache._CACHE) == [spec_b]
 
 
 # --------------------------------------------------------------------------- #
