@@ -26,12 +26,7 @@ from repro.core.backends.plan import SweepPlan, SweepSide, nnz_balanced_ranges
 from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import VectorizedBackend
 from repro.core.backends.parallel import ParallelBackend
-from repro.core.backends.workspace import (
-    SweepWorkspace,
-    SweepWorkspaceStore,
-    WorkspaceStats,
-    workspace_cache_size,
-)
+from repro.core.backends.workspace import SweepWorkspace, SweepWorkspaceStore, WorkspaceStats
 
 from repro.exceptions import ConfigurationError
 
@@ -145,5 +140,4 @@ __all__ = [
     "get_backend",
     "available_backends",
     "nnz_balanced_ranges",
-    "workspace_cache_size",
 ]

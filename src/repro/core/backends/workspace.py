@@ -30,7 +30,8 @@ store's stats counters prove and the training benchmark asserts, exactly
 like PR 8's pool-stats assertion.
 
 A :class:`SweepWorkspaceStore` hangs off every ``SweepSide`` and hands
-workspaces out *exclusively* (take/release free list): concurrent sweeps
+workspaces out *exclusively* (take/release free list, at most
+:data:`MAX_CACHED_WORKSPACES` free arenas per key): concurrent sweeps
 over the same cached side — a fold-in racing a warm refit on the runtime's
 warm pool — each get their own arena.  The store lives and dies with the
 plan, so workspaces survive across the sweeps of a fit but never leak
@@ -41,10 +42,9 @@ worker-local workspaces, mirroring the serving pool's behaviour.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,23 +55,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends.plan import SweepSide
 
 __all__ = [
-    "DEFAULT_WORKSPACE_CACHE",
-    "WORKSPACE_CACHE_ENV",
     "SweepWorkspace",
     "SweepWorkspaceStore",
     "WorkspaceStats",
     "csr_matmul_into",
     "csr_row_sums_into",
-    "workspace_cache_size",
 ]
 
-#: Environment knob for how many free workspaces a store keeps per
-#: ``(row range, k, dtype)`` key.  One is enough for serial training; the
-#: default leaves headroom for concurrent fold-ins through one cached side.
-WORKSPACE_CACHE_ENV = "REPRO_SWEEP_WORKSPACE_CACHE"
-
-#: Default per-key free-list cap.
-DEFAULT_WORKSPACE_CACHE = 8
+#: Free workspaces a store keeps per ``(row range, k, dtype)`` key.  One is
+#: enough for serial training; eight leave headroom for concurrent fold-ins
+#: through one cached side.
+MAX_CACHED_WORKSPACES = 8
 
 try:  # scipy's raw CSR kernels accept caller-owned output buffers
     from scipy.sparse import _sparsetools as _sparsetools
@@ -81,25 +75,6 @@ try:  # scipy's raw CSR kernels accept caller-owned output buffers
 except (ImportError, AttributeError):  # pragma: no cover - future scipy
     _CSR_MATVEC = None
     _CSR_MATVECS = None
-
-
-def workspace_cache_size(max_cached: Optional[int] = None) -> int:
-    """Resolve the per-key workspace cache size.
-
-    Priority: explicit argument, then :data:`WORKSPACE_CACHE_ENV`, then
-    :data:`DEFAULT_WORKSPACE_CACHE`.  Non-numeric or non-positive values
-    fall back to the default.
-    """
-    if max_cached is None:
-        raw = os.environ.get(WORKSPACE_CACHE_ENV)
-        if raw:
-            try:
-                max_cached = int(raw)
-            except ValueError:
-                max_cached = None
-    if max_cached is None or max_cached <= 0:
-        max_cached = DEFAULT_WORKSPACE_CACHE
-    return int(max_cached)
 
 
 def csr_matmul_into(
@@ -351,13 +326,12 @@ class SweepWorkspaceStore:
     them, and nothing leaks into the next fit.  ``acquire`` hands a
     workspace out *exclusively* — concurrent sweeps over the same side and
     row range (a fold-in racing a warm refit through one cached side) each
-    build or reuse their own arena.  At most :attr:`max_cached` free
-    workspaces are kept per key (:data:`WORKSPACE_CACHE_ENV`); extras are
-    dropped to the allocator so a long-lived side cannot hoard scratch.
+    build or reuse their own arena.  At most :data:`MAX_CACHED_WORKSPACES`
+    free workspaces are kept per key; extras are dropped to the allocator so
+    a long-lived side cannot hoard scratch.
     """
 
-    def __init__(self, max_cached: Optional[int] = None) -> None:
-        self.max_cached = workspace_cache_size(max_cached)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._free: Dict[Tuple[int, int, int, str], List[SweepWorkspace]] = {}
         self._allocations = 0
@@ -399,7 +373,7 @@ class SweepWorkspaceStore:
             self._outstanding = max(0, self._outstanding - 1)
             cached = self._free.setdefault(key, [])
             cached.append(workspace)
-            if len(cached) > self.max_cached:
+            if len(cached) > MAX_CACHED_WORKSPACES:
                 dropped = cached.pop(0)
                 self._bytes_in_use -= dropped.nbytes
 
@@ -427,7 +401,7 @@ class SweepWorkspaceStore:
         # Plan sides travel to process-pool workers (and through model
         # pickles); scratch arenas and lock state do not — every process
         # warms its own worker-local workspaces, like the serving pool.
-        return (type(self), (self.max_cached,))
+        return (type(self), ())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         snapshot = self.stats()

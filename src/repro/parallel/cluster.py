@@ -95,6 +95,9 @@ EXIT_INJECTED_DEATH = 17
 
 _AGENT_START_TIMEOUT = 30.0
 
+#: Seconds a node may take to answer a control-channel request.
+_CTRL_TIMEOUT = 30.0
+
 
 # --------------------------------------------------------------------------- #
 # Agent (node) side
@@ -602,7 +605,6 @@ class ClusterExecutor:
         addresses: Optional[Sequence[Any]] = None,
         authkey: Optional[bytes] = None,
         task_timeout: float = 120.0,
-        ctrl_timeout: float = 30.0,
         max_task_retries: int = 3,
         max_objects: int = 256,
         store_host: str = "127.0.0.1",
@@ -614,7 +616,6 @@ class ClusterExecutor:
         if max_objects < 1:
             raise ConfigurationError("max_objects must be at least 1")
         self._task_timeout = float(task_timeout)
-        self._ctrl_timeout = float(ctrl_timeout)
         self._max_task_retries = int(max_task_retries)
         self._tasks: "queue.Queue[_QueuedTask]" = queue.Queue()
         self._nodes: List[_NodeHandle] = []
@@ -887,9 +888,8 @@ class ClusterExecutor:
     # Control channel
     # ------------------------------------------------------------------ #
     def _ctrl_request(
-        self, node: _NodeHandle, message: Tuple, timeout: Optional[float] = None
+        self, node: _NodeHandle, message: Tuple, timeout: float = _CTRL_TIMEOUT
     ) -> Any:
-        timeout = self._ctrl_timeout if timeout is None else timeout
         with node.ctrl_lock:
             node.ctrl_conn.send(message)
             if not node.ctrl_conn.poll(timeout):

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError, DataError, NotFittedError, ReproError
 from repro.runtime.fairness import WeightedFairQueue
+from repro.serving.buffers import SCORE_BUFFER_BUDGET_BYTES
 from repro.utils.validation import check_positive_int
 
 __all__ = ["GatewayClient", "GatewayError", "GatewayThread", "ServingGateway"]
@@ -219,7 +220,7 @@ class ServingGateway:
                 "dtype": engine.serving_dtype.name,
                 "chunk_size": engine.chunk_size,
                 "effective_chunk_size": engine.effective_chunk_size(),
-                "buffer_budget_bytes": engine.buffer_budget_bytes,
+                "buffer_budget_bytes": SCORE_BUFFER_BUDGET_BYTES,
                 "pool": {
                     "allocations": pool.allocations,
                     "reuses": pool.reuses,

@@ -83,6 +83,12 @@ from repro.utils.validation import check_positive_int
 #: The value matches the incremental-refit study's validated default.
 DEFAULT_WARM_PLATEAU_TOLERANCE = 3e-4
 
+#: Interaction-drift ceiling for ``refit(mode="auto")``: while the fraction of
+#: positives ingested since the last full fit stays at or below it, auto
+#: refits warm-start from the previous generation's factors; beyond it they
+#: fall back to a full cold retrain.
+DRIFT_THRESHOLD = 0.25
+
 
 def _probe_pid(task_index: int) -> int:
     """Worker-side probe used by :meth:`RecommenderRuntime.worker_pids`.
@@ -151,7 +157,8 @@ class IngestStats:
     drift:
         Interaction drift since the last full (cold) fit — the fraction of
         the corpus's positives that arrived after that fit.  This is the
-        quantity ``refit(mode="auto")`` compares against ``drift_threshold``.
+        quantity ``refit(mode="auto")`` compares against
+        :data:`DRIFT_THRESHOLD`.
     """
 
     n_pairs: int
@@ -280,12 +287,6 @@ class RecommenderRuntime:
     chunk_size:
         Users per BLAS call inside the serving engine (and the default
         serving shard size, so one shard is one chunk in the worker).
-    drift_threshold:
-        Interaction-drift ceiling for ``refit(mode="auto")``: while the
-        fraction of positives ingested since the last full fit stays at or
-        below this value, auto refits warm-start from the previous
-        generation's factors; beyond it they fall back to a full cold
-        retrain (default 0.25).
 
     Typical service loop::
 
@@ -307,7 +308,6 @@ class RecommenderRuntime:
         max_workers: Optional[int] = None,
         n_shards: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        drift_threshold: float = 0.25,
         serving_dtype=None,
     ) -> None:
         # Validate everything cheap BEFORE the scheduler builds the executor
@@ -320,11 +320,6 @@ class RecommenderRuntime:
         # trained dtype (bit-exact); "float32" halves serving bandwidth and
         # the published /dev/shm footprint (see TopNEngine's dtype docs).
         self.serving_dtype = None if serving_dtype is None else str(np.dtype(serving_dtype))
-        if not (isinstance(drift_threshold, (int, float)) and drift_threshold >= 0):
-            raise ConfigurationError(
-                f"drift_threshold must be a non-negative number, got {drift_threshold!r}"
-            )
-        self.drift_threshold = float(drift_threshold)
         self._scheduler = ShardScheduler(executor, max_workers=max_workers)
         # Built eagerly: the runtime's whole point is holding the pool warm.
         self._executor = self._scheduler.executor
@@ -392,8 +387,8 @@ class RecommenderRuntime:
         """Whether :meth:`close` has run."""
         return self._closed
 
-    def worker_pids(self, n_probes: Optional[int] = None) -> Set[int]:
-        """PIDs observed executing probe tasks on the warm pool.
+    def worker_pids(self) -> Set[int]:
+        """PIDs observed executing four probe tasks per pool worker.
 
         For a process executor this is a subset of the pool's worker PIDs —
         stable across fits iff the pool is genuinely warm, which the
@@ -401,9 +396,8 @@ class RecommenderRuntime:
         process.
         """
         self._check_open()
-        if n_probes is None:
-            n_probes = 4 * (getattr(self._executor, "max_workers", None) or 1)
-        return set(self._executor.map(_probe_pid, range(n_probes)))
+        probes = 4 * (getattr(self._executor, "max_workers", None) or 1)
+        return set(self._executor.map(_probe_pid, range(probes)))
 
     # ------------------------------------------------------------------ #
     # Training on the warm pool
@@ -427,6 +421,15 @@ class RecommenderRuntime:
         is a full fit and resets the drift baseline :attr:`drift` and
         ``refit(mode="auto")`` measure against.
         """
+        return self._fit(model, matrix, None, callback, fit_kwargs)
+
+    def _fit(self, model, matrix, read, callback, fit_kwargs):
+        """:meth:`fit`, installing ``matrix`` only if the stored corpus is ``read``.
+
+        ``read`` is the stored corpus a refit started from, ``None`` for a
+        corpus the caller passed in.  A delta :meth:`ingest` stored while a
+        refit ran therefore stays stored, and counts as drift.
+        """
         self._check_open()
         parameters = inspect.signature(model.fit).parameters
         kwargs = {}
@@ -441,10 +444,12 @@ class RecommenderRuntime:
                 )
             kwargs[name] = value
         model.fit(matrix, **kwargs)
-        self.model = model
-        self.train_matrix = matrix
-        if fit_kwargs.get("initial_factors") is None:
-            self._reset_drift_baseline(model, matrix)
+        with self._swap_lock:
+            self.model = model
+            if read is None or self.train_matrix is read:
+                self.train_matrix = matrix
+            if fit_kwargs.get("initial_factors") is None:
+                self._reset_drift_baseline(model, matrix)
         # The fit's plan arrays are dead weight between fits; drop them now
         # instead of letting them ride the executor's LRU.  Scoped to the
         # warm backend's own keys (and serialised against its in-flight
@@ -453,21 +458,16 @@ class RecommenderRuntime:
         self._backend.release_published()
         return model
 
-    def refit(
-        self,
-        matrix=None,
-        callback=None,
-        mode: str = "cold",
-        plateau_tolerance: Optional[float] = None,
-        plateau_patience: Optional[int] = None,
-    ):
+    def refit(self, matrix=None, callback=None, mode: str = "cold"):
         """Refit the current model (on ``matrix`` or the stored one), warm pool.
 
         Parameters
         ----------
         matrix:
             Corpus to refit on; defaults to the stored one — which includes
-            every delta :meth:`ingest` has accumulated.
+            every delta :meth:`ingest` has accumulated.  A delta ingested
+            while a refit of the stored corpus runs stays stored: the refit
+            does not put back the corpus it read.
         mode:
             ``"cold"`` (default, and the exact pre-incremental behaviour):
             retrain from fresh random factors with the model's configured
@@ -476,20 +476,18 @@ class RecommenderRuntime:
             :func:`~repro.serving.fold_in.extend_factors` (new users folded
             in against the old catalogue, new items against the extended
             users), and stop on objective plateau
-            (:data:`DEFAULT_WARM_PLATEAU_TOLERANCE` unless overridden).
+            (:data:`DEFAULT_WARM_PLATEAU_TOLERANCE`, the model's patience).
             ``"auto"``: warm while :attr:`drift` is at or below
-            :attr:`drift_threshold`, cold beyond it — the policy loop of a
+            :data:`DRIFT_THRESHOLD`, cold beyond it — the policy loop of a
             deployment that ingests continuously.
-        plateau_tolerance, plateau_patience:
-            Optional overrides of the warm path's plateau early-stop; unused
-            on the cold path.
 
         The resolved mode of the last refit is recorded in
         :attr:`last_refit_mode`.
         """
         if self.model is None:
             raise NotFittedError("refit requires a previous runtime.fit")
-        target = self.train_matrix if matrix is None else matrix
+        read = self.train_matrix if matrix is None else None
+        target = read if matrix is None else matrix
         if target is None:
             raise ConfigurationError("refit needs a matrix (none stored)")
         if mode not in ("warm", "cold", "auto"):
@@ -504,29 +502,21 @@ class RecommenderRuntime:
         if mode == "auto":
             resolved = (
                 "warm"
-                if warm_capable and self.drift <= self.drift_threshold
+                if warm_capable and self.drift <= DRIFT_THRESHOLD
                 else "cold"
             )
+        kwargs = {}
         if resolved == "warm":
             if not warm_capable:
                 raise ConfigurationError(
                     "warm refit requires a fitted model whose fit() accepts "
                     f"initial_factors; {type(self.model).__name__} does not"
                 )
-            initial = extend_factors(self.model, target, backend=self._backend)
             kwargs = dict(
-                initial_factors=initial,
-                plateau_tolerance=(
-                    DEFAULT_WARM_PLATEAU_TOLERANCE
-                    if plateau_tolerance is None
-                    else plateau_tolerance
-                ),
+                initial_factors=extend_factors(self.model, target, backend=self._backend),
+                plateau_tolerance=DEFAULT_WARM_PLATEAU_TOLERANCE,
             )
-            if plateau_patience is not None:
-                kwargs["plateau_patience"] = plateau_patience
-            result = self.fit(self.model, target, callback=callback, **kwargs)
-        else:
-            result = self.fit(self.model, target, callback=callback)
+        result = self._fit(self.model, target, read, callback, kwargs)
         self.last_refit_mode = resolved
         return result
 
@@ -570,6 +560,7 @@ class RecommenderRuntime:
                 pair_list, n_new_users=n_new_users, n_new_items=n_new_items
             )
             self.train_matrix = extended
+            drift = self._drift(extended)
         return IngestStats(
             n_pairs=len(pair_list),
             n_new_users=int(n_new_users),
@@ -577,7 +568,7 @@ class RecommenderRuntime:
             n_users=extended.n_users,
             n_items=extended.n_items,
             nnz=extended.nnz,
-            drift=self.drift,
+            drift=drift,
         )
 
     @property
@@ -588,10 +579,11 @@ class RecommenderRuntime:
         always-available signal ``refit(mode="auto")`` thresholds on.  Zero
         before any full fit or ingest.
         """
-        if self._full_fit_nnz is None or self.train_matrix is None:
-            return 0.0
-        nnz = getattr(self.train_matrix, "nnz", None)
-        if nnz is None:
+        return self._drift(self.train_matrix)
+
+    def _drift(self, matrix) -> float:
+        nnz = getattr(matrix, "nnz", None)
+        if self._full_fit_nnz is None or nnz is None:
             return 0.0
         return (int(nnz) - self._full_fit_nnz) / max(self._full_fit_nnz, 1)
 
@@ -837,7 +829,7 @@ class RecommenderRuntime:
         :func:`repro.serving.fold_in.recommend_folded` exactly.
         """
         engine = pinned.engine
-        if engine.factors is None:
+        if engine.factors is None or pinned.solver is None:
             raise ConfigurationError(
                 "cold-start serving requires a factor-path model version"
             )
@@ -845,7 +837,7 @@ class RecommenderRuntime:
         scores = fold_in_scores(
             engine,
             csr,
-            model=pinned.solver,  # the publish-time solver snapshot (or None)
+            model=pinned.solver,  # the publish-time solver snapshot
             n_sweeps=request.n_sweeps,
             tolerance=request.tolerance,
             backend=self._backend,

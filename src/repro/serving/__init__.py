@@ -9,13 +9,7 @@ executors of :mod:`repro.parallel`.
 """
 
 from repro.serving.batch import BatchServingResult, serve_sharded
-from repro.serving.buffers import (
-    BUFFER_BUDGET_ENV,
-    DEFAULT_BUFFER_BUDGET_MB,
-    BufferPoolStats,
-    ScoreBufferPool,
-    score_buffer_budget_bytes,
-)
+from repro.serving.buffers import BufferPoolStats, ScoreBufferPool
 from repro.serving.engine import TopNEngine
 from repro.serving.fold_in import (
     clear_fold_in_plan_cache,
@@ -40,11 +34,8 @@ __all__ = [
     "TopNResult",
     "BatchServingResult",
     "serve_sharded",
-    "BUFFER_BUDGET_ENV",
-    "DEFAULT_BUFFER_BUDGET_MB",
     "BufferPoolStats",
     "ScoreBufferPool",
-    "score_buffer_budget_bytes",
     "clear_fold_in_plan_cache",
     "extend_factors",
     "fold_in_factors",

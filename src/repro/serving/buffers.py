@@ -19,57 +19,32 @@ on the caller thread.  Under the process executor the pool is worker-local
 for free — each worker rebuilds (and caches) its own engine from the shared
 descriptors, pool included.
 
-The companion chunk-size autotuner caps ``chunk × n_items × itemsize`` at a
-configurable byte budget (:data:`BUFFER_BUDGET_ENV`, default
-:data:`DEFAULT_BUFFER_BUDGET_MB` MiB), so a 100k-item catalogue
-automatically serves in smaller row chunks instead of allocating
-multi-gigabyte blocks.
+The engine's chunk-size autotuner caps ``chunk × n_items × itemsize`` at
+:data:`SCORE_BUFFER_BUDGET_BYTES`, so a 100k-item catalogue automatically
+serves in smaller row chunks instead of allocating multi-gigabyte blocks.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BUFFER_BUDGET_ENV",
-    "DEFAULT_BUFFER_BUDGET_MB",
+    "SCORE_BUFFER_BUDGET_BYTES",
     "BufferPoolStats",
     "ScoreBufferPool",
-    "score_buffer_budget_bytes",
 ]
 
-#: Environment knob for the score-buffer byte budget, in MiB.  Read at
-#: engine construction, so the publisher's environment governs worker-side
-#: engines too (workers inherit it).
-BUFFER_BUDGET_ENV = "REPRO_SCORE_BUFFER_BUDGET_MB"
+#: Byte budget of one chunk's score block (128 MiB): a float64 chunk against
+#: a 100k-item catalogue autotunes to ~160 rows instead of the 800 MB block a
+#: 1024-row chunk would need.
+SCORE_BUFFER_BUDGET_BYTES = 128 * 1024 * 1024
 
-#: Default budget: a float64 chunk against a 100k-item catalogue autotunes
-#: to ~160 rows instead of the 800 MB block a 1024-row chunk would need.
-DEFAULT_BUFFER_BUDGET_MB = 128.0
-
-
-def score_buffer_budget_bytes(budget_mb: Optional[float] = None) -> int:
-    """Resolve the score-buffer budget to bytes.
-
-    Priority: explicit ``budget_mb`` argument, then :data:`BUFFER_BUDGET_ENV`,
-    then :data:`DEFAULT_BUFFER_BUDGET_MB`.  Non-numeric or non-positive
-    values fall back to the default.
-    """
-    if budget_mb is None:
-        raw = os.environ.get(BUFFER_BUDGET_ENV)
-        if raw:
-            try:
-                budget_mb = float(raw)
-            except ValueError:
-                budget_mb = None
-    if budget_mb is None or budget_mb <= 0:
-        budget_mb = DEFAULT_BUFFER_BUDGET_MB
-    return int(float(budget_mb) * 1024 * 1024)
+#: Free blocks kept per ``(cols, dtype)`` key; pipelining needs two in flight.
+MAX_CACHED_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -96,12 +71,11 @@ class ScoreBufferPool:
     reuse.  Take and release may happen on different threads — the
     pipelined engine scores chunk ``k+1`` on a prefetch thread while the
     caller consumes chunk ``k`` — so the free list is guarded rather than
-    thread-local.  At most :attr:`max_cached` blocks are kept per key
-    (pipelining needs two in flight); extras are dropped to the allocator.
+    thread-local.  At most :data:`MAX_CACHED_BLOCKS` blocks are kept per
+    key; extras are dropped to the allocator.
     """
 
-    def __init__(self, max_cached: int = 4) -> None:
-        self.max_cached = int(max_cached)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._free: Dict[Tuple[int, str], List[np.ndarray]] = {}
         self._allocations = 0
@@ -147,7 +121,7 @@ class ScoreBufferPool:
             self._outstanding = max(0, self._outstanding - 1)
             candidates = self._free.setdefault(key, [])
             candidates.append(base)
-            if len(candidates) > self.max_cached:
+            if len(candidates) > MAX_CACHED_BLOCKS:
                 candidates.pop(0)
 
     def stats(self) -> BufferPoolStats:
@@ -169,7 +143,7 @@ class ScoreBufferPool:
     def __reduce__(self):
         # Engines pickle to process-pool workers; buffers and lock state do
         # not travel — each process warms its own pool.
-        return (type(self), (self.max_cached,))
+        return (type(self), ())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         snapshot = self.stats()

@@ -19,15 +19,17 @@ chunks:
 The hot path is allocation-free in steady state: every chunk's dense score
 block comes from a :class:`~repro.serving.buffers.ScoreBufferPool` (the
 gather of the chunk's user factors too), the chunk size autotunes so
-``chunk × n_items × itemsize`` stays inside a byte budget, and results land
+``chunk × n_items × itemsize`` stays inside a fixed 128 MiB budget
+(:data:`~repro.serving.buffers.SCORE_BUFFER_BUDGET_BYTES`), and results land
 directly in the flat :class:`~repro.serving.results.TopNResult` blocks
 instead of per-user list objects.  What a chunk still allocates is small
 next to its score block: the mask's index arrays, as long as the chunk has
 training positives, and the selection's ``(chunk, n)`` arrays.  On
 multi-core hosts the BLAS product of chunk ``k+1`` overlaps the
 masking/selection of chunk ``k`` on a prefetch thread (NumPy releases the
-GIL inside the gemm); chunks are independent and write disjoint output
-rows, so pipelined rankings are bitwise the serial ones.
+GIL inside the gemm) unless the engine is built with ``pipeline=False``;
+chunks are independent and write disjoint output rows, so pipelined
+rankings are bitwise the serial ones.
 
 Engines can also serve at a reduced precision: ``dtype="float32"`` casts
 the factor matrices once at construction and scores every chunk at half the
@@ -57,7 +59,7 @@ import scipy.sparse as sp
 from repro.core.factors import FactorModel
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.serving.buffers import ScoreBufferPool, score_buffer_budget_bytes
+from repro.serving.buffers import SCORE_BUFFER_BUDGET_BYTES, ScoreBufferPool
 from repro.serving.results import TopNResult
 from repro.utils.validation import check_positive_int
 
@@ -125,10 +127,6 @@ class TopNEngine:
         float64-trained factors casts serving copies once and scores at
         half bandwidth; rankings then agree with float64 up to score ties
         within float32 resolution (see the parity tests).
-    buffer_budget_mb:
-        Byte budget (MiB) for one chunk's score block; caps the effective
-        chunk size.  Defaults to the :data:`~repro.serving.buffers.
-        BUFFER_BUDGET_ENV` environment value or 128 MiB.
     pipeline:
         ``True``/``False`` forces pipelined chunking on/off; ``None``
         (default) enables it on multi-core hosts for factor-path engines.
@@ -145,7 +143,6 @@ class TopNEngine:
         model=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         dtype: Optional[Union[str, np.dtype]] = None,
-        buffer_budget_mb: Optional[float] = None,
         pipeline: Optional[bool] = None,
     ) -> None:
         if factors is None and model is None:
@@ -182,7 +179,6 @@ class TopNEngine:
         else:
             self._serving_user_factors = None
             self._serving_item_factors = None
-        self.buffer_budget_bytes = score_buffer_budget_bytes(buffer_budget_mb)
         self.pipeline = pipeline
         self.pool = ScoreBufferPool()
 
@@ -195,7 +191,6 @@ class TopNEngine:
         model,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         dtype: Optional[Union[str, np.dtype]] = None,
-        buffer_budget_mb: Optional[float] = None,
         pipeline: Optional[bool] = None,
     ) -> "TopNEngine":
         """Build an engine for any fitted recommender.
@@ -208,24 +203,11 @@ class TopNEngine:
         """
         if not getattr(model, "is_fitted", False):
             raise NotFittedError("TopNEngine requires a fitted recommender")
+        settings = dict(chunk_size=chunk_size, dtype=dtype, pipeline=pipeline)
         factors = getattr(model, "serving_factors_", None)
         if isinstance(factors, FactorModel):
-            return cls(
-                model.train_matrix,
-                factors=factors,
-                chunk_size=chunk_size,
-                dtype=dtype,
-                buffer_budget_mb=buffer_budget_mb,
-                pipeline=pipeline,
-            )
-        return cls(
-            model.train_matrix,
-            model=model,
-            chunk_size=chunk_size,
-            dtype=dtype,
-            buffer_budget_mb=buffer_budget_mb,
-            pipeline=pipeline,
-        )
+            return cls(model.train_matrix, factors=factors, **settings)
+        return cls(model.train_matrix, model=model, **settings)
 
     @classmethod
     def from_factors(
@@ -234,17 +216,11 @@ class TopNEngine:
         train_matrix: InteractionMatrix,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         dtype: Optional[Union[str, np.dtype]] = None,
-        buffer_budget_mb: Optional[float] = None,
         pipeline: Optional[bool] = None,
     ) -> "TopNEngine":
         """Build an engine directly from factor matrices (the serving path)."""
         return cls(
-            train_matrix,
-            factors=factors,
-            chunk_size=chunk_size,
-            dtype=dtype,
-            buffer_budget_mb=buffer_budget_mb,
-            pipeline=pipeline,
+            train_matrix, factors=factors, chunk_size=chunk_size, dtype=dtype, pipeline=pipeline
         )
 
     # ------------------------------------------------------------------ #
@@ -265,21 +241,16 @@ class TopNEngine:
         """Item factors in the serving dtype (factor path only)."""
         return self._serving_item_factors
 
-    def effective_chunk_size(self, chunk_size: Optional[int] = None) -> int:
+    def effective_chunk_size(self) -> int:
         """Rows per chunk after the score-buffer budget cap.
 
-        ``min(requested, floor(budget / row_bytes))`` with a floor of one
+        ``min(chunk_size, floor(budget / row_bytes))`` with a floor of one
         row, where ``row_bytes = n_items × itemsize`` of the serving dtype.
-        A 100k-item float64 catalogue under the default 128 MiB budget
-        serves ~160-row chunks instead of 800 MB blocks.
+        A 100k-item float64 catalogue under the 128 MiB budget serves
+        ~160-row chunks instead of 800 MB blocks.
         """
-        size = (
-            self.chunk_size
-            if chunk_size is None
-            else check_positive_int(chunk_size, "chunk_size")
-        )
         row_bytes = max(1, self.n_items) * self.serving_dtype.itemsize
-        return max(1, min(size, self.buffer_budget_bytes // row_bytes or 1))
+        return max(1, min(self.chunk_size, SCORE_BUFFER_BUDGET_BYTES // row_bytes))
 
     def score_chunk(self, users: np.ndarray) -> np.ndarray:
         """Dense score block for a chunk of users, shape ``(len(users), n_items)``.
@@ -340,9 +311,7 @@ class TopNEngine:
         users: Sequence[int],
         n_items: int = 10,
         exclude_seen: bool = True,
-        chunk_size: Optional[int] = None,
         with_scores: bool = False,
-        pipeline: Optional[bool] = None,
     ) -> TopNResult:
         """Flat top-``n_items`` rankings for many users — the core hot path.
 
@@ -366,7 +335,7 @@ class TopNEngine:
             raise ConfigurationError(
                 f"user indices must lie in [0, {self.train_matrix.n_users})"
             )
-        size = self.effective_chunk_size(chunk_size)
+        size = self.effective_chunk_size()
         total = int(user_array.size)
         out_items = np.full((total, n), -1, dtype=np.int32)
         out_lengths = np.empty(total, dtype=np.int32)
@@ -375,7 +344,7 @@ class TopNEngine:
         )
         csr = self.train_matrix.csr() if exclude_seen else None
         starts = list(range(0, total, size))
-        if self._resolve_pipeline(pipeline) and len(starts) > 1:
+        if self._pipelined() and len(starts) > 1:
             executor = _prefetch_executor()
             future = executor.submit(
                 self._neg_scores_pooled, user_array[starts[0] : starts[0] + size]
@@ -407,7 +376,6 @@ class TopNEngine:
         users: Sequence[int],
         n_items: int = 10,
         exclude_seen: bool = True,
-        chunk_size: Optional[int] = None,
         return_scores: bool = False,
     ) -> Union[TopNResult, Tuple[TopNResult, List[np.ndarray]]]:
         """Top-``n_items`` lists for many users, one chunk at a time.
@@ -422,11 +390,7 @@ class TopNEngine:
         input, with zero rows.
         """
         result = self.topn(
-            users,
-            n_items=n_items,
-            exclude_seen=exclude_seen,
-            chunk_size=chunk_size,
-            with_scores=return_scores,
+            users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
         )
         if return_scores:
             return result, result.score_rows()
@@ -521,19 +485,16 @@ class TopNEngine:
     # ------------------------------------------------------------------ #
     # Kernels
     # ------------------------------------------------------------------ #
-    def _resolve_pipeline(self, pipeline: Optional[bool]) -> bool:
-        """Whether this call overlaps scoring with selection.
+    def _pipelined(self) -> bool:
+        """Whether a call overlaps scoring with selection.
 
-        Explicit per-call flag, then the engine's construction flag, then
-        auto: multi-core hosts pipeline factor-path engines (the model path
-        may not be thread-safe, so it never pipelines implicitly).
+        The engine's construction flag, else auto: multi-core hosts pipeline
+        factor-path engines (the model path may not be thread-safe, so it
+        never pipelines implicitly).
         """
-        flag = self.pipeline if pipeline is None else pipeline
-        if self._serving_user_factors is None and flag is None:
-            return False
-        if flag is None:
-            return (os.cpu_count() or 1) > 1
-        return bool(flag)
+        if self.pipeline is None:
+            return self._serving_user_factors is not None and (os.cpu_count() or 1) > 1
+        return bool(self.pipeline)
 
     @staticmethod
     def _mask_seen(neg_scores: np.ndarray, rows: np.ndarray, csr: sp.csr_matrix) -> None:

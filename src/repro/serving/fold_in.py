@@ -488,7 +488,7 @@ def extend_factors(
 def recommend_folded(
     engine,
     interactions: InteractionsLike,
-    model=None,
+    model,
     n_items: int = 10,
     exclude_seen: bool = True,
     n_sweeps: int = 30,
@@ -510,9 +510,9 @@ def recommend_folded(
     interactions:
         The cold users' positives (see :func:`fold_in_users`).
     model:
-        Optional fitted model to read the solver constants
-        (regularisation, backend, line-search) from; defaults to the
-        OCuLaR defaults when omitted.
+        The fitted model the engine serves (or its publish-time solver
+        snapshot): the fold-in reads its factors and solver constants
+        (regularisation, backend, line-search).
     backend:
         Optional backend override for the fold-in sweeps (see
         :func:`fold_in_users`); the rankings are unaffected.
@@ -533,7 +533,7 @@ def recommend_folded(
 def fold_in_scores(
     engine,
     csr: sp.csr_matrix,
-    model=None,
+    model,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
     backend: Optional[Union[Backend, str]] = None,
@@ -543,27 +543,15 @@ def fold_in_scores(
     The fold-and-score half of :func:`recommend_folded`, shared with the
     runtime's cold-start path (which folds on its warm backend and ranks
     with the request's score option).  ``csr`` must already be validated
-    against the engine's catalogue (:func:`_interactions_to_csr`).
+    against the catalogue of ``engine``, the engine the block is ranked on
+    (:func:`_interactions_to_csr`); the scores come from ``model`` alone.
     """
-    if model is not None:
-        folded = fold_in_users(
-            model, csr, n_sweeps=n_sweeps, tolerance=tolerance, backend=backend
-        )
-        # Score with the same item factors the users were folded against
-        # (``model.factors_``).  For bias-extended models these are the plain
-        # co-cluster columns: cold users have no learned bias, so cold-start
-        # serving ranks by pure co-cluster affinity.
-        item_factors = model.factors_.item_factors
-    else:
-        folded = fold_in_factors(
-            engine.factors.item_factors,
-            csr,
-            regularization=0.0,
-            backend="vectorized" if backend is None else backend,
-            n_sweeps=n_sweeps,
-            tolerance=tolerance,
-        )
-        item_factors = engine.factors.item_factors
+    folded = fold_in_users(model, csr, n_sweeps=n_sweeps, tolerance=tolerance, backend=backend)
+    # Score with the same item factors the users were folded against
+    # (``model.factors_``).  For bias-extended models these are the plain
+    # co-cluster columns: cold users have no learned bias, so cold-start
+    # serving ranks by pure co-cluster affinity.
+    item_factors = model.factors_.item_factors
     # One allocation (the matmul result); the probability transform runs in
     # place on it.  ``1 - exp(-aff)`` computed via negate/exp/subtract is
     # bitwise the straightforward expression.

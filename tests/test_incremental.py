@@ -13,8 +13,9 @@ from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.experiments.incremental import make_drifting_corpus, run_incremental_study
-from repro.runtime import IngestStats, RecommenderRuntime
+from repro.runtime import IngestStats, RecommenderRuntime, service
 from repro.runtime.service import DEFAULT_WARM_PLATEAU_TOLERANCE
+from repro.serving import recommend_folded
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,34 @@ class TestRuntimeIngest:
         assert steps == list(range(1, len(stats) + 1))
         assert all(s.n_users - base.n_users == s.nnz - base.nnz for s in stats)
         assert all(s.n_items == base.n_items for s in stats)
+        assert all(s.drift == (s.nnz - base.nnz) / base.nnz for s in stats)
+
+    def test_ingest_drift_describes_its_own_corpus(self, corpus):
+        # A second ingest lands the moment the first releases the lock: the
+        # first result must still report the drift of the corpus it left.
+        base = corpus.base
+        absent = [tuple(pair) for pair in np.argwhere(base.csr().toarray() == 0)[:2]]
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), base)
+            lock = runtime._swap_lock
+            later: list = []
+
+            class IngestOnRelease:
+                def __enter__(self):
+                    return lock.__enter__()
+
+                def __exit__(self, *exc_info):
+                    lock.__exit__(*exc_info)
+                    if not later:
+                        later.append(None)
+                        later[0] = runtime.ingest([absent[1]])
+
+            runtime._swap_lock = IngestOnRelease()
+            first = runtime.ingest([absent[0]])
+        (second,) = later
+        assert (first.nnz, second.nnz) == (base.nnz + 1, base.nnz + 2)
+        assert first.drift == 1 / base.nnz
+        assert second.drift == 2 / base.nnz
 
     def test_ingest_requires_fit(self):
         with RecommenderRuntime(executor="serial") as runtime:
@@ -256,21 +285,47 @@ class TestRuntimeRefit:
                 n_new_users=corpus.n_new_users,
                 n_new_items=corpus.n_new_items,
             )
-            assert runtime.drift <= runtime.drift_threshold
+            assert runtime.drift <= service.DRIFT_THRESHOLD
             runtime.refit(mode="auto")
             assert runtime.last_refit_mode == "warm"
 
-    def test_auto_resolves_cold_above_threshold(self, corpus):
-        with RecommenderRuntime(executor="serial", drift_threshold=0.0) as runtime:
+    def test_auto_resolves_cold_above_threshold(self, corpus, monkeypatch):
+        monkeypatch.setattr(service, "DRIFT_THRESHOLD", 0.0)
+        with RecommenderRuntime(executor="serial") as runtime:
             runtime.fit(_model(), corpus.base)
             runtime.ingest(
                 corpus.delta_pairs,
                 n_new_users=corpus.n_new_users,
                 n_new_items=corpus.n_new_items,
             )
-            assert runtime.drift > runtime.drift_threshold
+            assert runtime.drift > service.DRIFT_THRESHOLD
             runtime.refit(mode="auto")
             assert runtime.last_refit_mode == "cold"
+
+    @pytest.mark.parametrize("mode", ["warm", "cold"])
+    def test_delta_ingested_during_refit_is_kept(self, corpus, mode):
+        # A refit of the stored corpus trains on the corpus it read when it
+        # started; a delta acknowledged while it runs must outlive the fit.
+        base = corpus.base
+        new_user = base.n_users
+        acks: list = []
+
+        def ingest_once(_iteration, _history):
+            if not acks:
+                acks.append(runtime.ingest([(new_user, 0)], n_new_users=1))
+
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), base)
+            runtime.refit(callback=ingest_once, mode=mode)
+            runtime.update()
+            (ack,) = acks
+            assert runtime.train_matrix.nnz == ack.nnz == base.nnz + 1
+            assert runtime.train_matrix.n_users == ack.n_users == base.n_users + 1
+            assert runtime.drift > 0.0
+            # The refit's generation does not know the user: fold-in serves it.
+            response = runtime.recommend(RecommendRequest(users=[new_user], n_items=5))
+            want = recommend_folded(runtime.engine, [[0]], model=runtime.model, n_items=5)
+            assert response.rankings == want
 
     def test_refit_mode_validated(self, corpus):
         with RecommenderRuntime(executor="serial") as runtime:

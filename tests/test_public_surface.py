@@ -1,8 +1,8 @@
-"""A census of the serving runtime's settable surface.
+"""A census of the settable surface of serving, training, runtime and cluster.
 
-A change that adds (or removes) a public name, a constructor argument or an
-environment variable has to edit this file, and so has to say so — instead
-of every CHANGES.md entry re-counting them by hand."""
+A change that adds (or removes) a public name, a constructor or method
+argument or an environment variable has to edit this file, and so has to
+say so — instead of every CHANGES.md entry re-counting them by hand."""
 
 from __future__ import annotations
 
@@ -11,13 +11,18 @@ import re
 from pathlib import Path
 
 import repro.runtime
+from repro.core.backends import SweepWorkspaceStore
+from repro.parallel.cluster import ClusterExecutor
 from repro.runtime import BatchingFrontEnd, RecommenderRuntime, ServingGateway
+from repro.serving import ScoreBufferPool, TopNEngine
 
 SRC = Path(repro.runtime.__file__).resolve().parents[2]
 
 
-def _parameters(cls) -> tuple:
-    return tuple(inspect.signature(cls).parameters)
+def _parameters(obj) -> tuple:
+    return tuple(
+        name for name in inspect.signature(obj).parameters if name not in ("self", "cls")
+    )
 
 
 def test_runtime_exports():
@@ -47,9 +52,31 @@ def test_constructor_arguments():
         "max_frame_bytes", "fair_queue",
     )
     assert _parameters(RecommenderRuntime) == (
-        "executor", "max_workers", "n_shards", "chunk_size", "drift_threshold",
-        "serving_dtype",
+        "executor", "max_workers", "n_shards", "chunk_size", "serving_dtype",
     )
+    assert _parameters(TopNEngine) == (
+        "train_matrix", "factors", "model", "chunk_size", "dtype", "pipeline",
+    )
+    assert _parameters(ScoreBufferPool) == ()
+    assert _parameters(SweepWorkspaceStore) == ()
+    assert _parameters(ClusterExecutor) == (
+        "n_nodes", "addresses", "authkey", "task_timeout", "max_task_retries",
+        "max_objects", "store_host",
+    )
+
+
+def test_method_arguments():
+    assert _parameters(TopNEngine.from_model) == ("model", "chunk_size", "dtype", "pipeline")
+    assert _parameters(TopNEngine.from_factors) == (
+        "factors", "train_matrix", "chunk_size", "dtype", "pipeline",
+    )
+    assert _parameters(TopNEngine.topn) == ("users", "n_items", "exclude_seen", "with_scores")
+    assert _parameters(TopNEngine.recommend_batch) == (
+        "users", "n_items", "exclude_seen", "return_scores",
+    )
+    assert _parameters(TopNEngine.effective_chunk_size) == ()
+    assert _parameters(RecommenderRuntime.refit) == ("matrix", "callback", "mode")
+    assert _parameters(RecommenderRuntime.worker_pids) == ()
 
 
 def test_environment_variables():
@@ -58,8 +85,4 @@ def test_environment_variables():
         for path in SRC.rglob("*.py")
         for name in re.findall(r"\bREPRO_[A-Z0-9_]+\b", path.read_text(encoding="utf-8"))
     }
-    assert names == {
-        "REPRO_CLUSTER_TASK_DELAY_MS",
-        "REPRO_SCORE_BUFFER_BUDGET_MB",
-        "REPRO_SWEEP_WORKSPACE_CACHE",
-    }
+    assert names == {"REPRO_CLUSTER_TASK_DELAY_MS"}

@@ -19,14 +19,14 @@ import scipy.sparse as sp
 from repro.core.ocular import OCuLaR
 from repro.exceptions import ConfigurationError
 from repro.serving import (
-    BUFFER_BUDGET_ENV,
     ScoreBufferPool,
     TopNEngine,
     TopNResult,
+    buffers,
     recommend_folded,
-    score_buffer_budget_bytes,
     serve_sharded,
 )
+from repro.serving import engine as engine_module
 
 
 def _ranking_overlap(a, b) -> float:
@@ -196,8 +196,9 @@ class TestScoreBufferPool:
         pool.release(f32)
         pool.release(narrow)
 
-    def test_max_cached_cap(self):
-        pool = ScoreBufferPool(max_cached=2)
+    def test_max_cached_cap(self, monkeypatch):
+        monkeypatch.setattr(buffers, "MAX_CACHED_BLOCKS", 2)
+        pool = ScoreBufferPool()
         blocks = [pool.take(2, 3, np.float64) for _ in range(4)]
         for block in blocks:
             pool.release(block)
@@ -219,60 +220,37 @@ class TestScoreBufferPool:
         assert stats.allocations == 1
 
     def test_pickles_to_fresh_pool(self):
-        pool = ScoreBufferPool(max_cached=3)
+        pool = ScoreBufferPool()
         pool.release(pool.take(2, 2, np.float64))
         clone = pickle.loads(pickle.dumps(pool))
-        assert clone.max_cached == 3
         assert clone.stats().allocations == 0
+        assert clone.stats().cached_blocks == 0
 
 
 # --------------------------------------------------------------------------- #
-# Budget resolution and chunk autotune
+# Chunk autotune under the score-buffer budget
 # --------------------------------------------------------------------------- #
 class TestChunkAutotune:
-    def test_budget_priority(self, monkeypatch):
-        monkeypatch.delenv(BUFFER_BUDGET_ENV, raising=False)
-        assert score_buffer_budget_bytes(1.0) == 1024 * 1024
-        monkeypatch.setenv(BUFFER_BUDGET_ENV, "2")
-        assert score_buffer_budget_bytes() == 2 * 1024 * 1024
-        assert score_buffer_budget_bytes(1.0) == 1024 * 1024  # param wins
-        monkeypatch.setenv(BUFFER_BUDGET_ENV, "not-a-number")
-        assert score_buffer_budget_bytes() == 128 * 1024 * 1024
-        assert score_buffer_budget_bytes(-5) == 128 * 1024 * 1024
-
-    def test_effective_chunk_capped_by_budget(self, fitted_movielens_model):
+    def test_effective_chunk_capped_by_budget(self, fitted_movielens_model, monkeypatch):
         # 80 items x 8 bytes = 640 B per row; a 64 KiB budget caps at 102 rows.
-        engine = TopNEngine.from_model(
-            fitted_movielens_model, chunk_size=4096, buffer_budget_mb=64 / 1024
-        )
+        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=4096)
+        roomy = TopNEngine.from_model(fitted_movielens_model, chunk_size=64)
+        # The 128 MiB budget leaves the requested chunk unchanged.
+        assert engine.effective_chunk_size() == 4096
+        monkeypatch.setattr(engine_module, "SCORE_BUFFER_BUDGET_BYTES", 64 * 1024)
         row_bytes = engine.n_items * engine.serving_dtype.itemsize
         assert engine.effective_chunk_size() == (64 * 1024) // row_bytes
-        # An ample budget leaves the requested chunk unchanged.
-        roomy = TopNEngine.from_model(fitted_movielens_model, chunk_size=64)
         assert roomy.effective_chunk_size() == 64
 
-    def test_effective_chunk_floor_is_one(self, fitted_movielens_model):
-        engine = TopNEngine.from_model(
-            fitted_movielens_model, buffer_budget_mb=1e-9
-        )
+    def test_effective_chunk_floor_is_one(self, fitted_movielens_model, monkeypatch):
+        monkeypatch.setattr(engine_module, "SCORE_BUFFER_BUDGET_BYTES", 1)
+        engine = TopNEngine.from_model(fitted_movielens_model)
         assert engine.effective_chunk_size() == 1
 
-    def test_env_budget_reaches_engine(self, fitted_movielens_model, monkeypatch):
-        monkeypatch.setenv(BUFFER_BUDGET_ENV, str(64 / 1024))
-        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=4096)
-        assert engine.buffer_budget_bytes == 64 * 1024
-        assert engine.effective_chunk_size() < 4096
-
-    def test_float32_doubles_the_chunk(self, fitted_movielens_model):
-        f64 = TopNEngine.from_model(
-            fitted_movielens_model, chunk_size=1 << 20, buffer_budget_mb=1.0
-        )
-        f32 = TopNEngine.from_model(
-            fitted_movielens_model,
-            chunk_size=1 << 20,
-            buffer_budget_mb=1.0,
-            dtype="float32",
-        )
+    def test_float32_doubles_the_chunk(self, fitted_movielens_model, monkeypatch):
+        monkeypatch.setattr(engine_module, "SCORE_BUFFER_BUDGET_BYTES", 1024 * 1024)
+        f64 = TopNEngine.from_model(fitted_movielens_model, chunk_size=1 << 20)
+        f32 = TopNEngine.from_model(fitted_movielens_model, chunk_size=1 << 20, dtype="float32")
         assert f32.effective_chunk_size() == 2 * f64.effective_chunk_size()
 
 
@@ -350,13 +328,16 @@ class TestEngineHotPath:
         assert stats.reuses > 0
 
     def test_pipelined_matches_serial_exactly(self, fitted_movielens_model):
-        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=16)
+        serial_engine, piped_engine = (
+            TopNEngine.from_model(fitted_movielens_model, chunk_size=16, pipeline=flag)
+            for flag in (False, True)
+        )
         users = list(range(120))
-        serial = engine.topn(users, n_items=12, pipeline=False)
-        piped = engine.topn(users, n_items=12, pipeline=True)
+        serial = serial_engine.topn(users, n_items=12)
+        piped = piped_engine.topn(users, n_items=12)
         np.testing.assert_array_equal(serial.items, piped.items)
         np.testing.assert_array_equal(serial.lengths, piped.lengths)
-        with_scores = engine.topn(users, n_items=12, pipeline=True, with_scores=True)
+        with_scores = piped_engine.topn(users, n_items=12, with_scores=True)
         np.testing.assert_array_equal(serial.items, with_scores.items)
 
     def test_pipeline_flag_at_construction(self, fitted_movielens_model):
@@ -664,18 +645,18 @@ class TestKernelParity:
 class TestPrefetchForkSafety:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires fork")
     def test_child_does_not_inherit_executor(self, fitted_movielens_model):
-        from repro.serving import engine as engine_module
-
-        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=16)
-        engine.topn(range(60), n_items=5, pipeline=True)  # warm the executor
+        engine = TopNEngine.from_model(fitted_movielens_model, chunk_size=16, pipeline=True)
+        engine.topn(range(60), n_items=5)  # warm the executor
         assert engine_module._PREFETCH is not None
         pid = os.fork()
         if pid == 0:  # child
             status = 1
             try:
                 if engine_module._PREFETCH is None:
-                    child = TopNEngine.from_model(fitted_movielens_model, chunk_size=16)
-                    child.topn(range(60), n_items=5, pipeline=True)
+                    child = TopNEngine.from_model(
+                        fitted_movielens_model, chunk_size=16, pipeline=True
+                    )
+                    child.topn(range(60), n_items=5)
                     status = 0
             finally:
                 os._exit(status)

@@ -33,15 +33,11 @@ from repro.core.backends import (
     SweepStats,
     SweepWorkspaceStore,
     VectorizedBackend,
-    workspace_cache_size,
+    workspace,
 )
 from repro.core.backends.base import Backend
 from repro.core.backends.plan import SweepPlan, SweepSide
-from repro.core.backends.workspace import (
-    WORKSPACE_CACHE_ENV,
-    csr_matmul_into,
-    csr_row_sums_into,
-)
+from repro.core.backends.workspace import csr_matmul_into, csr_row_sums_into
 from repro.core.objective import (
     affinity_block_entries,
     gradient_ratio,
@@ -761,10 +757,11 @@ class TestWorkspaceStore:
         store.release(half)
         assert store.stats().allocations == 2
 
-    def test_free_list_cap_drops_extras(self):
+    def test_free_list_cap_drops_extras(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_CACHED_WORKSPACES", 1)
         matrix, *_ = _random_problem(14)
         plan = SweepSide.build(matrix)
-        store = SweepWorkspaceStore(max_cached=1)
+        store = SweepWorkspaceStore()
         arenas = [store.acquire(plan, 0, plan.n_rows, 3, np.float64) for _ in range(3)]
         for arena in arenas:
             store.release(arena)
@@ -782,14 +779,6 @@ class TestWorkspaceStore:
         assert store.stats().cached == 0
         assert store.stats().bytes_in_use == 0
 
-    def test_cache_size_env_knob(self, monkeypatch):
-        monkeypatch.setenv(WORKSPACE_CACHE_ENV, "3")
-        assert workspace_cache_size() == 3
-        monkeypatch.setenv(WORKSPACE_CACHE_ENV, "not-a-number")
-        assert workspace_cache_size() == 8
-        monkeypatch.delenv(WORKSPACE_CACHE_ENV)
-        assert workspace_cache_size(5) == 5
-
     def test_store_pickles_fresh(self):
         # Process-executor workers receive plan sides by pickle; their
         # stores must arrive empty (worker-local arenas, no dead buffers).
@@ -801,7 +790,7 @@ class TestWorkspaceStore:
         stats = clone.workspaces.stats()
         assert stats.allocations == 0
         assert stats.cached == 0
-        assert clone.workspaces.max_cached == plan.workspaces.max_cached
+        assert stats.bytes_in_use == 0
 
     def test_concurrent_sweeps_share_one_plan_safely(self):
         # Eight threads sweeping one warm side concurrently: every result
