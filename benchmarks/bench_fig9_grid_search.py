@@ -19,7 +19,7 @@ from conftest import run_once, scaled, smoke_mode
 
 from repro.experiments.gridsearch import run_grid_search_experiment
 from repro.experiments.paper_reference import PAPER_CLAIMS
-from repro.parallel import ProcessExecutor
+from repro.parallel import SharedMemoryProcessExecutor
 
 
 def test_fig9_grid_search(benchmark, report_writer):
@@ -44,7 +44,7 @@ def test_fig9_grid_search(benchmark, report_writer):
     max_workers = params.pop("max_workers")
 
     def run():
-        with ProcessExecutor(max_workers=max_workers) as executor:
+        with SharedMemoryProcessExecutor(max_workers=max_workers) as executor:
             return run_grid_search_experiment(
                 k_values=k_values,
                 lambda_values=lambda_values,

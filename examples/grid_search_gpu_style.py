@@ -18,7 +18,7 @@ import time
 import warnings
 
 from repro.experiments.gridsearch import run_grid_search_experiment
-from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.parallel import SerialExecutor, SharedMemoryProcessExecutor
 
 
 def main() -> None:
@@ -49,7 +49,7 @@ def main() -> None:
     # 2. Parallel search across worker processes (the Spark/GPU stand-in).
     # ------------------------------------------------------------------ #
     start = time.perf_counter()
-    with ProcessExecutor(max_workers=4) as executor:
+    with SharedMemoryProcessExecutor(max_workers=4) as executor:
         parallel_result = run_grid_search_experiment(executor=executor, **common)
     parallel_seconds = time.perf_counter() - start
     print(f"Parallel grid search (4 workers): {parallel_seconds:.1f}s "

@@ -30,7 +30,8 @@ class OcularBuilder:
     """Picklable OCuLaR factory used by the (possibly multi-process) grid search.
 
     A plain module-level callable (rather than a closure) so that
-    :class:`repro.parallel.ProcessExecutor` can ship it to worker processes.
+    :class:`repro.parallel.SharedMemoryProcessExecutor` can ship it to worker
+    processes.
     """
 
     max_iterations: int = 40

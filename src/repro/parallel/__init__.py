@@ -10,7 +10,7 @@ its execution substrate the same way.
 """
 
 from repro.parallel.cluster import ClusterExecutor
-from repro.parallel.executor import SerialExecutor, ProcessExecutor, ThreadExecutor
+from repro.parallel.executor import SerialExecutor, ThreadExecutor
 from repro.parallel.scheduler import (
     ShardScheduler,
     available_executors,
@@ -23,7 +23,6 @@ from repro.parallel.shared_memory import SharedMemoryProcessExecutor, attach_sha
 __all__ = [
     "ClusterExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "ThreadExecutor",
     "ShardScheduler",
     "SharedArraySpec",

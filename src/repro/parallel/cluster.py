@@ -16,10 +16,11 @@ Three ideas carry the design:
   runtime ship ``(row_range, spec)`` tasks unchanged.  Only the store
   differs: published arrays live in a driver-side object store and tasks
   carry ``remote`` :class:`~repro.parallel.publication.SharedArraySpec`
-  descriptors.  A node fetches each key **once**, caches the array, and is
-  told to evict it when the driver retires the publication (a
-  model-generation swap, the end of a fit) — so one model version crosses
-  the wire to each node one time, not once per shard.
+  descriptors.  A node fetches each key **once**, on the task channel the
+  task that needs it runs on, caches the array, and is told to evict it
+  when the driver retires the publication (a model-generation swap, the end
+  of a fit) — so one model version crosses the wire to each node one time,
+  not once per shard, and agents never connect back to the driver.
 * **Fault tolerance is first-class.**  Each node runs its tasks over a
   dedicated connection with a per-task reply timeout.  A task that *raises*
   propagates its exception (first failure in submission order, remote
@@ -33,12 +34,13 @@ Three ideas carry the design:
 * **One lifecycle contract.**  Like every registered executor, work
   submitted after :meth:`ClusterExecutor.shutdown` raises
   :class:`~repro.exceptions.ExecutorShutDownError`; shutdown itself is
-  idempotent, drains in-flight work, stops the agents it spawned and closes
-  the object store.
+  idempotent, drains in-flight work, stops the agents it spawned and
+  retires every publication.
 
 Wire protocol (all messages are pickled tuples over authenticated
-``multiprocessing.connection`` channels; every channel opens with a
-``("hello", kind, node_id, store_address)`` frame):
+``multiprocessing.connection`` channels; only the driver opens them, two per
+agent, and each starts with a ``("hello", kind, node_id, driver_id)`` frame —
+an agent keeps one object cache per driver id):
 
 ========  =======================================  =========================
 channel   driver -> agent                          agent -> driver
@@ -46,10 +48,11 @@ channel   driver -> agent                          agent -> driver
 task      ``("task", function, args)``             ``("ok", result)`` or
                                                    ``("error", pickled,
                                                    repr, traceback)``
+          the array, or ``None`` once retired      ``("get", key)``, while
+                                                   the task runs
 ctrl      ``("ping",)`` ``("stats",)``             ``("ok", payload)``
           ``("evict", keys)`` ``("die_after", n)``
           ``("shutdown",)``
-store     ``("get", keys)`` (agent -> driver)      ``{key: array}``
 ========  =======================================  =========================
 
 ``die_after`` is a deterministic fault-injection hook: the agent executes
@@ -105,14 +108,15 @@ _CTRL_TIMEOUT = 30.0
 class _NodeRuntime:
     """Per-agent object cache plus fault-injection and telemetry state.
 
-    One instance per (agent process, driver store) pair — a standalone agent
-    that outlives its driver builds a fresh runtime when the next driver's
-    hello announces a different store address.
+    One instance per (agent process, driver) pair — a standalone agent that
+    outlives its driver builds a fresh runtime when the next driver's hello
+    announces a different driver id.
     """
 
-    def __init__(self, store_address: Tuple[str, int], authkey: bytes) -> None:
-        self.store_address = tuple(store_address)
-        self.authkey = authkey
+    def __init__(self, driver_id: str) -> None:
+        self.driver_id = driver_id
+        #: The driver's task channel; fetches ride it while a task runs.
+        self.task_conn: Optional[Connection] = None
         self._objects: Dict[str, np.ndarray] = {}
         self._evicted: set = set()
         self.fetch_counts: Dict[str, int] = {}
@@ -121,19 +125,19 @@ class _NodeRuntime:
         self._die_after: Optional[int] = None
 
     def fetch(self, spec: SharedArraySpec) -> np.ndarray:
-        """The node-local array for ``spec``, fetched from the driver at most once."""
+        """The node-local array for ``spec``, fetched from the driver at most once.
+
+        Runs on the task thread: the driver's runner for this node is
+        waiting on the task channel for the task's reply, and answers the
+        ``("get", key)`` in between.
+        """
         key = spec.shm_name
         with self._lock:
             cached = self._objects.get(key)
         if cached is not None:
             return cached
-        connection = Client(self.store_address, authkey=self.authkey)
-        try:
-            connection.send(("get", [key]))
-            payload = connection.recv()
-        finally:
-            connection.close()
-        array = payload.get(key)
+        self.task_conn.send(("get", key))
+        array = self.task_conn.recv()
         if array is None:
             raise KeyError(
                 f"cluster object {key!r} is not in the driver store "
@@ -190,8 +194,8 @@ class _NodeRuntime:
             }
 
 
-#: The agent process's runtime; rebuilt when a driver with a new object
-#: store says hello.  ``None`` outside agent processes — attaching a remote
+#: The agent process's runtime; rebuilt when a driver with a new driver id
+#: says hello.  ``None`` outside agent processes — attaching a remote
 #: descriptor anywhere else is a programming error and raises.
 _NODE_RUNTIME: Optional[_NodeRuntime] = None
 _RUNTIME_LOCK = threading.Lock()
@@ -293,10 +297,7 @@ def _serve_ctrl(
 
 
 def _serve_channel(
-    connection: Connection,
-    authkey: bytes,
-    stop: threading.Event,
-    listener: Listener,
+    connection: Connection, stop: threading.Event, listener: Listener
 ) -> None:
     global _NODE_RUNTIME
     try:
@@ -307,13 +308,14 @@ def _serve_channel(
     if not (isinstance(hello, tuple) and len(hello) == 4 and hello[0] == "hello"):
         connection.close()
         return
-    _tag, kind, _node_id, store_address = hello
+    _tag, kind, _node_id, driver_id = hello
     with _RUNTIME_LOCK:
-        if _NODE_RUNTIME is None or _NODE_RUNTIME.store_address != tuple(store_address):
-            _NODE_RUNTIME = _NodeRuntime(store_address, authkey)
+        if _NODE_RUNTIME is None or _NODE_RUNTIME.driver_id != driver_id:
+            _NODE_RUNTIME = _NodeRuntime(driver_id)
         runtime = _NODE_RUNTIME
     try:
         if kind == "task":
+            runtime.task_conn = connection
             _serve_tasks(connection, runtime)
         else:
             _serve_ctrl(connection, runtime, stop, listener)
@@ -327,7 +329,7 @@ def _serve_channel(
             pass
 
 
-def _serve_agent(listener: Listener, authkey: bytes) -> None:
+def _serve_agent(listener: Listener) -> None:
     """Accept loop of one agent: a thread per channel, until shutdown."""
     stop = threading.Event()
     while not stop.is_set():
@@ -339,7 +341,7 @@ def _serve_agent(listener: Listener, authkey: bytes) -> None:
             break
         threading.Thread(
             target=_serve_channel,
-            args=(connection, authkey, stop, listener),
+            args=(connection, stop, listener),
             daemon=True,
             name="repro-cluster-channel",
         ).start()
@@ -357,71 +359,36 @@ def _agent_main(
     if ready is not None:
         ready.send(listener.address)
         ready.close()
-    _serve_agent(listener, bytes(authkey))
+    _serve_agent(listener)
 
 
 # --------------------------------------------------------------------------- #
 # Driver-side object store
 # --------------------------------------------------------------------------- #
-class _StoreServer:
-    """The driver's object store: a tiny array server nodes fetch from.
+class _ObjectStore:
+    """The driver's object store: published arrays by key.
 
-    One listener, a thread per connected node; nodes connect lazily on
-    their first fetch and requests are answered straight out of the table.
     This is the ``write``/``retire`` store of the executor's
     :class:`~repro.parallel.publication.PublicationTable`, which owns the
     policy (keys, LRU cap, generation retirement); ``evict`` receives the
     names of retired publications so the executor can tell its nodes.
+    Nodes read it through :meth:`get`, which each node's runner thread calls
+    when the node asks for a key on its task channel.
     """
 
-    def __init__(
-        self, host: str, authkey: bytes, evict: Callable[[List[str]], None]
-    ) -> None:
-        self._listener = Listener((host, 0), authkey=authkey)
+    def __init__(self, evict: Callable[[List[str]], None]) -> None:
         self._objects: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._evict = evict
-        self._uid = f"{os.getpid()}-{next(_CLUSTER_IDS)}"
+        #: Prefix of every key, and the driver id agents key their caches on:
+        #: random, so drivers on different machines never share one.
+        self.uid = os.urandom(8).hex()
         self._serials = itertools.count(1)
-        threading.Thread(
-            target=self._accept_loop, daemon=True, name="repro-cluster-store"
-        ).start()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return tuple(self._listener.address)
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                connection = self._listener.accept()
-            except AuthenticationError:
-                continue
-            except (OSError, EOFError):
-                return
-            threading.Thread(
-                target=self._serve_client,
-                args=(connection,),
-                daemon=True,
-                name="repro-cluster-store-client",
-            ).start()
-
-    def _serve_client(self, connection: Connection) -> None:
-        try:
-            while True:
-                message = connection.recv()
-                if not (isinstance(message, tuple) and message and message[0] == "get"):
-                    break
-                with self._lock:
-                    payload = {key: self._objects.get(key) for key in message[1]}
-                connection.send(payload)
-        except (EOFError, OSError):
-            pass
-        finally:
-            try:
-                connection.close()
-            except Exception:
-                pass
+    def get(self, key: str) -> Optional[np.ndarray]:
+        """The array published under ``key``, or ``None`` once retired."""
+        with self._lock:
+            return self._objects.get(key)
 
     def write(
         self, array: np.ndarray, previous: Optional[SharedArraySpec], pinned: bool
@@ -433,7 +400,7 @@ class _StoreServer:
         An unpinned array is snapshotted, like the shared-memory memcpy:
         later caller mutations must not leak into what nodes fetch.
         """
-        name = f"repro-cluster-{self._uid}-{next(self._serials)}"
+        name = f"repro-cluster-{self.uid}-{next(self._serials)}"
         spec = SharedArraySpec(name, tuple(array.shape), array.dtype.str, remote=True)
         with self._lock:
             self._objects[spec.shm_name] = array if pinned else array.copy()
@@ -449,14 +416,6 @@ class _StoreServer:
                 self._objects.pop(name, None)
         self._evict(names)
 
-    def close(self) -> None:
-        try:
-            self._listener.close()
-        except Exception:
-            pass
-        with self._lock:
-            self._objects.clear()
-
 
 # --------------------------------------------------------------------------- #
 # Driver-side executor
@@ -466,7 +425,6 @@ class _NodeHandle:
     """Driver-side view of one agent node."""
 
     node_id: int
-    address: Tuple[str, int]
     process: Optional[Any]  # multiprocessing.Process for spawned agents
     task_conn: Connection
     ctrl_conn: Connection
@@ -550,9 +508,6 @@ def _parse_address(address: Any) -> Tuple[str, int]:
     )
 
 
-_CLUSTER_IDS = itertools.count(1)
-
-
 class ClusterExecutor:
     """RPC executor over N agent nodes with fault-tolerant re-dispatch.
 
@@ -593,9 +548,6 @@ class ClusterExecutor:
         Soft LRU cap on concurrently published objects — the table
         capacity the shared-memory executor calls ``max_segments``
         (non-evictable publications are never silently dropped).
-    store_host:
-        Interface the object store binds; make it externally reachable
-        (and routable from the agents) for true multi-machine runs.
     """
 
     def __init__(
@@ -607,7 +559,6 @@ class ClusterExecutor:
         task_timeout: float = 120.0,
         max_task_retries: int = 3,
         max_objects: int = 256,
-        store_host: str = "127.0.0.1",
     ) -> None:
         if task_timeout <= 0:
             raise ConfigurationError("task_timeout must be positive")
@@ -641,9 +592,7 @@ class ClusterExecutor:
             self._authkey = bytes(authkey) if authkey is not None else os.urandom(16)
             agent_plan = []
 
-        self._store = _StoreServer(
-            store_host, self._authkey, lambda keys: self._broadcast(("evict", keys))
-        )
+        self._store = _ObjectStore(lambda keys: self._broadcast(("evict", keys)))
         self._publications = PublicationTable(self._store, int(max_objects))
         self.publish = self._publications.publish
         self.publish_static = self._publications.publish_static
@@ -703,18 +652,13 @@ class ClusterExecutor:
         self, node_id: int, address: Tuple[str, int], process: Any
     ) -> _NodeHandle:
         task_conn = Client(address, authkey=self._authkey)
-        task_conn.send(("hello", "task", node_id, self._store.address))
+        task_conn.send(("hello", "task", node_id, self._store.uid))
         ctrl_conn = Client(address, authkey=self._authkey)
-        ctrl_conn.send(("hello", "ctrl", node_id, self._store.address))
-        return _NodeHandle(
-            node_id=node_id,
-            address=tuple(address),
-            process=process,
-            task_conn=task_conn,
-            ctrl_conn=ctrl_conn,
-        )
+        ctrl_conn.send(("hello", "ctrl", node_id, self._store.uid))
+        return _NodeHandle(node_id, process, task_conn, ctrl_conn)
 
     def _emergency_teardown(self) -> None:
+        self._stopping = True
         for node in self._nodes:
             for connection in (node.task_conn, node.ctrl_conn):
                 try:
@@ -723,7 +667,6 @@ class ClusterExecutor:
                     pass
             if node.process is not None and node.process.is_alive():
                 node.process.kill()
-        self._store.close()
 
     # ------------------------------------------------------------------ #
     # Task execution
@@ -800,12 +743,7 @@ class ClusterExecutor:
                 task.call.complete(task.index, error=error)
                 continue
             try:
-                if not node.task_conn.poll(self._task_timeout):
-                    raise TimeoutError(
-                        f"cluster node {node.node_id} gave no reply within "
-                        f"{self._task_timeout:.1f}s"
-                    )
-                reply = node.task_conn.recv()
+                reply = self._await_reply(node)
             except (EOFError, OSError, TimeoutError) as error:
                 self._on_node_death(node, error)
                 self._requeue(task, node, error)
@@ -819,6 +757,19 @@ class ClusterExecutor:
                 task.call.complete(task.index, result=reply[1])
             else:
                 task.call.complete(task.index, error=_rebuild_remote_error(reply))
+
+    def _await_reply(self, node: _NodeHandle) -> Tuple:
+        """The in-flight task's reply, serving the node's fetches meanwhile."""
+        while True:
+            if not node.task_conn.poll(self._task_timeout):
+                raise TimeoutError(
+                    f"cluster node {node.node_id} gave no reply within "
+                    f"{self._task_timeout:.1f}s"
+                )
+            reply = node.task_conn.recv()
+            if reply[0] != "get":
+                return reply
+            node.task_conn.send(self._store.get(reply[1]))
 
     def _requeue(
         self, task: _QueuedTask, node: _NodeHandle, cause: BaseException
@@ -958,13 +909,12 @@ class ClusterExecutor:
         return self._shut_down
 
     def shutdown(self) -> None:
-        """Drain in-flight work, stop the agents, close the object store.
+        """Drain in-flight work, stop the agents, retire every publication.
 
         Idempotent.  New submissions are rejected immediately; queued and
         in-flight tasks finish first (like the pools' drain-on-shutdown),
         then spawned agents are asked to exit (and reaped if they will not),
-        connections and the store are closed, and the publication table is
-        dropped.
+        connections are closed, and the publication table is dropped.
         """
         with self._lifecycle_lock:
             if self._shut_down:
@@ -992,7 +942,6 @@ class ClusterExecutor:
                     node.process.kill()
                     node.process.join(timeout=5.0)
         self._publications.close()
-        self._store.close()
 
     def __enter__(self) -> "ClusterExecutor":
         return self
@@ -1011,15 +960,15 @@ class ClusterExecutor:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one agent in the foreground: ``python -m repro.parallel.cluster``.
 
-    Start one per machine, then point the driver at them::
+    Start one per machine, then point the driver at them — the driver opens
+    every connection, so agents need no route back to it::
 
         # on each worker machine
         python -m repro.parallel.cluster --host 0.0.0.0 --port 9410 --authkey <hex>
 
         # on the driver
         ClusterExecutor(addresses=["node1:9410", "node2:9410"],
-                        authkey=bytes.fromhex("<hex>"),
-                        store_host="<driver-ip>")
+                        authkey=bytes.fromhex("<hex>"))
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel.cluster",
@@ -1042,7 +991,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     listener = Listener((args.host, args.port), authkey=authkey)
     host, port = listener.address
     print(f"repro cluster agent listening on {host}:{port}", flush=True)
-    _serve_agent(listener, authkey)
+    _serve_agent(listener)
     return 0
 
 

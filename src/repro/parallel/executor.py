@@ -3,14 +3,15 @@
 The paper distributes the (K, lambda) grid search "using Apache Spark across
 a cluster of 8 machines, each fitted with a GPU" (Section VII-E).  The
 reproduction offers the same scale-out shape on a single machine: a
-:class:`ProcessExecutor` fans independent hyper-parameter evaluations out to
-a pool of worker processes, a :class:`ThreadExecutor` does the same with
-threads (useful when the work releases the GIL), and a
+:class:`ThreadExecutor` fans independent hyper-parameter evaluations out to
+a thread pool (useful when the work releases the GIL), and a
 :class:`SerialExecutor` runs everything inline — handy in tests and the
-baseline against which the parallel speed-up is measured.
+baseline against which the parallel speed-up is measured.  The process pool
+is :class:`~repro.parallel.shared_memory.SharedMemoryProcessExecutor`, built
+on this module's :class:`_PoolExecutor`.
 
-All three expose the same two methods (``map`` and ``starmap``), so the grid
-search code is agnostic to which one it receives.
+Every executor exposes the same two methods (``map`` and ``starmap``), so
+the grid search code is agnostic to which one it receives.
 """
 
 from __future__ import annotations
@@ -235,20 +236,6 @@ class DispatcherThread:
         if self._thread.is_alive():
             self._thread.join(timeout=timeout)
         return not self._thread.is_alive()
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Executor backed by a process pool.
-
-    Tasks and their arguments must be picklable (module-level functions,
-    plain data).  The grid-search entry points in
-    :mod:`repro.evaluation.grid_search` satisfy this requirement.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(
-            concurrent.futures.ProcessPoolExecutor(max_workers=_resolve_workers(max_workers))
-        )
 
 
 class ThreadExecutor(_PoolExecutor):

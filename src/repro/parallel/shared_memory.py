@@ -1,10 +1,10 @@
 """Shared-memory process execution: the publication protocol over ``/dev/shm``.
 
-A plain :class:`~repro.parallel.executor.ProcessExecutor` pickles every task's
-arguments into the worker — for a sharded sweep that means serialising the
-CSR plan and both factor matrices once *per shard per sweep*, which swamps
-the kernel time on anything but tiny problems.  The
-:class:`SharedMemoryProcessExecutor` removes that cost by composing the
+A plain process pool pickles every task's arguments into the worker — for a
+sharded sweep that means serialising the CSR plan and both factor matrices
+once *per shard per sweep*, which swamps the kernel time on anything but
+tiny problems.  The :class:`SharedMemoryProcessExecutor` removes that cost
+by composing the
 :class:`~repro.parallel.publication.PublicationTable` with a POSIX
 shared-memory store: write-once data (the sweep plan's CSR arrays) is copied
 into a segment once per fit, per-sweep data (the factor matrices) refreshes
@@ -240,9 +240,9 @@ class _SegmentStore:
 class SharedMemoryProcessExecutor(_PoolExecutor):
     """Process-pool executor with shared-memory array publication.
 
-    Behaves exactly like :class:`~repro.parallel.executor.ProcessExecutor`
-    for plain ``map``/``starmap`` (tasks and arguments are pickled), and
-    additionally lets tasks reference large arrays by :class:`SharedArraySpec`
+    Behaves like a plain process pool for ``map``/``starmap`` (tasks and
+    arguments are pickled, so they must be module-level functions and plain
+    data), and additionally lets tasks reference large arrays by :class:`SharedArraySpec`
     instead of by value: ``publish``, ``publish_static`` and ``unpublish``
     are the methods of a :class:`~repro.parallel.publication.PublicationTable`
     over ``/dev/shm``.  A slot keeps its segment (bytes rewritten in place)

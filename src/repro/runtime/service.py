@@ -63,7 +63,6 @@ import numpy as np
 from repro.api import RecommendRequest, RecommendResponse
 from repro.core.backends import ParallelBackend
 from repro.core.factors import FactorModel
-from repro.core.objective import full_objective
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ShardScheduler, supports_publication
@@ -337,9 +336,8 @@ class RecommenderRuntime:
         self.model = None
         self.train_matrix = None
         # Drift bookkeeping for the incremental-refit policy: the corpus
-        # size at (and per-interaction objective of) the last *full* fit.
+        # size at the last *full* fit.
         self._full_fit_nnz: Optional[int] = None
-        self._baseline_objective_per_nnz: Optional[float] = None
         self.last_refit_mode: Optional[str] = None
         # Serving dispatches this runtime has performed — the coalescing
         # ratio of a batching front-end is visible as
@@ -449,7 +447,8 @@ class RecommenderRuntime:
             if read is None or self.train_matrix is read:
                 self.train_matrix = matrix
             if fit_kwargs.get("initial_factors") is None:
-                self._reset_drift_baseline(model, matrix)
+                nnz = getattr(matrix, "nnz", None)
+                self._full_fit_nnz = int(nnz) if nnz is not None else None
         # The fit's plan arrays are dead weight between fits; drop them now
         # instead of letting them ride the executor's LRU.  Scoped to the
         # warm backend's own keys (and serialised against its in-flight
@@ -586,58 +585,6 @@ class RecommenderRuntime:
         if self._full_fit_nnz is None or nnz is None:
             return 0.0
         return (int(nnz) - self._full_fit_nnz) / max(self._full_fit_nnz, 1)
-
-    def objective_drift(self) -> float:
-        """Relative change of the per-interaction objective on the grown corpus.
-
-        Extends the current model's factors to the stored corpus (fold-in of
-        any new users/items, existing rows unchanged) and evaluates the
-        training objective per positive interaction, relative to the value
-        the last full fit ended at.  A direct measure of how stale the
-        factors are — more faithful than :attr:`drift` but it costs fold-in
-        sweeps plus one objective evaluation, so the auto policy uses
-        :attr:`drift` and this stays a diagnostic.
-        """
-        self._check_open()
-        if self.model is None or not getattr(self.model, "is_fitted", False):
-            raise NotFittedError("objective_drift requires a fitted model")
-        if self.train_matrix is None or not isinstance(
-            self.train_matrix, InteractionMatrix
-        ):
-            raise ConfigurationError(
-                "objective_drift requires an InteractionMatrix corpus"
-            )
-        if self._baseline_objective_per_nnz is None:
-            raise NotFittedError(
-                "objective_drift requires a full fit with a training history "
-                "as its baseline"
-            )
-        matrix = self.train_matrix
-        # Verbatim extension (interior=0.0): the diagnostic must evaluate the
-        # current factors as they are, not the interior-lifted warm seed.
-        factors = extend_factors(
-            self.model, matrix, backend=self._backend, interior=0.0
-        )
-        objective = full_objective(
-            matrix.csr(),
-            factors.user_factors,
-            factors.item_factors,
-            getattr(self.model, "regularization", 0.0),
-        )
-        per_nnz = objective / max(matrix.nnz, 1)
-        baseline = self._baseline_objective_per_nnz
-        return (per_nnz - baseline) / max(abs(baseline), 1e-12)
-
-    def _reset_drift_baseline(self, model, matrix) -> None:
-        """Record the corpus size and objective level of a full fit."""
-        nnz = getattr(matrix, "nnz", None)
-        self._full_fit_nnz = int(nnz) if nnz is not None else None
-        history = getattr(model, "history_", None)
-        objective_values = getattr(history, "objective_values", None)
-        if objective_values and self._full_fit_nnz:
-            self._baseline_objective_per_nnz = objective_values[-1] / self._full_fit_nnz
-        else:
-            self._baseline_objective_per_nnz = None
 
     # ------------------------------------------------------------------ #
     # Publication / model-version swap

@@ -230,17 +230,6 @@ class TestRuntimeIngest:
             with pytest.raises(NotFittedError, match="ingest"):
                 runtime.ingest([(0, 0)])
 
-    def test_objective_drift_zero_after_fit_and_finite_after_ingest(self, corpus):
-        with RecommenderRuntime(executor="serial") as runtime:
-            runtime.fit(_model(), corpus.base)
-            assert runtime.objective_drift() == pytest.approx(0.0, abs=1e-9)
-            runtime.ingest(
-                corpus.delta_pairs,
-                n_new_users=corpus.n_new_users,
-                n_new_items=corpus.n_new_items,
-            )
-            assert np.isfinite(runtime.objective_drift())
-
 
 class TestRuntimeRefit:
     def test_warm_refit_seeds_and_plateaus(self, corpus):

@@ -347,6 +347,42 @@ class TestExternalAgents:
             agent.kill()
             agent.join(timeout=10)
 
+    def test_standalone_agent_fetches_and_serves_a_second_driver(self):
+        # Arrays reach an external agent on its task channel, once; a second
+        # driver on the same agent starts from an empty node cache.
+        authkey = b"repro-test-authkey"
+        context = get_context("spawn")
+        parent, child = context.Pipe(duplex=False)
+        agent = context.Process(
+            target=_agent_main, args=("127.0.0.1", 0, authkey, child), daemon=True
+        )
+        agent.start()
+        child.close()
+        try:
+            assert parent.poll(30), "external agent never reported its address"
+            address = tuple(parent.recv())
+            first = ClusterExecutor(addresses=[address], authkey=authkey, task_timeout=60)
+            ref = first.publish("slot", np.arange(6, dtype=np.float64))
+            assert first.starmap(fetch_sum, [(ref,), (ref,)]) == [15.0, 15.0]
+            (stats,) = first.node_stats().values()
+            assert stats["fetch_counts"] == {ref.shm_name: 1}
+            # Tear down without the ("shutdown",) op: the agent stays up.
+            first._emergency_teardown()
+
+            with ClusterExecutor(
+                addresses=[address], authkey=authkey, task_timeout=60
+            ) as second:
+                (stats,) = second.node_stats().values()
+                assert stats["store_keys"] == [] and stats["fetch_counts"] == {}
+                ref = second.publish("slot", np.ones(4))
+                assert second.map(fetch_sum, [ref]) == [4.0]
+                (stats,) = second.node_stats().values()
+                assert stats["fetch_counts"] == {ref.shm_name: 1}
+        finally:
+            parent.close()
+            agent.kill()
+            agent.join(timeout=10)
+
     def test_external_addresses_require_authkey(self):
         with pytest.raises(ConfigurationError, match="authkey"):
             ClusterExecutor(addresses=["127.0.0.1:1"])

@@ -14,7 +14,7 @@ from repro.exceptions import (
     ReproError,
     WorkerCrashError,
 )
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import SerialExecutor, SharedMemoryProcessExecutor, ThreadExecutor
 
 
 def square(value: int) -> int:
@@ -87,16 +87,16 @@ class TestThreadExecutor:
 
 class TestProcessExecutor:
     def test_map_matches_serial(self):
-        with ProcessExecutor(max_workers=2) as executor:
+        with SharedMemoryProcessExecutor(max_workers=2) as executor:
             assert executor.map(square, [2, 3, 4]) == [4, 9, 16]
 
     def test_starmap(self):
-        with ProcessExecutor(max_workers=2) as executor:
+        with SharedMemoryProcessExecutor(max_workers=2) as executor:
             assert executor.starmap(add, [(10, 5), (1, 1)]) == [15, 2]
 
     def test_invalid_workers(self):
         with pytest.raises(ConfigurationError):
-            ProcessExecutor(max_workers=-1)
+            SharedMemoryProcessExecutor(max_workers=-1)
 
 
 class TestWorkerDefaults:
@@ -105,7 +105,7 @@ class TestWorkerDefaults:
             assert executor._pool._max_workers == (os.cpu_count() or 1)
 
     def test_process_default_workers_is_cpu_count(self):
-        with ProcessExecutor() as executor:
+        with SharedMemoryProcessExecutor() as executor:
             assert executor._pool._max_workers == (os.cpu_count() or 1)
             executor.map(square, [1])  # the pool is actually usable
 
@@ -127,7 +127,7 @@ class TestFailurePropagation:
         assert any(frame.name == "fail_tagged" for frame in frames)
 
     def test_process_pool_propagates_failure(self):
-        with ProcessExecutor(max_workers=2) as executor:
+        with SharedMemoryProcessExecutor(max_workers=2) as executor:
             with pytest.raises(ValueError, match="worker failed: only"):
                 executor.starmap(fail_tagged, [("only", 0.0)])
 
@@ -135,7 +135,7 @@ class TestFailurePropagation:
 class TestLifecycleContract:
     """The post-shutdown and worker-death bugfixes (typed errors everywhere)."""
 
-    @pytest.mark.parametrize("build", [ThreadExecutor, ProcessExecutor])
+    @pytest.mark.parametrize("build", [ThreadExecutor, SharedMemoryProcessExecutor])
     def test_pooled_submission_after_shutdown_raises_typed_error(self, build):
         # Used to leak concurrent.futures' raw RuntimeError("cannot schedule
         # new futures after shutdown"); now a typed repro error.
@@ -162,16 +162,16 @@ class TestLifecycleContract:
         # A dying worker process used to surface as a bare BrokenProcessPool
         # with no context; now WorkerCrashError names the executor and the
         # submission index of the task whose worker died.
-        with ProcessExecutor(max_workers=2) as executor:
+        with SharedMemoryProcessExecutor(max_workers=2) as executor:
             with pytest.raises(WorkerCrashError) as excinfo:
                 executor.starmap(exit_hard, [(3,)])
-        assert excinfo.value.executor == "ProcessExecutor"
+        assert excinfo.value.executor == "SharedMemoryProcessExecutor"
         assert excinfo.value.task_index == 0
         assert isinstance(excinfo.value, ReproError)
 
     def test_task_exception_is_not_a_worker_crash(self):
         # The distinction runtime callers rely on: "node died" (retryable on
         # cluster) arrives as WorkerCrashError, a plain task failure as itself.
-        with ProcessExecutor(max_workers=2) as executor:
+        with SharedMemoryProcessExecutor(max_workers=2) as executor:
             with pytest.raises(ValueError, match="worker failed: plain"):
                 executor.starmap(fail_tagged, [("plain", 0.0)])

@@ -61,7 +61,7 @@ def test_constructor_arguments():
     assert _parameters(SweepWorkspaceStore) == ()
     assert _parameters(ClusterExecutor) == (
         "n_nodes", "addresses", "authkey", "task_timeout", "max_task_retries",
-        "max_objects", "store_host",
+        "max_objects",
     )
 
 

@@ -13,7 +13,7 @@ from repro.core.ocular import OCuLaR
 from repro.exceptions import DataError
 from repro.core.recommend import batch_reports
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import SerialExecutor, SharedMemoryProcessExecutor, ThreadExecutor
 import scipy.sparse as sp
 
 from types import SimpleNamespace
@@ -342,16 +342,25 @@ class TestFoldInPlanCache:
 # Sharded serving
 # --------------------------------------------------------------------------- #
 class TestServeSharded:
-    def test_order_stable_across_executors(self, fitted_movielens_model):
+    def test_order_stable_across_executors(self, fitted_movielens_model, movielens_small):
         engine = TopNEngine.from_model(fitted_movielens_model)
         users = list(range(fitted_movielens_model.train_matrix.n_users))
+        # A model-path engine has no factors to publish, so the process pool
+        # receives it pickled with every shard.
+        _, _, split = movielens_small
+        model_engine = TopNEngine.from_model(PopularityRecommender().fit(split.train))
+        model_users = list(range(split.train.n_users))
 
         serial = serve_sharded(engine, users, n_items=10, shard_size=16)
+        model_serial = serve_sharded(model_engine, model_users, n_items=10, shard_size=16)
         with ThreadExecutor(max_workers=4) as threads:
             threaded = serve_sharded(engine, users, n_items=10, executor=threads, shard_size=16)
-        with ProcessExecutor(max_workers=2) as processes:
+        with SharedMemoryProcessExecutor(max_workers=2) as processes:
             processed = serve_sharded(
                 engine, users, n_items=10, executor=processes, shard_size=16
+            )
+            model_processed = serve_sharded(
+                model_engine, model_users, n_items=10, executor=processes, shard_size=16
             )
 
         assert serial.users == threaded.users == processed.users == users
@@ -359,6 +368,10 @@ class TestServeSharded:
         for reference, a, b in zip(serial.rankings, threaded.rankings, processed.rankings):
             np.testing.assert_array_equal(reference, a)
             np.testing.assert_array_equal(reference, b)
+        assert model_processed.users == model_serial.users == model_users
+        assert model_processed.n_shards == model_serial.n_shards > 1
+        for reference, ranked in zip(model_serial.rankings, model_processed.rankings):
+            np.testing.assert_array_equal(reference, ranked)
 
     def test_matches_unsharded_engine(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model)
