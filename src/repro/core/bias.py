@@ -183,6 +183,7 @@ class BiasedOCuLaR(OCuLaR):
         self._augmented_factors = FactorModel(user_aug_view, item_aug_view)
         self.history_ = history
         self._set_train_matrix(matrix)
+        self._warn_if_exhausted(history)
         return self
 
     def _warm_biases(

@@ -22,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.core.init import initialize_factors
 from repro.core.objective import relative_user_weights
 from repro.core.optimizer import BlockCoordinateTrainer, TrainingHistory
 from repro.data.interactions import InteractionMatrix
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ConvergenceWarning
 from repro.utils.rng import RandomStateLike
 from repro.utils.validation import (
     check_float_dtype,
@@ -255,7 +256,18 @@ class OCuLaR(Recommender):
         self.factors_ = FactorModel(user_factors, item_factors)
         self.history_ = history
         self._set_train_matrix(matrix)
+        self._warn_if_exhausted(history)
         return self
+
+    def _warn_if_exhausted(self, history: TrainingHistory) -> None:
+        """Warn once per fit that used every iteration without converging."""
+        if not history.converged and history.n_iterations >= self.max_iterations:
+            warnings.warn(
+                "OCuLaR training reached max_iterations without meeting the "
+                "convergence tolerance",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
 
     def _coerce_initial_factors(self, initial_factors, n_users: int, n_items: int):
         """Validate and copy a warm start into this model's dtype.

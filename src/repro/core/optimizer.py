@@ -22,7 +22,6 @@ test-suite checks.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -31,7 +30,7 @@ import scipy.sparse as sp
 
 from repro.core.backends import Backend, BackendLease, SweepPlan, SweepStats
 from repro.core.objective import objective_from_entries
-from repro.exceptions import ConfigurationError, ConvergenceWarning
+from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_2d,
     check_non_negative_float,
@@ -466,11 +465,4 @@ class BlockCoordinateTrainer:
                     history.stopped_on_plateau = True
                     break
 
-        if not history.converged and history.n_iterations >= self.max_iterations:
-            warnings.warn(
-                "OCuLaR training reached max_iterations without meeting the "
-                "convergence tolerance",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
         return user_factors, item_factors, history

@@ -10,7 +10,7 @@ the Figure 5 curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,57 +95,7 @@ def evaluate_recommender(
         raise EvaluationError(f"m must be positive, got {m}")
     if not model.is_fitted:
         raise EvaluationError("the recommender must be fitted before evaluation")
-
-    if users is None:
-        eligible = sorted(split.test_items.keys())
-    else:
-        eligible = [user for user in users if user in split.test_items]
-    if not eligible:
-        raise EvaluationError("no test users with held-out positives to evaluate")
-
-    recalls: List[float] = []
-    average_precisions: List[float] = []
-    precisions: List[float] = []
-    ndcgs: List[float] = []
-    hits: List[float] = []
-    per_user: Dict[int, Dict[str, float]] = {}
-
-    # All eligible users are ranked in one pass through the chunked serving
-    # engine (identical rankings to per-user ``model.recommend``).
-    engine = TopNEngine.from_model(model)
-    rankings = engine.recommend_batch(eligible, n_items=m, exclude_seen=True)
-
-    for user, ranked in zip(eligible, rankings):
-        relevant = split.test_items[user]
-        user_recall = metrics.recall_at_m(ranked, relevant, m)
-        user_ap = metrics.average_precision_at_m(ranked, relevant, m)
-        user_precision = metrics.precision_at_m(ranked, relevant, m)
-        user_ndcg = metrics.ndcg_at_m(ranked, relevant, m)
-        user_hit = metrics.hit_rate_at_m(ranked, relevant, m)
-        recalls.append(user_recall)
-        average_precisions.append(user_ap)
-        precisions.append(user_precision)
-        ndcgs.append(user_ndcg)
-        hits.append(user_hit)
-        if keep_per_user:
-            per_user[user] = {
-                "recall": user_recall,
-                "ap": user_ap,
-                "precision": user_precision,
-                "ndcg": user_ndcg,
-                "hit": user_hit,
-            }
-
-    return EvaluationResult(
-        m=m,
-        n_users=len(eligible),
-        recall=float(np.mean(recalls)),
-        map=float(np.mean(average_precisions)),
-        precision=float(np.mean(precisions)),
-        ndcg=float(np.mean(ndcgs)),
-        hit_rate=float(np.mean(hits)),
-        per_user=per_user,
-    )
+    return _evaluate(model, split, [m], users, keep_per_user)[m]
 
 
 def evaluate_curves(
@@ -165,8 +115,17 @@ def evaluate_curves(
     m_sorted = sorted(set(int(m) for m in m_values))
     if m_sorted[0] <= 0:
         raise EvaluationError("all cut-offs must be positive")
-    max_m = m_sorted[-1]
+    return _evaluate(model, split, m_sorted, users)
 
+
+def _evaluate(
+    model: Recommender,
+    split: Split,
+    m_sorted: Sequence[int],
+    users: Optional[Iterable[int]],
+    keep_per_user: bool = False,
+) -> Dict[int, EvaluationResult]:
+    """Rank every eligible user once at the largest cut-off; score each cut-off."""
     if users is None:
         eligible = sorted(split.test_items.keys())
     else:
@@ -174,35 +133,40 @@ def evaluate_curves(
     if not eligible:
         raise EvaluationError("no test users with held-out positives to evaluate")
 
-    accumulators: Dict[int, Dict[str, List[float]]] = {
-        m: {"recall": [], "ap": [], "precision": [], "ndcg": [], "hit": []} for m in m_sorted
-    }
+    # All eligible users are ranked in one pass through the chunked serving
+    # engine (identical rankings to per-user ``model.recommend``).
     engine = TopNEngine.from_model(model)
-    rankings = engine.recommend_batch(eligible, n_items=max_m, exclude_seen=True)
-
+    rankings = engine.recommend_batch(eligible, n_items=m_sorted[-1], exclude_seen=True)
+    rows: Dict[int, List[Tuple[int, Dict[str, float]]]] = {m: [] for m in m_sorted}
     for user, ranked_full in zip(eligible, rankings):
         relevant = split.test_items[user]
         for m in m_sorted:
             ranked = ranked_full[:m]
-            accumulators[m]["recall"].append(metrics.recall_at_m(ranked, relevant, m))
-            accumulators[m]["ap"].append(metrics.average_precision_at_m(ranked, relevant, m))
-            accumulators[m]["precision"].append(metrics.precision_at_m(ranked, relevant, m))
-            accumulators[m]["ndcg"].append(metrics.ndcg_at_m(ranked, relevant, m))
-            accumulators[m]["hit"].append(metrics.hit_rate_at_m(ranked, relevant, m))
+            scores = {
+                "recall": metrics.recall_at_m(ranked, relevant, m),
+                "ap": metrics.average_precision_at_m(ranked, relevant, m),
+                "precision": metrics.precision_at_m(ranked, relevant, m),
+                "ndcg": metrics.ndcg_at_m(ranked, relevant, m),
+                "hit": metrics.hit_rate_at_m(ranked, relevant, m),
+            }
+            rows[m].append((user, scores))
 
-    results: Dict[int, EvaluationResult] = {}
-    for m in m_sorted:
-        acc = accumulators[m]
-        results[m] = EvaluationResult(
+    def mean(m: int, name: str) -> float:
+        return float(np.mean([row[name] for _user, row in rows[m]]))
+
+    return {
+        m: EvaluationResult(
             m=m,
             n_users=len(eligible),
-            recall=float(np.mean(acc["recall"])),
-            map=float(np.mean(acc["ap"])),
-            precision=float(np.mean(acc["precision"])),
-            ndcg=float(np.mean(acc["ndcg"])),
-            hit_rate=float(np.mean(acc["hit"])),
+            recall=mean(m, "recall"),
+            map=mean(m, "ap"),
+            precision=mean(m, "precision"),
+            ndcg=mean(m, "ndcg"),
+            hit_rate=mean(m, "hit"),
+            per_user=dict(rows[m]) if keep_per_user else {},
         )
-    return results
+        for m in m_sorted
+    }
 
 
 def compare_recommenders(

@@ -16,13 +16,13 @@ Three ideas carry the design:
   runtime ship ``(row_range, spec)`` tasks unchanged.  Only the store
   differs: published arrays live in a driver-side object store and tasks
   carry ``remote`` :class:`~repro.parallel.publication.SharedArraySpec`
-  descriptors.  A node fetches each key **once**, on the task channel the
-  task that needs it runs on, caches the array, and is told to evict it
+  descriptors.  A node fetches each key **once**, on its connection, while
+  the task that needs it runs, caches the array, and is told to evict it
   when the driver retires the publication (a model-generation swap, the end
   of a fit) — so one model version crosses the wire to each node one time,
   not once per shard, and agents never connect back to the driver.
-* **Fault tolerance is first-class.**  Each node runs its tasks over a
-  dedicated connection with a per-task reply timeout.  A task that *raises*
+* **Fault tolerance is first-class.**  Each node runs its tasks over its
+  one connection with a per-task reply timeout.  A task that *raises*
   propagates its exception (first failure in submission order, remote
   traceback attached) exactly like the local pools.  A node that *dies* —
   killed, crashed, or silent past the timeout — has its in-flight task
@@ -37,28 +37,37 @@ Three ideas carry the design:
   idempotent, drains in-flight work, stops the agents it spawned and
   retires every publication.
 
-Wire protocol (all messages are pickled tuples over authenticated
-``multiprocessing.connection`` channels; only the driver opens them, two per
-agent, and each starts with a ``("hello", kind, node_id, driver_id)`` frame —
-an agent keeps one object cache per driver id):
+Wire protocol: pickled tuples over one authenticated
+``multiprocessing.connection`` channel per agent.  Only the driver opens
+it, and its first frame is ``("hello",)``.  The agent runs the
+frames in order on one thread and keeps one object cache per connection:
 
-========  =======================================  =========================
-channel   driver -> agent                          agent -> driver
-========  =======================================  =========================
-task      ``("task", function, args)``             ``("ok", result)`` or
-                                                   ``("error", pickled,
-                                                   repr, traceback)``
-          the array, or ``None`` once retired      ``("get", key)``, while
-                                                   the task runs
-ctrl      ``("ping",)`` ``("stats",)``             ``("ok", payload)``
-          ``("evict", keys)`` ``("die_after", n)``
-          ``("shutdown",)``
-========  =======================================  =========================
+=========================================  ================================
+driver -> agent                            agent -> driver
+=========================================  ================================
+``("task", function, args)``               ``("ok", result)`` or
+                                           ``("error", pickled, repr,
+                                           traceback)``
+the array, or ``None`` once retired        ``("get", key)``, while a task
+                                           runs
+``("evict", keys)``                        nothing
+``("ping",)`` ``("stats",)``               ``("ok", payload)``
+``("die_after", n)`` ``("shutdown",)``
+=========================================  ================================
 
-``die_after`` is a deterministic fault-injection hook: the agent executes
-``n`` more tasks, then exits hard *before* replying to the next one —
-exactly the mid-call crash the re-dispatch tests need, without racing a
-signal against task boundaries.
+The driver sends ``evict`` just before the next frame after a retire, so a
+node never evicts in the middle of a task and a publisher never waits on
+the network.  ``shutdown`` ends the agent process (exit code 0) after the
+reply.  ``die_after`` is a deterministic fault-injection hook: the agent
+executes ``n`` more tasks, then exits hard *before* replying to the next
+one — exactly the mid-call crash the re-dispatch tests need, without racing
+a signal against task boundaries.
+
+Trust boundary: frames are pickles authenticated only by the HMAC
+``authkey``, so whoever holds the key can run arbitrary code on an agent.
+Spawned agents bind ``127.0.0.1``, by default with a fresh random key;
+external agents require an explicit key and belong on trusted networks
+only.
 """
 
 from __future__ import annotations
@@ -98,7 +107,7 @@ EXIT_INJECTED_DEATH = 17
 
 _AGENT_START_TIMEOUT = 30.0
 
-#: Seconds a node may take to answer a control-channel request.
+#: Seconds a node may take to answer a control request once it is sent.
 _CTRL_TIMEOUT = 30.0
 
 
@@ -106,104 +115,79 @@ _CTRL_TIMEOUT = 30.0
 # Agent (node) side
 # --------------------------------------------------------------------------- #
 class _NodeRuntime:
-    """Per-agent object cache plus fault-injection and telemetry state.
+    """One driver connection's object cache plus fault-injection and telemetry state.
 
-    One instance per (agent process, driver) pair — a standalone agent that
-    outlives its driver builds a fresh runtime when the next driver's hello
-    announces a different driver id.
+    Built per connection and used only by the thread serving it, so it takes
+    no lock; a second driver on a standalone agent gets its own.
     """
 
-    def __init__(self, driver_id: str) -> None:
-        self.driver_id = driver_id
-        #: The driver's task channel; fetches ride it while a task runs.
-        self.task_conn: Optional[Connection] = None
+    def __init__(self, connection: Connection) -> None:
+        self.connection = connection
         self._objects: Dict[str, np.ndarray] = {}
         self._evicted: set = set()
         self.fetch_counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
         self.tasks_executed = 0
-        self._die_after: Optional[int] = None
+        self.die_after: Optional[int] = None
 
     def fetch(self, spec: SharedArraySpec) -> np.ndarray:
         """The node-local array for ``spec``, fetched from the driver at most once.
 
-        Runs on the task thread: the driver's runner for this node is
-        waiting on the task channel for the task's reply, and answers the
-        ``("get", key)`` in between.
+        The driver's runner for this node is waiting on the connection for
+        the task's reply, and answers the ``("get", key)`` in between.
         """
         key = spec.shm_name
-        with self._lock:
-            cached = self._objects.get(key)
+        cached = self._objects.get(key)
         if cached is not None:
             return cached
-        self.task_conn.send(("get", key))
-        array = self.task_conn.recv()
+        self.connection.send(("get", key))
+        array = self.connection.recv()
         if array is None:
             raise KeyError(
                 f"cluster object {key!r} is not in the driver store "
                 "(retired or never published)"
             )
         array = np.asarray(array).reshape(spec.shape)
-        with self._lock:
-            self._objects[key] = array
-            self.fetch_counts[key] = self.fetch_counts.get(key, 0) + 1
-            self._evicted.discard(key)
+        self._objects[key] = array
+        self.fetch_counts[key] = self.fetch_counts.get(key, 0) + 1
+        self._evicted.discard(key)
         return array
 
     def is_live(self, key: str) -> bool:
         """Whether the driver has not (yet) told this node to evict ``key``."""
-        with self._lock:
-            return key not in self._evicted
+        return key not in self._evicted
 
     def evict(self, keys: Iterable[str]) -> None:
-        """Drop cached arrays for retired publications (driver broadcast).
+        """Drop cached arrays for retired publications.
 
         Worker-side caches built over the arrays (rebuilt engines, sweep
         sides) are asked to drop their entries too, so the next task
         rebuilds from live publications instead of serving stale data.
         """
         keys = list(keys)
-        with self._lock:
-            for key in keys:
-                self._objects.pop(key, None)
-                self._evicted.add(key)
+        for key in keys:
+            self._objects.pop(key, None)
+            self._evicted.add(key)
         drop_cached(keys)
 
-    def set_die_after(self, n_tasks: int) -> None:
-        with self._lock:
-            self._die_after = int(n_tasks)
-
-    def take_death_token(self) -> bool:
-        """Whether the injected death fires on the task starting now."""
-        with self._lock:
-            if self._die_after is None:
-                return False
-            if self._die_after <= 0:
-                return True
-            self._die_after -= 1
-            return False
-
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "pid": os.getpid(),
-                "tasks_executed": self.tasks_executed,
-                "store_keys": sorted(self._objects),
-                "fetch_counts": dict(self.fetch_counts),
-                "evicted": sorted(self._evicted),
-            }
+        return {
+            "pid": os.getpid(),
+            "tasks_executed": self.tasks_executed,
+            "store_keys": sorted(self._objects),
+            "fetch_counts": dict(self.fetch_counts),
+            "evicted": sorted(self._evicted),
+        }
 
 
-#: The agent process's runtime; rebuilt when a driver with a new driver id
-#: says hello.  ``None`` outside agent processes — attaching a remote
-#: descriptor anywhere else is a programming error and raises.
-_NODE_RUNTIME: Optional[_NodeRuntime] = None
-_RUNTIME_LOCK = threading.Lock()
+#: ``runtime`` is the :class:`_NodeRuntime` of the connection this thread
+#: serves; unset outside agent connection threads, where attaching a remote
+#: descriptor is a programming error and raises.
+_LOCAL = threading.local()
 
 
 def node_runtime() -> _NodeRuntime:
-    """The agent process's object cache, which remote descriptors attach through."""
-    runtime = _NODE_RUNTIME
+    """The object cache remote descriptors attach through, on this thread."""
+    runtime = getattr(_LOCAL, "runtime", None)
     if runtime is None:
         raise RuntimeError(
             "no cluster node runtime in this process; a remote array "
@@ -220,135 +204,90 @@ def _pickle_or_none(error: BaseException) -> Optional[bytes]:
         return None
 
 
-def _serve_tasks(connection: Connection, runtime: _NodeRuntime) -> None:
-    """Execute tasks from one driver connection, one at a time, forever."""
-    while True:
-        message = connection.recv()
-        if not (isinstance(message, tuple) and message and message[0] == "task"):
-            continue
-        _op, function, args = message
-        delay = os.environ.get(TASK_DELAY_ENV)
-        if delay:
-            try:
-                time.sleep(float(delay) / 1000.0)
-            except ValueError:
-                pass
-        if runtime.take_death_token():
+def _run_task(runtime: _NodeRuntime, function: Callable[..., Any], args: Tuple) -> None:
+    """Execute one task and send its reply."""
+    connection = runtime.connection
+    delay = os.environ.get(TASK_DELAY_ENV)
+    if delay:
+        try:
+            time.sleep(float(delay) / 1000.0)
+        except ValueError:
+            pass
+    if runtime.die_after is not None:
+        if runtime.die_after <= 0:
             # Injected crash: exit hard before replying, so the driver sees
             # exactly what a dead machine looks like — an in-flight task
             # whose reply never comes.
             os._exit(EXIT_INJECTED_DEATH)
+        runtime.die_after -= 1
+    try:
+        result = function(*args)
+    except BaseException as error:
+        connection.send(
+            ("error", _pickle_or_none(error), repr(error), traceback.format_exc())
+        )
+    else:
         try:
-            result = function(*args)
-        except BaseException as error:
-            connection.send(
-                ("error", _pickle_or_none(error), repr(error), traceback.format_exc())
-            )
-        else:
-            try:
-                connection.send(("ok", result))
-            except (EOFError, OSError):
-                raise
-            except Exception as error:
-                # The pickling failure happened before any bytes hit the
-                # wire (Connection.send serialises first), so the channel
-                # is intact — report it as a task error, not a node death.
-                connection.send(("error", None, repr(error), traceback.format_exc()))
-        runtime.tasks_executed += 1
+            connection.send(("ok", result))
+        except (EOFError, OSError):
+            raise
+        except Exception as error:
+            # The pickling failure happened before any bytes hit the
+            # wire (Connection.send serialises first), so the channel
+            # is intact — report it as a task error, not a node death.
+            connection.send(("error", None, repr(error), traceback.format_exc()))
+    runtime.tasks_executed += 1
 
 
-def _serve_ctrl(
-    connection: Connection,
-    runtime: _NodeRuntime,
-    stop: threading.Event,
-    listener: Listener,
-) -> None:
-    """Answer control requests (evict/ping/stats/fault-injection/shutdown)."""
-    while True:
-        message = connection.recv()
-        op = message[0]
-        if op == "ping":
-            connection.send(("ok", "pong"))
-        elif op == "stats":
-            connection.send(("ok", runtime.stats()))
-        elif op == "evict":
-            runtime.evict(message[1])
-            connection.send(("ok", None))
-        elif op == "die_after":
-            runtime.set_die_after(message[1])
-            connection.send(("ok", None))
-        elif op == "shutdown":
-            connection.send(("ok", None))
-            stop.set()
-            try:
-                # Closing the listener from this thread does not wake the
-                # agent's blocked ``accept``; one throwaway connection does
-                # (to loopback when bound to a wildcard, which only Linux
-                # lets a client connect to).
-                host, port = listener.address[:2]
-                if host in ("", "0.0.0.0", "::"):
-                    host = "localhost"
-                socket.create_connection((host, port), timeout=1.0).close()
-            except OSError:
-                pass
+def _serve_connection(connection: Connection) -> None:
+    """Run every frame of one driver connection, in order, until it closes."""
+    try:
+        if connection.recv() != ("hello",):
             return
-        else:
-            connection.send(("error", None, f"unknown ctrl op {op!r}", ""))
-
-
-def _serve_channel(
-    connection: Connection, stop: threading.Event, listener: Listener
-) -> None:
-    global _NODE_RUNTIME
-    try:
-        hello = connection.recv()
-    except Exception:
-        connection.close()
-        return
-    if not (isinstance(hello, tuple) and len(hello) == 4 and hello[0] == "hello"):
-        connection.close()
-        return
-    _tag, kind, _node_id, driver_id = hello
-    with _RUNTIME_LOCK:
-        if _NODE_RUNTIME is None or _NODE_RUNTIME.driver_id != driver_id:
-            _NODE_RUNTIME = _NodeRuntime(driver_id)
-        runtime = _NODE_RUNTIME
-    try:
-        if kind == "task":
-            runtime.task_conn = connection
-            _serve_tasks(connection, runtime)
-        else:
-            _serve_ctrl(connection, runtime, stop, listener)
+        runtime = _LOCAL.runtime = _NodeRuntime(connection)
+        while True:
+            message = connection.recv()
+            op = message[0]
+            if op == "task":
+                _run_task(runtime, message[1], message[2])
+            elif op == "evict":
+                runtime.evict(message[1])
+            elif op == "ping":
+                connection.send(("ok", "pong"))
+            elif op == "stats":
+                connection.send(("ok", runtime.stats()))
+            elif op == "die_after":
+                runtime.die_after = int(message[1])
+                connection.send(("ok", None))
+            elif op == "shutdown":
+                connection.send(("ok", None))
+                os._exit(0)
+            else:
+                connection.send(("error", None, f"unknown op {op!r}", ""))
     except (EOFError, OSError):
         # The driver went away; a standalone agent stays up for the next one.
         pass
     finally:
-        try:
-            connection.close()
-        except Exception:
-            pass
+        _close(connection)
 
 
 def _serve_agent(listener: Listener) -> None:
-    """Accept loop of one agent: a thread per channel, until shutdown."""
-    stop = threading.Event()
-    while not stop.is_set():
+    """Accept loop of one agent: a thread per driver connection, forever.
+
+    The process ends on a driver's ``("shutdown",)``; a peer that fails or
+    abandons the handshake costs only its own connection.
+    """
+    while True:
         try:
             connection = listener.accept()
-        except AuthenticationError:
+        except (AuthenticationError, EOFError, ConnectionError):
             continue
-        except (OSError, EOFError):
-            break
         threading.Thread(
-            target=_serve_channel,
-            args=(connection, stop, listener),
+            target=_serve_connection,
+            args=(connection,),
             daemon=True,
-            name="repro-cluster-channel",
+            name="repro-cluster-connection",
         ).start()
-    try:
-        listener.close()
-    except Exception:
-        pass
 
 
 def _agent_main(
@@ -372,16 +311,16 @@ class _ObjectStore:
     :class:`~repro.parallel.publication.PublicationTable`, which owns the
     policy (keys, LRU cap, generation retirement); ``evict`` receives the
     names of retired publications so the executor can tell its nodes.
-    Nodes read it through :meth:`get`, which each node's runner thread calls
-    when the node asks for a key on its task channel.
+    Nodes read it through :meth:`get`, which the driver calls when a node
+    asks for a key while a task runs.
     """
 
     def __init__(self, evict: Callable[[List[str]], None]) -> None:
         self._objects: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._evict = evict
-        #: Prefix of every key, and the driver id agents key their caches on:
-        #: random, so drivers on different machines never share one.
+        #: Prefix of every key: random, so drivers on different machines
+        #: never share one.
         self.uid = os.urandom(8).hex()
         self._serials = itertools.count(1)
 
@@ -407,7 +346,7 @@ class _ObjectStore:
         return spec
 
     def retire(self, specs: List[SharedArraySpec]) -> None:
-        """Drop retired publications here and from every node's cache."""
+        """Drop retired publications here and queue their eviction on every node."""
         if not specs:
             return
         names = [spec.shm_name for spec in specs]
@@ -422,13 +361,18 @@ class _ObjectStore:
 # --------------------------------------------------------------------------- #
 @dataclass
 class _NodeHandle:
-    """Driver-side view of one agent node."""
+    """Driver-side view of one agent node.
+
+    ``lock`` is held for one exchange on ``conn``: a task round trip with
+    the fetches it makes, or one control request.  ``evictions`` holds the
+    retired keys the node has not been sent yet.
+    """
 
     node_id: int
     process: Optional[Any]  # multiprocessing.Process for spawned agents
-    task_conn: Connection
-    ctrl_conn: Connection
-    ctrl_lock: threading.Lock = field(default_factory=threading.Lock)
+    conn: Connection
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    evictions: List[str] = field(default_factory=list)
     alive: bool = True
 
 
@@ -493,6 +437,13 @@ def _rebuild_remote_error(reply: Tuple) -> BaseException:
     return error
 
 
+def _close(connection: Connection) -> None:
+    try:
+        connection.close()
+    except Exception:
+        pass
+
+
 def _parse_address(address: Any) -> Tuple[str, int]:
     if isinstance(address, str):
         host, _, port = address.rpartition(":")
@@ -524,7 +475,7 @@ class ClusterExecutor:
     :class:`~repro.parallel.publication.PublicationTable` over the driver's
     object store.  Refreshing a slot mints a fresh store key (one re-fetch
     per node); on ``unpublish`` every node drops the retired arrays, and any
-    engine rebuilt over them, on the spot.
+    engine rebuilt over them, before the next frame the driver sends it.
 
     Parameters
     ----------
@@ -592,7 +543,7 @@ class ClusterExecutor:
             self._authkey = bytes(authkey) if authkey is not None else os.urandom(16)
             agent_plan = []
 
-        self._store = _ObjectStore(lambda keys: self._broadcast(("evict", keys)))
+        self._store = _ObjectStore(self._queue_evictions)
         self._publications = PublicationTable(self._store, int(max_objects))
         self.publish = self._publications.publish
         self.publish_static = self._publications.publish_static
@@ -605,7 +556,7 @@ class ClusterExecutor:
             for node_id, (address, process) in enumerate(agent_plan):
                 self._nodes.append(self._connect_node(node_id, address, process))
             for node in self._nodes:
-                self._ctrl_request(node, ("ping",))
+                self._request(node, ("ping",))
         except BaseException:
             self._emergency_teardown()
             raise
@@ -651,20 +602,18 @@ class ClusterExecutor:
     def _connect_node(
         self, node_id: int, address: Tuple[str, int], process: Any
     ) -> _NodeHandle:
-        task_conn = Client(address, authkey=self._authkey)
-        task_conn.send(("hello", "task", node_id, self._store.uid))
-        ctrl_conn = Client(address, authkey=self._authkey)
-        ctrl_conn.send(("hello", "ctrl", node_id, self._store.uid))
-        return _NodeHandle(node_id, process, task_conn, ctrl_conn)
+        conn = Client(address, authkey=self._authkey)
+        # Evictions go out right before the next frame; with Nagle's algorithm
+        # that second write would wait for the agent's delayed ACK (~40 ms).
+        with socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.send(("hello",))
+        return _NodeHandle(node_id, process, conn)
 
     def _emergency_teardown(self) -> None:
         self._stopping = True
         for node in self._nodes:
-            for connection in (node.task_conn, node.ctrl_conn):
-                try:
-                    connection.close()
-                except Exception:
-                    pass
+            _close(node.conn)
             if node.process is not None and node.process.is_alive():
                 node.process.kill()
 
@@ -732,25 +681,17 @@ class ClusterExecutor:
                 self._tasks.put(task)
                 return
             try:
-                node.task_conn.send(("task", task.function, task.args))
-            except (EOFError, OSError) as error:
-                self._on_node_death(node, error)
-                self._requeue(task, node, error)
-                return
-            except Exception as error:
-                # Serialisation failed before any bytes hit the wire: a task
-                # error (unpicklable function/args), not a node death.
-                task.call.complete(task.index, error=error)
-                continue
-            try:
-                reply = self._await_reply(node)
+                with node.lock:
+                    self._send(node, ("task", task.function, task.args))
+                    reply = self._await_reply(node)
             except (EOFError, OSError, TimeoutError) as error:
                 self._on_node_death(node, error)
                 self._requeue(task, node, error)
                 return
             except Exception as error:
-                # The reply frame arrived but would not deserialise; the
-                # channel framing is intact, so the node stays live.
+                # An unpicklable task fails before any bytes hit the wire, and
+                # a reply that will not deserialise arrived whole: either way
+                # the channel framing is intact, so the node stays live.
                 task.call.complete(task.index, error=error)
                 continue
             if reply[0] == "ok":
@@ -761,15 +702,15 @@ class ClusterExecutor:
     def _await_reply(self, node: _NodeHandle) -> Tuple:
         """The in-flight task's reply, serving the node's fetches meanwhile."""
         while True:
-            if not node.task_conn.poll(self._task_timeout):
+            if not node.conn.poll(self._task_timeout):
                 raise TimeoutError(
                     f"cluster node {node.node_id} gave no reply within "
                     f"{self._task_timeout:.1f}s"
                 )
-            reply = node.task_conn.recv()
+            reply = node.conn.recv()
             if reply[0] != "get":
                 return reply
-            node.task_conn.send(self._store.get(reply[1]))
+            node.conn.send(self._store.get(reply[1]))
 
     def _requeue(
         self, task: _QueuedTask, node: _NodeHandle, cause: BaseException
@@ -805,11 +746,7 @@ class ClusterExecutor:
             if not node.alive:
                 return
             node.alive = False
-        for connection in (node.task_conn, node.ctrl_conn):
-            try:
-                connection.close()
-            except Exception:
-                pass
+        _close(node.conn)
         if node.process is not None and node.process.is_alive():
             # A *hung* (timed-out) local agent is reaped, not abandoned.
             node.process.kill()
@@ -836,39 +773,60 @@ class ClusterExecutor:
         return [node for node in self._nodes if node.alive]
 
     # ------------------------------------------------------------------ #
-    # Control channel
+    # Evictions and control requests
     # ------------------------------------------------------------------ #
-    def _ctrl_request(
+    def _queue_evictions(self, keys: List[str]) -> None:
+        """Queue retired keys for every live node; no frame is sent here."""
+        with self._nodes_lock:
+            for node in self._nodes:
+                if node.alive:
+                    node.evictions.extend(keys)
+
+    def _send(self, node: _NodeHandle, message: Tuple) -> None:
+        """Send ``message`` to ``node``, after its queued evictions (lock held)."""
+        with self._nodes_lock:
+            keys, node.evictions = node.evictions, []
+        if keys:
+            node.conn.send(("evict", keys))
+        node.conn.send(message)
+
+    def _request(
         self, node: _NodeHandle, message: Tuple, timeout: float = _CTRL_TIMEOUT
     ) -> Any:
-        with node.ctrl_lock:
-            node.ctrl_conn.send(message)
-            if not node.ctrl_conn.poll(timeout):
-                raise TimeoutError(
-                    f"cluster node {node.node_id} gave no ctrl reply within {timeout:.1f}s"
-                )
-            reply = node.ctrl_conn.recv()
+        """One control exchange; it waits for a task in flight on ``node``.
+
+        A node that fails the exchange is declared dead: a late reply would
+        otherwise be read as the answer to the next frame.
+        """
+        try:
+            with node.lock:
+                self._send(node, message)
+                if not node.conn.poll(timeout):
+                    raise TimeoutError(
+                        f"cluster node {node.node_id} gave no reply to "
+                        f"{message[0]!r} within {timeout:.1f}s"
+                    )
+                reply = node.conn.recv()
+        except (EOFError, OSError, TimeoutError) as error:
+            self._on_node_death(node, error)
+            raise
         if reply[0] != "ok":
             raise RuntimeError(
-                f"ctrl request {message[0]!r} failed on node {node.node_id}: {reply!r}"
+                f"request {message[0]!r} failed on node {node.node_id}: {reply!r}"
             )
         return reply[1]
 
-    def _broadcast(self, message: Tuple) -> None:
-        for node in self._live_nodes():
-            try:
-                self._ctrl_request(node, message)
-            except Exception as error:
-                self._on_node_death(node, error)
-
     def node_stats(self) -> Dict[int, Dict[str, Any]]:
-        """Per-node telemetry: pid, tasks executed, cached keys, fetch counts."""
+        """Per-node telemetry: pid, tasks executed, cached keys, fetch counts.
+
+        Each node answers after the task it is running, if any.
+        """
         stats = {}
         for node in self._live_nodes():
             try:
-                stats[node.node_id] = self._ctrl_request(node, ("stats",))
-            except Exception as error:
-                self._on_node_death(node, error)
+                stats[node.node_id] = self._request(node, ("stats",))
+            except Exception:
+                pass
         return stats
 
     # ------------------------------------------------------------------ #
@@ -891,8 +849,7 @@ class ClusterExecutor:
 
     def inject_death_after(self, node_id: int, n_tasks: int) -> None:
         """Arm a node to exit hard right before replying to its (n+1)-th task."""
-        node = self._nodes[node_id]
-        self._ctrl_request(node, ("die_after", int(n_tasks)))
+        self._request(self._nodes[node_id], ("die_after", int(n_tasks)))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -926,15 +883,11 @@ class ClusterExecutor:
         for node in self._nodes:
             if node.alive:
                 try:
-                    self._ctrl_request(node, ("shutdown",), timeout=5.0)
+                    self._request(node, ("shutdown",), timeout=5.0)
                 except Exception:
                     pass
             node.alive = False
-            for connection in (node.task_conn, node.ctrl_conn):
-                try:
-                    connection.close()
-                except Exception:
-                    pass
+            _close(node.conn)
         for node in self._nodes:
             if node.process is not None:
                 node.process.join(timeout=5.0)
@@ -999,7 +952,7 @@ if __name__ == "__main__":
     # Under ``python -m repro.parallel.cluster`` this file runs as the
     # ``__main__`` module while task payloads unpickle against the canonical
     # ``repro.parallel.cluster`` instance — two copies of the module-level
-    # node runtime.  Delegate to the canonical instance so the runtime the
+    # runtime registry.  Delegate to the canonical instance so the runtime the
     # serving loop installs is the one attached descriptors resolve.
     from repro.parallel.cluster import main as _canonical_main
 

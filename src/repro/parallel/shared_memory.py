@@ -187,8 +187,7 @@ def drop_cached(names: Collection[str]) -> None:
 
     A cluster node calls this when the driver retires publications, so the
     next task rebuilds from live ones instead of serving stale data.  It
-    closes no mapping: a node's arrays are fetched copies, and this runs on
-    the node's control thread, beside the task thread.
+    closes no mapping: a node's arrays are fetched copies.
     """
     names = set(names)
     with _CACHE_LOCK:

@@ -84,12 +84,6 @@ class TestTraining:
         assert history.converged
         assert history.n_iterations < 200
 
-    def test_warns_when_budget_exhausted(self, training_problem):
-        matrix, user_factors, item_factors = training_problem
-        trainer = BlockCoordinateTrainer(max_iterations=1, tolerance=0.0)
-        with pytest.warns(UserWarning):
-            trainer.train(matrix, user_factors, item_factors)
-
     def test_callback_can_stop_early(self, training_problem):
         matrix, user_factors, item_factors = training_problem
         trainer = BlockCoordinateTrainer(max_iterations=50, tolerance=0.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
 from repro.data.synthetic import make_planted_coclusters
+from repro.exceptions import ConvergenceWarning
 
 
 class TestROCuLaR:
@@ -182,3 +185,46 @@ class TestBiasedOCuLaRWarmStart:
         )
         assert warm.history_.stopped_on_plateau
         assert warm.history_.n_iterations < 40
+
+
+def convergence_warnings(fit):
+    """Run ``fit()`` and return the ConvergenceWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit()
+    return [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+
+
+class TestConvergenceWarning:
+    """One warning per fit that runs out of iterations, none for a converged fit."""
+
+    def test_converged_biased_fit_does_not_warn(self, toy_dataset):
+        model = BiasedOCuLaR(
+            n_coclusters=3, regularization=0.1, max_iterations=200, tolerance=1e-3,
+            random_state=0,
+        )
+        caught = convergence_warnings(lambda: model.fit(toy_dataset.matrix))
+        assert model.history_.converged
+        assert 1 < model.history_.n_iterations < 200
+        assert caught == []
+
+    def test_exhausted_biased_fit_warns_once(self, toy_dataset):
+        model = BiasedOCuLaR(
+            n_coclusters=3, regularization=0.1, max_iterations=6, tolerance=0.0,
+            random_state=0,
+        )
+        caught = convergence_warnings(lambda: model.fit(toy_dataset.matrix))
+        assert model.history_.n_iterations == 6 and not model.history_.converged
+        assert len(caught) == 1
+        assert "max_iterations" in str(caught[0].message)
+
+    def test_exhausted_ocular_fit_warns_once(self, toy_dataset):
+        model = OCuLaR(
+            n_coclusters=3, regularization=0.1, max_iterations=6, tolerance=0.0,
+            random_state=0,
+        )
+        caught = convergence_warnings(lambda: model.fit(toy_dataset.matrix))
+        assert model.history_.n_iterations == 6 and not model.history_.converged
+        assert len(caught) == 1
+        # Attributed to the caller of fit, not to the package internals.
+        assert caught[0].filename == __file__

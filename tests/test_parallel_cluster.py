@@ -12,6 +12,9 @@ gone).
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
 import threading
 import time
 from multiprocessing import get_context
@@ -57,6 +60,33 @@ def sleep_forever() -> None:  # pragma: no cover - killed by the timeout path
 def fetch_sum(ref) -> float:
     """Attach a published ref inside the agent and reduce it."""
     return float(attach_shared_array(ref).sum())
+
+
+def fetch_sum_then_sleep(ref, seconds: float) -> float:
+    """Fetch ``ref``, then stay busy so the driver can act mid-task."""
+    total = fetch_sum(ref)
+    time.sleep(seconds)
+    return total
+
+
+def fetch_on_every_node(executor, ref) -> None:
+    """Run fetch tasks until each node has fetched ``ref``."""
+    for _ in range(20):
+        stats = executor.node_stats()
+        if all(ref.shm_name in node["fetch_counts"] for node in stats.values()):
+            return
+        executor.starmap(fetch_sum_then_sleep, [(ref, 0.1)] * len(stats))
+    pytest.fail("a node never fetched the published array")
+
+
+def assert_evicted_everywhere(executor, ref) -> None:
+    """Every node that fetched ``ref`` has evicted it and stores it no more."""
+    stats = executor.node_stats()
+    fetched = [node for node in stats.values() if ref.shm_name in node["fetch_counts"]]
+    assert fetched, "no node fetched the array"
+    for node in fetched:
+        assert ref.shm_name in node["evicted"]
+        assert ref.shm_name not in node["store_keys"]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +286,70 @@ class TestObjectStore:
             source[:] = 99.0
             assert executor.map(fetch_sum, [ref]) == [5.0]
 
+    def test_unpublish_mid_task_returns_at_once_and_evicts_in_band(self):
+        # Evictions travel in band: unpublish only queues the key, so it
+        # returns while the tasks that fetched it are still running, and
+        # each node evicts before the next frame it is sent.
+        with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
+            ref = executor.publish("slot", np.ones(4))
+            outcome = {}
+
+            def run():
+                outcome["results"] = executor.starmap(
+                    fetch_sum_then_sleep, [(ref, 1.0), (ref, 1.0)]
+                )
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            time.sleep(0.4)
+            started = time.perf_counter()
+            assert executor.unpublish("slot") is True
+            elapsed = time.perf_counter() - started
+            assert worker.is_alive(), "the tasks ended before unpublish returned"
+            assert elapsed < 0.1, f"unpublish took {elapsed:.3f} s"
+            worker.join(timeout=30)
+            assert outcome["results"] == [4.0, 4.0]
+            assert_evicted_everywhere(executor, ref)
+
+    def test_frame_after_a_retire_is_not_delayed(self):
+        # The queued eviction and the next frame are two back-to-back writes;
+        # without TCP_NODELAY the second waits ~40 ms for a delayed ACK.
+        with ClusterExecutor(n_nodes=1, task_timeout=60) as executor:
+            timings = []
+            for _ in range(5):
+                ref = executor.publish("slot", np.ones(4))
+                assert executor.map(fetch_sum, [ref]) == [4.0]
+                executor.unpublish("slot")
+                started = time.perf_counter()
+                (stats,) = executor.node_stats().values()
+                timings.append(time.perf_counter() - started)
+                assert ref.shm_name in stats["evicted"]
+            assert min(timings) < 0.02, [f"{t * 1e3:.1f} ms" for t in timings]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_stopped_node_does_not_block_unpublish(self):
+        # A publisher never waits on the network: with one agent stopped,
+        # unpublish returns at once, and the node, once resumed, is still
+        # live, evicts the key and runs tasks.
+        with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
+            ref = executor.publish("slot", np.ones(4))
+            fetch_on_every_node(executor, ref)
+            stopped = executor._nodes[0].process.pid
+            os.kill(stopped, signal.SIGSTOP)
+            try:
+                started = time.perf_counter()
+                assert executor.unpublish("slot") is True
+                elapsed = time.perf_counter() - started
+            finally:
+                os.kill(stopped, signal.SIGCONT)
+            assert elapsed < 1.0, f"unpublish took {elapsed:.2f} s"
+            assert len(executor._live_nodes()) == 2
+            before = {i: node["tasks_executed"] for i, node in executor.node_stats().items()}
+            assert executor.map(slow_square, range(8)) == [v * v for v in range(8)]
+            after = executor.node_stats()
+            assert all(after[i]["tasks_executed"] > before[i] for i in (0, 1))
+            assert_evicted_everywhere(executor, ref)
+
 
 class TestFaultExhaustion:
     def test_all_nodes_dead_raises_worker_crash_with_index(self):
@@ -378,6 +472,30 @@ class TestExternalAgents:
                 assert second.map(fetch_sum, [ref]) == [4.0]
                 (stats,) = second.node_stats().values()
                 assert stats["fetch_counts"] == {ref.shm_name: 1}
+        finally:
+            parent.close()
+            agent.kill()
+            agent.join(timeout=10)
+
+    def test_abandoned_handshake_does_not_stop_the_agent(self):
+        # A peer that connects and hangs up before authenticating (a port
+        # scan, a health check) costs its own connection, not the agent.
+        authkey = b"repro-test-authkey"
+        context = get_context("spawn")
+        parent, child = context.Pipe(duplex=False)
+        agent = context.Process(
+            target=_agent_main, args=("127.0.0.1", 0, authkey, child), daemon=True
+        )
+        agent.start()
+        child.close()
+        try:
+            assert parent.poll(30), "external agent never reported its address"
+            address = tuple(parent.recv())
+            socket.create_connection(address, timeout=5).close()
+            with ClusterExecutor(
+                addresses=[address], authkey=authkey, task_timeout=60
+            ) as executor:
+                assert executor.map(slow_square, [6]) == [36]
         finally:
             parent.close()
             agent.kill()
