@@ -7,17 +7,19 @@ modelling
 
 but reports that the extension did not improve accuracy on its datasets and
 drops it.  It is implemented here as an optional model so the claim can be
-checked (the ablation benchmark does exactly that).
+checked: ``test_ablation_bias_terms`` in
+``benchmarks/bench_ablation_design_choices.py`` compares it with plain OCuLaR.
 
 Implementation: the biases are folded into the factors by appending two
 auxiliary co-cluster dimensions,
 
     ``f'_u = [f_u, b_u, 1]      f'_i = [f_i, 1, b_i + b]``
 
-so that ``<f'_u, f'_i> = <f_u, f_i> + b_u + (b_i + b)``.  The columns holding
-the constant 1 are clamped back to 1 after every training iteration, which
-keeps the standard trainer and backends unchanged while the bias columns are
-learned like any other non-negative factor.
+so that ``<f'_u, f'_i> = <f_u, f_i> + b_u + (b_i + b)``.  The fit is one
+ordinary trainer run over the augmented factors: the trainer holds the two
+constant columns at 1 (its ``constant_columns``), resetting them after every
+iteration, while the bias columns are learned like any other non-negative
+factor.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.backends import SweepPlan
 from repro.core.factors import FactorModel
-from repro.core.init import initialize_factors
 from repro.core.ocular import OCuLaR
 from repro.data.interactions import InteractionMatrix
 
@@ -43,9 +43,6 @@ class BiasedOCuLaR(OCuLaR):
     extraction and explanations keep working unchanged.
     """
 
-    #: Number of auxiliary columns appended to carry the biases.
-    _N_BIAS_COLUMNS = 2
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.user_biases_: Optional[np.ndarray] = None
@@ -58,7 +55,6 @@ class BiasedOCuLaR(OCuLaR):
         backend=None,
         initial_factors=None,
         plateau_tolerance: Optional[float] = None,
-        plateau_patience: Optional[int] = None,
     ) -> "BiasedOCuLaR":
         """Fit with biases; ``backend`` is an optional borrowed instance
         override and ``initial_factors`` an optional warm start over the
@@ -68,31 +64,14 @@ class BiasedOCuLaR(OCuLaR):
         small constant a cold fit uses."""
         csr = matrix.csr()
         n_users, n_items = csr.shape
-        if initial_factors is not None:
-            user_factors, item_factors = self._coerce_initial_factors(
-                initial_factors, n_users=n_users, n_items=n_items
-            )
-        else:
-            user_factors, item_factors = initialize_factors(
-                csr,
-                self.n_coclusters,
-                method=self.init,
-                scale=self.init_scale,
-                random_state=self.random_state,
-                dtype=self.dtype,
-            )
+        k = self.n_coclusters
+        user_factors, item_factors = self._initial_factors(csr, initial_factors)
+        warm = initial_factors is not None
         # Augment: user side gets [b_u, 1], item side gets [1, b_i].
-        small = 0.01
-        user_bias_init = self._warm_biases(
-            self.user_biases_ if initial_factors is not None else None, n_users, small
-        )
-        item_bias_init = self._warm_biases(
-            self.item_biases_ if initial_factors is not None else None, n_items, small
-        )
         user_aug = np.hstack(
             [
                 user_factors,
-                user_bias_init[:, None],
+                self._warm_biases(self.user_biases_ if warm else None, n_users),
                 np.ones((n_users, 1), dtype=self.dtype),
             ]
         )
@@ -100,101 +79,35 @@ class BiasedOCuLaR(OCuLaR):
             [
                 item_factors,
                 np.ones((n_items, 1), dtype=self.dtype),
-                item_bias_init[:, None],
+                self._warm_biases(self.item_biases_ if warm else None, n_items),
             ]
         )
-
-        user_weights = self._user_weights(csr)
-
-        bias_column_user_fixed = self.n_coclusters + 1  # the "1" column on the user side
-        bias_column_item_fixed = self.n_coclusters  # the "1" column on the item side
-
-        # The trainer copies its inputs, so we train in two phases: run the
-        # trainer one iteration at a time and clamp between iterations.  One
-        # trainer and one sweep plan serve every iteration — the backend
-        # (and, for "parallel", its thread pool) and the precomputed sweep
-        # structure are reused across the whole fit.
-        plan = SweepPlan.build(csr, user_weights=user_weights, dtype=self.dtype)
-        # The inner trainer runs exactly one iteration per call, so the
-        # plateau rule — which needs a streak of iterations — lives in this
-        # outer loop instead; it is disabled on the inner trainer.
-        single_step_trainer = self._build_trainer(
-            backend, max_iterations=1, tolerance=0.0, plateau_tolerance=None
+        user_aug, item_aug, history = self._train(
+            csr,
+            (user_aug, item_aug),
+            warm_started=warm,
+            backend=backend,
+            callback=callback,
+            plateau_tolerance=plateau_tolerance,
+            constant_columns=(k + 1, k),  # the two "1" columns
         )
-        plateau = self._plateau_overrides(plateau_tolerance, plateau_patience)
-        effective_plateau = plateau["plateau_tolerance"]
-        effective_patience = plateau["plateau_patience"]
-        plateau_streak = 0
-        user_aug_view = user_aug
-        item_aug_view = item_aug
-        history = None
-        try:
-            for _ in range(self.max_iterations):
-                # The plan carries the matrix and the R-OCuLaR weights, so
-                # neither is passed separately (train rejects the redundancy).
-                user_aug_view, item_aug_view, step_history = single_step_trainer.train(
-                    None, user_aug_view, item_aug_view, plan=plan
-                )
-                user_aug_view[:, bias_column_user_fixed] = 1.0
-                item_aug_view[:, bias_column_item_fixed] = 1.0
-                if history is None:
-                    history = step_history
-                    history.warm_started = initial_factors is not None
-                    history.plateau_tolerance = effective_plateau
-                else:
-                    history.objective_values.extend(step_history.objective_values[1:])
-                    history.log_likelihoods.extend(step_history.log_likelihoods[1:])
-                    history.iteration_seconds.extend(step_history.iteration_seconds)
-                    history.elapsed_seconds.extend(step_history.elapsed_seconds)
-                    history.item_sweep_stats.extend(step_history.item_sweep_stats)
-                    history.user_sweep_stats.extend(step_history.user_sweep_stats)
-                    history.n_iterations += step_history.n_iterations
-                if len(history.objective_values) >= 2:
-                    previous, current = history.objective_values[-2], history.objective_values[-1]
-                    improvement = previous - current
-                    relative = abs(improvement) / max(abs(previous), 1.0)
-                    if improvement >= 0 and relative < self.tolerance:
-                        history.converged = True
-                        break
-                    if effective_plateau is not None:
-                        if improvement >= 0 and relative < effective_plateau:
-                            plateau_streak += 1
-                        else:
-                            plateau_streak = 0
-                        if plateau_streak >= effective_patience:
-                            history.converged = True
-                            history.stopped_on_plateau = True
-                            break
-                if callback is not None and callback(history.n_iterations, history):
-                    break
-        finally:
-            # One trainer serves every clamped iteration, so an owned
-            # backend's pools and shared memory are released once, after the
-            # whole fit; a borrowed (runtime-warm) backend is left running.
-            single_step_trainer.shutdown()
-        assert history is not None
-
-        self.user_biases_ = user_aug_view[:, self.n_coclusters].copy()
-        self.item_biases_ = item_aug_view[:, self.n_coclusters + 1].copy()
-        self.factors_ = FactorModel(
-            user_aug_view[:, : self.n_coclusters].copy(),
-            item_aug_view[:, : self.n_coclusters].copy(),
-        )
-        self._augmented_factors = FactorModel(user_aug_view, item_aug_view)
+        self.user_biases_ = user_aug[:, k].copy()
+        self.item_biases_ = item_aug[:, k + 1].copy()
+        self.factors_ = FactorModel(user_aug[:, :k].copy(), item_aug[:, :k].copy())
+        self._augmented_factors = FactorModel(user_aug, item_aug)
         self.history_ = history
         self._set_train_matrix(matrix)
         self._warn_if_exhausted(history)
         return self
 
-    def _warm_biases(
-        self, previous: Optional[np.ndarray], n_rows: int, small: float
-    ) -> np.ndarray:
-        """Bias-column initialisation: previous biases where they exist,
-        the cold-start constant for new rows (and for cold fits)."""
-        biases = np.full(n_rows, small, dtype=self.dtype)
+    def _warm_biases(self, previous: Optional[np.ndarray], n_rows: int) -> np.ndarray:
+        """Bias column initialisation, shape ``(n_rows, 1)``: previous biases
+        where they exist, the cold-start constant 0.01 for new rows (and for
+        cold fits)."""
+        biases = np.full((n_rows, 1), 0.01, dtype=self.dtype)
         if previous is not None:
             n_kept = min(len(previous), n_rows)
-            biases[:n_kept] = np.asarray(previous[:n_kept], dtype=self.dtype)
+            biases[:n_kept, 0] = np.asarray(previous[:n_kept], dtype=self.dtype)
         return biases
 
     @property

@@ -34,6 +34,9 @@ _MODEL_CLASSES: dict[str, Type[OCuLaR]] = {
 #: Format version written into every archive; bump on breaking layout changes.
 FORMAT_VERSION = 1
 
+#: Settings older archives record that models no longer take; ignored on load.
+_RETIRED_PARAMS = ("plateau_tolerance", "plateau_patience")
+
 
 def save_model(model: OCuLaR, path: PathLike) -> Path:
     """Serialise a fitted OCuLaR (or R-OCuLaR) model to ``path``.
@@ -123,11 +126,11 @@ def load_model(path: PathLike) -> OCuLaR:
     if model_class is None:
         raise DataError(f"unknown model class {class_name!r} in {source}")
 
-    params = dict(header["params"])
-    if class_name == "ROCuLaR":
-        # ROCuLaR fixes the weighting itself and does not accept the kwarg.
-        params.pop("user_weighting", None)
-        params.pop("inner_sweeps", None)
+    params = {
+        name: value
+        for name, value in header["params"].items()
+        if name not in _RETIRED_PARAMS
+    }
     model = model_class(**params)
 
     matrix = InteractionMatrix.from_pairs(

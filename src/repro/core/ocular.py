@@ -96,14 +96,6 @@ class OCuLaR(Recommender):
     user_weighting:
         ``None`` for the plain OCuLaR likelihood; ``"relative"`` for the
         R-OCuLaR weighting of Section V (see :class:`~repro.core.r_ocular.ROCuLaR`).
-    plateau_tolerance:
-        Optional plateau early-stop for warm-started refits: stop once the
-        relative objective improvement stays below this value for
-        ``plateau_patience`` consecutive iterations.  ``None`` (default)
-        disables the rule, keeping cold fits bit-identical to earlier
-        versions.  See :class:`~repro.core.optimizer.BlockCoordinateTrainer`.
-    plateau_patience:
-        Consecutive below-tolerance iterations before the plateau rule fires.
     random_state:
         Seed or pre-seeded :class:`numpy.random.Generator` controlling the
         factor initialisation (a Generator is used as-is, so warm and cold
@@ -134,8 +126,6 @@ class OCuLaR(Recommender):
         dtype: str = "float64",
         inner_sweeps: int = 1,
         user_weighting: Optional[str] = None,
-        plateau_tolerance: Optional[float] = None,
-        plateau_patience: int = 2,
         random_state: RandomStateLike = None,
     ) -> None:
         self.n_coclusters = check_positive_int(n_coclusters, "n_coclusters")
@@ -159,12 +149,6 @@ class OCuLaR(Recommender):
         self.executor = executor
         self.dtype = check_float_dtype(dtype, "dtype")
         self.user_weighting = user_weighting
-        if plateau_tolerance is not None:
-            plateau_tolerance = check_non_negative_float(
-                plateau_tolerance, "plateau_tolerance"
-            )
-        self.plateau_tolerance = plateau_tolerance
-        self.plateau_patience = check_positive_int(plateau_patience, "plateau_patience")
         self.random_state = random_state
 
         self.factors_: Optional[FactorModel] = None
@@ -180,7 +164,6 @@ class OCuLaR(Recommender):
         backend: Optional[Backend] = None,
         initial_factors=None,
         plateau_tolerance: Optional[float] = None,
-        plateau_patience: Optional[int] = None,
     ) -> "OCuLaR":
         """Fit the co-cluster affiliation factors to a one-class matrix.
 
@@ -207,52 +190,23 @@ class OCuLaR(Recommender):
             and must be non-negative — previous-generation factors extended
             via :func:`repro.serving.fold_in.extend_factors` qualify.  When
             ``None`` (default) the usual random initialisation runs.
-        plateau_tolerance, plateau_patience:
-            Per-fit overrides of the plateau early-stop (see the constructor).
-            Warm refits typically pass ``plateau_tolerance≈1e-3`` so they
-            stop after the few sweeps they actually need.
+        plateau_tolerance:
+            Optional plateau early-stop for this fit: stop once the relative
+            objective improvement stays below this value for two consecutive
+            iterations (the trainer's fixed patience).  ``None`` (default)
+            disables the rule; warm refits pass ``plateau_tolerance≈1e-3`` so
+            they stop after the few sweeps they actually need.  See
+            :class:`~repro.core.optimizer.BlockCoordinateTrainer`.
         """
         csr = matrix.csr()
-        if initial_factors is not None:
-            user_factors, item_factors = self._coerce_initial_factors(
-                initial_factors, n_users=csr.shape[0], n_items=csr.shape[1]
-            )
-        else:
-            user_factors, item_factors = initialize_factors(
-                csr,
-                self.n_coclusters,
-                method=self.init,
-                scale=self.init_scale,
-                random_state=self.random_state,
-                dtype=self.dtype,
-            )
-        trainer = self._build_trainer(
-            backend, **self._plateau_overrides(plateau_tolerance, plateau_patience)
+        user_factors, item_factors, history = self._train(
+            csr,
+            self._initial_factors(csr, initial_factors),
+            warm_started=initial_factors is not None,
+            backend=backend,
+            callback=callback,
+            plateau_tolerance=plateau_tolerance,
         )
-        user_weights = self._user_weights(csr)
-        try:
-            if initial_factors is not None:
-                user_factors, item_factors, history = trainer.train(
-                    csr,
-                    user_weights=user_weights,
-                    callback=callback,
-                    initial_factors=(user_factors, item_factors),
-                )
-            else:
-                user_factors, item_factors, history = trainer.train(
-                    csr,
-                    user_factors,
-                    item_factors,
-                    user_weights=user_weights,
-                    callback=callback,
-                )
-        finally:
-            # The trainer's BackendLease makes ownership explicit: a
-            # name-configured backend is owned by this fit (pools and
-            # shared-memory segments must not outlive it), while an instance
-            # — including a runtime's warm backend — is borrowed and
-            # survives.
-            trainer.shutdown()
         self.factors_ = FactorModel(user_factors, item_factors)
         self.history_ = history
         self._set_train_matrix(matrix)
@@ -268,6 +222,22 @@ class OCuLaR(Recommender):
                 ConvergenceWarning,
                 stacklevel=3,
             )
+
+    def _initial_factors(self, csr, initial_factors):
+        """The fit's starting factors: a validated copy of the warm start
+        ``initial_factors``, or this model's fresh initialisation."""
+        if initial_factors is not None:
+            return self._coerce_initial_factors(
+                initial_factors, n_users=csr.shape[0], n_items=csr.shape[1]
+            )
+        return initialize_factors(
+            csr,
+            self.n_coclusters,
+            method=self.init,
+            scale=self.init_scale,
+            random_state=self.random_state,
+            dtype=self.dtype,
+        )
 
     def _coerce_initial_factors(self, initial_factors, n_users: int, n_items: int):
         """Validate and copy a warm start into this model's dtype.
@@ -309,26 +279,20 @@ class OCuLaR(Recommender):
                 )
         return user_factors, item_factors
 
-    def _plateau_overrides(
-        self, plateau_tolerance: Optional[float], plateau_patience: Optional[int]
-    ) -> dict:
-        """Trainer overrides for one fit's plateau rule (model values by default)."""
-        overrides = dict(
-            plateau_tolerance=self.plateau_tolerance,
-            plateau_patience=self.plateau_patience,
-        )
-        if plateau_tolerance is not None:
-            overrides["plateau_tolerance"] = plateau_tolerance
-        if plateau_patience is not None:
-            overrides["plateau_patience"] = plateau_patience
-        return overrides
+    def _train(
+        self,
+        csr,
+        start,
+        warm_started: bool,
+        backend: Optional[Backend],
+        callback,
+        plateau_tolerance: Optional[float],
+        constant_columns=None,
+    ):
+        """One trainer run from the ``(user, item)`` factors ``start``.
 
-    def _build_trainer(
-        self, backend: Optional[Backend] = None, **overrides
-    ) -> BlockCoordinateTrainer:
-        """Build the trainer for one fit, honouring a borrowed backend override.
-
-        With ``backend=None`` the trainer resolves the model's configured
+        A warm start reaches the trainer as its ``initial_factors``, so the
+        trainer alone records ``history.warm_started``.  With ``backend=None`` the trainer resolves the model's configured
         backend (and owns it when that is a name); with an instance the
         trainer borrows it and ``n_workers``/``executor`` — which only make
         sense when the trainer constructs the pool itself — are not passed.
@@ -341,7 +305,7 @@ class OCuLaR(Recommender):
                 "the fit backend override must be a Backend instance (a borrowed "
                 f"warm backend), got {backend!r}; configure names on the model"
             )
-        settings = dict(
+        trainer = BlockCoordinateTrainer(
             regularization=self.regularization,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
@@ -352,11 +316,27 @@ class OCuLaR(Recommender):
             n_workers=self.n_workers if backend is None else None,
             executor=self.executor if backend is None else None,
             inner_sweeps=self.inner_sweeps,
-            plateau_tolerance=self.plateau_tolerance,
-            plateau_patience=self.plateau_patience,
+            plateau_tolerance=plateau_tolerance,
         )
-        settings.update(overrides)
-        return BlockCoordinateTrainer(**settings)
+        user_start, item_start = (None, None) if warm_started else start
+        try:
+            user_factors, item_factors, history = trainer.train(
+                csr,
+                user_start,
+                item_start,
+                user_weights=self._user_weights(csr),
+                callback=callback,
+                initial_factors=start if warm_started else None,
+                constant_columns=constant_columns,
+            )
+        finally:
+            # The trainer's BackendLease makes ownership explicit: a
+            # name-configured backend is owned by this fit (pools and
+            # shared-memory segments must not outlive it), while an instance
+            # — including a runtime's warm backend — is borrowed and
+            # survives.
+            trainer.shutdown()
+        return user_factors, item_factors, history
 
     def _user_weights(self, csr) -> Optional[np.ndarray]:
         """Positive-term weights; ``None`` for OCuLaR, ``w_u`` for R-OCuLaR."""
@@ -469,8 +449,6 @@ class OCuLaR(Recommender):
             "dtype": self.dtype.name,
             "inner_sweeps": self.inner_sweeps,
             "user_weighting": self.user_weighting,
-            "plateau_tolerance": self.plateau_tolerance,
-            "plateau_patience": self.plateau_patience,
             "random_state": self.random_state,
         }
 

@@ -38,6 +38,10 @@ from repro.utils.validation import (
     check_unit_interval_open,
 )
 
+# Consecutive below-``plateau_tolerance`` iterations before the plateau rule
+# fires: one under-improving sweep of a warm start is noise, two are a plateau.
+_PLATEAU_PATIENCE = 2
+
 
 @dataclass
 class TrainingHistory:
@@ -69,7 +73,7 @@ class TrainingHistory:
         Whether training was seeded from caller-provided ``initial_factors``
         (a previous generation's factors) rather than a fresh initialisation.
     stopped_on_plateau:
-        Whether the *plateau* rule — ``plateau_patience`` consecutive
+        Whether the *plateau* rule — two consecutive
         iterations with relative improvement below ``plateau_tolerance`` —
         ended the run.  Disjoint from the strict tolerance rule: when this is
         set, ``converged`` is set too.
@@ -205,17 +209,14 @@ class BlockCoordinateTrainer:
         block more exactly and exist mainly for the ablation benchmark.
     plateau_tolerance:
         Optional *plateau* stopping rule for warm-started refits: when the
-        relative objective improvement stays below this value for
-        ``plateau_patience`` consecutive iterations, training stops and the
-        history records ``stopped_on_plateau``.  ``None`` (the default)
-        disables the rule entirely, so cold fits remain bit-identical to the
-        seed trainer.  Unlike ``tolerance`` — which is a strict convergence
-        criterion checked against a single iteration — the plateau rule
-        tolerates the noisy first iterations of a warm start where one sweep
-        can under-improve before the objective settles.
-    plateau_patience:
-        Consecutive below-``plateau_tolerance`` iterations required before
-        the plateau rule fires (default 2).
+        relative objective improvement stays below this value for two
+        consecutive iterations, training stops and the history records
+        ``stopped_on_plateau``.  ``None`` (the default) disables the rule
+        entirely, so cold fits remain bit-identical to the seed trainer.
+        Unlike ``tolerance`` — which is a strict convergence criterion
+        checked against a single iteration — the plateau rule tolerates the
+        noisy first iterations of a warm start where one sweep can
+        under-improve before the objective settles.
     """
 
     def __init__(
@@ -231,7 +232,6 @@ class BlockCoordinateTrainer:
         executor: Optional[str] = None,
         inner_sweeps: int = 1,
         plateau_tolerance: Optional[float] = None,
-        plateau_patience: int = 2,
     ) -> None:
         self.regularization = check_non_negative_float(regularization, "regularization")
         self.max_iterations = check_positive_int(max_iterations, "max_iterations")
@@ -247,7 +247,6 @@ class BlockCoordinateTrainer:
                 plateau_tolerance, "plateau_tolerance"
             )
         self.plateau_tolerance = plateau_tolerance
-        self.plateau_patience = check_positive_int(plateau_patience, "plateau_patience")
 
     @property
     def owns_backend(self) -> bool:
@@ -278,33 +277,26 @@ class BlockCoordinateTrainer:
         item_factors: Optional[np.ndarray] = None,
         user_weights: Optional[np.ndarray] = None,
         callback=None,
-        plan: Optional[SweepPlan] = None,
         initial_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        constant_columns: Optional[Tuple[int, int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, TrainingHistory]:
         """Run alternating sweeps until convergence or the iteration budget.
 
         Parameters
         ----------
         matrix:
-            CSR interaction matrix of shape ``(n_users, n_items)``.  Must be
-            ``None`` when ``plan`` is provided — the plan owns its matrix,
-            and a second one would be silently ignored.
+            CSR interaction matrix of shape ``(n_users, n_items)``.
         user_factors, item_factors:
             Feasible (non-negative) initial factors; not modified in place.
             Their (shared) dtype — float64 by default, float32 supported —
             is the dtype training runs in and the fitted factors keep.
         user_weights:
-            Optional per-user positive-example weights (R-OCuLaR).  Only
-            valid without ``plan`` — a plan has its weights baked in.
+            Optional per-user positive-example weights (R-OCuLaR).
         callback:
             Optional callable invoked as ``callback(iteration, history)``
-            after every outer iteration; returning ``True`` stops training
-            early (used by time-budgeted benchmarks).
-        plan:
-            Optional prebuilt :class:`~repro.core.backends.SweepPlan` in the
-            same dtype as the factors.  Callers that train repeatedly on one
-            matrix (e.g. the bias-clamped fit) pass it to avoid rebuilding
-            the plan per call; by default it is built here from ``matrix``.
+            after every completed outer iteration, the one that stops
+            training included; returning ``True`` stops training early (used
+            by time-budgeted benchmarks).
         initial_factors:
             Warm-start alternative to the positional factor pair: a
             ``(user_factors, item_factors)`` tuple — typically the previous
@@ -312,6 +304,13 @@ class BlockCoordinateTrainer:
             :func:`repro.serving.fold_in.extend_factors`.  Mutually exclusive
             with the positional ``user_factors``/``item_factors``; the
             resulting history records ``warm_started=True``.
+        constant_columns:
+            Optional ``(user_column, item_column)`` pair of factor columns
+            held at 1.0: the sweeps update them like any other column, and
+            they are reset to 1.0 right after each iteration's objective is
+            recorded.  The bias-extended model
+            (:class:`~repro.core.bias.BiasedOCuLaR`) carries its biases
+            against these columns.
 
         Returns
         -------
@@ -328,25 +327,10 @@ class BlockCoordinateTrainer:
             raise ConfigurationError(
                 "train requires user_factors and item_factors (or initial_factors)"
             )
-        if plan is None:
-            if matrix is None:
-                raise ConfigurationError(
-                    "train requires either a matrix or a prebuilt plan"
-                )
-            matrix = sp.csr_matrix(matrix)
-            n_users, n_items = matrix.shape
-        else:
-            if matrix is not None:
-                raise ConfigurationError(
-                    "pass either a matrix or a plan to train, not both — a plan "
-                    "already owns its matrix, so the extra one would be ignored"
-                )
-            if user_weights is not None:
-                raise ConfigurationError(
-                    "user_weights are baked into the plan at construction time; "
-                    "pass them to SweepPlan.build, not to train"
-                )
-            n_users, n_items = plan.n_users, plan.n_items
+        if matrix is None:
+            raise ConfigurationError("train requires a matrix")
+        matrix = sp.csr_matrix(matrix)
+        n_users, n_items = matrix.shape
 
         if n_users != user_factors.shape[0]:
             raise ConfigurationError(
@@ -371,16 +355,8 @@ class BlockCoordinateTrainer:
 
         # All static sweep structure — both CSR orientations, per-entry row
         # indices, and R-OCuLaR entry weights — is computed exactly once per
-        # fit: here, or by a caller that trains on one matrix repeatedly.
-        if plan is None:
-            plan = SweepPlan.build(
-                matrix, user_weights=user_weights, dtype=user_factors.dtype
-            )
-        elif plan.dtype != user_factors.dtype:
-            raise ConfigurationError(
-                f"plan dtype {plan.dtype} does not match the factor dtype "
-                f"{user_factors.dtype}"
-            )
+        # fit.
+        plan = SweepPlan.build(matrix, user_weights=user_weights, dtype=user_factors.dtype)
         user_entries = plan.user_side
 
         history = TrainingHistory(
@@ -446,6 +422,9 @@ class BlockCoordinateTrainer:
             history.iteration_seconds.append(iteration_seconds)
             history.elapsed_seconds.append(time.perf_counter() - start_time)
             history.n_iterations = iteration
+            if constant_columns is not None:
+                user_factors[:, constant_columns[0]] = 1.0
+                item_factors[:, constant_columns[1]] = 1.0
 
             if callback is not None and callback(iteration, history):
                 break
@@ -460,7 +439,7 @@ class BlockCoordinateTrainer:
                     plateau_streak += 1
                 else:
                     plateau_streak = 0
-                if plateau_streak >= self.plateau_patience:
+                if plateau_streak >= _PLATEAU_PATIENCE:
                     history.converged = True
                     history.stopped_on_plateau = True
                     break

@@ -14,54 +14,21 @@ complexity".
 
 from __future__ import annotations
 
-from repro.core.backends import Backend
 from repro.core.ocular import OCuLaR
-from repro.utils.rng import RandomStateLike
+from repro.exceptions import ConfigurationError
 
 
 class ROCuLaR(OCuLaR):
     """Relative OCuLaR: OCuLaR with per-user positive-example weights.
 
-    All constructor parameters have the same meaning as for
-    :class:`~repro.core.ocular.OCuLaR`; ``user_weighting`` is fixed to
-    ``"relative"``.
+    Takes every :class:`~repro.core.ocular.OCuLaR` parameter, with the same
+    meaning; ``user_weighting`` is fixed to ``"relative"`` (passing that
+    value, as :meth:`get_params` reports it, is accepted).
     """
 
-    def __init__(
-        self,
-        n_coclusters: int = 50,
-        regularization: float = 10.0,
-        max_iterations: int = 100,
-        tolerance: float = 1e-4,
-        sigma: float = 0.1,
-        beta: float = 0.5,
-        max_backtracks: int = 20,
-        init: str = "random",
-        init_scale: float = 1.0,
-        backend: Backend | str = "vectorized",
-        n_workers: int | None = None,
-        executor: str | None = None,
-        dtype: str = "float64",
-        random_state: RandomStateLike = None,
-        plateau_tolerance: float | None = None,
-        plateau_patience: int = 2,
-    ) -> None:
-        super().__init__(
-            n_coclusters=n_coclusters,
-            regularization=regularization,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            sigma=sigma,
-            beta=beta,
-            max_backtracks=max_backtracks,
-            init=init,
-            init_scale=init_scale,
-            backend=backend,
-            n_workers=n_workers,
-            executor=executor,
-            dtype=dtype,
-            user_weighting="relative",
-            random_state=random_state,
-            plateau_tolerance=plateau_tolerance,
-            plateau_patience=plateau_patience,
-        )
+    def __init__(self, *args, user_weighting: str = "relative", **kwargs) -> None:
+        if user_weighting != "relative":
+            raise ConfigurationError(
+                f"ROCuLaR's user_weighting is fixed to 'relative', got {user_weighting!r}"
+            )
+        super().__init__(*args, user_weighting=user_weighting, **kwargs)

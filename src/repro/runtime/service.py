@@ -475,7 +475,7 @@ class RecommenderRuntime:
             :func:`~repro.serving.fold_in.extend_factors` (new users folded
             in against the old catalogue, new items against the extended
             users), and stop on objective plateau
-            (:data:`DEFAULT_WARM_PLATEAU_TOLERANCE`, the model's patience).
+            (:data:`DEFAULT_WARM_PLATEAU_TOLERANCE`, the trainer's patience).
             ``"auto"``: warm while :attr:`drift` is at or below
             :data:`DRIFT_THRESHOLD`, cold beyond it — the policy loop of a
             deployment that ingests continuously.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,13 @@ class TestSaveModel:
         assert isinstance(restored, ROCuLaR)
         np.testing.assert_allclose(restored.score_user(6), model.score_user(6))
 
+    def test_r_ocular_round_trip_keeps_inner_sweeps(self, toy_dataset, tmp_path):
+        model = ROCuLaR(n_coclusters=3, max_iterations=5, inner_sweeps=2, random_state=0)
+        model.fit(toy_dataset.matrix)
+        restored = load_model(save_model(model, tmp_path / "r.npz"))
+        assert restored.inner_sweeps == 2
+        assert restored.get_params() == model.get_params()
+
     def test_unfitted_model_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):
             save_model(OCuLaR(), tmp_path / "model.npz")
@@ -70,6 +79,35 @@ class TestLoadModel:
         np.savez(path, data=np.arange(3))
         with pytest.raises(DataError):
             load_model(path)
+
+    def test_archive_with_retired_plateau_settings_loads(self, tmp_path):
+        # Archives written before the plateau settings left the model
+        # constructor record them in their header; loading ignores them.
+        params = dict(OCuLaR(n_coclusters=2, random_state=0).get_params())
+        params.update(plateau_tolerance=None, plateau_patience=2)
+        header = {
+            "format_version": 1,
+            "model_class": "ROCuLaR",
+            "params": dict(params, user_weighting="relative"),
+            "n_users": 3,
+            "n_items": 2,
+            "user_labels": None,
+            "item_labels": None,
+        }
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+            user_factors=np.full((3, 2), 0.5),
+            item_factors=np.full((2, 2), 0.5),
+            train_users=np.array([0, 1, 2]),
+            train_items=np.array([0, 1, 1]),
+        )
+        restored = load_model(path)
+        assert isinstance(restored, ROCuLaR)
+        assert not hasattr(restored, "plateau_patience")
+        assert restored.get_params()["n_coclusters"] == 2
+        assert restored.score_user(0).shape == (2,)
 
     def test_history_not_persisted(self, fitted_toy_model, tmp_path):
         restored = load_model(save_model(fitted_toy_model, tmp_path / "model.npz"))

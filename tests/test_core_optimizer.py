@@ -182,72 +182,11 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             trainer.train(matrix, bad, item_factors)
 
-    def test_prebuilt_plan_gives_identical_training(self, training_problem):
-        from repro.core.backends import SweepPlan
-
-        matrix, user_factors, item_factors = training_problem
-        trainer = BlockCoordinateTrainer(max_iterations=4, tolerance=0.0)
-        baseline = trainer.train(matrix, user_factors, item_factors)
-        plan = SweepPlan.build(matrix)
-        reused = trainer.train(None, user_factors, item_factors, plan=plan)
-        np.testing.assert_array_equal(baseline[0], reused[0])
-        np.testing.assert_array_equal(baseline[1], reused[1])
-
-    def test_matrix_with_plan_rejected(self, training_problem):
-        # The plan owns its matrix; a second one would be silently ignored.
-        from repro.core.backends import SweepPlan
-
-        matrix, user_factors, item_factors = training_problem
-        plan = SweepPlan.build(matrix)
-        trainer = BlockCoordinateTrainer(max_iterations=2)
-        with pytest.raises(ConfigurationError):
-            trainer.train(matrix, user_factors, item_factors, plan=plan)
-
     def test_neither_matrix_nor_plan_rejected(self, training_problem):
         _, user_factors, item_factors = training_problem
         trainer = BlockCoordinateTrainer(max_iterations=2)
         with pytest.raises(ConfigurationError):
             trainer.train(None, user_factors, item_factors)
-
-    def test_mismatched_plan_rejected(self, training_problem):
-        from repro.core.backends import SweepPlan
-
-        matrix, user_factors, item_factors = training_problem
-        plan = SweepPlan.build(matrix[:10])
-        trainer = BlockCoordinateTrainer(max_iterations=2)
-        with pytest.raises(ConfigurationError):
-            trainer.train(None, user_factors, item_factors, plan=plan)
-
-    def test_plan_with_user_weights_rejected(self, training_problem):
-        # Weights are baked into a plan; passing both would silently train
-        # unweighted, so the redundant combination is an error.
-        from repro.core.backends import SweepPlan
-
-        matrix, user_factors, item_factors = training_problem
-        plan = SweepPlan.build(matrix)
-        trainer = BlockCoordinateTrainer(max_iterations=2)
-        with pytest.raises(ConfigurationError):
-            trainer.train(
-                None,
-                user_factors,
-                item_factors,
-                user_weights=np.ones(matrix.shape[0]),
-                plan=plan,
-            )
-
-    def test_plan_dtype_mismatch_rejected(self, training_problem):
-        from repro.core.backends import SweepPlan
-
-        matrix, user_factors, item_factors = training_problem
-        plan = SweepPlan.build(matrix)  # float64
-        trainer = BlockCoordinateTrainer(max_iterations=2)
-        with pytest.raises(ConfigurationError):
-            trainer.train(
-                None,
-                user_factors.astype(np.float32),
-                item_factors.astype(np.float32),
-                plan=plan,
-            )
 
     def test_shape_mismatch_raises(self, training_problem):
         matrix, user_factors, item_factors = training_problem
@@ -258,6 +197,22 @@ class TestTraining:
             trainer.train(matrix, user_factors, item_factors[:-1])
         with pytest.raises(ConfigurationError):
             trainer.train(matrix, user_factors, item_factors, user_weights=np.ones(3))
+
+    def test_constant_columns_end_every_iteration_at_one(self, training_problem):
+        # The sweeps move the held columns like any other; the reset after
+        # each iteration puts them back, so the result ends at exactly 1.
+        matrix, user_factors, item_factors = training_problem
+        user_factors[:, 3] = 1.0
+        item_factors[:, 1] = 1.0
+        trainer = BlockCoordinateTrainer(max_iterations=4, tolerance=0.0)
+        held_users, held_items, history = trainer.train(
+            matrix, user_factors, item_factors, constant_columns=(3, 1)
+        )
+        free_users, free_items, _ = trainer.train(matrix, user_factors, item_factors)
+        assert history.n_iterations == 4
+        assert np.all(held_users[:, 3] == 1.0) and np.all(held_items[:, 1] == 1.0)
+        assert not np.all(free_users[:, 3] == 1.0)
+        assert not np.all(free_items[:, 1] == 1.0)
 
     def test_training_reduces_objective_substantially(self, training_problem):
         matrix, user_factors, item_factors = training_problem
@@ -319,7 +274,6 @@ class TestWarmStartAndPlateau:
             max_iterations=50,
             tolerance=0.0,
             plateau_tolerance=1.0,  # any iteration counts as a plateau
-            plateau_patience=2,
         )
         _, _, history = trainer.train(
             matrix, user_factors.copy(), item_factors.copy()
@@ -329,21 +283,17 @@ class TestWarmStartAndPlateau:
         assert history.n_iterations < 50
 
     def test_plateau_patience_delays_the_stop(self, training_problem):
+        # Every iteration is below a tolerance of 1.0, yet the first one
+        # alone does not stop the run: the rule waits for two in a row.
         matrix, user_factors, item_factors = training_problem
-
-        def run(patience):
-            trainer = BlockCoordinateTrainer(
-                max_iterations=50,
-                tolerance=0.0,
-                plateau_tolerance=1.0,
-                plateau_patience=patience,
-            )
-            _, _, history = trainer.train(
-                matrix, user_factors.copy(), item_factors.copy()
-            )
-            return history
-
-        assert run(4).n_iterations > run(2).n_iterations
+        trainer = BlockCoordinateTrainer(
+            max_iterations=50, tolerance=0.0, plateau_tolerance=1.0
+        )
+        _, _, history = trainer.train(
+            matrix, user_factors.copy(), item_factors.copy()
+        )
+        assert history.stopped_on_plateau
+        assert history.n_iterations == 2
 
     def test_plateau_off_by_default(self, training_problem):
         matrix, user_factors, item_factors = training_problem
@@ -358,5 +308,3 @@ class TestWarmStartAndPlateau:
     def test_plateau_tolerance_validated(self):
         with pytest.raises(ConfigurationError):
             BlockCoordinateTrainer(plateau_tolerance=-0.1)
-        with pytest.raises(ConfigurationError):
-            BlockCoordinateTrainer(plateau_patience=0)

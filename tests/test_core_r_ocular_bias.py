@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.bias import BiasedOCuLaR
+from repro.core.init import initialize_factors
+from repro.core.objective import relative_user_weights
 from repro.core.ocular import OCuLaR
+from repro.core.optimizer import BlockCoordinateTrainer
 from repro.core.r_ocular import ROCuLaR
 from repro.data.synthetic import make_planted_coclusters
-from repro.exceptions import ConvergenceWarning
+from repro.exceptions import ConfigurationError, ConvergenceWarning
 
 
 class TestROCuLaR:
@@ -41,6 +44,18 @@ class TestROCuLaR:
         ocular_params = set(OCuLaR().get_params())
         r_params = set(ROCuLaR().get_params())
         assert r_params == ocular_params
+
+    def test_takes_every_ocular_parameter(self, toy_dataset):
+        model = ROCuLaR(
+            n_coclusters=3, max_iterations=3, tolerance=0.0, inner_sweeps=2,
+            random_state=0,
+        ).fit(toy_dataset.matrix)
+        history = model.history_
+        assert len(history.item_sweep_stats) == 2 * history.n_iterations
+        assert len(history.user_sweep_stats) == 2 * history.n_iterations
+        assert ROCuLaR(**model.get_params()).get_params() == model.get_params()
+        with pytest.raises(ConfigurationError):
+            ROCuLaR(user_weighting=None)
 
     def test_upweights_light_users(self):
         # A user with very few positives should see their positives explained
@@ -181,7 +196,6 @@ class TestBiasedOCuLaRWarmStart:
             toy_dataset.matrix,
             initial_factors=seed.factors_,
             plateau_tolerance=1.0,
-            plateau_patience=2,
         )
         assert warm.history_.stopped_on_plateau
         assert warm.history_.n_iterations < 40
@@ -228,3 +242,190 @@ class TestConvergenceWarning:
         assert len(caught) == 1
         # Attributed to the caller of fit, not to the package internals.
         assert caught[0].filename == __file__
+
+
+# --------------------------------------------------------------------------- #
+# The bias fit is one trainer run
+# --------------------------------------------------------------------------- #
+def _legacy_biased_fit(model, matrix, initial_factors=None, plateau_tolerance=None, callback=None):
+    """The earlier BiasedOCuLaR outer loop, kept as the parity reference.
+
+    It trained one iteration per ``trainer.train`` call, reset the constant
+    columns, merged the step into one history and re-implemented the
+    tolerance, plateau and callback rules.  Returns the augmented factors and
+    the merged history.
+    """
+    csr = matrix.csr()
+    n_users, n_items = csr.shape
+    k, dtype = model.n_coclusters, model.dtype
+    if initial_factors is None:
+        users, items = initialize_factors(
+            csr, k, method=model.init, scale=model.init_scale,
+            random_state=model.random_state, dtype=dtype,
+        )
+        user_biases = item_biases = None
+    else:
+        users, items = model._coerce_initial_factors(initial_factors, n_users, n_items)
+        user_biases, item_biases = model.user_biases_, model.item_biases_
+
+    def bias_column(previous, n_rows):
+        column = np.full(n_rows, 0.01, dtype=dtype)
+        if previous is not None:
+            column[: len(previous)] = previous
+        return column[:, None]
+
+    user_aug = np.hstack([users, bias_column(user_biases, n_users), np.ones((n_users, 1), dtype)])
+    item_aug = np.hstack([items, np.ones((n_items, 1), dtype), bias_column(item_biases, n_items)])
+    weights = relative_user_weights(csr) if model.user_weighting == "relative" else None
+    trainer = BlockCoordinateTrainer(
+        regularization=model.regularization, max_iterations=1, tolerance=0.0,
+        sigma=model.sigma, beta=model.beta, max_backtracks=model.max_backtracks,
+        backend=model.backend, n_workers=model.n_workers, executor=model.executor,
+        inner_sweeps=model.inner_sweeps,
+    )
+    history, streak = None, 0
+    try:
+        for _ in range(model.max_iterations):
+            user_aug, item_aug, step = trainer.train(
+                csr, user_aug, item_aug, user_weights=weights
+            )
+            user_aug[:, k + 1] = 1.0
+            item_aug[:, k] = 1.0
+            if history is None:
+                history = step
+            else:
+                history.objective_values.extend(step.objective_values[1:])
+                history.n_iterations += step.n_iterations
+            previous, current = history.objective_values[-2:]
+            improvement = previous - current
+            relative = abs(improvement) / max(abs(previous), 1.0)
+            if improvement >= 0 and relative < model.tolerance:
+                history.converged = True
+                break
+            if plateau_tolerance is not None:
+                streak = streak + 1 if improvement >= 0 and relative < plateau_tolerance else 0
+                if streak >= 2:
+                    history.converged = history.stopped_on_plateau = True
+                    break
+            if callback is not None and callback(history.n_iterations, history):
+                break
+    finally:
+        trainer.shutdown()
+    return user_aug, item_aug, history
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return make_planted_coclusters(
+        n_users=120, n_items=60, n_coclusters=3, users_per_cocluster=40,
+        items_per_cocluster=20, within_density=0.5, background_density=0.05,
+        random_state=3,
+    ).matrix
+
+
+_PARITY_CONFIGS = {
+    "cold-converging": dict(max_iterations=200, tolerance=1e-3),
+    "exhausted": dict(max_iterations=8, tolerance=0.0),
+    "inner-sweeps-2": dict(max_iterations=6, tolerance=0.0, inner_sweeps=2),
+    "float32": dict(max_iterations=60, tolerance=1e-3, dtype="float32"),
+    "relative-weighting": dict(max_iterations=60, tolerance=1e-3, user_weighting="relative"),
+    "parallel-thread": dict(
+        max_iterations=8, tolerance=0.0, backend="parallel", executor="thread", n_workers=2,
+    ),
+    "reference": dict(max_iterations=4, tolerance=0.0, backend="reference"),
+}
+
+
+class TestBiasedFitParity:
+    """One trainer run gives exactly what the per-iteration loop gave."""
+
+    @staticmethod
+    def _assert_same(model, expected):
+        user_aug, item_aug, history = expected
+        assert np.array_equal(model.serving_factors_.user_factors, user_aug)
+        assert np.array_equal(model.serving_factors_.item_factors, item_aug)
+        assert model.history_.objective_values == history.objective_values
+        assert model.history_.n_iterations == history.n_iterations
+        assert model.history_.converged == history.converged
+        assert model.history_.stopped_on_plateau == history.stopped_on_plateau
+
+    @pytest.mark.parametrize("config", sorted(_PARITY_CONFIGS))
+    def test_matches_the_per_iteration_loop(self, planted, config):
+        settings = dict(n_coclusters=4, regularization=1.0, random_state=0)
+        settings.update(_PARITY_CONFIGS[config])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            model = BiasedOCuLaR(**settings).fit(planted)
+            expected = _legacy_biased_fit(BiasedOCuLaR(**settings), planted)
+        self._assert_same(model, expected)
+        if config == "cold-converging":
+            assert model.history_.converged and model.history_.n_iterations > 2
+
+    def test_warm_start_with_plateau_stop(self, planted):
+        settings = dict(n_coclusters=4, regularization=1.0, max_iterations=40, tolerance=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            seed = BiasedOCuLaR(**settings, random_state=0).fit(planted)
+        warm = BiasedOCuLaR(**settings, random_state=1)
+        reference = BiasedOCuLaR(**settings, random_state=1)
+        for target in (warm, reference):
+            target.user_biases_ = seed.user_biases_.copy()
+            target.item_biases_ = seed.item_biases_.copy()
+        warm.fit(planted, initial_factors=seed.factors_, plateau_tolerance=1e-2)
+        expected = _legacy_biased_fit(
+            reference, planted, initial_factors=seed.factors_, plateau_tolerance=1e-2
+        )
+        self._assert_same(warm, expected)
+        assert warm.history_.stopped_on_plateau and warm.history_.warm_started
+
+    def test_callback_stop(self, planted):
+        settings = dict(n_coclusters=4, regularization=1.0, max_iterations=20, tolerance=0.0,
+                        random_state=0)
+        stop_at_three = lambda iteration, _history: iteration >= 3  # noqa: E731
+        model = BiasedOCuLaR(**settings).fit(planted, callback=stop_at_three)
+        expected = _legacy_biased_fit(BiasedOCuLaR(**settings), planted, callback=stop_at_three)
+        self._assert_same(model, expected)
+        assert model.history_.n_iterations == 3
+
+
+@pytest.mark.parametrize("model_class", [OCuLaR, BiasedOCuLaR])
+class TestFitHistoryContract:
+    def test_elapsed_seconds_are_cumulative(self, planted, model_class):
+        model = model_class(
+            n_coclusters=4, regularization=1.0, max_iterations=6, tolerance=0.0,
+            random_state=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            history = model.fit(planted).history_
+        elapsed = history.elapsed_seconds
+        assert len(elapsed) == history.n_iterations == 6
+        assert all(later >= earlier for earlier, later in zip(elapsed, elapsed[1:]))
+        assert elapsed[-1] >= sum(history.iteration_seconds)
+
+    def test_callback_runs_once_per_completed_iteration(self, planted, model_class):
+        calls = []
+        model = model_class(
+            n_coclusters=4, regularization=1.0, max_iterations=200, tolerance=1e-3,
+            random_state=0,
+        ).fit(planted, callback=lambda iteration, _history: calls.append(iteration))
+        assert model.history_.converged
+        assert calls == list(range(1, model.history_.n_iterations + 1))
+
+    def test_callback_stop_outranks_convergence(self, planted, model_class):
+        # The callback runs before the stopping rules, so a callback that
+        # stops the very iteration that meets ``tolerance`` wins: same
+        # trajectory, reported as a callback stop (``converged`` False).
+        settings = dict(
+            n_coclusters=4, regularization=1.0, max_iterations=200, tolerance=1e-3,
+            random_state=0,
+        )
+        free = model_class(**settings).fit(planted)
+        last = free.history_.n_iterations
+        assert free.history_.converged
+        stopped = model_class(**settings).fit(
+            planted, callback=lambda iteration, _history: iteration >= last
+        )
+        assert stopped.history_.n_iterations == last
+        assert stopped.history_.objective_values == free.history_.objective_values
+        assert not stopped.history_.converged

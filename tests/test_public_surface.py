@@ -12,6 +12,9 @@ from pathlib import Path
 
 import repro.runtime
 from repro.core.backends import SweepWorkspaceStore
+from repro.core.bias import BiasedOCuLaR
+from repro.core.ocular import OCuLaR
+from repro.core.optimizer import BlockCoordinateTrainer
 from repro.parallel.cluster import ClusterExecutor
 from repro.runtime import BatchingFrontEnd, RecommenderRuntime, ServingGateway
 from repro.serving import ScoreBufferPool, TopNEngine
@@ -77,6 +80,26 @@ def test_method_arguments():
     assert _parameters(TopNEngine.effective_chunk_size) == ()
     assert _parameters(RecommenderRuntime.refit) == ("matrix", "callback", "mode")
     assert _parameters(RecommenderRuntime.worker_pids) == ()
+
+
+def test_training_arguments():
+    assert _parameters(OCuLaR) == (
+        "n_coclusters", "regularization", "max_iterations", "tolerance", "sigma",
+        "beta", "max_backtracks", "init", "init_scale", "backend", "n_workers",
+        "executor", "dtype", "inner_sweeps", "user_weighting", "random_state",
+    )
+    fit = ("matrix", "callback", "backend", "initial_factors", "plateau_tolerance")
+    assert _parameters(OCuLaR.fit) == fit
+    assert _parameters(BiasedOCuLaR.fit) == fit
+    assert _parameters(BlockCoordinateTrainer) == (
+        "regularization", "max_iterations", "tolerance", "sigma", "beta",
+        "max_backtracks", "backend", "n_workers", "executor", "inner_sweeps",
+        "plateau_tolerance",
+    )
+    assert _parameters(BlockCoordinateTrainer.train) == (
+        "matrix", "user_factors", "item_factors", "user_weights", "callback",
+        "initial_factors", "constant_columns",
+    )
 
 
 def test_environment_variables():
