@@ -11,7 +11,6 @@ The schema is deliberately flat::
 
     {
       "bench": "incremental_refit",
-      "smoke": false,
       "metrics": {"warm_seconds": 0.41, "cold_seconds": 5.6, ...},
       "context": {"n_users": 2000, ...},
       "host": {"cpu_count": 8, "platform": "...", "python": "3.11.8"},
@@ -20,7 +19,7 @@ The schema is deliberately flat::
 
 ``metrics`` is the headline scalars a trend dashboard would plot;
 ``context`` is whatever identifies the configuration that produced them
-(corpus size, worker count, smoke overrides).  Values are coerced to plain
+(corpus size, worker count).  Values are coerced to plain
 JSON scalars — numpy floats and ints are accepted.
 """
 
@@ -49,21 +48,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def _smoke() -> bool:
-    """Whether the harness runs in smoke mode, without a hard conftest import.
-
-    The conftest lookup keeps ``--smoke`` visible here; the environment
-    fallback keeps the helper importable outside pytest (e.g. ad-hoc
-    scripts re-emitting a report).
-    """
-    try:
-        from conftest import smoke_mode
-
-        return bool(smoke_mode())
-    except Exception:
-        return bool(os.environ.get("REPRO_BENCH_SMOKE"))
-
-
 def write_bench_json(
     name: str, metrics: Dict[str, Any], **context: Any
 ) -> Path:
@@ -86,7 +70,6 @@ def write_bench_json(
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": name,
-        "smoke": _smoke(),
         "metrics": {str(key): _jsonable(value) for key, value in metrics.items()},
         "context": {str(key): _jsonable(value) for key, value in context.items()},
         "host": {

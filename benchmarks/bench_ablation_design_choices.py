@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 
 from _report import write_bench_json
-from conftest import run_once, scaled, smoke_mode
+from conftest import run_once
 
 from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
@@ -30,37 +30,29 @@ from repro.data.splitting import train_test_split
 from repro.evaluation.evaluator import evaluate_recommender
 from repro.utils.tables import format_table
 
-
-def _scaled_sizes() -> dict:
-    """Corpus size / iteration budget, shrunk in smoke mode."""
-    return scaled(
-        dict(n_users=250, n_items=160, max_iterations=100),
-        n_users=80,
-        n_items=40,
-        max_iterations=12,
-    )
+#: Corpus size and iteration budget shared by every ablation.
+SIZES = dict(n_users=250, n_items=160, max_iterations=100)
 
 
-def _make_split(n_users: int, n_items: int, random_state: int = 0):
+def _make_split(random_state: int = 0):
     matrix, _ = make_movielens_like(
-        n_users=n_users, n_items=n_items, random_state=random_state
+        n_users=SIZES["n_users"], n_items=SIZES["n_items"], random_state=random_state
     )
     return train_test_split(matrix, test_fraction=0.25, random_state=random_state)
 
 
 def test_ablation_single_vs_exact_block_updates(benchmark, report_writer):
     """Single-step block updates reach a given objective in less wall-clock time."""
-    sizes = _scaled_sizes()
 
     def run():
-        split = _make_split(sizes["n_users"], sizes["n_items"])
+        split = _make_split()
         rows = []
         for inner_sweeps in (1, 5):
             start = time.perf_counter()
             model = OCuLaR(
                 n_coclusters=20,
                 regularization=10.0,
-                max_iterations=sizes["max_iterations"],
+                max_iterations=SIZES["max_iterations"],
                 tolerance=1e-4,
                 inner_sweeps=inner_sweeps,
                 random_state=0,
@@ -104,11 +96,8 @@ def test_ablation_single_vs_exact_block_updates(benchmark, report_writer):
             single_objective=single["objective"],
             exact_objective=exact["objective"],
         ),
-        **_scaled_sizes(),
+        **SIZES,
     )
-    if smoke_mode():
-        assert single["outer_iterations"] >= 1 and exact["outer_iterations"] >= 1
-        return
     # Comparable quality...
     assert abs(single["recall"] - exact["recall"]) < 0.08
     assert single["objective"] <= exact["objective"] * 1.05
@@ -121,16 +110,14 @@ def test_ablation_single_vs_exact_block_updates(benchmark, report_writer):
 def test_ablation_regularization_matters(benchmark, report_writer):
     """lambda = 0 underperforms a tuned lambda (the paper's BIGCLAM critique)."""
 
-    sizes = _scaled_sizes()
-
     def run():
-        split = _make_split(sizes["n_users"], sizes["n_items"], random_state=1)
+        split = _make_split(random_state=1)
         results = {}
         for lam in (0.0, 10.0):
             model = OCuLaR(
                 n_coclusters=20,
                 regularization=lam,
-                max_iterations=sizes["max_iterations"],
+                max_iterations=SIZES["max_iterations"],
                 random_state=0,
             ).fit(split.train)
             results[lam] = evaluate_recommender(model, split, m=20).recall
@@ -148,23 +135,20 @@ def test_ablation_regularization_matters(benchmark, report_writer):
     write_bench_json(
         "ablation_regularization",
         {f"recall_lambda_{lam:g}": recall for lam, recall in results.items()},
-        **_scaled_sizes(),
+        **SIZES,
     )
-    if not smoke_mode():
-        assert results[10.0] >= results[0.0]
+    assert results[10.0] >= results[0.0]
 
 
 def test_ablation_relative_weighting(benchmark, report_writer):
     """R-OCuLaR is competitive with OCuLaR (neither dominates, as in Table I)."""
 
-    sizes = _scaled_sizes()
-
     def run():
-        split = _make_split(sizes["n_users"], sizes["n_items"], random_state=2)
+        split = _make_split(random_state=2)
         shared = dict(
             n_coclusters=20,
             regularization=10.0,
-            max_iterations=sizes["max_iterations"],
+            max_iterations=SIZES["max_iterations"],
             random_state=0,
         )
         ocular = evaluate_recommender(OCuLaR(**shared).fit(split.train), split, m=20)
@@ -188,24 +172,21 @@ def test_ablation_relative_weighting(benchmark, report_writer):
             for name, result in results.items()
             for metric in ("recall", "map")
         },
-        **_scaled_sizes(),
+        **SIZES,
     )
-    if not smoke_mode():
-        ratio = results["R-OCuLaR"].recall / max(results["OCuLaR"].recall, 1e-9)
-        assert 0.6 < ratio < 1.4
+    ratio = results["R-OCuLaR"].recall / max(results["OCuLaR"].recall, 1e-9)
+    assert 0.6 < ratio < 1.4
 
 
 def test_ablation_bias_terms(benchmark, report_writer):
     """Bias terms do not improve accuracy (the paper's Section IV-A remark)."""
 
-    sizes = _scaled_sizes()
-
     def run():
-        split = _make_split(sizes["n_users"], sizes["n_items"], random_state=3)
+        split = _make_split(random_state=3)
         shared = dict(
             n_coclusters=20,
             regularization=10.0,
-            max_iterations=sizes["max_iterations"],
+            max_iterations=SIZES["max_iterations"],
             random_state=0,
         )
         results = {}
@@ -236,9 +217,6 @@ def test_ablation_bias_terms(benchmark, report_writer):
             ocular_map=ocular.map,
             biased_map=biased.map,
         ),
-        **_scaled_sizes(),
+        **SIZES,
     )
-    if smoke_mode():
-        assert all(model.history_.n_iterations >= 1 for model, _ in results.values())
-        return
     assert biased.recall <= 1.05 * ocular.recall

@@ -11,47 +11,63 @@ Paper claims reproduced here:
 
 from __future__ import annotations
 
+from _paper import fit_toy_model, top1_recovered
 from _report import write_bench_json
 from conftest import run_once
 
-from repro.experiments.paper_reference import PAPER_CLAIMS
-from repro.experiments.toy import run_toy_example
+from repro.core.render import render_matrix, render_probability_matrix
+from repro.data.synthetic import make_paper_toy_example
+
+USER, ITEM = 6, 4
+
+PAPER_CLAIM = "Item 4 is recommended to User 6 with confidence 0.83"
 
 
 def test_fig3_toy_example(benchmark, report_writer):
-    result = run_once(benchmark, run_toy_example, random_state=0)
+    toy = make_paper_toy_example()
+    model = run_once(benchmark, fit_toy_model, toy)
 
+    confidence = model.predict_proba(USER, ITEM)
+    scores = model.score_user(USER)
+    seen = set(toy.matrix.items_of_user(USER).tolist())
+    unknown = sorted(
+        (item for item in range(toy.matrix.n_items) if item not in seen),
+        key=lambda item: -scores[item],
+    )
+    rank = unknown.index(ITEM) + 1
+    recovered = top1_recovered(model, toy)
+    explanation = model.explain(USER, ITEM)
     lines = [
         "Figure 1 / Figure 3 — toy overlapping co-cluster example",
-        f"paper: {PAPER_CLAIMS['fig3_confidence']}",
-        f"measured: item 4 recommended to user 6 with confidence {result.headline_confidence:.2f} "
-        f"(rank {result.headline_rank} among user 6's unknowns)",
-        f"candidate recommendations recovered at top-1: {result.holes_recovered_at_1} of "
-        f"{len(result.dataset.heldout_pairs)}",
+        f"paper: {PAPER_CLAIM}",
+        f"measured: item {ITEM} recommended to user {USER} with confidence {confidence:.2f} "
+        f"(rank {rank} among user {USER}'s unknowns)",
+        f"candidate recommendations recovered at top-1: {recovered} of "
+        f"{len(toy.heldout_pairs)}",
         f"co-clusters supporting the headline recommendation: "
-        f"{result.explanation.n_supporting_coclusters}",
+        f"{explanation.n_supporting_coclusters}",
         "",
         "input matrix:",
-        result.matrix_text,
+        render_matrix(toy.matrix),
         "",
         "fitted probabilities (observed positives bracketed):",
-        result.probability_text,
+        render_probability_matrix(model.factors_, toy.matrix, max_users=12, max_items=12),
         "",
         "generated rationale:",
-        result.explanation.to_text(),
+        explanation.to_text(),
     ]
     report_writer("fig3_toy_example", "\n".join(lines))
     write_bench_json(
         "fig3_toy_example",
         dict(
-            headline_confidence=result.headline_confidence,
-            headline_rank=result.headline_rank,
-            holes_recovered_at_1=result.holes_recovered_at_1,
-            supporting_coclusters=result.explanation.n_supporting_coclusters,
+            headline_confidence=confidence,
+            headline_rank=rank,
+            holes_recovered_at_1=recovered,
+            supporting_coclusters=explanation.n_supporting_coclusters,
         ),
     )
 
-    assert result.headline_rank == 1
-    assert abs(result.headline_confidence - 0.83) < 0.10
-    assert result.holes_recovered_at_1 == 3
-    assert result.explanation.n_supporting_coclusters >= 2
+    assert rank == 1
+    assert abs(confidence - 0.83) < 0.10
+    assert recovered == 3
+    assert explanation.n_supporting_coclusters >= 2

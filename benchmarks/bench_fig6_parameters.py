@@ -7,54 +7,89 @@ Paper claims reproduced here:
   intermediate lambda;
 * larger K yields smaller (and typically denser) co-clusters, which is the
   criterion the paper suggests for picking K.
+
+For every (K, lambda) the bench fits OCuLaR on one MovieLens-like training
+split, measures recall@M on the held-out positives and computes the
+co-cluster statistics the paper plots.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from _paper import holdout
 from _report import write_bench_json
-from conftest import run_once, scaled, smoke_mode
+from conftest import run_once
 
-from repro.experiments.parameters import run_parameter_study
-from repro.experiments.paper_reference import PAPER_CLAIMS
+from repro.core.coclusters import cocluster_statistics, extract_coclusters
+from repro.core.ocular import OCuLaR
+from repro.evaluation.evaluator import evaluate_recommender
+from repro.utils.tables import format_table
+
+K_VALUES = (5, 10, 20, 40)
+LAMBDA_VALUES = (0.0, 5.0, 30.0, 100.0)
+M = 50
+
+PAPER_CLAIM = (
+    "either too little (lambda = 0) or too much regularization (lambda = 100) "
+    "hurts the recommendation accuracy"
+)
+
+
+def run_parameter_study() -> list:
+    """One dict per (K, lambda), lambda-major and K ascending."""
+    split, users = holdout("movielens", scale=0.4, max_users=100)
+    points = []
+    for regularization in LAMBDA_VALUES:
+        for n_coclusters in K_VALUES:
+            model = OCuLaR(
+                n_coclusters=n_coclusters,
+                regularization=regularization,
+                max_iterations=80,
+                random_state=0,
+            ).fit(split.train)
+            stats = cocluster_statistics(
+                extract_coclusters(model.factors_, split.train),
+                n_users=split.train.n_users,
+                n_items=split.train.n_items,
+            )
+            points.append(
+                dict(
+                    K=n_coclusters,
+                    lam=regularization,
+                    recall=evaluate_recommender(model, split, m=M, users=users).recall,
+                    users=stats.mean_users,
+                    items=stats.mean_items,
+                    density=stats.mean_density,
+                    memberships=stats.mean_user_memberships,
+                )
+            )
+    return points
 
 
 def test_fig6_parameter_study(benchmark, report_writer):
-    params = scaled(
-        dict(
-            k_values=(5, 10, 20, 40),
-            lambda_values=(0.0, 5.0, 30.0, 100.0),
-            m=50,
-            scale=0.4,
-            max_users=100,
-            max_iterations=80,
-        ),
-        k_values=(5, 10),
-        lambda_values=(0.0, 5.0, 100.0),
-        m=20,
-        scale=0.2,
-        max_users=30,
-        max_iterations=15,
-    )
-    result = run_once(
-        benchmark,
-        run_parameter_study,
-        dataset="movielens",
-        random_state=0,
-        **params,
-    )
+    points = run_once(benchmark, run_parameter_study)
 
-    best = result.best_point()
+    best = max(points, key=lambda point: point["recall"])
     best_recall_per_lambda = {
-        lam: max(point.recall for point in result.series_for_lambda(lam))
-        for lam in result.lambdas()
+        lam: max(point["recall"] for point in points if point["lam"] == lam)
+        for lam in LAMBDA_VALUES
     }
+    header = [
+        "K",
+        "lambda",
+        f"recall@{M}",
+        "users/co-cluster",
+        "items/co-cluster",
+        "density",
+        "memberships/user",
+    ]
     lines = [
-        result.to_text(),
+        "Figure 6 — parameter study (movielens)",
+        format_table(header, [list(point.values()) for point in points]),
         "",
-        f"paper: {PAPER_CLAIMS['fig6_regularization']}",
-        f"measured best: K={best.n_coclusters}, lambda={best.regularization}, "
-        f"recall@{result.m}={best.recall:.4f}",
+        f"paper: {PAPER_CLAIM}",
+        f"measured best: K={best['K']}, lambda={best['lam']}, "
+        f"recall@{M}={best['recall']:.4f}",
         "best recall per lambda: "
         + ", ".join(f"lambda={lam:g}: {val:.4f}" for lam, val in best_recall_per_lambda.items()),
     ]
@@ -62,23 +97,16 @@ def test_fig6_parameter_study(benchmark, report_writer):
     write_bench_json(
         "fig6_parameters",
         dict(
-            best_k=best.n_coclusters,
-            best_lambda=best.regularization,
-            best_recall=best.recall,
+            best_k=best["K"],
+            best_lambda=best["lam"],
+            best_recall=best["recall"],
             **{
                 f"best_recall_lambda_{lam:g}": val
                 for lam, val in best_recall_per_lambda.items()
             },
         ),
-        m=result.m,
+        m=M,
     )
-
-    if smoke_mode():
-        # Only structural guarantees at smoke scale: the sweep covered the
-        # grid and produced finite co-cluster statistics.
-        series = result.series_for_lambda(5.0)
-        assert series and all(np.isfinite(point.recall) for point in series)
-        return
 
     # Shape assertion 1: some intermediate lambda beats both extremes.
     intermediate = max(best_recall_per_lambda[5.0], best_recall_per_lambda[30.0])
@@ -87,8 +115,7 @@ def test_fig6_parameter_study(benchmark, report_writer):
 
     # Shape assertion 2: at a fixed intermediate lambda, larger K gives
     # smaller co-clusters on average.
-    series = result.series_for_lambda(5.0)
-    sizes = [point.mean_users_per_cocluster for point in series]
-    assert sizes[0] >= sizes[-1] * 0.8
+    series = [point for point in points if point["lam"] == 5.0]
+    assert series[0]["users"] >= series[-1]["users"] * 0.8
     # Co-cluster statistics must be well-defined for the swept configurations.
-    assert all(np.isfinite(point.mean_items_per_cocluster) for point in series)
+    assert all(np.isfinite(point["items"]) for point in series)

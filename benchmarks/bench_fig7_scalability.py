@@ -2,75 +2,111 @@
 
 Paper claim reproduced here: "the training time is indeed linear in the
 number of positive examples and linear in the number of co-clusters K".  The
-benchmark sweeps fractions of the Netflix-like corpus for several K, fits a
-straight line to seconds-per-iteration versus the number of positives, and
-asserts the fit explains the data (R^2 high) — i.e. no super-linear blow-up.
+paper subsamples increasing fractions of Netflix; the benchmark sweeps the
+same fractions of the Netflix-like corpus for several K, fits a straight
+line to seconds-per-iteration versus the number of positives and versus K,
+and asserts both fits explain the data (R^2 high) — i.e. no super-linear
+blow-up.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from _report import write_bench_json
-from conftest import run_once, scaled, smoke_mode
+from conftest import run_once
 
-from repro.experiments.paper_reference import PAPER_CLAIMS
-from repro.experiments.scalability import run_scalability_study
+from repro.core.ocular import OCuLaR
+from repro.data.datasets import make_netflix_like
+from repro.data.interactions import InteractionMatrix
+from repro.utils.tables import format_table
+
+FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
+K_VALUES = (10, 50, 100)
+N_USERS, N_ITEMS = 1500, 500
+
+PAPER_CLAIM = (
+    "training time per iteration is linear in the number of positive examples "
+    "and linear in the number of co-clusters K"
+)
+
+
+def measure_seconds_per_iteration(
+    matrix: InteractionMatrix, n_coclusters: int, n_iterations: int = 3
+) -> float:
+    """Mean wall-clock seconds per outer iteration over exactly ``n_iterations``."""
+    model = OCuLaR(
+        n_coclusters=n_coclusters,
+        regularization=5.0,
+        max_iterations=n_iterations,
+        tolerance=0.0,
+        random_state=0,
+    ).fit(matrix)
+    return model.history_.mean_seconds_per_iteration
+
+
+def run_scalability_study() -> dict:
+    """``series[K]``: ``(positives, seconds per iteration)`` per fraction."""
+    matrix, _spec = make_netflix_like(n_users=N_USERS, n_items=N_ITEMS, random_state=0)
+    series = {}
+    for n_coclusters in K_VALUES:
+        series[n_coclusters] = []
+        for fraction in FRACTIONS:
+            subsampled = matrix.subsample(fraction, random_state=0)
+            seconds = measure_seconds_per_iteration(subsampled, n_coclusters)
+            series[n_coclusters].append((subsampled.nnz, seconds))
+    return series
+
+
+def linear_r2(x, y) -> float:
+    """R^2 of a least-squares straight line through ``(x, y)``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, deg=1)
+    residual = float(np.sum((y - (slope * x + intercept)) ** 2))
+    total = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 - residual / total if total else 1.0
 
 
 def test_fig7_linear_scalability(benchmark, report_writer):
-    params = scaled(
-        dict(
-            fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
-            k_values=(10, 50, 100),
-            n_iterations=3,
-            n_users=1500,
-            n_items=500,
-        ),
-        fractions=(0.5, 1.0),
-        k_values=(5, 10),
-        n_iterations=1,
-        n_users=200,
-        n_items=80,
-    )
-    k_values = params["k_values"]
-    result = run_once(benchmark, run_scalability_study, random_state=0, **params)
+    series = run_once(benchmark, run_scalability_study)
 
+    r2_nnz = {k: linear_r2(*zip(*points)) for k, points in series.items()}
+    full = {k: points[-1][1] for k, points in series.items()}
+    r2_k = linear_r2(list(full), list(full.values()))
+    rows = [
+        [fraction, positives, k, seconds]
+        for k, points in series.items()
+        for fraction, (positives, seconds) in zip(FRACTIONS, points)
+    ]
     lines = [
-        result.to_text(),
+        "Figure 7 — per-iteration training time",
+        format_table(["fraction", "positives", "K", "sec/iteration"], rows, precision=5),
+        *(f"linear fit R^2 in positives (K={k}): {r2:.4f}" for k, r2 in r2_nnz.items()),
+        f"linear fit R^2 in K (full corpus): {r2_k:.4f}",
         "",
-        f"paper: {PAPER_CLAIMS['fig7_scaling']}",
+        f"paper: {PAPER_CLAIM}",
     ]
     report_writer("fig7_scalability", "\n".join(lines))
     write_bench_json(
         "fig7_scalability",
         dict(
-            **{f"r2_k{k}": result.linearity_r2(k) for k in k_values},
-            **{
-                f"seconds_per_iteration_full_k{k}": result.series_for_k(k)[-1].seconds_per_iteration
-                for k in k_values
-            },
+            **{f"r2_k{k}": r2 for k, r2 in r2_nnz.items()},
+            r2_in_k=r2_k,
+            **{f"seconds_per_iteration_full_k{k}": seconds for k, seconds in full.items()},
         ),
-        n_users=params["n_users"],
-        n_items=params["n_items"],
+        n_users=N_USERS,
+        n_items=N_ITEMS,
     )
 
-    if smoke_mode():
-        # Tiny corpora cannot support timing-shape assertions; the smoke run
-        # guards the experiment code path end to end.
-        assert all(result.series_for_k(k) for k in k_values)
-        return
-
     # Linear in nnz: the straight-line fit explains the timing for every K.
-    for k in k_values:
-        assert result.linearity_r2(k) > 0.7, f"scaling in nnz not linear for K={k}"
+    for k, r2 in r2_nnz.items():
+        assert r2 > 0.7, f"scaling in nnz not linear for K={k}"
 
     # Monotone in nnz: the full corpus costs more per iteration than 20% of it.
-    for k in k_values:
-        series = result.series_for_k(k)
-        assert series[-1].seconds_per_iteration > series[0].seconds_per_iteration
+    for k, points in series.items():
+        assert points[-1][1] > points[0][1]
 
-    # Roughly linear (certainly monotone) in K at the full corpus size.
-    full = {
-        k: result.series_for_k(k)[-1].seconds_per_iteration for k in k_values
-    }
+    # Linear (and monotone) in K at the full corpus size.
     assert full[50] > full[10]
     assert full[100] > full[50]
+    assert r2_k > 0.9, f"scaling in K not linear (R^2 {r2_k:.4f})"

@@ -13,9 +13,10 @@ served immediately via fold-in), warm refit + update, cold refit.
 The scenario is pinned (corpus, drift, seed): the training objective is
 non-convex, and on under-determined corpora which basin a refit lands in —
 and basins differ in recall more than in objective — is seed luck.  The
-full-size corpus below was validated across seeds (see
-``experiments/incremental.py``); the benchmark asserts the acceptance
-criteria on the pinned configuration.
+benchmark asserts the acceptance criteria on the pinned full-size corpus of
+:func:`~repro.data.datasets.make_drifting_corpus`.  A host with fewer cores
+than ``WORKERS`` writes its reports and then skips the recall, sweep and
+wall-clock assertions.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import os
 import time
 
 import numpy as np
+import pytest
 from _report import write_bench_json
-from conftest import run_once, scaled, smoke_mode
+from conftest import run_once
 
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
+from repro.data.datasets import make_drifting_corpus
 from repro.evaluation.evaluator import evaluate_recommender
-from repro.experiments.incremental import make_drifting_corpus
 from repro.runtime import RecommenderRuntime
 from repro.utils.rng import ensure_rng
 from repro.utils.tables import format_table
@@ -49,14 +51,7 @@ WALL_CLOCK_SPEEDUP_FLOOR = 1.5
 
 
 def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
-    params = scaled(
-        dict(n_users=2000, n_items=600, n_coclusters=24, max_iterations=150, m=50),
-        n_users=300,
-        n_items=90,
-        n_coclusters=8,
-        max_iterations=12,
-        m=20,
-    )
+    params = dict(n_users=2000, n_items=600, n_coclusters=24, max_iterations=150, m=50)
     corpus = make_drifting_corpus(
         n_users=params["n_users"], n_items=params["n_items"], random_state=0
     )
@@ -177,10 +172,11 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
     # The drift must be in the moderate regime the auto policy warm-starts in.
     assert 0.0 < result["ingest_drift"] <= 0.25
 
-    if smoke_mode() or (os.cpu_count() or 1) < WORKERS:
-        # Tiny corpora cannot support recall claims; the smoke run guards the
-        # lifecycle end to end (ingest, mixed serving, warm + cold refits).
-        return
+    if (os.cpu_count() or 1) < WORKERS:
+        pytest.skip(
+            f"{os.cpu_count()} core(s) for {WORKERS} process workers: the recall, "
+            "sweep and wall-clock acceptance criteria assume a core per worker"
+        )
 
     assert recall_gap <= RECALL_GAP_TOLERANCE, (
         f"warm refit recall trails cold by {recall_gap:+.4f} "

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.interactions import InteractionMatrix
+from repro.data.splitting import Split, train_test_split
 from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
@@ -395,8 +396,7 @@ def dataset_by_name(name: str, random_state: RandomStateLike = 0, scale: float =
     """Construct one of the named corpora, optionally scaled in size.
 
     ``name`` must be one of ``"movielens"``, ``"citeulike"``, ``"netflix"``
-    or ``"b2b"``.  ``scale`` multiplies the default user/item counts, which
-    lets the benchmark harness shrink corpora for smoke runs.
+    or ``"b2b"``.  ``scale`` multiplies the default user/item counts.
     """
     if scale <= 0:
         raise DataError(f"scale must be positive, got {scale}")
@@ -425,3 +425,123 @@ def dataset_by_name(name: str, random_state: RandomStateLike = 0, scale: float =
         )
         return dataset.matrix, dataset.spec
     raise DataError(f"unknown dataset name {name!r}; expected movielens/citeulike/netflix/b2b")
+
+
+# --------------------------------------------------------------------------- #
+# Drifting corpus: a base snapshot plus the delta that arrives after it
+# --------------------------------------------------------------------------- #
+
+
+@dataclass
+class DriftingCorpus:
+    """A grown corpus rewound into a base snapshot plus one delta.
+
+    Attributes
+    ----------
+    base:
+        The matrix the initial full fit trains on: the early-user/early-item
+        block of the grown training matrix, minus the sampled late
+        interactions.
+    delta_pairs:
+        Every training positive that is *not* in ``base`` — late
+        interactions inside the base block plus all positives of the new
+        users/items — as ``(user, item)`` pairs in grown coordinates.
+    n_new_users, n_new_items:
+        Rows/columns the delta appends to ``base``.
+    split:
+        The 75/25 train/test split of the grown corpus.  ``split.train``
+        equals ``base.extended_with(delta_pairs, ...)`` exactly (checked at
+        build time), so refits on the ingested corpus are evaluated against
+        a held-out set that never leaked into training.
+    """
+
+    base: InteractionMatrix
+    delta_pairs: List[Tuple[int, int]]
+    n_new_users: int
+    n_new_items: int
+    split: Split
+
+    @property
+    def drift(self) -> float:
+        """Delta positives as a fraction of the base positives."""
+        return len(self.delta_pairs) / max(self.base.nnz, 1)
+
+
+def make_drifting_corpus(
+    n_users: int = 2000,
+    n_items: int = 600,
+    n_base_users: Optional[int] = None,
+    late_fraction: float = 0.04,
+    random_state: RandomStateLike = 0,
+) -> DriftingCorpus:
+    """Build a drifting-corpus scenario from one grown Netflix-like corpus.
+
+    The grown corpus is generated and split once, then rewound: the base
+    block of early users/items (minus a sampled set of late interactions) is
+    what the first full fit sees, and everything else arrives later as a
+    delta.  Warm and cold refits therefore train on the *identical* grown
+    training matrix and are evaluated against the *identical* held-out set.
+    The defaults give a ~10% drift — the moderate-drift regime warm starts
+    are for.  Smaller corpora work but are noisier: with fewer positives per
+    factor the non-convex landscape has many recall-inequivalent basins, and
+    which one a refit lands in becomes seed luck.
+
+    Parameters
+    ----------
+    n_users, n_items:
+        Shape of the *grown* corpus (after all deltas arrive).
+    n_base_users:
+        Users in the base snapshot (default: 96% of them).  The base keeps
+        98% of the items — new items are rarer than new users in practice.
+    late_fraction:
+        Fraction of the base block's training positives sampled as "late"
+        (they arrive with the delta, not the base snapshot).
+    random_state:
+        Seed or generator for the corpus, the split and the late sample.
+    """
+    if n_base_users is None:
+        n_base_users = int(round(0.96 * n_users))
+    n_base_items = int(round(0.98 * n_items))
+    if not 0 < n_base_users <= n_users or not 0 < n_base_items <= n_items:
+        raise DataError(
+            f"base shape ({n_base_users}, {n_base_items}) must be within the "
+            f"grown shape ({n_users}, {n_items})"
+        )
+    if not 0 <= late_fraction < 1:
+        raise DataError(f"late_fraction must lie in [0, 1), got {late_fraction}")
+    rng = ensure_rng(random_state)
+
+    grown, _spec = make_netflix_like(n_users=n_users, n_items=n_items, random_state=rng)
+    split = train_test_split(grown, test_fraction=0.25, random_state=rng)
+    pairs = split.train.pairs()
+    in_block = (pairs[:, 0] < n_base_users) & (pairs[:, 1] < n_base_items)
+    block_rows = np.flatnonzero(in_block)
+    n_late = int(round(late_fraction * len(block_rows)))
+    late_mask = np.zeros(len(pairs), dtype=bool)
+    if n_late:
+        late_mask[rng.choice(block_rows, size=n_late, replace=False)] = True
+
+    base_mask = in_block & ~late_mask
+    base = InteractionMatrix.from_pairs(
+        [(int(u), int(i)) for u, i in pairs[base_mask]],
+        n_users=n_base_users,
+        n_items=n_base_items,
+    )
+    corpus = DriftingCorpus(
+        base=base,
+        delta_pairs=[(int(u), int(i)) for u, i in pairs[~base_mask]],
+        n_new_users=n_users - n_base_users,
+        n_new_items=n_items - n_base_items,
+        split=split,
+    )
+    # The rewind is exact by construction; guard it anyway — every
+    # warm-vs-cold comparison is meaningless if the ingested corpus and the
+    # grown training matrix ever diverge.
+    reconstructed = base.extended_with(
+        corpus.delta_pairs,
+        n_new_users=corpus.n_new_users,
+        n_new_items=corpus.n_new_items,
+    )
+    if reconstructed != split.train:
+        raise DataError("drifting-corpus rewind failed to reproduce the grown train matrix")
+    return corpus

@@ -8,7 +8,9 @@ use fixed seeds; the suite is fully deterministic.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ from repro.data.datasets import make_b2b, make_movielens_like
 from repro.data.interactions import InteractionMatrix
 from repro.data.splitting import train_test_split
 from repro.data.synthetic import make_paper_toy_example, make_planted_coclusters
+
+# The paper benches share a helper module (Table I values, model zoo,
+# hold-out, toy fit); appending its directory lets the suite test it too.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +159,16 @@ def fitted_toy_model(toy_dataset):
         return OCuLaR(
             n_coclusters=3, regularization=0.05, max_iterations=400, random_state=2
         ).fit(toy_dataset.matrix)
+
+
+@pytest.fixture(scope="session")
+def paper_toy_model(toy_dataset):
+    """OCuLaR on the toy matrix as the Figure 3 bench fits it (best of five seeds)."""
+    from _paper import fit_toy_model
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit_toy_model(toy_dataset)
 
 
 @pytest.fixture(scope="session")

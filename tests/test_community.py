@@ -174,13 +174,24 @@ class TestFigure2Shape:
         assert labels is not None
         assert len(np.unique(labels)) >= 2
 
-    def test_community_baselines_miss_most_candidate_recommendations(self):
-        from repro.experiments.toy import run_community_comparison
+    def test_community_baselines_miss_most_candidate_recommendations(self, paper_toy_model):
+        from _paper import top1_recovered
 
-        result = run_community_comparison(random_state=0)
-        assert result.n_candidates == 3
+        toy = make_paper_toy_example()
+        pairs = toy.heldout_pairs
+
+        def covered(user_sets, item_sets):
+            blocks = [
+                ({int(u) for u in users}, {int(i) for i in items})
+                for users, items in zip(user_sets, item_sets)
+            ]
+            return sum(any(u in us and i in its for us, its in blocks) for u, i in pairs)
+
+        modularity = GreedyModularityCommunities().fit(toy.matrix)
+        bigclam = BigClam(n_communities=3, max_iterations=150, random_state=0).fit(toy.matrix)
+        assert len(pairs) == 3
         # The paper reports the baselines identify only 1 of the 3; allow <= 1.
-        assert result.coverage["modularity"] <= 1
-        assert result.coverage["bigclam"] <= 1
+        assert covered(modularity.user_communities(), modularity.item_communities()) <= 1
+        assert covered(bigclam.user_communities(), bigclam.item_communities()) <= 1
         # OCuLaR's ranked recommendations recover all three.
-        assert result.coverage["ocular"] == 3
+        assert top1_recovered(paper_toy_model, toy) == 3

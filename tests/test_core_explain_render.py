@@ -82,13 +82,11 @@ class TestExplainRecommendation:
         assert isinstance(direct, Explanation)
         assert direct.item == 4
 
-    def test_headline_explanation_cites_both_coclusters(self, toy_dataset):
+    def test_headline_explanation_cites_both_coclusters(self, paper_toy_model):
         # With the best-of-restarts fit the rationale has the paper's two bullets:
         # similar users via items 1-3 and similar users via items 5-9.
-        from repro.experiments.toy import run_toy_example
-
-        result = run_toy_example(random_state=0)
-        assert result.explanation.n_supporting_coclusters >= 2
+        explanation = paper_toy_model.explain(6, 4)
+        assert explanation.n_supporting_coclusters >= 2
 
 
 class TestLabelledExplanations:

@@ -1,4 +1,4 @@
-"""Incremental refit: drifting-corpus construction, the warm-vs-cold study,
+"""Incremental refit: drifting-corpus construction, the warm-vs-cold protocol
 and the runtime's ingest → fold-in-now → warm-refit lifecycle."""
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import pytest
 
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
+from repro.data.datasets import make_drifting_corpus
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.experiments.incremental import make_drifting_corpus, run_incremental_study
 from repro.runtime import IngestStats, RecommenderRuntime, service
 from repro.runtime.service import DEFAULT_WARM_PLATEAU_TOLERANCE
 from repro.serving import recommend_folded
+from repro.serving.fold_in import extend_factors
 
 
 @pytest.fixture(scope="module")
@@ -109,27 +110,19 @@ class TestMakeDriftingCorpus:
 
 
 # --------------------------------------------------------------------------- #
-# The warm-vs-cold study protocol
+# The warm-vs-cold protocol, through the library
 # --------------------------------------------------------------------------- #
 class TestIncrementalStudy:
-    def test_study_runs_and_reports_both_arms(self, corpus):
-        result = run_incremental_study(
-            corpus=corpus,
-            n_coclusters=4,
-            max_iterations=6,
-            m=10,
-            random_state=0,
+    def test_warm_refit_starts_closer_and_stops_sooner(self, corpus):
+        base = _model(max_iterations=30).fit(corpus.base)
+        grown = corpus.split.train
+        warm = _model(max_iterations=30).fit(
+            grown, initial_factors=extend_factors(base, grown), plateau_tolerance=1e-3
         )
-        warm, cold = result.arm("warm"), result.arm("cold")
-        assert warm.sweeps >= 1 and cold.sweeps >= 1
-        assert np.isfinite(warm.objective) and np.isfinite(cold.objective)
-        assert result.sweep_ratio == warm.sweeps / cold.sweeps
-        assert result.recall_gap == pytest.approx(cold.recall - warm.recall)
-        text = result.to_text()
-        assert "incremental refit" in text
-        assert "warm" in text and "cold" in text
-        with pytest.raises(KeyError):
-            result.arm("lukewarm")
+        cold = _model(max_iterations=30).fit(grown)
+        assert warm.history_.warm_started and not cold.history_.warm_started
+        assert warm.history_.log_likelihoods[0] < cold.history_.log_likelihoods[0]
+        assert warm.history_.n_iterations < cold.history_.n_iterations
 
 
 # --------------------------------------------------------------------------- #
