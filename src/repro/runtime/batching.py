@@ -35,7 +35,9 @@ There is one sealing rule with one number in it, the hold: ``max_delay_ms``
 free.  With no hold, occupancy follows load through the queue — a batch is
 what arrived while the previous one was being served — and a lone
 ``submit_request(r).result()`` costs ``runtime.recommend(r)`` plus the
-hand-off to the dispatcher thread and back.
+hand-off to the dispatcher thread and back.  A lone wire frame does not
+pay them: the gateway serves it on its own thread, as a batch of one,
+when the front-end is idle (see :mod:`repro.runtime.gateway`).
 
 Generation safety: every batch is sealed against one
 :class:`~repro.runtime.service.ServingSession`, pinned at dispatch time, so
@@ -205,6 +207,7 @@ class BatchingFrontEnd:
         self._cond = threading.Condition()
         self._pending: Deque[_Pending] = deque()
         self._pending_rows = 0
+        self._in_service = 0  # sealed batches not yet served
         self._closed = False
         self._draining = False
         self._batches = 0
@@ -339,6 +342,34 @@ class BatchingFrontEnd:
                 if not pending.future.done():
                     pending.future.set_exception(error)
             raise
+        finally:
+            with self._cond:
+                self._in_service -= 1
+
+    def _serve_if_idle(self, request: RecommendRequest) -> Optional[Future]:
+        """Serve ``request`` on the caller's thread as a batch of one, if idle.
+
+        Only known users making one shard qualify: the runtime serves those
+        in process, not on the executor.  Idle is no hold, nothing queued
+        and no batch in service, checked and claimed under the lock; the
+        batch then goes through :meth:`_dispatch` like any other (same
+        session pin, stats and errors) without the hand-offs.  Returns the
+        resolved future, or ``None`` (use :meth:`submit_request`).
+        """
+        if request.kind != "topn" or request.n_rows > getattr(self._runtime, "chunk_size", 0):
+            return None
+        pending = _Pending(request, Future())
+        with self._cond:
+            if self._delay_ms or self._pending or self._in_service or self._closed:
+                return None
+            self._in_service += 1
+            self._arrivals.append(pending.enqueued)
+        try:
+            self._dispatch([pending], dispatch_start=pending.enqueued)
+        finally:
+            with self._cond:
+                self._in_service -= 1
+        return pending.future
 
     def _collect_batch(self) -> List[_Pending]:
         """Block until a batch is due, then seal and return it.
@@ -374,10 +405,14 @@ class BatchingFrontEnd:
                 batch.append(head)
                 rows += head.request.n_rows
             self._pending_rows -= rows
+            self._in_service += 1
             return batch
 
-    def _dispatch(self, batch: List[_Pending]) -> None:
-        """Serve one sealed batch against a single pinned model version."""
+    def _dispatch(self, batch: List[_Pending], dispatch_start: Optional[float] = None) -> None:
+        """Serve one sealed batch against a single pinned model version.
+
+        Queueing ends at ``dispatch_start``, by default now.
+        """
         # Transition every future to RUNNING now: a client may have
         # cancelled while its request was queued (the future was PENDING),
         # and set_result on a cancelled future raises — which would kill the
@@ -390,7 +425,7 @@ class BatchingFrontEnd:
         ]
         if not batch:
             return
-        dispatch_start = time.monotonic()
+        dispatch_start = time.monotonic() if dispatch_start is None else dispatch_start
         waits = [dispatch_start - pending.enqueued for pending in batch]
         batch_rows = sum(pending.request.n_rows for pending in batch)
         with self._cond:

@@ -11,7 +11,10 @@ mailbox (one loop wake-up per batch, not per response), and the response
 travels back down the same connection.  The expensive work (merging,
 sharded scoring) stays exactly where it was — on the batcher's dispatcher
 and the runtime's executor — so the gateway adds concurrency without adding
-a serving path.
+a serving path.  One exception: a frame with no company — the gateway's
+only live frame, known users making one shard, an idle front-end that does
+not hold — is served on the loop thread as the front-end's batch of one,
+skipping the two thread hand-offs that would be all its queueing.
 
 Wire protocol — newline-delimited JSON, one frame per line:
 
@@ -160,6 +163,7 @@ class ServingGateway:
         self._accepted = 0
         self._frames = 0
         self._responses = 0
+        self._served_on_loop = 0
         self._errors: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -200,6 +204,7 @@ class ServingGateway:
                 "connections_accepted": self._accepted,
                 "frames": self._frames,
                 "responses": self._responses,
+                "served_on_loop": self._served_on_loop,
                 "errors": dict(self._errors),
                 "inflight": self._inflight,
                 "queued": len(self._queue),
@@ -325,6 +330,21 @@ class ServingGateway:
                 continue  # its connection died while parked
             self._inflight += 1
             gate.set_result(None)
+
+    def _serve_alone(self, request: RecommendRequest) -> Optional[RecommendResponse]:
+        """Serve a frame with no company on the loop thread; ``None`` otherwise.
+
+        Only the gateway's one live frame qualifies: a frame served here
+        leaves the loop's next frames unread, and frames with company must
+        still meet in the batcher.  The front-end checks the rest.
+        """
+        if len(self._tasks) != 1:
+            return None
+        future = self._front._serve_if_idle(request)
+        if future is None:
+            return None
+        self._served_on_loop += 1
+        return future.result()
 
     def _submit(self, request: RecommendRequest) -> asyncio.Future:
         """Submit to the batcher; the loop-side future of the response.
@@ -460,7 +480,9 @@ class ServingGateway:
                 return
             await self._admit(request.tenant)
             try:
-                response = await self._submit(request)
+                response = self._serve_alone(request)
+                if response is None:
+                    response = await self._submit(request)
             finally:
                 self._release()
             self._responses += 1
@@ -521,12 +543,15 @@ class GatewayThread:
         self.gateway = ServingGateway(front, **gateway_kwargs)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._address: Optional[Tuple[str, int]] = None
         self._started = False
         self._closed = False
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)``."""
+        """The bound ``(host, port)`` (valid after :meth:`start`)."""
+        if self._address is None:
+            raise ConfigurationError("the gateway is not started")
         return self._address
 
     def start(self) -> "GatewayThread":

@@ -6,9 +6,11 @@ per-tenant fairness under a flooding tenant."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
+from repro.exceptions import ConfigurationError
 from repro.runtime import (
     BatchingFrontEnd,
     GatewayClient,
@@ -317,6 +320,14 @@ class TestFailureModes:
         assert client.request({"users": [1], "nitems": 5})["error"]["code"] == "bad-request"
         assert client.stats()["gateway"]["errors"] == {"closing": 1, "bad-request": 1}
 
+    def test_gateway_thread_address_before_start_is_a_typed_error(self, runtime):
+        with BatchingFrontEnd(runtime) as front:
+            gw = GatewayThread(front)
+            with pytest.raises(ConfigurationError, match="the gateway is not started"):
+                gw.address
+            with gw:
+                assert gw.address == gw.gateway.address
+
     def test_runtime_exception_reaches_every_member_of_the_batch(self):
         class BrokenRuntime:
             generation = 1
@@ -553,3 +564,154 @@ class TestFairnessAndAdaptivity:
                     assert c.stats()["batching"]["current_delay_ms"] == 0.0
         assert all(response.queue_ms < 50.0 for response in responses)
         assert all(response.batch_requests == 1 for response in responses)
+
+
+# --------------------------------------------------------------------------- #
+# A frame with no company is served on the loop thread
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def held(runtime, monkeypatch):
+    """``runtime.recommend`` records its thread's name, then waits for ``release``."""
+    names, release = [], threading.Event()
+    recommend = runtime.recommend
+
+    def holding(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        release.wait(RESULT_TIMEOUT)
+        return recommend(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "recommend", holding)
+    return names, release
+
+
+@pytest.fixture()
+def threads_of(held):
+    """Names of the threads ``runtime.recommend`` runs on, in call order."""
+    names, release = held
+    release.set()
+    return names
+
+
+@contextmanager
+def _zero_hold_client(runtime):
+    """A client of a gateway over a front-end that does not hold."""
+    with BatchingFrontEnd(runtime, max_delay_ms=0) as front:
+        with GatewayThread(front) as gw:
+            with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                yield front, c
+
+
+def _served_on_loop(client) -> int:
+    return client.stats()["gateway"]["served_on_loop"]
+
+
+class TestLoneFrameOnTheLoop:
+    def test_lone_frame_is_served_on_the_gateway_thread(self, runtime, threads_of):
+        request = RecommendRequest(users=(0, 3, 7, 7), n_items=6, with_scores=True)
+        with _zero_hold_client(runtime) as (front, c):
+            response = c.recommend(request)
+            assert _served_on_loop(c) == 1
+            assert front.stats().batches == 1
+        assert threads_of == ["serving-gateway"]
+        assert response.queue_ms == 0 and response.batch_requests == 1
+        assert response.generation == runtime.generation
+        rankings, scores = runtime.engine.recommend_batch(
+            [0, 3, 7, 7], n_items=6, return_scores=True
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(response.rankings, rankings))
+        assert all(np.array_equal(a, b) for a, b in zip(response.scores, scores))
+
+    def test_lone_frames_count_and_batched_frames_do_not(self, runtime, threads_of):
+        with _zero_hold_client(runtime) as (front, c):
+            for user in range(3):
+                c.recommend(RecommendRequest(users=(user,), n_items=3))
+            assert _served_on_loop(c) == 3
+            c.recommend(RecommendRequest(interactions=((1, 2),), n_items=3))
+            assert _served_on_loop(c) == 3
+            assert front.stats().batches == 4
+        assert threads_of == ["serving-gateway"] * 3 + ["batching-dispatcher"]
+
+    def test_front_end_that_holds_keeps_the_dispatcher(self, threads_of, client):
+        response = client.recommend(RecommendRequest(users=(1,), n_items=3))
+        assert threads_of == ["batching-dispatcher"]
+        assert response.batch_requests == 1
+        assert _served_on_loop(client) == 0
+
+    def test_cold_start_frame_keeps_the_dispatcher(self, runtime, threads_of):
+        request = RecommendRequest(interactions=((1, 2, 3), (9,)), n_items=5)
+        with _zero_hold_client(runtime) as (_front, c):
+            response = c.recommend(request)
+            assert _served_on_loop(c) == 0
+        assert threads_of == ["batching-dispatcher"]
+        expected = runtime.recommend(request)
+        assert all(
+            np.array_equal(a, b) for a, b in zip(response.rankings, expected.rankings)
+        )
+
+    def test_frames_pipelined_behind_a_live_one_coalesce_on_the_dispatcher(
+        self, runtime, held
+    ):
+        # The first batch is held in the runtime until every frame is inside
+        # the batcher, so the other seven must seal together behind it.
+        names, release = held
+        expected = runtime.engine.recommend_batch(list(range(8)), n_items=4)
+        with BatchingFrontEnd(runtime, max_delay_ms=0) as front:
+            with GatewayThread(front) as gw:
+                with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
+                    # One write: the gateway reads all eight frames at once.
+                    c._file.write(b"".join(
+                        json.dumps({"id": user, "users": [user], "n_items": 4}).encode()
+                        + b"\n"
+                        for user in range(8)
+                    ))
+                    c._file.flush()
+                    assert _wait_until(lambda: gw.gateway.inflight == 8)
+                    release.set()
+                    frames = {frame["id"]: frame for frame in (c.recv_frame() for _ in range(8))}
+                    assert _served_on_loop(c) == 0
+        assert set(names) == {"batching-dispatcher"}
+        assert front.stats().batches == len(names) <= 2
+        assert max(frame["batch_requests"] for frame in frames.values()) >= 7
+        for user in range(8):
+            assert frames[user]["rankings"] == [list(map(int, expected[user]))]
+
+    def test_lone_frame_queues_behind_a_batch_in_service(self, runtime, held):
+        names, release = held
+        with _zero_hold_client(runtime) as (front, c):
+            in_process = front.submit_request(RecommendRequest(users=(2,), n_items=3))
+            assert _wait_until(lambda: len(names) == 1)
+            c.send_frame({"id": "wire", "users": [5], "n_items": 3})
+            assert _wait_until(lambda: front.pending_requests == 1)
+            release.set()
+            assert c.recv_frame()["batch_id"] == 2
+            assert in_process.result(timeout=RESULT_TIMEOUT).batch_id == 1
+            assert _served_on_loop(c) == 0
+        assert names == ["batching-dispatcher"] * 2
+
+    def test_request_larger_than_one_shard_keeps_the_dispatcher(self, runtime, threads_of):
+        users = list(range(runtime.engine.train_matrix.n_users)) * 9
+        assert len(users) > runtime.chunk_size
+        with _zero_hold_client(runtime) as (_front, c):
+            response = c.recommend(RecommendRequest(users=users, n_items=3))
+            assert _served_on_loop(c) == 0
+        assert threads_of == ["batching-dispatcher"]
+        expected = runtime.engine.recommend_batch(users, n_items=3)
+        assert all(np.array_equal(a, b) for a, b in zip(response.rankings, expected))
+
+    def test_error_codes_match_the_batched_path(self, runtime):
+        with _zero_hold_client(runtime) as (front, c):
+            frame = c.request({"id": "past", "users": [120], "n_items": 3})
+            assert frame["id"] == "past" and frame["error"]["code"] == "bad-request"
+            assert "user indices must lie in [0, 120)" in frame["error"]["message"]
+            assert _served_on_loop(c) == 1
+            front.close()
+            frame = c.request({"users": [1], "n_items": 3})
+            assert frame["error"]["code"] == "closing"
+            assert c.stats()["gateway"]["errors"] == {"bad-request": 1, "closing": 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with RecommenderRuntime(executor="serial") as unpublished:
+                with _zero_hold_client(unpublished) as (_front, c):
+                    frame = c.request({"users": [0], "n_items": 3})
+                    assert frame["error"]["code"] == "not-fitted"
+                    assert _served_on_loop(c) == 1
