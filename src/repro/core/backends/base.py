@@ -28,9 +28,13 @@ class SweepStats:
         Row-level evaluations of the nnz-wide positive-entry objective the
         line search actually performed.  Without pruning this would be
         ``n_accepted + n_backtracks``; the vectorized kernel skips every
-        candidate whose K-wide lower bound already fails the Armijo test.
-        Deterministic per problem, but a cost diagnostic rather than a
-        result (0 for backends that do not count), so excluded from equality.
+        candidate whose K-wide lower bound — the Jensen bound of the
+        positive part plus the unknown and penalty tail — already fails the
+        Armijo test, so every accepted candidate and only some rejected ones
+        are evaluated (21% of the unpruned count on the end-to-end
+        ``train-cold`` fit).  Deterministic per problem, but a cost
+        diagnostic rather than a result (0 for backends that do not count),
+        so excluded from equality.
     workspace_bytes:
         Scratch bytes of the pooled sweep workspace(s) the sweep ran in
         (summed across shards).  Zero for backends without workspaces.

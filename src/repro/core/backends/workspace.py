@@ -197,6 +197,36 @@ class SweepWorkspace:
             None if side.entry_weights is None else side.entry_weights[first:last]
         )
         self.ones_cols = np.ones(side.n_cols, dtype=dtype)
+        # The Jensen bound of the line search (``vectorized`` module
+        # docstring) needs ``P / W`` per row, ``P = sum_e w_e h_e`` and
+        # ``W = sum_e w_e``.  On a plain binary side ``P`` is the
+        # ``positives`` product the sweep computes anyway and ``W`` the entry
+        # count; otherwise ``P`` runs through its own weights (the R-OCuLaR
+        # entry weights, or ones when the plan data is not all ones).
+        counts = np.diff(row_starts)
+        if self.entry_weights is not None:
+            self.jensen_weights = self.entry_weights
+        elif np.all(self.positives_data == 1):
+            self.jensen_weights = None
+        else:
+            self.jensen_weights = np.ones(nnz, dtype=dtype)
+        mass = counts.astype(dtype)
+        if self.entry_weights is not None:
+            csr_row_sums_into(
+                row_starts, self.indices, self.entry_weights, (n, self.n_cols),
+                self.ones_cols, mass,
+            )  # fmt: skip
+        # The divisor is negated (the bound needs ``-x``); a row without
+        # weight divides by -1, so its ``-P/W`` is 0 and its bound 0.
+        self.jensen_div = -np.where(mass > 0, mass, 1).astype(dtype)
+        # The relative rounding slack s = 2 (n_r + K + 8) eps; past 1/8 the
+        # first-order error analysis stops holding, and s = 1 turns the
+        # row's bound off.  The bound is
+        # W f (1 - s) - W s = log(1 - e^-x) * jensen_scale - jensen_offset.
+        slack = 2.0 * (counts + k + 8) * np.finfo(dtype).eps
+        slack = np.where(slack <= 0.125, slack, 1.0)
+        self.jensen_scale = (-(mass * (1.0 - slack))).astype(dtype)
+        self.jensen_offset = (mass * slack).astype(dtype)
 
         # ---- per-entry scratch ---- #
         self.entry_a = np.empty(nnz, dtype=dtype)  # affinities -> log terms
@@ -215,6 +245,7 @@ class SweepWorkspace:
         self.cand_rows = np.empty((n, k), dtype=dtype)
         self.diff_rows = np.empty((n, k), dtype=dtype)
         self.grad_gather = np.empty((n, k), dtype=dtype)
+        self.jensen_means = np.empty((n, k), dtype=dtype)  # -P / W of every row
 
         # ---- per-row vectors and masks ---- #
         self.current_values = np.empty(n, dtype=dtype)
@@ -224,6 +255,7 @@ class SweepWorkspace:
         self.row_tmp2 = np.empty(n, dtype=dtype)
         self.tail_unknown = np.empty(n, dtype=dtype)  # <cand, unknown sums>
         self.tail_penalty = np.empty(n, dtype=dtype)  # lambda * ||cand||^2
+        self.tail_positive = np.empty(n, dtype=dtype)  # Jensen bound of pos
         self.step_a = np.empty(n, dtype=dtype)
         self.step_b = np.empty(n, dtype=dtype)
         self.accepted = np.empty(n, dtype=bool)
@@ -258,8 +290,10 @@ class SweepWorkspace:
             self.gather_rows, self.gather_cols,
             self.grad_rows, self.unknown_rows, self.scratch_rows,
             self.lf_rows, self.cand_rows, self.diff_rows, self.grad_gather,
+            self.jensen_means, self.jensen_div, self.jensen_scale, self.jensen_offset,
             self.current_values, self.candidate_values, self.armijo_rhs,
             self.row_tmp, self.row_tmp2, self.tail_unknown, self.tail_penalty,
+            self.tail_positive,
             self.step_a, self.step_b,
             self.accepted, self.not_accepted, self.evaluate, self.eval_accepted,
             self.nonempty, self.arange_rows, self.active_a, self.active_b,
@@ -271,6 +305,8 @@ class SweepWorkspace:
         )  # fmt: skip
         #: Total scratch bytes this arena owns (views of plan arrays excluded).
         self.nbytes = int(sum(array.nbytes for array in owned))
+        if self.jensen_weights is not None and self.entry_weights is None:
+            self.nbytes += self.jensen_weights.nbytes
 
     @property
     def local_shape(self) -> Tuple[int, int]:
@@ -298,6 +334,24 @@ class SweepWorkspace:
             dense,
             out,
         )
+
+    def fill_jensen_means(self, dense: np.ndarray) -> np.ndarray:
+        """``-P / W`` of every row, ``P = sum_e w_e dense[c_e]``, in place.
+
+        Call after :meth:`positives_matmul` wrote into ``jensen_means``: on
+        a plain binary side that product already is ``P``.
+        """
+        means = self.jensen_means
+        if self.jensen_weights is not None:
+            csr_matmul_into(
+                self.row_starts,
+                self.indices,
+                self.jensen_weights,
+                self.local_shape,
+                dense,
+                means,
+            )
+        return np.divide(means, self.jensen_div[:, np.newaxis], out=means)
 
 
 @dataclass(frozen=True)

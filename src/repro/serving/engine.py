@@ -16,15 +16,21 @@ chunks:
 * top-N selection with :func:`numpy.argpartition` followed by a stable sort
   of only the selected entries, instead of a full per-row sort.
 
-The hot path is allocation-free in steady state: every chunk's dense score
-block comes from a :class:`~repro.serving.buffers.ScoreBufferPool` (the
-gather of the chunk's user factors too), the chunk size autotunes so
-``chunk × n_items × itemsize`` stays inside a fixed 128 MiB budget
+Every chunk's dense score block comes from a
+:class:`~repro.serving.buffers.ScoreBufferPool` (the gather of the chunk's
+user factors too), the chunk size autotunes so ``chunk × n_items ×
+itemsize`` stays inside a fixed 128 MiB budget
 (:data:`~repro.serving.buffers.SCORE_BUFFER_BUDGET_BYTES`), and results land
 directly in the flat :class:`~repro.serving.results.TopNResult` blocks
-instead of per-user list objects.  What a chunk still allocates is small
-next to its score block: the mask's index arrays, as long as the chunk has
-training positives, and the selection's ``(chunk, n)`` arrays.  On
+instead of per-user list objects.  The hot path is still not
+allocation-free: :func:`numpy.argpartition` returns a fresh
+``(chunk, n_items)`` int64 array per chunk — 9.8 MB for a 1024-user chunk
+on a 1200-item catalogue, as large as the float64 score block — next to
+the selection's ``(chunk, n)`` arrays and the mask's index arrays (as long
+as the chunk has training positives).  The end-to-end benchmark's allocator
+pin (glibc keeps freed blocks on its heap) hides the page-fault cost of
+those fresh arrays; its ``alloc.*`` layer metrics exist to show what the
+pin hides.  On
 multi-core hosts the BLAS product of chunk ``k+1`` overlaps the
 masking/selection of chunk ``k`` on a prefetch thread (NumPy releases the
 GIL inside the gemm) unless the engine is built with ``pipeline=False``;

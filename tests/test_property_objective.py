@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.backends import ReferenceBackend, VectorizedBackend
+from repro.core.backends.plan import SweepSide
 from repro.core.objective import (
+    MIN_AFFINITY,
     full_objective,
     gradient_ratio,
     relative_user_weights,
@@ -168,3 +170,145 @@ def test_line_search_bound_never_exceeds_the_candidate_value(
     # ... and the margins the Armijo test actually compares stay ordered.
     current = dtype(rng.uniform(-10.0, 1e4))
     assert bound - current <= value - current
+
+
+# --------------------------------------------------------------------------- #
+# The Jensen bound of the pruned line search
+# --------------------------------------------------------------------------- #
+def _bounds_and_positive_parts(matrix, candidates, col_factors, **weights):
+    """The kernel's Jensen bound and its positive part for every row's candidate.
+
+    Runs the vectorized kernel's own helpers in a pooled workspace, in the
+    order one sweep runs them: the ``positives`` product into the Jensen
+    block, ``P / W`` from it (through the side's own weights when it needs
+    them), then the bound and the nnz-wide evaluation of the same
+    candidates.
+    """
+    dtype = candidates.dtype
+    side = SweepSide.build(matrix, dtype=dtype, **weights)
+    n_rows, k = candidates.shape
+    ws = side.workspaces.acquire(side, 0, n_rows, k, dtype)
+    try:
+        ws.positives_matmul(col_factors, out=ws.jensen_means)
+        ws.fill_jensen_means(col_factors)
+        rows = np.arange(n_rows)
+        bounds = VectorizedBackend._positive_bounds(
+            ws, candidates, rows, out=np.empty(n_rows, dtype=dtype)
+        )
+        parts = VectorizedBackend._positive_parts(
+            ws, candidates, rows, rows, col_factors
+        ).copy()
+    finally:
+        side.workspaces.release(ws)
+    assert bounds.dtype == parts.dtype == dtype
+    return bounds, parts
+
+
+#: Mean affinity each candidate row is scaled to: around the floor
+#: ``MIN_AFFINITY`` (where the +eps shift matters), tiny, moderate, and past
+#: the point where ``log(1 - exp(-a))`` rounds to 0.
+_AFFINITY_SCALES = {"eps": MIN_AFFINITY, "tiny": 1e-4, "unit": 1.0, "large": 60.0}
+
+
+@st.composite
+def jensen_problem(draw):
+    """One side's rows and candidates, drawn to corner the Jensen bound.
+
+    Row 0 has no positives, row 1 exactly one, row 2 every column.
+    ``zeros`` projects coordinates away so affinities are exactly 0 next to
+    positive ones (the shape of the ``(0, 2 eps)`` counterexample);
+    ``identical`` gives every column one factor, so every affinity of a row
+    is equal and Jensen is tight.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.integers(min_value=1, max_value=48))
+    n_cols = draw(st.sampled_from([1, 2, 3, 7, 40, 600]))
+    scale = draw(st.sampled_from(sorted(_AFFINITY_SCALES)))
+    zeros = draw(st.booleans())
+    identical = draw(st.booleans())
+    weighting = draw(st.sampled_from([None, "rows", "cols"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    n_rows = 6
+    dense = rng.random((n_rows, n_cols)) < rng.uniform(0.1, 1.0)
+    dense[0] = False
+    dense[1] = False
+    dense[1, rng.integers(n_cols)] = True
+    dense[2] = True
+    col_factors = rng.uniform(0.0, 3.0, size=(n_cols, k))
+    candidates = rng.uniform(0.0, 3.0, size=(n_rows, k))
+    if identical:
+        col_factors[:] = col_factors[0]
+    if zeros:
+        kept = rng.random(k) < 0.5
+        candidates[:, ~kept] = 0.0
+        col_factors[np.ix_(rng.random(n_cols) < 0.5, kept)] = 0.0
+    target = _AFFINITY_SCALES[scale] * rng.uniform(0.0, 4.0, size=(n_rows, 1))
+    candidates *= target / (2.25 * k)
+
+    weights = {}
+    if weighting is not None:
+        size = n_rows if weighting == "rows" else n_cols
+        given = rng.uniform(0.0, 3.0, size=size)
+        given[rng.random(size) < 0.2] = 0.0
+        weights[f"{weighting[:-1]}_positive_weights"] = given
+    matrix = sp.csr_matrix(dense.astype(float))
+    return (
+        matrix,
+        candidates.astype(dtype),
+        np.ascontiguousarray(col_factors.astype(dtype)),
+        weights,
+    )
+
+
+@given(jensen_problem())
+@settings(max_examples=300, deadline=None)
+def test_jensen_bound_never_exceeds_the_positive_part(problem):
+    """``L <= pos`` for the rounded values, slack included, on adversarial rows.
+
+    The pruned line search rejects a candidate when ``L`` plus the K-wide
+    tail already fails the Armijo test; that is exact only if ``L`` never
+    exceeds the positive part the nnz-wide evaluation computes for the same
+    candidate (``vectorized`` module docstring).
+    """
+    matrix, candidates, col_factors, weights = problem
+    bounds, parts = _bounds_and_positive_parts(
+        matrix, candidates, col_factors, **weights
+    )
+    assert np.all(bounds >= 0)
+    assert np.all(bounds <= parts), (bounds, parts)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_jensen_bound_needs_the_eps_shift(dtype):
+    """Affinities ``(0, 2 eps)``: plain Jensen under the floor overshoots.
+
+    The positive part is ``f(eps) + f(2 eps) = 45.36`` while plain Jensen,
+    ``2 f(max(mean, eps)) = 2 f(eps)``, claims 46.05; the shifted bound is
+    ``2 f(2 eps) = 44.67``.
+    """
+    eps = MIN_AFFINITY
+    matrix = sp.csr_matrix(np.ones((1, 2)))
+    col_factors = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=dtype)
+    candidates = np.array([[2.0 * eps, 0.0]], dtype=dtype)
+    bounds, parts = _bounds_and_positive_parts(matrix, candidates, col_factors)
+
+    def f(x):
+        return -np.log(-np.expm1(-x))
+
+    assert parts[0] == pytest.approx(f(eps) + f(2 * eps), rel=1e-5)
+    assert 2 * f(eps) > parts[0]
+    assert bounds[0] == pytest.approx(2 * f(2 * eps), rel=1e-5)
+    assert bounds[0] <= parts[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_jensen_bound_is_tight_on_identical_columns(dtype):
+    """Equal affinities make Jensen an equality: only the slack separates them."""
+    rng = np.random.default_rng(0)
+    matrix = sp.csr_matrix(np.ones((3, 200)))
+    col_factors = np.tile(rng.uniform(0.0, 1.0, size=(1, 20)), (200, 1)).astype(dtype)
+    candidates = rng.uniform(0.0, 0.1, size=(3, 20)).astype(dtype)
+    bounds, parts = _bounds_and_positive_parts(matrix, candidates, col_factors)
+    assert np.all(bounds <= parts)
+    np.testing.assert_allclose(bounds, parts, rtol=1e-3 if dtype == np.float32 else 1e-9)

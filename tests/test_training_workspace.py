@@ -458,6 +458,58 @@ class TestPrunedLineSearch:
         assert 0 < stats.n_evaluated_rows < stats.n_rows + stats.n_backtracks
         assert stats.n_evaluated_rows >= stats.n_accepted
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_evaluation_count_is_pinned(self, weighted):
+        # A deterministic perf gate: evaluation counts repeat exactly, so a
+        # weaker bound shows here without timing noise.  The Jensen bound
+        # lets only the 40 accepted candidates through; the tail-only bound
+        # evaluated 62 (65 weighted).
+        matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem()
+        _, stats = VectorizedBackend().sweep(
+            matrix, row_factors, col_factors, **self._kwargs(weighted, row_weights)
+        )
+        assert stats.n_accepted == stats.n_rows == 40
+        assert stats.n_evaluated_rows == 40
+
+    def test_negative_column_factors_keep_the_tail_only_bound(self, monkeypatch):
+        # Jensen holds for non-negative affinities only; a direct sweep handed
+        # a negative column factor must not consult the bound at all.
+        matrix, row_factors, col_factors, _ = _heavy_backtrack_problem(4)
+        col_factors = col_factors.copy()
+        col_factors[::3, 0] = -0.01
+        legacy, _ = _LegacySweepBackend().sweep(
+            matrix, row_factors, col_factors, self.REGULARIZATION
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Jensen bound ran on negative column factors")
+
+        monkeypatch.setattr(VectorizedBackend, "_positive_bounds", staticmethod(refuse))
+        pruned, stats = VectorizedBackend().sweep(
+            matrix, row_factors, col_factors, self.REGULARIZATION
+        )
+        assert np.array_equal(legacy, pruned)
+        assert stats.n_evaluated_rows > stats.n_accepted
+
+    def test_non_binary_plan_data_takes_its_own_jensen_product(self):
+        # The bound's P sums each entry's column once; the ``positives``
+        # product weighs it by the stored value.  Stored zeros (or any value
+        # below 1) would make that product too small and the bound too high.
+        matrix, row_factors, col_factors, _ = _heavy_backtrack_problem(5)
+        matrix = matrix.copy()
+        matrix.data[::2] = 0.0
+        legacy, _ = _LegacySweepBackend().sweep(
+            matrix, row_factors, col_factors, self.REGULARIZATION
+        )
+        side = SweepSide.build(matrix)
+        pruned, _ = VectorizedBackend().sweep(
+            None, row_factors, col_factors, self.REGULARIZATION, plan=side
+        )
+        assert np.array_equal(legacy, pruned)
+        arena = side.workspaces.acquire(side, 0, side.n_rows, 50, np.float64)
+        assert np.array_equal(arena.jensen_weights, np.ones(side.nnz))
+        side.workspaces.release(arena)
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_sharded_parity_on_every_executor(self, executor, weighted):
