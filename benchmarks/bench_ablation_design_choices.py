@@ -17,6 +17,10 @@ algorithmic decisions the paper motivates in prose:
   rejected from K-wide bounds without the nnz-wide objective evaluation.
   Evaluation counts are deterministic, so this row gates the pruning on
   every run without timing noise.
+* **Objective from the row objectives** (Section IV-B, eq. 5): the trainer
+  records every iteration's ``Q`` from the row values its sweeps already
+  evaluated; this row gates that trajectory against a from-scratch
+  :func:`~repro.core.objective.full_objective` of every iterate.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import time
 from _report import write_bench_json
 from conftest import run_once
 
+from repro.core.backends import VectorizedBackend
 from repro.core.bias import BiasedOCuLaR
+from repro.core.objective import full_objective, negative_log_likelihood
 from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
 from repro.data.datasets import make_movielens_like
@@ -282,3 +288,72 @@ def test_ablation_pruned_line_search(benchmark, report_writer):
     )
     # The tail-only bound left 57% of the train-cold fit's evaluations.
     assert rows["train_cold"]["share"] <= 0.30
+
+
+class _IterateRecorder(VectorizedBackend):
+    """The vectorized backend, keeping every ``(users, items)`` iterate of a
+    fit with one sweep per block: the start, then one pair per iteration."""
+
+    def __init__(self):
+        self.iterates = []
+        self._calls = 0
+        self._items = None
+
+    def sweep(self, matrix, row_factors, col_factors, *args, **kwargs):
+        factors, stats = super().sweep(matrix, row_factors, col_factors, *args, **kwargs)
+        if self._calls == 0:
+            self.iterates.append((col_factors.copy(), row_factors.copy()))
+        if self._calls % 2 == 0:
+            self._items = factors.copy()
+        else:
+            self.iterates.append((factors.copy(), self._items))
+        self._calls += 1
+        return factors, stats
+
+
+def test_ablation_objective_trajectory(benchmark, report_writer):
+    """Every recorded Q_t is full_objective of its iterate to a relative 1e-12."""
+
+    def run():
+        split = _make_split()
+        recorder = _IterateRecorder()
+        model = OCuLaR(
+            n_coclusters=50, regularization=10.0, random_state=0,
+            **LINE_SEARCH_FITS["converging"],
+        ).fit(split.train, backend=recorder)  # fmt: skip
+        history = model.history_
+        matrix = split.train.csr()
+        q_gaps, l_gaps = [], []
+        for (users, items), q, nll in zip(
+            recorder.iterates, history.objective_values, history.log_likelihoods
+        ):
+            want_q = full_objective(matrix, users, items, model.regularization)
+            want_l = negative_log_likelihood(matrix, users, items)
+            q_gaps.append(abs(q - want_q) / abs(want_q))
+            l_gaps.append(abs(nll - want_l) / abs(want_l))
+        return {
+            "iterations": history.n_iterations,
+            "recorded": len(history.objective_values),
+            "iterates": len(recorder.iterates),
+            "max_q_gap": max(q_gaps),
+            "max_l_gap": max(l_gaps),
+        }
+
+    row = run_once(benchmark, run)
+    report_writer(
+        "ablation_objective_trajectory",
+        "Ablation — recorded Q_t against full_objective of each iterate (K=50, lambda=10)\n"
+        + format_table(
+            ["iterations", "max relative gap, Q", "max relative gap, -log L"],
+            [[row["iterations"], row["max_q_gap"], row["max_l_gap"]]],
+        )
+        + "\npaper Section IV-B, eq. 5: Q splits into the row objectives Q(f_i)",
+    )
+    write_bench_json(
+        "ablation_objective_trajectory",
+        {name: row[name] for name in ("iterations", "max_q_gap", "max_l_gap")},
+        **SIZES,
+    )
+    assert row["iterates"] == row["recorded"] == row["iterations"] + 1
+    assert row["max_q_gap"] <= 1e-12
+    assert row["max_l_gap"] <= 1e-12

@@ -45,6 +45,21 @@ class SweepStats:
         workspace fields are diagnostics, not results, so they are excluded
         from equality: sharded and serial sweeps of identical factors
         compare equal even though their arena layouts differ.
+    row_values:
+        ``(start_values, end_values)``: every swept row's objective
+        ``Q(f_i)`` (eq. 5 of the paper) at the sweep's start and for the
+        factor the sweep returned, as the line search evaluated them.  A
+        backend's row-range kernel reports them; :meth:`Backend.sweep`
+        reduces them into ``row_objective_sums`` and drops them, so the
+        stats a sweep returns hold no per-row data.
+    row_objective_sums:
+        ``(sum(start_values), sum(end_values))``, each one float64
+        ``np.sum`` over all the sweep's rows — so identical for every shard
+        count and executor.  Summed over a side the row objectives are the
+        negative log-likelihood plus that side's penalty, which the trainer
+        records its objective from.  ``None`` when the backend reported no
+        row values.  Both fields are excluded from equality: reference and
+        vectorized sweeps evaluate the same values in different orders.
     """
 
     n_rows: int
@@ -54,6 +69,12 @@ class SweepStats:
     workspace_bytes: int = field(default=0, compare=False)
     workspace_allocations: int = field(default=0, compare=False)
     workspace_reuses: int = field(default=0, compare=False)
+    row_values: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
+    row_objective_sums: Optional[Tuple[float, float]] = field(
+        default=None, compare=False
+    )
 
     @property
     def acceptance_rate(self) -> float:
@@ -64,13 +85,24 @@ class SweepStats:
 
     @classmethod
     def combined(cls, parts: Iterable["SweepStats"]) -> "SweepStats":
-        """Aggregate the stats of disjoint row shards of one sweep."""
+        """Aggregate the stats of disjoint row shards of one sweep.
+
+        Counters add up; the shards' row values are concatenated in shard
+        order (``None`` unless every shard reported them).
+        """
         parts = list(parts)
+        row_values = [part.row_values for part in parts]
         return cls(
             **{
                 spec.name: sum(getattr(part, spec.name) for part in parts)
                 for spec in fields(cls)
-            }
+                if spec.name not in ("row_values", "row_objective_sums")
+            },
+            row_values=(
+                tuple(np.concatenate(side) for side in zip(*row_values))
+                if parts and None not in row_values
+                else None
+            ),
         )
 
 
@@ -162,6 +194,9 @@ class Backend(abc.ABC):
         Returns
         -------
         (new_row_factors, stats)
+            ``stats.row_objective_sums`` holds the swept rows' summed
+            objective before and after the sweep; ``stats.row_values`` is
+            ``None``.
         """
         row_factors = np.asarray(row_factors)
         col_factors = np.asarray(col_factors)
@@ -207,7 +242,7 @@ class Backend(abc.ABC):
         # The fixed side does not change within a sweep, so its column sum is
         # computed exactly once here and shared by every row shard.
         total_col_sum = col_factors.sum(axis=0)
-        return self._sweep_rows(
+        factors, stats = self._sweep_rows(
             plan,
             row_factors,
             col_factors,
@@ -219,6 +254,12 @@ class Backend(abc.ABC):
             stop,
             total_col_sum,
         )
+        if stats.row_values is not None:
+            stats.row_objective_sums = tuple(
+                float(np.sum(values, dtype=np.float64)) for values in stats.row_values
+            )
+            stats.row_values = None
+        return factors, stats
 
     @staticmethod
     def _check_row_range(
@@ -258,4 +299,6 @@ class Backend(abc.ABC):
         ``row_factors`` is the full factor array of the side (global row
         indexing); the returned array has shape ``(stop - start, K)``.
         ``total_col_sum`` is the precomputed ``col_factors.sum(axis=0)``.
+        The stats carry the rows' start and end objective values in
+        ``row_values``; a backend that omits them cannot drive the trainer.
         """

@@ -48,6 +48,9 @@ class ReferenceBackend(Backend):
     ) -> Tuple[np.ndarray, SweepStats]:
         indptr, indices = plan.matrix.indptr, plan.matrix.indices
         new_factors = row_factors[start:stop].copy()
+        # Row objectives are Python floats here, whatever the factor dtype.
+        start_values = np.empty(stop - start)
+        end_values = np.empty(stop - start)
 
         n_accepted = 0
         n_backtracks = 0
@@ -68,6 +71,7 @@ class ReferenceBackend(Backend):
             current_value = row_objective(
                 current, positive_col_factors, weights, unknown_sum, regularization
             )
+            start_values[local] = end_values[local] = current_value
 
             step = 1.0
             accepted = False
@@ -80,6 +84,7 @@ class ReferenceBackend(Backend):
                     current_value, candidate_value, gradient, candidate - current, sigma
                 ):
                     new_factors[local] = candidate
+                    end_values[local] = candidate_value
                     accepted = True
                     break
                 step *= beta
@@ -88,6 +93,9 @@ class ReferenceBackend(Backend):
                 n_accepted += 1
 
         stats = SweepStats(
-            n_rows=stop - start, n_accepted=n_accepted, n_backtracks=n_backtracks
+            n_rows=stop - start,
+            n_accepted=n_accepted,
+            n_backtracks=n_backtracks,
+            row_values=(start_values, end_values),
         )
         return new_factors, stats

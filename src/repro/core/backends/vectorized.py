@@ -194,7 +194,7 @@ class VectorizedBackend(Backend):
         workspace_bytes = workspace.nbytes
         was_fresh = workspace.fresh
         try:
-            new_factors, n_accepted, n_backtracks, n_evaluated = self._pooled_sweep(
+            new_factors, row_values, n_accepted, n_backtracks, n_evaluated = self._pooled_sweep(
                 workspace,
                 local_factors,
                 col_factors,
@@ -214,6 +214,7 @@ class VectorizedBackend(Backend):
             workspace_bytes=workspace_bytes,
             workspace_allocations=int(was_fresh),
             workspace_reuses=int(not was_fresh),
+            row_values=row_values,
         )
         return new_factors, stats
 
@@ -227,13 +228,18 @@ class VectorizedBackend(Backend):
         beta: float,
         max_backtracks: int,
         total_col_sum: np.ndarray,
-    ) -> Tuple[np.ndarray, int, int, int]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], int, int, int]:
         """One sweep through the pooled arena; zero scratch allocations.
 
         Every operation below replicates the allocating kernel's exact
         elementwise sequence and grouping (additions left-to-right, scalar
         products commuted only where IEEE multiplication is exact), so
         float64 results are bit-identical.
+
+        Returns ``(new_factors, (start_values, end_values), n_accepted,
+        n_backtracks, n_evaluated)``: the row objectives ``Q(f_i)`` at the
+        sweep's start and of the factors it returns, as the line search
+        evaluated them.
         """
         n_local = ws.n_local
 
@@ -290,9 +296,15 @@ class VectorizedBackend(Backend):
         np.add(current_values, ws.row_tmp, out=current_values)
 
         # --- batched Armijo backtracking ----------------------------------- #
-        # The one per-sweep allocation: the returned factors are caller-owned
-        # and cannot live in the pool.
+        # The per-sweep allocations: the returned factors and the two row
+        # value vectors are caller-owned and cannot live in the pool.  An
+        # accepted row's candidate value overwrites its slot of
+        # ``current_values`` — the row has left the active set, so the
+        # Armijo test reads that slot no more — and a row that exhausts its
+        # backtracks keeps its start value: at the end ``current_values``
+        # holds the value of every returned factor.
         new_factors = local_factors.copy()
+        start_values = current_values.copy()
         # The still-active rows are kept compacted in ping-pong index/step
         # buffers instead of a boolean mask: ``compress(out=)`` preserves
         # order, so the compacted sets equal the old ``np.flatnonzero`` ones,
@@ -376,10 +388,13 @@ class VectorizedBackend(Backend):
                 tail_penalty.compress(evaluate, out=tmp)
                 np.add(values, tmp, out=values)
                 current_values.take(eval_rows, out=tmp, mode="clip")
-                np.subtract(values, tmp, out=values)  # now the Armijo margin
+                # The bound's margin is dead: its block takes the Armijo
+                # margin, so ``values`` survives for the accepted rows.
+                margin = ws.row_tmp[:n_eval]
+                np.subtract(values, tmp, out=margin)
                 rhs.compress(evaluate, out=tmp)
                 eval_accepted = ws.eval_accepted[:n_eval]
-                np.less_equal(values, tmp, out=eval_accepted)
+                np.less_equal(margin, tmp, out=eval_accepted)
                 accepted[eval_pos] = eval_accepted
 
             n_acc = int(np.count_nonzero(accepted))
@@ -391,6 +406,10 @@ class VectorizedBackend(Backend):
                 acc_cand = ws.lf_rows[:n_acc]
                 candidates.compress(accepted, axis=0, out=acc_cand)
                 new_factors[acc_rows] = acc_cand
+                # Accepted rows were all evaluated, in the same order.
+                acc_values = ws.row_tmp2[:n_acc]
+                values.compress(eval_accepted, out=acc_values)
+                current_values[acc_rows] = acc_values
             n_backtracks += n_active - n_acc
             n_next = n_active - n_acc
             if n_next:
@@ -404,7 +423,13 @@ class VectorizedBackend(Backend):
             nxt_steps = ws.step_b if cur_steps is ws.step_a else ws.step_a
             n_active = n_next
 
-        return new_factors, n_local - n_active, n_backtracks, n_evaluated
+        return (
+            new_factors,
+            (start_values, current_values.copy()),
+            n_local - n_active,
+            n_backtracks,
+            n_evaluated,
+        )
 
     # ------------------------------------------------------------------ #
     # Row objective helpers

@@ -179,8 +179,7 @@ def full_objective(
     and subtracting the affinities of the positive pairs.  This is a
     convenience wrapper over :func:`objective_from_entries` (the single
     implementation of the formula) that derives the entry list from the
-    matrix on every call; the trainer evaluates through a precomputed plan
-    instead.
+    matrix on every call.
     """
     if matrix.shape != (user_factors.shape[0], item_factors.shape[0]):
         raise ConfigurationError(
@@ -205,15 +204,16 @@ def objective_from_entries(
 ) -> Tuple[float, float]:
     """``(Q, -log L)`` evaluated from a precomputed positive-entry list.
 
-    The trainer's convergence bookkeeping needs both the regularised
-    objective and the raw likelihood after every iteration.  Evaluating them
-    through :func:`full_objective` costs two ``tocoo()`` conversions and two
-    affinity passes per iteration; this variant takes the entry arrays a
-    :class:`~repro.core.backends.plan.SweepSide` precomputed once per fit
-    (user-major: ``entry_rows`` index users, ``entry_cols`` index items,
-    ``entry_weights`` is the per-entry R-OCuLaR weight or ``None``) and
-    computes both values in a single pass.  The affinity pass is the
-    cache-blocked :func:`entry_affinities`, so no ``(nnz, K)`` gather is
+    One nnz-wide pass computes both the regularised objective and the raw
+    likelihood from entry arrays (user-major: ``entry_rows`` index users,
+    ``entry_cols`` index items, ``entry_weights`` is the per-entry R-OCuLaR
+    weight or ``None``), such as a
+    :class:`~repro.core.backends.plan.SweepSide`'s.  Its callers are
+    :func:`full_objective` and the end-to-end benchmark's objective probe;
+    the trainer no longer calls it — it records ``Q`` from the row values
+    its sweeps evaluate (:mod:`repro.core.optimizer`), which agree with
+    this function to a relative ``1e-12`` in float64.  The affinity pass is
+    the cache-blocked :func:`entry_affinities`, so no ``(nnz, K)`` gather is
     materialised; the entry indices must be in range for the factors.
     """
     dtype = np.result_type(user_factors, item_factors, np.float32)

@@ -9,14 +9,38 @@ below a tolerance).
 
 The trainer builds one :class:`~repro.core.backends.plan.SweepPlan` at the
 top of ``train`` — both sweep directions' CSR matrices, per-entry row
-indices, and R-OCuLaR entry weights — and drives every sweep and every
-objective evaluation through it, so no per-sweep ``tocoo()`` / transpose /
-weight recomputation survives in the hot loop.  It is agnostic to which
-backend performs the sweeps, records the objective trajectory, per-sweep
-timings and :class:`~repro.core.backends.SweepStats` (consumed by the
-Figure 7 and Figure 8 benchmarks), and guarantees the objective is
-monotonically non-increasing across accepted iterations — a property the
-test-suite checks.
+indices, and R-OCuLaR entry weights — and drives every sweep through it, so
+no per-sweep ``tocoo()`` / transpose / weight recomputation survives in the
+hot loop.  It is agnostic to which backend performs the sweeps, records the
+objective trajectory, per-sweep timings and
+:class:`~repro.core.backends.SweepStats` (consumed by the Figure 7 and
+Figure 8 benchmarks), and guarantees the objective is monotonically
+non-increasing across accepted iterations — a property the test-suite
+checks.
+
+**Where the objective comes from.**  The trainer makes no pass over the
+positive entries of its own.  Section IV-B splits ``Q`` into row
+objectives, ``Q = sum_i Q(f_i) + lambda sum_u ||f_u||^2`` (eq. 5), and
+every sweep already evaluates ``Q(f_i)`` for each of its rows at its start
+and for each candidate it accepts; the backends sum those values over the
+side (:attr:`SweepStats.row_objective_sums
+<repro.core.backends.SweepStats.row_objective_sums>`).  Summed over a side,
+the row objectives are the negative log-likelihood plus that side's
+penalty, so with ``S`` such a sum only K-wide factor norms remain (``L``
+is ``-log L``):
+
+* ``Q_0 = S + lambda ||U_0||^2`` and ``L_0 = S - lambda ||V_0||^2``, with
+  ``S`` the first item sweep's start sum;
+* ``Q_t = S + lambda ||V_t||^2`` and ``L_t = S - lambda ||U_t||^2``, with
+  ``S`` the last user sweep's end sum of iteration ``t``.
+
+This is the same quantity :func:`~repro.core.objective.full_objective`
+evaluates, reassociated: the unknown term is a sum of per-row ``<f_i,
+unknown_i>`` instead of ``<sum f_u, sum f_i>`` minus the positive
+affinities.  The two agree to a relative ``1e-12`` in float64 (measured
+gaps are below ``1e-15``) and ``1e-5`` in float32, which the test-suite
+and the paper harness check.  The fitted factors never read the recorded
+objective; only the stopping rule does.
 """
 
 from __future__ import annotations
@@ -29,7 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.backends import Backend, BackendLease, SweepPlan, SweepStats
-from repro.core.objective import objective_from_entries
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_2d,
@@ -51,9 +74,13 @@ class TrainingHistory:
     ----------
     objective_values:
         Value of the regularised objective ``Q`` after every outer iteration
-        (index 0 is the value at initialisation).
+        (index 0 is the value at initialisation), summed from the row
+        objectives the sweeps evaluated (module docstring) — equal to
+        :func:`~repro.core.objective.full_objective` of the iterate up to
+        reassociation (relative ``1e-12`` in float64).
     log_likelihoods:
-        Negative log-likelihood (unregularised) after every outer iteration.
+        Negative log-likelihood (unregularised) after every outer iteration,
+        from the same sums minus the penalty of the side they cover.
     iteration_seconds:
         Wall-clock seconds spent in each outer iteration (both sweeps).
     elapsed_seconds:
@@ -330,6 +357,15 @@ class BlockCoordinateTrainer:
         if matrix is None:
             raise ConfigurationError("train requires a matrix")
         matrix = sp.csr_matrix(matrix)
+        # The sweeps' unknown sums come from the plan's data while the
+        # positive term counts each stored entry once: on any other value
+        # the two disagree and the sweeps optimise no single objective.
+        if np.any(matrix.data != 1.0):
+            raise ConfigurationError(
+                "train requires a binary matrix whose stored values are all 1.0; "
+                "wrap counts or ratings in repro.data.InteractionMatrix, which "
+                "binarises them"
+            )
         n_users, n_items = matrix.shape
 
         if n_users != user_factors.shape[0]:
@@ -357,21 +393,13 @@ class BlockCoordinateTrainer:
         # indices, and R-OCuLaR entry weights — is computed exactly once per
         # fit.
         plan = SweepPlan.build(matrix, user_weights=user_weights, dtype=user_factors.dtype)
-        user_entries = plan.user_side
 
         history = TrainingHistory(
             warm_started=warm_started, plateau_tolerance=self.plateau_tolerance
         )
-        objective, likelihood = objective_from_entries(
-            user_entries.row_index,
-            user_entries.matrix.indices,
-            user_entries.entry_weights,
-            user_factors,
-            item_factors,
-            self.regularization,
-        )
-        history.objective_values.append(objective)
-        history.log_likelihoods.append(likelihood)
+        # Q_0 needs the first item sweep's start values; the penalties of
+        # the starting factors are taken before that sweep replaces them.
+        start_penalties = (self._penalty(user_factors), self._penalty(item_factors))
 
         start_time = time.perf_counter()
         plateau_streak = 0
@@ -408,17 +436,15 @@ class BlockCoordinateTrainer:
                 history.user_sweep_stats.append(user_stats)
 
             iteration_seconds = time.perf_counter() - iteration_start
+            if iteration == 1:
+                row_sum = self._row_objective_sum(history.item_sweep_stats[0], 0)
+                history.objective_values.append(row_sum + start_penalties[0])
+                history.log_likelihoods.append(row_sum - start_penalties[1])
             previous = history.objective_values[-1]
-            objective, likelihood = objective_from_entries(
-                user_entries.row_index,
-                user_entries.matrix.indices,
-                user_entries.entry_weights,
-                user_factors,
-                item_factors,
-                self.regularization,
-            )
+            row_sum = self._row_objective_sum(user_stats, 1)
+            objective = row_sum + self._penalty(item_factors)
             history.objective_values.append(objective)
-            history.log_likelihoods.append(likelihood)
+            history.log_likelihoods.append(row_sum - self._penalty(user_factors))
             history.iteration_seconds.append(iteration_seconds)
             history.elapsed_seconds.append(time.perf_counter() - start_time)
             history.n_iterations = iteration
@@ -445,3 +471,16 @@ class BlockCoordinateTrainer:
                     break
 
         return user_factors, item_factors, history
+
+    def _penalty(self, factors: np.ndarray) -> float:
+        """``lambda ||factors||^2``, accumulated in float64."""
+        return self.regularization * float(np.sum(np.square(factors, dtype=np.float64)))
+
+    def _row_objective_sum(self, stats: SweepStats, end: int) -> float:
+        """A sweep's summed row objectives at its start (0) or end (1)."""
+        if stats.row_objective_sums is None:
+            raise ConfigurationError(
+                f"backend {self.backend.name!r} reported no row objective values; "
+                "the trainer records the objective from them (SweepStats.row_values)"
+            )
+        return stats.row_objective_sums[end]

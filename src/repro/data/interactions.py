@@ -48,16 +48,18 @@ class InteractionMatrix:
         user_labels: Optional[Sequence[str]] = None,
         item_labels: Optional[Sequence[str]] = None,
     ) -> None:
-        csr = sp.csr_matrix(matrix, dtype=np.float64)
+        # A copy: a float64 CSR would otherwise share the caller's buffers,
+        # which the normalisation below rewrites.
+        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
         if csr.ndim != 2:
             raise DataError("interaction matrix must be two-dimensional")
         if csr.shape[0] == 0 or csr.shape[1] == 0:
             raise DataError("interaction matrix must have at least one user and one item")
         if csr.nnz and csr.data.min() < 0:
             raise DataError("interaction matrix must not contain negative values")
-        csr.data[:] = 1.0
-        csr.eliminate_zeros()
+        # Stored zeros are not positives: drop them before binarising.
         csr.sum_duplicates()
+        csr.eliminate_zeros()
         csr.data[:] = 1.0
         self._csr = csr
         self._csc: Optional[sp.csc_matrix] = None

@@ -243,3 +243,32 @@ class TestExtendedWith:
         matrix = InteractionMatrix(np.eye(2), user_labels=["u0", "u1"])
         with pytest.raises(DataError):
             matrix.extended_with([], n_new_users=2, new_user_labels=["only-one"])
+
+
+class TestStoredValues:
+    """Stored zeros are not positives, and the caller's matrix is left alone."""
+
+    @staticmethod
+    def _with_stored_zero():
+        return sp.csr_matrix(([0.0, 1.0, 3.0], ([0, 1, 1], [0, 1, 0])), shape=(2, 2))
+
+    def test_stored_zero_is_not_a_positive(self):
+        matrix = InteractionMatrix(self._with_stored_zero())
+        assert matrix.nnz == 2
+        np.testing.assert_array_equal(matrix.toarray(), [[0, 0], [1, 1]])
+
+    def test_duplicates_summing_to_zero_are_not_a_positive(self):
+        csr = sp.csr_matrix(([0.0, 0.0, 2.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+        np.testing.assert_array_equal(InteractionMatrix(csr).toarray(), [[0, 0], [1, 0]])
+
+    def test_callers_matrix_is_not_modified(self):
+        csr = self._with_stored_zero()
+        InteractionMatrix(csr)
+        np.testing.assert_array_equal(csr.toarray(), [[0.0, 0.0], [3.0, 1.0]])
+        assert csr.nnz == 3
+
+    def test_callers_buffers_are_not_shared(self):
+        csr = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        matrix = InteractionMatrix(csr)
+        assert not np.shares_memory(matrix.csr().data, csr.data)
+        np.testing.assert_array_equal(csr.data, [2.0, 1.0])
