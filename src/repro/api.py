@@ -41,6 +41,12 @@ from repro.utils.validation import check_non_negative_float
 #: between tenants; in-process callers can ignore it entirely.
 DEFAULT_TENANT = "default"
 
+#: Ceiling on a request's fold-in budget.  With ``tolerance=0`` a fold-in
+#: runs every sweep it is asked for, on the thread that serves the request
+#: (over the gateway, the batcher's one dispatcher), so one frame must not
+#: ask for an unbounded number.  Three times the default.
+MAX_FOLD_IN_SWEEPS = 100
+
 #: Request fields the dict/JSON codec accepts.  ``from_dict`` is strict —
 #: an unknown key is a typed error, not a silent drop — so a client typo
 #: (``"nitems"``) fails loudly at the gateway instead of serving defaults.
@@ -95,7 +101,8 @@ class RecommendRequest:
     with_scores:
         Also return the model score of every ranked item.
     n_sweeps / tolerance:
-        Fold-in solver budget; ignored for known-user requests.
+        Fold-in solver budget, at most :data:`MAX_FOLD_IN_SWEEPS` sweeps;
+        ignored for known-user requests.
     tenant:
         Client identity for the gateway's weighted fair queue; any
         non-empty string.  Irrelevant to ranking.
@@ -131,8 +138,10 @@ class RecommendRequest:
             object.__setattr__(self, "interactions", rows)
         if not isinstance(self.n_items, int) or self.n_items <= 0:
             raise ConfigurationError(f"n_items must be a positive integer, got {self.n_items!r}")
-        if not isinstance(self.n_sweeps, int) or self.n_sweeps <= 0:
-            raise ConfigurationError(f"n_sweeps must be a positive integer, got {self.n_sweeps!r}")
+        if not isinstance(self.n_sweeps, int) or not 0 < self.n_sweeps <= MAX_FOLD_IN_SWEEPS:
+            raise ConfigurationError(
+                f"n_sweeps must be an integer in [1, {MAX_FOLD_IN_SWEEPS}], got {self.n_sweeps!r}"
+            )
         object.__setattr__(self, "exclude_seen", bool(self.exclude_seen))
         object.__setattr__(self, "with_scores", bool(self.with_scores))
         object.__setattr__(

@@ -87,47 +87,8 @@ def available_backends() -> list[str]:
     return sorted(_BACKENDS)
 
 
-class BackendLease:
-    """Explicit backend ownership: the owner shuts down, a borrower never does.
-
-    Every component that accepts a backend *name or instance* (the trainer,
-    the fold-in solver, the long-lived runtime) follows the same rule: a
-    backend built here from a **name** is owned by the lease and released by
-    :meth:`release` (worker pools and shared-memory segments must not outlive
-    the owning computation), while an **instance** is borrowed — its original
-    owner keeps the lifecycle, so a warm pool can be threaded through many
-    fits and serving calls without ever being torn down by a borrower.
-
-    Usable as a context manager::
-
-        with BackendLease(backend, n_workers=n, executor=name) as lease:
-            lease.backend.sweep(...)
-        # released here iff the lease owned it
-    """
-
-    def __init__(self, backend, n_workers=None, executor=None) -> None:
-        self.owned = not isinstance(backend, Backend)
-        self.backend = get_backend(backend, n_workers=n_workers, executor=executor)
-
-    def release(self) -> None:
-        """Shut the backend down if (and only if) this lease owns it."""
-        if self.owned:
-            self.backend.shutdown()
-
-    def __enter__(self) -> "BackendLease":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        role = "owned" if self.owned else "borrowed"
-        return f"BackendLease({self.backend!r}, {role})"
-
-
 __all__ = [
     "Backend",
-    "BackendLease",
     "SweepStats",
     "SweepPlan",
     "SweepSide",

@@ -91,7 +91,7 @@ class SharedSideSpec:
 
 
 #: How many sweep sides one worker keeps rebuilt: two per fit, so fits that
-#: share one warm pool (a refit beside fold-in sweeps) do not thrash.
+#: share one warm pool do not thrash.
 MAX_CACHED_SIDES = 8
 
 
@@ -198,8 +198,8 @@ class ParallelBackend(Backend):
         # the executor on the first descriptor sweep.
         self._published: Optional[PublishedKeys] = None
         # Shared-memory sweeps publish into slots keyed by (name, shape,
-        # dtype): two concurrent sweeps through one backend (a refit racing
-        # a fold-in on the runtime's warm pool) would overwrite each other's
+        # dtype): two concurrent sweeps through one backend (two fits that
+        # borrow the runtime's warm backend) would overwrite each other's
         # factor bytes mid-task.  The lock serialises publish+dispatch of
         # the shared-memory path; the thread/serial paths pass arrays by
         # reference and need no serialisation.

@@ -32,11 +32,11 @@ like PR 8's pool-stats assertion.
 A :class:`SweepWorkspaceStore` hangs off every ``SweepSide`` and hands
 workspaces out *exclusively* (take/release free list, at most
 :data:`MAX_CACHED_WORKSPACES` free arenas per key): concurrent sweeps
-over the same cached side — a fold-in racing a warm refit on the runtime's
-warm pool — each get their own arena.  The store lives and dies with the
-plan, so workspaces survive across the sweeps of a fit but never leak
-across fits; it pickles to a fresh empty store, so process-executor workers
-(which rebuild sides from shared-memory descriptors) warm their own
+over the same cached side — serving threads folding in an identical
+cold-start batch — each get their own arena.  The store lives and dies
+with the plan, so workspaces survive across the sweeps of a fit but never
+leak across fits; it pickles to a fresh empty store, so process-executor
+workers (which rebuild sides from shared-memory descriptors) warm their own
 worker-local workspaces, mirroring the serving pool's behaviour.
 """
 
@@ -379,8 +379,8 @@ class SweepWorkspaceStore:
     lifetime exactly: sweeps of one fit reuse them, the fit's end drops
     them, and nothing leaks into the next fit.  ``acquire`` hands a
     workspace out *exclusively* — concurrent sweeps over the same side and
-    row range (a fold-in racing a warm refit through one cached side) each
-    build or reuse their own arena.  At most :data:`MAX_CACHED_WORKSPACES`
+    row range (two serving threads folding in one cached batch) each build
+    or reuse their own arena.  At most :data:`MAX_CACHED_WORKSPACES`
     free workspaces are kept per key; extras are dropped to the allocator so
     a long-lived side cannot hoard scratch.
     """

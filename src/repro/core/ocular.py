@@ -330,8 +330,7 @@ class OCuLaR(Recommender):
                 constant_columns=constant_columns,
             )
         finally:
-            # The trainer's BackendLease makes ownership explicit: a
-            # name-configured backend is owned by this fit (pools and
+            # A name-configured backend is owned by this fit (pools and
             # shared-memory segments must not outlive it), while an instance
             # — including a runtime's warm backend — is borrowed and
             # survives.

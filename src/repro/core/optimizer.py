@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import Backend, BackendLease, SweepPlan, SweepStats
+from repro.core.backends import Backend, SweepPlan, SweepStats, get_backend
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_2d,
@@ -266,24 +266,16 @@ class BlockCoordinateTrainer:
         self.sigma = check_unit_interval_open(sigma, "sigma")
         self.beta = check_unit_interval_open(beta, "beta")
         self.max_backtracks = check_positive_int(max_backtracks, "max_backtracks")
-        self._lease = BackendLease(backend, n_workers=n_workers, executor=executor)
-        self.backend = self._lease.backend
+        # A backend built here from a name is the trainer's to shut down; an
+        # instance (a runtime's warm pool) is borrowed and outlives the fit.
+        self.owns_backend = not isinstance(backend, Backend)
+        self.backend = get_backend(backend, n_workers=n_workers, executor=executor)
         self.inner_sweeps = check_positive_int(inner_sweeps, "inner_sweeps")
         if plateau_tolerance is not None:
             plateau_tolerance = check_non_negative_float(
                 plateau_tolerance, "plateau_tolerance"
             )
         self.plateau_tolerance = plateau_tolerance
-
-    @property
-    def owns_backend(self) -> bool:
-        """Whether :meth:`shutdown` will release the backend.
-
-        True iff the trainer was configured with a backend *name*; an
-        instance is borrowed — a warm pool passed in by a long-lived runtime
-        survives every fit that uses it.
-        """
-        return self._lease.owned
 
     def shutdown(self) -> None:
         """Release the backend's pools and shared memory, if the trainer owns it.
@@ -292,10 +284,10 @@ class BlockCoordinateTrainer:
         this when done fitting (``OCuLaR.fit`` does); process-executor
         backends hold worker processes and ``/dev/shm`` segments that must
         not outlive the fit.  Borrowed backend instances are not touched —
-        their owner controls their lifecycle (see
-        :class:`~repro.core.backends.BackendLease`).
+        their owner controls their lifecycle.  Idempotent.
         """
-        self._lease.release()
+        if self.owns_backend:
+            self.backend.shutdown()
 
     def train(
         self,

@@ -159,9 +159,9 @@ class PublicationTable:
         self._store = store
         self._capacity = capacity
         self._entries: "OrderedDict[Hashable, _Publication]" = OrderedDict()
-        # Shared by every publisher thread: a serving runtime's fold-in
-        # sweeps publish factor slots from request threads while a refit
-        # publishes its own from the training thread.
+        # Shared by every publisher thread: a serving runtime publishes a
+        # new generation from one thread while a refit publishes its plan
+        # and factor slots from the training thread.
         self._lock = threading.Lock()
         self._closed = False
 

@@ -13,9 +13,10 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   :mod:`repro.parallel.scheduler` registry) lives for the whole runtime and
   is *borrowed* — never shut down — by everything the runtime drives:
   :meth:`fit` / :meth:`refit` thread it through the trainer via a borrowed
-  :class:`~repro.core.backends.ParallelBackend`, fold-in sweeps run on it,
-  and serving shards fan out on it.  Pool start-up is paid once, not once
-  per fit;
+  :class:`~repro.core.backends.ParallelBackend`, and serving shards fan out
+  on it.  Pool start-up is paid once, not once per fit.  Fold-in (cold-start
+  requests, the new rows of a warm refit's seed) solves on the calling
+  thread: one small subproblem per row costs less than a dispatch;
 
 * **one publication per model version**: :meth:`publish` pushes the trained
   factor matrices and the CSR seen-mask through the publication protocol
@@ -69,7 +70,9 @@ from repro.parallel import ShardScheduler, supports_publication
 from repro.runtime.generations import GenerationTable, _Generation
 from repro.serving.batch import fan_out_topn
 from repro.serving.engine import DEFAULT_CHUNK_SIZE, TopNEngine
-from repro.serving.fold_in import _interactions_to_csr, extend_factors, fold_in_scores
+from repro.serving.fold_in import (
+    _interactions_to_csr, _solver_constants, extend_factors, fold_in_scores,
+)
 from repro.serving.results import TopNResult
 from repro.serving.shared import SharedEngineSpec, publish_engine
 from repro.utils.validation import check_positive_int
@@ -330,8 +333,8 @@ class RecommenderRuntime:
                 or 1
             )
         self.n_shards = int(n_shards)
-        # Borrowed by every fit and fold-in this runtime runs: the trainer's
-        # BackendLease sees an instance and never shuts it down.
+        # Borrowed by every fit this runtime runs: the trainer is handed an
+        # instance, so it never shuts the backend down.
         self._backend = ParallelBackend(n_shards=self.n_shards, executor=self._executor)
         self.model = None
         self.train_matrix = None
@@ -452,8 +455,8 @@ class RecommenderRuntime:
         # The fit's plan arrays are dead weight between fits; drop them now
         # instead of letting them ride the executor's LRU.  Scoped to the
         # warm backend's own keys (and serialised against its in-flight
-        # sweeps), so concurrent fold-ins and other executor users are
-        # untouched.
+        # sweeps), so another fit sharing the backend and the serving
+        # generations are untouched.
         self._backend.release_published()
         return model
 
@@ -512,7 +515,7 @@ class RecommenderRuntime:
                     f"initial_factors; {type(self.model).__name__} does not"
                 )
             kwargs = dict(
-                initial_factors=extend_factors(self.model, target, backend=self._backend),
+                initial_factors=extend_factors(self.model, target),
                 plateau_tolerance=DEFAULT_WARM_PLATEAU_TOLERANCE,
             )
         result = self._fit(self.model, target, read, callback, kwargs)
@@ -612,13 +615,7 @@ class RecommenderRuntime:
             spec = publish_engine(self._executor, engine)
         factors = getattr(model, "factors_", None)
         solver = (
-            _PublishedSolver(
-                factors_=factors,
-                regularization=getattr(model, "regularization", 0.0),
-                sigma=getattr(model, "sigma", 0.1),
-                beta=getattr(model, "beta", 0.5),
-                max_backtracks=getattr(model, "max_backtracks", 20),
-            )
+            _PublishedSolver(factors_=factors, **_solver_constants(model))
             if isinstance(factors, FactorModel)
             else None
         )
@@ -771,8 +768,7 @@ class RecommenderRuntime:
 
         The interaction vectors are folded into the **pinned** model version
         — even if a later :meth:`fit` has since replaced :attr:`model` — on
-        the warm backend (all backends sweep bit-identically, so the folded
-        factors match a vectorized fold exactly); rankings equal
+        the calling thread; rankings equal
         :func:`repro.serving.fold_in.recommend_folded` exactly.
         """
         engine = pinned.engine
@@ -787,7 +783,6 @@ class RecommenderRuntime:
             model=pinned.solver,  # the publish-time solver snapshot
             n_sweeps=request.n_sweeps,
             tolerance=request.tolerance,
-            backend=self._backend,
         )
         ranked = engine.rank_scored(
             scores,

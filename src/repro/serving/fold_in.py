@@ -9,11 +9,12 @@ interaction vector.
 For the OCuLaR objective that subproblem is convex (the positive-example
 term ``-log(1 - exp(-<f, v_i>))`` is convex in ``f`` and the unknown and
 penalty terms are linear/quadratic), so a few projected-gradient sweeps with
-Armijo backtracking — the exact machinery of the training backends — reach
-the block optimum.  The sweeps run through the
-:class:`~repro.core.backends.Backend` abstraction, so fold-in automatically
-benefits from the vectorised kernel and folds whole batches of new users at
-once.
+Armijo backtracking — the exact machinery of training — reach the block
+optimum.  The sweeps run the vectorised kernel
+(:class:`~repro.core.backends.VectorizedBackend`) on the calling thread,
+whatever backend the model trained with: each batch is one K-dimensional
+subproblem per row, far cheaper than a dispatch to a worker pool, and every
+backend sweeps bit-identically to the vectorised one.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import Backend, BackendLease, SweepSide
+from repro.core.backends import SweepSide, VectorizedBackend
 from repro.core.factors import FactorModel
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
@@ -36,9 +37,7 @@ from repro.utils.validation import (
     check_unit_interval_open,
 )
 
-InteractionsLike = Union[
-    sp.spmatrix, InteractionMatrix, Sequence[Sequence[int]], np.ndarray
-]
+InteractionsLike = Union[sp.spmatrix, InteractionMatrix, Sequence[Sequence[int]], np.ndarray]
 
 
 def _interactions_to_csr(
@@ -52,7 +51,8 @@ def _interactions_to_csr(
     if isinstance(interactions, InteractionMatrix):
         csr = interactions.csr().copy()
     elif sp.issparse(interactions):
-        csr = sp.csr_matrix(interactions, dtype=np.float64)
+        # A copy: a float64 CSR input would otherwise share its buffers.
+        csr = sp.csr_matrix(interactions, dtype=np.float64, copy=True)
     elif isinstance(interactions, np.ndarray) and interactions.ndim == 2:
         # A dense 0/1 matrix of shape (m, n_items), like the sparse form —
         # must not be mistaken for per-user lists of item indices.
@@ -85,10 +85,33 @@ def _interactions_to_csr(
         )
     if csr.nnz and (csr.indices.min() < 0 or csr.indices.max() >= n_items):
         raise DataError(f"interaction {entity} indices out of range")
-    csr.data[:] = 1.0
+    # Stored zeros are not positives: drop them before binarising.
     csr.sum_duplicates()
+    csr.eliminate_zeros()
     csr.data[:] = 1.0
     return csr
+
+
+#: Exact zeros of an :func:`extend_factors` seed are lifted to this fraction
+#: of the mean positive entry of their factor block.
+INTERIOR_LIFT = 0.01
+
+
+def _fitted_factors(model, caller: str) -> FactorModel:
+    factors = getattr(model, "factors_", None)
+    if not isinstance(factors, FactorModel):
+        raise NotFittedError(f"{caller} requires a fitted factor model")
+    return factors
+
+
+def _solver_constants(model) -> dict:
+    """The regularisation and line-search constants ``model`` trained with."""
+    return dict(
+        regularization=getattr(model, "regularization", 0.0),
+        sigma=getattr(model, "sigma", 0.1),
+        beta=getattr(model, "beta", 0.5),
+        max_backtracks=getattr(model, "max_backtracks", 20),
+    )
 
 
 #: LRU cache of prebuilt fold-in sweep sides.  A serving process that folds
@@ -130,8 +153,7 @@ def _cached_sweep_side(interactions: sp.csr_matrix, dtype: np.dtype) -> SweepSid
     fold-ins of an identical batch (the cold-start retry pattern) reuse the
     pooled sweep arenas, so the per-sweep allocation cost is paid once per
     cached side, not once per request.  The store hands arenas out
-    exclusively, so concurrent fold-ins through one cached side — or a
-    fold-in racing a warm refit — stay isolated.
+    exclusively, so concurrent fold-ins through one cached side stay isolated.
     """
     key = _side_cache_key(interactions, dtype)
     with _SIDE_CACHE_LOCK:
@@ -160,13 +182,11 @@ def fold_in_factors(
     item_factors: np.ndarray,
     interactions: sp.csr_matrix,
     regularization: float,
-    backend: Union[Backend, str] = "vectorized",
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
     sigma: float = 0.1,
     beta: float = 0.5,
     max_backtracks: int = 20,
-    init: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve the fixed-item-factor subproblem for a batch of new users.
 
@@ -178,8 +198,6 @@ def fold_in_factors(
         Binary CSR of the new users' positives, shape ``(m, n_items)``.
     regularization:
         The L2 penalty ``lambda`` the model was trained with.
-    backend:
-        Sweep backend name or instance (same registry as training).
     n_sweeps:
         Maximum projected-gradient steps; each sweep updates all ``m`` rows
         at once.  The subproblem is convex, so a few dozen suffice.
@@ -187,10 +205,6 @@ def fold_in_factors(
         Early-stop threshold on the relative factor change between sweeps.
     sigma, beta, max_backtracks:
         Armijo line-search constants, as in training.
-    init:
-        Optional strictly positive warm start, shape ``(m, K)``.  Defaults
-        to the scaled all-ones point (the gradient ratio diverges at exactly
-        zero, so the start must be interior).
 
     Returns
     -------
@@ -209,11 +223,6 @@ def fold_in_factors(
     check_unit_interval_open(sigma, "sigma")
     check_unit_interval_open(beta, "beta")
     check_positive_int(max_backtracks, "max_backtracks")
-    # A backend built here from a name is owned by this call; its pools and
-    # shared memory (process executor) must not outlive the fold-in.  An
-    # instance — e.g. a runtime's warm backend — is borrowed and survives.
-    lease = BackendLease(backend)
-    backend = lease.backend
 
     n_items, n_coclusters = item_factors.shape
     interactions = sp.csr_matrix(interactions)
@@ -225,49 +234,32 @@ def fold_in_factors(
     if m == 0:
         return np.zeros((0, n_coclusters), dtype=item_factors.dtype)
 
-    if init is None:
-        # Start at a small interior point.  Exactly zero is infeasible (the
-        # positive-term gradient ratio diverges there), and a *large* start is
-        # dangerous too: the first Armijo candidate can land on exactly zero,
-        # which is an absorbing artifact of the clamped objective.  A start
-        # well below the typical fitted factor magnitude converges cleanly.
-        mean_item = float(item_factors.mean()) if item_factors.size else 0.0
-        scale = 1.0 / max(n_coclusters * max(mean_item, 1e-12), 1e-6)
-        factors = np.full(
-            (m, n_coclusters), min(max(scale, 1e-3), 0.1), dtype=item_factors.dtype
-        )
-    else:
-        factors = np.array(init, dtype=item_factors.dtype, copy=True)
-        if factors.shape != (m, n_coclusters):
-            raise ConfigurationError(
-                f"init must have shape ({m}, {n_coclusters}), got {factors.shape}"
-            )
-        if (factors <= 0).all(axis=1).any():
-            raise ConfigurationError("init must give every user an interior (positive) start")
+    # Start at a small interior point.  Exactly zero is infeasible (the
+    # positive-term gradient ratio diverges there), and a *large* start is
+    # dangerous too: the first Armijo candidate can land on exactly zero,
+    # which is an absorbing artifact of the clamped objective.  A start
+    # well below the typical fitted factor magnitude converges cleanly.
+    mean_item = float(item_factors.mean()) if item_factors.size else 0.0
+    scale = 1.0 / max(n_coclusters * max(mean_item, 1e-12), 1e-6)
+    factors = np.full(
+        (m, n_coclusters), min(max(scale, 1e-3), 0.1), dtype=item_factors.dtype
+    )
 
     # The sweep structure of the fixed interaction matrix is static across
     # the convex sweeps — and across *calls* presenting the same batch, so
     # it comes from the keyed plan cache rather than being rebuilt.
     side = _cached_sweep_side(interactions, factors.dtype)
-    try:
-        for _ in range(n_sweeps):
-            previous = factors
-            factors, _ = backend.sweep(
-                None,
-                factors,
-                item_factors,
-                regularization=regularization,
-                sigma=sigma,
-                beta=beta,
-                max_backtracks=max_backtracks,
-                plan=side,
-            )
-            change = np.linalg.norm(factors - previous)
-            reference = max(np.linalg.norm(previous), 1.0)
-            if change / reference < tolerance:
-                break
-    finally:
-        lease.release()
+    kernel = VectorizedBackend()
+    for _ in range(n_sweeps):
+        previous = factors
+        factors, _ = kernel.sweep(
+            None, factors, item_factors, regularization=regularization, sigma=sigma,
+            beta=beta, max_backtracks=max_backtracks, plan=side,
+        )
+        change = np.linalg.norm(factors - previous)
+        reference = max(np.linalg.norm(previous), 1.0)
+        if change / reference < tolerance:
+            break
     return factors
 
 
@@ -276,13 +268,11 @@ def fold_in_users(
     interactions: InteractionsLike,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    init: Optional[np.ndarray] = None,
-    backend: Optional[Union[Backend, str]] = None,
 ) -> np.ndarray:
     """Fold a batch of unseen users into a fitted OCuLaR-family model.
 
-    Reads the regularisation, line-search constants and backend off the
-    fitted model so the subproblem matches the one training solved.
+    Reads the regularisation and line-search constants off the fitted model
+    so the subproblem matches the one training solved.
 
     Parameters
     ----------
@@ -291,34 +281,20 @@ def fold_in_users(
     interactions:
         The new users' positives: a list of item-index sequences, a sparse
         matrix of shape ``(m, n_items)``, or an :class:`InteractionMatrix`.
-    n_sweeps, tolerance, init:
+    n_sweeps, tolerance:
         See :func:`fold_in_factors`.
-    backend:
-        Optional override of the model's configured backend — a borrowed
-        instance (e.g. a runtime's warm pool) or a name.  All backends
-        produce bit-identical sweeps, so the override changes where the
-        work runs, never the folded factors.
 
     Returns
     -------
     np.ndarray
         Folded user factors, shape ``(m, K)``.
     """
-    factors = getattr(model, "factors_", None)
-    if not isinstance(factors, FactorModel):
-        raise NotFittedError("fold_in_users requires a fitted factor model")
+    factors = _fitted_factors(model, "fold_in_users")
     csr = _interactions_to_csr(interactions, factors.n_items)
     return fold_in_factors(
         factors.item_factors,
         csr,
-        regularization=getattr(model, "regularization", 0.0),
-        backend=getattr(model, "backend", "vectorized") if backend is None else backend,
-        n_sweeps=n_sweeps,
-        tolerance=tolerance,
-        sigma=getattr(model, "sigma", 0.1),
-        beta=getattr(model, "beta", 0.5),
-        max_backtracks=getattr(model, "max_backtracks", 20),
-        init=init,
+        n_sweeps=n_sweeps, tolerance=tolerance, **_solver_constants(model),
     )
 
 
@@ -337,8 +313,6 @@ def fold_in_items(
     interactions: InteractionsLike,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    init: Optional[np.ndarray] = None,
-    backend: Optional[Union[Backend, str]] = None,
 ) -> np.ndarray:
     """Fold a batch of unseen *items* into a fitted OCuLaR-family model.
 
@@ -356,41 +330,28 @@ def fold_in_items(
         The new items' positives, *item-major*: a list of user-index
         sequences (one per new item), a sparse matrix of shape
         ``(m, n_users)``, or a dense 0/1 array of that shape.
-    n_sweeps, tolerance, init:
+    n_sweeps, tolerance:
         See :func:`fold_in_factors`.
-    backend:
-        Optional backend override, as in :func:`fold_in_users`.
 
     Returns
     -------
     np.ndarray
         Folded item factors, shape ``(m, K)``.
     """
-    factors = getattr(model, "factors_", None)
-    if not isinstance(factors, FactorModel):
-        raise NotFittedError("fold_in_items requires a fitted factor model")
+    factors = _fitted_factors(model, "fold_in_items")
     csr = _interactions_to_csr(interactions, factors.n_users, entity="user")
     return fold_in_factors(
         factors.user_factors,
         csr,
-        regularization=getattr(model, "regularization", 0.0),
-        backend=getattr(model, "backend", "vectorized") if backend is None else backend,
-        n_sweeps=n_sweeps,
-        tolerance=tolerance,
-        sigma=getattr(model, "sigma", 0.1),
-        beta=getattr(model, "beta", 0.5),
-        max_backtracks=getattr(model, "max_backtracks", 20),
-        init=init,
+        n_sweeps=n_sweeps, tolerance=tolerance, **_solver_constants(model),
     )
 
 
 def extend_factors(
     model,
     matrix,
-    backend: Optional[Union[Backend, str]] = None,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    interior: float = 0.01,
 ) -> FactorModel:
     """Extend a fitted model's factors to a grown interaction matrix.
 
@@ -403,6 +364,16 @@ def extend_factors(
     the training program on the grown matrix, ready for
     ``fit(..., initial_factors=...)``.
 
+    Exact zeros in the seed are then lifted to :data:`INTERIOR_LIFT` times
+    the mean positive entry of their factor block.  A converged generation
+    is mostly exact zeros, and zero is an absorbing artifact of the clamped
+    objective — the projected sweeps cannot regrow a coordinate whose
+    (clamped) gradient is non-negative at the boundary, so restarting from
+    the previous factors verbatim stalls at a partially absorbed critical
+    point well above what a cold fit reaches.  A tiny interior lift restores
+    trainability while staying within rounding distance of the previous
+    generation.
+
     Parameters
     ----------
     model:
@@ -412,32 +383,15 @@ def extend_factors(
         The grown corpus — an :class:`InteractionMatrix` (e.g. from
         :meth:`~repro.data.interactions.InteractionMatrix.extended_with`) or
         CSR whose shape is at least the fitted one in both dimensions.
-    backend:
-        Optional backend override for the fold-in sweeps (a runtime's warm
-        pool, typically).
     n_sweeps, tolerance:
         Fold-in sweep budget, as in :func:`fold_in_factors`.
-    interior:
-        Exact zeros in the seed are lifted to ``interior`` times the mean
-        positive entry of their factor block.  A converged generation is
-        mostly exact zeros, and zero is an absorbing artifact of the clamped
-        objective — the projected sweeps cannot regrow a coordinate whose
-        (clamped) gradient is non-negative at the boundary, so restarting
-        from the previous factors verbatim stalls at a partially absorbed
-        critical point well above what a cold fit reaches.  A tiny interior
-        lift restores trainability while staying within rounding distance of
-        the previous generation.  Set to ``0.0`` for the verbatim extension
-        (diagnostics that compare objectives, not warm starts).
 
     Returns
     -------
     FactorModel
         Factors of the grown shape ``(matrix.n_users, K)`` / ``(matrix.n_items, K)``.
     """
-    factors = getattr(model, "factors_", None)
-    if not isinstance(factors, FactorModel):
-        raise NotFittedError("extend_factors requires a fitted factor model")
-    interior = check_non_negative_float(interior, "interior")
+    factors = _fitted_factors(model, "extend_factors")
     csr = matrix.csr() if isinstance(matrix, InteractionMatrix) else sp.csr_matrix(matrix)
     n_users, n_items = csr.shape
     if n_users < factors.n_users or n_items < factors.n_items:
@@ -454,7 +408,7 @@ def extend_factors(
         # New users' positives restricted to the items the model knows.
         new_user_rows = sp.csr_matrix(csr[factors.n_users :, : factors.n_items])
         user_out[factors.n_users :] = fold_in_users(
-            model, new_user_rows, n_sweeps=n_sweeps, tolerance=tolerance, backend=backend
+            model, new_user_rows, n_sweeps=n_sweeps, tolerance=tolerance
         ).astype(dtype, copy=False)
 
     item_out = np.zeros((n_items, n_coclusters), dtype=dtype)
@@ -465,22 +419,13 @@ def extend_factors(
         item_out[factors.n_items :] = fold_in_factors(
             user_out,
             new_item_rows,
-            regularization=getattr(model, "regularization", 0.0),
-            backend=(
-                getattr(model, "backend", "vectorized") if backend is None else backend
-            ),
-            n_sweeps=n_sweeps,
-            tolerance=tolerance,
-            sigma=getattr(model, "sigma", 0.1),
-            beta=getattr(model, "beta", 0.5),
-            max_backtracks=getattr(model, "max_backtracks", 20),
+            n_sweeps=n_sweeps, tolerance=tolerance, **_solver_constants(model),
         ).astype(dtype, copy=False)
 
-    if interior > 0.0:
-        for block in (user_out, item_out):
-            positive = block[block > 0]
-            if positive.size:
-                np.maximum(block, interior * float(positive.mean()), out=block)
+    for block in (user_out, item_out):
+        positive = block[block > 0]
+        if positive.size:
+            np.maximum(block, INTERIOR_LIFT * float(positive.mean()), out=block)
 
     return FactorModel(user_out, item_out)
 
@@ -493,7 +438,6 @@ def recommend_folded(
     exclude_seen: bool = True,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    backend: Optional[Union[Backend, str]] = None,
 ):
     """Serve top-N lists for users that are not in the training matrix.
 
@@ -512,17 +456,12 @@ def recommend_folded(
     model:
         The fitted model the engine serves (or its publish-time solver
         snapshot): the fold-in reads its factors and solver constants
-        (regularisation, backend, line-search).
-    backend:
-        Optional backend override for the fold-in sweeps (see
-        :func:`fold_in_users`); the rankings are unaffected.
+        (regularisation, line-search).
     """
     if engine.factors is None:
         raise ConfigurationError("cold-start serving requires a factor-path TopNEngine")
     csr = _interactions_to_csr(interactions, engine.n_items)
-    scores = fold_in_scores(
-        engine, csr, model=model, n_sweeps=n_sweeps, tolerance=tolerance, backend=backend
-    )
+    scores = fold_in_scores(engine, csr, model=model, n_sweeps=n_sweeps, tolerance=tolerance)
     # The score block was computed for this call — hand its buffer to the
     # ranking kernel (``writable``) instead of paying a full negated copy.
     return engine.rank_scored(
@@ -536,17 +475,16 @@ def fold_in_scores(
     model,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    backend: Optional[Union[Backend, str]] = None,
 ) -> np.ndarray:
     """Fold a cold-start CSR batch in and return its dense score block.
 
     The fold-and-score half of :func:`recommend_folded`, shared with the
-    runtime's cold-start path (which folds on its warm backend and ranks
-    with the request's score option).  ``csr`` must already be validated
-    against the catalogue of ``engine``, the engine the block is ranked on
+    runtime's cold-start path (which ranks with the request's score
+    option).  ``csr`` must already be validated against the catalogue of
+    ``engine``, the engine the block is ranked on
     (:func:`_interactions_to_csr`); the scores come from ``model`` alone.
     """
-    folded = fold_in_users(model, csr, n_sweeps=n_sweeps, tolerance=tolerance, backend=backend)
+    folded = fold_in_users(model, csr, n_sweeps=n_sweeps, tolerance=tolerance)
     # Score with the same item factors the users were folded against
     # (``model.factors_``).  For bias-extended models these are the plain
     # co-cluster columns: cold users have no learned bias, so cold-start

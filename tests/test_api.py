@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import (
     DEFAULT_TENANT,
+    MAX_FOLD_IN_SWEEPS,
     RecommendRequest,
     RecommendResponse,
 )
@@ -37,6 +38,19 @@ class TestRecommendRequest:
         assert request.kind == "topn"
         assert request.rows == (3, 1, 2)
         assert request.n_rows == 3
+
+    def test_fold_in_budget_is_capped(self):
+        # tolerance=0 never stops a fold-in early, so n_sweeps alone bounds
+        # how long one request holds the thread that serves it.
+        assert MAX_FOLD_IN_SWEEPS == 100
+        capped = RecommendRequest(interactions=((1, 2),), n_sweeps=MAX_FOLD_IN_SWEEPS)
+        assert capped.n_sweeps == MAX_FOLD_IN_SWEEPS
+        with pytest.raises(ConfigurationError, match="n_sweeps"):
+            RecommendRequest(interactions=((1, 2),), n_sweeps=MAX_FOLD_IN_SWEEPS + 1)
+        with pytest.raises(ConfigurationError, match="n_sweeps"):
+            RecommendRequest.from_dict(
+                {"interactions": [[1, 2, 3]], "n_sweeps": 10**9, "tolerance": 0.0}
+            )
 
     def test_interactions_normalised_per_row(self):
         request = RecommendRequest(interactions=[[1, 2], (np.int64(5),), []])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.backends import ParallelBackend, VectorizedBackend
 from repro.core.init import initialize_factors
 from repro.core.objective import full_objective
 from repro.core.optimizer import BlockCoordinateTrainer, TrainingHistory
@@ -308,3 +309,74 @@ class TestWarmStartAndPlateau:
     def test_plateau_tolerance_validated(self):
         with pytest.raises(ConfigurationError):
             BlockCoordinateTrainer(plateau_tolerance=-0.1)
+
+
+class _ShutdownProbe(VectorizedBackend):
+    """A backend that records its shutdowns instead of performing them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def shutdown(self) -> None:
+        self.calls.append("shutdown")
+
+
+class TestBackendOwnership:
+    """A backend built from a name is the trainer's; an instance is borrowed."""
+
+    def test_name_is_owned_instance_is_borrowed(self):
+        assert BlockCoordinateTrainer(backend="vectorized").owns_backend
+        backend = VectorizedBackend()
+        trainer = BlockCoordinateTrainer(backend=backend)
+        assert not trainer.owns_backend
+        assert trainer.backend is backend
+        with ParallelBackend(n_workers=1, executor="serial") as parallel:
+            assert not BlockCoordinateTrainer(backend=parallel).owns_backend
+
+    def test_borrowed_backend_is_never_shut_down(self):
+        probe = _ShutdownProbe()
+        trainer = BlockCoordinateTrainer(backend=probe)
+        trainer.shutdown()
+        trainer.shutdown()
+        assert probe.calls == []
+
+    def test_owned_double_shutdown_is_idempotent(self):
+        # Lifecycle code may shut down twice (an explicit call, then a
+        # finally block); the second call must be a harmless no-op.
+        trainer = BlockCoordinateTrainer(backend="parallel", n_workers=1, executor="thread")
+        assert trainer.owns_backend
+        scheduler = trainer.backend._scheduler
+        assert scheduler.live_executor is None  # still lazy
+        scheduler.executor.map(abs, [-1])  # force the pool
+        trainer.shutdown()
+        assert scheduler.live_executor is None
+        trainer.shutdown()  # second call: no error, nothing to tear down
+        assert scheduler.live_executor is None
+
+    def test_borrow_after_shutdown_stays_borrowed(self):
+        # Borrowing an instance whose pool was already shut down is legal:
+        # the trainer never owns it, its shutdown never touches it, and the
+        # scheduler rebuilds the pool on next use (shutdown resets the owned
+        # executor to lazy, it does not poison it).
+        backend = ParallelBackend(n_workers=1, executor="thread")
+        backend._scheduler.executor.map(abs, [-1])
+        backend.shutdown()
+        assert backend._scheduler.live_executor is None
+        trainer = BlockCoordinateTrainer(backend=backend)
+        assert not trainer.owns_backend
+        assert trainer.backend is backend
+        trainer.shutdown()
+        trainer.shutdown()
+        assert backend._scheduler.executor.map(abs, [-2]) == [2]
+        backend.shutdown()
+
+    def test_shut_down_borrowed_backend_is_not_brought_back(self):
+        probe = _ShutdownProbe()
+        probe.shutdown()
+        trainer = BlockCoordinateTrainer(backend=probe)
+        trainer.shutdown()
+        trainer.shutdown()
+        # Exactly the caller's own shutdown: the trainer added no call on a
+        # borrowed (even dead) instance.
+        assert probe.calls == ["shutdown"]

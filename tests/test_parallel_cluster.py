@@ -62,9 +62,12 @@ def fetch_sum(ref) -> float:
     return float(attach_shared_array(ref).sum())
 
 
-def fetch_sum_then_sleep(ref, seconds: float) -> float:
-    """Fetch ``ref``, then stay busy so the driver can act mid-task."""
+def fetch_sum_then_sleep(ref, seconds: float, marker: str | None = None) -> float:
+    """Fetch ``ref``, touch ``marker`` (if given), then stay busy so the
+    driver can act mid-task."""
     total = fetch_sum(ref)
+    if marker is not None:
+        open(marker, "w").close()
     time.sleep(seconds)
     return total
 
@@ -286,22 +289,29 @@ class TestObjectStore:
             source[:] = 99.0
             assert executor.map(fetch_sum, [ref]) == [5.0]
 
-    def test_unpublish_mid_task_returns_at_once_and_evicts_in_band(self):
+    def test_unpublish_mid_task_returns_at_once_and_evicts_in_band(self, tmp_path):
         # Evictions travel in band: unpublish only queues the key, so it
         # returns while the tasks that fetched it are still running, and
         # each node evicts before the next frame it is sent.
         with ClusterExecutor(n_nodes=2, task_timeout=60) as executor:
             ref = executor.publish("slot", np.ones(4))
             outcome = {}
+            markers = [tmp_path / "fetched-0", tmp_path / "fetched-1"]
 
             def run():
                 outcome["results"] = executor.starmap(
-                    fetch_sum_then_sleep, [(ref, 1.0), (ref, 1.0)]
+                    fetch_sum_then_sleep, [(ref, 1.0, str(marker)) for marker in markers]
                 )
 
             worker = threading.Thread(target=run)
             worker.start()
-            time.sleep(0.4)
+            # Unpublish only once both tasks hold their copy: an agent's
+            # first task may still be importing this module when a fixed
+            # pause runs out, and its fetch would then miss the key.
+            deadline = time.monotonic() + 30
+            while not all(marker.exists() for marker in markers):
+                assert time.monotonic() < deadline, "the tasks never fetched the key"
+                time.sleep(0.01)
             started = time.perf_counter()
             assert executor.unpublish("slot") is True
             elapsed = time.perf_counter() - started

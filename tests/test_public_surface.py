@@ -17,7 +17,7 @@ from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
 from repro.parallel.cluster import ClusterExecutor
 from repro.runtime import BatchingFrontEnd, RecommenderRuntime, ServingGateway
-from repro.serving import ScoreBufferPool, TopNEngine
+from repro.serving import ScoreBufferPool, TopNEngine, fold_in
 
 SRC = Path(repro.runtime.__file__).resolve().parents[2]
 
@@ -100,6 +100,24 @@ def test_training_arguments():
         "matrix", "user_factors", "item_factors", "user_weights", "callback",
         "initial_factors", "constant_columns",
     )
+
+
+def test_fold_in_arguments():
+    # Fold-in always solves on the calling thread, from the default start,
+    # with the module's interior lift: no backend, init or interior setting.
+    budget = ("n_sweeps", "tolerance")
+    assert _parameters(fold_in.fold_in_factors) == (
+        "item_factors", "interactions", "regularization", *budget, "sigma", "beta",
+        "max_backtracks",
+    )
+    assert _parameters(fold_in.fold_in_users) == ("model", "interactions", *budget)
+    assert _parameters(fold_in.fold_in_user) == ("model", "items", *budget)
+    assert _parameters(fold_in.fold_in_items) == ("model", "interactions", *budget)
+    assert _parameters(fold_in.extend_factors) == ("model", "matrix", *budget)
+    assert _parameters(fold_in.recommend_folded) == (
+        "engine", "interactions", "model", "n_items", "exclude_seen", *budget,
+    )
+    assert _parameters(fold_in.fold_in_scores) == ("engine", "csr", "model", *budget)
 
 
 def test_environment_variables():

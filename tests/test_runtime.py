@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.api import RecommendRequest
-from repro.core.backends import BackendLease, ParallelBackend, VectorizedBackend
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -282,6 +281,38 @@ class TestGenerationLifecycle:
             ).rankings
             for want, have in zip(expected, got):
                 assert np.array_equal(want, have)
+
+    def test_fold_in_places_nothing_on_the_pool(self, corpus, monkeypatch):
+        # Fold-in solves on the calling thread: neither a cold-start request
+        # nor the fold-in that seeds a warm refit publishes a segment; the
+        # refit's only publications are its own plan, dropped when it ends.
+        from repro.runtime import service
+
+        with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+            names = runtime.executor.active_segment_names
+            before = names()
+            for row in range(5):
+                runtime.recommend(
+                    RecommendRequest(interactions=[[row, row + 1, row + 7]] * 3, n_items=5)
+                )
+            assert names() == before
+            seeded = []
+            extend = service.extend_factors
+
+            def recording_extend(*args, **kwargs):
+                start = names()
+                extended = extend(*args, **kwargs)
+                seeded.append(names() == start)
+                return extended
+
+            monkeypatch.setattr(service, "extend_factors", recording_extend)
+            runtime.ingest([(150, 1), (150, 2), (151, 3), (151, 9)], n_new_users=2)
+            runtime.refit(mode="warm")
+            assert runtime.last_refit_mode == "warm"
+            assert seeded == [True]
+            assert names() == before
 
     def test_close_leaves_dev_shm_clean(self, corpus, shm_ledger):
         runtime = RecommenderRuntime(executor="process", max_workers=2)
@@ -821,89 +852,3 @@ class TestServeShardedDescriptorPath:
         assert result.n_shards == 2
         assert result.rankings == engine.topn(users, n_items=5)
         assert set(result.as_dict()) == {1, 9, 44}
-
-
-# --------------------------------------------------------------------------- #
-# BackendLease ownership (the contract the runtime relies on)
-# --------------------------------------------------------------------------- #
-class TestBackendLease:
-    def test_name_is_owned_instance_is_borrowed(self):
-        owned = BackendLease("vectorized")
-        assert owned.owned
-        backend = VectorizedBackend()
-        borrowed = BackendLease(backend)
-        assert not borrowed.owned
-        assert borrowed.backend is backend
-
-    def test_release_only_touches_owned(self):
-        calls = []
-
-        class Probe(VectorizedBackend):
-            def shutdown(self):
-                calls.append("shutdown")
-
-        probe = Probe()
-        with BackendLease(probe):
-            pass
-        assert calls == []  # borrowed: context exit must not shut down
-
-    def test_trainer_reports_ownership(self):
-        from repro.core.optimizer import BlockCoordinateTrainer
-
-        assert BlockCoordinateTrainer(backend="vectorized").owns_backend
-        with ParallelBackend(n_workers=1, executor="serial") as backend:
-            assert not BlockCoordinateTrainer(backend=backend).owns_backend
-
-    def test_owned_double_release_is_idempotent(self):
-        # Lifecycle code may release twice (explicit release + context
-        # exit); the second release must be a harmless no-op.
-        lease = BackendLease("parallel", n_workers=1, executor="thread")
-        assert lease.owned
-        assert lease.backend._scheduler.live_executor is None  # still lazy
-        lease.backend._scheduler.executor.map(abs, [-1])  # force the pool
-        lease.release()
-        assert lease.backend._scheduler.live_executor is None
-        lease.release()  # second release: no error, nothing to tear down
-        assert lease.backend._scheduler.live_executor is None
-
-    def test_owned_context_exit_after_explicit_release(self):
-        with BackendLease("parallel", n_workers=1, executor="serial") as lease:
-            lease.release()
-        # __exit__ ran release() again; reaching here without error is the
-        # contract.
-        assert lease.owned
-
-    def test_borrow_after_shutdown_stays_borrowed(self):
-        # Borrowing an instance whose pool was already shut down is legal:
-        # the lease never owns it, release() never touches it, and the
-        # scheduler transparently rebuilds the pool on next use (shutdown
-        # resets the owned executor to lazy, it does not poison it).
-        backend = ParallelBackend(n_workers=1, executor="thread")
-        backend._scheduler.executor.map(abs, [-1])
-        backend.shutdown()
-        assert backend._scheduler.live_executor is None
-        lease = BackendLease(backend)
-        assert not lease.owned
-        assert lease.backend is backend
-        lease.release()
-        lease.release()
-        # The borrowed backend still works after both releases: the lease
-        # neither shut it down again nor blocked its lazy rebuild.
-        assert backend._scheduler.executor.map(abs, [-2]) == [2]
-        backend.shutdown()
-
-    def test_borrowed_shut_down_backend_not_resurrected_by_release(self):
-        calls = []
-
-        class Probe(VectorizedBackend):
-            def shutdown(self):
-                calls.append("shutdown")
-
-        probe = Probe()
-        probe.shutdown()
-        with BackendLease(probe) as lease:
-            assert not lease.owned
-        lease.release()
-        # Exactly the caller's own shutdown: neither context exit nor the
-        # explicit releases added calls on a borrowed (even dead) instance.
-        assert calls == ["shutdown"]

@@ -270,6 +270,26 @@ class TestFailureModes:
             assert frame["error"]["code"] == "bad-request", (line, frame)
         assert set(client.stats()["gateway"]["errors"]) == {"bad-request"}
 
+    def test_fold_in_budget_over_the_ceiling_is_bad_request(self, client):
+        # With tolerance 0 a fold-in runs every sweep it is asked for, on the
+        # one thread that serves the batch: a budget over the ceiling is
+        # refused before it reaches the runtime.
+        from repro.api import MAX_FOLD_IN_SWEEPS
+
+        for n_sweeps in (MAX_FOLD_IN_SWEEPS + 1, 10**9):
+            frame = client.request(
+                {"interactions": [[1, 2, 3]], "n_sweeps": n_sweeps, "tolerance": 0.0}
+            )
+            assert frame["ok"] is False
+            assert frame["error"]["code"] == "bad-request"
+            assert "n_sweeps" in frame["error"]["message"]
+        response = client.recommend(
+            RecommendRequest(
+                interactions=((1, 2, 3),), n_sweeps=MAX_FOLD_IN_SWEEPS, tolerance=0.0
+            )
+        )
+        assert len(response.rankings) == 1
+
     def test_client_raises_typed_error(self, client):
         with pytest.raises(GatewayError, match="bad-request") as excinfo:
             # Bypass client-side validation with a raw frame round-trip.

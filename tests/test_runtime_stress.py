@@ -405,11 +405,11 @@ class TestIngestWarmRefitChurn:
 
 
 class TestWarmBackendFoldInRefitChurn:
-    """Concurrent fold-ins and warm refits through ONE warm thread backend.
+    """Concurrent fold-ins racing warm refits through ONE warm thread backend.
 
-    The pooled sweep workspaces hang off plan sides that both paths cache —
-    the fold-in side cache reuses one side across identical batches, and a
-    warm refit builds plans through the same backend's thread pool.  The
+    The pooled sweep workspaces hang off plan sides: the fold-in side cache
+    reuses one side across identical batches, folded on the callers' own
+    threads, while the warm refits sweep on the backend's thread pool.  The
     contract: arenas are handed out exclusively, so every concurrent result
     is bit-identical to its serial reference and no sweep ever sees another
     sweep's scratch."""
@@ -470,7 +470,6 @@ class TestWarmBackendFoldInRefitChurn:
                             item_factors,
                             batches[pick],
                             base.regularization,
-                            backend=backend,
                             n_sweeps=8,
                         )
                         fold_results.append((pick, folded))

@@ -31,6 +31,7 @@ from repro.serving import (
     recommend_folded,
     serve_sharded,
 )
+from repro.serving import fold_in
 
 
 # --------------------------------------------------------------------------- #
@@ -212,6 +213,62 @@ class TestFoldIn:
         via_dense = fold_in_users(model, dense)
         via_lists = fold_in_users(model, [[3, 17, 41]])
         np.testing.assert_allclose(via_dense, via_lists)
+
+
+    def test_stored_zeros_are_not_positives(self):
+        # A stored zero records no interaction.  Binarising before dropping
+        # it would fold it in as a positive, and sharing a float64 input's
+        # buffers would overwrite the caller's matrix.
+        data = np.array([0.0, 3.0, 2.0])
+        matrix = sp.csr_matrix((data, ([0, 0, 1], [0, 1, 2])), shape=(2, 4))
+        assert matrix.nnz == 3
+        csr = fold_in._interactions_to_csr(matrix, 4)
+        assert csr[0].indices.tolist() == [1]
+        assert csr[1].indices.tolist() == [2]
+        np.testing.assert_array_equal(csr.data, [1.0, 1.0])
+        np.testing.assert_array_equal(matrix.data, [0.0, 3.0, 2.0])
+
+    def test_stored_zero_item_is_neither_folded_nor_masked(self, fitted_movielens_model):
+        model = fitted_movielens_model
+        engine = TopNEngine.from_model(model)
+        n_items = model.train_matrix.n_items
+        with_zero = sp.csr_matrix(
+            (np.array([0.0, 1.0, 1.0]), ([0, 0, 0], [3, 17, 41])), shape=(1, n_items)
+        )
+        served = recommend_folded(engine, with_zero, model=model, n_items=n_items - 2)[0]
+        expected = recommend_folded(engine, [[17, 41]], model=model, n_items=n_items - 2)[0]
+        np.testing.assert_array_equal(served, expected)
+        assert 3 in served.tolist()
+        np.testing.assert_array_equal(with_zero.data, [0.0, 1.0, 1.0])
+
+    def test_parallel_model_folds_in_without_a_pool(self, movielens_small, monkeypatch):
+        # Fold-in solves on the calling thread whatever backend the model
+        # trained with: a parallel-configured model builds no thread pool
+        # per call, and folds exactly as a vectorized one does.
+        import warnings
+
+        train = movielens_small[2].train
+        settings = dict(
+            n_coclusters=6, regularization=5.0, max_iterations=3, tolerance=0.0,
+            random_state=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            parallel = OCuLaR(backend="parallel", n_workers=2, **settings).fit(train)
+            vectorized = OCuLaR(**settings).fit(train)
+        built = []
+        original = ThreadExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadExecutor, "__init__", counting_init)
+        batch = [vectorized.train_matrix.items_of_user(user) for user in range(40)]
+        for _ in range(3):
+            folded = fold_in_users(parallel, batch)
+        assert built == []
+        np.testing.assert_array_equal(folded, fold_in_users(vectorized, batch))
 
 
 # --------------------------------------------------------------------------- #
@@ -763,9 +820,10 @@ class TestExtendFactors:
         assert np.isfinite(extended.user_factors).all()
         assert np.isfinite(extended.item_factors).all()
 
-    def test_interior_zero_preserves_old_rows_verbatim(self, grown_pair):
+    def test_interior_zero_preserves_old_rows_verbatim(self, grown_pair, monkeypatch):
         model, grown = grown_pair
-        extended = extend_factors(model, grown, interior=0.0)
+        monkeypatch.setattr(fold_in, "INTERIOR_LIFT", 0.0)
+        extended = extend_factors(model, grown)
         np.testing.assert_array_equal(
             extended.user_factors[: model.factors_.n_users],
             model.factors_.user_factors,
@@ -775,10 +833,11 @@ class TestExtendFactors:
             model.factors_.item_factors,
         )
 
-    def test_interior_lift_floors_only_the_zeros(self, grown_pair):
+    def test_interior_lift_floors_only_the_zeros(self, grown_pair, monkeypatch):
         model, grown = grown_pair
         interior = 0.01
-        extended = extend_factors(model, grown, interior=interior)
+        monkeypatch.setattr(fold_in, "INTERIOR_LIFT", interior)
+        extended = extend_factors(model, grown)
         old = model.factors_.user_factors
         lifted = extended.user_factors[: model.factors_.n_users]
         floor = lifted[old == 0]
@@ -790,9 +849,10 @@ class TestExtendFactors:
         # The floor stays tiny relative to the block's positive mass.
         assert floor.max() <= interior * old[old > 0].mean() + 1e-12
 
-    def test_same_shape_matrix_is_identity_modulo_lift(self, fitted_movielens_model):
+    def test_same_shape_matrix_is_identity_modulo_lift(self, fitted_movielens_model, monkeypatch):
         model = fitted_movielens_model
-        extended = extend_factors(model, model.train_matrix, interior=0.0)
+        monkeypatch.setattr(fold_in, "INTERIOR_LIFT", 0.0)
+        extended = extend_factors(model, model.train_matrix)
         np.testing.assert_array_equal(
             extended.user_factors, model.factors_.user_factors
         )
@@ -809,8 +869,3 @@ class TestExtendFactors:
     def test_requires_fitted_model(self, fitted_movielens_model):
         with pytest.raises(NotFittedError):
             extend_factors(OCuLaR(n_coclusters=3), fitted_movielens_model.train_matrix)
-
-    def test_negative_interior_rejected(self, grown_pair):
-        model, grown = grown_pair
-        with pytest.raises(ConfigurationError):
-            extend_factors(model, grown, interior=-0.5)

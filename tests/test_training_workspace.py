@@ -566,15 +566,18 @@ class TestPrunedLineSearch:
         assert trajectory(VectorizedBackend(), plan_p)[1] == counts
         assert allocations(plan_p) == warm
 
-    def test_fold_in_users_unchanged_by_the_new_kernel(self):
+    def test_fold_in_users_unchanged_by_the_new_kernel(self, monkeypatch):
+        from repro.serving import fold_in
         from repro.serving.fold_in import clear_fold_in_plan_cache, fold_in_users
 
         model = self._fitted_model()
         new_users = [[2, 5, 7], [], [0, 1, 2, 3, 11, 29]]
         clear_fold_in_plan_cache()
-        before = fold_in_users(model, new_users, backend=_LegacySweepBackend())
+        with monkeypatch.context() as patch:
+            patch.setattr(fold_in, "VectorizedBackend", _LegacySweepBackend)
+            before = fold_in_users(model, new_users)
         clear_fold_in_plan_cache()
-        after = fold_in_users(model, new_users, backend=VectorizedBackend())
+        after = fold_in_users(model, new_users)
         clear_fold_in_plan_cache()
         assert np.array_equal(before, after)
 
