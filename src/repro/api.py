@@ -22,13 +22,18 @@ per unseen user); exactly one of the two must be given.
 :attr:`RecommendRequest.options` is the hashable serving-option key the
 micro-batcher groups by: requests whose options match can be merged into
 one engine call and scattered back without changing any per-row math.
+
+A response's rankings always take one shape, a flat
+:class:`~repro.serving.results.TopNResult` that carries its own score
+block when the request asked ``with_scores`` — the shape the engine
+returns, sliced per request by the batcher and rebuilt by the decoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,20 +247,16 @@ class RecommendResponse:
     Attributes
     ----------
     rankings:
-        The ranked item indices, aligned with the request's rows —
-        identical to what the in-process engine returns for the same
-        request and model version.  Runtime-served responses carry a flat
-        :class:`~repro.serving.results.TopNResult`; decoded and merged
-        responses may carry the equivalent list of per-row arrays.  Both
-        iterate, index and compare row-wise the same way.
+        The ranked item indices, aligned with the request's rows, as a flat
+        :class:`~repro.serving.results.TopNResult` — identical to what the
+        in-process engine returns for the same request and model version.
+        When the request asked ``with_scores`` it carries the ranked items'
+        model scores in its score block.
     generation:
         The runtime model generation that served the request.  Batched and
         gateway responses pin it per micro-batch, so a response formed
         against version N reports N even when an ``update()`` landed
         mid-flight.
-    scores:
-        Model scores of the ranked items (same shapes as ``rankings``) when
-        the request asked ``with_scores``; ``None`` otherwise.
     queue_ms:
         Time the request waited between submission and dispatch (0 for the
         unbatched in-process path).
@@ -267,27 +268,34 @@ class RecommendResponse:
         the unbatched path.
     """
 
-    rankings: Union[TopNResult, List[np.ndarray]]
+    rankings: TopNResult
     generation: int
-    scores: Optional[List[np.ndarray]] = None
     queue_ms: float = 0.0
     serve_ms: float = 0.0
     batch_id: int = 0
     batch_requests: int = 1
     batch_users: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rankings, TopNResult):
+            raise ConfigurationError(
+                f"rankings must be a TopNResult, got {type(self.rankings).__name__}"
+            )
+
+    @property
+    def scores(self) -> Optional[List[np.ndarray]]:
+        """Per-row views of ``rankings.scores``; ``None`` when unscored."""
+        if self.rankings.scores is None:
+            return None
+        return self.rankings.score_rows()
+
     # ------------------------------------------------------------------ #
     # Codecs
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        # Flat results serialise through one vectorised tolist per block
-        # instead of a Python int() per ranked item.
-        if isinstance(self.rankings, TopNResult):
-            rankings = self.rankings.to_lists()
-        else:
-            rankings = [[int(item) for item in row] for row in self.rankings]
+        # One vectorised tolist per row instead of a Python int() per item.
         payload = {
-            "rankings": rankings,
+            "rankings": self.rankings.to_lists(),
             "generation": int(self.generation),
             "queue_ms": float(self.queue_ms),
             "serve_ms": float(self.serve_ms),
@@ -295,10 +303,8 @@ class RecommendResponse:
             "batch_requests": int(self.batch_requests),
             "batch_users": int(self.batch_users),
         }
-        if self.scores is not None:
-            payload["scores"] = [
-                np.asarray(row, dtype=float).tolist() for row in self.scores
-            ]
+        if self.rankings.scores is not None:
+            payload["scores"] = [row.tolist() for row in self.rankings.score_rows()]
         return payload
 
     def to_json(self) -> str:
@@ -309,24 +315,19 @@ class RecommendResponse:
         """Lenient inverse of :meth:`to_dict`.
 
         Unknown keys are ignored so a response embedded in a larger frame
-        (the gateway adds ``id`` and ``ok``) decodes directly.
+        (the gateway adds ``id`` and ``ok``) decodes directly.  Score rows
+        must match the ranking rows one for one, entry for entry.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError("a response frame must be a JSON object")
-        scores = payload.get("scores")
+        rows = [np.asarray(row, dtype=np.int64) for row in payload.get("rankings", [])]
+        try:
+            rankings = TopNResult.from_rows(rows, scores=payload.get("scores"))
+        except ValueError as error:
+            raise ConfigurationError(f"malformed response frame: {error}") from error
         return cls(
-            # Decoded straight into the flat container: one packed block
-            # instead of one array object per row, and row-wise consumers
-            # (iteration, indexing, equality) behave like the old list.
-            rankings=TopNResult.from_rows(
-                [np.asarray(row, dtype=np.int64) for row in payload.get("rankings", [])]
-            ),
+            rankings=rankings,
             generation=int(payload.get("generation", 0)),
-            scores=(
-                None
-                if scores is None
-                else [np.asarray(row, dtype=float) for row in scores]
-            ),
             queue_ms=float(payload.get("queue_ms", 0.0)),
             serve_ms=float(payload.get("serve_ms", 0.0)),
             batch_id=int(payload.get("batch_id", 0)),

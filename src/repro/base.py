@@ -121,8 +121,11 @@ class Recommender(abc.ABC):
         """
         from repro.serving.engine import TopNEngine
 
-        engine = TopNEngine.from_model(self)
-        return engine.recommend_many(users, n_items=n_items, exclude_seen=exclude_seen)
+        user_list = [int(user) for user in users]
+        rankings = TopNEngine.from_model(self).topn(
+            user_list, n_items=n_items, exclude_seen=exclude_seen
+        )
+        return dict(zip(user_list, rankings))
 
     # ------------------------------------------------------------------ #
     # Internal helpers for subclasses

@@ -136,18 +136,6 @@ def entry_affinities(
     return out
 
 
-def positive_affinities(
-    matrix: sp.csr_matrix, row_factors: np.ndarray, col_factors: np.ndarray
-) -> np.ndarray:
-    """Affinities ``<f_row, f_col>`` for every positive entry of ``matrix``.
-
-    ``matrix`` must be a CSR matrix of shape ``(n_rows, n_cols)``; the result
-    is aligned with ``matrix.tocoo()`` order (row-major, which CSR guarantees).
-    """
-    coo = matrix.tocoo()
-    return np.einsum("ij,ij->i", row_factors[coo.row], col_factors[coo.col])
-
-
 def full_objective(
     matrix: sp.csr_matrix,
     user_factors: np.ndarray,
@@ -344,17 +332,3 @@ def armijo_accept(
     """
     return new_value - old_value <= sigma * float(gradient @ step_difference)
 
-
-def split_known_unknown_sums(
-    matrix: sp.csr_matrix, col_factors: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row sums of column factors over positives, and over unknowns.
-
-    Returns ``(positive_sums, unknown_sums)`` with shape ``(n_rows, K)``.
-    Implements the paper's precomputation trick:
-    ``sum_{c: r=0} f_c = sum_c f_c - sum_{c: r=1} f_c``.
-    """
-    positive_sums = matrix @ col_factors
-    total = col_factors.sum(axis=0)
-    unknown_sums = total[np.newaxis, :] - positive_sums
-    return positive_sums, unknown_sums

@@ -66,6 +66,22 @@ from repro.utils.validation import (
 _PLATEAU_PATIENCE = 2
 
 
+def check_binary(matrix: sp.csr_matrix, caller: str) -> None:
+    """Refuse a matrix with any stored value other than ``1.0``.
+
+    The sweeps' unknown sums come from the plan's data while the positive
+    term counts each stored entry once: on any other value the two disagree
+    and the sweeps optimise no single objective.  Training and fold-in both
+    solve with those sweeps.
+    """
+    if np.any(matrix.data != 1.0):
+        raise ConfigurationError(
+            f"{caller} requires a binary matrix whose stored values are all 1.0; "
+            "wrap counts or ratings in repro.data.InteractionMatrix, which "
+            "binarises them"
+        )
+
+
 @dataclass
 class TrainingHistory:
     """Trajectory of a training run.
@@ -349,15 +365,7 @@ class BlockCoordinateTrainer:
         if matrix is None:
             raise ConfigurationError("train requires a matrix")
         matrix = sp.csr_matrix(matrix)
-        # The sweeps' unknown sums come from the plan's data while the
-        # positive term counts each stored entry once: on any other value
-        # the two disagree and the sweeps optimise no single objective.
-        if np.any(matrix.data != 1.0):
-            raise ConfigurationError(
-                "train requires a binary matrix whose stored values are all 1.0; "
-                "wrap counts or ratings in repro.data.InteractionMatrix, which "
-                "binarises them"
-            )
+        check_binary(matrix, "train")
         n_users, n_items = matrix.shape
 
         if n_users != user_factors.shape[0]:

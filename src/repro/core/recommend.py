@@ -94,9 +94,7 @@ def recommend_with_explanations(
     if ranked is None:
         from repro.serving.engine import TopNEngine
 
-        ranked = TopNEngine.from_model(model).recommend_user(
-            user, n_items=n_items, exclude_seen=True
-        )
+        ranked = TopNEngine.from_model(model).topn([user], n_items=n_items, exclude_seen=True)[0]
     explanations = [
         explain_recommendation(
             model,
@@ -134,7 +132,7 @@ def batch_reports(
     if not user_list:
         return []
     engine = TopNEngine.from_model(model)
-    rankings = engine.recommend_batch(user_list, n_items=n_items, exclude_seen=True)
+    rankings = engine.topn(user_list, n_items=n_items, exclude_seen=True)
     return [
         recommend_with_explanations(
             model,

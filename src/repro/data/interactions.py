@@ -23,6 +23,26 @@ from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
 
 
+def one_class_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """Normalise an owned float CSR to one-class form, in place, and return it.
+
+    The one step every interaction matrix entering the package goes
+    through (:class:`InteractionMatrix`, fold-in batches, the grown corpus
+    of a warm refit).  A negative stored value (a dislike) or a non-finite
+    one is a :class:`~repro.exceptions.DataError`, not a positive;
+    duplicates are summed, stored zeros dropped (they record no
+    interaction) and every remaining value set to ``1.0``.  The caller must
+    own ``csr``: its buffers are rewritten.
+    """
+    data = csr.data
+    if data.size and not (np.isfinite(data) & (data >= 0)).all():
+        raise DataError("interaction matrix must not contain negative or non-finite values")
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.data[:] = 1.0
+    return csr
+
+
 class InteractionMatrix:
     """A binary, one-class user-item interaction matrix.
 
@@ -55,13 +75,7 @@ class InteractionMatrix:
             raise DataError("interaction matrix must be two-dimensional")
         if csr.shape[0] == 0 or csr.shape[1] == 0:
             raise DataError("interaction matrix must have at least one user and one item")
-        if csr.nnz and csr.data.min() < 0:
-            raise DataError("interaction matrix must not contain negative values")
-        # Stored zeros are not positives: drop them before binarising.
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.data[:] = 1.0
-        self._csr = csr
+        self._csr = one_class_csr(csr)
         self._csc: Optional[sp.csc_matrix] = None
         self._pair_set: Optional[Set[Tuple[int, int]]] = None
 

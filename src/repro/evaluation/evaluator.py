@@ -136,7 +136,7 @@ def _evaluate(
     # All eligible users are ranked in one pass through the chunked serving
     # engine (identical rankings to per-user ``model.recommend``).
     engine = TopNEngine.from_model(model)
-    rankings = engine.recommend_batch(eligible, n_items=m_sorted[-1], exclude_seen=True)
+    rankings = engine.topn(eligible, n_items=m_sorted[-1], exclude_seen=True)
     rows: Dict[int, List[Tuple[int, Dict[str, float]]]] = {m: [] for m in m_sorted}
     for user, ranked_full in zip(eligible, rankings):
         relevant = split.test_items[user]

@@ -14,7 +14,6 @@ from repro.parallel.executor import SerialExecutor, ThreadExecutor
 from repro.parallel.scheduler import (
     ShardScheduler,
     available_executors,
-    register_executor,
     resolve_executor,
 )
 from repro.parallel.publication import SharedArraySpec, supports_publication
@@ -29,7 +28,6 @@ __all__ = [
     "SharedMemoryProcessExecutor",
     "attach_shared_array",
     "available_executors",
-    "register_executor",
     "resolve_executor",
     "supports_publication",
 ]

@@ -18,9 +18,9 @@ publication — the training backend detects that capability and ships
 
 The ``"cluster"`` entry resolves to
 :class:`~repro.parallel.cluster.ClusterExecutor` — the same publication
-capability over RPC agent nodes, loopback-spawned or remote.  Registering a
-further execution substrate is one :func:`register_executor` call; every
-consumer — training, serving, grid search — can then select it by name.
+capability over RPC agent nodes, loopback-spawned or remote.  Every
+consumer — training, serving, grid search — selects among them by name, or
+takes a prebuilt instance.
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ _EXECUTOR_FACTORIES: Dict[str, ExecutorFactory] = {
 }
 
 
-def register_executor(name: str, factory: ExecutorFactory) -> None:
-    """Register (or replace) an executor factory under ``name``.
-
-    ``factory`` receives the requested ``max_workers`` (possibly ``None``)
-    and returns an object with the executor protocol: ``map``, ``starmap``,
-    ``shutdown``, and the context-manager methods.
-    """
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError("executor name must be a non-empty string")
-    if not callable(factory):
-        raise ConfigurationError("executor factory must be callable")
-    _EXECUTOR_FACTORIES[name] = factory
-
-
 def available_executors() -> List[str]:
     """Names of the registered executors."""
     return sorted(_EXECUTOR_FACTORIES)
@@ -71,9 +57,8 @@ def resolve_executor(executor: Any, max_workers: Optional[int] = None) -> Any:
     ----------
     executor:
         A registered name (``"serial"``, ``"thread"``, ``"process"``,
-        ``"cluster"``, or anything added via :func:`register_executor`), or
-        an already-built
-        executor instance (returned unchanged).
+        ``"cluster"``), or an already-built executor instance (returned
+        unchanged).
     max_workers:
         Pool size handed to the factory when ``executor`` is a name.  It is
         an error to combine it with an instance — the instance's own pool

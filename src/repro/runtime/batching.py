@@ -25,9 +25,10 @@ so under high request concurrency that per-call overhead — not the scoring
   fit one shard (``max_batch_users`` below the engine's chunk size, the
   usual case), through the sharded descriptor path beyond — the batch
   rides the same machinery, just with real occupancy;
-* **scatter** — per-row rankings (and scores, when asked) are sliced back
-  per request (:func:`~repro.serving.batch.scatter_results`) and delivered
-  through the futures as :class:`~repro.api.RecommendResponse` objects.
+* **scatter** — the merged rankings (their scores included, when asked)
+  are sliced back per request (:func:`~repro.serving.batch.scatter_results`)
+  and delivered through the futures as :class:`~repro.api.RecommendResponse`
+  objects.
 
 There is one sealing rule with one number in it, the hold: ``max_delay_ms``
 — an operator's promise to hold, always kept — or ``0`` with
@@ -475,18 +476,12 @@ class BatchingFrontEnd:
             )
             merged = group[0].request.merged_with_rows(merged_rows)
             response = session.recommend(merged)
-            per_row = scatter_results(response.rankings, spans)
-            per_row_scores = (
-                scatter_results(response.scores, spans)
-                if response.scores is not None
-                else [None] * len(group)
-            )
-            for pending, rankings, scores in zip(group, per_row, per_row_scores):
+            # Each slice is a view of the merged result, scores included.
+            for pending, rankings in zip(group, scatter_results(response.rankings, spans)):
                 pending.future.set_result(
                     RecommendResponse(
                         rankings=rankings,
                         generation=response.generation,
-                        scores=scores,
                         queue_ms=(dispatch_start - pending.enqueued) * 1000.0,
                         serve_ms=response.serve_ms,
                         batch_id=batch_id,

@@ -682,7 +682,6 @@ class RecommenderRuntime:
             self._generations.unpin(pinned)
         return RecommendResponse(
             rankings=rankings,
-            scores=rankings.score_rows() if request.with_scores else None,
             generation=pinned.number,
             serve_ms=(time.perf_counter() - started) * 1000.0,
             batch_users=request.n_rows,
@@ -751,7 +750,7 @@ class RecommenderRuntime:
             request.n_items,
             request.exclude_seen,
             shard_size=shard_size,
-            return_scores=request.with_scores,
+            with_scores=request.with_scores,
             spec=pinned.spec,
         )
         self._record_serving_call(
@@ -788,13 +787,11 @@ class RecommenderRuntime:
             scores,
             n_items=request.n_items,
             seen=csr if request.exclude_seen else None,
-            return_scores=request.with_scores,
+            with_scores=request.with_scores,
             writable=True,  # the fold-in block is this call's own
         )
         self._record_serving_call(ServingStats(path="local", n_shards=1))
-        # With scores, rank_scored pairs the flat result (score block
-        # embedded) with per-row views of it.
-        return ranked[0] if request.with_scores else ranked
+        return ranked
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -65,24 +65,21 @@ def merge_request_lists(
 
 def scatter_results(
     results: Sequence[Any], spans: Sequence[Tuple[int, int]]
-) -> List[List[Any]]:
-    """Slice a merged batch's per-row results back into per-request lists.
+) -> List[Sequence[Any]]:
+    """Slice a merged batch's per-row results back apart, one slice per request.
 
     Inverse of :func:`merge_request_lists`: ``results`` must be aligned with
     the merged list (one entry per merged row, in order), which every
     serving path guarantees — executors return shard results in submission
-    order.  Flat :class:`~repro.serving.results.TopNResult` batches scatter
-    as zero-copy block views — one array slice per request instead of a
-    Python list copy per row.
+    order.  A flat :class:`~repro.serving.results.TopNResult` slices into
+    zero-copy block views, its scores included.
     """
     if spans and len(results) < spans[-1][1]:
         raise ValueError(
             f"merged results cover {len(results)} rows but the request spans "
             f"extend to {spans[-1][1]}"
         )
-    if isinstance(results, TopNResult):
-        return [results[start:stop] for start, stop in spans]
-    return [list(results[start:stop]) for start, stop in spans]
+    return [results[start:stop] for start, stop in spans]
 
 
 @dataclass
@@ -95,8 +92,7 @@ class BatchServingResult:
         The users served, in input order.
     rankings:
         Flat :class:`~repro.serving.results.TopNResult` aligned with
-        ``users`` (iterates and indexes like the historical list of
-        per-user arrays).
+        ``users``.
     n_shards:
         Number of shards the users were split into.
     """
@@ -117,7 +113,7 @@ def fan_out_topn(
     n_items: int,
     exclude_seen: bool,
     shard_size: Optional[int] = None,
-    return_scores: bool = False,
+    with_scores: bool = False,
     spec: Optional[SharedEngineSpec] = None,
     min_fan: int = 2,
 ) -> Tuple[TopNResult, int, Optional[tuple]]:
@@ -140,7 +136,7 @@ def fan_out_topn(
     shards = [users[start : start + shard_size] for start in range(0, len(users), shard_size)]
     if len(shards) < min_fan:
         results = [
-            _topn_shard(engine, shard, n_items, exclude_seen, return_scores) for shard in shards
+            _topn_shard(engine, shard, n_items, exclude_seen, with_scores) for shard in shards
         ]
         return TopNResult.concat(results), len(shards), None
     executor = scheduler.executor
@@ -149,7 +145,7 @@ def fan_out_topn(
         spec = publish_engine(executor, engine)
     try:
         tasks = [
-            (engine if spec is None else spec, shard, n_items, exclude_seen, return_scores)
+            (engine if spec is None else spec, shard, n_items, exclude_seen, with_scores)
             for shard in shards
         ]
         results = executor.starmap(_topn_shard, tasks)

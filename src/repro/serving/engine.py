@@ -57,7 +57,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -319,7 +319,7 @@ class TopNEngine:
         exclude_seen: bool = True,
         with_scores: bool = False,
     ) -> TopNResult:
-        """Flat top-``n_items`` rankings for many users — the core hot path.
+        """Flat top-``n_items`` rankings for many users — the one ranking entry point.
 
         Returns a :class:`~repro.serving.results.TopNResult` aligned with
         ``users``; rows may be shorter than ``n_items`` when a user has
@@ -377,55 +377,18 @@ class TopNEngine:
                 self.pool.release(neg_scores)
         return TopNResult(out_items, out_lengths, out_scores)
 
-    def recommend_batch(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-        return_scores: bool = False,
-    ) -> Union[TopNResult, Tuple[TopNResult, List[np.ndarray]]]:
-        """Top-``n_items`` lists for many users, one chunk at a time.
-
-        Returns a flat :class:`~repro.serving.results.TopNResult` aligned
-        with ``users`` — it iterates, indexes and compares like the
-        list-of-arrays this method used to return, so row-wise callers are
-        unchanged.  With ``return_scores`` the return value is a
-        ``(rankings, scores)`` pair, the scores one view per row aligned
-        entry-for-entry with each ranking.  Empty input yields an empty
-        result (and an empty score list) — the same shapes as non-empty
-        input, with zero rows.
-        """
-        result = self.topn(
-            users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
-        )
-        if return_scores:
-            return result, result.score_rows()
-        return result
-
-    def recommend_many(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-    ) -> dict[int, np.ndarray]:
-        """Mapping form of :meth:`recommend_batch` (user -> ranked items)."""
-        user_list = [int(user) for user in users]
-        lists = self.recommend_batch(user_list, n_items=n_items, exclude_seen=exclude_seen)
-        return dict(zip(user_list, lists))
-
-    def recommend_user(self, user: int, n_items: int = 10, exclude_seen: bool = True) -> np.ndarray:
-        """Single-user convenience wrapper around :meth:`recommend_batch`."""
-        return self.recommend_batch([user], n_items=n_items, exclude_seen=exclude_seen)[0]
-
     def rank_scored(
         self,
         scores: np.ndarray,
         n_items: int = 10,
         seen: Optional[sp.csr_matrix] = None,
-        return_scores: bool = False,
+        with_scores: bool = False,
         writable: bool = False,
-    ) -> Union[TopNResult, Tuple[TopNResult, List[np.ndarray]]]:
+    ) -> TopNResult:
         """Rank externally computed score rows (the fold-in serving path).
+
+        Returns a :class:`~repro.serving.results.TopNResult` aligned with
+        the score rows, like :meth:`topn`.
 
         Parameters
         ----------
@@ -439,10 +402,9 @@ class TopNEngine:
             non-zeros are excluded from the rankings — for fold-in users
             this is their interaction vector, playing the role the training
             row plays for in-matrix users.
-        return_scores:
-            Also return the score of every ranked entry; the return value
-            is then a ``(rankings, scores)`` pair and the result's flat
-            score block is populated.
+        with_scores:
+            Also return the score of every ranked entry, in the result's
+            flat score block.
         writable:
             The caller owns ``scores`` and the engine may negate it in
             place instead of copying into a pooled buffer — the zero-copy
@@ -467,8 +429,7 @@ class TopNEngine:
                     f"seen matrix shape {seen.shape} does not match scores {raw.shape}"
                 )
         if n_rows == 0:
-            result = TopNResult.empty(width=n, with_scores=return_scores)
-            return (result, []) if return_scores else result
+            return TopNResult.empty(width=n, with_scores=with_scores)
         if writable and raw.flags.writeable and raw.flags.c_contiguous:
             neg_scores = np.negative(raw, out=raw)
             pooled = None
@@ -479,14 +440,11 @@ class TopNEngine:
             self._mask_seen(neg_scores, np.arange(n_rows), seen)
         out_items = np.full((n_rows, n), -1, dtype=np.int32)
         out_lengths = np.empty(n_rows, dtype=np.int32)
-        out_scores = np.empty((n_rows, n), dtype=neg_scores.dtype) if return_scores else None
+        out_scores = np.empty((n_rows, n), dtype=neg_scores.dtype) if with_scores else None
         self._select_rows(neg_scores, n, out_items, out_lengths, out_scores, row0=0)
         if pooled is not None:
             self.pool.release(pooled)
-        result = TopNResult(out_items, out_lengths, out_scores)
-        if return_scores:
-            return result, result.score_rows()
-        return result
+        return TopNResult(out_items, out_lengths, out_scores)
 
     # ------------------------------------------------------------------ #
     # Kernels

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from repro.core.backends import SweepSide, VectorizedBackend
 from repro.core.factors import FactorModel
-from repro.data.interactions import InteractionMatrix
+from repro.core.optimizer import check_binary
+from repro.data.interactions import InteractionMatrix, one_class_csr
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.utils.validation import (
     check_non_negative_float,
@@ -44,6 +45,10 @@ def _interactions_to_csr(
     interactions: InteractionsLike, n_items: int, entity: str = "item"
 ) -> sp.csr_matrix:
     """Normalise the accepted interaction forms to a binary CSR of width ``n_items``.
+
+    Every form ends in :func:`~repro.data.interactions.one_class_csr`, the
+    step :class:`InteractionMatrix` runs too, so both accept and refuse the
+    same values.
 
     ``entity`` names what the columns are in error messages — ``"item"`` for
     the user fold-in, ``"user"`` for the symmetric item fold-in.
@@ -85,11 +90,7 @@ def _interactions_to_csr(
         )
     if csr.nnz and (csr.indices.min() < 0 or csr.indices.max() >= n_items):
         raise DataError(f"interaction {entity} indices out of range")
-    # Stored zeros are not positives: drop them before binarising.
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.data[:] = 1.0
-    return csr
+    return one_class_csr(csr)
 
 
 #: Exact zeros of an :func:`extend_factors` seed are lifted to this fraction
@@ -195,7 +196,9 @@ def fold_in_factors(
     item_factors:
         Fitted item affiliations, shape ``(n_items, K)`` — held fixed.
     interactions:
-        Binary CSR of the new users' positives, shape ``(m, n_items)``.
+        Binary CSR of the new users' positives, shape ``(m, n_items)``:
+        every stored value 1.0, as training requires (else
+        :class:`~repro.exceptions.ConfigurationError`).
     regularization:
         The L2 penalty ``lambda`` the model was trained with.
     n_sweeps:
@@ -230,6 +233,7 @@ def fold_in_factors(
         raise ConfigurationError(
             f"interactions have {interactions.shape[1]} columns, expected {n_items}"
         )
+    check_binary(interactions, "fold_in_factors")
     m = interactions.shape[0]
     if m == 0:
         return np.zeros((0, n_coclusters), dtype=item_factors.dtype)
@@ -382,7 +386,8 @@ def extend_factors(
     matrix:
         The grown corpus — an :class:`InteractionMatrix` (e.g. from
         :meth:`~repro.data.interactions.InteractionMatrix.extended_with`) or
-        CSR whose shape is at least the fitted one in both dimensions.
+        CSR whose shape is at least the fitted one in both dimensions; a
+        CSR of counts is binarised like :class:`InteractionMatrix` input.
     n_sweeps, tolerance:
         Fold-in sweep budget, as in :func:`fold_in_factors`.
 
@@ -392,7 +397,10 @@ def extend_factors(
         Factors of the grown shape ``(matrix.n_users, K)`` / ``(matrix.n_items, K)``.
     """
     factors = _fitted_factors(model, "extend_factors")
-    csr = matrix.csr() if isinstance(matrix, InteractionMatrix) else sp.csr_matrix(matrix)
+    if isinstance(matrix, InteractionMatrix):
+        csr = matrix.csr()
+    else:
+        csr = one_class_csr(sp.csr_matrix(matrix, dtype=np.float64, copy=True))
     n_users, n_items = csr.shape
     if n_users < factors.n_users or n_items < factors.n_items:
         raise ConfigurationError(

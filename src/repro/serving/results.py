@@ -1,10 +1,10 @@
 """Flat top-N results: one contiguous block instead of a list of arrays.
 
-The serving hot path used to return ``List[np.ndarray]`` — one small int64
-array per user.  At nightly-batch scale that is ``O(n_users)`` Python
-objects to build, refcount, pickle shard by shard and serialise row by row
-through the gateway.  :class:`TopNResult` replaces the list with three flat
-arrays:
+:class:`TopNResult` is the one shape a served ranking takes — from the
+engine, through the shard fan-out, the micro-batcher and the runtime, to
+the client's decoded response.  Instead of one small int64 array per user
+(``O(n_users)`` Python objects to build, refcount, pickle shard by shard
+and serialise row by row) it holds three flat arrays:
 
 * ``items`` — ``(n_rows, n)`` int32, each row's ranked item indices,
   padded with ``-1`` past the row's valid length;
@@ -14,13 +14,14 @@ arrays:
 * ``scores`` — optional ``(n_rows, n)`` float block of the ranked entries'
   model scores (padding entries are ``-inf``).
 
-The container still *behaves* like the old list: ``len``, iteration,
-``result[i]`` (a zero-copy view of row ``i``'s valid prefix) and equality
-against a plain list of arrays all work, so row-wise consumers are
-unchanged.  Slicing returns another :class:`TopNResult` view — this is what
-makes the micro-batcher's scatter a single array slice instead of a Python
-list copy — an index array gathers rows into a new one, and cross-process
-transport pickles three contiguous buffers instead of thousands of objects.
+It is a sequence of rows: ``len``, iteration, ``result[i]`` (a zero-copy
+view of row ``i``'s valid prefix) and equality against another result or a
+plain list of arrays all work row-wise, and :meth:`TopNResult.score_rows`
+gives the aligned score views.  Slicing returns another :class:`TopNResult`
+view — the micro-batcher's scatter is a single array slice per request,
+scores included — an index array gathers rows into a new one, and
+cross-process transport pickles three contiguous buffers instead of
+thousands of objects.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class TopNResult(Sequence):
     """Contiguous per-row top-N rankings (see module docstring).
 
     Construct directly from the three blocks, or via :meth:`from_rows`
-    (list-of-arrays compatibility) / :meth:`concat` (shard flattening).
+    (the wire decoder's per-row lists) / :meth:`concat` (shard flattening).
     """
 
     __slots__ = ("items", "lengths", "scores")
@@ -87,10 +88,10 @@ class TopNResult(Sequence):
     ) -> "TopNResult":
         """Pack variable-length per-row arrays into one flat result.
 
-        The compatibility constructor for call sites still producing lists
-        (wire decoding, mixed known/cold merges).  ``width`` defaults to the
-        longest row; shorter rows are padded with ``-1`` (and ``-inf`` in
-        the score block).
+        The constructor of the wire decoder, which reads one list per row.
+        ``width`` defaults to the longest row; shorter rows are padded with
+        ``-1`` (and ``-inf`` in the score block).  Each score row must be
+        as long as its ranking row (else :class:`ValueError`).
         """
         rows = [np.asarray(row).ravel() for row in rows]
         if width is None:
@@ -108,8 +109,13 @@ class TopNResult(Sequence):
                     f"{len(score_rows)} score rows for {len(rows)} ranking rows"
                 )
             score_block = np.full((len(rows), width), -np.inf, dtype=np.float64)
-            for i, row in enumerate(score_rows):
-                score_block[i, : row.size] = row
+            for i, (row, score_row) in enumerate(zip(rows, score_rows)):
+                if score_row.size != row.size:
+                    raise ValueError(
+                        f"score row {i} has {score_row.size} entries for "
+                        f"{row.size} ranked items"
+                    )
+                score_block[i, : row.size] = score_row
         return cls(items, lengths, score_block)
 
     @classmethod
@@ -202,17 +208,13 @@ class TopNResult(Sequence):
         """Per-row score views, aligned with the rankings."""
         return [self.row_scores(i) for i in range(self.n_rows)]
 
-    def as_lists(self) -> List[np.ndarray]:
-        """The legacy list-of-arrays shape (zero-copy row views)."""
-        return list(self)
-
     def to_lists(self) -> List[List[int]]:
         """JSON-ready nested lists of plain ints (the gateway codec form)."""
         items, lengths = self.items, self.lengths
         return [items[i, : lengths[i]].tolist() for i in range(items.shape[0])]
 
     # ------------------------------------------------------------------ #
-    # Equality (list-compatible) and pickling
+    # Equality (row-wise) and pickling
     # ------------------------------------------------------------------ #
     def __eq__(self, other) -> bool:
         if isinstance(other, TopNResult):

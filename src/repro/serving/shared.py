@@ -188,7 +188,7 @@ def _topn_shard(
     users: Sequence[int],
     n_items: int,
     exclude_seen: bool,
-    return_scores: bool = False,
+    with_scores: bool = False,
 ) -> TopNResult:
     """Serve one user shard — the one shard worker of every serving path.
 
@@ -196,11 +196,11 @@ def _topn_shard(
     into the task) or the descriptors of a published one, which the worker
     attaches.  Returns the shard's flat
     :class:`~repro.serving.results.TopNResult` (score block embedded when
-    ``return_scores``), which pickles back to the caller as three contiguous
+    ``with_scores``), which pickles back to the caller as three contiguous
     arrays instead of ``O(shard)`` row objects.
     """
     if isinstance(engine, SharedEngineSpec):
         engine = attach_engine(engine)
     return engine.topn(
-        users, n_items=n_items, exclude_seen=exclude_seen, with_scores=return_scores
+        users, n_items=n_items, exclude_seen=exclude_seen, with_scores=with_scores
     )

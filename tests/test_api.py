@@ -20,6 +20,7 @@ from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
 from repro.exceptions import ConfigurationError
 from repro.runtime import RecommenderRuntime
+from repro.serving.results import TopNResult
 
 
 # --------------------------------------------------------------------------- #
@@ -147,22 +148,44 @@ class TestRequestCodec:
 # --------------------------------------------------------------------------- #
 class TestRecommendResponse:
     def test_json_roundtrip(self):
-        response = RecommendResponse(
-            rankings=[np.array([3, 1, 2]), np.array([5])],
-            generation=4,
+        padded = TopNResult.from_rows(
+            [np.array([3, 1, 2]), np.array([5])],
             scores=[np.array([0.9, 0.5, 0.1]), np.array([0.7])],
-            queue_ms=1.5,
-            serve_ms=2.5,
-            batch_id=9,
-            batch_requests=3,
-            batch_users=12,
         )
-        decoded = RecommendResponse.from_json(response.to_json())
-        assert all(np.array_equal(a, b) for a, b in zip(decoded.rankings, response.rankings))
-        assert all(np.allclose(a, b) for a, b in zip(decoded.scores, response.scores))
-        assert decoded.generation == 4
-        assert decoded.batch_id == 9
-        assert decoded.queue_ms == pytest.approx(1.5)
+        float32 = TopNResult(
+            np.array([[4, 2], [6, -1]], dtype=np.int32),
+            np.array([2, 1], dtype=np.int32),
+            np.array([[0.8, 0.3], [0.6, -np.inf]], dtype=np.float32),
+        )
+        for rankings in (padded, float32, TopNResult.empty(width=4, with_scores=True)):
+            response = RecommendResponse(
+                rankings=rankings,
+                generation=4,
+                queue_ms=1.5,
+                serve_ms=2.5,
+                batch_id=9,
+                batch_requests=3,
+                batch_users=12,
+            )
+            decoded = RecommendResponse.from_json(response.to_json())
+            assert decoded.rankings == response.rankings
+            # The decoded block is float64; float32 scores widen exactly.
+            assert len(decoded.scores) == len(response.scores)
+            for got, sent in zip(decoded.scores, response.scores):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, sent.astype(np.float64))
+            assert decoded.to_json() == response.to_json()
+            assert decoded.generation == 4
+            assert decoded.batch_id == 9
+            assert decoded.queue_ms == pytest.approx(1.5)
+        # Score rows must line up with the ranking rows entry for entry.
+        for scores in ([[0.9, 0.5], [0.7]], [[0.9, 0.5, 0.1]], [[0.9, 0.5, 0.1], [0.7, 0.2]]):
+            frame = {"rankings": [[3, 1, 2], [5]], "generation": 1, "scores": scores}
+            with pytest.raises(ConfigurationError, match="malformed response frame"):
+                RecommendResponse.from_dict(frame)
+        # A response holds one ranking shape, never a list of row arrays.
+        with pytest.raises(ConfigurationError, match="TopNResult"):
+            RecommendResponse(rankings=[np.array([3, 1])], generation=1)
 
     def test_lenient_decode_ignores_gateway_envelope(self):
         frame = {"id": 7, "ok": True, "rankings": [[1, 2]], "generation": 3}
@@ -198,7 +221,7 @@ class TestRuntimeDispatcher:
     def test_topn_request_matches_engine(self, runtime):
         request = RecommendRequest(users=(0, 3, 7), n_items=5)
         response = runtime.recommend(request)
-        expected = runtime.engine.recommend_batch([0, 3, 7], n_items=5)
+        expected = runtime.engine.topn([0, 3, 7], n_items=5)
         assert all(np.array_equal(a, b) for a, b in zip(response.rankings, expected))
         assert response.generation == runtime.generation
         assert response.scores is None
@@ -209,9 +232,8 @@ class TestRuntimeDispatcher:
     def test_with_scores_matches_engine(self, runtime):
         request = RecommendRequest(users=(1, 4), n_items=6, with_scores=True)
         response = runtime.recommend(request)
-        ranked, scores = runtime.engine.recommend_batch(
-            [1, 4], n_items=6, return_scores=True
-        )
+        ranked = runtime.engine.topn([1, 4], n_items=6, with_scores=True)
+        scores = ranked.score_rows()
         assert all(np.array_equal(a, b) for a, b in zip(response.rankings, ranked))
         assert all(np.allclose(a, b) for a, b in zip(response.scores, scores))
 

@@ -14,12 +14,10 @@ from repro.core.objective import (
     gradient_ratio,
     negative_log_likelihood,
     objective_from_entries,
-    positive_affinities,
     relative_user_weights,
     row_gradient,
     row_objective,
     safe_log1mexp,
-    split_known_unknown_sums,
 )
 from repro.exceptions import ConfigurationError
 
@@ -239,23 +237,6 @@ class TestRowObjectiveAndGradient:
 
 
 class TestHelpers:
-    def test_positive_affinities_alignment(self, tiny_problem):
-        matrix, user_factors, item_factors = tiny_problem
-        affinities = positive_affinities(matrix, user_factors, item_factors)
-        coo = matrix.tocoo()
-        for value, user, item in zip(affinities, coo.row, coo.col):
-            assert value == pytest.approx(float(user_factors[user] @ item_factors[item]))
-
-    def test_split_known_unknown_sums(self, tiny_problem):
-        matrix, user_factors, item_factors = tiny_problem
-        positive_sums, unknown_sums = split_known_unknown_sums(matrix, item_factors)
-        dense = matrix.toarray()
-        for user in range(dense.shape[0]):
-            expected_pos = item_factors[dense[user] > 0].sum(axis=0)
-            expected_unknown = item_factors[dense[user] == 0].sum(axis=0)
-            np.testing.assert_allclose(positive_sums[user], expected_pos)
-            np.testing.assert_allclose(unknown_sums[user], expected_unknown, atol=1e-12)
-
     def test_relative_user_weights_formula(self):
         matrix = sp.csr_matrix(np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=float))
         weights = relative_user_weights(matrix)

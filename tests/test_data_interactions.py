@@ -272,3 +272,19 @@ class TestStoredValues:
         matrix = InteractionMatrix(csr)
         assert not np.shares_memory(matrix.csr().data, csr.data)
         np.testing.assert_array_equal(csr.data, [2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[np.nan, 0.0, 1.0]],
+            [[np.nan, -1.0, 1.0]],
+            [[np.inf, 0.0, 1.0]],
+            [[-np.inf, 0.0, 1.0]],
+        ],
+    )
+    def test_non_finite_values_rejected(self, rows):
+        # NaN compares false against zero, so a bare ``min() < 0`` check
+        # lets it through, and the binarisation would then store it (and
+        # any negative beside it) as a positive.
+        with pytest.raises(DataError, match="non-finite"):
+            InteractionMatrix(sp.csr_matrix(np.array(rows)))

@@ -28,7 +28,6 @@ from repro.parallel import (
     ThreadExecutor,
     attach_shared_array,
     available_executors,
-    register_executor,
     resolve_executor,
 )
 from repro.parallel import scheduler as scheduler_module
@@ -196,12 +195,6 @@ class TestExecutorRegistry:
         )
         assert "inline-test" in available_executors()
         assert isinstance(resolve_executor("inline-test"), SerialExecutor)
-
-    def test_register_validates_inputs(self):
-        with pytest.raises(ConfigurationError):
-            register_executor("", lambda max_workers: SerialExecutor())
-        with pytest.raises(ConfigurationError):
-            register_executor("bad", None)
 
 
 class TestShardScheduler:

@@ -6,6 +6,7 @@ say so — instead of every CHANGES.md entry re-counting them by hand."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -16,7 +17,12 @@ from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
 from repro.parallel.cluster import ClusterExecutor
-from repro.runtime import BatchingFrontEnd, RecommenderRuntime, ServingGateway
+from repro.runtime import (
+    BatchingFrontEnd,
+    RecommendResponse,
+    RecommenderRuntime,
+    ServingGateway,
+)
 from repro.serving import ScoreBufferPool, TopNEngine, fold_in
 
 SRC = Path(repro.runtime.__file__).resolve().parents[2]
@@ -74,12 +80,30 @@ def test_method_arguments():
         "factors", "train_matrix", "chunk_size", "dtype", "pipeline",
     )
     assert _parameters(TopNEngine.topn) == ("users", "n_items", "exclude_seen", "with_scores")
-    assert _parameters(TopNEngine.recommend_batch) == (
-        "users", "n_items", "exclude_seen", "return_scores",
+    assert _parameters(TopNEngine.rank_scored) == (
+        "scores", "n_items", "seen", "with_scores", "writable",
     )
     assert _parameters(TopNEngine.effective_chunk_size) == ()
     assert _parameters(RecommenderRuntime.refit) == ("matrix", "callback", "mode")
     assert _parameters(RecommenderRuntime.worker_pids) == ()
+
+
+def test_one_ranking_shape():
+    # A served ranking is one TopNResult that carries its own scores: the
+    # engine has one ranking entry point per input (users, or score rows),
+    # and a response holds no second, parallel score list.
+    assert sorted(
+        name
+        for name, member in inspect.getmembers(TopNEngine)
+        if not name.startswith("_") and callable(member)
+    ) == [
+        "effective_chunk_size", "from_factors", "from_model", "rank_scored",
+        "score_chunk", "topn",
+    ]
+    assert [field.name for field in dataclasses.fields(RecommendResponse)] == [
+        "rankings", "generation", "queue_ms", "serve_ms", "batch_id",
+        "batch_requests", "batch_users",
+    ]
 
 
 def test_training_arguments():

@@ -425,7 +425,7 @@ class TestGenerationLifecycle:
         # retired segments by name — or is refused with the typed error, and
         # the segments are gone once the last call has drained.
         _model_ref, engine = fitted_reference
-        want = engine.recommend_batch([0, 1, 2], n_items=3)
+        want = engine.topn([0, 1, 2], n_items=3)
         request = RecommendRequest(users=(0, 1, 2), n_items=3)
         served: list = []
         failures: list = []
@@ -510,7 +510,7 @@ class TestServingParity:
     ):
         model, engine = fitted_reference
         users = list(range(corpus.n_users))
-        reference = engine.recommend_batch(users, n_items=7)
+        reference = engine.topn(users, n_items=7)
         shard_size = -(-len(users) // n_shards)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
@@ -575,7 +575,7 @@ class TestServingParity:
     def test_thread_runtime_serves_locally(self, corpus, fitted_reference):
         _model_ref, engine = fitted_reference
         users = list(range(40))
-        reference = engine.recommend_batch(users, n_items=5)
+        reference = engine.topn(users, n_items=5)
         with RecommenderRuntime(executor="thread", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
@@ -635,7 +635,7 @@ class TestServingParity:
     def test_float32_model_serves_through_descriptors(self, corpus):
         model32 = _model(dtype="float32").fit(corpus)
         engine32 = TopNEngine.from_model(model32)
-        reference = engine32.recommend_batch(range(60), n_items=5)
+        reference = engine32.topn(range(60), n_items=5)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(dtype="float32"), corpus)
             runtime.publish()
@@ -683,10 +683,8 @@ class TestOneShardDispatch:
                 )
                 one = serve(request, None, "local", 1)
                 fanned = serve(request, 16, fanned_path, 3)
-                want = engine.recommend_batch(
-                    users, n_items=5, return_scores=with_scores
-                )
-                want_rankings, want_scores = want if with_scores else (want, None)
+                want_rankings = engine.topn(users, n_items=5, with_scores=with_scores)
+                want_scores = want_rankings.score_rows() if with_scores else None
                 for response in (one, fanned):
                     assert _rows_equal(response.rankings, want_rankings)
                     if with_scores:
@@ -710,7 +708,7 @@ class TestOneShardDispatch:
                 n_new_users=2,
             )
             request = RecommendRequest(users=[first + 1, 0, first, 5], n_items=4)
-            known = engine.recommend_batch([0, 5], n_items=4)
+            known = engine.topn([0, 5], n_items=4)
             folded = recommend_folded(engine, fresh_rows, model=model, n_items=4)
             want = [folded[1], known[0], folded[0], known[1]]
             for shard_size in (None, 1):
@@ -761,7 +759,7 @@ class TestOneShardDispatch:
             pinned = session.recommend(request)
             assert runtime.last_serving_stats.path == "local"
             assert pinned.generation == old_generation
-            assert _rows_equal(pinned.rankings, engine.recommend_batch([3, 1, 4], n_items=5))
+            assert _rows_equal(pinned.rankings, engine.topn([3, 1, 4], n_items=5))
             assert not _rows_equal(pinned.rankings, new.rankings)
             assert _rows_equal(session.recommend(cold).rankings, old_cold)
             # In-process serving never attached the retired segments, but the
@@ -773,7 +771,7 @@ class TestOneShardDispatch:
 
     def test_concurrent_one_user_requests_match_reference(self, corpus, fitted_reference):
         _model_ref, engine = fitted_reference
-        reference = engine.recommend_batch(range(corpus.n_users), n_items=5)
+        reference = engine.topn(range(corpus.n_users), n_items=5)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()

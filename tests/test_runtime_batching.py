@@ -177,9 +177,7 @@ class TestBatchedCorrectness:
             )
             ra = fa.result(timeout=RESULT_TIMEOUT)
             rb = fb.result(timeout=RESULT_TIMEOUT)
-        _ranked, expected = runtime.engine.recommend_batch(
-            [0, 1, 2], n_items=5, return_scores=True
-        )
+        expected = runtime.engine.topn([0, 1, 2], n_items=5, with_scores=True).score_rows()
         assert len(ra.scores) == 2 and len(rb.scores) == 1
         assert np.allclose(ra.scores[0], expected[0])
         assert np.allclose(ra.scores[1], expected[1])

@@ -92,7 +92,7 @@ class TestWireProtocol:
     def test_topn_parity_with_engine(self, runtime, client):
         request = RecommendRequest(users=(0, 3, 7, 7), n_items=6)
         response = client.recommend(request)
-        expected = runtime.engine.recommend_batch([0, 3, 7, 7], n_items=6)
+        expected = runtime.engine.topn([0, 3, 7, 7], n_items=6)
         assert len(response.rankings) == 4
         assert all(np.array_equal(a, b) for a, b in zip(response.rankings, expected))
         assert response.generation == runtime.generation
@@ -109,9 +109,7 @@ class TestWireProtocol:
     def test_scores_travel_the_wire(self, runtime, client):
         request = RecommendRequest(users=(2, 5), n_items=4, with_scores=True)
         response = client.recommend(request)
-        _ranked, scores = runtime.engine.recommend_batch(
-            [2, 5], n_items=4, return_scores=True
-        )
+        scores = runtime.engine.topn([2, 5], n_items=4, with_scores=True).score_rows()
         assert all(np.allclose(a, b) for a, b in zip(response.scores, scores))
 
     def test_empty_request_serves_empty(self, client):
@@ -129,7 +127,7 @@ class TestWireProtocol:
     def test_frames_of_one_batch_are_each_answered_with_their_own_id(self, runtime):
         # The size cap seals all eight frames into one batch, whose responses
         # cross to the event loop together; each must reach its own frame.
-        expected = runtime.engine.recommend_batch(list(range(8)), n_items=4)
+        expected = runtime.engine.topn(list(range(8)), n_items=4)
         with BatchingFrontEnd(runtime, max_delay_ms=30_000, max_batch_users=8) as front:
             with GatewayThread(front) as gw:
                 with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
@@ -160,7 +158,7 @@ class TestWireProtocol:
 
     def test_concurrent_connections_all_served(self, runtime, gateway):
         host, port = gateway.address
-        expected = runtime.engine.recommend_batch(list(range(20)), n_items=4)
+        expected = runtime.engine.topn(list(range(20)), n_items=4)
         failures = []
 
         def one_client(user: int) -> None:
@@ -227,7 +225,7 @@ class TestFailureModes:
                     # Resynchronised at the newline: the same socket serves on,
                     # and a frame just under the limit is still a frame.
                     response = c.recommend(RecommendRequest(users=(1, 2), n_items=3))
-                    expected = runtime.engine.recommend_batch([1, 2], n_items=3)
+                    expected = runtime.engine.topn([1, 2], n_items=3)
                     assert all(
                         np.array_equal(a, b) for a, b in zip(response.rankings, expected)
                     )
@@ -381,7 +379,7 @@ class TestFailureModes:
     def test_bad_frame_fails_alone_in_a_batch_shared_by_two_tenants(self, runtime):
         # The size cap seals one batch out of two connections' frames; the
         # frame with a user past the corpus must not answer for the others.
-        expected = runtime.engine.recommend_batch([3, 4], n_items=4)
+        expected = runtime.engine.topn([3, 4], n_items=4)
         with BatchingFrontEnd(runtime, max_delay_ms=30_000, max_batch_users=3) as front:
             with GatewayThread(front) as gw:
                 with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as acme:
@@ -430,7 +428,7 @@ class TestFailureModes:
                     response = survivor.recommend(
                         RecommendRequest(users=(4, 5, 6), n_items=3)
                     )
-                    expected = runtime.engine.recommend_batch([4, 5, 6], n_items=3)
+                    expected = runtime.engine.topn([4, 5, 6], n_items=3)
                     assert all(
                         np.array_equal(a, b) for a, b in zip(response.rankings, expected)
                     )
@@ -516,7 +514,7 @@ class TestGenerationPinning:
                         generations = {response.generation for response in collected}
                         assert generations == set(engines)
                         for response in collected:
-                            expected = engines[response.generation].recommend_batch(
+                            expected = engines[response.generation].topn(
                                 list(users), n_items=5
                             )
                             assert all(
@@ -635,9 +633,8 @@ class TestLoneFrameOnTheLoop:
         assert threads_of == ["serving-gateway"]
         assert response.queue_ms == 0 and response.batch_requests == 1
         assert response.generation == runtime.generation
-        rankings, scores = runtime.engine.recommend_batch(
-            [0, 3, 7, 7], n_items=6, return_scores=True
-        )
+        rankings = runtime.engine.topn([0, 3, 7, 7], n_items=6, with_scores=True)
+        scores = rankings.score_rows()
         assert all(np.array_equal(a, b) for a, b in zip(response.rankings, rankings))
         assert all(np.array_equal(a, b) for a, b in zip(response.scores, scores))
 
@@ -674,7 +671,7 @@ class TestLoneFrameOnTheLoop:
         # The first batch is held in the runtime until every frame is inside
         # the batcher, so the other seven must seal together behind it.
         names, release = held
-        expected = runtime.engine.recommend_batch(list(range(8)), n_items=4)
+        expected = runtime.engine.topn(list(range(8)), n_items=4)
         with BatchingFrontEnd(runtime, max_delay_ms=0) as front:
             with GatewayThread(front) as gw:
                 with GatewayClient(*gw.address, timeout=RESULT_TIMEOUT) as c:
@@ -715,7 +712,7 @@ class TestLoneFrameOnTheLoop:
             response = c.recommend(RecommendRequest(users=users, n_items=3))
             assert _served_on_loop(c) == 0
         assert threads_of == ["batching-dispatcher"]
-        expected = runtime.engine.recommend_batch(users, n_items=3)
+        expected = runtime.engine.topn(users, n_items=3)
         assert all(np.array_equal(a, b) for a, b in zip(response.rankings, expected))
 
     def test_error_codes_match_the_batched_path(self, runtime):

@@ -84,7 +84,7 @@ class _GenerationLedger:
 
     def expect_topn(self, generation: int, users, n_items: int):
         engine, _solver = self._snapshots[generation]
-        return engine.recommend_batch(users, n_items=n_items)
+        return engine.topn(users, n_items=n_items)
 
     def expect_folded(self, generation: int, interactions, n_items: int, n_sweeps: int):
         engine, solver = self._snapshots[generation]
@@ -275,8 +275,8 @@ class TestRuntimeSessionsUnderChurn:
             session_b = runtime.serving_session()
 
             users = list(range(40))
-            want_a = engine_a.recommend_batch(users, n_items=5)
-            want_b = engine_b.recommend_batch(users, n_items=5)
+            want_a = engine_a.topn(users, n_items=5)
+            want_b = engine_b.topn(users, n_items=5)
             for _round in range(3):  # alternate: A, B, A, B, ...
                 request = RecommendRequest(users=users, n_items=5)
                 got_a = session_a.recommend(request, shard_size=10).rankings

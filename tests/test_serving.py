@@ -46,7 +46,7 @@ class TestTopNEngineParity:
         model = fitted_movielens_model
         engine = TopNEngine.from_model(model, chunk_size=chunk_size)
         users = list(range(model.train_matrix.n_users))
-        batch = engine.recommend_batch(users, n_items=n_items, exclude_seen=True)
+        batch = engine.topn(users, n_items=n_items, exclude_seen=True)
         assert len(batch) == len(users)
         for user, ranked in zip(users, batch):
             reference = model.recommend(user, n_items=n_items, exclude_seen=True)
@@ -56,7 +56,7 @@ class TestTopNEngineParity:
         model = fitted_movielens_model
         engine = TopNEngine.from_model(model)
         users = list(range(model.train_matrix.n_users))
-        for user, ranked in zip(users, engine.recommend_batch(users, n_items=50)):
+        for user, ranked in zip(users, engine.topn(users, n_items=50)):
             seen = set(model.train_matrix.items_of_user(user).tolist())
             assert not seen.intersection(ranked.tolist())
 
@@ -64,7 +64,7 @@ class TestTopNEngineParity:
         model = fitted_movielens_model
         engine = TopNEngine.from_model(model)
         users = [0, 3, 11]
-        batch = engine.recommend_batch(users, n_items=10, exclude_seen=False)
+        batch = engine.topn(users, n_items=10, exclude_seen=False)
         for user, ranked in zip(users, batch):
             reference = model.recommend(user, n_items=10, exclude_seen=False)
             np.testing.assert_array_equal(ranked, reference)
@@ -75,7 +75,7 @@ class TestTopNEngineParity:
         engine = TopNEngine.from_model(model)
         assert engine.factors is None  # no FactorModel -> score_users path
         users = list(range(0, split.train.n_users, 3))
-        batch = engine.recommend_batch(users, n_items=20)
+        batch = engine.topn(users, n_items=20)
         for user, ranked in zip(users, batch):
             reference = model.recommend(user, n_items=20, exclude_seen=True)
             np.testing.assert_array_equal(ranked, reference)
@@ -91,7 +91,7 @@ class TestTopNEngineParity:
         engine = TopNEngine.from_model(model)
         assert engine.factors is model.serving_factors_
         users = list(range(split.train.n_users))
-        for user, ranked in zip(users, engine.recommend_batch(users, n_items=10)):
+        for user, ranked in zip(users, engine.topn(users, n_items=10)):
             np.testing.assert_array_equal(ranked, model.recommend(user, n_items=10))
         # And the vectorised score_users path agrees with score_user too
         # (it was bias-free before the serving_factors_ refactor).
@@ -102,7 +102,7 @@ class TestTopNEngineParity:
         users = [5, 2, 9]
         via_base = model.recommend_many(users, n_items=8)
         engine = TopNEngine.from_model(model)
-        via_engine = engine.recommend_many(users, n_items=8)
+        via_engine = dict(zip(users, engine.topn(users, n_items=8)))
         assert set(via_base) == set(via_engine)
         for user in users:
             np.testing.assert_array_equal(via_base[user], via_engine[user])
@@ -112,18 +112,18 @@ class TestTopNEngineParity:
         # number of unknowns must return a short list, never padded.
         engine = TopNEngine.from_model(fitted_toy_model)
         matrix = fitted_toy_model.train_matrix
-        for user, ranked in enumerate(engine.recommend_batch(range(matrix.n_users), n_items=12)):
+        for user, ranked in enumerate(engine.topn(range(matrix.n_users), n_items=12)):
             n_unknown = matrix.n_items - len(matrix.items_of_user(user))
             assert len(ranked) == min(12, n_unknown)
 
     def test_empty_user_list(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model)
-        assert engine.recommend_batch([], n_items=5) == []
+        assert engine.topn([], n_items=5) == []
 
     def test_out_of_range_user_rejected(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model)
         with pytest.raises(ConfigurationError):
-            engine.recommend_batch([10_000], n_items=5)
+            engine.topn([10_000], n_items=5)
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(NotFittedError):
@@ -227,6 +227,31 @@ class TestFoldIn:
         assert csr[1].indices.tolist() == [2]
         np.testing.assert_array_equal(csr.data, [1.0, 1.0])
         np.testing.assert_array_equal(matrix.data, [0.0, 3.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1.0, 0.0, 1.0]], [[np.nan, 0.0, 1.0]], [[np.nan, -1.0, 1.0]], [[np.inf, 0.0, 1.0]]],
+    )
+    def test_signed_or_non_finite_values_rejected_like_the_matrix(self, rows):
+        # A dislike or a NaN is not a purchase: fold-in input goes through
+        # the same normalisation step as the training matrix and is refused
+        # with the same error.
+        matrix = sp.csr_matrix(np.array(rows))
+        with pytest.raises(DataError) as from_matrix:
+            InteractionMatrix(matrix)
+        with pytest.raises(DataError) as from_fold_in:
+            fold_in._interactions_to_csr(matrix, 3)
+        assert str(from_fold_in.value) == str(from_matrix.value)
+
+    def test_fold_in_factors_rejects_non_binary_values(self, fitted_movielens_model):
+        # The sweeps count each stored entry once in the positive term but
+        # read its value in the unknown sums, so counts would make them
+        # optimise no single objective; the trainer refuses them too.
+        model = fitted_movielens_model
+        counts = sp.csr_matrix(model.train_matrix.csr()[:2], dtype=np.float64, copy=True)
+        counts.data[0] = 2.0
+        with pytest.raises(ConfigurationError, match="binary"):
+            fold_in_factors(model.factors_.item_factors, counts, model.regularization)
 
     def test_stored_zero_item_is_neither_folded_nor_masked(self, fitted_movielens_model):
         model = fitted_movielens_model
@@ -434,7 +459,7 @@ class TestServeSharded:
         engine = TopNEngine.from_model(fitted_movielens_model)
         users = [9, 1, 44, 1]  # unsorted, with a duplicate
         result = serve_sharded(engine, users, n_items=7, executor=SerialExecutor(), shard_size=2)
-        direct = engine.recommend_batch(users, n_items=7)
+        direct = engine.topn(users, n_items=7)
         assert result.n_shards == 2
         for reference, ranked in zip(direct, result.rankings):
             np.testing.assert_array_equal(reference, ranked)
@@ -465,8 +490,8 @@ class TestServeSharded:
         engine = TopNEngine.from_model(fitted_movielens_model)
         clone = pickle.loads(pickle.dumps(engine))
         np.testing.assert_array_equal(
-            clone.recommend_batch([3], n_items=5)[0],
-            engine.recommend_batch([3], n_items=5)[0],
+            clone.topn([3], n_items=5)[0],
+            engine.topn([3], n_items=5)[0],
         )
 
 
@@ -523,12 +548,12 @@ class TestWorkerCache:
             assert serving_shared.attach_engine(spec_a) is worker_a
             assert serving_shared.attach_engine(spec_b) is worker_b
             np.testing.assert_array_equal(
-                worker_a.recommend_batch([3], n_items=5)[0],
-                engine_a.recommend_batch([3], n_items=5)[0],
+                worker_a.topn([3], n_items=5)[0],
+                engine_a.topn([3], n_items=5)[0],
             )
             np.testing.assert_array_equal(
-                worker_b.recommend_batch([3], n_items=5)[0],
-                engine_b.recommend_batch([3], n_items=5)[0],
+                worker_b.topn([3], n_items=5)[0],
+                engine_b.topn([3], n_items=5)[0],
             )
             for name in spec_a.segment_names() + spec_b.segment_names():
                 assert name in worker_cache._ATTACHMENTS
@@ -610,8 +635,8 @@ class TestWorkerCache:
             assert serving_shared.attach_engine(spec_a) is worker_a
             users = list(range(20))
             np.testing.assert_array_equal(
-                worker_a.recommend_batch(users, n_items=5).items,
-                engine_a.recommend_batch(users, n_items=5).items,
+                worker_a.topn(users, n_items=5).items,
+                engine_a.topn(users, n_items=5).items,
             )
             for array in side_spec.array_specs():
                 assert array.shm_name in worker_cache._ATTACHMENTS
@@ -859,6 +884,17 @@ class TestExtendFactors:
         np.testing.assert_array_equal(
             extended.item_factors, model.factors_.item_factors
         )
+
+    def test_count_matrix_extends_like_its_binarisation(self, grown_pair):
+        # Raw counts are normalised like InteractionMatrix input, so new
+        # items and new users are folded against the same binary rows.
+        model, grown = grown_pair
+        counts = sp.csr_matrix(grown.csr(), dtype=np.float64, copy=True)
+        counts.data[:] = 1.0 + np.arange(counts.nnz) % 3
+        from_counts = extend_factors(model, counts)
+        from_matrix = extend_factors(model, InteractionMatrix(counts))
+        assert np.array_equal(from_counts.user_factors, from_matrix.user_factors)
+        assert np.array_equal(from_counts.item_factors, from_matrix.item_factors)
 
     def test_smaller_matrix_rejected(self, fitted_movielens_model):
         model = fitted_movielens_model

@@ -67,7 +67,7 @@ class TestTopNResult:
         assert result.width == 3
         assert list(result.lengths) == [3, 2, 0]
         assert result == rows
-        assert result.as_lists()[0].tolist() == [3, 1, 4]
+        assert result[0].tolist() == [3, 1, 4]
         # Padding positions hold the sentinel.
         assert result.items[1, 2] == -1
 
@@ -258,9 +258,9 @@ class TestChunkAutotune:
 # Engine hot path: flat results, empty contract, zero allocation, pipeline
 # --------------------------------------------------------------------------- #
 class TestEngineHotPath:
-    def test_recommend_batch_returns_flat_result(self, fitted_movielens_model):
+    def test_topn_returns_flat_result(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model)
-        result = engine.recommend_batch(range(20), n_items=7)
+        result = engine.topn(range(20), n_items=7)
         assert isinstance(result, TopNResult)
         assert result.items.dtype == np.int32
         for user, ranked in zip(range(20), result):
@@ -269,18 +269,18 @@ class TestEngineHotPath:
 
     def test_empty_input_contract_unified(self, fitted_movielens_model):
         engine = TopNEngine.from_model(fitted_movielens_model)
-        bare = engine.recommend_batch([], n_items=5)
+        bare = engine.topn([], n_items=5)
         assert isinstance(bare, TopNResult) and bare == []
-        scored, scores = engine.recommend_batch([], n_items=5, return_scores=True)
+        scored = engine.topn([], n_items=5, with_scores=True)
         assert isinstance(scored, TopNResult) and scored == []
-        assert scores == []
+        assert scored.score_rows() == []
 
-    def test_return_scores_alignment(self, fitted_movielens_model):
+    def test_with_scores_alignment(self, fitted_movielens_model):
         model = fitted_movielens_model
         engine = TopNEngine.from_model(model)
         users = [0, 5, 17]
-        result, scores = engine.recommend_batch(users, n_items=9, return_scores=True)
-        for user, ranked, row_scores in zip(users, result, scores):
+        result = engine.topn(users, n_items=9, with_scores=True)
+        for user, ranked, row_scores in zip(users, result, result.score_rows()):
             full = model.score_users([user])[0]
             np.testing.assert_allclose(row_scores, full[ranked], rtol=1e-12)
             assert np.all(np.diff(row_scores) <= 0)
@@ -369,8 +369,9 @@ class TestEngineHotPath:
         engine = TopNEngine.from_model(fitted_movielens_model)
         empty = np.zeros((0, engine.n_items))
         assert engine.rank_scored(empty, n_items=4) == []
-        result, scores = engine.rank_scored(empty, n_items=4, return_scores=True)
-        assert result == [] and scores == []
+        result = engine.rank_scored(empty, n_items=4, with_scores=True)
+        assert isinstance(result, TopNResult) and result == []
+        assert result.scores.shape == (0, 4)
 
     def test_invalid_serving_dtype_rejected(self, fitted_movielens_model):
         with pytest.raises(ConfigurationError):
@@ -400,8 +401,8 @@ class TestFloat32Parity:
         assert f32.factors.dtype == np.dtype(np.float64)
         assert f32.serving_user_factors.dtype == np.dtype(np.float32)
         users = list(range(fitted_movielens_model.train_matrix.n_users))
-        a = f64.recommend_batch(users, n_items=20, exclude_seen=exclude_seen)
-        b = f32.recommend_batch(users, n_items=20, exclude_seen=exclude_seen)
+        a = f64.topn(users, n_items=20, exclude_seen=exclude_seen)
+        b = f32.topn(users, n_items=20, exclude_seen=exclude_seen)
         assert _ranking_overlap(a, b) >= self.OVERLAP_FLOOR
 
     def test_float32_native_factors_are_bit_exact_default(self, float32_model):
@@ -448,7 +449,7 @@ class TestShardedFlatResults:
         users = list(range(30))
         outcome = serve_sharded(engine, users, n_items=8, shard_size=7)
         assert isinstance(outcome.rankings, TopNResult)
-        reference = engine.recommend_batch(users, n_items=8)
+        reference = engine.topn(users, n_items=8)
         assert outcome.rankings == reference
 
     def test_scatter_results_slices_flat_blocks(self):
