@@ -59,7 +59,7 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
 
     def lifecycle():
         # One advancing RNG stream for base fit and cold refit (the
-        # documented Generator contract of initialize_factors); the warm
+        # documented Generator contract of random_init); the warm
         # refit seeds from factors and draws nothing.
         model = OCuLaR(
             n_coclusters=params["n_coclusters"],

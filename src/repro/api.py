@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.serving.results import TopNResult
-from repro.utils.validation import check_non_negative_float
+from repro.utils.validation import as_int_tuple, check_non_negative_float
 
 #: Default tenant for requests that do not name one.  Tenancy only matters
 #: under gateway backpressure, where the weighted fair queue arbitrates
@@ -65,25 +65,6 @@ _REQUEST_FIELDS = (
     "tolerance",
     "tenant",
 )
-
-
-def _as_int_tuple(values, name: str) -> Tuple[int, ...]:
-    # A string would iterate as its characters: "17" is not users (1, 7).
-    if isinstance(values, (str, bytes)):
-        raise ConfigurationError(f"{name} must be a sequence of integers, got a string")
-    try:
-        values = tuple(values)
-        ints = tuple(map(int, values))  # inf overflows, NaN is a ValueError
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ConfigurationError(f"{name} must be a sequence of integers") from error
-    # Tuples that compare equal hold whole numbers only; in the others "2"
-    # may stand for 2, but 1.7 not for 1.
-    if ints != values and any(
-        isinstance(value, (float, np.floating)) and value != number
-        for value, number in zip(values, ints)
-    ):
-        raise ConfigurationError(f"{name} must be a sequence of integers")
-    return ints
 
 
 @dataclass(frozen=True)
@@ -129,11 +110,11 @@ class RecommendRequest:
                 "top-N) or interactions= (cold-start fold-in)"
             )
         if self.users is not None:
-            object.__setattr__(self, "users", _as_int_tuple(self.users, "users"))
+            object.__setattr__(self, "users", as_int_tuple(self.users, "users"))
         else:
             try:
                 rows = tuple(
-                    _as_int_tuple(row, "interactions") for row in self.interactions
+                    as_int_tuple(row, "interactions") for row in self.interactions
                 )
             except TypeError as error:
                 raise ConfigurationError(
@@ -240,6 +221,17 @@ class RecommendRequest:
         return cls.from_dict(payload)
 
 
+#: A response's integer fields with their defaults, and its float fields
+#: (default 0.0), in decoding order.
+_RESPONSE_INTS = (
+    ("generation", 0),
+    ("batch_id", 0),
+    ("batch_requests", 1),
+    ("batch_users", 0),
+)
+_RESPONSE_FLOATS = ("queue_ms", "serve_ms")
+
+
 @dataclass(frozen=True)
 class RecommendResponse:
     """What every serving path returns for one :class:`RecommendRequest`.
@@ -315,24 +307,33 @@ class RecommendResponse:
         """Lenient inverse of :meth:`to_dict`.
 
         Unknown keys are ignored so a response embedded in a larger frame
-        (the gateway adds ``id`` and ``ok``) decodes directly.  Score rows
-        must match the ranking rows one for one, entry for entry.
+        (the gateway adds ``id`` and ``ok``) decodes directly.  Everything
+        else is checked: ranking ids and the integer fields follow the
+        request codec's integer rule, ids must fit the int32 ranking block,
+        and score rows must match the ranking rows one for one, entry for
+        entry.  A frame that breaks any of it is a
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError("a response frame must be a JSON object")
-        rows = [np.asarray(row, dtype=np.int64) for row in payload.get("rankings", [])]
         try:
+            rows = [as_int_tuple(row, "rankings") for row in payload.get("rankings", [])]
             rankings = TopNResult.from_rows(rows, scores=payload.get("scores"))
-        except ValueError as error:
+            generation, batch_id, batch_requests, batch_users = as_int_tuple(
+                [payload.get(name, default) for name, default in _RESPONSE_INTS],
+                "generation and batch counters",
+            )
+            queue_ms, serve_ms = (float(payload.get(name, 0.0)) for name in _RESPONSE_FLOATS)
+        except (ConfigurationError, TypeError, ValueError) as error:
             raise ConfigurationError(f"malformed response frame: {error}") from error
         return cls(
             rankings=rankings,
-            generation=int(payload.get("generation", 0)),
-            queue_ms=float(payload.get("queue_ms", 0.0)),
-            serve_ms=float(payload.get("serve_ms", 0.0)),
-            batch_id=int(payload.get("batch_id", 0)),
-            batch_requests=int(payload.get("batch_requests", 1)),
-            batch_users=int(payload.get("batch_users", 0)),
+            generation=generation,
+            queue_ms=queue_ms,
+            serve_ms=serve_ms,
+            batch_id=batch_id,
+            batch_requests=batch_requests,
+            batch_users=batch_users,
         )
 
     @classmethod

@@ -63,11 +63,12 @@ class BiasedOCuLaR(OCuLaR):
         they exist; rows beyond them (new users/items) start at the same
         small constant a cold fit uses."""
         csr = matrix.csr()
-        n_users, n_items = csr.shape
         k = self.n_coclusters
         user_factors, item_factors = self._initial_factors(csr, initial_factors)
         warm = initial_factors is not None
-        # Augment: user side gets [b_u, 1], item side gets [1, b_i].
+        # Augment: user side gets [b_u, 1], item side gets [1, b_i], sized by
+        # the start so the trainer is what rejects a start of the wrong shape.
+        n_users, n_items = len(user_factors), len(item_factors)
         user_aug = np.hstack(
             [
                 user_factors,
@@ -85,7 +86,6 @@ class BiasedOCuLaR(OCuLaR):
         user_aug, item_aug, history = self._train(
             csr,
             (user_aug, item_aug),
-            warm_started=warm,
             backend=backend,
             callback=callback,
             plateau_tolerance=plateau_tolerance,
@@ -95,6 +95,7 @@ class BiasedOCuLaR(OCuLaR):
         self.item_biases_ = item_aug[:, k + 1].copy()
         self.factors_ = FactorModel(user_aug[:, :k].copy(), item_aug[:, :k].copy())
         self._augmented_factors = FactorModel(user_aug, item_aug)
+        history.warm_started = warm
         self.history_ = history
         self._set_train_matrix(matrix)
         self._warn_if_exhausted(history)

@@ -188,9 +188,11 @@ def explain_recommendation(
         else float(membership_threshold)
     )
 
+    # Evidence from the co-cluster factors alone; the confidence is the
+    # model's own probability, bias terms included (BiasedOCuLaR).
     contributions = factors.cocluster_contributions(user, item)
     total = float(contributions.sum())
-    confidence = float(1.0 - np.exp(-total))
+    confidence = float(model.predict_proba(user, item))
 
     user_items = set(int(index) for index in matrix.items_of_user(user))
     item_users = set(int(index) for index in matrix.users_of_item(item))

@@ -1,12 +1,13 @@
-"""Factor initialisation strategies.
+"""The one factor initialisation a cold fit starts from.
 
-The block-coordinate scheme needs feasible (non-negative) starting factors.
-The default draws uniform values scaled so the expected affinity
-``<f_u, f_i>`` roughly matches the empirical density of the matrix, which
-keeps the first sweeps well-conditioned across corpora of very different
-sparsity.  A degree-based variant seeds users and items proportionally to
-their activity, which often accelerates the first iterations on heavy-tailed
-data.
+The block-coordinate scheme needs a feasible (non-negative) pair of
+starting factors.  A cold fit draws them here: uniform values scaled so the
+expected affinity ``<f_u, f_i>`` roughly matches the empirical density of
+the matrix, which keeps the first sweeps well-conditioned across corpora of
+very different sparsity.  A warm fit brings its own pair instead.  Either
+way the start reaches :meth:`BlockCoordinateTrainer.train
+<repro.core.optimizer.BlockCoordinateTrainer.train>` as its two positional
+factor arrays, and the trainer alone checks it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def _target_affinity(matrix: sp.csr_matrix) -> float:
 def random_init(
     matrix: sp.csr_matrix,
     n_coclusters: int,
-    scale: float = 1.0,
     random_state: RandomStateLike = None,
     dtype=np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -43,75 +43,10 @@ def random_init(
 
     Entries are drawn from ``U(0, 2m)`` where ``m`` is chosen so that the
     expected inner product of a random user/item pair equals the affinity
-    matching the matrix density, then multiplied by ``scale``.  The factors
-    are returned in ``dtype`` (float64 default, float32 supported); the draw
-    itself always happens in float64 so the float32 initialisation is the
-    rounded float64 one, not a different random stream.
-    """
-    if n_coclusters <= 0:
-        raise ConfigurationError(f"n_coclusters must be positive, got {n_coclusters}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
-    dtype = check_float_dtype(dtype, "dtype")
-    rng = ensure_rng(random_state)
-    n_users, n_items = matrix.shape
-    target = _target_affinity(matrix)
-    # E[<f_u, f_i>] = K * E[f]^2 = K * m^2 for entries ~ U(0, 2m).
-    mean_entry = np.sqrt(target / n_coclusters)
-    high = 2.0 * mean_entry * scale
-    user_factors = rng.uniform(0.0, high, size=(n_users, n_coclusters))
-    item_factors = rng.uniform(0.0, high, size=(n_items, n_coclusters))
-    return (
-        user_factors.astype(dtype, copy=False),
-        item_factors.astype(dtype, copy=False),
-    )
-
-
-def degree_scaled_init(
-    matrix: sp.csr_matrix,
-    n_coclusters: int,
-    scale: float = 1.0,
-    random_state: RandomStateLike = None,
-    dtype=np.float64,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Random factors whose magnitude grows with user/item activity.
-
-    Heavy users and popular items start with larger affiliations, mirroring
-    the fact that under the generative model their expected factor norms are
-    larger.  Falls back to :func:`random_init` magnitudes for empty rows.
-    """
-    dtype = check_float_dtype(dtype, "dtype")
-    user_factors, item_factors = random_init(
-        matrix, n_coclusters, scale=scale, random_state=random_state
-    )
-    user_degrees = np.asarray(matrix.sum(axis=1)).ravel()
-    item_degrees = np.asarray(matrix.sum(axis=0)).ravel()
-    user_scale = np.sqrt((user_degrees + 1.0) / (user_degrees.mean() + 1.0))
-    item_scale = np.sqrt((item_degrees + 1.0) / (item_degrees.mean() + 1.0))
-    return (
-        (user_factors * user_scale[:, np.newaxis]).astype(dtype, copy=False),
-        (item_factors * item_scale[:, np.newaxis]).astype(dtype, copy=False),
-    )
-
-
-_INITIALIZERS = {
-    "random": random_init,
-    "degree": degree_scaled_init,
-}
-
-
-def initialize_factors(
-    matrix: sp.csr_matrix,
-    n_coclusters: int,
-    method: str = "random",
-    scale: float = 1.0,
-    random_state: RandomStateLike = None,
-    dtype=np.float64,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dispatch to a named initialisation strategy (``"random"`` or ``"degree"``).
-
-    ``dtype`` selects the training precision of the returned factors
-    (float64 default, float32 supported).
+    matching the matrix density.  The factors are returned in ``dtype``
+    (float64 default, float32 supported); the draw itself always happens in
+    float64 so the float32 initialisation is the rounded float64 one, not a
+    different random stream.
 
     ``random_state`` accepts an int seed, ``None``, or a pre-seeded
     :class:`numpy.random.Generator`.  A Generator is used **as-is** (not
@@ -120,12 +55,16 @@ def initialize_factors(
     global state.  This is a contract — the incremental-refit experiments
     rely on it — covered by a regression test.
     """
-    try:
-        initializer = _INITIALIZERS[method]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown initialisation method {method!r}; available: {sorted(_INITIALIZERS)}"
-        ) from exc
-    return initializer(
-        matrix, n_coclusters, scale=scale, random_state=random_state, dtype=dtype
+    if n_coclusters <= 0:
+        raise ConfigurationError(f"n_coclusters must be positive, got {n_coclusters}")
+    dtype = check_float_dtype(dtype, "dtype")
+    rng = ensure_rng(random_state)
+    n_users, n_items = matrix.shape
+    # E[<f_u, f_i>] = K * E[f]^2 = K * m^2 for entries ~ U(0, 2m).
+    high = 2.0 * np.sqrt(_target_affinity(matrix) / n_coclusters)
+    user_factors = rng.uniform(0.0, high, size=(n_users, n_coclusters))
+    item_factors = rng.uniform(0.0, high, size=(n_items, n_coclusters))
+    return (
+        user_factors.astype(dtype, copy=False),
+        item_factors.astype(dtype, copy=False),
     )

@@ -35,7 +35,7 @@ _MODEL_CLASSES: dict[str, Type[OCuLaR]] = {
 FORMAT_VERSION = 1
 
 #: Settings older archives record that models no longer take; ignored on load.
-_RETIRED_PARAMS = ("plateau_tolerance", "plateau_patience")
+_RETIRED_PARAMS = ("plateau_tolerance", "plateau_patience", "init", "init_scale")
 
 
 def save_model(model: OCuLaR, path: PathLike) -> Path:

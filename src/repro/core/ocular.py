@@ -31,7 +31,7 @@ from repro.base import Recommender
 from repro.core.backends import Backend
 from repro.core.coclusters import CoCluster, extract_coclusters
 from repro.core.factors import FactorModel
-from repro.core.init import initialize_factors
+from repro.core.init import random_init
 from repro.core.objective import relative_user_weights
 from repro.core.optimizer import BlockCoordinateTrainer, TrainingHistory
 from repro.data.interactions import InteractionMatrix
@@ -67,10 +67,6 @@ class OCuLaR(Recommender):
         Armijo line-search constants in (0, 1) (paper Section IV-D).
     max_backtracks:
         Per-row cap on step-size halvings.
-    init:
-        Factor initialisation strategy, ``"random"`` or ``"degree"``.
-    init_scale:
-        Multiplier applied to the initial factors.
     backend:
         ``"vectorized"`` (default, batched NumPy — the GPU-style kernel),
         ``"reference"`` (per-row loop — the CPU-style transcription), or
@@ -98,8 +94,8 @@ class OCuLaR(Recommender):
         R-OCuLaR weighting of Section V (see :class:`~repro.core.r_ocular.ROCuLaR`).
     random_state:
         Seed or pre-seeded :class:`numpy.random.Generator` controlling the
-        factor initialisation (a Generator is used as-is, so warm and cold
-        paths can share one RNG stream).
+        cold start, :func:`~repro.core.init.random_init` (a Generator is used
+        as-is, so warm and cold paths can share one RNG stream).
 
     Attributes
     ----------
@@ -118,8 +114,6 @@ class OCuLaR(Recommender):
         sigma: float = 0.1,
         beta: float = 0.5,
         max_backtracks: int = 20,
-        init: str = "random",
-        init_scale: float = 1.0,
         backend: Backend | str = "vectorized",
         n_workers: Optional[int] = None,
         executor: Optional[str] = None,
@@ -142,8 +136,6 @@ class OCuLaR(Recommender):
             )
         if n_workers is not None:
             check_positive_int(n_workers, "n_workers")
-        self.init = init
-        self.init_scale = init_scale
         self.backend = backend
         self.n_workers = n_workers
         self.executor = executor
@@ -185,11 +177,13 @@ class OCuLaR(Recommender):
             Optional warm start: a fitted
             :class:`~repro.core.factors.FactorModel` or a
             ``(user_factors, item_factors)`` tuple whose shapes match
-            ``matrix`` and ``n_coclusters``.  The factors are copied (the
-            source model is never mutated), cast to this model's ``dtype``
-            and must be non-negative — previous-generation factors extended
-            via :func:`repro.serving.fold_in.extend_factors` qualify.  When
-            ``None`` (default) the usual random initialisation runs.
+            ``matrix`` and ``n_coclusters``.  The factors are cast to this
+            model's ``dtype`` and must be finite and non-negative; the
+            trainer checks and copies them (the source model is never
+            mutated) — previous-generation factors extended via
+            :func:`repro.serving.fold_in.extend_factors` qualify.  When
+            ``None`` (default) the fit starts from
+            :func:`~repro.core.init.random_init`.
         plateau_tolerance:
             Optional plateau early-stop for this fit: stop once the relative
             objective improvement stays below this value for two consecutive
@@ -202,11 +196,11 @@ class OCuLaR(Recommender):
         user_factors, item_factors, history = self._train(
             csr,
             self._initial_factors(csr, initial_factors),
-            warm_started=initial_factors is not None,
             backend=backend,
             callback=callback,
             plateau_tolerance=plateau_tolerance,
         )
+        history.warm_started = initial_factors is not None
         self.factors_ = FactorModel(user_factors, item_factors)
         self.history_ = history
         self._set_train_matrix(matrix)
@@ -224,28 +218,21 @@ class OCuLaR(Recommender):
             )
 
     def _initial_factors(self, csr, initial_factors):
-        """The fit's starting factors: a validated copy of the warm start
-        ``initial_factors``, or this model's fresh initialisation."""
+        """The fit's start: the warm start ``initial_factors`` unpacked into
+        this model's dtype, or this model's fresh initialisation."""
         if initial_factors is not None:
-            return self._coerce_initial_factors(
-                initial_factors, n_users=csr.shape[0], n_items=csr.shape[1]
-            )
-        return initialize_factors(
-            csr,
-            self.n_coclusters,
-            method=self.init,
-            scale=self.init_scale,
-            random_state=self.random_state,
-            dtype=self.dtype,
+            return self._coerce_initial_factors(initial_factors)
+        return random_init(
+            csr, self.n_coclusters, random_state=self.random_state, dtype=self.dtype
         )
 
-    def _coerce_initial_factors(self, initial_factors, n_users: int, n_items: int):
-        """Validate and copy a warm start into this model's dtype.
+    def _coerce_initial_factors(self, initial_factors):
+        """A warm start as a ``(user_factors, item_factors)`` pair in this
+        model's dtype.
 
-        Accepts a :class:`~repro.core.factors.FactorModel` or a
-        ``(user_factors, item_factors)`` pair; checks shapes against the
-        training matrix and ``n_coclusters`` and rejects negative entries
-        (the trainer requires a feasible point of the non-negative program).
+        Accepts a :class:`~repro.core.factors.FactorModel` or a pair and
+        checks ``K`` against ``n_coclusters``; the trainer checks the rest
+        (rows, finiteness, non-negativity) and makes the fit's one copy.
         """
         if isinstance(initial_factors, FactorModel):
             pair = (initial_factors.user_factors, initial_factors.item_factors)
@@ -259,31 +246,19 @@ class OCuLaR(Recommender):
                     "initial_factors must be a FactorModel or a "
                     "(user_factors, item_factors) tuple"
                 )
-        user_factors = np.array(pair[0], dtype=self.dtype, copy=True)
-        item_factors = np.array(pair[1], dtype=self.dtype, copy=True)
-        expected = {
-            "user_factors": (n_users, self.n_coclusters),
-            "item_factors": (n_items, self.n_coclusters),
-        }
-        for name, array in (("user_factors", user_factors), ("item_factors", item_factors)):
-            if array.ndim != 2 or array.shape != expected[name]:
+        pair = tuple(np.asarray(side, dtype=self.dtype) for side in pair)
+        for name, array in zip(("user_factors", "item_factors"), pair):
+            if array.ndim != 2 or array.shape[1] != self.n_coclusters:
                 raise ConfigurationError(
                     f"initial {name} has shape {array.shape}, expected "
-                    f"{expected[name]} — extend the factors to the new matrix "
-                    "first (repro.serving.extend_factors)"
+                    f"{self.n_coclusters} columns (n_coclusters)"
                 )
-            if array.size and array.min() < 0:
-                raise ConfigurationError(
-                    f"initial {name} contains negative entries; the trainer "
-                    "requires a feasible (non-negative) starting point"
-                )
-        return user_factors, item_factors
+        return pair
 
     def _train(
         self,
         csr,
         start,
-        warm_started: bool,
         backend: Optional[Backend],
         callback,
         plateau_tolerance: Optional[float],
@@ -291,8 +266,8 @@ class OCuLaR(Recommender):
     ):
         """One trainer run from the ``(user, item)`` factors ``start``.
 
-        A warm start reaches the trainer as its ``initial_factors``, so the
-        trainer alone records ``history.warm_started``.  With ``backend=None`` the trainer resolves the model's configured
+        The trainer checks and copies ``start`` whether it is cold or warm.
+        With ``backend=None`` the trainer resolves the model's configured
         backend (and owns it when that is a name); with an instance the
         trainer borrows it and ``n_workers``/``executor`` — which only make
         sense when the trainer constructs the pool itself — are not passed.
@@ -318,15 +293,12 @@ class OCuLaR(Recommender):
             inner_sweeps=self.inner_sweeps,
             plateau_tolerance=plateau_tolerance,
         )
-        user_start, item_start = (None, None) if warm_started else start
         try:
             user_factors, item_factors, history = trainer.train(
                 csr,
-                user_start,
-                item_start,
+                *start,
                 user_weights=self._user_weights(csr),
                 callback=callback,
-                initial_factors=start if warm_started else None,
                 constant_columns=constant_columns,
             )
         finally:
@@ -440,8 +412,6 @@ class OCuLaR(Recommender):
             "sigma": self.sigma,
             "beta": self.beta,
             "max_backtracks": self.max_backtracks,
-            "init": self.init,
-            "init_scale": self.init_scale,
             "backend": self.backend if isinstance(self.backend, str) else self.backend.name,
             "n_workers": self.n_workers,
             "executor": self.executor,

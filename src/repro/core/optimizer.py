@@ -18,6 +18,12 @@ Figure 8 benchmarks), and guarantees the objective is monotonically
 non-increasing across accepted iterations — a property the test-suite
 checks.
 
+**One start.**  A cold start (:func:`~repro.core.init.random_init`) and a
+warm one (a previous generation's factors) both arrive as ``train``'s two
+factor arguments, and ``train`` alone checks them — rows against the
+matrix, a shared ``K`` and dtype, finite and non-negative values — before
+it makes the fit's one copy.
+
 **Where the objective comes from.**  The trainer makes no pass over the
 positive entries of its own.  Section IV-B splits ``Q`` into row
 objectives, ``Q = sum_i Q(f_i) + lambda sum_u ||f_u||^2`` (eq. 5), and
@@ -113,8 +119,9 @@ class TrainingHistory:
     n_iterations:
         Number of completed outer iterations.
     warm_started:
-        Whether training was seeded from caller-provided ``initial_factors``
-        (a previous generation's factors) rather than a fresh initialisation.
+        Whether the fit started from caller-provided ``initial_factors`` (a
+        previous generation's factors) rather than a fresh initialisation.
+        The model's ``fit`` records it; the trainer sees only a start.
     stopped_on_plateau:
         Whether the *plateau* rule — two consecutive
         iterations with relative improvement below ``plateau_tolerance`` —
@@ -308,11 +315,10 @@ class BlockCoordinateTrainer:
     def train(
         self,
         matrix: sp.csr_matrix,
-        user_factors: Optional[np.ndarray] = None,
-        item_factors: Optional[np.ndarray] = None,
+        user_factors: np.ndarray,
+        item_factors: np.ndarray,
         user_weights: Optional[np.ndarray] = None,
         callback=None,
-        initial_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         constant_columns: Optional[Tuple[int, int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, TrainingHistory]:
         """Run alternating sweeps until convergence or the iteration budget.
@@ -322,9 +328,14 @@ class BlockCoordinateTrainer:
         matrix:
             CSR interaction matrix of shape ``(n_users, n_items)``.
         user_factors, item_factors:
-            Feasible (non-negative) initial factors; not modified in place.
-            Their (shared) dtype — float64 by default, float32 supported —
-            is the dtype training runs in and the fitted factors keep.
+            The start: finite, non-negative factors with one row per user /
+            item of ``matrix`` and a shared ``K``, cold
+            (:func:`~repro.core.init.random_init`) or warm (a previous
+            generation's factors extended by
+            :func:`repro.serving.fold_in.extend_factors`).  Checked here and
+            copied once; the caller's arrays are not modified.  Their shared
+            dtype — float64 by default, float32 supported — is the dtype
+            training runs in and the fitted factors keep.
         user_weights:
             Optional per-user positive-example weights (R-OCuLaR).
         callback:
@@ -332,13 +343,6 @@ class BlockCoordinateTrainer:
             after every completed outer iteration, the one that stops
             training included; returning ``True`` stops training early (used
             by time-budgeted benchmarks).
-        initial_factors:
-            Warm-start alternative to the positional factor pair: a
-            ``(user_factors, item_factors)`` tuple — typically the previous
-            generation's fitted factors, extended to the current shape via
-            :func:`repro.serving.fold_in.extend_factors`.  Mutually exclusive
-            with the positional ``user_factors``/``item_factors``; the
-            resulting history records ``warm_started=True``.
         constant_columns:
             Optional ``(user_column, item_column)`` pair of factor columns
             held at 1.0: the sweeps update them like any other column, and
@@ -351,52 +355,22 @@ class BlockCoordinateTrainer:
         -------
         (user_factors, item_factors, history)
         """
-        warm_started = initial_factors is not None
-        if warm_started:
-            if user_factors is not None or item_factors is not None:
-                raise ConfigurationError(
-                    "pass either positional factors or initial_factors, not both"
-                )
-            user_factors, item_factors = initial_factors
-        if user_factors is None or item_factors is None:
-            raise ConfigurationError(
-                "train requires user_factors and item_factors (or initial_factors)"
-            )
         if matrix is None:
             raise ConfigurationError("train requires a matrix")
         matrix = sp.csr_matrix(matrix)
         check_binary(matrix, "train")
-        n_users, n_items = matrix.shape
-
-        if n_users != user_factors.shape[0]:
-            raise ConfigurationError(
-                f"user_factors has {user_factors.shape[0]} rows but the matrix has "
-                f"{n_users} users"
-            )
-        if n_items != item_factors.shape[0]:
-            raise ConfigurationError(
-                f"item_factors has {item_factors.shape[0]} rows but the matrix has "
-                f"{n_items} items"
-            )
-        if user_weights is not None and len(user_weights) != n_users:
+        if user_weights is not None and len(user_weights) != matrix.shape[0]:
             raise ConfigurationError("user_weights must have one entry per user")
-
-        user_factors = check_array_2d(user_factors, "user_factors").copy()
-        item_factors = check_array_2d(item_factors, "item_factors").copy()
-        if user_factors.dtype != item_factors.dtype:
-            raise ConfigurationError(
-                f"user_factors ({user_factors.dtype}) and item_factors "
-                f"({item_factors.dtype}) must share a dtype"
-            )
+        user_factors, item_factors = self._checked_start(
+            matrix.shape, user_factors, item_factors
+        )
 
         # All static sweep structure — both CSR orientations, per-entry row
         # indices, and R-OCuLaR entry weights — is computed exactly once per
         # fit.
         plan = SweepPlan.build(matrix, user_weights=user_weights, dtype=user_factors.dtype)
 
-        history = TrainingHistory(
-            warm_started=warm_started, plateau_tolerance=self.plateau_tolerance
-        )
+        history = TrainingHistory(plateau_tolerance=self.plateau_tolerance)
         # Q_0 needs the first item sweep's start values; the penalties of
         # the starting factors are taken before that sweep replaces them.
         start_penalties = (self._penalty(user_factors), self._penalty(item_factors))
@@ -471,6 +445,36 @@ class BlockCoordinateTrainer:
                     break
 
         return user_factors, item_factors, history
+
+    @staticmethod
+    def _checked_start(shape, user_factors, item_factors):
+        """The fit's one copy of a start, checked against a matrix of ``shape``.
+
+        A negative entry lies outside the non-negative program, where the
+        projected sweeps never move it.
+        """
+        start = []
+        for side, factors, n_rows in zip(("user", "item"), (user_factors, item_factors), shape):
+            factors = check_array_2d(factors, f"{side}_factors")
+            if len(factors) != n_rows:
+                raise ConfigurationError(
+                    f"{side}_factors has {len(factors)} rows but the matrix has {n_rows} "
+                    f"{side}s — extend the factors to the new matrix first "
+                    "(repro.serving.extend_factors)"
+                )
+            if factors.size and factors.min() < 0:
+                raise ConfigurationError(
+                    f"initial {side}_factors contains negative entries; the trainer "
+                    "requires a feasible (non-negative) starting point"
+                )
+            start.append(factors.copy())
+        users, items = start
+        if users.shape[1] != items.shape[1] or users.dtype != items.dtype:
+            raise ConfigurationError(
+                f"user_factors (K={users.shape[1]}, {users.dtype}) and item_factors "
+                f"(K={items.shape[1]}, {items.dtype}) must share K and dtype"
+            )
+        return users, items
 
     def _penalty(self, factors: np.ndarray) -> float:
         """``lambda ||factors||^2``, accumulated in float64."""

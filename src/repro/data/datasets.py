@@ -68,48 +68,6 @@ PAPER_DATASETS: Dict[str, str] = {
 }
 
 
-def _latent_group_matrix(
-    n_users: int,
-    n_items: int,
-    n_groups: int,
-    user_affinity: float,
-    item_affinity: float,
-    within_rate: float,
-    background_rate: float,
-    popularity_exponent: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample a binary matrix from an overlapping latent-group model.
-
-    Users and items are independently assigned to each group with
-    probabilities ``user_affinity`` / ``item_affinity`` (so memberships
-    overlap).  A pair sharing at least one group is positive with probability
-    ``1 - (1 - within_rate)^(#shared groups)``; all pairs additionally receive
-    background positives modulated by a Zipf-like item popularity weight.
-    """
-    user_groups = rng.random((n_users, n_groups)) < user_affinity
-    item_groups = rng.random((n_items, n_groups)) < item_affinity
-    # Ensure nobody is left without any group (otherwise they are pure noise).
-    for membership, size in ((user_groups, n_groups), (item_groups, n_groups)):
-        lonely = ~membership.any(axis=1)
-        if lonely.any():
-            membership[lonely, rng.integers(0, size, size=int(lonely.sum()))] = True
-
-    shared = user_groups.astype(np.int64) @ item_groups.T.astype(np.int64)
-    prob_group = 1.0 - np.power(1.0 - within_rate, shared)
-
-    popularity = 1.0 / np.power(np.arange(1, n_items + 1), popularity_exponent)
-    popularity = popularity / popularity.max()
-    rng.shuffle(popularity)
-    prob_background = background_rate * popularity[np.newaxis, :]
-
-    activity = rng.lognormal(mean=0.0, sigma=0.6, size=n_users)
-    activity = activity / activity.mean()
-    prob = 1.0 - (1.0 - prob_group) * (1.0 - prob_background)
-    prob = np.clip(prob * activity[:, np.newaxis], 0.0, 1.0)
-    return (rng.random((n_users, n_items)) < prob).astype(float)
-
-
 def _ensure_min_degree(dense: np.ndarray, min_degree: int, rng: np.random.Generator) -> None:
     """Add random positives so every user and item has at least ``min_degree``.
 
@@ -118,19 +76,91 @@ def _ensure_min_degree(dense: np.ndarray, min_degree: int, rng: np.random.Genera
     random interactions for pathological rows keeps every method runnable
     without materially changing the corpus statistics.
     """
-    n_users, n_items = dense.shape
-    for user in range(n_users):
-        missing = min_degree - int(dense[user].sum())
-        if missing > 0:
-            zero_items = np.flatnonzero(dense[user] == 0)
-            chosen = rng.choice(zero_items, size=min(missing, len(zero_items)), replace=False)
-            dense[user, chosen] = 1.0
-    for item in range(n_items):
-        missing = min_degree - int(dense[:, item].sum())
-        if missing > 0:
-            zero_users = np.flatnonzero(dense[:, item] == 0)
-            chosen = rng.choice(zero_users, size=min(missing, len(zero_users)), replace=False)
-            dense[chosen, item] = 1.0
+    # Users first, then items: ``dense.T`` is a view, so its rows write
+    # through to the item columns.
+    for rows in (dense, dense.T):
+        for row in rows:
+            missing = min_degree - int(row.sum())
+            if missing > 0:
+                zeros = np.flatnonzero(row == 0)
+                row[rng.choice(zeros, size=min(missing, len(zeros)), replace=False)] = 1.0
+
+
+@dataclass(frozen=True)
+class _StandIn:
+    """The constants that make the latent-group model one stand-in corpus."""
+
+    name: str
+    reference: str
+    user_affinity: float
+    item_affinity: float
+    within_rate: float
+    background_rate: float
+    popularity_exponent: float
+    min_degree: int
+    labels: Optional[Tuple[str, str]] = None  # user / item label formats
+
+
+_MOVIELENS = _StandIn(
+    "movielens-like", "movielens", 0.12, 0.10, 0.25, 0.02, 0.9, 4, ("Viewer {:04d}", "Movie {:04d}")
+)
+_CITEULIKE = _StandIn(
+    "citeulike-like", "citeulike", 0.08, 0.05, 0.30, 0.004, 1.1, 3,
+    ("Researcher {:04d}", "Article {:05d}"),
+)
+_NETFLIX = _StandIn("netflix-like", "netflix", 0.10, 0.10, 0.20, 0.015, 1.0, 3)
+
+
+def _make_stand_in(
+    corpus: _StandIn, n_users: int, n_items: int, n_groups: int, random_state: RandomStateLike
+) -> Tuple[InteractionMatrix, DatasetSpec]:
+    """Sample ``corpus`` from the overlapping latent-group model.
+
+    Users and items are independently assigned to each group with
+    probabilities ``user_affinity`` / ``item_affinity`` (so memberships
+    overlap).  A pair sharing at least one group is positive with probability
+    ``1 - (1 - within_rate)^(#shared groups)``; all pairs additionally receive
+    background positives modulated by a Zipf-like item popularity weight.
+    Every row and column then gets at least ``min_degree`` positives.
+    """
+    check_positive_int(n_users, "n_users")
+    check_positive_int(n_items, "n_items")
+    rng = ensure_rng(random_state)
+    user_groups = rng.random((n_users, n_groups)) < corpus.user_affinity
+    item_groups = rng.random((n_items, n_groups)) < corpus.item_affinity
+    # Ensure nobody is left without any group (otherwise they are pure noise).
+    for membership in (user_groups, item_groups):
+        lonely = ~membership.any(axis=1)
+        if lonely.any():
+            membership[lonely, rng.integers(0, n_groups, size=int(lonely.sum()))] = True
+
+    shared = user_groups.astype(np.int64) @ item_groups.T.astype(np.int64)
+    prob_group = 1.0 - np.power(1.0 - corpus.within_rate, shared)
+
+    popularity = 1.0 / np.power(np.arange(1, n_items + 1), corpus.popularity_exponent)
+    popularity = popularity / popularity.max()
+    rng.shuffle(popularity)
+    prob_background = corpus.background_rate * popularity[np.newaxis, :]
+
+    activity = rng.lognormal(mean=0.0, sigma=0.6, size=n_users)
+    activity = activity / activity.mean()
+    prob = 1.0 - (1.0 - prob_group) * (1.0 - prob_background)
+    prob = np.clip(prob * activity[:, np.newaxis], 0.0, 1.0)
+    dense = (rng.random((n_users, n_items)) < prob).astype(float)
+    _ensure_min_degree(dense, min_degree=corpus.min_degree, rng=rng)
+
+    spec = DatasetSpec(
+        corpus.name, n_users, n_items, n_groups, float(dense.mean()),
+        PAPER_DATASETS[corpus.reference],
+    )
+    if corpus.labels is None:
+        return InteractionMatrix.from_dense(dense), spec
+    user_label, item_label = corpus.labels
+    return InteractionMatrix.from_dense(
+        dense,
+        user_labels=[user_label.format(index) for index in range(n_users)],
+        item_labels=[item_label.format(index) for index in range(n_items)],
+    ), spec
 
 
 def make_movielens_like(
@@ -145,32 +175,7 @@ def make_movielens_like(
     3-4%; the generator targets the same regime with genre-like overlapping
     groups (a user who likes sci-fi and comedy belongs to two groups).
     """
-    check_positive_int(n_users, "n_users")
-    check_positive_int(n_items, "n_items")
-    rng = ensure_rng(random_state)
-    dense = _latent_group_matrix(
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        user_affinity=0.12,
-        item_affinity=0.10,
-        within_rate=0.25,
-        background_rate=0.02,
-        popularity_exponent=0.9,
-        rng=rng,
-    )
-    _ensure_min_degree(dense, min_degree=4, rng=rng)
-    spec = DatasetSpec(
-        name="movielens-like",
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        target_density=float(dense.mean()),
-        paper_reference=PAPER_DATASETS["movielens"],
-    )
-    titles = [f"Movie {index:04d}" for index in range(n_items)]
-    users = [f"Viewer {index:04d}" for index in range(n_users)]
-    return InteractionMatrix.from_dense(dense, user_labels=users, item_labels=titles), spec
+    return _make_stand_in(_MOVIELENS, n_users, n_items, n_groups, random_state)
 
 
 def make_citeulike_like(
@@ -185,32 +190,7 @@ def make_citeulike_like(
     lower density than MovieLens; research-topic groups are narrower, so
     group affinities are smaller and within-group rates higher.
     """
-    check_positive_int(n_users, "n_users")
-    check_positive_int(n_items, "n_items")
-    rng = ensure_rng(random_state)
-    dense = _latent_group_matrix(
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        user_affinity=0.08,
-        item_affinity=0.05,
-        within_rate=0.30,
-        background_rate=0.004,
-        popularity_exponent=1.1,
-        rng=rng,
-    )
-    _ensure_min_degree(dense, min_degree=3, rng=rng)
-    spec = DatasetSpec(
-        name="citeulike-like",
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        target_density=float(dense.mean()),
-        paper_reference=PAPER_DATASETS["citeulike"],
-    )
-    articles = [f"Article {index:05d}" for index in range(n_items)]
-    users = [f"Researcher {index:04d}" for index in range(n_users)]
-    return InteractionMatrix.from_dense(dense, user_labels=users, item_labels=articles), spec
+    return _make_stand_in(_CITEULIKE, n_users, n_items, n_groups, random_state)
 
 
 def make_netflix_like(
@@ -225,30 +205,7 @@ def make_netflix_like(
     the largest produced by this module so that per-iteration timing sweeps
     have enough work to show the linear trend.
     """
-    check_positive_int(n_users, "n_users")
-    check_positive_int(n_items, "n_items")
-    rng = ensure_rng(random_state)
-    dense = _latent_group_matrix(
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        user_affinity=0.10,
-        item_affinity=0.10,
-        within_rate=0.20,
-        background_rate=0.015,
-        popularity_exponent=1.0,
-        rng=rng,
-    )
-    _ensure_min_degree(dense, min_degree=3, rng=rng)
-    spec = DatasetSpec(
-        name="netflix-like",
-        n_users=n_users,
-        n_items=n_items,
-        n_groups=n_groups,
-        target_density=float(dense.mean()),
-        paper_reference=PAPER_DATASETS["netflix"],
-    )
-    return InteractionMatrix.from_dense(dense), spec
+    return _make_stand_in(_NETFLIX, n_users, n_items, n_groups, random_state)
 
 
 # --------------------------------------------------------------------------- #
@@ -404,21 +361,14 @@ def dataset_by_name(name: str, random_state: RandomStateLike = 0, scale: float =
     def scaled(value: int) -> int:
         return max(10, int(round(value * scale)))
 
-    if name == "movielens":
-        matrix, spec = make_movielens_like(
-            n_users=scaled(600), n_items=scaled(400), random_state=random_state
-        )
-        return matrix, spec
-    if name == "citeulike":
-        matrix, spec = make_citeulike_like(
-            n_users=scaled(400), n_items=scaled(900), random_state=random_state
-        )
-        return matrix, spec
-    if name == "netflix":
-        matrix, spec = make_netflix_like(
-            n_users=scaled(2000), n_items=scaled(600), random_state=random_state
-        )
-        return matrix, spec
+    stand_ins = {
+        "movielens": (make_movielens_like, 600, 400),
+        "citeulike": (make_citeulike_like, 400, 900),
+        "netflix": (make_netflix_like, 2000, 600),
+    }
+    if name in stand_ins:
+        make, n_users, n_items = stand_ins[name]
+        return make(n_users=scaled(n_users), n_items=scaled(n_items), random_state=random_state)
     if name == "b2b":
         dataset = make_b2b(
             n_clients=scaled(400), n_products=scaled(60), random_state=random_state

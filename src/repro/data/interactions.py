@@ -14,6 +14,7 @@ matrix that provides exactly the views the algorithms need:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -21,6 +22,31 @@ import scipy.sparse as sp
 
 from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
+from repro.utils.validation import as_int_tuple
+
+
+def _pair_indices(pairs: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(users, items)`` int64 index arrays of ``(user, item)`` pairs.
+
+    Every pair reader takes its ids by the request codec's integer rule
+    (:func:`~repro.utils.validation.as_int_tuple`): whole numbers pass in any
+    numeric form, while a fractional, non-finite or negative index, one
+    past int64, or a pair that is not two ids is a
+    :class:`~repro.exceptions.DataError`.
+    """
+    rows = [tuple(pair) for pair in pairs]
+    if set(map(len, rows)) - {2}:
+        raise DataError("pairs must be (user, item) index pairs")
+    ids = as_int_tuple(itertools.chain.from_iterable(rows), "pair indices", DataError)
+    try:
+        users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as error:
+        raise DataError("pair indices must fit in int64") from error
+    negative = np.flatnonzero((users < 0) | (items < 0))
+    if negative.size:
+        first = negative[0]
+        raise DataError(f"indices must be non-negative, got ({users[first]}, {items[first]})")
+    return users, items
 
 
 def one_class_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -99,20 +125,14 @@ class InteractionMatrix:
         ``n_users``/``n_items`` default to one past the largest index seen;
         providing them explicitly allows users or items with no interactions.
         """
-        users: List[int] = []
-        items: List[int] = []
-        for user, item in pairs:
-            if user < 0 or item < 0:
-                raise DataError(f"indices must be non-negative, got ({user}, {item})")
-            users.append(int(user))
-            items.append(int(item))
-        if not users and (n_users is None or n_items is None):
+        users, items = _pair_indices(pairs)
+        if not users.size and (n_users is None or n_items is None):
             raise DataError("cannot infer matrix shape from an empty pair list")
-        shape_users = n_users if n_users is not None else max(users) + 1
-        shape_items = n_items if n_items is not None else max(items) + 1
-        if users and (max(users) >= shape_users or max(items) >= shape_items):
+        shape_users = n_users if n_users is not None else int(users.max()) + 1
+        shape_items = n_items if n_items is not None else int(items.max()) + 1
+        if users.size and (users.max() >= shape_users or items.max() >= shape_items):
             raise DataError("an interaction index exceeds the declared matrix shape")
-        data = np.ones(len(users), dtype=np.float64)
+        data = np.ones(users.size, dtype=np.float64)
         csr = sp.csr_matrix((data, (users, items)), shape=(shape_users, shape_items))
         return cls(csr, user_labels=user_labels, item_labels=item_labels)
 
@@ -321,19 +341,14 @@ class InteractionMatrix:
         n_users = self.n_users + int(n_new_users)
         n_items = self.n_items + int(n_new_items)
 
-        users: List[int] = []
-        items: List[int] = []
-        for user, item in pairs:
-            user, item = int(user), int(item)
-            if user < 0 or item < 0:
-                raise DataError(f"indices must be non-negative, got ({user}, {item})")
-            if user >= n_users or item >= n_items:
-                raise DataError(
-                    f"pair ({user}, {item}) exceeds the extended shape "
-                    f"({n_users}, {n_items})"
-                )
-            users.append(user)
-            items.append(item)
+        users, items = _pair_indices(pairs)
+        outside = np.flatnonzero((users >= n_users) | (items >= n_items))
+        if outside.size:
+            first = outside[0]
+            raise DataError(
+                f"pair ({users[first]}, {items[first]}) exceeds the extended shape "
+                f"({n_users}, {n_items})"
+            )
 
         base = self._csr
         widened = sp.csr_matrix(
@@ -345,9 +360,9 @@ class InteractionMatrix:
             widened = sp.csr_matrix(
                 (base.data, base.indices, indptr), shape=(n_users, n_items)
             )
-        if users:
+        if users.size:
             delta = sp.csr_matrix(
-                (np.ones(len(users), dtype=np.float64), (users, items)),
+                (np.ones(users.size, dtype=np.float64), (users, items)),
                 shape=(n_users, n_items),
             )
             combined = (widened + delta).tocsr()

@@ -545,7 +545,7 @@ class RecommenderRuntime:
         choose between a warm and a cold retrain.
         """
         self._check_open()
-        pair_list = [(int(user), int(item)) for user, item in pairs]
+        pair_list = list(pairs)
         # Read, extend and replace under one lock: two ingests that both
         # extended the same old matrix would drop one delta.
         with self._swap_lock:

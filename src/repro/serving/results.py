@@ -26,12 +26,15 @@ thousands of objects.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from typing import Iterator, List, Optional
 
 import numpy as np
 
 __all__ = ["TopNResult"]
+
+_INT32_MIN, _INT32_MAX = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
 
 
 class TopNResult(Sequence):
@@ -90,33 +93,32 @@ class TopNResult(Sequence):
 
         The constructor of the wire decoder, which reads one list per row.
         ``width`` defaults to the longest row; shorter rows are padded with
-        ``-1`` (and ``-inf`` in the score block).  Each score row must be
-        as long as its ranking row (else :class:`ValueError`).
+        ``-1`` (and ``-inf`` in the score block).  Every id must fit the
+        int32 block, and each score row must be as long as its ranking row
+        (else :class:`ValueError`).
         """
-        rows = [np.asarray(row).ravel() for row in rows]
+        lengths = [len(row) for row in rows]
         if width is None:
-            width = max((row.size for row in rows), default=0)
+            width = max(lengths, default=0)
+        ids = list(itertools.chain.from_iterable(rows))
+        if ids and not (_INT32_MIN <= min(ids) and max(ids) <= _INT32_MAX):
+            raise ValueError("a ranking id is outside the int32 range")
         items = np.full((len(rows), width), -1, dtype=np.int32)
-        lengths = np.empty(len(rows), dtype=np.int32)
         for i, row in enumerate(rows):
-            items[i, : row.size] = row
-            lengths[i] = row.size
+            items[i, : lengths[i]] = row
         score_block = None
         if scores is not None:
-            score_rows = [np.asarray(row, dtype=np.float64).ravel() for row in scores]
-            if len(score_rows) != len(rows):
-                raise ValueError(
-                    f"{len(score_rows)} score rows for {len(rows)} ranking rows"
-                )
+            if len(scores) != len(rows):
+                raise ValueError(f"{len(scores)} score rows for {len(rows)} ranking rows")
             score_block = np.full((len(rows), width), -np.inf, dtype=np.float64)
-            for i, (row, score_row) in enumerate(zip(rows, score_rows)):
-                if score_row.size != row.size:
+            for i, score_row in enumerate(scores):
+                if len(score_row) != lengths[i]:
                     raise ValueError(
-                        f"score row {i} has {score_row.size} entries for "
-                        f"{row.size} ranked items"
+                        f"score row {i} has {len(score_row)} entries for "
+                        f"{lengths[i]} ranked items"
                     )
-                score_block[i, : row.size] = score_row
-        return cls(items, lengths, score_block)
+                score_block[i, : lengths[i]] = score_row
+        return cls(items, np.array(lengths, dtype=np.int32), score_block)
 
     @classmethod
     def concat(cls, results: Sequence["TopNResult"]) -> "TopNResult":

@@ -8,7 +8,7 @@ the estimators small and their error messages consistent.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -70,6 +70,30 @@ def check_unit_interval_open(value: Any, name: str) -> float:
     if result <= 0 or result >= 1:
         raise ConfigurationError(f"{name} must lie in the open interval (0, 1), got {value!r}")
     return result
+
+
+def as_int_tuple(values: Any, name: str, error=ConfigurationError) -> Tuple[int, ...]:
+    """The integer rule of every id sequence a caller hands in.
+
+    Whole numbers pass in any numeric form (``2``, ``2.0``, ``"2"``); a
+    fractional, infinite or NaN value, or a string in place of the sequence
+    (``"17"`` is not ids 1 and 7), raises ``error``.
+    """
+    if isinstance(values, (str, bytes)):
+        raise error(f"{name} must be a sequence of integers, got a string")
+    try:
+        values = tuple(values)
+        ints = tuple(map(int, values))  # inf overflows, NaN is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be a sequence of integers") from exc
+    # Tuples that compare equal hold whole numbers only; in the others "2"
+    # may stand for 2, but 1.7 not for 1.
+    if ints != values and any(
+        isinstance(value, (float, np.floating)) and value != number
+        for value, number in zip(values, ints)
+    ):
+        raise error(f"{name} must be a sequence of integers")
+    return ints
 
 
 def check_array_2d(array: Any, name: str) -> np.ndarray:

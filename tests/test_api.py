@@ -194,6 +194,37 @@ class TestRecommendResponse:
         assert decoded.scores is None
         assert np.array_equal(decoded.rankings[0], [1, 2])
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"rankings": [[1.7, 2.2]]},  # fractional ids are not ids
+            {"rankings": [[2**40]]},  # would wrap in the int32 block
+            {"rankings": [[-(2**31) - 1]]},
+            {"rankings": [["a"]]},
+            {"rankings": 5},
+            {"rankings": [[1, 2]], "scores": 5},
+            {"rankings": [[1, 2]], "scores": [[0.5, "a"]]},
+            {"rankings": [[1, 2]], "generation": "x"},
+            {"rankings": [[1, 2]], "batch_users": 1.5},
+            {"rankings": [[1, 2]], "queue_ms": "slow"},
+            {"rankings": [[1, 2]], "serve_ms": [1.0]},
+        ],
+        ids=[
+            "fractional-id", "id-past-int32", "id-below-int32", "string-id",
+            "scalar-rankings", "scalar-scores", "string-score", "string-generation",
+            "fractional-counter", "string-queue-ms", "list-serve-ms",
+        ],
+    )
+    def test_malformed_frame_is_a_typed_error(self, frame):
+        with pytest.raises(ConfigurationError, match="malformed response frame"):
+            RecommendResponse.from_dict(frame)
+
+    def test_decoder_takes_the_request_integer_rule(self):
+        frame = {"rankings": [[1.0, "2", 3]], "generation": "4", "batch_requests": 2.0}
+        decoded = RecommendResponse.from_dict(frame)
+        assert decoded.rankings == [[1, 2, 3]]
+        assert (decoded.generation, decoded.batch_requests) == (4, 2)
+
     def test_wire_frames_are_compact_json(self):
         text = RecommendRequest(users=(1,)).to_json()
         assert "\n" not in text and " " not in text

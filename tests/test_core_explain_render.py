@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bias import BiasedOCuLaR
 from repro.core.explain import Explanation, explain_recommendation, explain_top_recommendations
 from repro.core.ocular import OCuLaR
+from repro.core.r_ocular import ROCuLaR
 from repro.core.recommend import batch_reports, recommend_with_explanations
 from repro.core.render import render_coclusters, render_matrix, render_probability_matrix
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.data import make_movielens_like
+from repro.exceptions import ConfigurationError, ConvergenceWarning, NotFittedError
 
 
 class TestExplainRecommendation:
@@ -37,6 +40,22 @@ class TestExplainRecommendation:
     def test_confidence_matches_model_probability(self, fitted_toy_model):
         explanation = explain_recommendation(fitted_toy_model, 6, 4)
         assert explanation.confidence == pytest.approx(fitted_toy_model.predict_proba(6, 4))
+
+    @pytest.mark.parametrize("model_class", [OCuLaR, ROCuLaR, BiasedOCuLaR])
+    def test_confidence_is_the_models_probability(self, model_class):
+        # BiasedOCuLaR's probability carries its bias terms, which the
+        # co-cluster factors behind the evidence leave out.
+        matrix, _ = make_movielens_like(n_users=120, n_items=80, random_state=0)
+        model = model_class(
+            n_coclusters=6, max_iterations=10, tolerance=0.0, random_state=0
+        )
+        with pytest.warns(ConvergenceWarning):
+            model.fit(matrix)
+        assert explain_recommendation(model, 3, 3).confidence == model.predict_proba(3, 3)
+        report = recommend_with_explanations(model, 3, n_items=4)
+        assert report.confidences == [
+            model.predict_proba(3, item) for item in report.items
+        ]
 
     def test_limits_respected(self, fitted_toy_model):
         explanation = explain_recommendation(

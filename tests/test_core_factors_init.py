@@ -1,4 +1,4 @@
-"""Tests for the factor container and the initialisation strategies."""
+"""Tests for the factor container and the cold-start initialisation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.factors import FactorModel
-from repro.core.init import degree_scaled_init, initialize_factors, random_init
+from repro.core.init import random_init
 from repro.exceptions import ConfigurationError
 
 
@@ -97,49 +97,28 @@ class TestInitialization:
         mean_affinity = float(np.mean(users @ items.T))
         assert 0.2 * expected_affinity < mean_affinity < 5 * expected_affinity
 
-    def test_degree_scaled_init_orders_by_degree(self, sparse_matrix):
-        users, _ = degree_scaled_init(sparse_matrix, 5, random_state=0)
-        degrees = np.asarray(sparse_matrix.sum(axis=1)).ravel()
-        norms = np.linalg.norm(users, axis=1)
-        heavy = norms[degrees >= np.percentile(degrees, 80)].mean()
-        light = norms[degrees <= np.percentile(degrees, 20)].mean()
-        assert heavy > light
-
-    def test_initialize_factors_dispatch(self, sparse_matrix):
-        users, items = initialize_factors(sparse_matrix, 3, method="degree", random_state=0)
-        assert users.shape == (40, 3) and items.shape == (30, 3)
-
-    def test_unknown_method_raises(self, sparse_matrix):
-        with pytest.raises(ConfigurationError):
-            initialize_factors(sparse_matrix, 3, method="svd")
-
     def test_invalid_parameters_raise(self, sparse_matrix):
         with pytest.raises(ConfigurationError):
             random_init(sparse_matrix, 0)
-        with pytest.raises(ConfigurationError):
-            random_init(sparse_matrix, 3, scale=0.0)
 
 
 class TestDtypeThreading:
     """float32 support without silent upcasts through init and FactorModel."""
 
-    @pytest.mark.parametrize("method", ["random", "degree"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_initialize_factors_dtype(self, sparse_matrix, method, dtype):
-        users, items = initialize_factors(
-            sparse_matrix, 4, method=method, random_state=0, dtype=dtype
-        )
+    def test_random_init_dtype(self, sparse_matrix, dtype):
+        users, items = random_init(sparse_matrix, 4, random_state=0, dtype=dtype)
         assert users.dtype == dtype
         assert items.dtype == dtype
 
     def test_float32_init_is_rounded_float64_init(self, sparse_matrix):
-        full = initialize_factors(sparse_matrix, 4, random_state=7)
-        half = initialize_factors(sparse_matrix, 4, random_state=7, dtype=np.float32)
+        full = random_init(sparse_matrix, 4, random_state=7)
+        half = random_init(sparse_matrix, 4, random_state=7, dtype=np.float32)
         np.testing.assert_array_equal(full[0].astype(np.float32), half[0])
 
-    def test_initialize_factors_rejects_bad_dtype(self, sparse_matrix):
+    def test_random_init_rejects_bad_dtype(self, sparse_matrix):
         with pytest.raises(ConfigurationError):
-            initialize_factors(sparse_matrix, 4, dtype=np.int64)
+            random_init(sparse_matrix, 4, dtype=np.int64)
 
     def test_factor_model_preserves_float32(self):
         rng = np.random.default_rng(0)
@@ -170,7 +149,7 @@ class TestDtypeThreading:
 
 
 class TestGeneratorContract:
-    """The documented RNG contract of initialize_factors.
+    """The documented RNG contract of random_init.
 
     An int seed materialises a fresh Generator per call (two calls agree); a
     Generator instance is used *as is*, so its stream advances — the property
@@ -179,22 +158,22 @@ class TestGeneratorContract:
     """
 
     def test_int_seed_is_reproducible_per_call(self, sparse_matrix):
-        a = initialize_factors(sparse_matrix, 4, random_state=123)
-        b = initialize_factors(sparse_matrix, 4, random_state=123)
+        a = random_init(sparse_matrix, 4, random_state=123)
+        b = random_init(sparse_matrix, 4, random_state=123)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_generator_stream_advances_across_calls(self, sparse_matrix):
         rng = np.random.default_rng(123)
-        first = initialize_factors(sparse_matrix, 4, random_state=rng)
-        second = initialize_factors(sparse_matrix, 4, random_state=rng)
+        first = random_init(sparse_matrix, 4, random_state=rng)
+        second = random_init(sparse_matrix, 4, random_state=rng)
         assert not np.array_equal(first[0], second[0])
 
     def test_generator_is_not_reseeded(self, sparse_matrix):
         # Passing a Generator draws exactly what an int-seeded call would
         # have drawn first — the function must not wrap or re-seed it.
-        from_int = initialize_factors(sparse_matrix, 4, random_state=123)
-        from_gen = initialize_factors(
+        from_int = random_init(sparse_matrix, 4, random_state=123)
+        from_gen = random_init(
             sparse_matrix, 4, random_state=np.random.default_rng(123)
         )
         np.testing.assert_array_equal(from_int[0], from_gen[0])
@@ -203,6 +182,6 @@ class TestGeneratorContract:
     def test_caller_stream_is_consumed(self, sparse_matrix):
         rng = np.random.default_rng(123)
         untouched = np.random.default_rng(123)
-        initialize_factors(sparse_matrix, 4, random_state=rng)
+        random_init(sparse_matrix, 4, random_state=rng)
         # The caller's stream moved past the draws the init consumed.
         assert rng.random() != untouched.random()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.init import initialize_factors
+from repro.core.init import random_init
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
 from repro.exceptions import ConfigurationError
@@ -18,7 +18,7 @@ def problem():
     dense = (rng.random((25, 18)) < 0.25).astype(float)
     dense[0, 0] = 1.0
     matrix = sp.csr_matrix(dense)
-    factors = initialize_factors(matrix, 4, random_state=8)
+    factors = random_init(matrix, 4, random_state=8)
     return matrix, factors
 
 

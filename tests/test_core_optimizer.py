@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.backends import ParallelBackend, VectorizedBackend
-from repro.core.init import initialize_factors
+from repro.core.init import random_init
 from repro.core.objective import full_objective
 from repro.core.optimizer import BlockCoordinateTrainer, TrainingHistory
 from repro.exceptions import ConfigurationError
@@ -19,7 +19,7 @@ def training_problem():
     dense = (rng.random((30, 20)) < 0.2).astype(float)
     dense[0, 0] = 1.0
     matrix = sp.csr_matrix(dense)
-    user_factors, item_factors = initialize_factors(matrix, 5, random_state=4)
+    user_factors, item_factors = random_init(matrix, 5, random_state=4)
     return matrix, user_factors, item_factors
 
 
@@ -233,41 +233,45 @@ class TestTraining:
         assert all(later <= earlier + 1e-8 for earlier, later in zip(values, values[1:]))
 
 
-class TestWarmStartAndPlateau:
-    def test_initial_factors_records_warm_started(self, training_problem):
-        matrix, user_factors, item_factors = training_problem
-        trainer = BlockCoordinateTrainer(max_iterations=3, tolerance=0.0)
-        _, _, history = trainer.train(
-            matrix, initial_factors=(user_factors, item_factors)
-        )
-        assert history.warm_started
-        _, _, cold_history = trainer.train(matrix, user_factors, item_factors)
-        assert not cold_history.warm_started
+class TestStart:
+    """``train`` is the one place a start is checked, cold or warm."""
 
-    def test_initial_factors_mutually_exclusive_with_positional(self, training_problem):
+    def test_negative_start_rejected(self, training_problem):
+        # Outside the non-negative program the projected sweeps freeze: the
+        # fit would return the negative entry untouched.
         matrix, user_factors, item_factors = training_problem
         trainer = BlockCoordinateTrainer(max_iterations=2)
-        with pytest.raises(ConfigurationError, match="not both"):
-            trainer.train(
-                matrix,
-                user_factors,
-                item_factors,
-                initial_factors=(user_factors, item_factors),
-            )
+        bad = user_factors.copy()
+        bad[0, 0] = -0.1
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            trainer.train(matrix, bad, item_factors)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            trainer.train(matrix, user_factors, -item_factors)
 
-    def test_warm_start_equals_positional_start(self, training_problem):
-        # The warm path is a naming convenience: the sweeps from the same
-        # starting point must be bit-identical either way.
+    def test_k_mismatch_rejected(self, training_problem):
         matrix, user_factors, item_factors = training_problem
+        trainer = BlockCoordinateTrainer(max_iterations=2)
+        with pytest.raises(ConfigurationError, match="share K"):
+            trainer.train(matrix, user_factors, item_factors[:, :-1])
+
+    def test_row_mismatch_names_extend_factors(self, training_problem):
+        matrix, user_factors, item_factors = training_problem
+        trainer = BlockCoordinateTrainer(max_iterations=2)
+        with pytest.raises(ConfigurationError, match="extend_factors"):
+            trainer.train(matrix, user_factors[:-2], item_factors)
+
+    def test_start_is_not_modified(self, training_problem):
+        matrix, user_factors, item_factors = training_problem
+        before = user_factors.copy(), item_factors.copy()
         trainer = BlockCoordinateTrainer(max_iterations=3, tolerance=0.0)
-        warm_u, warm_v, _ = trainer.train(
-            matrix, initial_factors=(user_factors.copy(), item_factors.copy())
-        )
-        cold_u, cold_v, _ = trainer.train(
-            matrix, user_factors.copy(), item_factors.copy()
-        )
-        np.testing.assert_array_equal(warm_u, cold_u)
-        np.testing.assert_array_equal(warm_v, cold_v)
+        fitted_users, _, history = trainer.train(matrix, user_factors, item_factors)
+        np.testing.assert_array_equal(user_factors, before[0])
+        np.testing.assert_array_equal(item_factors, before[1])
+        assert not np.shares_memory(fitted_users, user_factors)
+        assert not history.warm_started
+
+
+class TestPlateau:
 
     def test_plateau_stop_fires_and_is_recorded(self, training_problem):
         matrix, user_factors, item_factors = training_problem

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.bias import BiasedOCuLaR
-from repro.core.init import initialize_factors
+from repro.core.init import random_init
 from repro.core.objective import relative_user_weights
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
@@ -259,13 +259,10 @@ def _legacy_biased_fit(model, matrix, initial_factors=None, plateau_tolerance=No
     n_users, n_items = csr.shape
     k, dtype = model.n_coclusters, model.dtype
     if initial_factors is None:
-        users, items = initialize_factors(
-            csr, k, method=model.init, scale=model.init_scale,
-            random_state=model.random_state, dtype=dtype,
-        )
+        users, items = random_init(csr, k, random_state=model.random_state, dtype=dtype)
         user_biases = item_biases = None
     else:
-        users, items = model._coerce_initial_factors(initial_factors, n_users, n_items)
+        users, items = model._coerce_initial_factors(initial_factors)
         user_biases, item_biases = model.user_biases_, model.item_biases_
 
     def bias_column(previous, n_rows):

@@ -245,6 +245,51 @@ class TestExtendedWith:
             matrix.extended_with([], n_new_users=2, new_user_labels=["only-one"])
 
 
+# Pair ids in every form a caller may hand in: what each should mean, or
+# None for a DataError.
+_PAIR_IDS = {
+    "int": (1, 1),
+    "numpy-int": (np.int32(1), 1),
+    "whole-float": (1.0, 1),
+    "numeric-string": ("1", 1),
+    "fractional-float": (1.5, None),
+    "fractional-string": ("1.5", None),
+    "word": ("one", None),
+    "nan": (float("nan"), None),
+    "inf": (float("inf"), None),
+    "negative": (-1, None),
+    "past-int64": (2**70, None),
+    "past-shape": (9, None),
+}
+
+
+class TestPairIds:
+    """from_pairs and extended_with read pair ids by one integer rule."""
+
+    @pytest.mark.parametrize("case", sorted(_PAIR_IDS))
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_from_pairs_and_extended_with_agree(self, case, side):
+        value, expected = _PAIR_IDS[case]
+        pair = (value, 0) if side == "user" else (0, value)
+        empty = InteractionMatrix.from_pairs([], n_users=3, n_items=3)
+        readers = (
+            lambda: InteractionMatrix.from_pairs([pair], n_users=3, n_items=3),
+            lambda: empty.extended_with([pair]),
+        )
+        if expected is None:
+            for read in readers:
+                with pytest.raises(DataError):
+                    read()
+            return
+        want = [[expected, 0]] if side == "user" else [[0, expected]]
+        for read in readers:
+            assert read().pairs().tolist() == want
+
+    def test_pair_of_wrong_length_rejected(self):
+        with pytest.raises(DataError, match="index pairs"):
+            InteractionMatrix.from_pairs([(0, 1, 2)])
+
+
 class TestStoredValues:
     """Stored zeros are not positives, and the caller's matrix is left alone."""
 

@@ -218,6 +218,16 @@ class TestRuntimeIngest:
         assert first.drift == 1 / base.nnz
         assert second.drift == 2 / base.nnz
 
+    def test_ingest_takes_the_pair_id_rule(self, corpus):
+        # A fractional id is refused, not truncated to a neighbour's row.
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(), corpus.base)
+            with pytest.raises(DataError, match="integers"):
+                runtime.ingest([(0, 1.5)])
+            assert runtime.train_matrix == corpus.base
+            assert runtime.ingest([(0.0, "1")]).n_pairs == 1
+            assert runtime.train_matrix.contains(0, 1)
+
     def test_ingest_requires_fit(self):
         with RecommenderRuntime(executor="serial") as runtime:
             with pytest.raises(NotFittedError, match="ingest"):

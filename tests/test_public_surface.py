@@ -8,14 +8,22 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import repro.runtime
+from repro.core import io
 from repro.core.backends import SweepWorkspaceStore
 from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
+from repro.core.r_ocular import ROCuLaR
+from repro.data import make_movielens_like
+from repro.exceptions import ConvergenceWarning
 from repro.parallel.cluster import ClusterExecutor
 from repro.runtime import (
     BatchingFrontEnd,
@@ -109,8 +117,8 @@ def test_one_ranking_shape():
 def test_training_arguments():
     assert _parameters(OCuLaR) == (
         "n_coclusters", "regularization", "max_iterations", "tolerance", "sigma",
-        "beta", "max_backtracks", "init", "init_scale", "backend", "n_workers",
-        "executor", "dtype", "inner_sweeps", "user_weighting", "random_state",
+        "beta", "max_backtracks", "backend", "n_workers", "executor", "dtype",
+        "inner_sweeps", "user_weighting", "random_state",
     )
     fit = ("matrix", "callback", "backend", "initial_factors", "plateau_tolerance")
     assert _parameters(OCuLaR.fit) == fit
@@ -122,7 +130,39 @@ def test_training_arguments():
     )
     assert _parameters(BlockCoordinateTrainer.train) == (
         "matrix", "user_factors", "item_factors", "user_weights", "callback",
-        "initial_factors", "constant_columns",
+        "constant_columns",
+    )
+
+
+@pytest.mark.parametrize(
+    "model_class", [OCuLaR, ROCuLaR, BiasedOCuLaR], ids=lambda cls: cls.__name__
+)
+def test_get_params_names_the_constructor(model_class):
+    # get_params() is what an archive records and load_model feeds back to
+    # the constructor, so the two name the same settings (the subclasses
+    # forward OCuLaR's).
+    params = model_class(random_state=0).get_params()
+    assert tuple(params) == _parameters(OCuLaR)
+    assert model_class(**params).get_params() == params
+    assert not set(io._RETIRED_PARAMS) & set(params)
+
+
+def test_archive_with_retired_settings_loads(tmp_path):
+    matrix, _ = make_movielens_like(n_users=40, n_items=30, random_state=0)
+    model = OCuLaR(n_coclusters=3, max_iterations=2, tolerance=0.0, random_state=0)
+    with pytest.warns(ConvergenceWarning):
+        model.fit(matrix)
+    path = io.save_model(model, tmp_path / "model.npz")
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    header["params"].update(init="random", init_scale=1.0)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    loaded = io.load_model(path)
+    assert loaded.get_params() == model.get_params()
+    np.testing.assert_array_equal(
+        loaded.factors_.user_factors, model.factors_.user_factors
     )
 
 

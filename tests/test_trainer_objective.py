@@ -26,7 +26,7 @@ from repro.core.backends import (
     VectorizedBackend,
 )
 from repro.core.backends.plan import SweepSide
-from repro.core.init import initialize_factors
+from repro.core.init import random_init
 from repro.core.objective import (
     full_objective,
     negative_log_likelihood,
@@ -44,7 +44,7 @@ def _problem(dtype=np.float64, n_users=90, n_items=45, k=5, seed=5):
     dense = (rng.random((n_users, n_items)) < 0.15).astype(float)
     dense[:2] = 0.0  # empty users
     matrix = sp.csr_matrix(dense)
-    users, items = initialize_factors(matrix, k, random_state=seed, dtype=dtype)
+    users, items = random_init(matrix, k, random_state=seed, dtype=dtype)
     return matrix, users, items
 
 
@@ -109,12 +109,9 @@ class TestRecordedObjective:
             backend=backend,
             inner_sweeps=inner_sweeps,
         )
-        kwargs = {"user_weights": weights, "constant_columns": constant_columns}
-        if options.get("warm"):
-            kwargs["initial_factors"] = (users, items)
-        else:
-            kwargs.update(user_factors=users, item_factors=items)
-        fitted_users, fitted_items, history = trainer.train(matrix, **kwargs)
+        fitted_users, fitted_items, history = trainer.train(
+            matrix, users, items, user_weights=weights, constant_columns=constant_columns
+        )
 
         iterates = _iterates(backend.outputs, (users, items), inner_sweeps)
         assert history.n_iterations == max_iterations
@@ -269,7 +266,7 @@ class TestTrainerRejects:
         rng = np.random.default_rng(0)
         mask = rng.random((80, 40)) < 0.15
         counts = sp.csr_matrix(np.where(mask, rng.integers(1, 6, (80, 40)), 0).astype(float))
-        users, items = initialize_factors(counts, 5, random_state=0)
+        users, items = random_init(counts, 5, random_state=0)
         trainer = BlockCoordinateTrainer(regularization=0.1, max_iterations=15)
         with pytest.raises(ConfigurationError, match="InteractionMatrix"):
             trainer.train(counts, users, items)
