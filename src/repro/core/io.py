@@ -134,7 +134,7 @@ def load_model(path: PathLike) -> OCuLaR:
     model = model_class(**params)
 
     matrix = InteractionMatrix.from_pairs(
-        zip(train_users.tolist(), train_items.tolist()),
+        np.column_stack((train_users, train_items)),
         n_users=int(header["n_users"]),
         n_items=int(header["n_items"]),
         user_labels=header.get("user_labels"),

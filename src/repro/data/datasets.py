@@ -473,13 +473,12 @@ def make_drifting_corpus(
 
     base_mask = in_block & ~late_mask
     base = InteractionMatrix.from_pairs(
-        [(int(u), int(i)) for u, i in pairs[base_mask]],
-        n_users=n_base_users,
-        n_items=n_base_items,
+        pairs[base_mask], n_users=n_base_users, n_items=n_base_items
     )
+    delta = pairs[~base_mask]
     corpus = DriftingCorpus(
         base=base,
-        delta_pairs=[(int(u), int(i)) for u, i in pairs[~base_mask]],
+        delta_pairs=list(map(tuple, delta.tolist())),
         n_new_users=n_users - n_base_users,
         n_new_items=n_items - n_base_items,
         split=split,
@@ -488,7 +487,7 @@ def make_drifting_corpus(
     # warm-vs-cold comparison is meaningless if the ingested corpus and the
     # grown training matrix ever diverge.
     reconstructed = base.extended_with(
-        corpus.delta_pairs,
+        delta,
         n_new_users=corpus.n_new_users,
         n_new_items=corpus.n_new_items,
     )

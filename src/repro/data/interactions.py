@@ -7,15 +7,23 @@ article saved to a collection) and ``r_ui = 0`` is *unknown*, never negative.
 matrix that provides exactly the views the algorithms need:
 
 * per-user positive item lists and per-item positive user lists,
-* fast membership tests for (user, item) pairs,
+* membership tests for (user, item) pairs, by binary search in the
+  user's sorted CSR row,
 * sub-sampling of positives (for the Figure 7 scaling experiment),
 * removal/addition of interaction sets (for train/test splitting).
+
+Every pair reader (:meth:`InteractionMatrix.from_pairs`,
+:meth:`~InteractionMatrix.extended_with`,
+:meth:`~InteractionMatrix.without_pairs`) takes ids by one integer rule:
+whole, finite, non-negative and within int64.  An integer ``(n, 2)`` array
+that int64 holds is read as an array; anything else (floats, uint64,
+strings, mixed objects, ragged rows) is walked id by id.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,21 +40,47 @@ def _pair_indices(pairs: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndar
     (:func:`~repro.utils.validation.as_int_tuple`): whole numbers pass in any
     numeric form, while a fractional, non-finite or negative index, one
     past int64, or a pair that is not two ids is a
-    :class:`~repro.exceptions.DataError`.
+    :class:`~repro.exceptions.DataError`.  Integer ``(n, 2)`` input is read
+    as an array; the rest goes id by id.
     """
-    rows = [tuple(pair) for pair in pairs]
-    if set(map(len, rows)) - {2}:
-        raise DataError("pairs must be (user, item) index pairs")
-    ids = as_int_tuple(itertools.chain.from_iterable(rows), "pair indices", DataError)
-    try:
-        users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
-    except OverflowError as error:
-        raise DataError("pair indices must fit in int64") from error
+    array = _exact_pair_array(pairs)
+    if array is None:
+        array = _walked_pair_array(pairs)
+    users, items = array.T
     negative = np.flatnonzero((users < 0) | (items < 0))
     if negative.size:
         first = negative[0]
         raise DataError(f"indices must be non-negative, got ({users[first]}, {items[first]})")
     return users, items
+
+
+def _exact_pair_array(pairs: Iterable[Tuple[int, int]]) -> Optional[np.ndarray]:
+    """``pairs`` as an int64 ``(n, 2)`` array, or ``None`` to walk them by id.
+
+    Only integer input int64 holds exactly is read as an array; floats and
+    uint64 go to the walk, which keeps the id rule in one place (a list
+    numpy reads as floats would also round ``(2**53 + 1, 0.0)``).
+    """
+    try:
+        array = np.asarray(pairs)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    kind, size = array.dtype.kind, array.dtype.itemsize
+    if array.ndim != 2 or array.shape[1] != 2 or not (kind in "bi" or (kind == "u" and size < 8)):
+        return None
+    return array.astype(np.int64, copy=False)
+
+
+def _walked_pair_array(pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """The id-by-id reading of ``pairs`` (floats, uint64, strings, mixed objects, ragged rows)."""
+    rows = [tuple(pair) for pair in pairs]
+    if set(map(len, rows)) - {2}:
+        raise DataError("pairs must be (user, item) index pairs")
+    ids = as_int_tuple(itertools.chain.from_iterable(rows), "pair indices", DataError)
+    try:
+        return np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as error:
+        raise DataError("pair indices must fit in int64") from error
 
 
 def one_class_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -103,7 +137,6 @@ class InteractionMatrix:
             raise DataError("interaction matrix must have at least one user and one item")
         self._csr = one_class_csr(csr)
         self._csc: Optional[sp.csc_matrix] = None
-        self._pair_set: Optional[Set[Tuple[int, int]]] = None
 
         self.user_labels = self._check_labels(user_labels, csr.shape[0], "user_labels")
         self.item_labels = self._check_labels(item_labels, csr.shape[1], "item_labels")
@@ -159,7 +192,6 @@ class InteractionMatrix:
         instance = cls.__new__(cls)
         instance._csr = csr
         instance._csc = None
-        instance._pair_set = None
         instance.user_labels = cls._check_labels(user_labels, csr.shape[0], "user_labels")
         instance.item_labels = cls._check_labels(item_labels, csr.shape[1], "item_labels")
         return instance
@@ -253,11 +285,12 @@ class InteractionMatrix:
 
     def contains(self, user: int, item: int) -> bool:
         """Return ``True`` when ``r_ui = 1``."""
+        user, item = as_int_tuple((user, item), "pair indices", DataError)
         self._check_user(user)
         self._check_item(item)
-        if self._pair_set is None:
-            self._pair_set = {(int(u), int(i)) for u, i in self.iter_pairs()}
-        return (user, item) in self._pair_set
+        row = self._csr.indices[self._csr.indptr[user] : self._csr.indptr[user + 1]]
+        position = np.searchsorted(row, item)
+        return bool(position < row.size and row[position] == item)
 
     def label_of_user(self, user: int) -> str:
         """Human-readable label of ``user`` (falls back to ``"user <u>"``)."""
@@ -299,15 +332,20 @@ class InteractionMatrix:
         return InteractionMatrix(csr, user_labels=self.user_labels, item_labels=self.item_labels)
 
     def without_pairs(self, pairs: Iterable[Tuple[int, int]]) -> "InteractionMatrix":
-        """Return a copy with the given positive pairs removed (set to unknown)."""
-        removal = sp.lil_matrix(self.shape, dtype=np.float64)
-        for user, item in pairs:
-            self._check_user(user)
-            self._check_item(item)
-            removal[user, item] = 1.0
-        remaining = self._csr - self._csr.multiply(removal.tocsr())
-        remaining = sp.csr_matrix(remaining)
-        remaining.eliminate_zeros()
+        """Return a copy with the given positive pairs removed (set to unknown).
+
+        Pairs take the id rule of :meth:`from_pairs` and must lie inside the
+        shape; a pair that is not a positive is ignored.
+        """
+        users, items = _pair_indices(pairs)
+        outside = np.flatnonzero((users >= self.n_users) | (items >= self.n_items))
+        if outside.size:
+            first = outside[0]
+            raise DataError(f"pair ({users[first]}, {items[first]}) out of range {self.shape}")
+        removal = sp.csr_matrix(
+            (np.ones(users.size, dtype=bool), (users, items)), shape=self.shape
+        )
+        remaining = self._csr - self._csr.multiply(removal)
         return InteractionMatrix(remaining, user_labels=self.user_labels, item_labels=self.item_labels)
 
     def extended_with(

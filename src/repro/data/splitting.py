@@ -7,6 +7,14 @@ of that split (each user's positives are split independently so every user
 keeps some training history), :func:`leave_k_out_split` holds out a fixed
 number of positives per user, and :func:`kfold_splits` produces the folds
 used for hyper-parameter cross-validation.
+
+A split is reproducible bit for bit from its matrix and seed: the train
+CSR arrays and every ``test_items`` array.  The hold-out splitters draw
+with one ``rng.choice`` per user, in user order; that stream is the
+contract, so it is the one Python loop left.  Folds are assigned by one
+scatter over a permutation, and every split hands its held-out pairs to
+:meth:`~repro.data.interactions.InteractionMatrix.without_pairs` as one
+``(n, 2)`` array.
 """
 
 from __future__ import annotations
@@ -82,28 +90,18 @@ def train_test_split(
         raise DataError("min_train_positives must be non-negative")
     rng = ensure_rng(random_state)
 
-    removed: List[Tuple[int, int]] = []
-    test_items: Dict[int, np.ndarray] = {}
-    for user in range(matrix.n_users):
-        items = matrix.items_of_user(user)
-        if len(items) == 0:
-            continue
-        n_test = int(np.floor(test_fraction * len(items)))
-        n_test = min(n_test, len(items) - min_train_positives)
-        if n_test <= 0:
-            continue
-        chosen = rng.choice(items, size=n_test, replace=False)
-        chosen = np.sort(chosen)
-        test_items[user] = chosen
-        removed.extend((user, int(item)) for item in chosen)
-
-    if not removed:
+    degrees = matrix.user_degrees()
+    n_test = np.minimum(
+        np.floor(test_fraction * degrees).astype(np.int64), degrees - min_train_positives
+    )
+    users = np.flatnonzero(n_test > 0)
+    test_items = _draw_per_user(matrix, users, n_test[users], rng)
+    if not test_items:
         raise DataError(
             "the split produced no test examples; the matrix is too sparse for "
             f"test_fraction={test_fraction}"
         )
-    train = matrix.without_pairs(removed)
-    return Split(train=train, test_items=test_items)
+    return Split(train=matrix.without_pairs(_held_out_pairs(test_items)), test_items=test_items)
 
 
 def leave_k_out_split(
@@ -119,19 +117,12 @@ def leave_k_out_split(
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
     rng = ensure_rng(random_state)
-    removed: List[Tuple[int, int]] = []
-    test_items: Dict[int, np.ndarray] = {}
-    for user in range(matrix.n_users):
-        items = matrix.items_of_user(user)
-        if len(items) < k + min_train_positives:
-            continue
-        chosen = np.sort(rng.choice(items, size=k, replace=False))
-        test_items[user] = chosen
-        removed.extend((user, int(item)) for item in chosen)
-    if not removed:
+    degrees = matrix.user_degrees()
+    users = np.flatnonzero(degrees >= k + min_train_positives)
+    test_items = _draw_per_user(matrix, users, np.full(users.size, k), rng)
+    if not test_items:
         raise DataError("leave-k-out produced no test examples")
-    train = matrix.without_pairs(removed)
-    return Split(train=train, test_items=test_items)
+    return Split(train=matrix.without_pairs(_held_out_pairs(test_items)), test_items=test_items)
 
 
 def kfold_splits(
@@ -154,28 +145,47 @@ def kfold_splits(
         raise DataError("not enough positive examples for the requested number of folds")
     order = rng.permutation(len(pairs))
     fold_of_pair = np.empty(len(pairs), dtype=np.int64)
-    for position, pair_index in enumerate(order):
-        fold_of_pair[pair_index] = position % n_folds
+    fold_of_pair[order] = np.arange(len(pairs)) % n_folds
+    degrees = matrix.user_degrees()
 
     for fold in range(n_folds):
-        test_mask = fold_of_pair == fold
-        held: Dict[int, List[int]] = {}
-        for user, item in pairs[test_mask]:
-            held.setdefault(int(user), []).append(int(item))
-
-        # Guarantee at least one training positive per affected user.
-        removed: List[Tuple[int, int]] = []
-        test_items: Dict[int, np.ndarray] = {}
-        for user, items in held.items():
-            full_history = matrix.items_of_user(user)
-            items_kept = items
-            if len(items) >= len(full_history):
-                items_kept = items[:-1]
-            if not items_kept:
-                continue
-            test_items[user] = np.asarray(sorted(items_kept), dtype=np.int64)
-            removed.extend((user, item) for item in items_kept)
-        if not removed:
+        # ``pairs`` is in CSR order, so a fold's test pairs run user by user
+        # with each user's items ascending.
+        users, items = pairs[fold_of_pair == fold].T
+        held = np.bincount(users, minlength=matrix.n_users)
+        # A user whose whole history fell into the fold keeps its last
+        # held-out item as a training positive.
+        whole = (held > 0) & (held >= degrees)
+        keep = np.ones(users.size, dtype=bool)
+        keep[np.cumsum(held)[whole] - 1] = False
+        if not keep.any():
             continue
-        train = matrix.without_pairs(removed)
+        held -= whole
+        test_users = np.flatnonzero(held)
+        users, items = users[keep], items[keep]
+        chunks = np.split(items, np.cumsum(held[test_users])[:-1])
+        test_items = dict(zip(test_users.tolist(), chunks))
+        train = matrix.without_pairs(np.column_stack([users, items]))
         yield Split(train=train, test_items=test_items)
+
+
+def _draw_per_user(
+    matrix: InteractionMatrix, users: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
+) -> Dict[int, np.ndarray]:
+    """Each of ``users`` (ascending) draws ``sizes[j]`` of its items, sorted.
+
+    One ``rng.choice`` per user, in user order: that stream is what makes a
+    split reproducible from its seed, so it stays a Python loop.
+    """
+    csr = matrix.csr()
+    test_items: Dict[int, np.ndarray] = {}
+    for user, size in zip(users.tolist(), sizes.tolist()):
+        items = csr.indices[csr.indptr[user] : csr.indptr[user + 1]]
+        test_items[user] = np.sort(rng.choice(items, size=size, replace=False))
+    return test_items
+
+
+def _held_out_pairs(test_items: Dict[int, np.ndarray]) -> np.ndarray:
+    """``test_items`` as one ``(n, 2)`` array of ``(user, item)`` pairs."""
+    users = np.repeat(list(test_items), [len(items) for items in test_items.values()])
+    return np.column_stack([users, np.concatenate(list(test_items.values()))])

@@ -105,6 +105,24 @@ class TestAccessors:
         assert matrix.contains(0, 2)
         assert not matrix.contains(3, 3)
 
+    def test_contains_agrees_with_the_dense_matrix(self):
+        dense = (np.random.default_rng(3).random((12, 9)) < 0.3).astype(float)
+        dense[4] = 0.0  # an empty row
+        matrix = InteractionMatrix(dense)
+        for user in range(12):
+            for item in range(9):
+                assert matrix.contains(user, item) == bool(dense[user, item])
+        # Whole floats are ids too; a fraction is not.
+        assert matrix.contains(1.0, 2) == bool(dense[1, 2])
+        assert matrix.contains(np.float64(3), np.int64(0)) == bool(dense[3, 0])
+        with pytest.raises(DataError):
+            matrix.contains(1.5, 2)
+
+    @pytest.mark.parametrize("pair", [(4, 0), (-1, 0), (0, 5), (0, -1)])
+    def test_contains_rejects_out_of_range(self, dense_example, pair):
+        with pytest.raises(DataError, match="out of range"):
+            InteractionMatrix(dense_example).contains(*pair)
+
     def test_index_out_of_range(self, dense_example):
         matrix = InteractionMatrix(dense_example)
         with pytest.raises(DataError):
@@ -158,6 +176,28 @@ class TestTransformations:
         matrix = InteractionMatrix(dense_example)
         matrix.without_pairs([(0, 0)])
         assert matrix.contains(0, 0)
+
+    def test_without_pairs_matches_the_dense_matrix(self):
+        rng = np.random.default_rng(5)
+        dense = (rng.random((15, 11)) < 0.4).astype(float)
+        dense[7] = 0.0
+        # Positives, non-positives and repeats, in no particular order.
+        removed = np.column_stack([rng.integers(0, 15, 60), rng.integers(0, 11, 60)])
+        expected = dense.copy()
+        expected[removed[:, 0], removed[:, 1]] = 0.0
+        reduced = InteractionMatrix(dense).without_pairs(removed)
+        np.testing.assert_array_equal(reduced.toarray(), expected)
+        assert reduced.csr().has_canonical_format
+
+    def test_without_pairs_on_empty_input(self, dense_example):
+        matrix = InteractionMatrix(dense_example)
+        assert matrix.without_pairs([]) == matrix
+        empty = InteractionMatrix.from_pairs([], n_users=2, n_items=2)
+        assert empty.without_pairs([(0, 1)]).nnz == 0
+
+    def test_without_pairs_rejects_out_of_range(self, dense_example):
+        with pytest.raises(DataError, match=r"pair \(4, 0\) out of range"):
+            InteractionMatrix(dense_example).without_pairs([(0, 0), (4, 0)])
 
     def test_copy_is_independent(self, dense_example):
         matrix = InteractionMatrix(dense_example)
@@ -260,11 +300,60 @@ _PAIR_IDS = {
     "negative": (-1, None),
     "past-int64": (2**70, None),
     "past-shape": (9, None),
+    "int64-max": (2**63 - 1, None),
+    "int64-max-plus-one": (2**63, None),
+    "uint64-max": (2**64 - 1, None),
 }
 
 
+def _read_pairs(pairs):
+    """What each pair reader makes of ``pairs`` on a 3 x 3 corpus, or DataError.
+
+    ``without_pairs`` reads as the pairs it removed from the full matrix.
+    """
+    full = InteractionMatrix(np.ones((3, 3)))
+    readers = {
+        "from_pairs": lambda: InteractionMatrix.from_pairs(pairs, n_users=3, n_items=3),
+        "extended_with": lambda: InteractionMatrix.from_pairs([], n_users=3, n_items=3)
+        .extended_with(pairs),
+        "without_pairs": lambda: InteractionMatrix(
+            full.toarray() - full.without_pairs(pairs).toarray()
+        ),
+    }
+    verdicts = {}
+    for name, read in readers.items():
+        try:
+            verdicts[name] = read().pairs().tolist()
+        except DataError:
+            verdicts[name] = DataError
+    return verdicts
+
+
+# The same ids as (n, 2) arrays, in each dtype that holds them exactly.
+_ARRAY_IDS = [
+    (np.int64, "int"),
+    (np.int64, "negative"),
+    (np.int64, "past-shape"),
+    (np.int64, "int64-max"),
+    (np.float64, "int"),
+    (np.float64, "whole-float"),
+    (np.float64, "fractional-float"),
+    (np.float64, "nan"),
+    (np.float64, "inf"),
+    (np.float64, "negative"),
+    (np.float64, "past-int64"),
+    (np.float64, "past-shape"),
+    (np.float64, "int64-max-plus-one"),
+    (np.uint64, "int"),
+    (np.uint64, "past-shape"),
+    (np.uint64, "int64-max"),
+    (np.uint64, "int64-max-plus-one"),
+    (np.uint64, "uint64-max"),
+]
+
+
 class TestPairIds:
-    """from_pairs and extended_with read pair ids by one integer rule."""
+    """from_pairs, extended_with and without_pairs read pair ids by one integer rule."""
 
     @pytest.mark.parametrize("case", sorted(_PAIR_IDS))
     @pytest.mark.parametrize("side", ["user", "item"])
@@ -285,9 +374,39 @@ class TestPairIds:
         for read in readers:
             assert read().pairs().tolist() == want
 
+    @pytest.mark.parametrize("case", sorted(_PAIR_IDS))
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_without_pairs_agrees(self, case, side):
+        value, expected = _PAIR_IDS[case]
+        verdict = _read_pairs([(value, 0) if side == "user" else (0, value)])
+        if expected is not None:
+            expected = [[expected, 0]] if side == "user" else [[0, expected]]
+        assert verdict == dict.fromkeys(verdict, expected or DataError)
+
+    @pytest.mark.parametrize("dtype, case", _ARRAY_IDS)
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_arrays_get_the_tuple_verdict(self, dtype, case, side):
+        value, _expected = _PAIR_IDS[case]
+        array = np.array([(value, 0) if side == "user" else (0, value)], dtype=dtype)
+        held = array[0, 0 if side == "user" else 1].item()
+        assert held == value or (np.isnan(held) and np.isnan(value))  # exact
+        tuples = [tuple(row) for row in array.tolist()]
+        assert _read_pairs(array) == _read_pairs(tuples)
+
+    def test_mixed_list_keeps_an_exact_id_past_two_to_the_53(self):
+        # numpy reads this list as float64, where 2**53 + 1 rounds to 2**53.
+        pairs = [(2**53 + 1, 0.0)]
+        empty = InteractionMatrix.from_pairs([], n_users=3, n_items=3)
+        with pytest.raises(DataError, match=r"pair \(9007199254740993, 0\)"):
+            empty.extended_with(pairs)
+        with pytest.raises(DataError, match=r"pair \(9007199254740993, 0\)"):
+            empty.without_pairs(pairs)
+
     def test_pair_of_wrong_length_rejected(self):
         with pytest.raises(DataError, match="index pairs"):
             InteractionMatrix.from_pairs([(0, 1, 2)])
+        with pytest.raises(DataError, match="index pairs"):
+            InteractionMatrix.from_pairs(np.zeros((2, 3), dtype=np.int64))
 
 
 class TestStoredValues:
