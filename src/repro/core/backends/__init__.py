@@ -11,14 +11,17 @@ Three backends implement identical mathematics:
   examples, which is exactly the parallel-over-positive-ratings structure of
   the paper's GPU kernel.
 * ``"parallel"`` — the vectorized kernels sharded by row range and fanned
-  across a thread pool (``n_workers``), realising the paper's
-  rows-are-independent parallelism argument on the CPU.  Its factors are
+  across a worker pool, realising the paper's rows-are-independent
+  parallelism argument on the CPU.  By name it is a thread pool of the CPU
+  count; a sized or process pool is an instance,
+  ``ParallelBackend(n_workers=..., executor=...)``.  Its factors are
   bit-identical to ``"vectorized"`` for any shard count.
 
 All backends consume a precomputed :class:`~repro.core.backends.plan.SweepSide`
-(built once per fit by the trainer through :class:`SweepPlan`) and return
-bit-for-bit comparable factors when run with the same inputs and step sizes;
-the test-suite asserts their agreement.
+(built once per fit by the trainer through :class:`SweepPlan`), run the line
+search with the Armijo constants of :mod:`repro.core.objective`, and return
+bit-for-bit comparable factors when run with the same inputs; the test-suite
+asserts their agreement.
 """
 
 from repro.core.backends.base import Backend, SweepStats
@@ -37,29 +40,13 @@ _BACKENDS = {
 }
 
 
-def get_backend(name, n_workers=None, executor=None) -> Backend:
+def get_backend(name) -> Backend:
     """Instantiate a backend by name, or pass an instance through.
 
-    Parameters
-    ----------
-    name:
-        ``"reference"``, ``"vectorized"``, ``"parallel"``, or a
-        :class:`Backend` instance (returned unchanged).
-    n_workers:
-        Worker-pool size for the ``"parallel"`` backend.  Specifying it with
-        any other backend (or with an already-built instance) is an error —
-        it would be silently ignored otherwise.
-    executor:
-        Executor name from the :mod:`repro.parallel.scheduler` registry
-        (``"thread"``, ``"process"``, ``"serial"``) for the ``"parallel"``
-        backend; same validity rule as ``n_workers``.
+    ``name`` is ``"reference"``, ``"vectorized"``, ``"parallel"`` (built at
+    its defaults), or a :class:`Backend` instance, returned unchanged.
     """
     if isinstance(name, Backend):
-        if n_workers is not None or executor is not None:
-            raise ConfigurationError(
-                "n_workers/executor cannot be combined with a backend instance; "
-                "construct ParallelBackend(n_workers=..., executor=...) directly"
-            )
         return name
     try:
         backend_cls = _BACKENDS[name]
@@ -67,18 +54,6 @@ def get_backend(name, n_workers=None, executor=None) -> Backend:
         raise ConfigurationError(
             f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
         ) from exc
-    if n_workers is not None or executor is not None:
-        if backend_cls is not ParallelBackend:
-            raise ConfigurationError(
-                "n_workers/executor are only valid with the 'parallel' backend, "
-                f"not {name!r}"
-            )
-        kwargs = {}
-        if n_workers is not None:
-            kwargs["n_workers"] = n_workers
-        if executor is not None:
-            kwargs["executor"] = executor
-        return backend_cls(**kwargs)
     return backend_cls()
 
 

@@ -146,15 +146,15 @@ class Backend(abc.ABC):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        row_positive_weights: Optional[np.ndarray] = None,
-        col_positive_weights: Optional[np.ndarray] = None,
-        sigma: float = 0.1,
-        beta: float = 0.5,
-        max_backtracks: int = 20,
         plan: Optional[SweepSide] = None,
         row_range: Optional[Tuple[int, int]] = None,
     ) -> Tuple[np.ndarray, SweepStats]:
         """Perform one projected-gradient sweep over rows of one side.
+
+        The line search runs with the Armijo constants of
+        :mod:`repro.core.objective` (``ARMIJO_SIGMA``, ``ARMIJO_BETA``,
+        ``MAX_BACKTRACKS``); a row that exhausts its backtracks keeps its
+        previous factor.
 
         Parameters
         ----------
@@ -169,22 +169,12 @@ class Backend(abc.ABC):
             Fixed factors of the other side, shape ``(n_cols, K)``.
         regularization:
             The L2 penalty ``lambda``.
-        row_positive_weights, col_positive_weights:
-            Optional per-row / per-column weights; the weight of a positive
-            entry ``(r, c)`` is their product (1 when both are ``None``).
-            R-OCuLaR passes the per-user weights through whichever side the
-            users occupy.  Only valid without ``plan`` — a plan has its
-            entry weights baked in.
-        sigma, beta:
-            Armijo line-search constants, both in (0, 1).
-        max_backtracks:
-            Maximum number of step-size reductions per row; a row whose
-            search exhausts the budget keeps its previous factor.
         plan:
             Optional precomputed :class:`~repro.core.backends.plan.SweepSide`.
-            Without it an ephemeral plan is built from ``matrix`` on every
-            call (the backward-compatible slow path); the trainer builds one
-            plan per fit instead.
+            Without it an unweighted plan is built from ``matrix`` on every
+            call; the trainer builds one plan per fit instead.  Positive
+            weights (R-OCuLaR) exist only in a plan:
+            ``SweepSide.build(matrix, row_positive_weights=...)``.
         row_range:
             Optional ``(start, stop)`` restricting the sweep to rows
             ``[start, stop)``.  The returned factor array then has shape
@@ -210,23 +200,12 @@ class Backend(abc.ABC):
                 if np.issubdtype(row_factors.dtype, np.floating)
                 else None
             )
-            plan = SweepSide.build(
-                matrix,
-                row_positive_weights=row_positive_weights,
-                col_positive_weights=col_positive_weights,
-                dtype=dtype,
+            plan = SweepSide.build(matrix, dtype=dtype)
+        elif matrix is not None:
+            raise ConfigurationError(
+                "pass either a matrix or a plan to sweep, not both — a plan "
+                "already owns its matrix, so the extra one would be ignored"
             )
-        else:
-            if matrix is not None:
-                raise ConfigurationError(
-                    "pass either a matrix or a plan to sweep, not both — a plan "
-                    "already owns its matrix, so the extra one would be ignored"
-                )
-            if row_positive_weights is not None or col_positive_weights is not None:
-                raise ConfigurationError(
-                    "positive weights are baked into the plan at construction time; "
-                    "pass them to SweepSide.build, not to sweep"
-                )
         if plan.n_rows != row_factors.shape[0]:
             raise ConfigurationError(
                 f"row_factors has {row_factors.shape[0]} rows but the plan side has "
@@ -247,9 +226,6 @@ class Backend(abc.ABC):
             row_factors,
             col_factors,
             regularization,
-            sigma,
-            beta,
-            max_backtracks,
             start,
             stop,
             total_col_sum,
@@ -287,9 +263,6 @@ class Backend(abc.ABC):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         start: int,
         stop: int,
         total_col_sum: np.ndarray,

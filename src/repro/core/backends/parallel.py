@@ -120,9 +120,6 @@ def _sweep_shard_shared(
     row_spec: SharedArraySpec,
     col_spec: SharedArraySpec,
     regularization: float,
-    sigma: float,
-    beta: float,
-    max_backtracks: int,
     start: int,
     stop: int,
     total_col_sum: np.ndarray,
@@ -140,9 +137,6 @@ def _sweep_shard_shared(
         row_factors,
         col_factors,
         regularization,
-        sigma,
-        beta,
-        max_backtracks,
         start,
         stop,
         total_col_sum,
@@ -211,9 +205,6 @@ class ParallelBackend(Backend):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         start: int,
         stop: int,
         total_col_sum: np.ndarray,
@@ -225,15 +216,11 @@ class ParallelBackend(Backend):
                 row_factors,
                 col_factors,
                 regularization,
-                sigma,
-                beta,
-                max_backtracks,
                 start,
                 stop,
                 total_col_sum,
             )
         executor = self._scheduler.executor
-        common = (regularization, sigma, beta, max_backtracks)
         if supports_publication(executor):
             with self._sweep_lock:
                 if self._published is None:
@@ -260,8 +247,8 @@ class ParallelBackend(Backend):
                     col_factors,
                 )
                 tasks = [
-                    (side_spec, row_spec, col_spec, *common, shard_start, shard_stop, total_col_sum)
-                    for shard_start, shard_stop in shards
+                    (side_spec, row_spec, col_spec, regularization, *shard, total_col_sum)
+                    for shard in shards
                 ]
                 # starmap returns results in submission (= shard) order, so
                 # stitching is deterministic no matter which shard finishes
@@ -270,8 +257,8 @@ class ParallelBackend(Backend):
                 results = executor.starmap(_sweep_shard_shared, tasks)
         else:
             tasks = [
-                (plan, row_factors, col_factors, *common, shard_start, shard_stop, total_col_sum)
-                for shard_start, shard_stop in shards
+                (plan, row_factors, col_factors, regularization, *shard, total_col_sum)
+                for shard in shards
             ]
             results = executor.starmap(self._inner._sweep_rows, tasks)
         factors = np.concatenate([shard_factors for shard_factors, _ in results], axis=0)

@@ -22,6 +22,9 @@ import numpy as np
 from repro.core.backends.base import Backend, SweepStats
 from repro.core.backends.plan import SweepSide
 from repro.core.objective import (
+    ARMIJO_BETA,
+    ARMIJO_SIGMA,
+    MAX_BACKTRACKS,
     armijo_accept,
     row_gradient,
     row_objective,
@@ -39,9 +42,6 @@ class ReferenceBackend(Backend):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         start: int,
         stop: int,
         total_col_sum: np.ndarray,
@@ -75,19 +75,19 @@ class ReferenceBackend(Backend):
 
             step = 1.0
             accepted = False
-            for _ in range(max_backtracks + 1):
+            for _ in range(MAX_BACKTRACKS + 1):
                 candidate = np.maximum(0.0, current - step * gradient)
                 candidate_value = row_objective(
                     candidate, positive_col_factors, weights, unknown_sum, regularization
                 )
                 if armijo_accept(
-                    current_value, candidate_value, gradient, candidate - current, sigma
+                    current_value, candidate_value, gradient, candidate - current, ARMIJO_SIGMA
                 ):
                     new_factors[local] = candidate
                     end_values[local] = candidate_value
                     accepted = True
                     break
-                step *= beta
+                step *= ARMIJO_BETA
                 n_backtracks += 1
             if accepted:
                 n_accepted += 1

@@ -151,6 +151,9 @@ from repro.core.backends.base import Backend, SweepStats
 from repro.core.backends.plan import SweepSide
 from repro.core.backends.workspace import SweepWorkspace, csr_row_sums_into
 from repro.core.objective import (
+    ARMIJO_BETA,
+    ARMIJO_SIGMA,
+    MAX_BACKTRACKS,
     MIN_AFFINITY,
     entry_affinities,
     gradient_ratio_into,
@@ -170,9 +173,6 @@ class VectorizedBackend(Backend):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         start: int,
         stop: int,
         total_col_sum: np.ndarray,
@@ -199,9 +199,6 @@ class VectorizedBackend(Backend):
                 local_factors,
                 col_factors,
                 regularization,
-                sigma,
-                beta,
-                max_backtracks,
                 total_col_sum,
             )
         finally:
@@ -224,9 +221,6 @@ class VectorizedBackend(Backend):
         local_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         total_col_sum: np.ndarray,
     ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], int, int, int]:
         """One sweep through the pooled arena; zero scratch allocations.
@@ -308,14 +302,15 @@ class VectorizedBackend(Backend):
         # The still-active rows are kept compacted in ping-pong index/step
         # buffers instead of a boolean mask: ``compress(out=)`` preserves
         # order, so the compacted sets equal the old ``np.flatnonzero`` ones,
-        # and the per-row step values (beta ** iteration) are carried along.
+        # and the per-row step values (``ARMIJO_BETA ** iteration``) are
+        # carried along.
         cur_rows, cur_steps = ws.arange_rows, ws.step_a
         cur_steps.fill(1.0)
         nxt_rows, nxt_steps = ws.active_a, ws.step_b
         n_active = n_local
         n_backtracks = n_evaluated = 0
 
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             if n_active == 0:
                 break
             act = cur_rows[:n_active]
@@ -333,7 +328,7 @@ class VectorizedBackend(Backend):
             np.subtract(candidates, lf, out=differences)
             rhs = ws.armijo_rhs[:n_active]
             np.einsum("ij,ij->i", grads, differences, out=rhs)
-            np.multiply(rhs, sigma, out=rhs)
+            np.multiply(rhs, ARMIJO_SIGMA, out=rhs)
 
             # The K-wide tail of the candidate objective, for every active
             # row: <cand, unknown sums> and lambda * ||cand||^2.
@@ -417,7 +412,7 @@ class VectorizedBackend(Backend):
                 np.logical_not(accepted, out=rejected)
                 act.compress(rejected, out=nxt_rows[:n_next])
                 steps.compress(rejected, out=nxt_steps[:n_next])
-                np.multiply(nxt_steps[:n_next], beta, out=nxt_steps[:n_next])
+                np.multiply(nxt_steps[:n_next], ARMIJO_BETA, out=nxt_steps[:n_next])
             cur_rows, cur_steps = nxt_rows, nxt_steps
             nxt_rows = ws.active_b if cur_rows is ws.active_a else ws.active_a
             nxt_steps = ws.step_b if cur_steps is ws.step_a else ws.step_a

@@ -35,7 +35,8 @@ _MODEL_CLASSES: dict[str, Type[OCuLaR]] = {
 FORMAT_VERSION = 1
 
 #: Settings older archives record that models no longer take; ignored on load.
-_RETIRED_PARAMS = ("plateau_tolerance", "plateau_patience", "init", "init_scale")
+_RETIRED_PARAMS = ("plateau_tolerance", "plateau_patience", "init", "init_scale", "sigma",
+                   "beta", "max_backtracks", "n_workers", "executor")
 
 
 def save_model(model: OCuLaR, path: PathLike) -> Path:
@@ -68,8 +69,6 @@ def save_model(model: OCuLaR, path: PathLike) -> Path:
     destination.parent.mkdir(parents=True, exist_ok=True)
 
     params = dict(model.get_params())
-    # The backend may be an instance; persist its name only.
-    params["backend"] = params.get("backend", "vectorized")
     if not isinstance(params.get("random_state"), (int, type(None))):
         params["random_state"] = None
 

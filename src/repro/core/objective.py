@@ -33,6 +33,13 @@ MIN_AFFINITY = 1e-10
 #: Largest affinity before ``exp(-x)`` underflows meaningfully; used to clip.
 MAX_AFFINITY = 50.0
 
+#: The Armijo rule of Section IV-D, fixed as in Lin 2007: accept a step when
+#: ``Q(f_new) - Q(f_old) <= ARMIJO_SIGMA * <grad, f_new - f_old>``, else shrink
+#: it by ``ARMIJO_BETA``; a row keeps its factor after ``MAX_BACKTRACKS`` shrinks.
+ARMIJO_SIGMA = 0.1
+ARMIJO_BETA = 0.5
+MAX_BACKTRACKS = 20
+
 
 def safe_log1mexp(affinity: np.ndarray) -> np.ndarray:
     """Numerically safe ``log(1 - exp(-x))`` for non-negative ``x``.

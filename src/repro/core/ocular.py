@@ -32,7 +32,12 @@ from repro.core.backends import Backend
 from repro.core.coclusters import CoCluster, extract_coclusters
 from repro.core.factors import FactorModel
 from repro.core.init import random_init
-from repro.core.objective import relative_user_weights
+from repro.core.objective import (
+    ARMIJO_BETA,
+    ARMIJO_SIGMA,
+    MAX_BACKTRACKS,
+    relative_user_weights,
+)
 from repro.core.optimizer import BlockCoordinateTrainer, TrainingHistory
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, ConvergenceWarning
@@ -41,7 +46,6 @@ from repro.utils.validation import (
     check_float_dtype,
     check_non_negative_float,
     check_positive_int,
-    check_unit_interval_open,
 )
 
 
@@ -63,24 +67,16 @@ class OCuLaR(Recommender):
     tolerance:
         Relative objective improvement below which training stops
         ("convergence is declared if Q stops decreasing").
-    sigma, beta:
-        Armijo line-search constants in (0, 1) (paper Section IV-D).
-    max_backtracks:
-        Per-row cap on step-size halvings.
     backend:
         ``"vectorized"`` (default, batched NumPy — the GPU-style kernel),
         ``"reference"`` (per-row loop — the CPU-style transcription), or
         ``"parallel"`` (nnz-balanced row shards of the vectorized sweeps
-        fanned across an executor; factors are bit-identical to
-        ``"vectorized"`` for every executor and shard count).
-    n_workers:
-        Worker-pool size for ``backend="parallel"``; defaults to the CPU
-        count.  Invalid with any other backend.
-    executor:
-        Shard executor for ``backend="parallel"``: ``"thread"`` (default;
-        kernels release the GIL), ``"process"`` (worker processes fed
-        through shared memory — sidesteps the GIL entirely), or
-        ``"serial"``.  Invalid with any other backend.
+        fanned across a thread pool of the CPU count, built and shut down
+        by each fit; factors are bit-identical to ``"vectorized"`` for
+        every executor and shard count).  A sized or process pool is a
+        :class:`~repro.core.backends.Backend` instance the fits borrow,
+        ``ParallelBackend(n_workers=8, executor="process")``, whose
+        owner shuts it down.
     dtype:
         Training precision, ``"float64"`` (default) or ``"float32"``.
         float32 halves factor memory for large fits; the fitted factors
@@ -99,11 +95,21 @@ class OCuLaR(Recommender):
 
     Attributes
     ----------
+    sigma, beta, max_backtracks:
+        The fixed Armijo constants of the line search (paper Section IV-D),
+        :data:`~repro.core.objective.ARMIJO_SIGMA`,
+        :data:`~repro.core.objective.ARMIJO_BETA` and
+        :data:`~repro.core.objective.MAX_BACKTRACKS`; read-only class
+        attributes, not settings.
     factors_:
         The fitted :class:`~repro.core.factors.FactorModel`.
     history_:
         :class:`~repro.core.optimizer.TrainingHistory` of the fit.
     """
+
+    sigma = ARMIJO_SIGMA
+    beta = ARMIJO_BETA
+    max_backtracks = MAX_BACKTRACKS
 
     def __init__(
         self,
@@ -111,12 +117,7 @@ class OCuLaR(Recommender):
         regularization: float = 10.0,
         max_iterations: int = 100,
         tolerance: float = 1e-4,
-        sigma: float = 0.1,
-        beta: float = 0.5,
-        max_backtracks: int = 20,
         backend: Backend | str = "vectorized",
-        n_workers: Optional[int] = None,
-        executor: Optional[str] = None,
         dtype: str = "float64",
         inner_sweeps: int = 1,
         user_weighting: Optional[str] = None,
@@ -126,19 +127,12 @@ class OCuLaR(Recommender):
         self.regularization = check_non_negative_float(regularization, "regularization")
         self.max_iterations = check_positive_int(max_iterations, "max_iterations")
         self.tolerance = check_non_negative_float(tolerance, "tolerance")
-        self.sigma = check_unit_interval_open(sigma, "sigma")
-        self.beta = check_unit_interval_open(beta, "beta")
-        self.max_backtracks = check_positive_int(max_backtracks, "max_backtracks")
         self.inner_sweeps = check_positive_int(inner_sweeps, "inner_sweeps")
         if user_weighting not in (None, "relative"):
             raise ConfigurationError(
                 f"user_weighting must be None or 'relative', got {user_weighting!r}"
             )
-        if n_workers is not None:
-            check_positive_int(n_workers, "n_workers")
         self.backend = backend
-        self.n_workers = n_workers
-        self.executor = executor
         self.dtype = check_float_dtype(dtype, "dtype")
         self.user_weighting = user_weighting
         self.random_state = random_state
@@ -172,7 +166,7 @@ class OCuLaR(Recommender):
             **borrowed** — never shut down by the fit — which is how
             :class:`~repro.runtime.RecommenderRuntime` threads one warm
             worker pool through every fit it runs.  The model's configured
-            ``backend``/``n_workers``/``executor`` are left untouched.
+            ``backend`` is left untouched.
         initial_factors:
             Optional warm start: a fitted
             :class:`~repro.core.factors.FactorModel` or a
@@ -188,8 +182,9 @@ class OCuLaR(Recommender):
             Optional plateau early-stop for this fit: stop once the relative
             objective improvement stays below this value for two consecutive
             iterations (the trainer's fixed patience).  ``None`` (default)
-            disables the rule; warm refits pass ``plateau_tolerance≈1e-3`` so
-            they stop after the few sweeps they actually need.  See
+            disables the rule; the runtime's warm refits pass
+            :data:`~repro.runtime.service.DEFAULT_WARM_PLATEAU_TOLERANCE`
+            (``3e-4``) so they stop after the few sweeps they need.  See
             :class:`~repro.core.optimizer.BlockCoordinateTrainer`.
         """
         csr = matrix.csr()
@@ -269,11 +264,9 @@ class OCuLaR(Recommender):
         The trainer checks and copies ``start`` whether it is cold or warm.
         With ``backend=None`` the trainer resolves the model's configured
         backend (and owns it when that is a name); with an instance the
-        trainer borrows it and ``n_workers``/``executor`` — which only make
-        sense when the trainer constructs the pool itself — are not passed.
-        A non-``Backend`` override is rejected here, so every fit entry
-        point (:class:`OCuLaR` and its subclasses) enforces the
-        borrowed-instance-only contract identically.
+        trainer borrows it.  A non-``Backend`` override is rejected here,
+        so every fit entry point (:class:`OCuLaR` and its subclasses)
+        enforces the borrowed-instance-only contract identically.
         """
         if backend is not None and not isinstance(backend, Backend):
             raise ConfigurationError(
@@ -284,12 +277,7 @@ class OCuLaR(Recommender):
             regularization=self.regularization,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
-            sigma=self.sigma,
-            beta=self.beta,
-            max_backtracks=self.max_backtracks,
             backend=self.backend if backend is None else backend,
-            n_workers=self.n_workers if backend is None else None,
-            executor=self.executor if backend is None else None,
             inner_sweeps=self.inner_sweeps,
             plateau_tolerance=plateau_tolerance,
         )
@@ -409,12 +397,7 @@ class OCuLaR(Recommender):
             "regularization": self.regularization,
             "max_iterations": self.max_iterations,
             "tolerance": self.tolerance,
-            "sigma": self.sigma,
-            "beta": self.beta,
-            "max_backtracks": self.max_backtracks,
             "backend": self.backend if isinstance(self.backend, str) else self.backend.name,
-            "n_workers": self.n_workers,
-            "executor": self.executor,
             "dtype": self.dtype.name,
             "inner_sweeps": self.inner_sweeps,
             "user_weighting": self.user_weighting,

@@ -5,14 +5,18 @@ all user factors (items fixed); each block is improved by a *single*
 projected-gradient step with Armijo backtracking rather than solved to
 optimality, because inexact block updates converge faster in wall-clock time.
 Convergence is declared when the objective stops decreasing (relative change
-below a tolerance).
+below a tolerance).  The step sizes follow the Armijo rule with the fixed
+constants of :mod:`repro.core.objective` (``ARMIJO_SIGMA``, ``ARMIJO_BETA``,
+``MAX_BACKTRACKS``), which every backend reads where its line search runs.
 
 The trainer builds one :class:`~repro.core.backends.plan.SweepPlan` at the
 top of ``train`` — both sweep directions' CSR matrices, per-entry row
 indices, and R-OCuLaR entry weights — and drives every sweep through it, so
 no per-sweep ``tocoo()`` / transpose / weight recomputation survives in the
-hot loop.  It is agnostic to which backend performs the sweeps, records the
-objective trajectory, per-sweep timings and
+hot loop.  It is agnostic to which backend performs the sweeps: a name is
+built at that backend's defaults and shut down after the fit, an instance
+(a sized or process pool, ``ParallelBackend(n_workers=..., executor=...)``)
+is borrowed.  It records the objective trajectory, per-sweep timings and
 :class:`~repro.core.backends.SweepStats` (consumed by the Figure 7 and
 Figure 8 benchmarks), and guarantees the objective is monotonically
 non-increasing across accepted iterations — a property the test-suite
@@ -64,7 +68,6 @@ from repro.utils.validation import (
     check_array_2d,
     check_non_negative_float,
     check_positive_int,
-    check_unit_interval_open,
 )
 
 # Consecutive below-``plateau_tolerance`` iterations before the plateau rule
@@ -125,8 +128,8 @@ class TrainingHistory:
     stopped_on_plateau:
         Whether the *plateau* rule — two consecutive
         iterations with relative improvement below ``plateau_tolerance`` —
-        ended the run.  Disjoint from the strict tolerance rule: when this is
-        set, ``converged`` is set too.
+        ended the run rather than the strict tolerance rule.  Either rule
+        stopping the run sets ``converged``, so this flag says which one did.
     plateau_tolerance:
         The plateau tolerance the run used (``None`` when the rule was off —
         the cold-path default, which keeps seed parity bit-exact).
@@ -237,20 +240,13 @@ class BlockCoordinateTrainer:
         Maximum number of outer iterations (one item sweep + one user sweep).
     tolerance:
         Relative objective improvement below which training stops.
-    sigma, beta:
-        Armijo line-search constants in (0, 1).
-    max_backtracks:
-        Per-row cap on step-size halvings within a sweep.
     backend:
         Backend instance or name (``"vectorized"`` / ``"reference"`` /
         ``"parallel"``).  When given a *name*, the trainer owns the backend
         it builds and releases its pools and shared memory via
-        :meth:`shutdown`; an *instance* is borrowed and left untouched.
-    n_workers:
-        Worker-pool size when ``backend="parallel"``; invalid otherwise.
-    executor:
-        Shard executor name (``"thread"`` / ``"process"`` / ``"serial"``)
-        when ``backend="parallel"``; invalid otherwise.
+        :meth:`shutdown`; an *instance* — e.g. a sized
+        ``ParallelBackend(n_workers=..., executor=...)`` — is borrowed and
+        left untouched.
     inner_sweeps:
         Number of consecutive projected-gradient sweeps applied to a block
         before switching to the other block.  The paper argues (Section IV-B)
@@ -274,25 +270,17 @@ class BlockCoordinateTrainer:
         regularization: float = 1.0,
         max_iterations: int = 100,
         tolerance: float = 1e-4,
-        sigma: float = 0.1,
-        beta: float = 0.5,
-        max_backtracks: int = 20,
         backend: Backend | str = "vectorized",
-        n_workers: Optional[int] = None,
-        executor: Optional[str] = None,
         inner_sweeps: int = 1,
         plateau_tolerance: Optional[float] = None,
     ) -> None:
         self.regularization = check_non_negative_float(regularization, "regularization")
         self.max_iterations = check_positive_int(max_iterations, "max_iterations")
         self.tolerance = check_non_negative_float(tolerance, "tolerance")
-        self.sigma = check_unit_interval_open(sigma, "sigma")
-        self.beta = check_unit_interval_open(beta, "beta")
-        self.max_backtracks = check_positive_int(max_backtracks, "max_backtracks")
         # A backend built here from a name is the trainer's to shut down; an
         # instance (a runtime's warm pool) is borrowed and outlives the fit.
         self.owns_backend = not isinstance(backend, Backend)
-        self.backend = get_backend(backend, n_workers=n_workers, executor=executor)
+        self.backend = get_backend(backend)
         self.inner_sweeps = check_positive_int(inner_sweeps, "inner_sweeps")
         if plateau_tolerance is not None:
             plateau_tolerance = check_non_negative_float(
@@ -388,9 +376,6 @@ class BlockCoordinateTrainer:
                     item_factors,
                     user_factors,
                     regularization=self.regularization,
-                    sigma=self.sigma,
-                    beta=self.beta,
-                    max_backtracks=self.max_backtracks,
                     plan=plan.item_side,
                 )
                 history.item_sweep_stats.append(item_stats)
@@ -402,9 +387,6 @@ class BlockCoordinateTrainer:
                     user_factors,
                     item_factors,
                     regularization=self.regularization,
-                    sigma=self.sigma,
-                    beta=self.beta,
-                    max_backtracks=self.max_backtracks,
                     plan=plan.user_side,
                 )
                 history.user_sweep_stats.append(user_stats)

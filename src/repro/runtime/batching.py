@@ -70,6 +70,7 @@ from repro.api import RecommendRequest, RecommendResponse
 from repro.exceptions import ConfigurationError
 from repro.parallel.executor import DispatcherThread
 from repro.serving.batch import merge_request_lists, scatter_results
+from repro.serving.engine import DEFAULT_CHUNK_SIZE
 from repro.utils.validation import check_non_negative_float, check_positive_int
 
 __all__ = [
@@ -350,14 +351,14 @@ class BatchingFrontEnd:
     def _serve_if_idle(self, request: RecommendRequest) -> Optional[Future]:
         """Serve ``request`` on the caller's thread as a batch of one, if idle.
 
-        Only known users making one shard qualify: the runtime serves those
-        in process, not on the executor.  Idle is no hold, nothing queued
-        and no batch in service, checked and claimed under the lock; the
-        batch then goes through :meth:`_dispatch` like any other (same
-        session pin, stats and errors) without the hand-offs.  Returns the
-        resolved future, or ``None`` (use :meth:`submit_request`).
+        Only known users making one shard, a ``DEFAULT_CHUNK_SIZE`` engine chunk,
+        qualify: the runtime serves those in process, not on the executor.  Idle is
+        no hold, nothing queued and no batch in service, checked and claimed under
+        the lock; the batch then goes through :meth:`_dispatch` like any other (same
+        session pin, stats and errors) without the hand-offs.  Returns the resolved
+        future, or ``None``: use :meth:`submit_request`.
         """
-        if request.kind != "topn" or request.n_rows > getattr(self._runtime, "chunk_size", 0):
+        if request.kind != "topn" or request.n_rows > DEFAULT_CHUNK_SIZE:
             return None
         pending = _Pending(request, Future())
         with self._cond:

@@ -14,9 +14,12 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   is *borrowed* — never shut down — by everything the runtime drives:
   :meth:`fit` / :meth:`refit` thread it through the trainer via a borrowed
   :class:`~repro.core.backends.ParallelBackend`, and serving shards fan out
-  on it.  Pool start-up is paid once, not once per fit.  Fold-in (cold-start
-  requests, the new rows of a warm refit's seed) solves on the calling
-  thread: one small subproblem per row costs less than a dispatch;
+  on it.  Pool start-up is paid once, not once per fit.  The executor and
+  its pool size are the runtime's only settings: a training sweep is cut
+  into one shard per pool worker, and every published engine is a
+  :class:`~repro.serving.engine.TopNEngine` at its defaults.  Fold-in
+  (cold-start requests, the new rows of a warm refit's seed) solves on the
+  calling thread: one small subproblem per row costs less than a dispatch;
 
 * **one publication per model version**: :meth:`publish` pushes the trained
   factor matrices and the CSR seen-mask through the publication protocol
@@ -69,13 +72,12 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ShardScheduler, supports_publication
 from repro.runtime.generations import GenerationTable, _Generation
 from repro.serving.batch import fan_out_topn
-from repro.serving.engine import DEFAULT_CHUNK_SIZE, TopNEngine
+from repro.serving.engine import TopNEngine
 from repro.serving.fold_in import (
     _interactions_to_csr, _solver_constants, extend_factors, fold_in_scores,
 )
 from repro.serving.results import TopNResult
 from repro.serving.shared import SharedEngineSpec, publish_engine
-from repro.utils.validation import check_positive_int
 
 
 #: Plateau tolerance a warm :meth:`RecommenderRuntime.refit` passes to the
@@ -179,16 +181,13 @@ class _PublishedSolver:
     Serving must keep answering from the published version even after the
     runtime refits the *same model object* (which replaces its ``factors_``
     in place on the instance).  This snapshot pins the
-    :class:`~repro.core.factors.FactorModel` and the solver constants the
+    :class:`~repro.core.factors.FactorModel` and the regularisation the
     fold-in subproblem needs; it quacks like a fitted model for
     :func:`~repro.serving.fold_in.fold_in_users`.
     """
 
     factors_: FactorModel
     regularization: float
-    sigma: float
-    beta: float
-    max_backtracks: int
 
 
 class ServingSession:
@@ -283,12 +282,11 @@ class RecommenderRuntime:
         unpublishes its own segments on close but leaves the executor running.
     max_workers:
         Pool size for a name-built executor (default: the CPU count).
-    n_shards:
-        Shards per training sweep and default serving fan-out width
-        (default: the pool size).
-    chunk_size:
-        Users per BLAS call inside the serving engine (and the default
-        serving shard size, so one shard is one chunk in the worker).
+
+    Every training sweep is cut into one shard per pool worker, and every
+    published engine is a :class:`~repro.serving.engine.TopNEngine` at its
+    defaults: it scores in the trained dtype, ``DEFAULT_CHUNK_SIZE`` users
+    per BLAS call, and one chunk is the default serving shard.
 
     Typical service loop::
 
@@ -308,34 +306,19 @@ class RecommenderRuntime:
         self,
         executor="process",
         max_workers: Optional[int] = None,
-        n_shards: Optional[int] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        serving_dtype=None,
     ) -> None:
-        # Validate everything cheap BEFORE the scheduler builds the executor
-        # — a pool spawned and then abandoned by a constructor error would
-        # leak worker processes with no handle to close them.
-        if n_shards is not None:
-            check_positive_int(n_shards, "n_shards")
-        self.chunk_size = check_positive_int(chunk_size, "chunk_size")
-        # Serving precision for every published engine: None serves in the
-        # trained dtype (bit-exact); "float32" halves serving bandwidth and
-        # the published /dev/shm footprint (see TopNEngine's dtype docs).
-        self.serving_dtype = None if serving_dtype is None else str(np.dtype(serving_dtype))
         self._scheduler = ShardScheduler(executor, max_workers=max_workers)
         # Built eagerly: the runtime's whole point is holding the pool warm.
         self._executor = self._scheduler.executor
-        if n_shards is None:
-            n_shards = (
-                getattr(self._executor, "max_workers", None)
-                or max_workers
-                or os.cpu_count()
-                or 1
-            )
-        self.n_shards = int(n_shards)
+        n_shards = (
+            getattr(self._executor, "max_workers", None)
+            or max_workers
+            or os.cpu_count()
+            or 1
+        )
         # Borrowed by every fit this runtime runs: the trainer is handed an
         # instance, so it never shuts the backend down.
-        self._backend = ParallelBackend(n_shards=self.n_shards, executor=self._executor)
+        self._backend = ParallelBackend(n_shards=int(n_shards), executor=self._executor)
         self.model = None
         self.train_matrix = None
         # Drift bookkeeping for the incremental-refit policy: the corpus
@@ -607,9 +590,7 @@ class RecommenderRuntime:
         model = self.model if model is None else model
         if model is None or not getattr(model, "is_fitted", False):
             raise NotFittedError("publish requires a fitted model")
-        engine = TopNEngine.from_model(
-            model, chunk_size=self.chunk_size, dtype=self.serving_dtype
-        )
+        engine = TopNEngine.from_model(model)
         spec = None
         if supports_publication(self._executor) and engine.factors is not None:
             spec = publish_engine(self._executor, engine)
@@ -837,5 +818,5 @@ class RecommenderRuntime:
         state = "closed" if self._closed else f"generation={self.generation}"
         return (
             f"{type(self).__name__}(executor={self._scheduler.executor_name!r}, "
-            f"n_shards={self.n_shards}, {state})"
+            f"n_shards={self._backend.n_shards}, {state})"
         )

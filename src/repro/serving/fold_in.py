@@ -9,8 +9,9 @@ interaction vector.
 For the OCuLaR objective that subproblem is convex (the positive-example
 term ``-log(1 - exp(-<f, v_i>))`` is convex in ``f`` and the unknown and
 penalty terms are linear/quadratic), so a few projected-gradient sweeps with
-Armijo backtracking — the exact machinery of training — reach the block
-optimum.  The sweeps run the vectorised kernel
+Armijo backtracking — the exact machinery of training, with the same fixed
+constants (:mod:`repro.core.objective`) — reach the block optimum.  Only the
+regularisation is read off the model.  The sweeps run the vectorised kernel
 (:class:`~repro.core.backends.VectorizedBackend`) on the calling thread,
 whatever backend the model trained with: each batch is one K-dimensional
 subproblem per row, far cheaper than a dispatch to a worker pool, and every
@@ -32,11 +33,7 @@ from repro.core.factors import FactorModel
 from repro.core.optimizer import check_binary
 from repro.data.interactions import InteractionMatrix, one_class_csr
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.utils.validation import (
-    check_non_negative_float,
-    check_positive_int,
-    check_unit_interval_open,
-)
+from repro.utils.validation import check_non_negative_float, check_positive_int
 
 InteractionsLike = Union[sp.spmatrix, InteractionMatrix, Sequence[Sequence[int]], np.ndarray]
 
@@ -106,13 +103,9 @@ def _fitted_factors(model, caller: str) -> FactorModel:
 
 
 def _solver_constants(model) -> dict:
-    """The regularisation and line-search constants ``model`` trained with."""
-    return dict(
-        regularization=getattr(model, "regularization", 0.0),
-        sigma=getattr(model, "sigma", 0.1),
-        beta=getattr(model, "beta", 0.5),
-        max_backtracks=getattr(model, "max_backtracks", 20),
-    )
+    """The regularisation ``model`` trained with (the line search's Armijo
+    constants are fixed, in :mod:`repro.core.objective`)."""
+    return dict(regularization=getattr(model, "regularization", 0.0))
 
 
 #: LRU cache of prebuilt fold-in sweep sides.  A serving process that folds
@@ -185,9 +178,6 @@ def fold_in_factors(
     regularization: float,
     n_sweeps: int = 30,
     tolerance: float = 1e-8,
-    sigma: float = 0.1,
-    beta: float = 0.5,
-    max_backtracks: int = 20,
 ) -> np.ndarray:
     """Solve the fixed-item-factor subproblem for a batch of new users.
 
@@ -206,8 +196,6 @@ def fold_in_factors(
         at once.  The subproblem is convex, so a few dozen suffice.
     tolerance:
         Early-stop threshold on the relative factor change between sweeps.
-    sigma, beta, max_backtracks:
-        Armijo line-search constants, as in training.
 
     Returns
     -------
@@ -223,9 +211,6 @@ def fold_in_factors(
         raise ConfigurationError("item_factors must be a 2-D array")
     regularization = check_non_negative_float(regularization, "regularization")
     check_positive_int(n_sweeps, "n_sweeps")
-    check_unit_interval_open(sigma, "sigma")
-    check_unit_interval_open(beta, "beta")
-    check_positive_int(max_backtracks, "max_backtracks")
 
     n_items, n_coclusters = item_factors.shape
     interactions = sp.csr_matrix(interactions)
@@ -257,8 +242,7 @@ def fold_in_factors(
     for _ in range(n_sweeps):
         previous = factors
         factors, _ = kernel.sweep(
-            None, factors, item_factors, regularization=regularization, sigma=sigma,
-            beta=beta, max_backtracks=max_backtracks, plan=side,
+            None, factors, item_factors, regularization=regularization, plan=side
         )
         change = np.linalg.norm(factors - previous)
         reference = max(np.linalg.norm(previous), 1.0)
@@ -275,8 +259,8 @@ def fold_in_users(
 ) -> np.ndarray:
     """Fold a batch of unseen users into a fitted OCuLaR-family model.
 
-    Reads the regularisation and line-search constants off the fitted model
-    so the subproblem matches the one training solved.
+    Reads the regularisation off the fitted model so the subproblem matches
+    the one training solved.
 
     Parameters
     ----------
@@ -381,8 +365,8 @@ def extend_factors(
     Parameters
     ----------
     model:
-        A fitted model exposing ``factors_`` plus the solver constants
-        (``regularization``, ``sigma``, ``beta``, ``max_backtracks``).
+        A fitted model exposing ``factors_`` plus the ``regularization`` it
+        trained with.
     matrix:
         The grown corpus — an :class:`InteractionMatrix` (e.g. from
         :meth:`~repro.data.interactions.InteractionMatrix.extended_with`) or

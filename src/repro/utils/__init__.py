@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_non_negative_float,
     check_probability,
-    check_unit_interval_open,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "check_positive_int",
     "check_non_negative_float",
     "check_probability",
-    "check_unit_interval_open",
 ]

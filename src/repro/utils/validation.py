@@ -60,18 +60,6 @@ def check_probability(value: Any, name: str) -> float:
     return result
 
 
-def check_unit_interval_open(value: Any, name: str) -> float:
-    """Validate that ``value`` lies in the open interval (0, 1).
-
-    The Armijo line-search constants ``sigma`` and ``beta`` of the paper are
-    required to lie strictly inside the unit interval.
-    """
-    result = check_non_negative_float(value, name)
-    if result <= 0 or result >= 1:
-        raise ConfigurationError(f"{name} must lie in the open interval (0, 1), got {value!r}")
-    return result
-
-
 def as_int_tuple(values: Any, name: str, error=ConfigurationError) -> Tuple[int, ...]:
     """The integer rule of every id sequence a caller hands in.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 from repro.core.backends import (
     ParallelBackend,
     ReferenceBackend,
+    SweepSide,
     VectorizedBackend,
     available_backends,
     get_backend,
@@ -47,17 +50,18 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_backend("cuda")
 
+    def test_parallel_by_name_is_a_fresh_default_pool(self):
+        # By name every call builds its own thread pool sized to the
+        # machine; a sized or process pool is a ParallelBackend instance.
+        first, second = get_backend("parallel"), get_backend("parallel")
+        assert first is not second
+        assert first.executor == "thread"
+        assert first.n_workers == first.n_shards == (os.cpu_count() or 1)
+
     def test_n_workers_configures_parallel(self):
-        backend = get_backend("parallel", n_workers=3)
-        assert isinstance(backend, ParallelBackend)
+        backend = ParallelBackend(n_workers=3)
         assert backend.n_workers == 3
         assert backend.n_shards == 3
-
-    def test_n_workers_rejected_for_other_backends(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("vectorized", n_workers=2)
-        with pytest.raises(ConfigurationError):
-            get_backend(ParallelBackend(n_workers=1), n_workers=2)
 
     def test_parallel_rejects_bad_worker_counts(self):
         with pytest.raises(ConfigurationError):
@@ -127,12 +131,9 @@ class TestSweepBehaviour:
     def test_weighted_sweep_runs(self, backend_name, sweep_problem):
         matrix, row_factors, col_factors = sweep_problem
         col_weights = np.linspace(0.5, 2.0, matrix.shape[1])
+        side = SweepSide.build(matrix, col_positive_weights=col_weights)
         updated, _ = get_backend(backend_name).sweep(
-            matrix,
-            row_factors,
-            col_factors,
-            regularization=0.5,
-            col_positive_weights=col_weights,
+            None, row_factors, col_factors, regularization=0.5, plan=side
         )
         assert updated.shape == row_factors.shape
 
@@ -154,13 +155,11 @@ class TestBackendEquivalence:
         matrix, row_factors, col_factors = sweep_problem
         col_weights = np.linspace(0.2, 3.0, matrix.shape[1])
         row_weights = np.linspace(0.5, 1.5, matrix.shape[0])
-        kwargs = dict(
-            regularization=0.3,
-            col_positive_weights=col_weights,
-            row_positive_weights=row_weights,
+        side = SweepSide.build(
+            matrix, row_positive_weights=row_weights, col_positive_weights=col_weights
         )
-        reference, _ = ReferenceBackend().sweep(matrix, row_factors, col_factors, **kwargs)
-        vectorized, _ = VectorizedBackend().sweep(matrix, row_factors, col_factors, **kwargs)
+        reference, _ = ReferenceBackend().sweep(None, row_factors, col_factors, 0.3, plan=side)
+        vectorized, _ = VectorizedBackend().sweep(None, row_factors, col_factors, 0.3, plan=side)
         np.testing.assert_allclose(reference, vectorized, rtol=1e-8, atol=1e-10)
 
     def test_sweep_stats_match(self, sweep_problem):
@@ -211,16 +210,17 @@ class TestShardedParity:
         matrix, row_factors, col_factors, row_weights, col_weights = _random_problem(
             seed, n_rows=11 + 7 * seed, n_cols=6 + 5 * seed, k=3 + seed
         )
-        kwargs = dict(regularization=0.4)
-        if weighted:
-            kwargs.update(
-                row_positive_weights=row_weights, col_positive_weights=col_weights
-            )
+        side = SweepSide.build(
+            matrix,
+            row_positive_weights=row_weights if weighted else None,
+            col_positive_weights=col_weights if weighted else None,
+        )
+        kwargs = dict(regularization=0.4, plan=side)
         vectorized, vec_stats = VectorizedBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         parallel, par_stats = ParallelBackend(n_workers=2, n_shards=n_shards).sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         assert np.array_equal(vectorized, parallel)
         assert vec_stats == par_stats
@@ -231,16 +231,17 @@ class TestShardedParity:
         matrix, row_factors, col_factors, row_weights, col_weights = _random_problem(
             seed, n_rows=10 + seed, n_cols=8, k=4
         )
-        kwargs = dict(regularization=0.4)
-        if weighted:
-            kwargs.update(
-                row_positive_weights=row_weights, col_positive_weights=col_weights
-            )
+        side = SweepSide.build(
+            matrix,
+            row_positive_weights=row_weights if weighted else None,
+            col_positive_weights=col_weights if weighted else None,
+        )
+        kwargs = dict(regularization=0.4, plan=side)
         reference, ref_stats = ReferenceBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         parallel, par_stats = ParallelBackend(n_workers=2, n_shards=3).sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         np.testing.assert_allclose(reference, parallel, rtol=1e-8, atol=1e-10)
         assert ref_stats.n_rows == par_stats.n_rows
@@ -299,14 +300,15 @@ class TestDtypeSupport:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_float32_sweep_returns_float32(self, backend_name, weighted):
         matrix, row_factors, col_factors, row_weights, _ = _random_problem(1, 12, 8, 4)
-        kwargs = dict(regularization=0.3)
-        if weighted:
-            kwargs["row_positive_weights"] = row_weights
+        side = SweepSide.build(
+            matrix, row_positive_weights=row_weights if weighted else None, dtype=np.float32
+        )
         updated, _ = get_backend(backend_name).sweep(
-            matrix,
+            None,
             row_factors.astype(np.float32),
             col_factors.astype(np.float32),
-            **kwargs,
+            regularization=0.3,
+            plan=side,
         )
         assert updated.dtype == np.float32
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.backends import ParallelBackend
 from repro.core.ocular import OCuLaR
 from repro.data.synthetic import make_planted_coclusters, membership_recovery_score
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -16,8 +17,6 @@ class TestConfiguration:
             OCuLaR(n_coclusters=0)
         with pytest.raises(ConfigurationError):
             OCuLaR(regularization=-1.0)
-        with pytest.raises(ConfigurationError):
-            OCuLaR(sigma=1.5)
         with pytest.raises(ConfigurationError):
             OCuLaR(user_weighting="absolute")
 
@@ -199,17 +198,25 @@ class TestBackendsAndWeighting:
     def test_parallel_backend_fit_is_bit_identical(self, toy_dataset):
         shared = dict(n_coclusters=3, regularization=0.1, max_iterations=15, random_state=0)
         vectorized = OCuLaR(backend="vectorized", **shared).fit(toy_dataset.matrix)
-        parallel = OCuLaR(backend="parallel", n_workers=3, **shared).fit(toy_dataset.matrix)
+        with ParallelBackend(n_workers=3) as backend:
+            parallel = OCuLaR(backend=backend, **shared).fit(toy_dataset.matrix)
         np.testing.assert_array_equal(vectorized.user_factors_, parallel.user_factors_)
         np.testing.assert_array_equal(vectorized.item_factors_, parallel.item_factors_)
         np.testing.assert_array_equal(
             vectorized.history_.objective_values, parallel.history_.objective_values
         )
 
-    def test_n_workers_requires_parallel_backend(self, toy_dataset):
-        model = OCuLaR(backend="vectorized", n_workers=2, max_iterations=2)
-        with pytest.raises(ConfigurationError):
-            model.fit(toy_dataset.matrix)
+    def test_borrowed_backend_outlives_the_fit(self, toy_dataset):
+        # The caller owns a backend instance: a fit leaves its pool up, and
+        # a second fit on the same pool reproduces the first.
+        shared = dict(n_coclusters=3, regularization=0.1, max_iterations=5, random_state=0)
+        with ParallelBackend(n_workers=2) as backend:
+            first = OCuLaR(backend=backend, **shared).fit(toy_dataset.matrix)
+            assert backend._scheduler.live_executor is not None
+            second = OCuLaR(backend=backend, **shared).fit(toy_dataset.matrix)
+        assert backend._scheduler.live_executor is None
+        np.testing.assert_array_equal(first.user_factors_, second.user_factors_)
+        np.testing.assert_array_equal(first.item_factors_, second.item_factors_)
 
     def test_sweep_stats_exposed_after_fit(self, toy_dataset):
         model = OCuLaR(n_coclusters=3, max_iterations=5, random_state=0).fit(
@@ -256,10 +263,11 @@ class TestDtype:
             OCuLaR(dtype="float16")
 
     def test_get_params_roundtrips_dtype_and_workers(self):
-        model = OCuLaR(dtype="float32", backend="parallel", n_workers=2)
-        params = model.get_params()
+        # A sized pool is a backend instance, which get_params() names.
+        with ParallelBackend(n_workers=2) as backend:
+            params = OCuLaR(dtype="float32", backend=backend).get_params()
         assert params["dtype"] == "float32"
-        assert params["n_workers"] == 2
+        assert params["backend"] == "parallel"
         rebuilt = OCuLaR(**params)
         assert rebuilt.get_params() == params
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import objective
 from repro.core.backends import ParallelBackend, VectorizedBackend
 from repro.core.init import random_init
 from repro.core.objective import full_objective
@@ -28,11 +29,20 @@ class TestConstructorValidation:
         with pytest.raises(ConfigurationError):
             BlockCoordinateTrainer(regularization=-1.0)
 
-    def test_rejects_bad_sigma_beta(self):
-        with pytest.raises(ConfigurationError):
-            BlockCoordinateTrainer(sigma=0.0)
-        with pytest.raises(ConfigurationError):
-            BlockCoordinateTrainer(beta=1.0)
+    def test_armijo_constants_make_a_valid_line_search(self):
+        # Armijo's rule needs its sufficient-decrease fraction and its
+        # backtracking factor strictly inside (0, 1), and at least one
+        # backtrack before a row keeps its start.
+        assert 0.0 < objective.ARMIJO_SIGMA < 1.0
+        assert 0.0 < objective.ARMIJO_BETA < 1.0
+        assert isinstance(objective.MAX_BACKTRACKS, int)
+        assert objective.MAX_BACKTRACKS >= 1
+
+    def test_armijo_constants_keep_their_values(self):
+        # Every fitted factor depends on these three numbers.
+        assert (objective.ARMIJO_SIGMA, objective.ARMIJO_BETA, objective.MAX_BACKTRACKS) == (
+            0.1, 0.5, 20,
+        )
 
     def test_rejects_non_positive_iterations(self):
         with pytest.raises(ConfigurationError):
@@ -115,25 +125,18 @@ class TestTraining:
     def test_parallel_training_is_bit_identical(self, training_problem, n_workers):
         matrix, user_factors, item_factors = training_problem
         fitted = {}
-        for backend in ("vectorized", "parallel"):
-            trainer = BlockCoordinateTrainer(
-                regularization=1.0,
-                max_iterations=5,
-                tolerance=0.0,
-                backend=backend,
-                n_workers=n_workers if backend == "parallel" else None,
-            )
-            fitted[backend] = trainer.train(matrix, user_factors, item_factors)
+        with ParallelBackend(n_workers=n_workers) as parallel:
+            for name, backend in (("vectorized", "vectorized"), ("parallel", parallel)):
+                trainer = BlockCoordinateTrainer(
+                    regularization=1.0, max_iterations=5, tolerance=0.0, backend=backend
+                )
+                fitted[name] = trainer.train(matrix, user_factors, item_factors)
         np.testing.assert_array_equal(fitted["vectorized"][0], fitted["parallel"][0])
         np.testing.assert_array_equal(fitted["vectorized"][1], fitted["parallel"][1])
         np.testing.assert_array_equal(
             fitted["vectorized"][2].objective_values,
             fitted["parallel"][2].objective_values,
         )
-
-    def test_n_workers_rejected_for_non_parallel_backend(self):
-        with pytest.raises(ConfigurationError):
-            BlockCoordinateTrainer(backend="vectorized", n_workers=2)
 
     def test_sweep_stats_recorded(self, training_problem):
         matrix, user_factors, item_factors = training_problem
@@ -348,7 +351,7 @@ class TestBackendOwnership:
     def test_owned_double_shutdown_is_idempotent(self):
         # Lifecycle code may shut down twice (an explicit call, then a
         # finally block); the second call must be a harmless no-op.
-        trainer = BlockCoordinateTrainer(backend="parallel", n_workers=1, executor="thread")
+        trainer = BlockCoordinateTrainer(backend="parallel")
         assert trainer.owns_backend
         scheduler = trainer.backend._scheduler
         assert scheduler.live_executor is None  # still lazy

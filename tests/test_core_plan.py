@@ -11,6 +11,7 @@ from repro.core.backends import (
     SweepSide,
     VectorizedBackend,
 )
+from repro.core.objective import row_objective
 from repro.exceptions import ConfigurationError
 
 
@@ -152,18 +153,33 @@ class TestPlanDrivenSweep:
         with pytest.raises(ConfigurationError):
             VectorizedBackend().sweep(matrix, row_factors, col_factors, 0.5, plan=side)
 
-    def test_weights_with_plan_raises(self, matrix):
+    def test_plan_weights_reach_the_line_search(self, matrix):
+        # Positive weights travel only in the plan: unit weights reproduce
+        # the unweighted sweep, and other weights are the objective the
+        # sweep reports for its start factors.
         row_factors, col_factors = self._factors(matrix)
-        side = SweepSide.build(matrix)
-        with pytest.raises(ConfigurationError):
-            VectorizedBackend().sweep(
-                None,
-                row_factors,
-                col_factors,
-                0.5,
-                plan=side,
-                row_positive_weights=np.ones(matrix.shape[0]),
+        backend = VectorizedBackend()
+        plain, _ = backend.sweep(
+            None, row_factors, col_factors, 0.5, plan=SweepSide.build(matrix)
+        )
+        unit = SweepSide.build(matrix, col_positive_weights=np.ones(matrix.shape[1]))
+        unit_sweep, _ = backend.sweep(None, row_factors, col_factors, 0.5, plan=unit)
+        np.testing.assert_allclose(unit_sweep, plain, rtol=1e-12)
+        col_weights = np.linspace(0.5, 2.0, matrix.shape[1])
+        weighted = SweepSide.build(matrix, col_positive_weights=col_weights)
+        weighted_sweep, stats = backend.sweep(
+            None, row_factors, col_factors, 0.5, plan=weighted
+        )
+        assert not np.allclose(weighted_sweep, plain)
+        total = col_factors.sum(axis=0)
+        start = 0.0
+        for row, factor in enumerate(row_factors):
+            cols = matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]]
+            start += row_objective(
+                factor, col_factors[cols], col_weights[cols],
+                total - col_factors[cols].sum(axis=0), 0.5,
             )
+        np.testing.assert_allclose(stats.row_objective_sums[0], start, rtol=1e-12)
 
     def test_mismatched_factors_raise(self, matrix):
         row_factors, col_factors = self._factors(matrix)

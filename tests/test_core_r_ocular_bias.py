@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.backends import ParallelBackend
 from repro.core.bias import BiasedOCuLaR
 from repro.core.init import random_init
 from repro.core.objective import relative_user_weights
@@ -276,9 +277,7 @@ def _legacy_biased_fit(model, matrix, initial_factors=None, plateau_tolerance=No
     weights = relative_user_weights(csr) if model.user_weighting == "relative" else None
     trainer = BlockCoordinateTrainer(
         regularization=model.regularization, max_iterations=1, tolerance=0.0,
-        sigma=model.sigma, beta=model.beta, max_backtracks=model.max_backtracks,
-        backend=model.backend, n_workers=model.n_workers, executor=model.executor,
-        inner_sweeps=model.inner_sweeps,
+        backend=model.backend, inner_sweeps=model.inner_sweeps,
     )
     history, streak = None, 0
     try:
@@ -326,9 +325,8 @@ _PARITY_CONFIGS = {
     "inner-sweeps-2": dict(max_iterations=6, tolerance=0.0, inner_sweeps=2),
     "float32": dict(max_iterations=60, tolerance=1e-3, dtype="float32"),
     "relative-weighting": dict(max_iterations=60, tolerance=1e-3, user_weighting="relative"),
-    "parallel-thread": dict(
-        max_iterations=8, tolerance=0.0, backend="parallel", executor="thread", n_workers=2,
-    ),
+    # Fitted on a two-thread ParallelBackend the test builds and shuts down.
+    "parallel-thread": dict(max_iterations=8, tolerance=0.0),
     "reference": dict(max_iterations=4, tolerance=0.0, backend="reference"),
 }
 
@@ -350,7 +348,9 @@ class TestBiasedFitParity:
     def test_matches_the_per_iteration_loop(self, planted, config):
         settings = dict(n_coclusters=4, regularization=1.0, random_state=0)
         settings.update(_PARITY_CONFIGS[config])
-        with warnings.catch_warnings():
+        with ParallelBackend(n_workers=2, executor="thread") as pool, warnings.catch_warnings():
+            if config == "parallel-thread":
+                settings["backend"] = pool
             warnings.simplefilter("ignore", ConvergenceWarning)
             model = BiasedOCuLaR(**settings).fit(planted)
             expected = _legacy_biased_fit(BiasedOCuLaR(**settings), planted)

@@ -242,15 +242,11 @@ class TestShardScheduler:
 
 class TestGetBackendExecutor:
     def test_executor_configures_parallel(self):
-        backend = get_backend("parallel", n_workers=2, executor="serial")
-        assert isinstance(backend, ParallelBackend)
+        # By name the backend is a thread pool; any other is an instance.
+        assert get_backend("parallel").executor == "thread"
+        backend = ParallelBackend(n_workers=2, executor="serial")
+        assert get_backend(backend) is backend
         assert backend.executor == "serial"
-
-    def test_executor_rejected_for_other_backends(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("vectorized", executor="thread")
-        with pytest.raises(ConfigurationError):
-            get_backend(ParallelBackend(n_workers=1), executor="thread")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -550,14 +546,15 @@ class TestThreeWayExecutorParity:
         # must ship them too.
         matrix, row_factors, col_factors = _sweep_problem(7)
         rng = np.random.default_rng(7)
-        kwargs = dict(
-            regularization=0.4,
+        side = SweepSide.build(
+            matrix,
             row_positive_weights=rng.uniform(0.5, 2.0, matrix.shape[0]),
             col_positive_weights=rng.uniform(0.5, 2.0, matrix.shape[1]),
         )
-        vectorized, _ = VectorizedBackend().sweep(matrix, row_factors, col_factors, **kwargs)
+        kwargs = dict(regularization=0.4, plan=side)
+        vectorized, _ = VectorizedBackend().sweep(None, row_factors, col_factors, **kwargs)
         with ParallelBackend(n_workers=2, n_shards=3, executor="process") as backend:
-            sharded, _ = backend.sweep(matrix, row_factors, col_factors, **kwargs)
+            sharded, _ = backend.sweep(None, row_factors, col_factors, **kwargs)
         assert np.array_equal(vectorized, sharded)
 
 
@@ -580,19 +577,20 @@ class TestSharedMemoryFitLifecycle:
         shm_ledger.assert_gone()
 
     def test_name_configured_fit_unlinks_everything(self, shm_ledger):
+        # A fit's process pool is an instance: leaving its with-block
+        # unlinks every segment the fit published.
         matrix, _spec = make_netflix_like(n_users=100, n_items=40, random_state=1)
-        model = OCuLaR(
-            n_coclusters=5,
-            regularization=5.0,
-            max_iterations=2,
-            tolerance=0.0,
-            backend="parallel",
-            executor="process",
-            n_workers=2,
-            random_state=0,
-        )
-        with pytest.warns(Warning):
-            model.fit(matrix)
+        with ParallelBackend(n_workers=2, executor="process") as backend:
+            model = OCuLaR(
+                n_coclusters=5,
+                regularization=5.0,
+                max_iterations=2,
+                tolerance=0.0,
+                backend=backend,
+                random_state=0,
+            )
+            with pytest.warns(Warning):
+                model.fit(matrix)
         shm_ledger.assert_gone()
 
     def test_borrowed_backend_cleans_up_on_exit(self, shm_ledger):

@@ -82,9 +82,8 @@ def test_relative_weights_non_negative_and_finite(problem):
 def test_backends_agree_on_random_problems(problem):
     """The reference and vectorized sweeps are interchangeable."""
     matrix, user_factors, item_factors = problem
-    kwargs = dict(regularization=0.5, sigma=0.1, beta=0.5, max_backtracks=10)
-    reference, _ = ReferenceBackend().sweep(matrix, user_factors, item_factors, **kwargs)
-    vectorized, _ = VectorizedBackend().sweep(matrix, user_factors, item_factors, **kwargs)
+    reference, _ = ReferenceBackend().sweep(matrix, user_factors, item_factors, 0.5)
+    vectorized, _ = VectorizedBackend().sweep(matrix, user_factors, item_factors, 0.5)
     np.testing.assert_allclose(reference, vectorized, rtol=1e-7, atol=1e-9)
 
 

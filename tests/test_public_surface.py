@@ -6,7 +6,9 @@ say so — instead of every CHANGES.md entry re-counting them by hand."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import re
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 
 import repro.runtime
-from repro.core import io
-from repro.core.backends import SweepWorkspaceStore
+from repro.core import io, objective
+from repro.core.backends import Backend, SweepWorkspaceStore, get_backend
 from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
@@ -68,9 +70,7 @@ def test_constructor_arguments():
         "front", "host", "port", "max_inflight", "max_connection_inflight",
         "max_frame_bytes", "fair_queue",
     )
-    assert _parameters(RecommenderRuntime) == (
-        "executor", "max_workers", "n_shards", "chunk_size", "serving_dtype",
-    )
+    assert _parameters(RecommenderRuntime) == ("executor", "max_workers")
     assert _parameters(TopNEngine) == (
         "train_matrix", "factors", "model", "chunk_size", "dtype", "pipeline",
     )
@@ -115,23 +115,28 @@ def test_one_ranking_shape():
 
 
 def test_training_arguments():
+    # The Armijo constants live in core.objective; a sized or process pool
+    # is a ParallelBackend instance passed as ``backend``.
     assert _parameters(OCuLaR) == (
-        "n_coclusters", "regularization", "max_iterations", "tolerance", "sigma",
-        "beta", "max_backtracks", "backend", "n_workers", "executor", "dtype",
-        "inner_sweeps", "user_weighting", "random_state",
+        "n_coclusters", "regularization", "max_iterations", "tolerance", "backend",
+        "dtype", "inner_sweeps", "user_weighting", "random_state",
     )
     fit = ("matrix", "callback", "backend", "initial_factors", "plateau_tolerance")
     assert _parameters(OCuLaR.fit) == fit
     assert _parameters(BiasedOCuLaR.fit) == fit
     assert _parameters(BlockCoordinateTrainer) == (
-        "regularization", "max_iterations", "tolerance", "sigma", "beta",
-        "max_backtracks", "backend", "n_workers", "executor", "inner_sweeps",
+        "regularization", "max_iterations", "tolerance", "backend", "inner_sweeps",
         "plateau_tolerance",
     )
     assert _parameters(BlockCoordinateTrainer.train) == (
         "matrix", "user_factors", "item_factors", "user_weights", "callback",
         "constant_columns",
     )
+    # Positive weights exist only in a plan (SweepSide.build).
+    assert _parameters(Backend.sweep) == (
+        "matrix", "row_factors", "col_factors", "regularization", "plan", "row_range",
+    )
+    assert _parameters(get_backend) == ("name",)
 
 
 @pytest.mark.parametrize(
@@ -156,14 +161,20 @@ def test_archive_with_retired_settings_loads(tmp_path):
     with np.load(path) as archive:
         arrays = dict(archive)
     header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-    header["params"].update(init="random", init_scale=1.0)
+    header["params"].update(
+        init="random", init_scale=1.0, sigma=0.1, beta=0.5, max_backtracks=20,
+        n_workers=2, executor="process",
+    )
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     np.savez_compressed(path, **arrays)
     loaded = io.load_model(path)
     assert loaded.get_params() == model.get_params()
-    np.testing.assert_array_equal(
-        loaded.factors_.user_factors, model.factors_.user_factors
-    )
+    for side in ("user_factors", "item_factors"):
+        np.testing.assert_array_equal(
+            getattr(loaded.factors_, side), getattr(model.factors_, side)
+        )
+    assert (loaded.train_matrix.csr() != model.train_matrix.csr()).nnz == 0
+    np.testing.assert_array_equal(loaded.score_user(0), model.score_user(0))
 
 
 def test_fold_in_arguments():
@@ -171,8 +182,7 @@ def test_fold_in_arguments():
     # with the module's interior lift: no backend, init or interior setting.
     budget = ("n_sweeps", "tolerance")
     assert _parameters(fold_in.fold_in_factors) == (
-        "item_factors", "interactions", "regularization", *budget, "sigma", "beta",
-        "max_backtracks",
+        "item_factors", "interactions", "regularization", *budget,
     )
     assert _parameters(fold_in.fold_in_users) == ("model", "interactions", *budget)
     assert _parameters(fold_in.fold_in_user) == ("model", "items", *budget)
@@ -182,6 +192,35 @@ def test_fold_in_arguments():
         "engine", "interactions", "model", "n_items", "exclude_seen", *budget,
     )
     assert _parameters(fold_in.fold_in_scores) == ("engine", "csr", "model", *budget)
+
+
+def _e2e_imports():
+    """Every ``from repro... import name`` in the end-to-end benchmark's files."""
+    for path in sorted((SRC.parent / "benchmarks" / "e2e").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_the_end_to_end_benchmark_finds_what_it_reads(toy_dataset):
+    # benchmarks/e2e is frozen: a src change that breaks it must fail here,
+    # not first in the paper harness.  Its imports resolve, and its SUT
+    # exports each fitted model's solver settings to the checker.
+    imports = list(_e2e_imports())
+    assert len(imports) > 20
+    for filename, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name) or importlib.util.find_spec(
+            f"{module_name}.{name}"
+        ), f"{filename}: from {module_name} import {name}"
+    constants = (objective.ARMIJO_SIGMA, objective.ARMIJO_BETA, objective.MAX_BACKTRACKS)
+    for model_class in (OCuLaR, ROCuLaR, BiasedOCuLaR):
+        fitted = model_class(
+            n_coclusters=2, regularization=3.0, max_iterations=2, random_state=0
+        ).fit(toy_dataset.matrix)
+        assert fitted.regularization == 3.0
+        assert (fitted.sigma, fitted.beta, fitted.max_backtracks) == constants
 
 
 def test_environment_variables():

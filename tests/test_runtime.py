@@ -3,6 +3,7 @@ serving publication, model-version swaps, and shm hygiene on exit."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -475,10 +476,29 @@ class TestGenerationLifecycle:
     def test_invalid_arguments_rejected_before_pool_spawn(self):
         # Validation precedes executor construction, so a bad argument
         # cannot leak a spawned worker pool with no handle to close it.
+        before = set(multiprocessing.active_children())
         with pytest.raises(ConfigurationError):
-            RecommenderRuntime(executor="process", chunk_size=0)
+            RecommenderRuntime(executor="process", max_workers=0)
         with pytest.raises(ConfigurationError):
-            RecommenderRuntime(executor="process", n_shards=-1)
+            RecommenderRuntime(executor="spark")
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_shards_follow_the_pool_size(self, max_workers):
+        # One training shard per pool worker: the shard count is derived,
+        # not set.
+        with RecommenderRuntime(executor="thread", max_workers=max_workers) as runtime:
+            assert runtime.backend.n_shards == max_workers
+
+    def test_published_engine_uses_the_engine_defaults(self, corpus):
+        # The runtime publishes at TopNEngine's own chunk size, and scores in
+        # the model's precision.
+        with RecommenderRuntime(executor="serial") as runtime:
+            runtime.fit(_model(dtype="float32"), corpus)
+            runtime.publish()
+            default = TopNEngine.from_model(runtime.model)
+            assert runtime.engine.chunk_size == default.chunk_size
+            assert runtime.engine.serving_dtype == default.serving_dtype == np.float32
 
     def test_closed_runtime_rejects_use(self, corpus):
         runtime = RecommenderRuntime(executor="serial")

@@ -707,7 +707,7 @@ class TestLoneFrameOnTheLoop:
 
     def test_request_larger_than_one_shard_keeps_the_dispatcher(self, runtime, threads_of):
         users = list(range(runtime.engine.train_matrix.n_users)) * 9
-        assert len(users) > runtime.chunk_size
+        assert len(users) > runtime.engine.chunk_size
         with _zero_hold_client(runtime) as (_front, c):
             response = c.recommend(RecommendRequest(users=users, n_items=3))
             assert _served_on_loop(c) == 0

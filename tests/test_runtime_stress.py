@@ -71,9 +71,6 @@ class _GenerationLedger:
         solver = SimpleNamespace(
             factors_=model.factors_,
             regularization=model.regularization,
-            sigma=model.sigma,
-            beta=model.beta,
-            max_backtracks=model.max_backtracks,
         )
         with self._lock:
             self._snapshots[generation] = (engine, solver)

@@ -279,7 +279,7 @@ class TestFoldIn:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            parallel = OCuLaR(backend="parallel", n_workers=2, **settings).fit(train)
+            parallel = OCuLaR(backend="parallel", **settings).fit(train)
             vectorized = OCuLaR(**settings).fit(train)
         built = []
         original = ThreadExecutor.__init__
@@ -809,9 +809,6 @@ class TestFoldInItems:
             ),
             regularization=model.regularization,
             backend=model.backend,
-            sigma=model.sigma,
-            beta=model.beta,
-            max_backtracks=model.max_backtracks,
         )
         interactions = [[0, 5, 9], [2, 40], [7, 13, 77, 101]]
         np.testing.assert_array_equal(

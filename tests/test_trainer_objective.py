@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.backends.reference as reference_module
 import repro.core.backends.vectorized as vectorized_module
 import repro.core.objective as objective_module
 from repro.core.backends import (
@@ -134,16 +135,20 @@ class TestSweepRowValues:
     """The per-row values a sweep reports are the row objectives of its
     start factors and of the factors it returns."""
 
-    @pytest.mark.parametrize("backend", [ReferenceBackend(), VectorizedBackend()])
+    @pytest.mark.parametrize(
+        "backend",
+        [ReferenceBackend(), VectorizedBackend(), ParallelBackend(n_shards=3, executor="serial")],
+    )
     @pytest.mark.parametrize("max_backtracks", [1, 20])
-    def test_sums_match_row_objectives(self, backend, max_backtracks):
+    def test_sums_match_row_objectives(self, backend, max_backtracks, monkeypatch):
         # One backtrack leaves rows unaccepted: they keep their start value.
+        # The sharded backend runs the vectorized kernel per shard, so it
+        # reads the same module constants.
+        for module in (reference_module, vectorized_module):
+            monkeypatch.setattr(module, "MAX_BACKTRACKS", max_backtracks)
         matrix, users, items = _problem()
         side = SweepSide.build(matrix)
-        new_users, stats = backend.sweep(
-            None, users, items, REGULARIZATION, plan=side,
-            max_backtracks=max_backtracks,
-        )  # fmt: skip
+        new_users, stats = backend.sweep(None, users, items, REGULARIZATION, plan=side)
         assert stats.row_values is None
 
         def row_sum(rows):

@@ -39,6 +39,9 @@ from repro.core.backends.base import Backend
 from repro.core.backends.plan import SweepPlan, SweepSide
 from repro.core.backends.workspace import csr_matmul_into, csr_row_sums_into
 from repro.core.objective import (
+    ARMIJO_BETA,
+    ARMIJO_SIGMA,
+    MAX_BACKTRACKS,
     affinity_block_entries,
     gradient_ratio,
     gradient_ratio_into,
@@ -62,6 +65,12 @@ def _random_problem(seed, n_rows=23, n_cols=14, k=4, density=0.3):
     col_factors = rng.uniform(0.05, 0.9, size=(n_cols, k))
     row_weights = rng.uniform(0.5, 2.5, n_rows)
     return matrix, row_factors, col_factors, row_weights
+
+
+def _sweep_kwargs(matrix, regularization, row_weights, weighted):
+    """Sweep arguments over ``matrix``'s side, ``row_weights`` baked in if ``weighted``."""
+    side = SweepSide.build(matrix, row_positive_weights=row_weights if weighted else None)
+    return dict(regularization=regularization, plan=side)
 
 
 # --------------------------------------------------------------------------- #
@@ -89,9 +98,6 @@ class _LegacySweepBackend(Backend):
         row_factors: np.ndarray,
         col_factors: np.ndarray,
         regularization: float,
-        sigma: float,
-        beta: float,
-        max_backtracks: int,
         start: int,
         stop: int,
         total_col_sum: np.ndarray,
@@ -141,7 +147,7 @@ class _LegacySweepBackend(Backend):
         active = np.ones(n_local, dtype=bool)
         n_backtracks = 0
 
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             if not active.any():
                 break
             active_rows = np.flatnonzero(active)
@@ -160,7 +166,7 @@ class _LegacySweepBackend(Backend):
                 regularization,
             )
             differences = candidates - local_factors[active_rows]
-            armijo_rhs = sigma * np.einsum(
+            armijo_rhs = ARMIJO_SIGMA * np.einsum(
                 "ij,ij->i", gradients[active_rows], differences
             )
             accepted = (candidate_values - current_values[active_rows]) <= armijo_rhs
@@ -169,7 +175,7 @@ class _LegacySweepBackend(Backend):
             new_factors[accepted_rows] = candidates[accepted]
             active[accepted_rows] = False
             n_backtracks += int(np.count_nonzero(~accepted))
-            step_sizes[active] *= beta
+            step_sizes[active] *= ARMIJO_BETA
 
         n_accepted = int(n_local - np.count_nonzero(active))
         stats = SweepStats(
@@ -235,14 +241,12 @@ class TestLegacyParity:
         matrix, row_factors, col_factors, row_weights = _random_problem(
             seed, n_rows=17 + 5 * seed, n_cols=9 + 3 * seed, k=3 + seed
         )
-        kwargs = dict(regularization=0.4)
-        if weighted:
-            kwargs["row_positive_weights"] = row_weights
+        kwargs = _sweep_kwargs(matrix, 0.4, row_weights, weighted)
         legacy, legacy_stats = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         pooled, pooled_stats = VectorizedBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         assert np.array_equal(legacy, pooled)
         assert legacy_stats == pooled_stats  # workspace fields excluded
@@ -252,16 +256,14 @@ class TestLegacyParity:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_pooled_matches_legacy_sharded(self, n_shards, executor, weighted):
         matrix, row_factors, col_factors, row_weights = _random_problem(3)
-        kwargs = dict(regularization=0.3)
-        if weighted:
-            kwargs["row_positive_weights"] = row_weights
+        kwargs = _sweep_kwargs(matrix, 0.3, row_weights, weighted)
         legacy, _ = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         with ParallelBackend(
             n_workers=2, n_shards=n_shards, executor=executor
         ) as backend:
-            sharded, _ = backend.sweep(matrix, row_factors, col_factors, **kwargs)
+            sharded, _ = backend.sweep(None, row_factors, col_factors, **kwargs)
         assert np.array_equal(legacy, sharded)
 
     @pytest.mark.skipif(
@@ -270,14 +272,12 @@ class TestLegacyParity:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_pooled_matches_legacy_process(self, weighted):
         matrix, row_factors, col_factors, row_weights = _random_problem(4)
-        kwargs = dict(regularization=0.3)
-        if weighted:
-            kwargs["row_positive_weights"] = row_weights
+        kwargs = _sweep_kwargs(matrix, 0.3, row_weights, weighted)
         legacy, _ = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         with ParallelBackend(n_workers=2, n_shards=3, executor="process") as backend:
-            sharded, _ = backend.sweep(matrix, row_factors, col_factors, **kwargs)
+            sharded, _ = backend.sweep(None, row_factors, col_factors, **kwargs)
         assert np.array_equal(legacy, sharded)
 
     def test_pooled_matches_legacy_on_row_range(self):
@@ -418,11 +418,8 @@ def _heavy_backtrack_problem(seed=0, n_rows=40, n_cols=150, k=50):
 class TestPrunedLineSearch:
     REGULARIZATION = 10.0
 
-    def _kwargs(self, weighted, row_weights):
-        kwargs = dict(regularization=self.REGULARIZATION)
-        if weighted:
-            kwargs["row_positive_weights"] = row_weights
-        return kwargs
+    def _kwargs(self, matrix, weighted, row_weights):
+        return _sweep_kwargs(matrix, self.REGULARIZATION, row_weights, weighted)
 
     def _fitted_model(self):
         matrix, _spec = make_netflix_like(n_users=80, n_items=30, random_state=0)
@@ -440,12 +437,12 @@ class TestPrunedLineSearch:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_pruning_skips_evaluations_but_not_backtracks(self, weighted):
         matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem()
-        kwargs = self._kwargs(weighted, row_weights)
+        kwargs = self._kwargs(matrix, weighted, row_weights)
         legacy, legacy_stats = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         pruned, stats = VectorizedBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         assert np.array_equal(legacy, pruned)
         # The problem is what it claims to be: >= 8 halvings per row.
@@ -466,7 +463,7 @@ class TestPrunedLineSearch:
         # evaluated 62 (65 weighted).
         matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem()
         _, stats = VectorizedBackend().sweep(
-            matrix, row_factors, col_factors, **self._kwargs(weighted, row_weights)
+            None, row_factors, col_factors, **self._kwargs(matrix, weighted, row_weights)
         )
         assert stats.n_accepted == stats.n_rows == 40
         assert stats.n_evaluated_rows == 40
@@ -516,15 +513,15 @@ class TestPrunedLineSearch:
         if executor == "process" and not os.path.isdir("/dev/shm"):
             pytest.skip("requires a /dev/shm mount")
         matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem(1)
-        kwargs = self._kwargs(weighted, row_weights)
+        kwargs = self._kwargs(matrix, weighted, row_weights)
         legacy, legacy_stats = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         _, serial_stats = VectorizedBackend().sweep(
-            matrix, row_factors, col_factors, **kwargs
+            None, row_factors, col_factors, **kwargs
         )
         with ParallelBackend(n_workers=2, n_shards=3, executor=executor) as backend:
-            sharded, stats = backend.sweep(matrix, row_factors, col_factors, **kwargs)
+            sharded, stats = backend.sweep(None, row_factors, col_factors, **kwargs)
         assert np.array_equal(legacy, sharded)
         assert stats == legacy_stats
         # Pruning is row-local too: shards skip exactly the serial sweep's rows.
@@ -620,10 +617,8 @@ class TestPrunedLineSearch:
 
         monkeypatch.setattr(objective, "_AFFINITY_BLOCK_BYTES", 7 * 2 * 50 * 8)
         matrix, row_factors, col_factors, row_weights = _heavy_backtrack_problem(3)
-        legacy, _ = _LegacySweepBackend().sweep(
-            matrix, row_factors, col_factors, 10.0, row_positive_weights=row_weights
-        )
         plan = SweepSide.build(matrix, row_positive_weights=row_weights)
+        legacy, _ = _LegacySweepBackend().sweep(None, row_factors, col_factors, 10.0, plan=plan)
         blocked, _ = VectorizedBackend().sweep(
             None, row_factors, col_factors, 10.0, plan=plan
         )

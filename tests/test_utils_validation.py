@@ -13,7 +13,6 @@ from repro.utils.validation import (
     check_positive_float,
     check_positive_int,
     check_probability,
-    check_unit_interval_open,
 )
 
 
@@ -80,17 +79,6 @@ class TestCheckProbability:
     def test_rejects_above_one(self):
         with pytest.raises(ConfigurationError):
             check_probability(1.5, "p")
-
-
-class TestCheckUnitIntervalOpen:
-    def test_accepts_interior(self):
-        assert check_unit_interval_open(0.5, "sigma") == 0.5
-
-    def test_rejects_bounds(self):
-        with pytest.raises(ConfigurationError):
-            check_unit_interval_open(0.0, "sigma")
-        with pytest.raises(ConfigurationError):
-            check_unit_interval_open(1.0, "sigma")
 
 
 class TestCheckArray2d:
