@@ -16,7 +16,7 @@ from conftest import run_once
 
 from repro.core.coclusters import extract_coclusters
 from repro.core.ocular import OCuLaR
-from repro.core.recommend import batch_reports
+from repro.core.explain import batch_reports
 from repro.core.render import render_coclusters
 from repro.data.datasets import make_b2b
 

@@ -8,6 +8,8 @@ must hold: identical likelihood trajectories, with the vectorized backend at
 least several times faster per iteration.  Every backend starts from the
 same initial factors (same seed), so the trajectories differ only in
 wall-clock cost, as in the paper, where CPU and GPU run the same algorithm.
+The report carries, beside each backend's timing, its sweeps and line-search
+row evaluations.
 """
 
 from __future__ import annotations
@@ -67,9 +69,20 @@ def test_fig8_backend_speedup(benchmark, report_writer):
         fast.mean_seconds_per_iteration / histories["parallel"].mean_seconds_per_iteration
     )
 
+    # The deterministic work beside each timing.  The reference backend
+    # evaluates every Armijo candidate and does not count them (0 rows).
+    sweeps = {
+        name: len(history.item_sweep_stats) + len(history.user_sweep_stats)
+        for name, history in histories.items()
+    }
+    evaluated_rows = {name: history.total_evaluated_rows for name, history in histories.items()}
+
     lines = ["Figure 8 — likelihood vs wall-clock time"]
     for name, history in histories.items():
-        lines.append(f"[{name}] (sec/iter = {history.mean_seconds_per_iteration:.4f})")
+        lines.append(
+            f"[{name}] (sec/iter = {history.mean_seconds_per_iteration:.4f}, "
+            f"{sweeps[name]} sweeps, {evaluated_rows[name]} evaluated rows)"
+        )
         rows = list(zip(history.elapsed_seconds, history.log_likelihoods[1:]))
         lines.append(format_table(["elapsed (s)", "-log L"], rows, precision=4))
     lines += [
@@ -85,7 +98,12 @@ def test_fig8_backend_speedup(benchmark, report_writer):
     report_writer("fig8_backend_speedup", "\n".join(lines))
     write_bench_json(
         "fig8_backend_speedup",
-        dict(speedup_per_iteration=speedup, speedup_to_target=to_target),
+        dict(
+            speedup_per_iteration=speedup,
+            speedup_to_target=to_target,
+            **{f"sweeps_{name}": count for name, count in sweeps.items()},
+            **{f"evaluated_rows_{name}": count for name, count in evaluated_rows.items()},
+        ),
         **PARAMS,
     )
 

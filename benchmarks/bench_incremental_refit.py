@@ -16,7 +16,8 @@ and basins differ in recall more than in objective — is seed luck.  The
 benchmark asserts the acceptance criteria on the pinned full-size corpus of
 :func:`~repro.data.datasets.make_drifting_corpus`.  A host with fewer cores
 than ``WORKERS`` writes its reports and then skips the recall, sweep and
-wall-clock assertions.
+wall-clock assertions.  The report carries, beside each refit's timing, its
+sweeps and line-search row evaluations, which are deterministic.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
             warm_seconds = time.perf_counter() - start
             assert runtime.last_refit_mode == "warm"
             warm_sweeps = runtime.model.history_.n_iterations
+            warm_evaluated_rows = runtime.model.history_.total_evaluated_rows
             assert runtime.model.history_.warm_started
             warm_recall = evaluate_recommender(
                 runtime.model, corpus.split, m=params["m"]
@@ -112,6 +114,7 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
             cold_seconds = time.perf_counter() - start
             assert runtime.last_refit_mode == "cold"
             cold_sweeps = runtime.model.history_.n_iterations
+            cold_evaluated_rows = runtime.model.history_.total_evaluated_rows
             assert not runtime.model.history_.warm_started
             cold_recall = evaluate_recommender(
                 runtime.model, corpus.split, m=params["m"]
@@ -123,9 +126,11 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
             ingest_drift=stats.drift,
             warm_seconds=warm_seconds,
             warm_sweeps=warm_sweeps,
+            warm_evaluated_rows=warm_evaluated_rows,
             warm_recall=warm_recall,
             cold_seconds=cold_seconds,
             cold_sweeps=cold_sweeps,
+            cold_evaluated_rows=cold_evaluated_rows,
             cold_recall=cold_recall,
         )
 
@@ -135,10 +140,16 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
     recall_gap = result["cold_recall"] - result["warm_recall"]
     speedup = result["cold_seconds"] / max(result["warm_seconds"], 1e-9)
     table = format_table(
-        ["refit", "sweeps", "seconds", f"recall@{params['m']}"],
+        ["refit", "sweeps", "evaluated rows", "seconds", f"recall@{params['m']}"],
         [
-            ["warm", result["warm_sweeps"], f"{result['warm_seconds']:.3f}", f"{result['warm_recall']:.4f}"],
-            ["cold", result["cold_sweeps"], f"{result['cold_seconds']:.3f}", f"{result['cold_recall']:.4f}"],
+            [
+                side,
+                result[f"{side}_sweeps"],
+                result[f"{side}_evaluated_rows"],
+                f"{result[f'{side}_seconds']:.3f}",
+                f"{result[f'{side}_recall']:.4f}",
+            ]
+            for side in ("warm", "cold")
         ],
     )
     lines = [
@@ -158,6 +169,8 @@ def test_incremental_refit_warm_vs_cold(benchmark, report_writer):
             cold_seconds=result["cold_seconds"],
             warm_sweeps=result["warm_sweeps"],
             cold_sweeps=result["cold_sweeps"],
+            warm_evaluated_rows=result["warm_evaluated_rows"],
+            cold_evaluated_rows=result["cold_evaluated_rows"],
             warm_recall=result["warm_recall"],
             cold_recall=result["cold_recall"],
             sweep_ratio=sweep_ratio,

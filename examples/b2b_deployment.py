@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import OCuLaR, RecommendRequest
 from repro.core.coclusters import cocluster_statistics, extract_coclusters
-from repro.core.recommend import batch_reports
+from repro.core.explain import batch_reports
 from repro.core.render import render_coclusters
 from repro.data.datasets import make_b2b
 from repro.evaluation.metrics import catalog_coverage

@@ -19,7 +19,7 @@ interchangeable.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -106,26 +106,6 @@ class Recommender(abc.ABC):
         # Never pad the list with excluded (seen) items: if the user has fewer
         # unknown items than requested, return a shorter list instead.
         return ranked[np.isfinite(scores[ranked])]
-
-    def recommend_many(
-        self,
-        users: Sequence[int],
-        n_items: int = 10,
-        exclude_seen: bool = True,
-    ) -> dict[int, np.ndarray]:
-        """Top-M lists for several users, as a mapping user -> item indices.
-
-        Routed through the chunked :class:`~repro.serving.engine.TopNEngine`
-        (one scoring call per chunk instead of one per user); the rankings
-        are identical to calling :meth:`recommend` per user.
-        """
-        from repro.serving.engine import TopNEngine
-
-        user_list = [int(user) for user in users]
-        rankings = TopNEngine.from_model(self).topn(
-            user_list, n_items=n_items, exclude_seen=exclude_seen
-        )
-        return dict(zip(user_list, rankings))
 
     # ------------------------------------------------------------------ #
     # Internal helpers for subclasses

@@ -4,8 +4,12 @@ from repro.core.factors import FactorModel
 from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
 from repro.core.coclusters import CoCluster, extract_coclusters, cocluster_statistics
-from repro.core.explain import Explanation, explain_recommendation, explain_top_recommendations
-from repro.core.recommend import RecommendationReport, recommend_with_explanations
+from repro.core.explain import (
+    Explanation,
+    RecommendationReport,
+    batch_reports,
+    explain_recommendation,
+)
 from repro.core.optimizer import TrainingHistory
 from repro.core.io import save_model, load_model
 
@@ -20,8 +24,7 @@ __all__ = [
     "cocluster_statistics",
     "Explanation",
     "explain_recommendation",
-    "explain_top_recommendations",
     "RecommendationReport",
-    "recommend_with_explanations",
+    "batch_reports",
     "TrainingHistory",
 ]

@@ -7,9 +7,15 @@ generate a positive example with probability 0.5:
 
     ``1 - exp(-delta^2) = 0.5  =>  delta = sqrt(ln 2) ~= 0.833``
 
-which is the same convention used by BIGCLAM-style affiliation models.  The
-co-cluster statistics (users per co-cluster, items per co-cluster, density)
-are exactly the quantities plotted in Figure 6.
+which is the same convention used by BIGCLAM-style affiliation models.
+
+:func:`extract_coclusters` is the one place membership is decided: an entity
+belongs to co-cluster ``c`` when its strength in factor column ``c`` is at
+least the threshold, and members are listed strongest first (stable sort).
+The explanation engine (:mod:`repro.core.explain`) reads its output, and
+:func:`repro.core.render.render_coclusters` prints it.  The co-cluster
+statistics (users per co-cluster, items per co-cluster, density) are exactly
+the quantities plotted in Figure 6.
 """
 
 from __future__ import annotations
@@ -142,14 +148,17 @@ def extract_coclusters(
     if threshold < 0:
         raise ConfigurationError(f"membership_threshold must be non-negative, got {threshold}")
 
+    def members(strengths: np.ndarray) -> np.ndarray:
+        # The membership rule: at least the threshold, strongest first.
+        indices = np.flatnonzero(strengths >= threshold)
+        return indices[np.argsort(-strengths[indices], kind="stable")]
+
     coclusters: List[CoCluster] = []
     for column in range(factors.n_coclusters):
         user_strengths = factors.user_factors[:, column]
         item_strengths = factors.item_factors[:, column]
-        users = np.flatnonzero(user_strengths >= threshold)
-        items = np.flatnonzero(item_strengths >= threshold)
-        users = users[np.argsort(-user_strengths[users], kind="stable")]
-        items = items[np.argsort(-item_strengths[items], kind="stable")]
+        users = members(user_strengths)
+        items = members(item_strengths)
         density = float("nan")
         if matrix is not None and len(users) and len(items):
             block = matrix.csr()[users][:, items]
@@ -255,13 +264,3 @@ def cocluster_statistics(
         items_per_cocluster=items_per,
         densities=densities,
     )
-
-
-def coclusters_of_user(coclusters: Sequence[CoCluster], user: int) -> List[CoCluster]:
-    """Co-clusters that contain ``user`` as a member."""
-    return [cocluster for cocluster in coclusters if user in set(int(u) for u in cocluster.users)]
-
-
-def coclusters_of_item(coclusters: Sequence[CoCluster], item: int) -> List[CoCluster]:
-    """Co-clusters that contain ``item`` as a member."""
-    return [cocluster for cocluster in coclusters if item in set(int(i) for i in cocluster.items)]

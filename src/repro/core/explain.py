@@ -6,28 +6,42 @@ purchased Items 1-3 and clients with similar purchase history (Clients 4-5)
 also bought Item 4 ..." (Figure 3), and the deployed system shows the same
 rationale with client names and a price estimate (Figure 10).
 
-:func:`explain_recommendation` reconstructs that rationale from the fitted
-factors: for each co-cluster that contributes materially to
-``<f_u, f_i>``, it collects
+An explanation card reconstructs that rationale from the fitted factors: for
+each co-cluster that contributes at least :data:`MIN_CONTRIBUTION_SHARE` of
+``<f_u, f_i>``, it names
 
-* the *evidence items* — items in the co-cluster the user already purchased,
-* the *peer users* — other members of the co-cluster who purchased the
-  recommended item,
+* the *evidence items* — up to :data:`MAX_EVIDENCE_ITEMS` members of the
+  co-cluster that the user already purchased,
+* the *peer users* — up to :data:`MAX_PEERS` other members of the co-cluster
+  who purchased the recommended item,
 
-and packages them into an :class:`Explanation` whose ``to_text`` /
-``to_dict`` renderings are used by the examples and the Figure 10 benchmark.
+both strongest member first.  Membership is not decided here: the members
+are read from :func:`repro.core.coclusters.extract_coclusters` at its
+default (adaptive) threshold.  :func:`explain_recommendation` builds one card;
+:func:`batch_reports` ranks several users in one serving-engine pass and
+builds a :class:`RecommendationReport` of cards for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import islice
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.coclusters import adaptive_membership_threshold
-from repro.data.interactions import InteractionMatrix
+from repro.core.coclusters import extract_coclusters
 from repro.exceptions import NotFittedError
+
+#: A co-cluster is reported only when its contribution is at least this share
+#: of the total affinity ``<f_u, f_i>``.
+MIN_CONTRIBUTION_SHARE = 0.1
+
+#: Peer users named per co-cluster.
+MAX_PEERS = 3
+
+#: Already-purchased items named per co-cluster.
+MAX_EVIDENCE_ITEMS = 5
 
 
 @dataclass
@@ -139,14 +153,124 @@ class Explanation:
         }
 
 
+@dataclass
+class RecommendationReport:
+    """Top-M recommendations for one user, each with its explanation.
+
+    This is what a deployment consumes (Section VIII): for each client, a
+    short ranked list of products, each with its confidence, the co-cluster
+    rationale and — in the B2B setting — a price estimate.
+
+    Attributes
+    ----------
+    user:
+        User index the report is for.
+    user_label:
+        Human-readable user/client name.
+    explanations:
+        One :class:`Explanation` per recommended item, in rank order.
+    """
+
+    user: int
+    user_label: str
+    explanations: List[Explanation] = field(default_factory=list)
+
+    def to_text(self) -> str:
+        """Render the full report (rank, confidence, rationale per item)."""
+        lines = [f"Recommendations for {self.user_label}:"]
+        for rank, explanation in enumerate(self.explanations, start=1):
+            lines.append(f"{rank}. {explanation.item_label} (confidence {explanation.confidence:.2f})")
+            rationale = explanation.to_text().splitlines()[1:]
+            lines.extend(rationale)
+        return "\n".join(lines)
+
+
+def _first(members: List[int], owners: set, excluded: int, count: int) -> List[int]:
+    """The first ``count`` of ``members`` in ``owners``, other than ``excluded``."""
+    return list(islice((m for m in members if m in owners and m != excluded), count))
+
+
+class _CardBuilder:
+    """What every card of one batch shares, computed once per batch.
+
+    The co-cluster members (strongest first), each user's purchased items,
+    and an item -> deal prices index in ``deal_values`` insertion order.
+    """
+
+    def __init__(self, model, deal_values: Optional[Dict[tuple, float]]) -> None:
+        if getattr(model, "factors_", None) is None:
+            raise NotFittedError("explanations require a fitted OCuLaR model")
+        self.model = model
+        self.factors = model.factors_
+        self.matrix = model.train_matrix
+        self.members = [
+            (cocluster.users.tolist(), cocluster.items.tolist())
+            for cocluster in extract_coclusters(self.factors)
+        ]
+        self.user_items: Dict[int, set] = {}
+        self.deal_values = deal_values
+        self.item_prices: Dict[int, List[float]] = {}
+        for (_, product), value in (deal_values or {}).items():
+            self.item_prices.setdefault(product, []).append(value)
+
+    def explain(self, user: int, item: int) -> Explanation:
+        # Evidence from the co-cluster factors alone; the confidence is the
+        # model's own probability, bias terms included (BiasedOCuLaR).
+        contributions = self.factors.cocluster_contributions(user, item)
+        total = float(contributions.sum())
+        confidence = float(self.model.predict_proba(user, item))
+
+        if user not in self.user_items:
+            self.user_items[user] = set(self.matrix.items_of_user(user).tolist())
+        user_items = self.user_items[user]
+        item_users = set(self.matrix.users_of_item(item).tolist())
+
+        evidence: List[CoClusterEvidence] = []
+        for column in np.argsort(-contributions, kind="stable"):
+            contribution = float(contributions[column])
+            if total <= 0 or contribution < MIN_CONTRIBUTION_SHARE * total or contribution <= 0:
+                break
+            member_users, member_items = self.members[column]
+            evidence_items = _first(member_items, user_items, item, MAX_EVIDENCE_ITEMS)
+            peer_users = _first(member_users, item_users, user, MAX_PEERS)
+            evidence.append(
+                CoClusterEvidence(
+                    cocluster_index=int(column),
+                    contribution=contribution,
+                    evidence_items=evidence_items,
+                    peer_users=peer_users,
+                    evidence_item_labels=[self.matrix.label_of_item(i) for i in evidence_items],
+                    peer_user_labels=[self.matrix.label_of_user(u) for u in peer_users],
+                )
+            )
+
+        price_estimate = None
+        if self.deal_values is not None:
+            # The peers' own deals for the item, else every deal for it.
+            peer_prices = [
+                self.deal_values[(peer, item)]
+                for entry in evidence
+                for peer in entry.peer_users
+                if (peer, item) in self.deal_values
+            ] or self.item_prices.get(item, [])
+            if peer_prices:
+                price_estimate = float(np.mean(peer_prices))
+
+        return Explanation(
+            user=user,
+            item=item,
+            user_label=self.matrix.label_of_user(user),
+            item_label=self.matrix.label_of_item(item),
+            confidence=confidence,
+            evidence=evidence,
+            price_estimate=price_estimate,
+        )
+
+
 def explain_recommendation(
     model,
     user: int,
     item: int,
-    max_peers: int = 3,
-    max_evidence_items: int = 5,
-    membership_threshold: Optional[float] = None,
-    min_contribution_share: float = 0.1,
     deal_values: Optional[Dict[tuple, float]] = None,
 ) -> Explanation:
     """Build the co-cluster rationale for recommending ``item`` to ``user``.
@@ -157,124 +281,40 @@ def explain_recommendation(
         A fitted :class:`~repro.core.ocular.OCuLaR` (or subclass).
     user, item:
         The recommendation to explain.
-    max_peers:
-        Maximum number of peer users named per co-cluster.
-    max_evidence_items:
-        Maximum number of already-purchased items named per co-cluster.
-    membership_threshold:
-        Affiliation strength above which an entity counts as a co-cluster
-        member; defaults to the adaptive threshold used for co-cluster
-        extraction (see
-        :func:`repro.core.coclusters.adaptive_membership_threshold`).
-    min_contribution_share:
-        A co-cluster is reported only when its contribution exceeds this
-        fraction of the total affinity ``<f_u, f_i>``.
     deal_values:
         Optional mapping ``(user, item) -> price`` of historical deals; when
-        given, the mean price paid by the named peer users for ``item`` is
-        attached as the price estimate (Figure 10).
-
-    Returns
-    -------
-    Explanation
+        given, the mean price the named peer users paid for ``item`` (or, if
+        none of them has a recorded deal, the mean of all deals for ``item``)
+        is attached as the price estimate (Figure 10).
     """
-    if getattr(model, "factors_", None) is None:
-        raise NotFittedError("explain_recommendation requires a fitted OCuLaR model")
-    factors = model.factors_
-    matrix: InteractionMatrix = model.train_matrix
-    threshold = (
-        adaptive_membership_threshold(factors)
-        if membership_threshold is None
-        else float(membership_threshold)
-    )
-
-    # Evidence from the co-cluster factors alone; the confidence is the
-    # model's own probability, bias terms included (BiasedOCuLaR).
-    contributions = factors.cocluster_contributions(user, item)
-    total = float(contributions.sum())
-    confidence = float(model.predict_proba(user, item))
-
-    user_items = set(int(index) for index in matrix.items_of_user(user))
-    item_users = set(int(index) for index in matrix.users_of_item(item))
-
-    evidence: List[CoClusterEvidence] = []
-    order = np.argsort(-contributions, kind="stable")
-    for column in order:
-        contribution = float(contributions[column])
-        if total <= 0 or contribution < min_contribution_share * total or contribution <= 0:
-            break
-        user_strengths = factors.user_factors[:, column]
-        item_strengths = factors.item_factors[:, column]
-
-        member_items = np.flatnonzero(item_strengths >= threshold)
-        evidence_items = [
-            int(candidate)
-            for candidate in member_items[np.argsort(-item_strengths[member_items], kind="stable")]
-            if int(candidate) in user_items and int(candidate) != item
-        ][:max_evidence_items]
-
-        member_users = np.flatnonzero(user_strengths >= threshold)
-        peer_users = [
-            int(candidate)
-            for candidate in member_users[np.argsort(-user_strengths[member_users], kind="stable")]
-            if int(candidate) in item_users and int(candidate) != user
-        ][:max_peers]
-
-        evidence.append(
-            CoClusterEvidence(
-                cocluster_index=int(column),
-                contribution=contribution,
-                evidence_items=evidence_items,
-                peer_users=peer_users,
-                evidence_item_labels=[matrix.label_of_item(index) for index in evidence_items],
-                peer_user_labels=[matrix.label_of_user(index) for index in peer_users],
-            )
-        )
-
-    price_estimate = None
-    if deal_values is not None:
-        peer_prices = [
-            deal_values[(peer, item)]
-            for entry in evidence
-            for peer in entry.peer_users
-            if (peer, item) in deal_values
-        ]
-        if not peer_prices:
-            peer_prices = [
-                value for (buyer, product), value in deal_values.items() if product == item
-            ]
-        if peer_prices:
-            price_estimate = float(np.mean(peer_prices))
-
-    return Explanation(
-        user=user,
-        item=item,
-        user_label=matrix.label_of_user(user),
-        item_label=matrix.label_of_item(item),
-        confidence=confidence,
-        evidence=evidence,
-        price_estimate=price_estimate,
-    )
+    return _CardBuilder(model, deal_values).explain(user, item)
 
 
-def explain_top_recommendations(
+def batch_reports(
     model,
-    user: int,
+    users: Sequence[int],
     n_items: int = 5,
-    max_peers: int = 3,
-    max_evidence_items: int = 5,
     deal_values: Optional[Dict[tuple, float]] = None,
-) -> List[Explanation]:
-    """Explanations for the user's top ``n_items`` recommendations, in rank order."""
-    ranked = model.recommend(user, n_items=n_items, exclude_seen=True)
+) -> List[RecommendationReport]:
+    """Ranked, explained recommendations for several users (a deployment's nightly batch).
+
+    All users are ranked in one pass through the chunked serving engine
+    (seen items excluded), then each ranked item gets its card from state
+    computed once for the whole batch.  ``deal_values`` is as in
+    :func:`explain_recommendation`.
+    """
+    from repro.serving.engine import TopNEngine
+
+    user_list = [int(user) for user in users]
+    if not user_list:
+        return []
+    cards = _CardBuilder(model, deal_values)
+    rankings = TopNEngine.from_model(model).topn(user_list, n_items=n_items, exclude_seen=True)
     return [
-        explain_recommendation(
-            model,
-            user,
-            int(item),
-            max_peers=max_peers,
-            max_evidence_items=max_evidence_items,
-            deal_values=deal_values,
+        RecommendationReport(
+            user=user,
+            user_label=cards.matrix.label_of_user(user),
+            explanations=[cards.explain(user, int(item)) for item in ranking],
         )
-        for item in ranked
+        for user, ranking in zip(user_list, rankings)
     ]

@@ -355,7 +355,7 @@ class OCuLaR(Recommender):
             self.factors_, self.train_matrix, membership_threshold=membership_threshold
         )
 
-    def explain(self, user: int, item: int, max_peers: int = 3, max_evidence_items: int = 5):
+    def explain(self, user: int, item: int):
         """Explain why ``item`` would be recommended to ``user``.
 
         Returns an :class:`~repro.core.explain.Explanation`; its
@@ -365,13 +365,7 @@ class OCuLaR(Recommender):
         from repro.core.explain import explain_recommendation
 
         self._require_fitted()
-        return explain_recommendation(
-            self,
-            user,
-            item,
-            max_peers=max_peers,
-            max_evidence_items=max_evidence_items,
-        )
+        return explain_recommendation(self, user, item)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -259,10 +259,6 @@ class B2BDataset:
     deal_values: Dict[Tuple[int, int], float] = field(default_factory=dict)
     spec: Optional[DatasetSpec] = None
 
-    def historical_prices(self, item: int) -> List[float]:
-        """All recorded deal values for ``item`` (possibly empty)."""
-        return [value for (_, product), value in self.deal_values.items() if product == item]
-
 
 def make_b2b(
     n_clients: int = 400,

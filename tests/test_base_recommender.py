@@ -81,11 +81,6 @@ class TestRecommend:
         with pytest.raises(ValueError):
             model.recommend(0)
 
-    def test_recommend_many_keys(self, simple_matrix):
-        model = ConstantScoreRecommender().fit(simple_matrix)
-        result = model.recommend_many([0, 2], n_items=2)
-        assert set(result) == {0, 2}
-
 
 class TestScoreUsers:
     def test_default_stacks_score_user(self, simple_matrix):

@@ -9,8 +9,6 @@ from repro.core.coclusters import (
     DEFAULT_MEMBERSHIP_THRESHOLD,
     CoCluster,
     cocluster_statistics,
-    coclusters_of_item,
-    coclusters_of_user,
     extract_coclusters,
 )
 from repro.core.factors import FactorModel
@@ -118,11 +116,6 @@ class TestStatistics:
         summary = stats.as_dict()
         for key in ("n_coclusters", "mean_users", "mean_items", "mean_user_memberships"):
             assert key in summary
-
-    def test_membership_lookup_helpers(self, block_factors):
-        coclusters = extract_coclusters(block_factors)
-        assert [c.index for c in coclusters_of_user(coclusters, 0)] == [0]
-        assert [c.index for c in coclusters_of_item(coclusters, 3)] == [1]
 
     def test_empty_cocluster_properties(self):
         empty = CoCluster(

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.bias import BiasedOCuLaR
-from repro.core.explain import Explanation, explain_recommendation, explain_top_recommendations
+from repro.core.coclusters import extract_coclusters
+from repro.core.explain import (
+    MAX_EVIDENCE_ITEMS,
+    MAX_PEERS,
+    Explanation,
+    batch_reports,
+    explain_recommendation,
+)
 from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
-from repro.core.recommend import batch_reports, recommend_with_explanations
 from repro.core.render import render_coclusters, render_matrix, render_probability_matrix
 from repro.data import make_movielens_like
+from repro.data.datasets import make_b2b
 from repro.exceptions import ConfigurationError, ConvergenceWarning, NotFittedError
+from repro.serving.engine import TopNEngine
 
 
 class TestExplainRecommendation:
@@ -52,18 +63,47 @@ class TestExplainRecommendation:
         with pytest.warns(ConvergenceWarning):
             model.fit(matrix)
         assert explain_recommendation(model, 3, 3).confidence == model.predict_proba(3, 3)
-        report = recommend_with_explanations(model, 3, n_items=4)
-        assert report.confidences == [
-            model.predict_proba(3, item) for item in report.items
+        report = batch_reports(model, [3], n_items=4)[0]
+        assert [card.confidence for card in report.explanations] == [
+            model.predict_proba(3, card.item) for card in report.explanations
         ]
 
-    def test_limits_respected(self, fitted_toy_model):
-        explanation = explain_recommendation(
-            fitted_toy_model, 6, 4, max_peers=1, max_evidence_items=2
-        )
-        for entry in explanation.evidence:
-            assert len(entry.peer_users) <= 1
-            assert len(entry.evidence_items) <= 2
+    def test_limits_respected(self, b2b_small):
+        # One co-cluster spanning most of the catalogue, so both limits bind.
+        model = OCuLaR(n_coclusters=1, regularization=1.0, max_iterations=40, random_state=0)
+        model.fit(b2b_small.matrix)
+        users = range(b2b_small.matrix.n_users)
+        entries = [
+            entry
+            for report in batch_reports(model, users, n_items=5)
+            for card in report.explanations
+            for entry in card.evidence
+        ]
+        assert max(len(entry.peer_users) for entry in entries) == MAX_PEERS
+        assert max(len(entry.evidence_items) for entry in entries) == MAX_EVIDENCE_ITEMS
+
+    def test_evidence_follows_extracted_membership(self, fitted_movielens_model):
+        # Evidence items and peers are members of the co-cluster as
+        # extract_coclusters reports it, strongest first, filtered to the
+        # user's purchases and the item's buyers.
+        model = fitted_movielens_model
+        matrix = model.train_matrix
+        coclusters = extract_coclusters(model.factors_)
+        checked = 0
+        for report in batch_reports(model, range(0, matrix.n_users, 5), n_items=5):
+            purchased = set(matrix.items_of_user(report.user).tolist())
+            for card in report.explanations:
+                buyers = set(matrix.users_of_item(card.item).tolist())
+                for entry in card.evidence:
+                    cocluster = coclusters[entry.cocluster_index]
+                    items = [i for i in cocluster.items.tolist() if i in purchased]
+                    peers = [
+                        u for u in cocluster.users.tolist() if u in buyers and u != report.user
+                    ]
+                    assert entry.evidence_items == items[:MAX_EVIDENCE_ITEMS]
+                    assert entry.peer_users == peers[:MAX_PEERS]
+                    checked += len(entry.evidence_items) + len(entry.peer_users)
+        assert checked > 0
 
     def test_to_text_contains_key_elements(self, fitted_toy_model):
         text = explain_recommendation(fitted_toy_model, 6, 4).to_text()
@@ -90,11 +130,11 @@ class TestExplainRecommendation:
         with pytest.raises(NotFittedError):
             explain_recommendation(OCuLaR(), 0, 0)
 
-    def test_explain_top_recommendations_rank_order(self, fitted_toy_model):
-        explanations = explain_top_recommendations(fitted_toy_model, 6, n_items=3)
+    def test_batch_reports_rank_order(self, fitted_toy_model):
+        explanations = batch_reports(fitted_toy_model, [6], n_items=3)[0].explanations
         assert len(explanations) == 3
-        ranked = fitted_toy_model.recommend(6, n_items=3)
-        assert [explanation.item for explanation in explanations] == [int(i) for i in ranked]
+        ranked = TopNEngine.from_model(fitted_toy_model).topn([6], n_items=3)[0]
+        assert [explanation.item for explanation in explanations] == ranked.tolist()
 
     def test_model_explain_shortcut(self, fitted_toy_model):
         direct = fitted_toy_model.explain(6, 4)
@@ -125,19 +165,16 @@ class TestLabelledExplanations:
 
 class TestReports:
     def test_recommendation_report_structure(self, fitted_toy_model):
-        report = recommend_with_explanations(fitted_toy_model, 6, n_items=3)
+        report = batch_reports(fitted_toy_model, [6], n_items=3)[0]
         assert report.user == 6
         assert len(report.explanations) == 3
-        assert report.items == [explanation.item for explanation in report.explanations]
-        assert all(0 <= confidence < 1 for confidence in report.confidences)
+        assert all(0 <= card.confidence < 1 for card in report.explanations)
 
-    def test_report_text_and_records(self, fitted_toy_model):
-        report = recommend_with_explanations(fitted_toy_model, 6, n_items=2)
+    def test_report_text(self, fitted_toy_model):
+        report = batch_reports(fitted_toy_model, [6], n_items=2)[0]
         text = report.to_text()
         assert "Recommendations for" in text
         assert "1." in text and "2." in text
-        records = report.to_records()
-        assert len(records) == 2
 
     def test_batch_reports(self, fitted_toy_model):
         reports = batch_reports(fitted_toy_model, [0, 6], n_items=2)
@@ -145,7 +182,7 @@ class TestReports:
 
     def test_report_requires_fitted_model(self):
         with pytest.raises(NotFittedError):
-            recommend_with_explanations(OCuLaR(), 0)
+            batch_reports(OCuLaR(), [0])
 
 
 class TestRendering:
@@ -180,3 +217,74 @@ class TestRendering:
 
     def test_render_coclusters_empty_input(self):
         assert "no non-empty" in render_coclusters([])
+
+
+def _digest(texts) -> str:
+    hasher = hashlib.sha256()
+    for text in texts:
+        hasher.update(text.encode("utf-8"))
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def _card_digests(reports) -> tuple:
+    cards = [card for report in reports for card in report.explanations]
+    return (
+        len(cards),
+        _digest(report.to_text() for report in reports),
+        _digest(card.to_text() for card in cards),
+        _digest(json.dumps(card.to_dict(), sort_keys=True) for card in cards),
+    )
+
+
+# sha256 over every rendering of the explanation layer, recorded before its
+# membership rule and report builder were consolidated: the rewrite must
+# reproduce every card's text and dictionary (floats included) bit for bit.
+_PINNED_EXPLANATIONS = {
+    "b2b": (
+        2000,
+        "916d4cff705a77a999f067f979c715527ae43a1f1c650d7f77999940ebaee282",
+        "268333951c954adbc0198d0dbd94493deee163c8595efd9d0c961b1cf1e649f8",
+        "3008b31861a36e442503897f262a7f7b7cf122a068b07670bbac33c214de4bcf",
+    ),
+    "toy": (
+        59,
+        "2c4b41357e19aa0b6cba71fea69cf75bb0d70301e60e5eabc59e18303144cb6c",
+        "5b2892139e890421934ef38b129587de8c29caa3fa2e98cb10906cd3fb69051a",
+        "bbf2672e26b932209ef640ea81412b6536d94f5b96586e2ad00fd1a683dc0ddc",
+    ),
+    OCuLaR: "038e594975510be15502763976ace045eff3afb53bd49c91c246411aa4119245",
+    ROCuLaR: "8315d117e9ae601cbfeee804994183d5364b690f7bffcd71a52b2498155c0183",
+    BiasedOCuLaR: "dda87753967717122adc345650bcd0d05f8e156f261f34988b22c0aa9950540b",
+}
+
+
+class TestExplanationDigests:
+    def test_b2b_cards_are_bit_identical(self):
+        # Figure 10's model settings, every client of the default corpus.
+        dataset = make_b2b(random_state=0)
+        model = OCuLaR(
+            n_coclusters=12, regularization=2.0, max_iterations=80, random_state=0
+        ).fit(dataset.matrix)
+        reports = batch_reports(
+            model, range(dataset.matrix.n_users), n_items=5, deal_values=dataset.deal_values
+        )
+        assert _card_digests(reports) == _PINNED_EXPLANATIONS["b2b"]
+
+    def test_toy_cards_are_bit_identical(self, fitted_toy_model, toy_dataset):
+        reports = batch_reports(fitted_toy_model, range(toy_dataset.matrix.n_users), n_items=5)
+        assert _card_digests(reports) == _PINNED_EXPLANATIONS["toy"]
+
+    @pytest.mark.parametrize(
+        "model_class", [OCuLaR, ROCuLaR, BiasedOCuLaR], ids=lambda cls: cls.__name__
+    )
+    def test_explain_grid_is_bit_identical(self, model_class):
+        matrix, _ = make_movielens_like(n_users=120, n_items=80, random_state=0)
+        model = model_class(n_coclusters=6, max_iterations=10, tolerance=0.0, random_state=0)
+        model.fit(matrix)
+        records = (
+            json.dumps(model.explain(user, item).to_dict(), sort_keys=True)
+            for user in range(0, matrix.n_users, 11)
+            for item in range(0, matrix.n_items, 7)
+        )
+        assert _digest(records) == _PINNED_EXPLANATIONS[model_class]

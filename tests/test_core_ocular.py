@@ -123,11 +123,6 @@ class TestRecommendation:
         top = fitted_toy_model.recommend(6, n_items=1)
         assert int(top[0]) == 4
 
-    def test_recommend_many(self, fitted_toy_model):
-        reports = fitted_toy_model.recommend_many([0, 6], n_items=3)
-        assert set(reports.keys()) == {0, 6}
-        assert all(len(items) == 3 for items in reports.values())
-
 
 class TestStructureRecovery:
     """OCuLaR should recover planted overlapping co-clusters."""

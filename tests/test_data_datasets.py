@@ -86,13 +86,6 @@ class TestB2B:
             assert (user, item) in dataset.deal_values
             assert dataset.deal_values[(user, item)] > 0
 
-    def test_historical_prices(self):
-        dataset = make_b2b(n_clients=40, n_products=12, random_state=1)
-        some_item = int(dataset.matrix.pairs()[0][1])
-        prices = dataset.historical_prices(some_item)
-        assert prices
-        assert all(price > 0 for price in prices)
-
     def test_client_names_reflect_industry(self):
         dataset = make_b2b(n_clients=30, n_products=10, random_state=2)
         for name, industry in zip(dataset.client_names, dataset.client_industries):

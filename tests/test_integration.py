@@ -19,7 +19,7 @@ from repro.baselines import (
     WeightedALSRecommender,
 )
 from repro.core.coclusters import cocluster_statistics, extract_coclusters
-from repro.core.recommend import recommend_with_explanations
+from repro.core.explain import batch_reports
 from repro.data.datasets import make_b2b, make_movielens_like
 from repro.data.loaders import load_movielens_ratings
 from repro.data.splitting import train_test_split
@@ -73,7 +73,7 @@ class TestFullPipelineOnSyntheticMovielens:
         _, split, models, _ = pipeline
         model = models["OCuLaR"]
         user = int(np.argmax(split.train.user_degrees()))
-        report = recommend_with_explanations(model, user, n_items=3)
+        report = batch_reports(model, [user], n_items=3)[0]
         assert len(report.explanations) == 3
         assert all(0 <= explanation.confidence < 1 for explanation in report.explanations)
 
@@ -170,9 +170,7 @@ class TestB2BDeploymentFlow:
             n_coclusters=10, regularization=2.0, max_iterations=60, random_state=0
         ).fit(dataset.matrix)
         client = int(np.argmax(dataset.matrix.user_degrees()))
-        report = recommend_with_explanations(
-            model, client, n_items=3, deal_values=dataset.deal_values
-        )
+        report = batch_reports(model, [client], n_items=3, deal_values=dataset.deal_values)[0]
         text = report.to_text()
         assert dataset.client_names[client] in text
         assert any(

@@ -26,7 +26,7 @@ from _paper import (
 from repro.core.coclusters import cocluster_statistics, extract_coclusters
 from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
-from repro.core.recommend import batch_reports
+from repro.core.explain import batch_reports
 from repro.core.render import render_coclusters, render_matrix, render_probability_matrix
 from repro.data.datasets import dataset_by_name, make_b2b, make_netflix_like
 from repro.evaluation.evaluator import evaluate_curves, evaluate_recommender

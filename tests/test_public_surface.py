@@ -1,4 +1,4 @@
-"""A census of the settable surface of serving, training, runtime and cluster.
+"""A census of the settable surface of serving, training, runtime, cluster and explanations.
 
 A change that adds (or removes) a public name, a constructor or method
 argument or an environment variable has to edit this file, and so has to
@@ -17,10 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core
 import repro.runtime
 from repro.core import io, objective
 from repro.core.backends import Backend, SweepWorkspaceStore, get_backend
 from repro.core.bias import BiasedOCuLaR
+from repro.core.coclusters import extract_coclusters
+from repro.core.explain import batch_reports, explain_recommendation
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
 from repro.core.r_ocular import ROCuLaR
@@ -221,6 +224,37 @@ def test_the_end_to_end_benchmark_finds_what_it_reads(toy_dataset):
         ).fit(toy_dataset.matrix)
         assert fitted.regularization == 3.0
         assert (fitted.sigma, fitted.beta, fitted.max_backtracks) == constants
+
+
+def test_core_exports():
+    assert sorted(repro.core.__all__) == [
+        "CoCluster",
+        "Explanation",
+        "FactorModel",
+        "OCuLaR",
+        "ROCuLaR",
+        "RecommendationReport",
+        "TrainingHistory",
+        "batch_reports",
+        "cocluster_statistics",
+        "explain_recommendation",
+        "extract_coclusters",
+        "load_model",
+        "save_model",
+    ]
+
+
+def test_explanation_arguments():
+    # One explanation path: a card's limits and membership rule are the
+    # constants of core.explain and core.coclusters, not per-call settings;
+    # batch_reports is the one way to get ranked cards.
+    assert _parameters(explain_recommendation) == ("model", "user", "item", "deal_values")
+    assert _parameters(batch_reports) == ("model", "users", "n_items", "deal_values")
+    assert _parameters(OCuLaR.explain) == ("user", "item")
+    assert _parameters(extract_coclusters) == (
+        "factors", "matrix", "membership_threshold", "drop_empty",
+    )
+    assert importlib.util.find_spec("repro.core.recommend") is None
 
 
 def test_environment_variables():

@@ -11,7 +11,7 @@ from repro.baselines.popularity import PopularityRecommender
 from repro.core.bias import BiasedOCuLaR
 from repro.core.ocular import OCuLaR
 from repro.exceptions import DataError
-from repro.core.recommend import batch_reports
+from repro.core.explain import batch_reports
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import SerialExecutor, SharedMemoryProcessExecutor, ThreadExecutor
 import scipy.sparse as sp
@@ -96,16 +96,6 @@ class TestTopNEngineParity:
         # And the vectorised score_users path agrees with score_user too
         # (it was bias-free before the serving_factors_ refactor).
         np.testing.assert_allclose(model.score_users([3])[0], model.score_user(3))
-
-    def test_recommend_many_matches_base(self, fitted_movielens_model):
-        model = fitted_movielens_model
-        users = [5, 2, 9]
-        via_base = model.recommend_many(users, n_items=8)
-        engine = TopNEngine.from_model(model)
-        via_engine = dict(zip(users, engine.topn(users, n_items=8)))
-        assert set(via_base) == set(via_engine)
-        for user in users:
-            np.testing.assert_array_equal(via_base[user], via_engine[user])
 
     def test_short_lists_for_heavy_users(self, fitted_toy_model):
         # Toy users have seen most of the 12 items; asking for more than the
@@ -773,7 +763,7 @@ class TestEngineRoutedReports:
         assert [report.user for report in reports] == users
         for report in reports:
             reference = model.recommend(report.user, n_items=3, exclude_seen=True)
-            assert report.items == [int(item) for item in reference]
+            assert [card.item for card in report.explanations] == reference.tolist()
 
 
 # --------------------------------------------------------------------------- #
