@@ -30,7 +30,7 @@ from repro.runtime import (
     GatewayThread,
     RecommenderRuntime,
 )
-from repro.serving import fold_in_user
+from repro.serving import fold_in_users
 
 
 def main() -> None:
@@ -119,7 +119,7 @@ def main() -> None:
             f"New client (not in the training run) already bought: {purchased_names}."
         )
 
-        factors = fold_in_user(model, new_client_purchases)
+        factors = fold_in_users(model, [new_client_purchases])[0]
         memberships = (
             int((factors > 0.05 * factors.max()).sum()) if factors.max() > 0 else 0
         )

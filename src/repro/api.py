@@ -42,8 +42,8 @@ from repro.serving.results import TopNResult
 from repro.utils.validation import as_int_tuple, check_non_negative_float
 
 #: Default tenant for requests that do not name one.  Tenancy only matters
-#: under gateway backpressure, where the weighted fair queue arbitrates
-#: between tenants; in-process callers can ignore it entirely.
+#: under gateway backpressure, where the fair queue admits the tenants with
+#: backlog in equal-share round-robin; in-process callers can ignore it.
 DEFAULT_TENANT = "default"
 
 #: Ceiling on a request's fold-in budget.  With ``tolerance=0`` a fold-in

@@ -114,17 +114,7 @@ class BiasedOCuLaR(OCuLaR):
     @property
     def serving_factors_(self) -> FactorModel:
         """Augmented factors (bias columns included) — scoring with these is
-        exactly ``1 - exp(-<f_u, f_i> - b_u - b_i - b)``, so engine-routed
-        rankings keep the bias terms."""
+        exactly ``1 - exp(-<f_u, f_i> - b_u - b_i - b)``, so scores,
+        probabilities and engine-routed rankings keep the bias terms."""
         self._require_fitted()
         return self._augmented_factors
-
-    def score_user(self, user: int) -> np.ndarray:
-        """Probabilities including the bias terms."""
-        self._require_fitted()
-        return self._augmented_factors.user_scores(user)
-
-    def predict_proba(self, user: int, item: int) -> float:
-        """Probability that ``user`` is interested in ``item`` (with biases)."""
-        self._require_fitted()
-        return self._augmented_factors.predict_proba(user, item)

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.coclusters import extract_coclusters
 from repro.exceptions import NotFittedError
+from repro.utils.validation import as_int_tuple
 
 #: A co-cluster is reported only when its contribution is at least this share
 #: of the total affinity ``<f_u, f_i>``.
@@ -87,8 +88,9 @@ class Explanation:
     evidence:
         Per-co-cluster evidence, sorted by decreasing contribution.
     price_estimate:
-        Optional price estimate derived from historical deals of peer
-        clients (the Figure 10 deployment adds this in the B2B setting).
+        Optional price estimate from the historical deals for the item: the
+        named peers' deals when they have any, else every deal for it (the
+        Figure 10 deployment adds this in the B2B setting).
     """
 
     user: int
@@ -118,16 +120,23 @@ class Explanation:
         for rank, entry in enumerate(self.evidence):
             bullet = chr(ord("A") + rank) if rank < 26 else str(rank + 1)
             evidence_items = ", ".join(entry.evidence_item_labels) or "no shared items"
-            peers = ", ".join(entry.peer_user_labels) or "no named peers"
-            lines.append(
-                f"  {bullet}. {self.user_label} has purchased {evidence_items}. "
-                f"Clients with similar purchase history (e.g., {peers}) also bought "
-                f"{self.item_label} (co-cluster {entry.cocluster_index}, "
-                f"contribution {entry.contribution:.2f})."
-            )
+            cocluster = f"co-cluster {entry.cocluster_index}"
+            contribution = f"contribution {entry.contribution:.2f}"
+            if entry.peer_user_labels:
+                peers = (
+                    f"Clients with similar purchase history "
+                    f"(e.g., {', '.join(entry.peer_user_labels)}) also bought "
+                    f"{self.item_label} ({cocluster}, {contribution})."
+                )
+            else:
+                peers = (
+                    f"No other member of {cocluster} has bought {self.item_label} "
+                    f"({contribution})."
+                )
+            lines.append(f"  {bullet}. {self.user_label} has purchased {evidence_items}. {peers}")
         if self.price_estimate is not None:
             lines.append(
-                f"  Estimated deal value based on historical purchases by related clients: "
+                f"  Estimated deal value from historical deals for {self.item_label}: "
                 f"${self.price_estimate:,.0f}."
             )
         return "\n".join(lines)
@@ -305,7 +314,7 @@ def batch_reports(
     """
     from repro.serving.engine import TopNEngine
 
-    user_list = [int(user) for user in users]
+    user_list = as_int_tuple(users, "users")
     if not user_list:
         return []
     cards = _CardBuilder(model, deal_values)

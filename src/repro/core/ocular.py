@@ -310,11 +310,11 @@ class OCuLaR(Recommender):
     def serving_factors_(self) -> FactorModel:
         """The factor model whose probability formula *is* this model's scoring.
 
-        The serving engine ranks through these factors directly (one BLAS
-        call per chunk).  Subclasses whose scoring differs from the plain
+        :meth:`score_user`, :meth:`score_users`, :meth:`predict_proba` and
+        the serving engine (one BLAS call per chunk) all score through these
+        factors.  A subclass whose scoring differs from the plain
         ``1 - exp(-<f_u, f_i>)`` over :attr:`factors_` (e.g. the
-        bias-extended model) must override this so engine-routed rankings
-        match :meth:`score_user` exactly.
+        bias-extended model) overrides this property alone.
         """
         self._require_fitted()
         assert self.factors_ is not None
@@ -337,8 +337,7 @@ class OCuLaR(Recommender):
     def predict_proba(self, user: int, item: int) -> float:
         """Probability that ``user`` is interested in ``item``."""
         self._require_fitted()
-        assert self.factors_ is not None
-        return self.factors_.predict_proba(user, item)
+        return self.serving_factors_.predict_proba(user, item)
 
     # ------------------------------------------------------------------ #
     # Interpretability

@@ -17,7 +17,7 @@ batch against one pinned model version (:class:`ServingSession`); see
 :class:`ServingGateway` (with its :class:`GatewayThread` host and
 :class:`GatewayClient` counterpart) puts an asyncio socket front door on
 the batcher — newline-delimited JSON frames of the same request/response
-dataclasses, with per-tenant weighted fair queueing
+dataclasses, with equal-share round-robin across tenants
 (:class:`WeightedFairQueue`) under backpressure; see
 :mod:`repro.runtime.gateway`.
 """
@@ -35,7 +35,6 @@ from repro.runtime.service import (
     IngestStats,
     RecommenderRuntime,
     ServingSession,
-    ServingStats,
 )
 
 __all__ = [
@@ -50,6 +49,5 @@ __all__ = [
     "RecommenderRuntime",
     "ServingGateway",
     "ServingSession",
-    "ServingStats",
     "WeightedFairQueue",
 ]

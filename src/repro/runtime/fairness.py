@@ -1,14 +1,13 @@
-"""Per-tenant weighted fair queueing for the serving gateway.
+"""Equal-share tenant fairness for the serving gateway.
 
 Under backpressure a plain FIFO admission queue lets one chatty tenant
 inflate every other tenant's queue latency: a client that pipelines 10k
 requests puts 10k entries in front of the next tenant's single request.
-:class:`WeightedFairQueue` arbitrates instead with deficit round-robin
-(DRR): tenants with backlog are visited in round-robin order, each visit
-tops the tenant's *deficit counter* up by its weight, and the tenant may
-dequeue one request per unit of deficit.  With equal weights, admissions
-interleave one-per-tenant no matter how deep any tenant's backlog is; a
-tenant with weight 3 is granted three admissions per round instead of one.
+:class:`WeightedFairQueue` arbitrates instead with round-robin over the
+tenants holding backlog — deficit round-robin with every tenant at weight
+1: each visit credits the tenant at the ring head with one admission, and a
+credited head dequeues one request.  Admissions interleave one per tenant
+no matter how deep any tenant's backlog is.
 
 The queue is a plain synchronous, lock-protected data structure — it never
 blocks.  ``pop()`` returns ``None`` when empty; whoever owns the queue (the
@@ -21,69 +20,33 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_positive_float
 
 
 class WeightedFairQueue:
-    """Deficit round-robin queue over per-tenant sub-queues.
+    """Round-robin queue over per-tenant sub-queues, one share per tenant.
 
-    Parameters
-    ----------
-    default_weight:
-        Weight for tenants without an explicit entry in ``weights``.
-    weights:
-        Optional mapping of tenant id to weight (> 0).  A tenant with
-        weight ``w`` receives ``w`` admissions per round-robin cycle while
-        it has backlog (fractional weights accumulate across cycles: weight
-        0.5 means one admission every other cycle).
+    Every tenant has the same share; the name is kept because the
+    end-to-end benchmark's fairness probe builds ``WeightedFairQueue()``.
     """
 
-    def __init__(
-        self,
-        default_weight: float = 1.0,
-        weights: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.default_weight = check_positive_float(default_weight, "default_weight")
-        self._weights: Dict[str, float] = {}
-        for tenant, weight in (weights or {}).items():
-            self._check_tenant(tenant)
-            self._weights[tenant] = check_positive_float(
-                weight, f"weight of tenant {tenant!r}"
-            )
+    def __init__(self) -> None:
         self._queues: Dict[str, Deque] = {}
         # Round-robin ring of tenants with backlog, plus a membership set
         # for O(1) "already in the ring" checks on push.
         self._ring: Deque[str] = deque()
         self._ringed: set = set()
-        self._deficit: Dict[str, float] = {}
+        # Ringed tenants holding one admission's credit from a past visit.
+        self._credited: set = set()
         self._size = 0
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _check_tenant(tenant) -> None:
-        if not isinstance(tenant, str) or not tenant:
-            raise ConfigurationError("tenant must be a non-empty string")
-
-    def weight(self, tenant: str) -> float:
-        """The admission weight of ``tenant``."""
-        return self._weights.get(tenant, self.default_weight)
-
-    def set_weight(self, tenant: str, weight: float) -> None:
-        """Set a tenant's weight (applies from its next ring visit)."""
-        self._check_tenant(tenant)
-        weight = check_positive_float(weight, f"weight of tenant {tenant!r}")
-        with self._lock:
-            self._weights[tenant] = weight
-
-    # ------------------------------------------------------------------ #
-    # Queue protocol
-    # ------------------------------------------------------------------ #
     def push(self, tenant: str, item) -> None:
         """Enqueue ``item`` for ``tenant``."""
-        self._check_tenant(tenant)
+        if not isinstance(tenant, str) or not tenant:
+            raise ConfigurationError("tenant must be a non-empty string")
         with self._lock:
             self._queues.setdefault(tenant, deque()).append(item)
             self._size += 1
@@ -92,69 +55,29 @@ class WeightedFairQueue:
                 self._ringed.add(tenant)
 
     def pop(self):
-        """Dequeue the next item in DRR order; ``None`` when empty.
+        """Dequeue the next item in round-robin order; ``None`` when empty.
 
-        A tenant at the ring head spends one unit of deficit per item; when
-        its deficit runs dry the ring rotates and the head's deficit is
-        topped up by its weight, so sub-unit weights admit every few cycles
-        and larger weights admit several items per cycle.
+        A credited tenant at the ring head spends its credit on one item
+        and stays at the head; an uncredited head is credited and moves to
+        the back of the ring, so every tenant with backlog is admitted once
+        per round.
         """
         with self._lock:
             if self._size == 0:
                 return None
             while True:
                 tenant = self._ring[0]
-                queue = self._queues[tenant]
-                if not queue:
-                    # Tenant drained since its last visit: drop from ring.
-                    self._ring.popleft()
-                    self._ringed.discard(tenant)
-                    self._deficit.pop(tenant, None)
-                    continue
-                if self._deficit.get(tenant, 0.0) >= 1.0:
-                    self._deficit[tenant] -= 1.0
+                if tenant in self._credited:
+                    self._credited.discard(tenant)
+                    queue = self._queues[tenant]
                     item = queue.popleft()
                     self._size -= 1
                     if not queue:
                         self._ring.popleft()
                         self._ringed.discard(tenant)
-                        self._deficit.pop(tenant, None)
                     return item
-                # Out of deficit: top up by the weight and move to the back
-                # of the ring.  Guaranteed to terminate: every visit adds a
-                # positive weight, so the head reaches deficit >= 1 after at
-                # most ceil(1/weight) rounds.
-                self._deficit[tenant] = min(
-                    self._deficit.get(tenant, 0.0) + self.weight(tenant),
-                    max(1.0, self.weight(tenant)),
-                )
+                self._credited.add(tenant)
                 self._ring.rotate(-1)
-
-    def drain(self) -> list:
-        """Remove and return every queued item (ring order, then FIFO)."""
-        with self._lock:
-            items = []
-            while self._ring:
-                tenant = self._ring.popleft()
-                self._ringed.discard(tenant)
-                self._deficit.pop(tenant, None)
-                items.extend(self._queues[tenant])
-                self._queues[tenant].clear()
-            self._size = 0
-            return items
-
-    def pending(self, tenant: Optional[str] = None) -> int:
-        """Queued items for one tenant (or in total with no argument)."""
-        with self._lock:
-            if tenant is None:
-                return self._size
-            queue = self._queues.get(tenant)
-            return len(queue) if queue else 0
-
-    def tenants(self) -> Tuple[str, ...]:
-        """Tenants currently holding backlog."""
-        with self._lock:
-            return tuple(t for t in self._ring if self._queues.get(t))
 
     def __len__(self) -> int:
         with self._lock:

@@ -36,7 +36,7 @@ inside the batcher at a time.  Arrivals beyond that park in a
 :class:`~repro.runtime.fairness.WeightedFairQueue` keyed by the request's
 ``tenant``, so a tenant flooding the gateway with a deep pipeline queues
 behind itself while other tenants' requests keep being admitted at their
-fair share — deficit round-robin, one admission per unit of tenant weight.
+fair share — round-robin, one admission per tenant per round.
 
 Failure modes are contained per connection: a client that disconnects
 mid-flight has exactly its own frames cancelled (pending batcher futures
@@ -123,9 +123,6 @@ class ServingGateway:
         Longest request frame accepted (default 1 MiB — a cold-start
         payload of thousands of interactions fits); a longer one is
         answered with a ``frame-too-large`` error frame.
-    fair_queue:
-        The tenant arbitration queue; defaults to an equal-weight
-        :class:`~repro.runtime.fairness.WeightedFairQueue`.
 
     All state is owned by the event loop thread — the class is not
     thread-safe by itself; cross-thread use goes through
@@ -140,7 +137,6 @@ class ServingGateway:
         max_inflight: int = 64,
         max_connection_inflight: int = 256,
         max_frame_bytes: int = 1 << 20,
-        fair_queue: Optional[WeightedFairQueue] = None,
     ) -> None:
         self._front = front
         self.host = host
@@ -150,7 +146,7 @@ class ServingGateway:
             max_connection_inflight, "max_connection_inflight"
         )
         self.max_frame_bytes = check_positive_int(max_frame_bytes, "max_frame_bytes")
-        self._queue = fair_queue if fair_queue is not None else WeightedFairQueue()
+        self._queue = WeightedFairQueue()
         self._server: Optional[asyncio.AbstractServer] = None
         self._closing = False
         self._inflight = 0

@@ -55,11 +55,9 @@ from __future__ import annotations
 
 import inspect
 import os
-import pickle
 import threading
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -103,46 +101,6 @@ def _probe_pid(task_index: int) -> int:
     """
     time.sleep(0.005)
     return os.getpid()
-
-
-@dataclass(frozen=True)
-class ServingStats:
-    """How the last serving call was dispatched (introspection for tests).
-
-    Attributes
-    ----------
-    path:
-        ``"shared"`` when shards carried only shm descriptors, ``"local"``
-        when the engine ran in (or was shipped from) the calling process —
-        which every call of at most one shard does.
-    n_shards:
-        Number of shard tasks the rows made.
-    generation:
-        Generation of the published engine the call served from (shared
-        path only).
-    """
-
-    path: str
-    n_shards: int
-    generation: Optional[int] = None
-    #: Largest task of a shared-path call (descriptors first, then the
-    #: shard's users): what the two sizes are measured from, if read.
-    task: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def spec_bytes(self) -> Optional[int]:
-        """Pickled size of the :class:`~repro.serving.shared.SharedEngineSpec`.
-
-        The entire model-dependent payload of a shared-path task: a few
-        hundred bytes regardless of model size; compare with the megabytes
-        a pickled engine costs per task.
-        """
-        return None if self.task is None else len(pickle.dumps(self.task[0]))
-
-    @cached_property
-    def max_task_bytes(self) -> Optional[int]:
-        """Pickled size of the largest complete task tuple, on first read."""
-        return None if self.task is None else len(pickle.dumps(self.task))
 
 
 @dataclass(frozen=True)
@@ -329,7 +287,6 @@ class RecommenderRuntime:
         # ratio of a batching front-end is visible as
         # serving_calls << requests submitted.
         self.serving_calls = 0
-        self.last_serving_stats: Optional[ServingStats] = None
         # The published generations and who holds them: every request pins
         # one for its duration, every session until it is released.
         self._generations = GenerationTable(self._executor)
@@ -690,18 +647,14 @@ class RecommenderRuntime:
         if not fresh.any():
             return self._rank_known(pinned, request, users, shard_size)
         matrix = self.train_matrix
-        if matrix is None or not hasattr(matrix, "items_of_user"):
+        if not isinstance(matrix, InteractionMatrix):
             raise ConfigurationError(
                 "serving post-ingest users requires the runtime's stored "
                 "InteractionMatrix corpus"
             )
         if users.max() >= matrix.n_users:
             raise ConfigurationError(f"user indices must lie in [0, {matrix.n_users})")
-        catalogue = engine.n_items
-        interactions = [
-            [int(item) for item in matrix.items_of_user(user) if item < catalogue]
-            for user in users[fresh].tolist()
-        ]
+        interactions = matrix.csr()[users[fresh], : engine.n_items]
         parts = []
         if not fresh.all():
             parts.append(self._rank_known(pinned, request, users[~fresh], shard_size))
@@ -724,7 +677,7 @@ class RecommenderRuntime:
         descriptors and its user shard; rankings are ``np.array_equal`` to
         the single-process engine's for every user.
         """
-        rankings, n_shards, shipped = fan_out_topn(
+        rankings, _n_shards = fan_out_topn(
             self._scheduler,
             pinned.engine,
             users,
@@ -734,11 +687,7 @@ class RecommenderRuntime:
             with_scores=request.with_scores,
             spec=pinned.spec,
         )
-        self._record_serving_call(
-            ServingStats("local", n_shards)
-            if shipped is None
-            else ServingStats("shared", n_shards, pinned.number, shipped)
-        )
+        self._count_serving_call()
         return rankings
 
     def _rank_cold(
@@ -771,7 +720,7 @@ class RecommenderRuntime:
             with_scores=request.with_scores,
             writable=True,  # the fold-in block is this call's own
         )
-        self._record_serving_call(ServingStats(path="local", n_shards=1))
+        self._count_serving_call()
         return ranked
 
     # ------------------------------------------------------------------ #
@@ -804,11 +753,10 @@ class RecommenderRuntime:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _record_serving_call(self, stats: ServingStats) -> None:
-        """Count one completed serving dispatch and expose its stats."""
+    def _count_serving_call(self) -> None:
+        """Count one completed serving dispatch."""
         with self._swap_lock:
             self.serving_calls += 1
-            self.last_serving_stats = stats
 
     def _check_open(self) -> None:
         if self._closed:

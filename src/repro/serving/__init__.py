@@ -5,7 +5,9 @@ The production shape of the paper's Section VIII deployment: a
 selects top-N with ``argpartition``; :func:`fold_in_users` computes factors
 for unseen users against the fixed item factors so cold-start clients can be
 served without refitting; :func:`serve_sharded` fans user shards across the
-executors of :mod:`repro.parallel`.
+executors of :mod:`repro.parallel`.  New items are folded in by
+:func:`extend_factors` alone, against the grown corpus's extended user
+factors.
 """
 
 from repro.serving.batch import BatchServingResult, serve_sharded
@@ -15,8 +17,6 @@ from repro.serving.fold_in import (
     clear_fold_in_plan_cache,
     extend_factors,
     fold_in_factors,
-    fold_in_items,
-    fold_in_user,
     fold_in_users,
     recommend_folded,
 )
@@ -39,8 +39,6 @@ __all__ = [
     "clear_fold_in_plan_cache",
     "extend_factors",
     "fold_in_factors",
-    "fold_in_items",
-    "fold_in_user",
     "fold_in_users",
     "recommend_folded",
     "SharedCsrSpec",

@@ -39,7 +39,7 @@ from repro.serving.shared import (
     publish_engine,
     unpublish_engine,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import as_index_array, check_positive_int
 
 
 def merge_request_lists(
@@ -116,7 +116,7 @@ def fan_out_topn(
     with_scores: bool = False,
     spec: Optional[SharedEngineSpec] = None,
     min_fan: int = 2,
-) -> Tuple[TopNResult, int, Optional[tuple]]:
+) -> Tuple[TopNResult, int]:
     """Cut ``users`` into shards and serve them by the module's three rules.
 
     ``spec`` is ``engine``'s standing publication on the scheduler's
@@ -126,9 +126,7 @@ def fan_out_topn(
     shard is one BLAS call in its worker.  Fewer than ``min_fan`` shards run
     here.
 
-    Returns the rankings (aligned with ``users``), the number of shards, and
-    the first task shipped with descriptors — a largest one, every shard but
-    the last being full — or ``None`` when no descriptors travelled.
+    Returns the rankings (aligned with ``users``) and the number of shards.
     """
     if shard_size is None:
         shard_size = engine.chunk_size
@@ -138,7 +136,7 @@ def fan_out_topn(
         results = [
             _topn_shard(engine, shard, n_items, exclude_seen, with_scores) for shard in shards
         ]
-        return TopNResult.concat(results), len(shards), None
+        return TopNResult.concat(results), len(shards)
     executor = scheduler.executor
     per_call = spec is None and supports_publication(executor) and engine.factors is not None
     if per_call:
@@ -154,7 +152,7 @@ def fan_out_topn(
             unpublish_engine(executor, spec)
     # Shards of one call share a width, so flattening is one vstack of the
     # flat blocks — no per-user list rebuilding.
-    return TopNResult.concat(results), len(shards), None if spec is None else tasks[0]
+    return TopNResult.concat(results), len(shards)
 
 
 def serve_sharded(
@@ -194,13 +192,11 @@ def serve_sharded(
     shard_size:
         Users per shard; defaults to the engine's chunk size.
     """
-    user_array = np.asarray(
-        users if isinstance(users, np.ndarray) else list(users), dtype=np.int64
-    )
+    user_array = as_index_array(users, "users")
     # The scheduler owns a name-built executor (built on first use, shut
     # down on exit) and borrows an instance (left running for its owner).
     with ShardScheduler("serial" if executor is None else executor) as scheduler:
-        rankings, n_shards, _shipped = fan_out_topn(
+        rankings, n_shards = fan_out_topn(
             scheduler,
             engine,
             user_array,

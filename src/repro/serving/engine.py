@@ -67,7 +67,7 @@ from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.serving.buffers import SCORE_BUFFER_BUDGET_BYTES, ScoreBufferPool
 from repro.serving.results import TopNResult
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import as_index_array, check_positive_int
 
 #: Default number of users scored per BLAS call — an upper bound; the
 #: effective chunk additionally honours the score-buffer byte budget (see
@@ -330,10 +330,8 @@ class TopNEngine:
         computed for the selection, no rescoring pass.
         """
         check_positive_int(n_items, "n_items")
-        # An index array (the shards the runtime cuts) is taken as it is.
-        user_array = np.asarray(
-            users if isinstance(users, np.ndarray) else list(users), dtype=np.int64
-        )
+        # An integer index array (the shards the runtime cuts) is taken as it is.
+        user_array = as_index_array(users, "users")
         n = min(n_items, self.n_items)
         if user_array.size == 0:
             return TopNResult.empty(width=n, with_scores=with_scores)

@@ -21,6 +21,7 @@ backend sweeps bit-identically to the vectorised one.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from collections import OrderedDict
 from typing import Sequence, Tuple, Union
@@ -33,22 +34,19 @@ from repro.core.factors import FactorModel
 from repro.core.optimizer import check_binary
 from repro.data.interactions import InteractionMatrix, one_class_csr
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.utils.validation import check_non_negative_float, check_positive_int
+from repro.utils.validation import as_int_tuple, check_non_negative_float, check_positive_int
 
 InteractionsLike = Union[sp.spmatrix, InteractionMatrix, Sequence[Sequence[int]], np.ndarray]
 
 
-def _interactions_to_csr(
-    interactions: InteractionsLike, n_items: int, entity: str = "item"
-) -> sp.csr_matrix:
+def _interactions_to_csr(interactions: InteractionsLike, n_items: int) -> sp.csr_matrix:
     """Normalise the accepted interaction forms to a binary CSR of width ``n_items``.
 
     Every form ends in :func:`~repro.data.interactions.one_class_csr`, the
     step :class:`InteractionMatrix` runs too, so both accept and refuse the
-    same values.
-
-    ``entity`` names what the columns are in error messages — ``"item"`` for
-    the user fold-in, ``"user"`` for the symmetric item fold-in.
+    same values.  Per-user item sequences follow the id rule of every id
+    sequence (:func:`~repro.utils.validation.as_int_tuple`): ``1.5`` is not
+    item 1.
     """
     if isinstance(interactions, InteractionMatrix):
         csr = interactions.csr().copy()
@@ -60,33 +58,29 @@ def _interactions_to_csr(
         # must not be mistaken for per-user lists of item indices.
         csr = sp.csr_matrix(np.asarray(interactions, dtype=np.float64))
     else:
-        rows: list[int] = []
-        cols: list[int] = []
-        item_lists = list(interactions)
-        for row, items in enumerate(item_lists):
-            try:
-                columns = np.asarray(items, dtype=np.int64).ravel()
-            except OverflowError as error:  # an index no int64 holds
-                raise DataError(
-                    f"interaction {entity} index out of range [0, {n_items})"
-                ) from error
-            for item in columns:
-                item = int(item)
-                if not 0 <= item < n_items:
-                    raise DataError(
-                        f"interaction {entity} index {item} out of range [0, {n_items})"
-                    )
-                rows.append(row)
-                cols.append(item)
+        rows = [as_int_tuple(row, "interactions", DataError) for row in interactions]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        try:
+            columns = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+            )
+        except OverflowError as error:  # an index no int64 holds
+            raise DataError(f"interaction item index out of range [0, {n_items})") from error
+        outside = columns[(columns < 0) | (columns >= n_items)]
+        if outside.size:
+            raise DataError(
+                f"interaction item index {outside[0]} out of range [0, {n_items})"
+            )
         csr = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(len(item_lists), n_items)
+            (np.ones(columns.size), columns, indptr), shape=(len(rows), n_items)
         )
     if csr.shape[1] != n_items:
         raise DataError(
-            f"interaction vectors have {csr.shape[1]} {entity}s, the model has {n_items}"
+            f"interaction vectors have {csr.shape[1]} items, the model has {n_items}"
         )
     if csr.nnz and (csr.indices.min() < 0 or csr.indices.max() >= n_items):
-        raise DataError(f"interaction {entity} indices out of range")
+        raise DataError("interaction item indices out of range")
     return one_class_csr(csr)
 
 
@@ -281,55 +275,6 @@ def fold_in_users(
     csr = _interactions_to_csr(interactions, factors.n_items)
     return fold_in_factors(
         factors.item_factors,
-        csr,
-        n_sweeps=n_sweeps, tolerance=tolerance, **_solver_constants(model),
-    )
-
-
-def fold_in_user(
-    model,
-    items: Sequence[int],
-    n_sweeps: int = 30,
-    tolerance: float = 1e-8,
-) -> np.ndarray:
-    """Fold a single unseen user in; returns their factor vector, shape ``(K,)``."""
-    return fold_in_users(model, [list(items)], n_sweeps=n_sweeps, tolerance=tolerance)[0]
-
-
-def fold_in_items(
-    model,
-    interactions: InteractionsLike,
-    n_sweeps: int = 30,
-    tolerance: float = 1e-8,
-) -> np.ndarray:
-    """Fold a batch of unseen *items* into a fitted OCuLaR-family model.
-
-    The mirror of :func:`fold_in_users`: hold the fitted **user** factors
-    fixed and solve the per-item convex subproblem for each new item's
-    interaction vector.  The objective is symmetric in the two factor blocks
-    — ``-log(1 - exp(-<f_i, f_u>))`` is the same function of whichever side
-    is free — so the exact sweep machinery applies with the roles swapped.
-
-    Parameters
-    ----------
-    model:
-        A fitted model exposing ``factors_``.
-    interactions:
-        The new items' positives, *item-major*: a list of user-index
-        sequences (one per new item), a sparse matrix of shape
-        ``(m, n_users)``, or a dense 0/1 array of that shape.
-    n_sweeps, tolerance:
-        See :func:`fold_in_factors`.
-
-    Returns
-    -------
-    np.ndarray
-        Folded item factors, shape ``(m, K)``.
-    """
-    factors = _fitted_factors(model, "fold_in_items")
-    csr = _interactions_to_csr(interactions, factors.n_users, entity="user")
-    return fold_in_factors(
-        factors.user_factors,
         csr,
         n_sweeps=n_sweeps, tolerance=tolerance, **_solver_constants(model),
     )

@@ -84,6 +84,21 @@ def as_int_tuple(values: Any, name: str, error=ConfigurationError) -> Tuple[int,
     return ints
 
 
+def as_index_array(values: Any, name: str) -> np.ndarray:
+    """``values`` as an int64 index array, by the rule of :func:`as_int_tuple`.
+
+    An integer array is taken as it is, with no per-id walk; everything
+    else is read id by id, so ``1.5`` is a
+    :class:`~repro.exceptions.ConfigurationError`, not index 1.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return np.asarray(values, dtype=np.int64)
+    try:
+        return np.asarray(as_int_tuple(values, name), dtype=np.int64)
+    except OverflowError as error:
+        raise ConfigurationError(f"{name} must fit a 64-bit integer") from error
+
+
 def check_array_2d(array: Any, name: str) -> np.ndarray:
     """Validate that ``array`` is a finite two-dimensional float array.
 

@@ -13,6 +13,7 @@ from repro.core.coclusters import extract_coclusters
 from repro.core.explain import (
     MAX_EVIDENCE_ITEMS,
     MAX_PEERS,
+    CoClusterEvidence,
     Explanation,
     batch_reports,
     explain_recommendation,
@@ -148,6 +149,51 @@ class TestExplainRecommendation:
         assert explanation.n_supporting_coclusters >= 2
 
 
+class TestCardWording:
+    """A card states only what happened: peers who bought, deals that exist."""
+
+    @staticmethod
+    def _card(peers, price=None):
+        return Explanation(
+            user=0,
+            item=4,
+            user_label="Acme",
+            item_label="Widget",
+            confidence=0.5,
+            evidence=[
+                CoClusterEvidence(
+                    cocluster_index=2,
+                    contribution=0.4,
+                    evidence_items=[1],
+                    peer_users=list(peers),
+                    evidence_item_labels=["Bolt"],
+                    peer_user_labels=[f"Client {peer}" for peer in peers],
+                )
+            ],
+            price_estimate=price,
+        )
+
+    def test_entry_without_peers_claims_no_peer_purchase(self):
+        text = self._card([]).to_text()
+        assert "No other member of co-cluster 2 has bought Widget" in text
+        assert "also bought" not in text and "no named peers" not in text
+
+    def test_entry_with_peers_names_them(self):
+        text = self._card([7, 9]).to_text()
+        assert (
+            "Clients with similar purchase history (e.g., Client 7, Client 9) "
+            "also bought Widget (co-cluster 2, contribution 0.40)."
+        ) in text
+
+    @pytest.mark.parametrize("peers", [[], [7]])
+    def test_price_line_names_its_source(self, peers):
+        # The estimate averages the peers' deals for the item when they have
+        # any, else every deal for it: both are historical deals for the item.
+        text = self._card(peers, price=1234.0).to_text()
+        assert "Estimated deal value from historical deals for Widget: $1,234." in text
+        assert "related clients" not in text
+
+
 class TestLabelledExplanations:
     def test_uses_client_and_product_names(self, b2b_small):
         model = OCuLaR(n_coclusters=6, regularization=1.0, max_iterations=40, random_state=0)
@@ -240,11 +286,14 @@ def _card_digests(reports) -> tuple:
 # sha256 over every rendering of the explanation layer, recorded before its
 # membership rule and report builder were consolidated: the rewrite must
 # reproduce every card's text and dictionary (floats included) bit for bit.
+# The b2b text digests were re-recorded once, when a card without peers
+# stopped citing a peer purchase and the price line named its source (the
+# deal history of the item); every dictionary digest is the original.
 _PINNED_EXPLANATIONS = {
     "b2b": (
         2000,
-        "916d4cff705a77a999f067f979c715527ae43a1f1c650d7f77999940ebaee282",
-        "268333951c954adbc0198d0dbd94493deee163c8595efd9d0c961b1cf1e649f8",
+        "516dd75c6e2a3f6166ebb9febd77792dcd8724f4e808984e5ca9f866d135201e",
+        "5ac853e177f88c38d824ed8011d66b18a4571afb0b60c2bbce4a6d1cff6c8a70",
         "3008b31861a36e442503897f262a7f7b7cf122a068b07670bbac33c214de4bcf",
     ),
     "toy": (

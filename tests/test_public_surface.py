@@ -35,6 +35,7 @@ from repro.runtime import (
     RecommendResponse,
     RecommenderRuntime,
     ServingGateway,
+    WeightedFairQueue,
 )
 from repro.serving import ScoreBufferPool, TopNEngine, fold_in
 
@@ -60,8 +61,32 @@ def test_runtime_exports():
         "RecommenderRuntime",
         "ServingGateway",
         "ServingSession",
-        "ServingStats",
         "WeightedFairQueue",
+    ]
+
+
+def test_serving_exports():
+    import repro.serving
+
+    # One fold-in entry point per input: users by fold_in_users, a grown
+    # corpus's new rows by extend_factors.
+    assert sorted(repro.serving.__all__) == [
+        "BatchServingResult",
+        "BufferPoolStats",
+        "ScoreBufferPool",
+        "SharedCsrSpec",
+        "SharedEngineSpec",
+        "TopNEngine",
+        "TopNResult",
+        "attach_engine",
+        "clear_fold_in_plan_cache",
+        "extend_factors",
+        "fold_in_factors",
+        "fold_in_users",
+        "publish_engine",
+        "recommend_folded",
+        "serve_sharded",
+        "unpublish_engine",
     ]
 
 
@@ -71,8 +96,14 @@ def test_constructor_arguments():
     )
     assert _parameters(ServingGateway) == (
         "front", "host", "port", "max_inflight", "max_connection_inflight",
-        "max_frame_bytes", "fair_queue",
+        "max_frame_bytes",
     )
+    # Every tenant has the same share: the fair queue has no setting, and
+    # the gateway calls nothing of it but push, pop and len.
+    assert _parameters(WeightedFairQueue) == ()
+    assert sorted(
+        name for name in vars(WeightedFairQueue) if not name.startswith("_")
+    ) == ["pop", "push"]
     assert _parameters(RecommenderRuntime) == ("executor", "max_workers")
     assert _parameters(TopNEngine) == (
         "train_matrix", "factors", "model", "chunk_size", "dtype", "pipeline",
@@ -97,6 +128,12 @@ def test_method_arguments():
     assert _parameters(TopNEngine.effective_chunk_size) == ()
     assert _parameters(RecommenderRuntime.refit) == ("matrix", "callback", "mode")
     assert _parameters(RecommenderRuntime.worker_pids) == ()
+    # A serving call leaves a count behind (the e2e SUT reads it), no stats.
+    with RecommenderRuntime(executor="serial") as runtime:
+        assert runtime.serving_calls == 0
+        assert not hasattr(runtime, "last_serving_stats")
+    # BiasedOCuLaR scores through serving_factors_ alone, like OCuLaR.
+    assert {"score_user", "predict_proba"}.isdisjoint(vars(BiasedOCuLaR))
 
 
 def test_one_ranking_shape():
@@ -188,8 +225,6 @@ def test_fold_in_arguments():
         "item_factors", "interactions", "regularization", *budget,
     )
     assert _parameters(fold_in.fold_in_users) == ("model", "interactions", *budget)
-    assert _parameters(fold_in.fold_in_user) == ("model", "items", *budget)
-    assert _parameters(fold_in.fold_in_items) == ("model", "interactions", *budget)
     assert _parameters(fold_in.extend_factors) == ("model", "matrix", *budget)
     assert _parameters(fold_in.recommend_folded) == (
         "engine", "interactions", "model", "n_items", "exclude_seen", *budget,

@@ -20,7 +20,7 @@ from repro.data.datasets import make_netflix_like
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import SharedMemoryProcessExecutor
 from repro.runtime import RecommenderRuntime
-from repro.serving import TopNEngine, recommend_folded, serve_sharded
+from repro.serving import SharedEngineSpec, TopNEngine, recommend_folded, serve_sharded
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,46 @@ def _model(**overrides):
     )
     settings.update(overrides)
     return OCuLaR(**settings)
+
+
+class _StarmapLog:
+    """A recording ``starmap`` on a runtime's executor (a test fake).
+
+    :meth:`dispatch` reads how the serving call since the last read
+    travelled: ``("caller", 1)`` when no task reached the executor (the
+    call ran on the calling thread), else the kind of engine every task
+    carried (``"descriptors"`` for a
+    :class:`~repro.serving.shared.SharedEngineSpec`, ``"engine"`` for the
+    engine itself) and the number of tasks.
+    """
+
+    def __init__(self, runtime, monkeypatch) -> None:
+        self.calls: list = []
+        starmap = runtime.executor.starmap
+
+        def recording(function, argument_tuples, *args, **kwargs):
+            tasks = list(argument_tuples)
+            self.calls.append(tasks)
+            return starmap(function, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(runtime.executor, "starmap", recording)
+
+    def clear(self) -> None:
+        self.calls = []
+
+    def dispatch(self) -> tuple:
+        calls, self.calls = self.calls, []
+        if not calls:
+            return ("caller", 1)
+        (tasks,) = calls
+        kinds = {type(task[0]) for task in tasks}
+        return ("descriptors" if kinds == {SharedEngineSpec} else "engine", len(tasks))
+
+
+@pytest.fixture()
+def starmap_log(monkeypatch):
+    """Install a :class:`_StarmapLog` on a runtime's executor."""
+    return lambda runtime: _StarmapLog(runtime, monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -206,10 +246,13 @@ class TestGenerationLifecycle:
                 RecommendRequest(users=(0, 1, 2), n_items=3)
             ).rankings
 
-    def test_swap_defers_unlink_until_inflight_calls_drain(self, corpus, shm_ledger):
+    def test_swap_defers_unlink_until_inflight_calls_drain(
+        self, corpus, shm_ledger, starmap_log
+    ):
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             old_names = set(runtime.published_spec.segment_names())
             # A holder pinned generation 1 and has not dispatched yet (the
             # race a swap must tolerate).
@@ -221,7 +264,7 @@ class TestGenerationLifecycle:
             response = session.recommend(
                 RecommendRequest(users=(0, 1, 2), n_items=3), shard_size=1
             )
-            assert runtime.last_serving_stats.path == "shared"
+            assert log.dispatch() == ("descriptors", 3)
             assert response.generation == session.generation == 1
             assert len(response.rankings) == 3
             session.release()
@@ -232,7 +275,7 @@ class TestGenerationLifecycle:
                 RecommendRequest(users=(0, 1), n_items=3)
             ).rankings
 
-    def test_refit_loop_keeps_worker_mappings_flat(self, corpus):
+    def test_refit_loop_keeps_worker_mappings_flat(self, corpus, starmap_log):
         # A warm pool refitting in a loop: each cycle's first sweep, swap
         # and sharded call reach the workers as new publications.  Worker
         # mappings must track the live ones, not pile up dead fits' plans.
@@ -243,6 +286,7 @@ class TestGenerationLifecycle:
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             engine_names = len(runtime.published_spec.segment_names())
             fit_names = []
 
@@ -254,10 +298,11 @@ class TestGenerationLifecycle:
             for _cycle in range(5):
                 runtime.refit(callback=count_fit_publications)
                 runtime.update()
+                log.clear()  # the refit's sweeps
                 runtime.recommend(
                     RecommendRequest(users=range(60), n_items=5), shard_size=20
                 )
-                assert runtime.last_serving_stats.path == "shared"
+                assert log.dispatch() == ("descriptors", 3)
                 mapped = dict(runtime.executor.map(_mapped_segments, range(8)))
                 assert len(mapped) == 2
                 counts.append(max(mapped.values()))
@@ -391,13 +436,16 @@ class TestGenerationLifecycle:
             assert not (names & shm_ledger.entries())
             assert executor.active_segment_names() == []
 
-    def test_session_call_reference_survives_racing_release(self, corpus, shm_ledger):
+    def test_session_call_reference_survives_racing_release(
+        self, corpus, shm_ledger, starmap_log
+    ):
         # Two holders of one generation (a shared session's call takes its
         # own reference the same way): releasing one, or swapping the model
         # version, can never pull the segments out from under the other.
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             names = set(runtime.published_spec.segment_names())
             session = runtime.serving_session()
             in_flight = runtime.serving_session()
@@ -408,7 +456,7 @@ class TestGenerationLifecycle:
             response = in_flight.recommend(
                 RecommendRequest(users=(0, 1), n_items=3), shard_size=1
             )
-            assert runtime.last_serving_stats.path == "shared"
+            assert log.dispatch() == ("descriptors", 2)
             assert len(response.rankings) == 2
             in_flight.release()  # the last reference
             assert not (names & shm_ledger.entries())
@@ -526,7 +574,7 @@ class TestGenerationLifecycle:
 class TestServingParity:
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
     def test_topn_equals_single_process_engine(
-        self, corpus, fitted_reference, n_shards
+        self, corpus, fitted_reference, n_shards, starmap_log
     ):
         model, engine = fitted_reference
         users = list(range(corpus.n_users))
@@ -535,13 +583,13 @@ class TestServingParity:
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             result = runtime.recommend(
                 RecommendRequest(users=users, n_items=7), shard_size=shard_size
             )
-            assert runtime.last_serving_stats.n_shards == n_shards
             # One shard is served in process; only a real fan-out uses the pool.
-            assert runtime.last_serving_stats.path == (
-                "local" if n_shards == 1 else "shared"
+            assert log.dispatch() == (
+                ("caller", 1) if n_shards == 1 else ("descriptors", n_shards)
             )
             assert len(result.rankings) == len(users)
             for expected, got in zip(reference, result.rankings):
@@ -549,7 +597,7 @@ class TestServingParity:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
     def test_recommend_folded_equals_single_process(
-        self, corpus, fitted_reference, n_shards
+        self, corpus, fitted_reference, n_shards, starmap_log
     ):
         model, engine = fitted_reference
         cold = [[1, 5, 9], [2, 3], [0, 10, 20, 30], [], [7]]
@@ -558,51 +606,58 @@ class TestServingParity:
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             got = runtime.recommend(
                 RecommendRequest(interactions=cold, n_items=6, n_sweeps=8),
                 shard_size=shard_size,
             ).rankings
             # Cold-start rows are ranked where they were scored, whatever
             # shard_size says: it cuts known users only.
-            stats = runtime.last_serving_stats
-            assert (stats.path, stats.n_shards) == ("local", 1)
+            assert log.dispatch() == ("caller", 1)
             assert len(got) == len(cold)
             for expected, lists in zip(reference, got):
                 assert np.array_equal(expected, lists)
 
-    def test_tasks_carry_descriptors_not_factors(self, corpus, fitted_reference):
+    def test_tasks_carry_descriptors_not_factors(
+        self, corpus, fitted_reference, starmap_log
+    ):
         _model_ref, engine = fitted_reference
         pickled_engine_bytes = len(pickle.dumps(engine))
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             runtime.recommend(
                 RecommendRequest(users=range(corpus.n_users), n_items=5),
                 shard_size=50,
             )
-            stats = runtime.last_serving_stats
-            assert stats.path == "shared"
+            (tasks,) = log.calls
+            assert log.dispatch() == ("descriptors", 3)
             # The model-dependent payload is a handful of segment names —
             # far below the factor matrices a pickled engine would ship.
-            assert stats.spec_bytes < 2048
-            assert stats.spec_bytes < engine.factors.user_factors.nbytes
-            assert stats.max_task_bytes < pickled_engine_bytes
+            spec_bytes = len(pickle.dumps(tasks[0][0]))
+            assert spec_bytes < 2048
+            assert spec_bytes < engine.factors.user_factors.nbytes
+            max_task_bytes = max(len(pickle.dumps(task)) for task in tasks)
+            assert max_task_bytes < pickled_engine_bytes
             factor_bytes = (
                 engine.factors.user_factors.nbytes + engine.factors.item_factors.nbytes
             )
-            assert stats.max_task_bytes < factor_bytes
+            assert max_task_bytes < factor_bytes
 
-    def test_thread_runtime_serves_locally(self, corpus, fitted_reference):
+    def test_thread_runtime_serves_locally(self, corpus, fitted_reference, starmap_log):
         _model_ref, engine = fitted_reference
         users = list(range(40))
         reference = engine.topn(users, n_items=5)
         with RecommenderRuntime(executor="thread", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             result = runtime.recommend(
                 RecommendRequest(users=users, n_items=5), shard_size=16
             )
-            assert runtime.last_serving_stats.path == "local"
+            # A thread pool shares the process: its tasks carry the engine.
+            assert log.dispatch() == ("engine", 3)
             for expected, got in zip(reference, result.rankings):
                 assert np.array_equal(expected, got)
             folded = runtime.recommend(
@@ -652,17 +707,18 @@ class TestServingParity:
                 for expected_row, got_row in zip(want, results[index]):
                     assert np.array_equal(expected_row, got_row), index
 
-    def test_float32_model_serves_through_descriptors(self, corpus):
+    def test_float32_model_serves_through_descriptors(self, corpus, starmap_log):
         model32 = _model(dtype="float32").fit(corpus)
         engine32 = TopNEngine.from_model(model32)
         reference = engine32.topn(range(60), n_items=5)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(dtype="float32"), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             result = runtime.recommend(
                 RecommendRequest(users=range(60), n_items=5), shard_size=20
             )
-            assert runtime.last_serving_stats.path == "shared"
+            assert log.dispatch() == ("descriptors", 3)
             for expected, got in zip(reference, result.rankings):
                 assert np.array_equal(expected, got)
 
@@ -679,21 +735,21 @@ def _rows_equal(got, want) -> bool:
 class TestOneShardDispatch:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_one_shard_equals_forced_shards_equals_engine(
-        self, corpus, fitted_reference, executor
+        self, corpus, fitted_reference, executor, starmap_log
     ):
         model, engine = fitted_reference
-        fanned_path = "shared" if executor == "process" else "local"
+        fanned_path = "descriptors" if executor == "process" else "engine"
         users = list(range(40))
         cold = [[1, 5, 9], [2, 3], [0, 10, 20, 30], [], [7]]
         with RecommenderRuntime(executor=executor, max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
 
             def serve(request, shard_size, path, n_shards):
                 calls = runtime.serving_calls
                 response = runtime.recommend(request, shard_size=shard_size)
-                stats = runtime.last_serving_stats
-                assert (stats.path, stats.n_shards) == (path, n_shards)
+                assert log.dispatch() == (path, n_shards)
                 assert runtime.serving_calls == calls + 1
                 return response
 
@@ -701,7 +757,7 @@ class TestOneShardDispatch:
                 request = RecommendRequest(
                     users=users, n_items=5, with_scores=with_scores
                 )
-                one = serve(request, None, "local", 1)
+                one = serve(request, None, "caller", 1)
                 fanned = serve(request, 16, fanned_path, 3)
                 want_rankings = engine.topn(users, n_items=5, with_scores=with_scores)
                 want_scores = want_rankings.score_rows() if with_scores else None
@@ -717,7 +773,7 @@ class TestOneShardDispatch:
             # Cold-start rows rank in process on every executor, at any
             # shard_size.
             for shard_size in (None, 2):
-                response = serve(request, shard_size, "local", 1)
+                response = serve(request, shard_size, "caller", 1)
                 assert _rows_equal(response.rankings, want)
 
             # A mixed request: two published users, two ingested after publish.
@@ -759,7 +815,7 @@ class TestOneShardDispatch:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
     def test_session_pins_old_generation_for_one_shard_calls(
-        self, corpus, fitted_reference, shm_ledger
+        self, corpus, fitted_reference, shm_ledger, starmap_log
     ):
         _model_ref, engine = fitted_reference
         request = RecommendRequest(users=(3, 1, 4), n_items=5)
@@ -776,8 +832,9 @@ class TestOneShardDispatch:
             assert new.generation == old_generation + 1
             # The session's one-shard calls run in process — on the engine of
             # the generation it pinned, not the one now published.
+            log = starmap_log(runtime)
             pinned = session.recommend(request)
-            assert runtime.last_serving_stats.path == "local"
+            assert log.dispatch() == ("caller", 1)
             assert pinned.generation == old_generation
             assert _rows_equal(pinned.rankings, engine.topn([3, 1, 4], n_items=5))
             assert not _rows_equal(pinned.rankings, new.rankings)
@@ -789,12 +846,15 @@ class TestOneShardDispatch:
             assert not (old_names & shm_ledger.entries())
         shm_ledger.assert_gone()
 
-    def test_concurrent_one_user_requests_match_reference(self, corpus, fitted_reference):
+    def test_concurrent_one_user_requests_match_reference(
+        self, corpus, fitted_reference, starmap_log
+    ):
         _model_ref, engine = fitted_reference
         reference = engine.topn(range(corpus.n_users), n_items=5)
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
+            log = starmap_log(runtime)
             mismatches: list = []
 
             def client(offset: int) -> None:
@@ -817,7 +877,7 @@ class TestOneShardDispatch:
             assert not any(thread.is_alive() for thread in threads)
             assert mismatches == []
             assert runtime.serving_calls == 16 * 200
-            assert runtime.last_serving_stats.path == "local"
+            assert log.calls == []  # every one-user call ran on its own thread
 
 
 # --------------------------------------------------------------------------- #

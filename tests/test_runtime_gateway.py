@@ -25,7 +25,6 @@ from repro.runtime import (
     GatewayError,
     GatewayThread,
     RecommenderRuntime,
-    WeightedFairQueue,
 )
 
 #: Generous wall-clock bound for any blocking wait in this suite: far above
@@ -530,9 +529,7 @@ class TestFairnessAndAdaptivity:
     def test_flooding_tenant_does_not_starve_quiet_tenant(self, runtime):
         flood_n, quiet_n = 80, 5
         with BatchingFrontEnd(runtime, max_delay_ms=5, max_batch_users=8) as front:
-            with GatewayThread(
-                front, max_inflight=4, fair_queue=WeightedFairQueue()
-            ) as gw:
+            with GatewayThread(front, max_inflight=4) as gw:
                 host, port = gw.address
                 flood_done = []
 

@@ -16,17 +16,12 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import SerialExecutor, SharedMemoryProcessExecutor, ThreadExecutor
 import scipy.sparse as sp
 
-from types import SimpleNamespace
-
-from repro.core.factors import FactorModel
 from repro.data.interactions import InteractionMatrix
 from repro.serving import (
     TopNEngine,
     clear_fold_in_plan_cache,
     extend_factors,
     fold_in_factors,
-    fold_in_items,
-    fold_in_user,
     fold_in_users,
     recommend_folded,
     serve_sharded,
@@ -120,6 +115,29 @@ class TestTopNEngineParity:
             TopNEngine.from_model(OCuLaR())
 
 
+@pytest.mark.parametrize("reader", ["topn", "serve_sharded", "batch_reports"])
+def test_known_user_readers_refuse_fractional_ids(fitted_movielens_model, reader):
+    # Every reader of known-user ids keeps the one integer rule: 1.5 is not
+    # user 1.  Whole numbers in any numeric form, and an integer index
+    # array, still read.
+    model = fitted_movielens_model
+    engine = TopNEngine.from_model(model)
+    read = {
+        "topn": lambda users: engine.topn(users, n_items=3),
+        "serve_sharded": lambda users: serve_sharded(engine, users, n_items=3).rankings,
+        "batch_reports": lambda users: [
+            [card.item for card in report.explanations]
+            for report in batch_reports(model, users, n_items=3)
+        ],
+    }[reader]
+    for fractional in ([1.5], [0, 2.9], np.array([1.7])):
+        with pytest.raises(ConfigurationError):
+            read(fractional)
+    want = [list(row) for row in engine.topn([2, 0], n_items=3)]
+    for whole in ([2.0, 0], np.array([2, 0]), np.array([2, 0], dtype=np.int32)):
+        assert [list(row) for row in read(whole)] == want
+
+
 # --------------------------------------------------------------------------- #
 # Fold-in cold-start
 # --------------------------------------------------------------------------- #
@@ -164,7 +182,7 @@ class TestFoldIn:
     def test_factor_close_to_fitted(self, fitted_movielens_model):
         model = fitted_movielens_model
         user = 5
-        folded = fold_in_user(model, model.train_matrix.items_of_user(user))
+        folded = fold_in_users(model, [model.train_matrix.items_of_user(user)])[0]
         fitted = model.user_factors_[user]
         assert np.linalg.norm(folded - fitted) < 1e-2 * max(np.linalg.norm(fitted), 1.0)
 
@@ -179,7 +197,7 @@ class TestFoldIn:
         # A brand-new user with no positives has nothing to fold in: the
         # subproblem's optimum is the zero vector (popularity fallbacks are a
         # caller concern).
-        folded = fold_in_user(fitted_movielens_model, [])
+        folded = fold_in_users(fitted_movielens_model, [[]])[0]
         assert folded.shape == (fitted_movielens_model.n_coclusters,)
         assert np.allclose(folded, 0.0)
 
@@ -192,6 +210,18 @@ class TestFoldIn:
             fold_in_users(fitted_movielens_model, [[0, 10_000]])
         with pytest.raises(DataError):  # no int64 holds it: still a typed error
             fold_in_users(fitted_movielens_model, [[0, 2**70]])
+
+    def test_fractional_item_id_is_refused(self, fitted_movielens_model):
+        # The one id rule of every id sequence: 1.5 is not item 1, while a
+        # whole number in float form is still the item it names.
+        model = fitted_movielens_model
+        with pytest.raises(DataError):
+            fold_in_users(model, [[1.5, 3]])
+        with pytest.raises(DataError):
+            recommend_folded(TopNEngine.from_model(model), [[3, 2.25]], model=model)
+        np.testing.assert_array_equal(
+            fold_in_users(model, [[1.0, 3]]), fold_in_users(model, [[1, 3]])
+        )
 
     def test_dense_matrix_interactions(self, fitted_movielens_model):
         # A dense 0/1 matrix must be read as a matrix (like the sparse form),
@@ -767,50 +797,8 @@ class TestEngineRoutedReports:
 
 
 # --------------------------------------------------------------------------- #
-# Item fold-in and warm-start factor extension
+# Warm-start factor extension
 # --------------------------------------------------------------------------- #
-class TestFoldInItems:
-    def test_factor_close_to_fitted(self, fitted_movielens_model):
-        # Fold an item's own training column back in against the fitted user
-        # factors: the convex single-item subproblem lands (numerically) on
-        # the fitted item factor, mirroring the user-side parity test.
-        model = fitted_movielens_model
-        csr = model.train_matrix.csr().tocsc()
-        items = [3, 11, 42]
-        interactions = [csr[:, item].nonzero()[0].tolist() for item in items]
-        folded = fold_in_items(model, interactions)
-        assert folded.shape == (len(items), model.n_coclusters)
-        for row, item in zip(folded, items):
-            fitted = model.factors_.item_factors[item]
-            assert np.linalg.norm(row - fitted) < 1e-2 * max(
-                np.linalg.norm(fitted), 1.0
-            )
-
-    def test_mirrors_fold_in_users_on_the_transposed_model(
-        self, fitted_movielens_model
-    ):
-        # The objective is symmetric in the two factor blocks, so item
-        # fold-in must be bit-identical to user fold-in with the roles
-        # swapped.
-        model = fitted_movielens_model
-        transposed = SimpleNamespace(
-            factors_=FactorModel(
-                model.factors_.item_factors, model.factors_.user_factors
-            ),
-            regularization=model.regularization,
-            backend=model.backend,
-        )
-        interactions = [[0, 5, 9], [2, 40], [7, 13, 77, 101]]
-        np.testing.assert_array_equal(
-            fold_in_items(model, interactions),
-            fold_in_users(transposed, interactions),
-        )
-
-    def test_requires_fitted_model(self):
-        with pytest.raises(NotFittedError):
-            fold_in_items(OCuLaR(n_coclusters=3), [[0, 1]])
-
-
 class TestExtendFactors:
     @pytest.fixture()
     def grown_pair(self, fitted_movielens_model):
