@@ -1,15 +1,26 @@
 """Common estimator interface shared by OCuLaR and every baseline.
 
-All recommenders in this package follow the same small contract:
+All recommenders in this package follow the same small contract.  A model
+implements two methods:
 
 * :meth:`Recommender.fit` consumes an
   :class:`~repro.data.interactions.InteractionMatrix` of one-class training
-  data and returns ``self``;
-* :meth:`Recommender.score_user` returns a relevance score for every item for
-  one user (higher means more likely to be a positive);
-* :meth:`Recommender.recommend` turns those scores into a ranked top-M list,
-  by default excluding items the user already interacted with in training —
-  exactly the paper's "find the positives among the unknowns" task.
+  data, records it with :meth:`Recommender._set_train_matrix` and returns
+  ``self``;
+* :meth:`Recommender._score_user` returns a relevance score for every item
+  for one known user (higher means more likely to be a positive), and may
+  assume the id it gets is valid.  A model with a batched kernel may also
+  implement :meth:`Recommender._score_users`.
+
+The base class owns the readers every caller uses, and checks ids for the
+model: :meth:`~Recommender.score_user`, :meth:`~Recommender.score_users` and
+:meth:`~Recommender.recommend` raise
+:class:`~repro.exceptions.NotFittedError` before :meth:`fit`, and a
+:class:`~repro.exceptions.DataError` for an id that names no training user
+(a fraction, NaN, a negative or out-of-range index).  :meth:`recommend`
+turns the scores into a ranked top-M list, by default excluding items the
+user already interacted with in training — exactly the paper's "find the
+positives among the unknowns" task.
 
 The evaluation harness (recall@M, MAP@M, the Table I / Figure 5 benchmarks)
 only talks to this interface, so OCuLaR and the baselines are strictly
@@ -37,12 +48,20 @@ class Recommender(abc.ABC):
         """Fit the model to a one-class interaction matrix and return ``self``."""
 
     @abc.abstractmethod
-    def score_user(self, user: int) -> np.ndarray:
-        """Return a relevance score for every item for ``user``.
+    def _score_user(self, user: int) -> np.ndarray:
+        """Relevance scores of every item for a known ``user`` (an int).
 
         The returned array has shape ``(n_items,)``.  Scores are only used
         for ranking, so they need not be probabilities.
         """
+
+    def _score_users(self, users: np.ndarray) -> np.ndarray:
+        """Scores of known ``users`` (a non-empty int64 array), one row each.
+
+        Models with a batched kernel override this; the default stacks
+        :meth:`_score_user`.
+        """
+        return np.vstack([self._score_user(user) for user in users.tolist()])
 
     # ------------------------------------------------------------------ #
     # Shared behaviour
@@ -59,17 +78,16 @@ class Recommender(abc.ABC):
         assert self._train_matrix is not None
         return self._train_matrix
 
-    def score_users(self, users: Iterable[int]) -> np.ndarray:
-        """Score several users at once; shape ``(len(users), n_items)``.
+    def score_user(self, user: int) -> np.ndarray:
+        """A relevance score for every item for ``user``, shape ``(n_items,)``."""
+        return self._score_user(self.train_matrix._check_user(user))
 
-        Subclasses with a vectorised scoring path may override this for
-        speed; the default simply stacks :meth:`score_user`.
-        """
-        self._require_fitted()
-        user_list = list(users)
-        if not user_list:
+    def score_users(self, users: Iterable[int]) -> np.ndarray:
+        """Score several users at once; shape ``(len(users), n_items)``."""
+        user_array = self.train_matrix._check_users(users)
+        if user_array.size == 0:
             return np.zeros((0, self.train_matrix.n_items))
-        return np.vstack([self.score_user(user) for user in user_list])
+        return self._score_users(user_array)
 
     def recommend(
         self,
@@ -90,11 +108,11 @@ class Recommender(abc.ABC):
             matrix are never recommended, matching the paper's protocol of
             ranking only the unknown examples.
         """
-        self._require_fitted()
-        scores = np.asarray(self.score_user(user), dtype=float).copy()
+        user = self.train_matrix._check_user(user)
+        scores = np.asarray(self._score_user(user), dtype=float).copy()
         if scores.shape != (self.train_matrix.n_items,):
             raise ValueError(
-                f"score_user must return shape ({self.train_matrix.n_items},), "
+                f"_score_user must return shape ({self.train_matrix.n_items},), "
                 f"got {scores.shape}"
             )
         if exclude_seen:

@@ -154,10 +154,6 @@ class BPRRecommender(Recommender):
             negatives[collisions] = rng.integers(0, n_items, size=int(collisions.sum()))
         return negatives
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """Predicted preference ``<f_u, f_i> + b_i`` for every item."""
-        self._require_fitted()
-        assert self.user_factors_ is not None
-        assert self.item_factors_ is not None and self.item_biases_ is not None
-        self.train_matrix._check_user(user)
         return self.item_factors_ @ self.user_factors_[user] + self.item_biases_

@@ -33,7 +33,6 @@ class ItemKNNRecommender(Recommender):
     def __init__(self, n_neighbors: int = 50) -> None:
         self.n_neighbors = check_positive_int(n_neighbors, "n_neighbors")
         self._truncated_similarity: Optional[sp.csr_matrix] = None
-        self._full_similarity: Optional[np.ndarray] = None
 
     def fit(self, matrix: InteractionMatrix) -> "ItemKNNRecommender":
         """Precompute the truncated item-item similarity matrix."""
@@ -56,26 +55,14 @@ class ItemKNNRecommender(Recommender):
         self._truncated_similarity = sp.csr_matrix(
             (vals, (rows, cols)), shape=(n_items, n_items)
         )
-        self._full_similarity = similarity
         self._set_train_matrix(matrix)
         return self
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """Sum of similarities between each candidate item and the user's items."""
-        self._require_fitted()
-        assert self._truncated_similarity is not None
-        self.train_matrix._check_user(user)
         purchased = self.train_matrix.items_of_user(user)
         if len(purchased) == 0:
             return np.zeros(self.train_matrix.n_items)
         indicator = np.zeros(self.train_matrix.n_items)
         indicator[purchased] = 1.0
         return np.asarray(self._truncated_similarity @ indicator).ravel()
-
-    def similar_items(self, item: int, count: int = 5) -> List[int]:
-        """The items most similar to ``item`` ("user bought the similar items ...")."""
-        self._require_fitted()
-        assert self._full_similarity is not None
-        row = self._full_similarity[item]
-        order = np.argsort(-row, kind="stable")
-        return [int(index) for index in order[:count] if row[index] > 0]

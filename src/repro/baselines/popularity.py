@@ -26,9 +26,6 @@ class PopularityRecommender(Recommender):
         self._set_train_matrix(matrix)
         return self
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """The (user-independent) popularity scores."""
-        self._require_fitted()
-        assert self._item_popularity is not None
-        self.train_matrix._check_user(user)
         return self._item_popularity.copy()

@@ -71,11 +71,8 @@ class UserKNNRecommender(Recommender):
         self._set_train_matrix(matrix)
         return self
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """Similarity-weighted votes of the user's nearest neighbours."""
-        self._require_fitted()
-        assert self._similarity is not None and self._neighbor_lists is not None
-        self.train_matrix._check_user(user)
         neighbors = self._neighbor_lists[user]
         if len(neighbors) == 0:
             return np.zeros(self.train_matrix.n_items)
@@ -83,9 +80,3 @@ class UserKNNRecommender(Recommender):
         neighbor_rows = self.train_matrix.csr()[neighbors]
         scores = np.asarray(neighbor_rows.T @ weights).ravel()
         return scores
-
-    def explain_neighbors(self, user: int, count: int = 5) -> List[int]:
-        """The most similar users, for "similar users also bought" rationales."""
-        self._require_fitted()
-        assert self._neighbor_lists is not None
-        return [int(neighbor) for neighbor in self._neighbor_lists[user][:count]]

@@ -144,9 +144,6 @@ class WeightedALSRecommender(Recommender):
         )
         return positive_part + unknown_part + penalty
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """Predicted preference ``<f_u, f_i>`` for every item."""
-        self._require_fitted()
-        assert self.user_factors_ is not None and self.item_factors_ is not None
-        self.train_matrix._check_user(user)
         return self.item_factors_ @ self.user_factors_[user]

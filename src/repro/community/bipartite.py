@@ -36,15 +36,6 @@ class Community:
         """Total number of member nodes."""
         return len(self.users) + len(self.items)
 
-    @property
-    def is_cocluster(self) -> bool:
-        """True when the community contains at least one user and one item.
-
-        This is the paper's requirement for a valid co-cluster; a community
-        of users only (or items only) cannot generate recommendations.
-        """
-        return len(self.users) > 0 and len(self.items) > 0
-
 
 class BipartiteGraph:
     """Undirected bipartite user-item graph built from positive examples."""
@@ -100,12 +91,6 @@ class BipartiteGraph:
     def is_user_node(self, node: int) -> bool:
         """Whether the graph node indexes a user."""
         return 0 <= node < self.n_users
-
-    def user_of_node(self, node: int) -> int:
-        """Map a user node back to its user index."""
-        if not self.is_user_node(node):
-            raise DataError(f"node {node} is not a user node")
-        return node
 
     def item_of_node(self, node: int) -> int:
         """Map an item node back to its item index."""

@@ -57,11 +57,6 @@ def get_backend(name) -> Backend:
     return backend_cls()
 
 
-def available_backends() -> list[str]:
-    """Names of the registered backends."""
-    return sorted(_BACKENDS)
-
-
 __all__ = [
     "Backend",
     "SweepStats",
@@ -74,6 +69,5 @@ __all__ = [
     "SweepWorkspaceStore",
     "WorkspaceStats",
     "get_backend",
-    "available_backends",
     "nnz_balanced_ranges",
 ]

@@ -223,6 +223,7 @@ class _CardBuilder:
             self.item_prices.setdefault(product, []).append(value)
 
     def explain(self, user: int, item: int) -> Explanation:
+        user, item = self.matrix._check_user(user), self.matrix._check_item(item)
         # Evidence from the co-cluster factors alone; the confidence is the
         # model's own probability, bias terms included (BiasedOCuLaR).
         contributions = self.factors.cocluster_contributions(user, item)

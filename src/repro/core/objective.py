@@ -41,23 +41,28 @@ ARMIJO_BETA = 0.5
 MAX_BACKTRACKS = 20
 
 
+def _fresh_output(affinity: np.ndarray) -> np.ndarray:
+    """An unfilled array shaped like ``affinity``, in the dtype its clip takes."""
+    affinity = np.asarray(affinity)
+    return np.empty_like(affinity, dtype=np.result_type(affinity, 0.0))
+
+
 def safe_log1mexp(affinity: np.ndarray) -> np.ndarray:
     """Numerically safe ``log(1 - exp(-x))`` for non-negative ``x``.
 
     Uses ``log(-expm1(-x))`` which is accurate for small ``x`` and floors the
-    input at :data:`MIN_AFFINITY` to avoid ``log(0)``.
+    input at :data:`MIN_AFFINITY` to avoid ``log(0)``; it is
+    :func:`safe_log1mexp_into` over a fresh output.
     """
-    clipped = np.clip(affinity, MIN_AFFINITY, None)
-    return np.log(-np.expm1(-clipped))
+    return safe_log1mexp_into(affinity, _fresh_output(affinity))
 
 
 def safe_log1mexp_into(affinity: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`safe_log1mexp` writing into a caller-owned buffer.
 
-    Runs the identical elementwise sequence (clip, negate, ``expm1``,
-    negate, ``log``) through ``out=``, so the result is bit-for-bit the
-    allocating form — the property the pooled sweep kernels rely on.
-    ``out`` may alias ``affinity``.
+    The one place :data:`MIN_AFFINITY` floors a logarithm's input: the
+    elementwise sequence (clip, negate, ``expm1``, negate, ``log``) runs
+    through ``out=``.  ``out`` may alias ``affinity``.
     """
     np.clip(affinity, MIN_AFFINITY, None, out=out)
     np.negative(out, out=out)
@@ -71,10 +76,11 @@ def gradient_ratio(affinity: np.ndarray) -> np.ndarray:
     """Numerically safe ``exp(-x) / (1 - exp(-x))`` for non-negative ``x``.
 
     This is the scalar the paper calls ``alpha(<f_u, f_i>)`` in the GPU
-    kernel description (equation 11).
+    kernel description (equation 11); it is :func:`gradient_ratio_into`
+    over a fresh output.
     """
-    clipped = np.clip(affinity, MIN_AFFINITY, MAX_AFFINITY)
-    return np.exp(-clipped) / (-np.expm1(-clipped))
+    out = _fresh_output(affinity)
+    return gradient_ratio_into(affinity, out, np.empty_like(out))
 
 
 def gradient_ratio_into(
@@ -82,8 +88,8 @@ def gradient_ratio_into(
 ) -> np.ndarray:
     """In-place :func:`gradient_ratio` writing into caller-owned buffers.
 
-    Same elementwise operations as the allocating form, so the result is
-    bitwise identical; ``scratch`` holds the ``-expm1(-x)`` denominator.
+    The one place :data:`MIN_AFFINITY` and :data:`MAX_AFFINITY` clip a
+    ratio's input; ``scratch`` holds the ``-expm1(-x)`` denominator.
     ``out`` may alias ``affinity`` (clobbering it) but not ``scratch``.
     """
     np.clip(affinity, MIN_AFFINITY, MAX_AFFINITY, out=out)

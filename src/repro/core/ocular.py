@@ -320,24 +320,20 @@ class OCuLaR(Recommender):
         assert self.factors_ is not None
         return self.factors_
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         """Probabilities ``P[r_ui = 1]`` for every item for ``user``."""
-        self._require_fitted()
         return self.serving_factors_.user_scores(user)
 
-    def score_users(self, users) -> np.ndarray:
-        """Vectorised batch scoring, shape ``(len(users), n_items)``."""
-        self._require_fitted()
-        factors = self.serving_factors_
-        user_array = np.asarray(list(users), dtype=np.int64)
-        if user_array.size == 0:
-            return np.zeros((0, factors.n_items))
-        return factors.score_matrix(user_array)
+    def _score_users(self, users: np.ndarray) -> np.ndarray:
+        """Probabilities for a batch of users, one matrix product."""
+        return self.serving_factors_.score_matrix(users)
 
     def predict_proba(self, user: int, item: int) -> float:
         """Probability that ``user`` is interested in ``item``."""
-        self._require_fitted()
-        return self.serving_factors_.predict_proba(user, item)
+        matrix = self.train_matrix
+        return self.serving_factors_.predict_proba(
+            matrix._check_user(user), matrix._check_item(item)
+        )
 
     # ------------------------------------------------------------------ #
     # Interpretability

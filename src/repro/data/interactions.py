@@ -23,14 +23,14 @@ strings, mixed objects, ragged rows) is walked id by id.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
-from repro.utils.validation import as_int_tuple
+from repro.utils.validation import as_index_array, as_int_tuple
 
 
 def _pair_indices(pairs: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,13 +253,13 @@ class InteractionMatrix:
     # ------------------------------------------------------------------ #
     def items_of_user(self, user: int) -> np.ndarray:
         """Indices of items with ``r_ui = 1`` for ``user`` (sorted)."""
-        self._check_user(user)
+        user = self._check_user(user)
         start, stop = self._csr.indptr[user], self._csr.indptr[user + 1]
         return self._csr.indices[start:stop].copy()
 
     def users_of_item(self, item: int) -> np.ndarray:
         """Indices of users with ``r_ui = 1`` for ``item`` (sorted)."""
-        self._check_item(item)
+        item = self._check_item(item)
         csc = self.csc()
         start, stop = csc.indptr[item], csc.indptr[item + 1]
         return csc.indices[start:stop].copy()
@@ -285,23 +285,21 @@ class InteractionMatrix:
 
     def contains(self, user: int, item: int) -> bool:
         """Return ``True`` when ``r_ui = 1``."""
-        user, item = as_int_tuple((user, item), "pair indices", DataError)
-        self._check_user(user)
-        self._check_item(item)
+        user, item = self._check_user(user), self._check_item(item)
         row = self._csr.indices[self._csr.indptr[user] : self._csr.indptr[user + 1]]
         position = np.searchsorted(row, item)
         return bool(position < row.size and row[position] == item)
 
     def label_of_user(self, user: int) -> str:
         """Human-readable label of ``user`` (falls back to ``"user <u>"``)."""
-        self._check_user(user)
+        user = self._check_user(user)
         if self.user_labels is not None:
             return self.user_labels[user]
         return f"user {user}"
 
     def label_of_item(self, item: int) -> str:
         """Human-readable label of ``item`` (falls back to ``"item <i>"``)."""
-        self._check_item(item)
+        item = self._check_item(item)
         if self.item_labels is not None:
             return self.item_labels[item]
         return f"item {item}"
@@ -472,31 +470,34 @@ class InteractionMatrix:
             raise DataError(f"{name} has {len(labels)} entries, expected {expected}")
         return labels
 
-    def _check_user(self, user: int) -> None:
-        if not 0 <= user < self.n_users:
-            raise DataError(f"user index {user} out of range [0, {self.n_users})")
+    def _check_user(self, user) -> int:
+        """``user`` as an int, if it names a known user.
 
-    def _check_item(self, item: int) -> None:
-        if not 0 <= item < self.n_items:
-            raise DataError(f"item index {item} out of range [0, {self.n_items})")
+        The id is read by the package's integer rule
+        (:func:`~repro.utils.validation.as_int_tuple`), so ``1.5`` or NaN is
+        a :class:`~repro.exceptions.DataError` like an out-of-range index.
+        """
+        return self._check_index(user, self.n_users, "user")
 
+    def _check_users(self, users) -> np.ndarray:
+        """``users`` as an int64 index array, if every id names a known user.
 
-def interaction_statistics(matrix: InteractionMatrix) -> Dict[str, float]:
-    """Summary statistics of an interaction matrix.
+        Read by :func:`~repro.utils.validation.as_index_array`: an integer
+        array passes with no per-id walk, anything else id by id.
+        """
+        return as_index_array(users, "user indices", self.n_users, DataError)
 
-    Returns a dictionary with the user/item counts, number of positives,
-    density and the mean/median degrees — the quantities the paper quotes
-    when describing its datasets.
-    """
-    user_degrees = matrix.user_degrees()
-    item_degrees = matrix.item_degrees()
-    return {
-        "n_users": float(matrix.n_users),
-        "n_items": float(matrix.n_items),
-        "n_positives": float(matrix.nnz),
-        "density": matrix.density,
-        "mean_user_degree": float(user_degrees.mean()),
-        "median_user_degree": float(np.median(user_degrees)),
-        "mean_item_degree": float(item_degrees.mean()),
-        "median_item_degree": float(np.median(item_degrees)),
-    }
+    def _check_item(self, item) -> int:
+        """``item`` as an int, if it names a known item (as :meth:`_check_user`)."""
+        return self._check_index(item, self.n_items, "item")
+
+    @staticmethod
+    def _check_index(value, size: int, kind: str) -> int:
+        try:
+            (index,) = as_int_tuple((value,), f"{kind} index", DataError)
+        except DataError as error:
+            raise DataError(f"{kind} index must be an integer, got {value!r}") from error
+        if not 0 <= index < size:
+            raise DataError(f"{kind} index {value} out of range [0, {size})")
+        return index
+

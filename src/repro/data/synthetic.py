@@ -52,20 +52,6 @@ class PlantedCoClusters:
         """Number of planted co-clusters."""
         return len(self.user_memberships)
 
-    def membership_matrix_users(self) -> np.ndarray:
-        """Binary ``(n_users, K)`` ground-truth user membership indicator."""
-        indicator = np.zeros((self.matrix.n_users, self.n_coclusters))
-        for cluster, users in enumerate(self.user_memberships):
-            indicator[users, cluster] = 1.0
-        return indicator
-
-    def membership_matrix_items(self) -> np.ndarray:
-        """Binary ``(n_items, K)`` ground-truth item membership indicator."""
-        indicator = np.zeros((self.matrix.n_items, self.n_coclusters))
-        for cluster, items in enumerate(self.item_memberships):
-            indicator[items, cluster] = 1.0
-        return indicator
-
 
 # The 12x12 toy example of Figure 1 / Figure 3.  Three co-clusters (read off
 # the probability matrix printed in Figure 3):

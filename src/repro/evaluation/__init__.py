@@ -1,4 +1,10 @@
-"""Evaluation: ranking metrics, protocols, cross-validation and grid search."""
+"""Evaluation: ranking metrics, the hold-out protocol, cross-validation and grid search.
+
+:func:`evaluate_recommender` scores one fitted model on one split, and
+:func:`evaluate_curves` sweeps ``M`` for the Figure 5 curves.  Models are
+compared by evaluating each on the same split; the paper benches draw their
+hold-outs themselves (``benchmarks/_paper.py``).
+"""
 
 from repro.evaluation.metrics import (
     precision_at_m,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.base import Recommender
 from repro.data.interactions import InteractionMatrix
-from repro.data.splitting import Split, kfold_splits, train_test_split
+from repro.data.splitting import Split, kfold_splits
 from repro.evaluation.evaluator import EvaluationResult, evaluate_recommender
 from repro.exceptions import EvaluationError
 from repro.utils.rng import RandomStateLike, spawn_seeds
@@ -93,36 +93,6 @@ def cross_validate(
         fold_results.append(evaluate_recommender(model, split, m=m, users=users))
     if not fold_results:
         raise EvaluationError("cross-validation produced no evaluable folds")
-    return CrossValidationResult(fold_results=fold_results)
-
-
-def repeated_holdout(
-    model_factory: ModelFactory,
-    matrix: InteractionMatrix,
-    n_repeats: int = 10,
-    test_fraction: float = 0.25,
-    m: int = 50,
-    max_users: Optional[int] = None,
-    random_state: RandomStateLike = None,
-) -> CrossValidationResult:
-    """Repeated random 75/25 hold-out evaluation (the paper's Table I protocol).
-
-    "We computed the recall@M and MAP@M by splitting the datasets into a
-    training and a test dataset, with a splitting ratio of training/test of
-    75/25, and averaging over 10 problem instances."
-    """
-    if n_repeats < 1:
-        raise EvaluationError(f"n_repeats must be at least 1, got {n_repeats}")
-    seeds = spawn_seeds(random_state, 2 * n_repeats)
-    fold_results: List[EvaluationResult] = []
-    for repeat in range(n_repeats):
-        split = train_test_split(
-            matrix, test_fraction=test_fraction, random_state=seeds[2 * repeat]
-        )
-        model = model_factory()
-        model.fit(split.train)
-        users = _select_users(split, max_users, seeds[2 * repeat + 1])
-        fold_results.append(evaluate_recommender(model, split, m=m, users=users))
     return CrossValidationResult(fold_results=fold_results)
 
 

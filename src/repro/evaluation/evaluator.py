@@ -10,7 +10,7 @@ the Figure 5 curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,22 +166,4 @@ def _evaluate(
             per_user=dict(rows[m]) if keep_per_user else {},
         )
         for m in m_sorted
-    }
-
-
-def compare_recommenders(
-    models: Mapping[str, Recommender],
-    split: Split,
-    m: int = 50,
-    users: Optional[Iterable[int]] = None,
-) -> Dict[str, EvaluationResult]:
-    """Evaluate several fitted recommenders on the same split.
-
-    Returns a mapping from model name to its :class:`EvaluationResult`; used
-    by the Table I benchmark to build the per-dataset comparison rows.
-    """
-    user_list = None if users is None else list(users)
-    return {
-        name: evaluate_recommender(model, split, m=m, users=user_list)
-        for name, model in models.items()
     }

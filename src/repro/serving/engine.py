@@ -263,13 +263,22 @@ class TopNEngine:
 
         The factor path computes ``1 - exp(-F_u[users] @ F_i^T)`` in one
         matrix product; the generic path delegates to the model's
-        ``score_users``.  The caller owns the returned block.
+        ``score_users``.  Users are read as :meth:`topn` reads them.  The
+        caller owns the returned block.
         """
-        users = np.asarray(users, dtype=np.int64)
-        neg = self._neg_scores_pooled(users)
+        neg = self._neg_scores_pooled(self._user_index(users))
         block = np.negative(neg)
         self.pool.release(neg)
         return block
+
+    def _user_index(self, users) -> np.ndarray:
+        """``users`` as an int64 index array of known users.
+
+        An integer index array (the shards the runtime cuts) is taken as it
+        is; an id outside the integer rule or the training matrix is a
+        :class:`~repro.exceptions.ConfigurationError`.
+        """
+        return as_index_array(users, "user indices", self.train_matrix.n_users)
 
     def _neg_scores_pooled(self, users: np.ndarray) -> np.ndarray:
         """*Negated* score block (the form the selection kernel consumes).
@@ -330,15 +339,10 @@ class TopNEngine:
         computed for the selection, no rescoring pass.
         """
         check_positive_int(n_items, "n_items")
-        # An integer index array (the shards the runtime cuts) is taken as it is.
-        user_array = as_index_array(users, "users")
+        user_array = self._user_index(users)
         n = min(n_items, self.n_items)
         if user_array.size == 0:
             return TopNResult.empty(width=n, with_scores=with_scores)
-        if user_array.min() < 0 or user_array.max() >= self.train_matrix.n_users:
-            raise ConfigurationError(
-                f"user indices must lie in [0, {self.train_matrix.n_users})"
-            )
         size = self.effective_chunk_size()
         total = int(user_array.size)
         out_items = np.full((total, n), -1, dtype=np.int32)

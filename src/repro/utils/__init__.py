@@ -1,7 +1,6 @@
-"""Shared utilities: validation helpers, RNG handling, timers and tables."""
+"""Shared utilities: validation helpers, RNG handling and tables."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.timers import Timer, TimingLog
 from repro.utils.tables import format_table
 from repro.utils.validation import (
     check_positive_int,
@@ -11,8 +10,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
-    "Timer",
-    "TimingLog",
     "format_table",
     "check_positive_int",
     "check_non_negative_float",

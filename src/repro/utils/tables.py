@@ -57,10 +57,3 @@ def format_table(
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
 
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[object], precision: int = 4) -> str:
-    """Format a named (x, y) series as a two-column table.
-
-    Used by the figure benchmarks to print the curves the paper plots.
-    """
-    return name + "\n" + format_table(["x", "y"], list(zip(xs, ys)), precision=precision)

@@ -8,7 +8,7 @@ the estimators small and their error messages consistent.
 from __future__ import annotations
 
 import math
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -21,15 +21,6 @@ def check_positive_int(value: Any, name: str) -> int:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     if value <= 0:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def check_non_negative_int(value: Any, name: str) -> int:
-    """Validate that ``value`` is an integer greater than or equal to zero."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -84,19 +75,25 @@ def as_int_tuple(values: Any, name: str, error=ConfigurationError) -> Tuple[int,
     return ints
 
 
-def as_index_array(values: Any, name: str) -> np.ndarray:
+def as_index_array(
+    values: Any, name: str, size: Optional[int] = None, error=ConfigurationError
+) -> np.ndarray:
     """``values`` as an int64 index array, by the rule of :func:`as_int_tuple`.
 
     An integer array is taken as it is, with no per-id walk; everything
-    else is read id by id, so ``1.5`` is a
-    :class:`~repro.exceptions.ConfigurationError`, not index 1.
+    else is read id by id, so ``1.5`` raises ``error``, not index 1.  With a
+    ``size``, every index must also lie in ``[0, size)``.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return np.asarray(values, dtype=np.int64)
-    try:
-        return np.asarray(as_int_tuple(values, name), dtype=np.int64)
-    except OverflowError as error:
-        raise ConfigurationError(f"{name} must fit a 64-bit integer") from error
+        array = np.asarray(values, dtype=np.int64)
+    else:
+        try:
+            array = np.asarray(as_int_tuple(values, name, error), dtype=np.int64)
+        except OverflowError as exc:
+            raise error(f"{name} must fit a 64-bit integer") from exc
+    if size is not None and array.size and (array.min() < 0 or array.max() >= size):
+        raise error(f"{name} must lie in [0, {size})")
+    return array
 
 
 def check_array_2d(array: Any, name: str) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.base import Recommender
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import NotFittedError
@@ -17,7 +21,7 @@ class ConstantScoreRecommender(Recommender):
         self._set_train_matrix(matrix)
         return self
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         return np.arange(self.train_matrix.n_items, dtype=float)
 
 
@@ -28,7 +32,7 @@ class BadShapeRecommender(Recommender):
         self._set_train_matrix(matrix)
         return self
 
-    def score_user(self, user: int) -> np.ndarray:
+    def _score_user(self, user: int) -> np.ndarray:
         return np.zeros(3)
 
 
@@ -92,3 +96,26 @@ class TestScoreUsers:
     def test_empty_user_list(self, simple_matrix):
         model = ConstantScoreRecommender().fit(simple_matrix)
         assert model.score_users([]).shape == (0, 6)
+
+
+def _subclasses(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _subclasses(subclass)
+
+
+def test_no_model_reads_ids_past_the_base_class():
+    # score_user, score_users and recommend check the fit and the ids for
+    # every model; a model implements _score_user (and may implement
+    # _score_users), so an override here would read ids past the gate.
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    models = [cls for cls in _subclasses(Recommender) if cls.__module__.startswith("repro.")]
+    assert len(models) >= 8
+    offenders = [
+        f"{cls.__module__}.{cls.__qualname__}.{name}"
+        for cls in models
+        for name in ("score_user", "score_users", "recommend")
+        if name in vars(cls)
+    ]
+    assert offenders == []

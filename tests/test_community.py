@@ -53,10 +53,7 @@ class TestBipartiteGraph:
 
     def test_node_index_conversions(self, two_block_matrix):
         graph = BipartiteGraph(two_block_matrix)
-        assert graph.user_of_node(3) == 3
         assert graph.item_of_node(8) == 0
-        with pytest.raises(DataError):
-            graph.user_of_node(8)
         with pytest.raises(DataError):
             graph.item_of_node(2)
 
@@ -65,7 +62,6 @@ class TestBipartiteGraph:
         community = graph.split_nodes([0, 1, 8, 9])
         np.testing.assert_array_equal(community.users, [0, 1])
         np.testing.assert_array_equal(community.items, [0, 1])
-        assert community.is_cocluster
         assert community.size == 4
 
     def test_communities_from_labels_validation(self, two_block_matrix):

@@ -13,7 +13,6 @@ from repro.core.backends import (
     ReferenceBackend,
     SweepSide,
     VectorizedBackend,
-    available_backends,
     get_backend,
 )
 from repro.core.objective import full_objective
@@ -34,9 +33,6 @@ def sweep_problem():
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        assert set(available_backends()) == {"reference", "vectorized", "parallel"}
-
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend("vectorized"), VectorizedBackend)

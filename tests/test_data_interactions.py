@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.data.interactions import InteractionMatrix, interaction_statistics
+from repro.data.interactions import InteractionMatrix
 from repro.exceptions import DataError
 
 
@@ -207,16 +207,6 @@ class TestTransformations:
 
     def test_equality_different_shape(self):
         assert InteractionMatrix(np.eye(2)) != InteractionMatrix(np.eye(3))
-
-
-class TestStatistics:
-    def test_interaction_statistics_keys_and_values(self, dense_example):
-        stats = interaction_statistics(InteractionMatrix(dense_example))
-        assert stats["n_users"] == 4
-        assert stats["n_items"] == 5
-        assert stats["n_positives"] == 4
-        assert stats["density"] == pytest.approx(0.2)
-        assert stats["mean_user_degree"] == pytest.approx(1.0)
 
 
 class TestExtendedWith:

@@ -38,14 +38,11 @@ class TestPaperToyExample:
         for user in (3, 10, 11):
             assert degrees[user] == 0
 
-    def test_membership_indicator_matrices(self):
+    def test_overlapping_memberships(self):
         toy = make_paper_toy_example()
-        user_indicator = toy.membership_matrix_users()
-        item_indicator = toy.membership_matrix_items()
-        assert user_indicator.shape == (12, 3)
-        assert item_indicator.shape == (12, 3)
-        assert user_indicator[6].sum() == 2
-        assert item_indicator[4].sum() == 3
+        assert toy.n_coclusters == 3
+        assert sum(6 in users for users in toy.user_memberships) == 2
+        assert sum(4 in items for items in toy.item_memberships) == 3
 
     def test_deterministic(self):
         assert make_paper_toy_example().matrix == make_paper_toy_example().matrix

@@ -8,9 +8,8 @@ import pytest
 from repro.baselines import PopularityRecommender, UserKNNRecommender
 from repro.core.ocular import OCuLaR
 from repro.data.splitting import train_test_split
-from repro.evaluation.cross_validation import cross_validate, repeated_holdout
+from repro.evaluation.cross_validation import cross_validate
 from repro.evaluation.evaluator import (
-    compare_recommenders,
     evaluate_curves,
     evaluate_recommender,
 )
@@ -100,15 +99,6 @@ class TestEvaluateCurves:
             evaluate_curves(model, split, m_values=[])
 
 
-class TestCompareRecommenders:
-    def test_returns_result_per_model(self, fitted_split):
-        _, split, model = fitted_split
-        popularity = PopularityRecommender().fit(split.train)
-        results = compare_recommenders({"knn": model, "pop": popularity}, split, m=10)
-        assert set(results) == {"knn", "pop"}
-        assert results["knn"].recall >= results["pop"].recall
-
-
 class TestCrossValidation:
     def test_cross_validate_aggregates(self, fitted_split):
         matrix, _, _ = fitted_split
@@ -121,13 +111,6 @@ class TestCrossValidation:
         summary = result.as_dict()
         assert summary["n_folds"] == 3.0
         assert "recall_mean" in summary and "map_std" in summary
-
-    def test_repeated_holdout(self, fitted_split):
-        matrix, _, _ = fitted_split
-        result = repeated_holdout(
-            lambda: PopularityRecommender(), matrix, n_repeats=2, m=10, random_state=0
-        )
-        assert result.n_folds == 2
 
     def test_max_users_caps_evaluation(self, fitted_split):
         matrix, _, _ = fitted_split

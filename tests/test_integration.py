@@ -24,7 +24,7 @@ from repro.data.datasets import make_b2b, make_movielens_like
 from repro.data.loaders import load_movielens_ratings
 from repro.data.splitting import train_test_split
 from repro.data.synthetic import make_planted_coclusters
-from repro.evaluation.evaluator import compare_recommenders, evaluate_recommender
+from repro.evaluation.evaluator import evaluate_recommender
 from repro.evaluation.grid_search import grid_search
 
 
@@ -47,7 +47,9 @@ class TestFullPipelineOnSyntheticMovielens:
         }
         for model in models.values():
             model.fit(split.train)
-        results = compare_recommenders(models, split, m=20)
+        results = {
+            name: evaluate_recommender(model, split, m=20) for name, model in models.items()
+        }
         return matrix, split, models, results
 
     def test_all_models_evaluate(self, pipeline):

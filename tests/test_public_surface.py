@@ -299,3 +299,53 @@ def test_environment_variables():
         for name in re.findall(r"\bREPRO_[A-Z0-9_]+\b", path.read_text(encoding="utf-8"))
     }
     assert names == {"REPRO_CLUSTER_TASK_DELAY_MS"}
+
+
+def test_library_exports():
+    # What no caller in src/, benchmarks/ or examples/ used is gone: the
+    # timers, format_series, check_non_negative_int, interaction_statistics,
+    # repeated_holdout, compare_recommenders and available_backends.
+    import repro.core.backends
+    import repro.evaluation
+    import repro.utils
+
+    assert sorted(repro.utils.__all__) == [
+        "check_non_negative_float", "check_positive_int", "check_probability",
+        "ensure_rng", "format_table",
+    ]
+    assert importlib.util.find_spec("repro.utils.timers") is None
+    assert sorted(repro.evaluation.__all__) == [
+        "EvaluationResult", "GridSearchResult", "average_precision_at_m",
+        "cross_validate", "evaluate_curves", "evaluate_recommender", "grid_search",
+        "hit_rate_at_m", "ndcg_at_m", "precision_at_m", "recall_at_m",
+    ]
+    assert sorted(repro.core.backends.__all__) == [
+        "Backend", "ParallelBackend", "ReferenceBackend", "SweepPlan", "SweepSide",
+        "SweepStats", "SweepWorkspace", "SweepWorkspaceStore", "VectorizedBackend",
+        "WorkspaceStats", "get_backend", "nnz_balanced_ranges",
+    ]
+
+
+def test_recommender_contract():
+    # A model implements fit and _score_user (and may implement
+    # _score_users); the base class owns every reader of a user id.
+    from repro.base import Recommender
+    from repro.baselines import ItemKNNRecommender, UserKNNRecommender
+    from repro.community.bipartite import BipartiteGraph, Community
+    from repro.data import PlantedCoClusters
+
+    assert sorted(
+        name for name in vars(Recommender) if not name.startswith("_")
+    ) == ["fit", "is_fitted", "recommend", "score_user", "score_users", "train_matrix"]
+    assert Recommender.__abstractmethods__ == {"fit", "_score_user"}
+    assert _parameters(Recommender.score_users) == ("users",)
+    assert _parameters(Recommender.recommend) == ("user", "n_items", "exclude_seen")
+    gone = {
+        ItemKNNRecommender: ("similar_items",),
+        UserKNNRecommender: ("explain_neighbors",),
+        Community: ("is_cocluster",),
+        BipartiteGraph: ("user_of_node",),
+        PlantedCoClusters: ("membership_matrix_users", "membership_matrix_items"),
+    }
+    assert [(owner, name) for owner, names in gone.items() for name in names
+            if hasattr(owner, name)] == []

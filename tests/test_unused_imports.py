@@ -76,3 +76,42 @@ def test_every_imported_name_is_used():
             if name not in used:
                 offenders.append(f"{path.relative_to(PACKAGE.parent)}:{line}: {name}")
     assert offenders == [], "unused imports:\n" + "\n".join(offenders)
+
+
+def _module_private_definitions(tree: ast.Module):
+    """Module-level ``_private`` functions and classes -> the line defining each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name, node.lineno
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_helper_is_used():
+    # A deletion that removes a helper's last caller leaves the helper dead.
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    offenders = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _module_private_definitions(tree)
+        if name not in referenced
+    ]
+    assert offenders == [], "private helpers nothing in the package uses:\n" + "\n".join(
+        offenders
+    )

@@ -9,7 +9,6 @@ from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_2d,
     check_non_negative_float,
-    check_non_negative_int,
     check_positive_float,
     check_positive_int,
     check_probability,
@@ -41,13 +40,6 @@ class TestCheckPositiveInt:
 
 
 class TestCheckNonNegative:
-    def test_int_accepts_zero(self):
-        assert check_non_negative_int(0, "count") == 0
-
-    def test_int_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            check_non_negative_int(-2, "count")
-
     def test_float_accepts_zero_and_positive(self):
         assert check_non_negative_float(0.0, "lam") == 0.0
         assert check_non_negative_float(2.5, "lam") == 2.5
