@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import NotFittedError
+from repro.utils.validation import check_positive_int
 
 
 class Recommender(abc.ABC):
@@ -102,12 +103,15 @@ class Recommender(abc.ABC):
         user:
             User index.
         n_items:
-            Length of the recommendation list (the paper's ``M``).
+            Length of the recommendation list (the paper's ``M``), a positive
+            int; anything else is a
+            :class:`~repro.exceptions.ConfigurationError`.
         exclude_seen:
             When ``True`` (default), items with ``r_ui = 1`` in the training
             matrix are never recommended, matching the paper's protocol of
             ranking only the unknown examples.
         """
+        n_items = check_positive_int(n_items, "n_items")
         user = self.train_matrix._check_user(user)
         scores = np.asarray(self._score_user(user), dtype=float).copy()
         if scores.shape != (self.train_matrix.n_items,):

@@ -27,6 +27,7 @@ import numpy as np
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -114,8 +115,7 @@ def leave_k_out_split(
 
     Users with fewer than ``k + min_train_positives`` positives are skipped.
     """
-    if k <= 0:
-        raise DataError(f"k must be positive, got {k}")
+    k = check_positive_int(k, "k", DataError)
     rng = ensure_rng(random_state)
     degrees = matrix.user_degrees()
     users = np.flatnonzero(degrees >= k + min_train_positives)

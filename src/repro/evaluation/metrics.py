@@ -19,6 +19,7 @@ from typing import Iterable, Sequence, Set
 import numpy as np
 
 from repro.exceptions import EvaluationError
+from repro.utils.validation import check_positive_int
 
 
 def _as_ranked_array(ranked_items: Sequence[int]) -> np.ndarray:
@@ -40,8 +41,7 @@ def precision_at_m(ranked_items: Sequence[int], relevant_items: Iterable[int], m
     recommended the denominator is still ``m`` (missing slots count as
     misses), which matches the usual information-retrieval convention.
     """
-    if m <= 0:
-        raise EvaluationError(f"m must be positive, got {m}")
+    m = check_positive_int(m, "m", EvaluationError)
     ranked = _as_ranked_array(ranked_items)[:m]
     relevant = _as_relevant_set(relevant_items)
     if not relevant:
@@ -57,8 +57,7 @@ def recall_at_m(ranked_items: Sequence[int], relevant_items: Iterable[int], m: i
     one-class setting because an unknown example is not necessarily a
     negative (Section VII-B.1).
     """
-    if m <= 0:
-        raise EvaluationError(f"m must be positive, got {m}")
+    m = check_positive_int(m, "m", EvaluationError)
     ranked = _as_ranked_array(ranked_items)[:m]
     relevant = _as_relevant_set(relevant_items)
     if not relevant:
@@ -69,8 +68,7 @@ def recall_at_m(ranked_items: Sequence[int], relevant_items: Iterable[int], m: i
 
 def hit_rate_at_m(ranked_items: Sequence[int], relevant_items: Iterable[int], m: int) -> float:
     """1.0 when at least one relevant item appears in the top ``m``, else 0.0."""
-    if m <= 0:
-        raise EvaluationError(f"m must be positive, got {m}")
+    m = check_positive_int(m, "m", EvaluationError)
     ranked = _as_ranked_array(ranked_items)[:m]
     relevant = _as_relevant_set(relevant_items)
     if not relevant:
@@ -87,8 +85,7 @@ def average_precision_at_m(
 
     The normaliser ``min(#relevant, M)`` guarantees ``AP@M <= 1``.
     """
-    if m <= 0:
-        raise EvaluationError(f"m must be positive, got {m}")
+    m = check_positive_int(m, "m", EvaluationError)
     ranked = _as_ranked_array(ranked_items)[:m]
     relevant = _as_relevant_set(relevant_items)
     if not relevant:
@@ -109,8 +106,7 @@ def ndcg_at_m(ranked_items: Sequence[int], relevant_items: Iterable[int], m: int
     completeness and used in tests as an independent cross-check on the
     ranking quality ordering of the algorithms.
     """
-    if m <= 0:
-        raise EvaluationError(f"m must be positive, got {m}")
+    m = check_positive_int(m, "m", EvaluationError)
     ranked = _as_ranked_array(ranked_items)[:m]
     relevant = _as_relevant_set(relevant_items)
     if not relevant:

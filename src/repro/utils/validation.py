@@ -15,12 +15,14 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    """Validate that ``value`` is an integer strictly greater than zero."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+def check_positive_int(value: Any, name: str, error=ConfigurationError) -> int:
+    """Validate that ``value`` is an integer strictly greater than zero.
+
+    Python and NumPy integers pass; a bool, a float (even ``2.0``), a string
+    or a count below one raises ``error``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+        raise error(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
 

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.base import Recommender
 from repro.data.interactions import InteractionMatrix
-from repro.exceptions import NotFittedError
+from repro.exceptions import ConfigurationError, NotFittedError
 
 
 class ConstantScoreRecommender(Recommender):
@@ -79,6 +79,16 @@ class TestRecommend:
         ranked = model.recommend(1, n_items=10)
         assert len(ranked) == 3
         assert set(ranked.tolist()) == {0, 4, 5}
+
+    @pytest.mark.parametrize("n_items", [-1, 0, 2.5, "3", None, True])
+    def test_list_length_must_be_a_positive_int(self, simple_matrix, n_items):
+        model = ConstantScoreRecommender().fit(simple_matrix)
+        with pytest.raises(ConfigurationError):
+            model.recommend(0, n_items=n_items)
+
+    def test_numpy_list_length_passes(self, simple_matrix):
+        model = ConstantScoreRecommender().fit(simple_matrix)
+        np.testing.assert_array_equal(model.recommend(0, n_items=np.int64(3)), [4, 3, 2])
 
     def test_wrong_score_shape_raises(self, simple_matrix):
         model = BadShapeRecommender().fit(simple_matrix)

@@ -73,6 +73,17 @@ class TestLeaveKOut:
         with pytest.raises(DataError):
             leave_k_out_split(dense_matrix, k=0)
 
+    @pytest.mark.parametrize("k", [-1, 1.5, "3", float("nan"), None, True])
+    def test_k_must_be_a_positive_int(self, dense_matrix, k):
+        with pytest.raises(DataError):
+            leave_k_out_split(dense_matrix, k=k)
+
+    def test_numpy_k_passes(self, dense_matrix):
+        split = leave_k_out_split(dense_matrix, k=np.int64(2), random_state=0)
+        assert _split_digest(split) == _split_digest(
+            leave_k_out_split(dense_matrix, k=2, random_state=0)
+        )
+
     def test_raises_when_nothing_to_hold_out(self):
         matrix = InteractionMatrix(np.eye(3))
         with pytest.raises(DataError):

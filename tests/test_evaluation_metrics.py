@@ -106,6 +106,21 @@ class TestHitRateAndNdcg:
             ndcg_at_m([1], set(), m=1)
 
 
+ALL_AT_M = [precision_at_m, recall_at_m, hit_rate_at_m, average_precision_at_m, ndcg_at_m]
+
+
+class TestCutOff:
+    @pytest.mark.parametrize("metric", ALL_AT_M, ids=lambda metric: metric.__name__)
+    @pytest.mark.parametrize("m", [0, -1, 1.5, "3", float("nan"), None, True])
+    def test_m_must_be_a_positive_int(self, metric, m):
+        with pytest.raises(EvaluationError):
+            metric([1, 2], {1}, m)
+
+    @pytest.mark.parametrize("metric", ALL_AT_M, ids=lambda metric: metric.__name__)
+    def test_numpy_m_passes(self, metric):
+        assert metric([1, 2], {1}, np.int64(2)) == metric([1, 2], {1}, 2)
+
+
 class TestCatalogCoverage:
     def test_full_and_partial_coverage(self):
         assert catalog_coverage([[0, 1], [2, 3]], n_items=4) == 1.0
