@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,41 @@ class TestPlantedCoClusters:
             make_planted_coclusters(
                 n_users=30, n_coclusters=4, users_per_cocluster=10, overlap=False
             )
+
+
+def _planted_digest(planted) -> str:
+    """sha256 of the observed CSR structure and the held-out pairs."""
+    digest = hashlib.sha256()
+    csr = planted.matrix.csr()
+    held = np.asarray(planted.heldout_pairs, dtype=np.int64).reshape(-1, 2)
+    for array in (csr.indptr, csr.indices, held):
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+_SMALL = dict(n_users=60, n_items=40, n_coclusters=3, users_per_cocluster=20, items_per_cocluster=10)
+
+# Recorded before the planted pairs were written with array operations: the
+# draws (background, memberships, blocks, hold-out) are a contract, so a
+# rewrite must reproduce them bit for bit.  Do not re-record to make it pass.
+_PINNED_PLANTED = {
+    "conftest": "dc73398e6a6239a30663cee675eec7f18fcfb72b4aa5e01ec2bf3dbaf52237ed",
+    "disjoint": "dbc42ecdf9f174c3e5f3fbbb4226a07fe3e29f412f218e55f4f101c1638a41b3",
+    "holdout_0.2": "edda8ddc26a6d776f6183b450538902654ddd83b1a79d435065e3b25795b3af4",
+}
+
+
+class TestPlantedDigests:
+    @pytest.mark.parametrize("case", sorted(_PINNED_PLANTED))
+    def test_draws_are_bit_identical(self, case, planted):
+        if case == "conftest":
+            corpus = planted
+        elif case == "disjoint":
+            corpus = make_planted_coclusters(**_SMALL, overlap=False, random_state=3)
+        else:
+            corpus = make_planted_coclusters(**_SMALL, holdout_fraction=0.2, random_state=4)
+        assert _planted_digest(corpus) == _PINNED_PLANTED[case]
 
 
 class TestMembershipRecoveryScore:
