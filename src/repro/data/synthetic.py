@@ -166,7 +166,7 @@ def make_planted_coclusters(
 
     user_memberships: List[np.ndarray] = []
     item_memberships: List[np.ndarray] = []
-    within_pairs: List[Tuple[int, int]] = []
+    within_keys: List[np.ndarray] = []  # user * n_items + item, per block
     for cluster in range(n_coclusters):
         if overlap:
             users = np.sort(rng.choice(n_users, size=users_per_cocluster, replace=False))
@@ -180,23 +180,20 @@ def make_planted_coclusters(
             )
         user_memberships.append(users)
         item_memberships.append(items)
-        block = rng.random((len(users), len(items))) < within_density
-        block_users, block_items = np.nonzero(block)
-        for bu, bi in zip(block_users, block_items):
-            user, item = int(users[bu]), int(items[bi])
-            dense[user, item] = 1.0
-            within_pairs.append((user, item))
+        block_users, block_items = np.nonzero(
+            rng.random((len(users), len(items))) < within_density
+        )
+        dense[users[block_users], items[block_items]] = 1.0
+        within_keys.append(users[block_users] * n_items + items[block_items])
 
     heldout_pairs: List[Tuple[int, int]] = []
-    if holdout_fraction > 0 and within_pairs:
-        unique_pairs = sorted(set(within_pairs))
-        n_holdout = int(round(holdout_fraction * len(unique_pairs)))
-        if n_holdout > 0:
-            chosen = rng.choice(len(unique_pairs), size=n_holdout, replace=False)
-            for index in chosen:
-                user, item = unique_pairs[index]
-                dense[user, item] = 0.0
-                heldout_pairs.append((user, item))
+    # Sorted unique keys order the planted pairs by (user, item).
+    unique_keys = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *within_keys]))
+    n_holdout = int(round(holdout_fraction * len(unique_keys)))
+    if n_holdout > 0:
+        held = unique_keys[rng.choice(len(unique_keys), size=n_holdout, replace=False)]
+        dense[held // n_items, held % n_items] = 0.0
+        heldout_pairs = list(zip((held // n_items).tolist(), (held % n_items).tolist()))
 
     # Guarantee that the matrix has no empty rows/columns only when the noise
     # floor is zero; empty rows are legal but make some baselines degenerate.
