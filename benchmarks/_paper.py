@@ -160,7 +160,7 @@ def holdout(
     dataset: str, scale: float, max_users: int, random_state: int = 0
 ) -> Tuple[Split, List[int]]:
     """One 75/25 split of a named stand-in corpus and the test users evaluated."""
-    matrix, _spec = dataset_by_name(dataset, random_state=random_state, scale=scale)
+    matrix = dataset_by_name(dataset, random_state=random_state, scale=scale)
     split = train_test_split(matrix, test_fraction=0.25, random_state=random_state)
     return split, subsample_users(split, max_users, spawn_seeds(random_state, 1)[0])
 

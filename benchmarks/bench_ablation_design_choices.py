@@ -45,7 +45,7 @@ SIZES = dict(n_users=250, n_items=160, max_iterations=100)
 
 
 def _make_split(random_state: int = 0):
-    matrix, _ = make_movielens_like(
+    matrix = make_movielens_like(
         n_users=SIZES["n_users"], n_items=SIZES["n_items"], random_state=random_state
     )
     return train_test_split(matrix, test_fraction=0.25, random_state=random_state)

@@ -57,7 +57,7 @@ def run_scalability_study() -> tuple:
     the host that lasts a few fits slows one round of every point rather
     than every repeat of one point.
     """
-    matrix, _spec = make_netflix_like(n_users=N_USERS, n_items=N_ITEMS, random_state=0)
+    matrix = make_netflix_like(n_users=N_USERS, n_items=N_ITEMS, random_state=0)
     subsamples = [matrix.subsample(fraction, random_state=0) for fraction in FRACTIONS]
     points = [(k, subsampled) for k in K_VALUES for subsampled in subsamples]
     timings = [[] for _ in points]

@@ -30,7 +30,7 @@ PAPER_CLAIM = "the GPU implementation is 57x faster than the CPU implementation"
 
 def run_backend_comparison() -> dict:
     """Per backend: the training history of the same fit (likelihood vs time)."""
-    matrix, _spec = make_netflix_like(
+    matrix = make_netflix_like(
         n_users=PARAMS["n_users"], n_items=PARAMS["n_items"], random_state=0
     )
     return {

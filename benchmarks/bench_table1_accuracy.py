@@ -46,7 +46,7 @@ MAX_USERS = 120
 
 def run_table1(dataset: str, m: int, scale: float) -> dict:
     """``metrics[method][metric]``: mean recall@m / MAP@m over the instances."""
-    matrix, _spec = dataset_by_name(dataset, random_state=0, scale=scale)
+    matrix = dataset_by_name(dataset, random_state=0, scale=scale)
     zoo = build_model_zoo(random_state=0, **DATASET_ZOO_DEFAULTS[dataset])
     seeds = spawn_seeds(0, 2 * N_REPEATS)
     scores = {name: {"recall": [], "map": []} for name in MODEL_NAMES}

@@ -43,7 +43,7 @@ def main() -> None:
         matrix = load_movielens_ratings(sys.argv[1], threshold=3.0)
     else:
         print("No ratings file given; generating the MovieLens-like synthetic corpus.")
-        matrix, _spec = make_movielens_like(n_users=500, n_items=300, random_state=0)
+        matrix = make_movielens_like(n_users=500, n_items=300, random_state=0)
     print(f"Corpus: {matrix.n_users} users x {matrix.n_items} items, {matrix.nnz} positives.")
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,7 @@ Quick start::
     from repro.data import make_movielens_like, train_test_split
     from repro.evaluation import evaluate_recommender
 
-    matrix, _ = make_movielens_like()
+    matrix = make_movielens_like()
     split = train_test_split(matrix, random_state=0)
     model = OCuLaR(n_coclusters=50, regularization=10.0, random_state=0).fit(split.train)
     print(evaluate_recommender(model, split, m=50).as_dict())

@@ -11,7 +11,7 @@ Typical use::
     from repro import OCuLaR
     from repro.data import make_movielens_like, train_test_split
 
-    matrix, _ = make_movielens_like()
+    matrix = make_movielens_like()
     split = train_test_split(matrix, random_state=0)
     model = OCuLaR(n_coclusters=50, regularization=10.0, random_state=0)
     model.fit(split.train)

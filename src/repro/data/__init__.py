@@ -3,7 +3,6 @@
 from repro.data.interactions import InteractionMatrix
 from repro.data.synthetic import PlantedCoClusters, make_planted_coclusters, make_paper_toy_example
 from repro.data.datasets import (
-    DatasetSpec,
     make_movielens_like,
     make_citeulike_like,
     make_netflix_like,
@@ -18,7 +17,6 @@ __all__ = [
     "PlantedCoClusters",
     "make_planted_coclusters",
     "make_paper_toy_example",
-    "DatasetSpec",
     "make_movielens_like",
     "make_citeulike_like",
     "make_netflix_like",

@@ -1,29 +1,35 @@
 """Synthetic stand-ins for the paper's evaluation corpora.
 
-The paper evaluates on four datasets: MovieLens-1M, CiteULike, the
-proprietary B2B-DB and Netflix (Section VII-A).  This environment has no
-network access and the B2B data is proprietary, so this module provides
-generators that produce interaction matrices with the same *structural*
-characteristics at laptop scale:
+The paper evaluates on MovieLens-1M, CiteULike, the proprietary B2B-DB and
+Netflix (Section VII-A).  The generators here reproduce their structure: a
+Zipf-like item popularity, a log-normal user activity and overlapping
+latent interest groups that link users and items — the structure both
+OCuLaR and the matrix-factorisation baselines exploit.
 
-* a heavy-tailed item popularity distribution (Zipf-like),
-* a heavy-tailed user activity distribution (log-normal),
-* latent overlapping interest groups that link users and items — the
-  structure both OCuLaR and the matrix-factorisation baselines exploit.
+The MovieLens, CiteULike and Netflix stand-ins are presets of one sparse
+sampler whose size input is a positive count: each preset fixes a default
+shape and positive count, and any other shape keeps that density.
+:func:`dataset_by_name` also builds the paper's two public corpora at their
+published shapes: ``"movielens-1m"`` (6,040 x 3,706 with the 836,478
+ratings of at least 3 stars that the paper binarises) and ``"citeulike-a"``
+(5,551 x 16,980, 204,986 pairs).
 
 Every generator is deterministic given ``random_state`` and returns an
-:class:`~repro.data.interactions.InteractionMatrix` (plus labels and deal
-values for the B2B corpus, which feed the Figure 10 deployment rationale).
-Real MovieLens/Netflix ratings files can still be used via
-:mod:`repro.data.loaders`.
+:class:`~repro.data.interactions.InteractionMatrix` (the B2B corpus adds
+labels and deal values, which feed the Figure 10 deployment rationale).
+Real ratings files load through :mod:`repro.data.loaders`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.data.interactions import InteractionMatrix
 from repro.data.splitting import Split, train_test_split
@@ -31,136 +37,167 @@ from repro.exceptions import DataError
 from repro.utils.rng import RandomStateLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
 
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Structural description of a generated corpus.
-
-    Attributes
-    ----------
-    name:
-        Human-readable corpus name (e.g. ``"movielens-like"``).
-    n_users, n_items:
-        Matrix dimensions.
-    n_groups:
-        Number of latent overlapping interest groups planted in the corpus.
-    target_density:
-        Approximate fraction of positive entries the generator aims for.
-    paper_reference:
-        The real dataset this corpus stands in for, with its original size,
-        so reports can state the substitution explicitly.
-    """
-
-    name: str
-    n_users: int
-    n_items: int
-    n_groups: int
-    target_density: float
-    paper_reference: str
-
-
-#: Paper-scale references, used in generated reports.
-PAPER_DATASETS: Dict[str, str] = {
-    "movielens": "MovieLens 1M: 6,040 users x 3,706 movies, ~1M ratings",
-    "citeulike": "CiteULike: 5,551 users x 16,980 articles",
-    "netflix": "Netflix: 480,189 users x 17,770 movies, ~100M ratings",
-    "b2b": "B2B-DB: 80,000 clients x 3,000 products (proprietary)",
-}
-
-
-def _ensure_min_degree(dense: np.ndarray, min_degree: int, rng: np.random.Generator) -> None:
-    """Add random positives so every user and item has at least ``min_degree``.
-
-    Evaluation with recall@M requires held-out positives per user, and the
-    neighbourhood baselines require non-empty item columns; a couple of
-    random interactions for pathological rows keeps every method runnable
-    without materially changing the corpus statistics.
-    """
-    # Users first, then items: ``dense.T`` is a view, so its rows write
-    # through to the item columns.
-    for rows in (dense, dense.T):
-        for row in rows:
-            missing = min_degree - int(row.sum())
-            if missing > 0:
-                zeros = np.flatnonzero(row == 0)
-                row[rng.choice(zeros, size=min(missing, len(zeros)), replace=False)] = 1.0
+# The latent-group model every stand-in shares.
+_USER_GROUPS = 3  # a user joins 1-3 interest groups
+_ITEM_GROUPS = 2  # an item belongs to 1-2 groups
+_ACTIVITY_SIGMA = 0.6  # log-normal user activity
+_NOISE_SHARE = 0.1  # share of draws taken off-group, by popularity alone
+_GROUP_ROUNDS = 8  # rounds of group draws before the pure-popularity rounds
+_DRAW_ROUNDS = 16  # rounds of draws before the minimum degree is filled uniformly
 
 
 @dataclass(frozen=True)
 class _StandIn:
-    """The constants that make the latent-group model one stand-in corpus."""
+    """One stand-in: the shape and positive count that fix its density, and its model."""
 
-    name: str
-    reference: str
-    user_affinity: float
-    item_affinity: float
-    within_rate: float
-    background_rate: float
+    n_users: int
+    n_items: int
+    nnz: int
+    n_groups: int
     popularity_exponent: float
     min_degree: int
     labels: Optional[Tuple[str, str]] = None  # user / item label formats
 
 
-_MOVIELENS = _StandIn(
-    "movielens-like", "movielens", 0.12, 0.10, 0.25, 0.02, 0.9, 4, ("Viewer {:04d}", "Movie {:04d}")
-)
-_CITEULIKE = _StandIn(
-    "citeulike-like", "citeulike", 0.08, 0.05, 0.30, 0.004, 1.1, 3,
-    ("Researcher {:04d}", "Article {:05d}"),
-)
-_NETFLIX = _StandIn("netflix-like", "netflix", 0.10, 0.10, 0.20, 0.015, 1.0, 3)
+_MOVIELENS = _StandIn(600, 400, 14_705, 18, 0.9, 4, ("Viewer {:04d}", "Movie {:04d}"))
+_CITEULIKE = _StandIn(400, 900, 13_953, 25, 1.1, 3, ("Researcher {:04d}", "Article {:05d}"))
+_NETFLIX = _StandIn(2000, 600, 72_731, 30, 1.0, 3)
+_NAMED: Dict[str, _StandIn] = {
+    "movielens": _MOVIELENS,
+    "movielens-1m": replace(_MOVIELENS, n_users=6040, n_items=3706, nnz=836_478),
+    "citeulike": _CITEULIKE,
+    "citeulike-a": replace(_CITEULIKE, n_users=5551, n_items=16_980, nnz=204_986),
+    "netflix": _NETFLIX,
+}
 
 
-def _make_stand_in(
-    corpus: _StandIn, n_users: int, n_items: int, n_groups: int, random_state: RandomStateLike
-) -> Tuple[InteractionMatrix, DatasetSpec]:
-    """Sample ``corpus`` from the overlapping latent-group model.
+@dataclass(frozen=True)
+class _Groups:
+    """Who belongs to which group, on one side of the matrix.
 
-    Users and items are independently assigned to each group with
-    probabilities ``user_affinity`` / ``item_affinity`` (so memberships
-    overlap).  A pair sharing at least one group is positive with probability
-    ``1 - (1 - within_rate)^(#shared groups)``; all pairs additionally receive
-    background positives modulated by a Zipf-like item popularity weight.
-    Every row and column then gets at least ``min_degree`` positives.
+    ``table[e, :counts[e]]`` lists entity ``e``'s groups and ``members[starts[g]:
+    starts[g + 1]]`` group ``g``'s entities; ``cdf`` (per group) and ``global_cdf``
+    are running sums of the weights, so a weighted draw is one ``searchsorted``.
     """
-    check_positive_int(n_users, "n_users")
-    check_positive_int(n_items, "n_items")
+
+    table: np.ndarray
+    counts: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    cdf: np.ndarray
+    global_cdf: np.ndarray
+
+    @classmethod
+    def draw(cls, rng, weights: np.ndarray, n_groups: int, max_groups: int) -> "_Groups":
+        n = len(weights)
+        counts = rng.integers(1, max_groups + 1, size=n)
+        table = rng.integers(0, n_groups, size=(n, max_groups))
+        listed = np.arange(max_groups) < counts[:, None]
+        own = np.arange(n_groups)  # entity g (mod n) also joins group g: none is empty
+        keys = _sorted_unique(np.append(table[listed] * n + listed.nonzero()[0], own * n + own % n))
+        members = keys % n
+        starts = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n_groups))])
+        return cls(table, counts, members, starts, np.cumsum(weights[members]), np.cumsum(weights))
+
+    def sample(self, rng, groups: np.ndarray, noise_share: float) -> np.ndarray:
+        """One weighted member of each of ``groups``; ``noise_share`` of them off-group."""
+        lo, hi = self.starts[groups], self.starts[groups + 1]
+        base = np.where(lo > 0, self.cdf[lo - 1], 0.0)
+        points = base + rng.random(len(groups)) * (self.cdf[hi - 1] - base)
+        picks = self.members[np.minimum(np.searchsorted(self.cdf, points, side="right"), hi - 1)]
+        noise = rng.random(len(groups)) < noise_share
+        points = rng.random(int(noise.sum())) * self.global_cdf[-1]
+        picks[noise] = np.minimum(
+            np.searchsorted(self.global_cdf, points, side="right"), len(self.global_cdf) - 1
+        )
+        return picks
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def _fill(rng, keys, want, floor, rows: _Groups, targets: _Groups) -> np.ndarray:
+    """Draw positives until row ``r`` holds ``want[r]`` distinct targets.
+
+    ``keys`` are the sorted positives so far as ``row * n_targets + target``.
+    A row draws its deficit from its groups (plus off-group noise), later
+    from popularity alone; rows that the rounds leave below ``floor`` are
+    then filled with uniformly random targets.
+    """
+    n_rows, n_targets = len(want), len(targets.global_cdf)
+    have = np.bincount(keys // n_targets, minlength=n_rows)
+    for round_ in itertools.count():
+        deficit = np.maximum((want if round_ < _DRAW_ROUNDS else floor) - have, 0)
+        if not deficit.any():
+            return keys
+        row_ids = np.repeat(np.arange(n_rows), deficit)
+        if round_ < _DRAW_ROUNDS:
+            slot = (rng.random(len(row_ids)) * rows.counts[row_ids]).astype(np.int64)
+            noise = _NOISE_SHARE if round_ < _GROUP_ROUNDS else 1.0
+            picks = targets.sample(rng, rows.table[row_ids, slot], noise)
+        else:
+            picks = rng.integers(0, n_targets, size=len(row_ids))
+        new = _sorted_unique(row_ids * n_targets + picks)
+        at = np.searchsorted(keys, new)
+        fresh = np.append(keys, -1)[at] != new
+        have += np.bincount(new[fresh] // n_targets, minlength=n_rows)
+        keys = np.insert(keys, at[fresh], new[fresh])
+
+
+def _sample_stand_in(
+    corpus: _StandIn, n_users: int, n_items: int, n_groups: int, random_state: RandomStateLike
+) -> InteractionMatrix:
+    """Sample ``corpus`` at ``(n_users, n_items)`` from the latent-group model.
+
+    Users join 1-3 of ``n_groups`` overlapping groups and items 1-2.  Every
+    item first draws ``min_degree`` users from its groups, weighted by user
+    activity; every user then draws items from its groups by Zipf
+    popularity, with a share of off-group noise, until it reaches a
+    log-normal activity degree.  The degrees are scaled so the corpus holds
+    the preset's density, and every user and item has at least
+    ``min_degree`` positives.  Only CSR-sized arrays are ever built.
+    """
+    n_users = check_positive_int(n_users, "n_users")
+    n_items = check_positive_int(n_items, "n_items")
+    n_groups = check_positive_int(n_groups, "n_groups")
     rng = ensure_rng(random_state)
-    user_groups = rng.random((n_users, n_groups)) < corpus.user_affinity
-    item_groups = rng.random((n_items, n_groups)) < corpus.item_affinity
-    # Ensure nobody is left without any group (otherwise they are pure noise).
-    for membership in (user_groups, item_groups):
-        lonely = ~membership.any(axis=1)
-        if lonely.any():
-            membership[lonely, rng.integers(0, n_groups, size=int(lonely.sum()))] = True
+    nnz = round(corpus.nnz * n_users * n_items / (corpus.n_users * corpus.n_items))
+    user_floor = min(corpus.min_degree, n_items)
+    item_floor = min(corpus.min_degree, n_users)
 
-    shared = user_groups.astype(np.int64) @ item_groups.T.astype(np.int64)
-    prob_group = 1.0 - np.power(1.0 - corpus.within_rate, shared)
+    popularity = (rng.permutation(n_items) + 1.0) ** -corpus.popularity_exponent
+    activity = rng.lognormal(mean=0.0, sigma=_ACTIVITY_SIGMA, size=n_users)
+    users = _Groups.draw(rng, activity, n_groups, _USER_GROUPS)
+    items = _Groups.draw(rng, popularity, n_groups, _ITEM_GROUPS)
 
-    popularity = 1.0 / np.power(np.arange(1, n_items + 1), corpus.popularity_exponent)
-    popularity = popularity / popularity.max()
-    rng.shuffle(popularity)
-    prob_background = corpus.background_rate * popularity[np.newaxis, :]
+    # Item floors first, drawn as item-major keys and turned user-major.
+    floors = np.full(n_items, item_floor)
+    floors = _fill(rng, np.empty(0, dtype=np.int64), floors, item_floor, items, users)
+    keys = np.sort(floors % n_users * n_items + floors // n_users)
+    have = np.bincount(keys // n_items, minlength=n_users)
 
-    activity = rng.lognormal(mean=0.0, sigma=0.6, size=n_users)
-    activity = activity / activity.mean()
-    prob = 1.0 - (1.0 - prob_group) * (1.0 - prob_background)
-    prob = np.clip(prob * activity[:, np.newaxis], 0.0, 1.0)
-    dense = (rng.random((n_users, n_items)) < prob).astype(float)
-    _ensure_min_degree(dense, min_degree=corpus.min_degree, rng=rng)
+    # Activity degrees scaled so that, on top of the floors, they sum to nnz.
+    def degrees(factor: float) -> np.ndarray:
+        scaled = np.clip(np.round(activity * factor), user_floor, max(user_floor, n_items // 2))
+        return np.maximum(scaled.astype(np.int64), have)
 
-    spec = DatasetSpec(
-        corpus.name, n_users, n_items, n_groups, float(dense.mean()),
-        PAPER_DATASETS[corpus.reference],
-    )
+    factor = nnz / activity.sum()
+    for _ in range(8):  # fixed point: the clip and the floors change the sum
+        factor *= nnz / degrees(factor).sum()
+    keys = _fill(rng, keys, degrees(factor), user_floor, users, items)
+
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_items, minlength=n_users))])
+    csr = sp.csr_matrix((np.ones(len(keys)), keys % n_items, indptr), shape=(n_users, n_items))
     if corpus.labels is None:
-        return InteractionMatrix.from_dense(dense), spec
+        return InteractionMatrix(csr)
     user_label, item_label = corpus.labels
-    return InteractionMatrix.from_dense(
-        dense,
+    return InteractionMatrix(
+        csr,
         user_labels=[user_label.format(index) for index in range(n_users)],
         item_labels=[item_label.format(index) for index in range(n_items)],
-    ), spec
+    )
 
 
 def make_movielens_like(
@@ -168,14 +205,13 @@ def make_movielens_like(
     n_items: int = 400,
     n_groups: int = 18,
     random_state: RandomStateLike = 0,
-) -> Tuple[InteractionMatrix, DatasetSpec]:
-    """MovieLens-1M stand-in: dense-ish matrix of movie watchers.
+) -> InteractionMatrix:
+    """MovieLens-1M stand-in: 14,705 positives at 600 x 400 (6.1% dense).
 
-    MovieLens after the paper's ">= 3 stars" binarisation has density around
-    3-4%; the generator targets the same regime with genre-like overlapping
-    groups (a user who likes sci-fi and comedy belongs to two groups).
+    Genre-like overlapping groups (a user who likes sci-fi and comedy
+    belongs to two groups); every user and movie has at least 4 positives.
     """
-    return _make_stand_in(_MOVIELENS, n_users, n_items, n_groups, random_state)
+    return _sample_stand_in(_MOVIELENS, n_users, n_items, n_groups, random_state)
 
 
 def make_citeulike_like(
@@ -183,14 +219,13 @@ def make_citeulike_like(
     n_items: int = 900,
     n_groups: int = 25,
     random_state: RandomStateLike = 0,
-) -> Tuple[InteractionMatrix, DatasetSpec]:
-    """CiteULike stand-in: many more items than users, very sparse.
+) -> InteractionMatrix:
+    """CiteULike stand-in: 13,953 positives at 400 x 900 (3.9% dense).
 
-    CiteULike has roughly three times as many articles as users and a much
-    lower density than MovieLens; research-topic groups are narrower, so
-    group affinities are smaller and within-group rates higher.
+    Many more articles than users, sparser than MovieLens, with a steeper
+    popularity law; every user and article has at least 3 positives.
     """
-    return _make_stand_in(_CITEULIKE, n_users, n_items, n_groups, random_state)
+    return _sample_stand_in(_CITEULIKE, n_users, n_items, n_groups, random_state)
 
 
 def make_netflix_like(
@@ -198,14 +233,14 @@ def make_netflix_like(
     n_items: int = 600,
     n_groups: int = 30,
     random_state: RandomStateLike = 0,
-) -> Tuple[InteractionMatrix, DatasetSpec]:
-    """Netflix stand-in used by the scalability experiments (Figures 7 and 8).
+) -> InteractionMatrix:
+    """Netflix stand-in for the scalability experiments (Figures 7 and 8).
 
-    The absolute size is scaled down for laptop execution, but the matrix is
-    the largest produced by this module so that per-iteration timing sweeps
-    have enough work to show the linear trend.
+    72,731 positives at 2,000 x 600 (6.1% dense): the largest default corpus
+    here, so per-iteration timing sweeps have enough work to show the
+    linear trend.  Every user and movie has at least 3 positives.
     """
-    return _make_stand_in(_NETFLIX, n_users, n_items, n_groups, random_state)
+    return _sample_stand_in(_NETFLIX, n_users, n_items, n_groups, random_state)
 
 
 # --------------------------------------------------------------------------- #
@@ -213,31 +248,14 @@ def make_netflix_like(
 # --------------------------------------------------------------------------- #
 
 _INDUSTRIES: Sequence[str] = (
-    "Airline",
-    "Telco",
-    "Bank",
-    "Retailer",
-    "Insurer",
-    "Utility",
-    "Logistics",
-    "Manufacturer",
-    "Hospital",
-    "University",
+    "Airline", "Telco", "Bank", "Retailer", "Insurer", "Utility", "Logistics",
+    "Manufacturer", "Hospital", "University",
 )
 
 _PRODUCT_FAMILIES: Sequence[str] = (
-    "Custom Cloud",
-    "Managed Storage",
-    "Analytics Suite",
-    "Security Monitoring",
-    "Mainframe Support",
-    "Middleware License",
-    "Data Warehouse",
-    "Consulting Hours",
-    "Backup Service",
-    "Network Fabric",
-    "AI Platform",
-    "ERP Integration",
+    "Custom Cloud", "Managed Storage", "Analytics Suite", "Security Monitoring",
+    "Mainframe Support", "Middleware License", "Data Warehouse", "Consulting Hours",
+    "Backup Service", "Network Fabric", "AI Platform", "ERP Integration",
 )
 
 
@@ -246,10 +264,8 @@ class B2BDataset:
     """Synthetic business-to-business purchase corpus.
 
     Mirrors the paper's B2B-DB: clients are companies with an industry, the
-    products are enterprise offerings with historical deal values.  Extra
-    metadata beyond the interaction matrix exists only to drive the
-    deployment-style rationale of Figure 10 (industry evidence and price
-    estimates).
+    products are enterprise offerings with historical deal values, which
+    drive Figure 10's rationale (industry evidence and price estimates).
     """
 
     matrix: InteractionMatrix
@@ -257,7 +273,6 @@ class B2BDataset:
     client_industries: List[str]
     product_names: List[str]
     deal_values: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    spec: Optional[DatasetSpec] = None
 
 
 def make_b2b(
@@ -311,7 +326,14 @@ def make_b2b(
             for product in segment_products[segment]:
                 if rng.random() < within_rate:
                     dense[client, product] = 1.0
-    _ensure_min_degree(dense, min_degree=2, rng=rng)
+    # At least two purchases per client, then per product: ``dense.T`` is a
+    # view, so its rows write through to the product columns.
+    for rows in (dense, dense.T):
+        for row in rows:
+            missing = 2 - int(row.sum())
+            if missing > 0:
+                zeros = np.flatnonzero(row == 0)
+                row[rng.choice(zeros, size=min(missing, len(zeros)), replace=False)] = 1.0
 
     client_names = [
         f"{industries[int(client_segment[index])]} Corp {index:03d}" for index in range(n_clients)
@@ -324,53 +346,45 @@ def make_b2b(
             base_price[product] * rng.lognormal(mean=0.0, sigma=0.25)
         )
 
-    matrix = InteractionMatrix.from_dense(
-        dense, user_labels=client_names, item_labels=product_names
-    )
-    spec = DatasetSpec(
-        name="b2b-like",
-        n_users=n_clients,
-        n_items=n_products,
-        n_groups=n_segments,
-        target_density=float(dense.mean()),
-        paper_reference=PAPER_DATASETS["b2b"],
-    )
     return B2BDataset(
-        matrix=matrix,
+        matrix=InteractionMatrix.from_dense(
+            dense, user_labels=client_names, item_labels=product_names
+        ),
         client_names=client_names,
         client_industries=client_industries,
         product_names=product_names,
         deal_values=deal_values,
-        spec=spec,
     )
 
 
-def dataset_by_name(name: str, random_state: RandomStateLike = 0, scale: float = 1.0):
+def dataset_by_name(
+    name: str, random_state: RandomStateLike = 0, scale: float = 1.0
+) -> InteractionMatrix:
     """Construct one of the named corpora, optionally scaled in size.
 
-    ``name`` must be one of ``"movielens"``, ``"citeulike"``, ``"netflix"``
-    or ``"b2b"``.  ``scale`` multiplies the default user/item counts.
+    ``name`` is one of ``"movielens"``, ``"citeulike"``, ``"netflix"`` and
+    ``"b2b"`` (the harness's stand-ins at their default shapes) or
+    ``"movielens-1m"`` and ``"citeulike-a"`` (the paper's public corpora at
+    their published shapes and positive counts).  ``scale``, a finite
+    positive number, multiplies the user and item counts; a stand-in keeps
+    its density.
     """
-    if scale <= 0:
-        raise DataError(f"scale must be positive, got {scale}")
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0 < scale < math.inf:
+        raise DataError(f"scale must be a finite positive number, got {scale!r}")
 
     def scaled(value: int) -> int:
         return max(10, int(round(value * scale)))
 
-    stand_ins = {
-        "movielens": (make_movielens_like, 600, 400),
-        "citeulike": (make_citeulike_like, 400, 900),
-        "netflix": (make_netflix_like, 2000, 600),
-    }
-    if name in stand_ins:
-        make, n_users, n_items = stand_ins[name]
-        return make(n_users=scaled(n_users), n_items=scaled(n_items), random_state=random_state)
-    if name == "b2b":
-        dataset = make_b2b(
-            n_clients=scaled(400), n_products=scaled(60), random_state=random_state
+    if name in _NAMED:
+        corpus = _NAMED[name]
+        return _sample_stand_in(
+            corpus, scaled(corpus.n_users), scaled(corpus.n_items), corpus.n_groups, random_state
         )
-        return dataset.matrix, dataset.spec
-    raise DataError(f"unknown dataset name {name!r}; expected movielens/citeulike/netflix/b2b")
+    if name == "b2b":
+        return make_b2b(
+            n_clients=scaled(400), n_products=scaled(60), random_state=random_state
+        ).matrix
+    raise DataError(f"unknown dataset name {name!r}; expected one of {sorted(_NAMED) + ['b2b']}")
 
 
 # --------------------------------------------------------------------------- #
@@ -428,9 +442,8 @@ def make_drifting_corpus(
     delta.  Warm and cold refits therefore train on the *identical* grown
     training matrix and are evaluated against the *identical* held-out set.
     The defaults give a ~10% drift — the moderate-drift regime warm starts
-    are for.  Smaller corpora work but are noisier: with fewer positives per
-    factor the non-convex landscape has many recall-inequivalent basins, and
-    which one a refit lands in becomes seed luck.
+    are for.  Smaller corpora are noisier: with fewer positives per factor,
+    which recall-inequivalent basin a refit lands in becomes seed luck.
 
     Parameters
     ----------
@@ -457,7 +470,7 @@ def make_drifting_corpus(
         raise DataError(f"late_fraction must lie in [0, 1), got {late_fraction}")
     rng = ensure_rng(random_state)
 
-    grown, _spec = make_netflix_like(n_users=n_users, n_items=n_items, random_state=rng)
+    grown = make_netflix_like(n_users=n_users, n_items=n_items, random_state=rng)
     split = train_test_split(grown, test_fraction=0.25, random_state=rng)
     pairs = split.train.pairs()
     in_block = (pairs[:, 0] < n_base_users) & (pairs[:, 1] < n_base_items)

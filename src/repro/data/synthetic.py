@@ -1,17 +1,13 @@
 """Synthetic data with planted overlapping co-clusters.
 
-Two generators live here:
-
 * :func:`make_paper_toy_example` reconstructs the 12x12 toy matrix of the
   paper's Figures 1 and 3 (three overlapping co-clusters, three candidate
   recommendations left as holes).
-* :func:`make_planted_coclusters` draws matrices from the paper's own
-  generative model: each of ``K`` planted co-clusters contains a block of
-  users and items; a (user, item) pair inside a block is positive with the
-  block's density, and pairs outside every block are positive with a small
-  background noise rate.  Because the ground-truth memberships are returned,
-  these matrices are used throughout the test-suite to verify that OCuLaR
-  actually recovers overlapping structure.
+* :func:`make_planted_coclusters` draws a block model: a (user, item) pair
+  inside one of ``K`` planted blocks is positive with the block's density,
+  any other pair with a small background rate.  The ground-truth
+  memberships come back with the matrix, so tests can check that OCuLaR
+  recovers overlapping structure.
 """
 
 from __future__ import annotations
@@ -172,12 +168,8 @@ def make_planted_coclusters(
             users = np.sort(rng.choice(n_users, size=users_per_cocluster, replace=False))
             items = np.sort(rng.choice(n_items, size=items_per_cocluster, replace=False))
         else:
-            users = np.arange(
-                cluster * users_per_cocluster, (cluster + 1) * users_per_cocluster
-            )
-            items = np.arange(
-                cluster * items_per_cocluster, (cluster + 1) * items_per_cocluster
-            )
+            users = cluster * users_per_cocluster + np.arange(users_per_cocluster)
+            items = cluster * items_per_cocluster + np.arange(items_per_cocluster)
         user_memberships.append(users)
         item_memberships.append(items)
         block_users, block_items = np.nonzero(
@@ -195,11 +187,8 @@ def make_planted_coclusters(
         dense[held // n_items, held % n_items] = 0.0
         heldout_pairs = list(zip((held // n_items).tolist(), (held % n_items).tolist()))
 
-    # Guarantee that the matrix has no empty rows/columns only when the noise
-    # floor is zero; empty rows are legal but make some baselines degenerate.
-    matrix = InteractionMatrix.from_dense(dense)
     return PlantedCoClusters(
-        matrix=matrix,
+        matrix=InteractionMatrix.from_dense(dense),
         user_memberships=user_memberships,
         item_memberships=item_memberships,
         heldout_pairs=heldout_pairs,

@@ -140,9 +140,8 @@ def planted():
 @pytest.fixture(scope="session")
 def movielens_small():
     """A small MovieLens-like corpus plus a train/test split."""
-    matrix, spec = make_movielens_like(n_users=120, n_items=80, random_state=3)
-    split = train_test_split(matrix, test_fraction=0.25, random_state=3)
-    return matrix, spec, split
+    matrix = make_movielens_like(n_users=120, n_items=80, random_state=3)
+    return matrix, train_test_split(matrix, test_fraction=0.25, random_state=3)
 
 
 @pytest.fixture(scope="session")
@@ -174,7 +173,7 @@ def paper_toy_model(toy_dataset):
 @pytest.fixture(scope="session")
 def fitted_movielens_model(movielens_small):
     """OCuLaR fitted on the small MovieLens-like training split."""
-    _, _, split = movielens_small
+    _, split = movielens_small
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return OCuLaR(

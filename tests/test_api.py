@@ -236,7 +236,7 @@ class TestRecommendResponse:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def runtime():
-    matrix, _ = make_netflix_like(n_users=100, n_items=40, random_state=0)
+    matrix = make_netflix_like(n_users=100, n_items=40, random_state=0)
     model = OCuLaR(
         n_coclusters=5, regularization=5.0, max_iterations=3, tolerance=0.0, random_state=0
     )

@@ -204,7 +204,7 @@ class TestBaselinesBeatRandomOnStructuredData:
         ],
     )
     def test_beats_popularity(self, factory, movielens_small):
-        _, _, split = movielens_small
+        _, split = movielens_small
         personalised = factory().fit(split.train)
         popularity = PopularityRecommender().fit(split.train)
         users = sorted(split.test_items.keys())[:60]

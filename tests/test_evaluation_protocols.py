@@ -23,7 +23,7 @@ def fitted_split(request):
     """A split plus a fitted cheap model shared by the protocol tests."""
     from repro.data.datasets import make_movielens_like
 
-    matrix, _ = make_movielens_like(n_users=100, n_items=60, random_state=0)
+    matrix = make_movielens_like(n_users=100, n_items=60, random_state=0)
     split = train_test_split(matrix, random_state=0)
     model = UserKNNRecommender(n_neighbors=20).fit(split.train)
     return matrix, split, model

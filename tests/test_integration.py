@@ -31,7 +31,7 @@ from repro.evaluation.grid_search import grid_search
 class TestFullPipelineOnSyntheticMovielens:
     @pytest.fixture(scope="class")
     def pipeline(self):
-        matrix, _ = make_movielens_like(n_users=150, n_items=100, random_state=1)
+        matrix = make_movielens_like(n_users=150, n_items=100, random_state=1)
         split = train_test_split(matrix, test_fraction=0.25, random_state=1)
         models = {
             "OCuLaR": OCuLaR(

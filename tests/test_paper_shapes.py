@@ -52,7 +52,7 @@ class TestPaperTable1:
     def test_zoo_defaults_name_loadable_datasets(self):
         assert set(DATASET_ZOO_DEFAULTS) == set(TABLE1_PAPER)
         for name, params in DATASET_ZOO_DEFAULTS.items():
-            matrix, _spec = dataset_by_name(name, random_state=0, scale=0.1)
+            matrix = dataset_by_name(name, random_state=0, scale=0.1)
             assert matrix.nnz > 0
             assert set(params) == {"n_coclusters", "regularization"}
 
@@ -177,7 +177,7 @@ def test_larger_k_costs_more_per_iteration():
     # K=32 does ~16x the work of K=2 per iteration, but a CPU-steal spike on
     # a loaded host can still invert a single measurement, so allow a couple
     # of re-measurements.  A genuine complexity regression fails every one.
-    matrix, _spec = make_netflix_like(n_users=400, n_items=200, random_state=0)
+    matrix = make_netflix_like(n_users=400, n_items=200, random_state=0)
 
     def seconds(n_coclusters):
         model = OCuLaR(
@@ -199,7 +199,7 @@ def test_larger_k_costs_more_per_iteration():
 def test_more_positives_cost_more_per_iteration():
     # Figure 7's other axis: a quarter of the positives must be clearly
     # cheaper per iteration than all of them (re-measured like the K check).
-    matrix, _spec = make_netflix_like(n_users=800, n_items=300, random_state=0)
+    matrix = make_netflix_like(n_users=800, n_items=300, random_state=0)
     quarter = matrix.subsample(0.25, random_state=0)
     assert quarter.nnz < matrix.nnz
 
@@ -217,7 +217,7 @@ def test_more_positives_cost_more_per_iteration():
 
 
 def test_backends_trace_the_same_likelihood():
-    matrix, _spec = make_netflix_like(n_users=200, n_items=80, random_state=0)
+    matrix = make_netflix_like(n_users=200, n_items=80, random_state=0)
     histories = {
         backend: OCuLaR(
             n_coclusters=10,

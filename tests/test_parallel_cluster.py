@@ -94,7 +94,7 @@ def assert_evicted_everywhere(executor, ref) -> None:
 
 @pytest.fixture(scope="module")
 def corpus():
-    matrix, _ = make_netflix_like(n_users=150, n_items=60, random_state=0)
+    matrix = make_netflix_like(n_users=150, n_items=60, random_state=0)
     return matrix
 
 

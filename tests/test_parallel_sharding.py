@@ -510,7 +510,7 @@ class TestThreeWayExecutorParity:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
     def test_process_training_parity(self, dtype, n_shards):
-        matrix, _spec = make_netflix_like(n_users=120, n_items=50, random_state=0)
+        matrix = make_netflix_like(n_users=120, n_items=50, random_state=0)
 
         def fit(backend):
             model = OCuLaR(
@@ -579,7 +579,7 @@ class TestSharedMemoryFitLifecycle:
     def test_name_configured_fit_unlinks_everything(self, shm_ledger):
         # A fit's process pool is an instance: leaving its with-block
         # unlinks every segment the fit published.
-        matrix, _spec = make_netflix_like(n_users=100, n_items=40, random_state=1)
+        matrix = make_netflix_like(n_users=100, n_items=40, random_state=1)
         with ParallelBackend(n_workers=2, executor="process") as backend:
             model = OCuLaR(
                 n_coclusters=5,
@@ -594,7 +594,7 @@ class TestSharedMemoryFitLifecycle:
         shm_ledger.assert_gone()
 
     def test_borrowed_backend_cleans_up_on_exit(self, shm_ledger):
-        matrix, _spec = make_netflix_like(n_users=100, n_items=40, random_state=1)
+        matrix = make_netflix_like(n_users=100, n_items=40, random_state=1)
         with ParallelBackend(n_workers=2, n_shards=2, executor="process") as backend:
             model = OCuLaR(
                 n_coclusters=5,

@@ -30,7 +30,7 @@ COLD = {"n_items": 4, "n_sweeps": 3}
 
 @pytest.fixture(scope="module")
 def runtime():
-    matrix, _spec = make_netflix_like(n_users=N_USERS, n_items=N_ITEMS, random_state=0)
+    matrix = make_netflix_like(n_users=N_USERS, n_items=N_ITEMS, random_state=0)
     model = OCuLaR(
         n_coclusters=4, regularization=5.0, max_iterations=3, tolerance=0.0, random_state=0
     )

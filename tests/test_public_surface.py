@@ -1,4 +1,4 @@
-"""A census of the settable surface of serving, training, runtime, cluster and explanations.
+"""A census of the settable surface of serving, training, runtime, cluster, explanations and data.
 
 A change that adds (or removes) a public name, a constructor or method
 argument or an environment variable has to edit this file, and so has to
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.core
+import repro.data
 import repro.runtime
 from repro.core import io, objective
 from repro.core.backends import Backend, SweepWorkspaceStore, get_backend
@@ -27,7 +28,7 @@ from repro.core.explain import batch_reports, explain_recommendation
 from repro.core.ocular import OCuLaR
 from repro.core.optimizer import BlockCoordinateTrainer
 from repro.core.r_ocular import ROCuLaR
-from repro.data import make_movielens_like
+from repro.data import datasets, make_movielens_like, synthetic
 from repro.exceptions import ConvergenceWarning
 from repro.parallel.cluster import ClusterExecutor
 from repro.runtime import (
@@ -193,7 +194,7 @@ def test_get_params_names_the_constructor(model_class):
 
 
 def test_archive_with_retired_settings_loads(tmp_path):
-    matrix, _ = make_movielens_like(n_users=40, n_items=30, random_state=0)
+    matrix = make_movielens_like(n_users=40, n_items=30, random_state=0)
     model = OCuLaR(n_coclusters=3, max_iterations=2, tolerance=0.0, random_state=0)
     with pytest.warns(ConvergenceWarning):
         model.fit(matrix)
@@ -323,6 +324,41 @@ def test_library_exports():
         "Backend", "ParallelBackend", "ReferenceBackend", "SweepPlan", "SweepSide",
         "SweepStats", "SweepWorkspace", "SweepWorkspaceStore", "VectorizedBackend",
         "WorkspaceStats", "get_backend", "nnz_balanced_ranges",
+    ]
+
+
+def test_data_exports():
+    assert sorted(repro.data.__all__) == [
+        "B2BDataset", "InteractionMatrix", "PlantedCoClusters", "binarize_ratings",
+        "kfold_splits", "leave_k_out_split", "load_interactions_csv",
+        "load_movielens_ratings", "make_b2b", "make_citeulike_like",
+        "make_movielens_like", "make_netflix_like", "make_paper_toy_example",
+        "make_planted_coclusters", "train_test_split",
+    ]
+
+
+def test_generator_arguments():
+    # A stand-in's size is its shape; its positive count follows from the
+    # preset's density, and no per-pair rate is a setting.
+    stand_in = ("n_users", "n_items", "n_groups", "random_state")
+    assert _parameters(datasets.make_movielens_like) == stand_in
+    assert _parameters(datasets.make_citeulike_like) == stand_in
+    assert _parameters(datasets.make_netflix_like) == stand_in
+    assert _parameters(datasets.make_b2b) == (
+        "n_clients", "n_products", "n_segments", "within_rate", "background_rate",
+        "random_state",
+    )
+    assert _parameters(synthetic.make_planted_coclusters) == (
+        "n_users", "n_items", "n_coclusters", "users_per_cocluster", "items_per_cocluster",
+        "within_density", "background_density", "holdout_fraction", "overlap",
+        "random_state",
+    )
+    assert _parameters(datasets.make_drifting_corpus) == (
+        "n_users", "n_items", "n_base_users", "late_fraction", "random_state",
+    )
+    assert _parameters(datasets.dataset_by_name) == ("name", "random_state", "scale")
+    assert [field.name for field in dataclasses.fields(datasets.B2BDataset)] == [
+        "matrix", "client_names", "client_industries", "product_names", "deal_values",
     ]
 
 

@@ -25,7 +25,7 @@ from repro.serving import SharedEngineSpec, TopNEngine, recommend_folded, serve_
 
 @pytest.fixture(scope="module")
 def corpus():
-    matrix, _spec = make_netflix_like(n_users=150, n_items=60, random_state=0)
+    matrix = make_netflix_like(n_users=150, n_items=60, random_state=0)
     return matrix
 
 
@@ -131,7 +131,7 @@ from repro.exceptions import ConvergenceWarning
 from repro.runtime import RecommenderRuntime
 
 warnings.simplefilter("ignore", ConvergenceWarning)
-matrix, _spec = make_netflix_like(n_users=150, n_items=60, random_state=0)
+matrix = make_netflix_like(n_users=150, n_items=60, random_state=0)
 with RecommenderRuntime(executor="process", max_workers=2) as runtime:
     assert runtime.worker_pids()
     for seed in (0, 1):

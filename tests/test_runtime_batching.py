@@ -39,7 +39,7 @@ def _model(**overrides):
 
 @pytest.fixture(scope="module")
 def corpus():
-    matrix, _spec = make_netflix_like(n_users=150, n_items=60, random_state=0)
+    matrix = make_netflix_like(n_users=150, n_items=60, random_state=0)
     return matrix
 
 

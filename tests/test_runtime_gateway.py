@@ -56,7 +56,7 @@ def _wait_until(predicate, timeout=RESULT_TIMEOUT, interval=0.002):
 
 @pytest.fixture(scope="module")
 def corpus():
-    matrix, _spec = make_netflix_like(n_users=120, n_items=50, random_state=0)
+    matrix = make_netflix_like(n_users=120, n_items=50, random_state=0)
     return matrix
 
 

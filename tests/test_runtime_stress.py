@@ -46,7 +46,7 @@ def _model(seed: int) -> OCuLaR:
 
 @pytest.fixture(scope="module")
 def corpus():
-    matrix, _spec = make_netflix_like(
+    matrix = make_netflix_like(
         n_users=N_USERS, n_items=N_ITEMS, random_state=0
     )
     return matrix

@@ -65,7 +65,7 @@ class TestTopNEngineParity:
             np.testing.assert_array_equal(ranked, reference)
 
     def test_generic_model_path(self, movielens_small):
-        _, _, split = movielens_small
+        _, split = movielens_small
         model = PopularityRecommender().fit(split.train)
         engine = TopNEngine.from_model(model)
         assert engine.factors is None  # no FactorModel -> score_users path
@@ -79,7 +79,7 @@ class TestTopNEngineParity:
         # BiasedOCuLaR scores through bias-augmented factors; the engine must
         # route through serving_factors_ (not the stripped factors_), so
         # engine rankings still equal per-user recommend for every user.
-        _, _, split = movielens_small
+        _, split = movielens_small
         model = BiasedOCuLaR(
             n_coclusters=8, regularization=4.0, max_iterations=30, random_state=0
         ).fit(split.train)
@@ -292,7 +292,7 @@ class TestFoldIn:
         # per call, and folds exactly as a vectorized one does.
         import warnings
 
-        train = movielens_small[2].train
+        train = movielens_small[1].train
         settings = dict(
             n_coclusters=6, regularization=5.0, max_iterations=3, tolerance=0.0,
             random_state=0,
@@ -449,7 +449,7 @@ class TestServeSharded:
         users = list(range(fitted_movielens_model.train_matrix.n_users))
         # A model-path engine has no factors to publish, so the process pool
         # receives it pickled with every shard.
-        _, _, split = movielens_small
+        _, split = movielens_small
         model_engine = TopNEngine.from_model(PopularityRecommender().fit(split.train))
         model_users = list(range(split.train.n_users))
 
@@ -539,7 +539,7 @@ def _publish_side(executor, matrix, row_positive_weights=None):
 class TestWorkerCache:
     @pytest.fixture()
     def two_engines(self, movielens_small):
-        matrix, _spec, split = movielens_small
+        matrix, split = movielens_small
         engines = []
         for seed in (0, 1):
             model = OCuLaR(
@@ -640,7 +640,7 @@ class TestWorkerCache:
             spec_a = serving_shared.publish_engine(executor, engine_a)
             spec_b = serving_shared.publish_engine(executor, engine_b)
             stray = executor.publish("stray", np.zeros(8))
-            side_spec, _ = _publish_side(executor, movielens_small[2].train.csr())
+            side_spec, _ = _publish_side(executor, movielens_small[1].train.csr())
 
             worker_a = serving_shared.attach_engine(spec_a)
             attach_shared_array(stray)  # a mapping no entry views
@@ -667,7 +667,7 @@ class TestWorkerCache:
         from repro.serving import shared as serving_shared
 
         engine_a, _engine_b = two_engines
-        train = movielens_small[2].train.csr()
+        train = movielens_small[1].train.csr()
         with SharedMemoryProcessExecutor(max_workers=1) as executor:
             engine_spec = serving_shared.publish_engine(executor, engine_a)
             worker_engine = serving_shared.attach_engine(engine_spec)
@@ -694,7 +694,7 @@ class TestWorkerCache:
         from repro.core.backends.parallel import _attach_side
         from repro.parallel.shared_memory import SharedMemoryProcessExecutor
 
-        train = movielens_small[2].train.csr()
+        train = movielens_small[1].train.csr()
         weights = np.linspace(1.0, 2.0, train.shape[0])
         with SharedMemoryProcessExecutor(max_workers=1) as executor:
             old_spec, old_keys = _publish_side(executor, train, weights)

@@ -44,7 +44,7 @@ def float32_model(movielens_small):
     """OCuLaR trained in float32 on the small MovieLens-like split."""
     import warnings
 
-    _, _, split = movielens_small
+    _, split = movielens_small
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return OCuLaR(

@@ -422,7 +422,7 @@ class TestPrunedLineSearch:
         return _sweep_kwargs(matrix, self.REGULARIZATION, row_weights, weighted)
 
     def _fitted_model(self):
-        matrix, _spec = make_netflix_like(n_users=80, n_items=30, random_state=0)
+        matrix = make_netflix_like(n_users=80, n_items=30, random_state=0)
         model = OCuLaR(
             n_coclusters=50,
             regularization=self.REGULARIZATION,
@@ -878,7 +878,7 @@ class TestWorkspaceStore:
 class TestFitLifecycle:
     @pytest.fixture(scope="class")
     def corpus(self):
-        matrix, _spec = make_netflix_like(n_users=80, n_items=30, random_state=0)
+        matrix = make_netflix_like(n_users=80, n_items=30, random_state=0)
         return matrix
 
     def _fit(self, corpus, seed=0):
