@@ -114,6 +114,7 @@ class _Groups:
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` by one sort; NumPy 2's hashing ``np.unique`` is ~20x slower here."""
     keys = np.sort(keys)
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
@@ -122,9 +123,8 @@ def _fill(rng, keys, want, floor, rows: _Groups, targets: _Groups) -> np.ndarray
     """Draw positives until row ``r`` holds ``want[r]`` distinct targets.
 
     ``keys`` are the sorted positives so far as ``row * n_targets + target``.
-    A row draws its deficit from its groups (plus off-group noise), later
-    from popularity alone; rows that the rounds leave below ``floor`` are
-    then filled with uniformly random targets.
+    A row draws its deficit from its groups (plus off-group noise), later from
+    popularity alone; rows still below ``floor`` then get uniform targets.
     """
     n_rows, n_targets = len(want), len(targets.global_cdf)
     have = np.bincount(keys // n_targets, minlength=n_rows)
@@ -173,12 +173,12 @@ def _sample_stand_in(
     items = _Groups.draw(rng, popularity, n_groups, _ITEM_GROUPS)
 
     # Item floors first, drawn as item-major keys and turned user-major.
-    floors = np.full(n_items, item_floor)
-    floors = _fill(rng, np.empty(0, dtype=np.int64), floors, item_floor, items, users)
-    keys = np.sort(floors % n_users * n_items + floors // n_users)
+    item_keys = np.empty(0, dtype=np.int64)
+    item_keys = _fill(rng, item_keys, np.full(n_items, item_floor), item_floor, items, users)
+    keys = np.sort(item_keys % n_users * n_items + item_keys // n_users)
     have = np.bincount(keys // n_items, minlength=n_users)
 
-    # Activity degrees scaled so that, on top of the floors, they sum to nnz.
+    # Activity degrees (at most half the catalogue) scaled to sum to nnz, floors included.
     def degrees(factor: float) -> np.ndarray:
         scaled = np.clip(np.round(activity * factor), user_floor, max(user_floor, n_items // 2))
         return np.maximum(scaled.astype(np.int64), have)
