@@ -82,22 +82,83 @@ class SharedEngineSpec:
         return [spec.shm_name for spec in self.array_specs()]
 
 
-#: Process-wide source of unique publication generations.  ``itertools.count``
-#: is atomic under the GIL, so concurrent publishers never collide on keys.
+#: Process-wide source of unique publication tokens (engine generations,
+#: seen masks and factor slots alike).  ``itertools.count`` is atomic under
+#: the GIL, so concurrent publishers never collide on keys.
 _GENERATIONS = itertools.count(1)
 
 
-def _engine_keys(generation: int) -> List[Tuple]:
-    """The executor slot keys one engine generation occupies.
+def _factor_keys(token: int) -> List[Tuple]:
+    """The executor slot keys of one factor pair."""
+    return [("engine", token, "user_factors"), ("engine", token, "item_factors")]
 
-    The single source of truth for the key layout — :func:`publish_engine`
-    and :func:`unpublish_engine` both derive from it, so they cannot drift.
+
+def _seen_keys(token: int) -> List[Tuple]:
+    """The executor slot keys of one seen mask."""
+    return csr_keys(("engine", token, "seen"))
+
+
+def _publish_all(executor: Any, keys: List[Tuple], arrays: Sequence) -> List[SharedArraySpec]:
+    """Publish ``arrays`` under ``keys``, all or none.
+
+    Non-evictable: a published model version must stay attachable until it
+    is unpublished — LRU churn from other publications (a refit's plan and
+    factor slots) must never silently unlink a generation workers still
+    serve.  A write that fails part-way (a full ``/dev/shm``) unpublishes
+    every key of the call before it raises, a rewritten one included, so
+    nothing of it waits for the executor's shutdown.
     """
-    return [
-        ("engine", generation, "user_factors"),
-        ("engine", generation, "item_factors"),
-        *csr_keys(("engine", generation, "seen")),
-    ]
+    try:
+        return [
+            executor.publish(key, array, evictable=False)
+            for key, array in zip(keys, arrays)
+        ]
+    except BaseException:
+        _unpublish_all(executor, keys)
+        raise
+
+
+def _unpublish_all(executor: Any, keys: List[Tuple]) -> None:
+    for key in keys:
+        executor.unpublish(key)
+
+
+def _publish_seen(executor: Any, token: int, matrix: InteractionMatrix) -> SharedCsrSpec:
+    """Publish a training matrix's CSR as a seen mask."""
+    csr = matrix.csr()
+    arrays = [getattr(csr, field) for field in CSR_FIELDS]
+    return SharedCsrSpec(tuple(csr.shape), *_publish_all(executor, _seen_keys(token), arrays))
+
+
+def _publish_factors(
+    executor: Any, token: int, engine: TopNEngine
+) -> Tuple[SharedArraySpec, SharedArraySpec]:
+    """Publish an engine's factor pair under the slot ``token``.
+
+    The *serving*-dtype arrays are published (for a float32-serving engine
+    that is half the shared-memory footprint and bandwidth), so workers
+    score byte-identically to the publisher without casting.  A slot that
+    already holds a pair of the same shapes and dtype is rewritten in place.
+    """
+    arrays = [engine.serving_user_factors, engine.serving_item_factors]
+    user_factors, item_factors = _publish_all(executor, _factor_keys(token), arrays)
+    return user_factors, item_factors
+
+
+def _engine_spec(
+    generation: int,
+    engine: TopNEngine,
+    factors: Tuple[SharedArraySpec, SharedArraySpec],
+    seen: SharedCsrSpec,
+) -> SharedEngineSpec:
+    return SharedEngineSpec(
+        generation=generation,
+        chunk_size=engine.chunk_size,
+        user_factors=factors[0],
+        item_factors=factors[1],
+        seen=seen,
+        dtype=str(engine.serving_dtype),
+    )
 
 
 def publish_engine(executor: Any, engine: TopNEngine) -> SharedEngineSpec:
@@ -105,7 +166,7 @@ def publish_engine(executor: Any, engine: TopNEngine) -> SharedEngineSpec:
 
     ``executor`` is any publication-capable executor (see
     :func:`~repro.parallel.publication.supports_publication`).  One copy per
-    array per model version; the returned spec is the complete task payload
+    array, all five or none; the returned spec is the complete task payload
     for :func:`_topn_shard`.  Requires a factor-path engine — model-path
     engines have no arrays to share and must be pickled instead.
     """
@@ -115,43 +176,24 @@ def publish_engine(executor: Any, engine: TopNEngine) -> SharedEngineSpec:
             "engines must be shipped by value"
         )
     generation = next(_GENERATIONS)
-    csr = engine.train_matrix.csr()
-    arrays = (
-        engine.serving_user_factors,
-        engine.serving_item_factors,
-        *(getattr(csr, field) for field in CSR_FIELDS),
-    )
-    # Non-evictable: a published model version must stay attachable until
-    # unpublish_engine — LRU churn from other publications (a refit's plan
-    # and factor slots) must never silently unlink a generation workers
-    # still serve.
-    # The *serving*-dtype arrays are published (for a float32-serving engine
-    # that is half the shared-memory footprint and bandwidth), so workers
-    # score byte-identically to the publisher without casting.
-    user_factors, item_factors, *seen = (
-        executor.publish(key, array, evictable=False)
-        for key, array in zip(_engine_keys(generation), arrays)
-    )
-    return SharedEngineSpec(
-        generation=generation,
-        chunk_size=engine.chunk_size,
-        user_factors=user_factors,
-        item_factors=item_factors,
-        seen=SharedCsrSpec(tuple(csr.shape), *seen),
-        dtype=str(engine.serving_dtype),
-    )
+    seen = _publish_seen(executor, generation, engine.train_matrix)
+    try:
+        factors = _publish_factors(executor, generation, engine)
+    except BaseException:
+        _unpublish_all(executor, _seen_keys(generation))
+        raise
+    return _engine_spec(generation, engine, factors, seen)
 
 
 def unpublish_engine(executor: Any, spec: SharedEngineSpec) -> None:
-    """Retire one published engine generation.
+    """Retire one engine :func:`publish_engine` published.
 
     Safe while serving tasks are in flight: workers already attached keep
     valid mappings until their processes exit or prune them (only the
     ``/dev/shm`` names disappear now), and cluster nodes keep their fetched
     copies until the eviction reaches them.
     """
-    for key in _engine_keys(spec.generation):
-        executor.unpublish(key)
+    _unpublish_all(executor, _factor_keys(spec.generation) + _seen_keys(spec.generation))
 
 
 #: How many engine generations one worker keeps rebuilt at a time.  Two

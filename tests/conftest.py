@@ -7,6 +7,8 @@ use fixed seeds; the suite is fully deterministic.
 
 from __future__ import annotations
 
+import errno
+import itertools
 import os
 import sys
 import warnings
@@ -88,6 +90,30 @@ def shm_ledger(monkeypatch):
 
     monkeypatch.setattr(_SegmentStore, "write", recording_write)
     return ledger
+
+
+@pytest.fixture()
+def failing_store_write(monkeypatch):
+    """``arm(k)`` makes the k-th shared-memory store write from now on raise.
+
+    The error is the one a full ``/dev/shm`` gives.  Each ``arm`` restarts
+    the count; ``arm(None)`` lets every write through again.
+    """
+    from repro.parallel.shared_memory import _SegmentStore
+
+    write = _SegmentStore.write
+
+    def arm(failing):
+        count = itertools.count(1)
+
+        def failing_write(store, array, previous, pinned):
+            if next(count) == failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(store, array, previous, pinned)
+
+        monkeypatch.setattr(_SegmentStore, "write", failing_write)
+
+    return arm
 
 
 @pytest.fixture()

@@ -275,6 +275,45 @@ class TestGenerationLifecycle:
                 RecommendRequest(users=(0, 1), n_items=3)
             ).rankings
 
+    @pytest.mark.parametrize(
+        "case, failing_write",
+        [("new seen mask", k) for k in range(1, 6)]
+        + [("new factor slot", k) for k in (1, 2)]
+        + [("reused factor slot", k) for k in (1, 2)],
+    )
+    def test_failed_publish_leaves_no_publication(
+        self, corpus, failing_store_write, shm_ledger, case, failing_write
+    ):
+        # A store write failing part-way (a full /dev/shm) leaves nothing
+        # the failed publish wrote, and the serving generation as it was.
+        request = RecommendRequest(users=range(60), n_items=5)
+        with RecommenderRuntime(executor="process", max_workers=2) as runtime:
+            runtime.fit(_model(), corpus)
+            runtime.publish()
+            if case == "reused factor slot":
+                runtime.update()  # the first generation's slot is now free
+            if case == "new seen mask":
+                runtime.ingest([(150, 1), (150, 2)], n_new_users=1)
+                runtime.refit()
+            generation, spec = runtime.generation, runtime.published_spec
+            want = runtime.recommend(request, shard_size=20).rankings
+            names = runtime.executor.active_segment_names
+            before, created = set(names()), set(shm_ledger.names)
+            failing_store_write(failing_write)
+            with pytest.raises(OSError):
+                runtime.update()
+            failing_store_write(None)
+            assert set(names()) <= before
+            if case != "reused factor slot":
+                assert set(names()) == before
+            assert not (shm_ledger.live() - created)
+            assert runtime.generation == generation
+            assert runtime.published_spec is spec
+            assert set(spec.segment_names()) <= set(names())
+            assert runtime.recommend(request, shard_size=20).rankings == want
+            assert runtime.update() == generation + 1
+        shm_ledger.assert_gone()
+
     def test_refit_loop_keeps_worker_mappings_flat(self, corpus, starmap_log):
         # A warm pool refitting in a loop: each cycle's first sweep, swap
         # and sharded call reach the workers as new publications.  Worker

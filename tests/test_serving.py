@@ -443,6 +443,28 @@ class TestFoldInPlanCache:
 # --------------------------------------------------------------------------- #
 # Sharded serving
 # --------------------------------------------------------------------------- #
+class TestPublishEngineFailure:
+    @pytest.mark.parametrize("failing_write", [1, 2, 3, 4, 5])
+    def test_failed_publish_leaves_nothing_published(
+        self, fitted_movielens_model, failing_store_write, shm_ledger, failing_write
+    ):
+        # A store write that fails part-way (a full /dev/shm) retires what
+        # the call already wrote: nothing of it waits for the executor's
+        # shutdown.
+        from repro.serving import shared as serving_shared
+
+        engine = TopNEngine.from_model(fitted_movielens_model)
+        with SharedMemoryProcessExecutor(max_workers=1) as executor:
+            failing_store_write(failing_write)
+            with pytest.raises(OSError):
+                serving_shared.publish_engine(executor, engine)
+            assert executor.active_segment_names() == []
+            assert not shm_ledger.live()
+            failing_store_write(None)
+            spec = serving_shared.publish_engine(executor, engine)
+            assert sorted(executor.active_segment_names()) == sorted(spec.segment_names())
+
+
 class TestServeSharded:
     def test_order_stable_across_executors(self, fitted_movielens_model, movielens_small):
         engine = TopNEngine.from_model(fitted_movielens_model)
