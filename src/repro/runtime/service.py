@@ -67,7 +67,7 @@ from repro.core.backends import ParallelBackend
 from repro.core.factors import FactorModel
 from repro.data.interactions import InteractionMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.parallel import ShardScheduler, supports_publication
+from repro.parallel import ShardScheduler
 from repro.runtime.generations import GenerationTable, _Generation
 from repro.serving.batch import fan_out_topn
 from repro.serving.engine import TopNEngine
@@ -75,7 +75,7 @@ from repro.serving.fold_in import (
     _interactions_to_csr, _solver_constants, extend_factors, fold_in_scores,
 )
 from repro.serving.results import TopNResult
-from repro.serving.shared import SharedEngineSpec, publish_engine
+from repro.serving.shared import SharedEngineSpec
 
 
 #: Plateau tolerance a warm :meth:`RecommenderRuntime.refit` passes to the
@@ -547,18 +547,15 @@ class RecommenderRuntime:
         model = self.model if model is None else model
         if model is None or not getattr(model, "is_fitted", False):
             raise NotFittedError("publish requires a fitted model")
-        engine = TopNEngine.from_model(model)
-        spec = None
-        if supports_publication(self._executor) and engine.factors is not None:
-            spec = publish_engine(self._executor, engine)
         factors = getattr(model, "factors_", None)
         solver = (
             _PublishedSolver(factors_=factors, **_solver_constants(model))
             if isinstance(factors, FactorModel)
             else None
         )
+        number = self._generations.install(TopNEngine.from_model(model), solver)
         self.model = model
-        return self._generations.install(engine, spec, solver)
+        return number
 
     def update(self, model=None) -> int:
         """Swap the serving state to a new model version.

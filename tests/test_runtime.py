@@ -39,6 +39,16 @@ def _mapped_segments(_task):
     return os.getpid(), len(shared_memory._ATTACHMENTS)
 
 
+def _factor_names(spec) -> set:
+    """The segments of a published generation's factor pair."""
+    return {spec.user_factors.shm_name, spec.item_factors.shm_name}
+
+
+def _seen_names(spec) -> set:
+    """The segments of the seen mask a published generation serves with."""
+    return {array.shm_name for array in spec.seen.array_specs()}
+
+
 def _model(**overrides):
     settings = dict(
         n_coclusters=6,
@@ -234,13 +244,17 @@ class TestGenerationLifecycle:
             second_spec = runtime.published_spec
             assert second_spec is not None
             assert second_spec.generation != first_spec.generation
-            # The old generation's names are gone from /dev/shm and from the
-            # executor's books; the new one is live.
-            assert not (first_names & shm_ledger.entries())
-            assert not (
-                first_names & set(runtime.executor.active_segment_names())
-            )
-            assert set(second_spec.segment_names()) <= shm_ledger.entries()
+            # The new generation copied only its factor pair: it shares the
+            # seen mask of the one training matrix, and the old generation,
+            # released, left its factor pair free for the next one.
+            assert _seen_names(second_spec) == _seen_names(first_spec)
+            assert not (_factor_names(second_spec) & first_names)
+            live = set(runtime.executor.active_segment_names())
+            assert live == set(second_spec.segment_names()) | _factor_names(first_spec)
+            assert live <= shm_ledger.entries()
+            # The next generation rewrites that free pair in place.
+            runtime.update()
+            assert _factor_names(runtime.published_spec) == _factor_names(first_spec)
             # Serving still works after the swap.
             assert runtime.recommend(
                 RecommendRequest(users=(0, 1, 2), n_items=3)
@@ -268,8 +282,13 @@ class TestGenerationLifecycle:
             assert response.generation == session.generation == 1
             assert len(response.rankings) == 3
             session.release()
-            # Last reference dropped: the retired generation unlinks now.
-            assert not (old_names & shm_ledger.entries())
+            # Last reference dropped: the retired generation is released now,
+            # so the next generation rewrites its factor pair in place (its
+            # seen mask is the current generation's as well).
+            runtime.update()
+            spec = runtime.published_spec
+            assert set(spec.segment_names()) == old_names
+            assert spec.generation != session._spec.generation
             # The new generation serves normally.
             assert runtime.recommend(
                 RecommendRequest(users=(0, 1), n_items=3)
@@ -320,23 +339,27 @@ class TestGenerationLifecycle:
         # mappings must track the live ones, not pile up dead fits' plans.
         # A worker that ran a fit's sweep shards but drew no serving shard
         # keeps that one fit mapped until its next cache miss (there is no
-        # idle eviction), so the bound is the live engine plus one fit's
-        # publications, both read from the publisher.
+        # idle eviction), so the bound is the live engine, the factor pair
+        # the previous generation left free, and one fit's publications,
+        # all read from the publisher.
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             runtime.publish()
             log = starmap_log(runtime)
             engine_names = len(runtime.published_spec.segment_names())
+            specs = [runtime.published_spec]
             fit_names = []
 
             def count_fit_publications(_iteration, _history):
                 live = set(runtime.executor.active_segment_names())
-                fit_names.append(len(live - set(runtime.published_spec.segment_names())))
+                engines = set().union(*(spec.segment_names() for spec in specs[-2:]))
+                fit_names.append(len(live - engines))
 
             counts = []
             for _cycle in range(5):
                 runtime.refit(callback=count_fit_publications)
                 runtime.update()
+                specs.append(runtime.published_spec)
                 log.clear()  # the refit's sweeps
                 runtime.recommend(
                     RecommendRequest(users=range(60), n_items=5), shard_size=20
@@ -346,9 +369,109 @@ class TestGenerationLifecycle:
                 assert len(mapped) == 2
                 counts.append(max(mapped.values()))
         assert engine_names == 5 and len(set(fit_names)) == 1
-        bound = engine_names + fit_names[0]
+        bound = engine_names + 2 + fit_names[0]
         assert counts[0] >= engine_names
         assert all(count <= bound for count in counts), (counts, bound)
+
+    @pytest.mark.parametrize("executor", ["process", "cluster"])
+    def test_pinned_generation_is_rewritten_only_after_release(
+        self, corpus, starmap_log, executor
+    ):
+        # A session pins generation N while N+1 and N+2, fits with other
+        # seeds, are published.  The pool serves N (one user per shard) with
+        # exactly the rankings of an in-process engine on N's factors, and
+        # N's factor slot goes to a new generation only after the release.
+        users = tuple(range(8))
+        request = RecommendRequest(users=users, n_items=5)
+        with RecommenderRuntime(executor=executor, max_workers=2) as runtime:
+            names = getattr(runtime.executor, "active_segment_names", None)
+            names = names or runtime.executor.active_store_keys
+            model = runtime.fit(_model(), corpus)
+            runtime.publish()
+            want = TopNEngine.from_model(model).topn(users, n_items=5)
+            session = runtime.serving_session()
+            pinned = _factor_names(session._spec)
+            log = starmap_log(runtime)
+            for seed in (1, 2):
+                runtime.fit(_model(random_state=seed), corpus)
+                runtime.update()
+                assert not (pinned & _factor_names(runtime.published_spec))
+                assert pinned <= set(names())
+                log.clear()  # the fit's sweeps
+                got = session.recommend(request, shard_size=1)
+                assert log.dispatch() == ("descriptors", len(users))
+                assert got.generation == session.generation
+                assert got.rankings == want
+            session.release()
+            model = runtime.fit(_model(random_state=3), corpus)
+            runtime.update()
+            if executor == "process":
+                # The slot is rewritten in place: same segments, new bytes.
+                assert _factor_names(runtime.published_spec) == pinned
+            else:
+                # A cluster rewrite is a new object; the old one is evicted.
+                assert not (pinned & set(names()))
+            # The live generation, and the one free factor pair.
+            assert len(names()) == 5 + 2
+            log.clear()
+            got = runtime.recommend(request, shard_size=1).rankings
+            assert log.dispatch() == ("descriptors", len(users))
+            assert got == TopNEngine.from_model(model).topn(users, n_items=5)
+
+    @pytest.mark.parametrize("borrowed", [False, True])
+    def test_ingest_refit_update_publishes_new_seen_mask_and_factor_shapes(
+        self, corpus, shm_ledger, borrowed
+    ):
+        pool = SharedMemoryProcessExecutor(max_workers=2) if borrowed else None
+        runtime = RecommenderRuntime(executor=pool) if borrowed else RecommenderRuntime(
+            executor="process", max_workers=2
+        )
+        names = runtime.executor.active_segment_names
+        runtime.fit(_model(), corpus)
+        runtime.publish()
+        first = runtime.published_spec
+        runtime.update()  # the first generation's factor pair is now free
+        old = runtime.published_spec
+        session = runtime.serving_session()  # the last generation on the old matrix
+        runtime.ingest([(150, 1), (150, 2), (151, 3)], n_new_users=2)
+        runtime.refit()
+        runtime.update()
+        new = runtime.published_spec
+        # A new matrix has a new seen mask, and the user factors a new shape:
+        # the free pair's user segment is replaced, its item segment (same
+        # shape) rewritten in place.
+        assert new.seen.shape == (152, 60)
+        assert not (_seen_names(new) & _seen_names(old))
+        assert new.user_factors.shape[0] == 152
+        assert first.user_factors.shm_name not in shm_ledger.entries()
+        assert new.item_factors.shm_name == first.item_factors.shm_name
+        # The old matrix's mask stays while its last generation is held...
+        assert _seen_names(old) <= shm_ledger.entries()
+        response = session.recommend(
+            RecommendRequest(users=range(20), n_items=5), shard_size=5
+        )
+        assert response.generation == session.generation
+        session.release()
+        # ...and unlinks with it.  Its factor pair is free, and the next
+        # generation replaces the old-shape user segment there too.
+        assert not (_seen_names(old) & shm_ledger.entries())
+        runtime.update()
+        assert old.user_factors.shm_name not in shm_ledger.entries()
+        live = set(runtime.published_spec.segment_names()) | _factor_names(new)
+        assert set(names()) == live
+        # A session that outlives the close: nothing is left once the
+        # executor is shut down, or, on a borrowed one, once it lets go.
+        held = runtime.serving_session()
+        runtime.close()
+        if borrowed:
+            assert set(names()) == set(held._spec.segment_names())
+        else:
+            shm_ledger.assert_gone()
+        held.release()
+        if borrowed:
+            assert names() == []
+            pool.shutdown()
+        shm_ledger.assert_gone()
 
     def test_recommend_folded_serves_published_version(self, corpus, fitted_reference):
         reference_model, engine = fitted_reference
@@ -498,7 +621,9 @@ class TestGenerationLifecycle:
             assert log.dispatch() == ("descriptors", 2)
             assert len(response.rankings) == 2
             in_flight.release()  # the last reference
-            assert not (names & shm_ledger.entries())
+            # Released: the next generation rewrites its factor pair in place.
+            runtime.update()
+            assert set(runtime.published_spec.segment_names()) == names
             # A released session refuses new calls.
             for released in (session, in_flight):
                 with pytest.raises(ConfigurationError):
@@ -549,7 +674,10 @@ class TestGenerationLifecycle:
                 assert not any(thread.is_alive() for thread in threads)
                 assert failures == []
                 assert served and all(entry == (1, True) for entry in served)
-                assert not (names & shm_ledger.entries())
+                # Released once the last call drained: the next generation
+                # rewrites its factor pair in place.
+                runtime.update()
+                assert set(runtime.published_spec.segment_names()) == names
         finally:
             sys.setswitchinterval(interval)
 
@@ -881,8 +1009,11 @@ class TestOneShardDispatch:
             # In-process serving never attached the retired segments, but the
             # session's reference still keeps them linked until it releases.
             assert old_names <= shm_ledger.entries()
+            assert not (_factor_names(runtime.published_spec) & old_names)
             session.release()
-            assert not (old_names & shm_ledger.entries())
+            # Released: the next generation rewrites its factor pair in place.
+            runtime.update()
+            assert set(runtime.published_spec.segment_names()) == old_names
         shm_ledger.assert_gone()
 
     def test_concurrent_one_user_requests_match_reference(

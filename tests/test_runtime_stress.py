@@ -195,8 +195,9 @@ class TestFrontEndUnderChurn:
                 for got, ref in zip(response.rankings, want):
                     assert np.array_equal(got, ref), (kind, response.generation)
             # All retired generations drained: the executor owns exactly the
-            # live publication (2 factor arrays + 3 seen-mask arrays).
-            assert len(runtime.executor.active_segment_names()) == 5
+            # live publication (2 factor arrays + 3 seen-mask arrays) and the
+            # factor pair a released generation left free for the next one.
+            assert len(runtime.executor.active_segment_names()) == 5 + 2
         shm_ledger.assert_gone()
 
 
@@ -248,7 +249,8 @@ class TestRuntimeSessionsUnderChurn:
                 want = ledger.expect_topn(generation, users, 5)
                 for got, ref in zip(rankings, want):
                     assert np.array_equal(got, ref), generation
-            assert len(runtime.executor.active_segment_names()) == 5
+            # The live publication and the free factor pair, as above.
+            assert len(runtime.executor.active_segment_names()) == 5 + 2
         shm_ledger.assert_gone()
 
     def test_ab_serving_two_pinned_generations(self, corpus, shm_ledger):
@@ -285,8 +287,10 @@ class TestRuntimeSessionsUnderChurn:
             # While pinned, the retired A generation is still in /dev/shm...
             assert names_a <= shm_ledger.entries()
             session_a.release()
-            # ...and unlinks as soon as its last reference drains.
-            assert not (names_a & shm_ledger.entries())
+            # ...and is released as soon as its last reference drains: the
+            # next generation rewrites its factor pair in place.
+            runtime.update()
+            assert set(runtime.published_spec.segment_names()) == names_a
             session_b.release()
             assert runtime.recommend(
                 RecommendRequest(users=users[:5], n_items=5)
@@ -397,7 +401,8 @@ class TestIngestWarmRefitChurn:
                     response.generation, [fresh_items], 5, N_SWEEPS
                 )
                 assert np.array_equal(response.rankings[1], want_fresh[0])
-            assert len(runtime.executor.active_segment_names()) == 5
+            # The live publication and the free factor pair, as above.
+            assert len(runtime.executor.active_segment_names()) == 5 + 2
         shm_ledger.assert_gone()
 
 
