@@ -22,12 +22,14 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   calling thread: one small subproblem per row costs less than a dispatch;
 
 * **one publication per model version**: :meth:`publish` pushes the trained
-  factor matrices and the CSR seen-mask through the publication protocol
-  (:mod:`repro.parallel.publication`), so every sharded :meth:`recommend`
-  call on a publishing executor ships only ``(user shard, descriptors)`` —
-  no factor bytes per task — and workers attach zero-copy (``"process"``)
-  or fetch once per node (``"cluster"``).  Rankings are byte-identical to
-  the single-process :class:`~repro.serving.engine.TopNEngine`;
+  factor matrices through the publication protocol
+  (:mod:`repro.parallel.publication`), next to the CSR seen-mask of the
+  training matrix, which is published once per matrix and shared by every
+  version built on it.  Every sharded :meth:`recommend` call on a
+  publishing executor ships only ``(user shard, descriptors)`` — no factor
+  bytes per task — and workers attach zero-copy (``"process"``) or fetch
+  once per node (``"cluster"``).  Rankings are byte-identical to the
+  single-process :class:`~repro.serving.engine.TopNEngine`;
 
 * **one request path**: :meth:`recommend` pins a generation once — a
   reference in the :mod:`~repro.runtime.generations` table, dropped when
@@ -41,14 +43,18 @@ hourly), and every ``serve_sharded`` call republishes or pickles its engine.
   ranking is a few percent of a cold-start call, so a fan-out has nothing
   to win there;
 
-* **generation swap semantics**: :meth:`update` republishes under a fresh
-  generation and retires the old one — unlinked immediately when idle, or
+* **generation swap semantics**: :meth:`update` publishes a fresh
+  generation and retires the old one — released immediately when idle, or
   when its last holder (an in-flight call, a :class:`ServingSession`) lets
-  go, so a swap never races a worker that has yet to attach.  Workers
-  prune stale attachments when the new generation reaches them.  On
-  :meth:`close` (or context exit) the owned executor is drained and every
-  segment unlinked — ``/dev/shm`` is verifiably clean afterwards, which
-  the test-suite asserts.
+  go, so a swap never races a worker that has yet to attach, and never
+  rewrites arrays one still reads.  A released generation's factor
+  segments are rewritten in place by the next generation of the same
+  shapes; its seen mask unlinks with the last generation on its matrix
+  (see :mod:`~repro.runtime.generations`).  Workers prune stale
+  attachments when the new generation reaches them.  On :meth:`close` (or
+  context exit) the owned executor is drained and every segment unlinked —
+  ``/dev/shm`` is verifiably clean afterwards, which the test-suite
+  asserts.
 """
 
 from __future__ import annotations
@@ -206,8 +212,9 @@ class ServingSession:
         """Drop the session's generation reference; idempotent.
 
         If the generation was retired by a swap while the session was open,
-        its segments unlink when the last reference (possibly this one)
-        drains — exactly like a long-running direct serving call.
+        it is released when the last reference (possibly this one) drains —
+        exactly like a long-running direct serving call: its factor segments
+        go to the next generation, its seen mask unlinks with its matrix.
         """
         with self._lock:
             if self._released:
@@ -535,12 +542,20 @@ class RecommenderRuntime:
     def publish(self, model=None) -> int:
         """Make ``model`` (default: the last fitted) the serving version.
 
-        Builds the serving engine and — on a shared-memory process executor
-        with a factor-path engine — publishes its factor matrices and CSR
-        seen-mask once, under a fresh generation.  The previously published
-        generation is unlinked after the swap — immediately when idle, or as
-        soon as its last holder lets go (each call pins the generation it
-        serves from, so a swap can never pull segments out from under it).
+        Builds the serving engine and — on a publishing executor (process
+        pool, cluster) with a factor-path engine — publishes it as a fresh
+        generation.  The generation copies only its two factor matrices,
+        into the segments of a released generation when one is free (bytes
+        rewritten in place when the shapes and dtype match), else into new
+        ones.  The CSR seen-mask is published once per training matrix: a
+        generation on the matrix the previous one served shares its mask.
+        The previously published generation is released after the swap —
+        immediately when idle, or as soon as its last holder lets go (each
+        call pins the generation it serves from, so a swap can never pull
+        segments out from under it or rewrite them).  Released, its factor
+        segments wait for the next generation and its seen mask unlinks if
+        no generation on its matrix is left.  A publish that fails leaves
+        the serving generation as it was and nothing of what it wrote.
         Returns the runtime's generation number.
         """
         self._check_open()
@@ -560,8 +575,10 @@ class RecommenderRuntime:
     def update(self, model=None) -> int:
         """Swap the serving state to a new model version.
 
-        Alias of :meth:`publish` with swap-first phrasing: republishes the
-        segments under a new generation and unlinks the old one.
+        Alias of :meth:`publish` with swap-first phrasing: publishes a new
+        generation — its factors into the old generation's segments once
+        those are released, the seen mask shared while the training matrix
+        is the same — and retires the old one.
         """
         return self.publish(model)
 
@@ -734,9 +751,10 @@ class RecommenderRuntime:
         if self._closed:
             return
         self._closed = True
-        # Unlinked now when idle; a generation some call or session still
-        # holds unlinks when that holder lets go, exactly like a swap (on an
-        # owned executor the shutdown below has by then removed it anyway).
+        # Unlinked now when idle, with the free factor segments; a
+        # generation some call or session still holds unlinks when that
+        # holder lets go (on an owned executor the shutdown below has by
+        # then removed it anyway).
         self._generations.close()
         self._backend.shutdown()
         self._scheduler.shutdown()

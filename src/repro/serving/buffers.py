@@ -16,8 +16,8 @@ the common case (one engine per serving thread) while still being safe for
 shared engines: the free list is lock-guarded, and the pipelined scoring
 path deliberately *takes* a buffer on the prefetch thread and *releases* it
 on the caller thread.  Under the process executor the pool is worker-local
-for free — each worker rebuilds (and caches) its own engine from the shared
-descriptors, pool included.
+for free: the engines a worker rebuilds (and caches) from the shared
+descriptors share one pool of that worker (:mod:`repro.serving.shared`).
 
 The engine's chunk-size autotuner caps ``chunk × n_items × itemsize`` at
 :data:`SCORE_BUFFER_BUDGET_BYTES`, so a 100k-item catalogue automatically

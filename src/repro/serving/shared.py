@@ -5,29 +5,36 @@
 included — into every shard task, which swamps task dispatch for any model
 worth sharding.  This module removes that cost with the same publication
 protocol (:mod:`repro.parallel.publication`) the training engine uses: the
-engine's factor matrices and the training-CSR seen-mask are published
-**once per model version** on any publication-capable executor — into
-``/dev/shm`` by the process pool, into the driver's object store by the
-cluster — and shard tasks carry only a :class:`SharedEngineSpec` — five
+engine's factor matrices and the training-CSR seen-mask are published on
+any publication-capable executor — into ``/dev/shm`` by the process pool,
+into the driver's object store by the cluster — and shard tasks carry only
+a :class:`SharedEngineSpec` — five
 :class:`~repro.parallel.publication.SharedArraySpec` descriptors — plus
 their user lists.  Workers attach the descriptors (mapped zero-copy, or
 fetched once per node) and rebuild an engine whose rankings are
 byte-identical to the publishing process's engine (the arrays are the same
 bytes and the kernels are the same code).
 
-Producers: :func:`publish_engine` / :func:`unpublish_engine` (used per call
-by :func:`~repro.serving.batch.serve_sharded` when it fans out, and per model
-*generation* by :class:`~repro.runtime.RecommenderRuntime`, which holds one
-publication across many serving calls and swaps it atomically on model
-updates).  Only known-user top-N travels this way: cold-start rows are
-ranked in the process that folded and scored them.
+Producers: :func:`publish_engine` / :func:`unpublish_engine` publish and
+retire all five arrays of one engine; :func:`~repro.serving.batch.serve_sharded`
+does so per call when it fans out.  A
+:class:`~repro.runtime.RecommenderRuntime` publishes per model *generation*
+through the same helpers, but copies only the two factor arrays each time:
+its generation table (:mod:`repro.runtime.generations`) publishes a
+training matrix's seen mask once and shares it across the generations
+built on that matrix, and rewrites the factor slot a released generation
+left free instead of making new segments.  Only known-user top-N travels
+this way: cold-start rows are ranked in the process that folded and scored
+them.
 
 Workers: :func:`_topn_shard` is the one shard worker — it takes an engine as
 it is and attaches a spec.  :func:`attach_engine` keeps the rebuilt engine
 in the worker cache of :mod:`repro.parallel.shared_memory`, which it shares
 with the training sweep sides: when a new generation arrives, engines (and
-sides) of retired publications are dropped and their mappings closed, so a
-long-lived worker maps the live generations and nothing else.
+sides) of unpublished arrays are dropped and their mappings closed, so a
+long-lived worker maps the live publications and nothing else.  A seen mask
+or factor slot the new generation shares with an older one stays mapped:
+the new engine views the same segments.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from repro.parallel.shared_memory import (
     attach_shared_csr,
     cached_attach,
 )
+from repro.serving.buffers import ScoreBufferPool
 from repro.serving.engine import TopNEngine
 from repro.serving.results import TopNResult
 
@@ -130,9 +138,7 @@ def _publish_seen(executor: Any, token: int, matrix: InteractionMatrix) -> Share
     return SharedCsrSpec(tuple(csr.shape), *_publish_all(executor, _seen_keys(token), arrays))
 
 
-def _publish_factors(
-    executor: Any, token: int, engine: TopNEngine
-) -> Tuple[SharedArraySpec, SharedArraySpec]:
+def _publish_factors(executor: Any, token: int, engine: TopNEngine) -> List[SharedArraySpec]:
     """Publish an engine's factor pair under the slot ``token``.
 
     The *serving*-dtype arrays are published (for a float32-serving engine
@@ -141,22 +147,15 @@ def _publish_factors(
     already holds a pair of the same shapes and dtype is rewritten in place.
     """
     arrays = [engine.serving_user_factors, engine.serving_item_factors]
-    user_factors, item_factors = _publish_all(executor, _factor_keys(token), arrays)
-    return user_factors, item_factors
+    return _publish_all(executor, _factor_keys(token), arrays)
 
 
 def _engine_spec(
-    generation: int,
-    engine: TopNEngine,
-    factors: Tuple[SharedArraySpec, SharedArraySpec],
-    seen: SharedCsrSpec,
+    generation: int, engine: TopNEngine, factors: List[SharedArraySpec], seen: SharedCsrSpec
 ) -> SharedEngineSpec:
+    user_factors, item_factors = factors
     return SharedEngineSpec(
-        generation=generation,
-        chunk_size=engine.chunk_size,
-        user_factors=factors[0],
-        item_factors=factors[1],
-        seen=seen,
+        generation, engine.chunk_size, user_factors, item_factors, seen,
         dtype=str(engine.serving_dtype),
     )
 
@@ -200,6 +199,13 @@ def unpublish_engine(executor: Any, spec: SharedEngineSpec) -> None:
 #: covers A/B serving; the headroom absorbs a swap racing a serving burst.
 MAX_CACHED_ENGINES = 4
 
+#: The score-block pool of every engine this process rebuilds from
+#: descriptors.  A worker keeps up to :data:`MAX_CACHED_ENGINES` of them
+#: (a runtime's released generation stays published until its factor pair
+#: is rewritten, so its engine stays cached), and all of them score into
+#: the same blocks: a worker's score memory is one engine's.
+_WORKER_POOL = ScoreBufferPool()
+
 
 def _build_engine(spec: SharedEngineSpec) -> TopNEngine:
     train_matrix = InteractionMatrix.from_validated_csr(attach_shared_csr(spec.seen))
@@ -207,9 +213,11 @@ def _build_engine(spec: SharedEngineSpec) -> TopNEngine:
         attach_shared_array(spec.user_factors),
         attach_shared_array(spec.item_factors),
     )
-    return TopNEngine(
+    engine = TopNEngine(
         train_matrix, factors=factors, chunk_size=spec.chunk_size, dtype=spec.dtype
     )
+    engine.pool = _WORKER_POOL
+    return engine
 
 
 def attach_engine(spec: SharedEngineSpec) -> TopNEngine:

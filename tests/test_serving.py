@@ -600,6 +600,27 @@ class TestWorkerCache:
             for name in spec_a.segment_names() + spec_b.segment_names():
                 assert name in worker_cache._ATTACHMENTS
 
+    def test_rebuilt_engines_share_one_score_pool(self, fitted_movielens_model, worker_cache):
+        # A runtime's released generation stays published (its factor pair
+        # waits to be rewritten), so a worker keeps its engine cached.  The
+        # engines a worker rebuilds score into one pool: a new generation
+        # allocates no score block the one before it did not.
+        from repro.runtime import RecommenderRuntime
+        from repro.serving import shared as serving_shared
+
+        users = list(range(40))
+        with RecommenderRuntime(executor="process", max_workers=1) as runtime:
+            engines = []
+            for _ in range(3):
+                runtime.publish(fitted_movielens_model)
+                engines.append(serving_shared.attach_engine(runtime.published_spec))
+                engines[-1].topn(users, n_items=5)
+                if len(engines) == 1:
+                    allocations = engines[0].pool.stats().allocations
+            assert len(worker_cache._CACHE) == 3
+            assert all(engine.pool is serving_shared._WORKER_POOL for engine in engines)
+            assert serving_shared._WORKER_POOL.stats().allocations == allocations
+
     def test_unlinked_generations_pruned_on_swap(self, two_engines, worker_cache):
         # The refit-loop shape: one live generation at a time.  When the
         # publisher unlinks a generation, the next swap reaching the worker
