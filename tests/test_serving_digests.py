@@ -5,9 +5,10 @@ serving surface no caller used (the fold-in twins, the runtime's dispatch
 stats, the fair queue's weights) was deleted.  Each digest covers every
 byte a caller sees: ranking and score blocks of ``runtime.recommend`` on all
 three in-process executors, the gateway's reply bytes for a fixed frame
-script (timing fields masked), the fair queue's pop order, and folded-in
-factors.  A change that moves one of them changed an output; do not
-re-record a digest to make it pass.
+script (timing fields masked), the fair queue's pop order, folded-in
+factors, and the engine's rankings over exactly tied scores.  A change
+that moves one of them changed an output; do not re-record a digest to
+make it pass.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import scipy.sparse as sp
 from repro.api import RecommendRequest
 from repro.core.ocular import OCuLaR
 from repro.data.datasets import make_netflix_like
+from repro.core.factors import FactorModel
 from repro.data.interactions import InteractionMatrix
 from repro.runtime import BatchingFrontEnd, GatewayThread, RecommenderRuntime, WeightedFairQueue
-from repro.serving import extend_factors, fold_in_users
+from repro.serving import TopNEngine, extend_factors, fold_in_users
 
 
 def _digest(chunks) -> str:
@@ -172,6 +174,55 @@ def _fold_in_chunks(corpus):
         yield seed.item_factors.tobytes()
 
 
+def _tie_engine(dtype):
+    """An engine whose scores tie everywhere, exactly.
+
+    Factor entries are 0, 1/2 or 1, so every affinity is a multiple of 1/4
+    computed without rounding: most user x item scores equal several others
+    bit for bit, whatever the BLAS, and one in six is exactly 0 (users 0..99
+    have all-zero factors).  Every user has seen about a quarter of the
+    catalogue (masked ``+inf``), and users 100..149 all but five items, fewer
+    unseen items than the lists below ask for.
+    """
+    rng = np.random.default_rng(2024)
+    n_users, n_items, k = 1100, 40, 4
+    user_factors = rng.integers(0, 3, size=(n_users, k)) / 2.0
+    item_factors = rng.integers(0, 3, size=(n_items, k)) / 2.0
+    user_factors[:100] = 0.0
+    dense = (rng.random((n_users, n_items)) < 0.25).astype(float)
+    dense[100:150] = 1.0
+    dense[100:150, rng.permutation(n_items)[:5]] = 0.0
+    factors = FactorModel(user_factors.astype(dtype), item_factors.astype(dtype))
+    return TopNEngine.from_factors(factors, InteractionMatrix.from_dense(dense))
+
+
+def _tie_chunks():
+    """``topn`` and ``rank_scored`` blocks over calls of 1, 8, 9 and 1,024 rows.
+
+    8 and 9 rows sit either side of the engine's direct-mask row count; 1,024
+    rows are one full chunk.
+    """
+    rng = np.random.default_rng(7)
+    for dtype in ("float64", "float32"):
+        engine = _tie_engine(dtype)
+        n_users = engine.train_matrix.n_users
+        for rows in (1, 8, 9, 1024):
+            users = rng.integers(0, n_users, size=rows)
+            users[: min(rows, 3)] = (3, 120, 140)[: min(rows, 3)]
+            for n in (1, 7, 12):
+                for exclude_seen in (True, False):
+                    yield from _ranking_bytes(
+                        engine.topn(users, n_items=n, exclude_seen=exclude_seen, with_scores=True)
+                    )
+            scores = engine.score_chunk(users)
+            seen = engine.train_matrix.csr()[users]
+            for n in (1, 7, 12):
+                yield from _ranking_bytes(
+                    engine.rank_scored(scores, n_items=n, seen=seen, with_scores=True)
+                )
+            yield from _ranking_bytes(engine.rank_scored(scores, n_items=12, with_scores=True))
+
+
 # Every digest but the queue's reads the Netflix stand-in; they were
 # re-recorded once, when the stand-in generators moved to the sparse
 # sampler: that changed the corpus, not the code the digests guard.
@@ -180,6 +231,8 @@ _PINNED = {
     "gateway": "d523c782695233fae94fd556be1b619bb7b87eccd54a18fc96f0d0f7bfadb2f2",
     "queue": "0a68502a56db0319a25f1aefe65136ac827da5944a1bde2ef8ab7118d455df4a",
     "fold_in": "dea547e5e4356e16a5bf50acae017460c2b279421da6f2fce97569232d31bf7e",
+    # Recorded before the engine's selection kernel was rewritten.
+    "ties": "26b7f043a63eb7ce7d76101169d4ab79772ac1c819d80f419008295bc5c3f8d7",
 }
 
 
@@ -197,3 +250,6 @@ class TestServingDigests:
 
     def test_fold_in_factors_are_bit_identical(self, corpus):
         assert _digest(_fold_in_chunks(corpus)) == _PINNED["fold_in"]
+
+    def test_tied_score_rankings_are_bit_identical(self):
+        assert _digest(_tie_chunks()) == _PINNED["ties"]
