@@ -82,18 +82,24 @@ def as_index_array(
 ) -> np.ndarray:
     """``values`` as an int64 index array, by the rule of :func:`as_int_tuple`.
 
-    An integer array is taken as it is, with no per-id walk; everything
-    else is read id by id, so ``1.5`` raises ``error``, not index 1.  With a
-    ``size``, every index must also lie in ``[0, size)``.
+    An array must be 1-D and not boolean (a mask is not ids); an integer one
+    is taken as it is, with no per-id walk.  Everything else is read id by
+    id, so ``1.5`` raises ``error``, not index 1.  With a ``size``, every
+    index must also lie in ``[0, size)``.
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+    is_array = isinstance(values, np.ndarray)
+    if is_array and (values.ndim != 1 or values.dtype.kind == "b"):
+        raise error(f"{name} must be a 1-D array of ids, got {values.dtype} {values.shape}")
+    if is_array and values.dtype.kind in "iu":
         array = np.asarray(values, dtype=np.int64)
     else:
         try:
             array = np.asarray(as_int_tuple(values, name, error), dtype=np.int64)
         except OverflowError as exc:
             raise error(f"{name} must fit a 64-bit integer") from exc
-    if size is not None and array.size and (array.min() < 0 or array.max() >= size):
+    # Read as unsigned, a negative index is at least 2**63: one reduction
+    # checks both ends.
+    if size is not None and array.size and array.view(np.uint64).max() >= size:
         raise error(f"{name} must lie in [0, {size})")
     return array
 

@@ -6,7 +6,8 @@ training matrix's per-user and per-item views, and the serving engine's
 ``score_chunk`` — reads the id by the package's integer rule and range, so
 an id that names no known user or item (a fraction, a negative index, one
 past the end, one past int64, NaN) raises a typed error instead of serving
-some other user's row.
+some other user's row.  So does an id array that is not 1-D, or is a
+boolean mask.
 
 The digests are sha256 of what those readers hand back for valid ids,
 recorded before the per-model id checks moved into ``Recommender`` and
@@ -36,7 +37,7 @@ from repro.core.ocular import OCuLaR
 from repro.core.r_ocular import ROCuLaR
 from repro.data import make_movielens_like
 from repro.exceptions import ConfigurationError, DataError
-from repro.serving import TopNEngine
+from repro.serving import TopNEngine, serve_sharded
 
 _OCULAR = dict(n_coclusters=4, regularization=3.0, max_iterations=5, tolerance=0.0, random_state=0)
 
@@ -212,3 +213,35 @@ def test_an_unknown_id_is_a_typed_error(reader, side, call, bad, fitted, matrix)
         value = matrix.n_users if side == "user" else matrix.n_items
     with pytest.raises((DataError, ConfigurationError)):
         call(fitted, matrix, value)
+
+
+# --------------------------------------------------------------------------- #
+# Id arrays that are not one-dimensional integer arrays
+# --------------------------------------------------------------------------- #
+ARRAY_READERS = [
+    ("factor-path engine.topn", lambda f: TopNEngine.from_model(f["OCuLaR"]).topn),
+    ("factor-path engine.score_chunk", lambda f: TopNEngine.from_model(f["OCuLaR"]).score_chunk),
+    ("model-path engine.topn", lambda f: TopNEngine.from_model(f["ItemKNN"]).topn),
+    (
+        "serve_sharded",
+        lambda f: lambda users: serve_sharded(TopNEngine.from_model(f["OCuLaR"]), users),
+    ),
+    ("OCuLaR.score_users", lambda f: f["OCuLaR"].score_users),
+    ("ItemKNN.score_users", lambda f: f["ItemKNN"].score_users),
+]
+# A boolean array is a mask, not ids: read as ids it would serve user 1 for
+# every True.
+BAD_ARRAYS = {
+    "2-D": np.array([[1, 2], [3, 4]]),
+    "column": np.array([[1], [2]]),
+    "0-d": np.array(3),
+    "boolean": np.array([True, True]),
+    "empty-boolean": np.array([], dtype=bool),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ARRAYS))
+@pytest.mark.parametrize("reader, build", ARRAY_READERS, ids=[r[0] for r in ARRAY_READERS])
+def test_an_id_array_must_be_one_dimensional_integers(reader, build, bad, fitted):
+    with pytest.raises((DataError, ConfigurationError), match="1-D"):
+        build(fitted)(BAD_ARRAYS[bad])

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 from repro.utils.validation import (
+    as_index_array,
     check_array_2d,
     check_non_negative_float,
     check_positive_float,
@@ -86,3 +87,28 @@ class TestCheckArray2d:
     def test_rejects_nan(self):
         with pytest.raises(ConfigurationError):
             check_array_2d([[1.0, float("nan")]], "factors")
+
+
+class TestAsIndexArray:
+    def test_integer_array_is_read_without_a_walk(self):
+        ids = np.array([3, 0, 2], dtype=np.int32)
+        result = as_index_array(ids, "users", 4)
+        assert result.dtype == np.int64
+        assert result.tolist() == [3, 0, 2]
+
+    def test_range_uses_one_bound_for_both_sides(self):
+        with pytest.raises(ConfigurationError, match=r"\[0, 4\)"):
+            as_index_array(np.array([-1]), "users", 4)
+        with pytest.raises(ConfigurationError, match=r"\[0, 4\)"):
+            as_index_array(np.array([4]), "users", 4)
+        with pytest.raises(ConfigurationError, match=r"\[0, 4\)"):
+            as_index_array(np.array([2**63 - 1], dtype=np.uint64), "users", 4)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([[1, 2], [3, 0]]), np.array(3), np.array([True, False]), np.array([[1.0]])],
+        ids=["2-D", "0-d", "boolean", "2-D float"],
+    )
+    def test_refuses_arrays_other_than_1d_ids(self, ids):
+        with pytest.raises(DataError, match="1-D"):
+            as_index_array(ids, "users", 4, DataError)
