@@ -300,7 +300,9 @@ class TopNEngine:
             gather = self.pool.take(
                 rows, self._serving_user_factors.shape[1], self.serving_dtype
             )
-            np.take(self._serving_user_factors, users, axis=0, out=gather)
+            # The ids are checked, so "clip" clips nothing; it spares the
+            # copy through a temporary that "raise" makes for ``out=``.
+            self._serving_user_factors.take(users, axis=0, out=gather, mode="clip")
             np.negative(gather, out=gather)
             block = self.pool.take(rows, self.n_items, self.serving_dtype)
             np.matmul(gather, self._serving_item_factors.T, out=block)
@@ -345,38 +347,32 @@ class TopNEngine:
             return TopNResult.empty(width=n, with_scores=with_scores)
         size = self.effective_chunk_size()
         total = int(user_array.size)
-        out_items = np.full((total, n), -1, dtype=np.int32)
+        # Every row is written by its chunk's selection, padding included.
+        out_items = np.empty((total, n), dtype=np.int32)
         out_lengths = np.empty(total, dtype=np.int32)
         out_scores = (
             np.empty((total, n), dtype=self.serving_dtype) if with_scores else None
         )
         csr = self.train_matrix.csr() if exclude_seen else None
-        starts = list(range(0, total, size))
-        if self._pipelined() and len(starts) > 1:
-            executor = _prefetch_executor()
-            future = executor.submit(
-                self._neg_scores_pooled, user_array[starts[0] : starts[0] + size]
-            )
-            for index, start in enumerate(starts):
-                neg_scores = future.result()
-                if index + 1 < len(starts):
-                    nxt = starts[index + 1]
-                    future = executor.submit(
-                        self._neg_scores_pooled, user_array[nxt : nxt + size]
-                    )
-                chunk = user_array[start : start + size]
-                self._select_chunk(
-                    neg_scores, chunk, csr, start, out_items, out_lengths, out_scores
-                )
-                self.pool.release(neg_scores)
-        else:
-            for start in starts:
-                chunk = user_array[start : start + size]
+        starts = range(0, total, size)
+        # Pipelined, chunk k+1 is scored on the prefetch thread while chunk k
+        # is masked and selected here.
+        prefetch = _prefetch_executor() if len(starts) > 1 and self._pipelined() else None
+        if prefetch is not None:
+            future = prefetch.submit(self._neg_scores_pooled, user_array[:size])
+        for start in starts:
+            chunk = user_array[start : start + size]
+            if prefetch is None:
                 neg_scores = self._neg_scores_pooled(chunk)
-                self._select_chunk(
-                    neg_scores, chunk, csr, start, out_items, out_lengths, out_scores
-                )
-                self.pool.release(neg_scores)
+            else:
+                neg_scores = future.result()
+                if start + size < total:
+                    following = user_array[start + size : start + 2 * size]
+                    future = prefetch.submit(self._neg_scores_pooled, following)
+            if csr is not None:
+                self._mask_seen(neg_scores, chunk, csr)
+            self._select_rows(neg_scores, n, out_items, out_lengths, out_scores, start)
+            self.pool.release(neg_scores)
         return TopNResult(out_items, out_lengths, out_scores)
 
     def rank_scored(
@@ -499,21 +495,6 @@ class TopNEngine:
         flat += columns
         neg_scores.reshape(-1)[flat] = np.inf
 
-    def _select_chunk(
-        self,
-        neg_scores: np.ndarray,
-        chunk_users: np.ndarray,
-        csr: Optional[sp.csr_matrix],
-        row0: int,
-        out_items: np.ndarray,
-        out_lengths: np.ndarray,
-        out_scores: Optional[np.ndarray],
-    ) -> None:
-        """Mask and select one scored chunk into the flat output blocks."""
-        if csr is not None:
-            self._mask_seen(neg_scores, chunk_users, csr)
-        self._select_rows(neg_scores, out_items.shape[1], out_items, out_lengths, out_scores, row0)
-
     @staticmethod
     def _select_rows(
         neg_scores: np.ndarray,
@@ -535,11 +516,12 @@ class TopNEngine:
         flat blocks at ``row0`` — no per-row list objects.
         """
         rows = neg_scores.shape[0]
+        row_index = np.arange(rows)[:, None]
         top = np.argpartition(neg_scores, n - 1, axis=1)[:, :n]
-        top_scores = np.take_along_axis(neg_scores, top, axis=1)
+        top_scores = neg_scores[row_index, top]
         order = np.argsort(top_scores, axis=1, kind="stable")
-        ranked = np.take_along_axis(top, order, axis=1)
-        ranked_scores = np.take_along_axis(top_scores, order, axis=1)
+        ranked = top[row_index, order]
+        ranked_scores = top_scores[row_index, order]
         finite = np.isfinite(ranked_scores)
         block = out_items[row0 : row0 + rows]
         block[...] = ranked
@@ -547,8 +529,7 @@ class TopNEngine:
         if not finite.all():
             block[~finite] = -1
         if out_scores is not None:
-            np.negative(ranked_scores, out=ranked_scores)
-            out_scores[row0 : row0 + rows] = ranked_scores
+            np.negative(ranked_scores, out=out_scores[row0 : row0 + rows])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         path = "factors" if self.factors is not None else type(self.model).__name__

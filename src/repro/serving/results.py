@@ -124,13 +124,16 @@ class TopNResult(Sequence):
     def concat(cls, results: Sequence["TopNResult"]) -> "TopNResult":
         """Stack shard results into one flat result (order preserved).
 
-        Shards of one serving call share a width, so the common case is a
-        straight ``vstack`` of the blocks; mixed widths (merging calls with
-        different ``n_items``) are padded to the widest.
+        A lone result is returned as it is, not copied.  Shards of one
+        serving call share a width, so the common case is a straight
+        ``vstack`` of the blocks; mixed widths (merging calls with different
+        ``n_items``) are padded to the widest.
         """
         results = list(results)
         if not results:
             return cls.empty()
+        if len(results) == 1:
+            return results[0]
         widths = {result.width for result in results}
         with_scores = all(result.scores is not None for result in results)
         if len(widths) == 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -663,3 +664,54 @@ class TestPrefetchForkSafety:
                 os._exit(status)
         _, raw_status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(raw_status) == 0
+
+
+# --------------------------------------------------------------------------- #
+# The fixed cost of one call, counted without a clock
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def wide_engine():
+    """A factor-path engine over 4,000 items: one catalogue row is 32 KB."""
+    from repro.core.factors import FactorModel
+    from repro.data.interactions import InteractionMatrix
+
+    rng = np.random.default_rng(3)
+    factors = FactorModel(rng.random((50, 8)), rng.random((4000, 8)))
+    seen = sp.random(50, 4000, density=0.01, random_state=3, format="csr")
+    return TopNEngine.from_factors(factors, InteractionMatrix(seen))
+
+
+class TestOneCallFixedCost:
+    def test_one_row_call_does_not_ask_for_the_cpu_count(self, wide_engine, monkeypatch):
+        wide_engine.topn(np.array([3]), n_items=10)
+
+        def refuse():
+            raise AssertionError("os.cpu_count() read on a one-chunk call")
+
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        assert wide_engine.topn(np.array([3]), n_items=10).lengths.tolist() == [10]
+
+    def test_concat_of_one_result_is_that_result(self):
+        lone = TopNResult.from_rows([np.array([4, 2])], scores=[np.array([0.5, 0.25])])
+        merged = TopNResult.concat([lone])
+        for mine, theirs in zip(
+            (merged.items, merged.lengths, merged.scores), (lone.items, lone.lengths, lone.scores)
+        ):
+            assert np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("with_scores", [False, True])
+    def test_one_row_call_allocates_one_catalogue_row(self, wide_engine, with_scores):
+        # The score and gather blocks come from the warm pool, so what a call
+        # allocates at its peak is argpartition's int64 index row (32,000
+        # bytes here) plus the call's small arrays: 7.2-7.5 KB measured, for
+        # 16 KB allowed.  A second catalogue-wide temporary would exceed it.
+        users = np.array([7])
+        wide_engine.topn(users, n_items=20, with_scores=with_scores)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            wide_engine.topn(users, n_items=20, with_scores=with_scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= wide_engine.n_items * 8 + 16 * 1024
