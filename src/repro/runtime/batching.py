@@ -4,9 +4,12 @@ The paper's deployment serves many concurrent B2B clients, each asking for
 recommendations for a handful of users at a time.  A request that small
 makes one shard, which the runtime serves on the caller's thread (no
 executor round-trip — see :mod:`repro.runtime.service`), but it still pays
-the fixed cost of a whole engine call (~0.1 ms) for four rows of BLAS work,
-so under high request concurrency that per-call overhead — not the scoring
-— bounds users/s.
+the fixed cost of a whole engine call for four rows of BLAS work — one
+known user, top-50 of 1,200 items at K = 50, is ~61 µs in
+:meth:`~repro.runtime.service.RecommenderRuntime.recommend` on a 2-core host
+(~93 µs before the known-user path shed its per-call overhead), of which
+~24 µs is arithmetic — so under high request concurrency that per-call
+overhead, not the scoring, bounds users/s.
 
 :class:`BatchingFrontEnd` closes that gap with classic micro-batching:
 
