@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.plan import SweepSide
+from repro.core.backends.plan import SweepPlan, SweepSide
 from repro.exceptions import ConfigurationError
 
 
@@ -133,6 +134,19 @@ class Backend(abc.ABC):
         A no-op for stateless backends.  Backends that own pools recreate
         them lazily, so a shut-down backend remains usable.
         """
+
+    @contextmanager
+    def _fit_sides(
+        self, matrix, user_weights: Optional[np.ndarray], dtype
+    ) -> Iterator[Tuple[SweepSide, SweepSide]]:
+        """``(item_side, user_side)`` of one trainer fit of ``matrix``.
+
+        The fit's copies (:meth:`SweepPlan.fit_sides`) of a plan built here
+        and dropped with the fit; a backend that outlives fits may keep the
+        plan for the next fit on the same matrix
+        (:class:`~repro.core.backends.parallel.ParallelBackend` does).
+        """
+        yield SweepPlan.build(matrix, user_weights=user_weights, dtype=dtype).fit_sides()
 
     def __enter__(self) -> "Backend":
         return self

@@ -15,12 +15,31 @@ global CSR ``indptr``/``indices``, a sweep restricted to the row range
 ``[a, b)`` needs nothing beyond the side and the fixed-side column sum — it
 is a self-contained task, which is what makes the sharded parallel backend
 possible.
+
+**Carried affinities.**  Every sweep needs the affinity ``<f_u, f_i>`` of
+each positive at its start point, and the sweep before it — over the same
+positives from the other side — has just computed every one of them at
+exactly that point: an accepted row's candidate affinities, which the line
+search evaluated, or else the row's start values.  A plan therefore keeps
+the item-major → user-major entry permutation, and the trainer sweeps
+per-fit copies of the two sides (:meth:`SweepPlan.fit_sides`) that share
+one nnz-long array of affinities in user-major order
+(:class:`CarriedAffinities`), read their start affinities through their
+map and write back those of the point they return.  Reading instead
+of recomputing is exact: each affinity is the same ``einsum`` over the same
+``K`` products, multiplied in the other order, and IEEE multiplication
+commutes.  A side built any other way carries nothing, so direct
+:meth:`~repro.core.backends.base.Backend.sweep` calls compute every sweep's
+affinities as before.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,6 +136,10 @@ class SweepSide:
         with the plan, never leaked into the next fit.  It pickles to a
         fresh empty store, so process-executor workers (which cache attached
         sides) warm worker-local workspaces.
+    carry:
+        Not a field: ``None`` except on the per-fit copies
+        :meth:`SweepPlan.fit_sides` hands the trainer, where it is the fit's
+        :class:`FitCarry` on this side.  It never pickles.
     """
 
     matrix: sp.csr_matrix
@@ -125,6 +148,12 @@ class SweepSide:
     workspaces: SweepWorkspaceStore = field(
         default_factory=SweepWorkspaceStore, compare=False, repr=False
     )
+    carry = None  # a class attribute, not a field (see the docstring)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("carry", None)  # values written in another process are lost
+        return state
 
     @property
     def n_rows(self) -> int:
@@ -184,8 +213,10 @@ class SweepSide:
             csr = csr.astype(target)
 
         n_rows, n_cols = csr.shape
+        # In the CSR's own index dtype, like ``tocoo().row``: a plan kept
+        # across fits holds one per side.
         row_index = np.repeat(
-            np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr)
+            np.arange(n_rows, dtype=csr.indices.dtype), np.diff(csr.indptr)
         )
 
         weights: Optional[np.ndarray] = None
@@ -210,14 +241,79 @@ class SweepSide:
         return cls(matrix=csr, row_index=row_index, entry_weights=weights)
 
 
+#: The place of carried affinities that live in the sweeping process.
+IN_PROCESS = "in-process"
+
+
+class CarriedAffinities:
+    """One fit's affinity of every positive at the point its last sweep returned.
+
+    ``values`` is nnz-long in user-major (CSR) order.  ``place`` says where
+    the values of the fit's current point live — :data:`IN_PROCESS` for
+    ``values`` itself, a publication's name for the shared segment pool
+    workers write — or is ``None`` when no sweep left them (the fit's start,
+    a sweep that failed, a point moved outside a sweep).  A fit's sweeps
+    run one after another, so one fit's carry needs no lock; concurrent
+    fits on one plan each have their own.
+    """
+
+    def __init__(self, nnz: int, dtype) -> None:
+        self.values = np.empty(nnz, dtype=dtype)
+        self.place: Optional[Hashable] = None
+
+
+class FitCarry:
+    """One side's handle on its fit's :class:`CarriedAffinities`.
+
+    ``positions`` maps the side's entries into the user-major values
+    (``None``: the user side, whose order it is).
+    """
+
+    def __init__(self, carried: CarriedAffinities, positions: Optional[np.ndarray]) -> None:
+        self.carried = carried
+        self.positions = positions
+
+    @property
+    def values(self) -> np.ndarray:
+        """The user-major affinities this process reads and writes."""
+        return self.carried.values
+
+    @contextmanager
+    def sweep(self, place: Hashable) -> Iterator[bool]:
+        """One sweep that reads and writes the values at ``place``.
+
+        Yields whether they hold the sweep's start affinities (else the
+        sweep computes them); once the sweep completes they hold the
+        affinities at the point it returned.
+        """
+        carried = self.carried
+        read, carried.place = carried.place == place, None
+        yield read
+        carried.place = place
+
+    def drop(self) -> None:
+        """The fit's point moved outside a sweep (or in one that carried nothing)."""
+        self.carried.place = None
+
+
+def _transposed_positions(user_major: sp.csr_matrix) -> sp.csr_matrix:
+    """``csr_matrix(user_major.T)`` with each entry's user-major position as data."""
+    positions = sp.csr_matrix(
+        (np.arange(user_major.nnz, dtype=np.int64), user_major.indices, user_major.indptr),
+        shape=user_major.shape,
+    )
+    return sp.csr_matrix(positions.T)
+
+
 class SweepPlan:
     """Both sweep directions of one training problem, precomputed once.
 
-    The trainer builds a plan at the top of ``fit`` and drives every sweep
+    The trainer obtains a plan at the top of ``fit`` and drives every sweep
     through it: the item sweep uses :attr:`item_side` (rows = items, columns
     = users; the per-user R-OCuLaR weight rides on the column side) and the
     user sweep uses :attr:`user_side` (rows = users; the weight rides on the
-    row side).
+    row side) — each through the per-fit copy :meth:`fit_sides` makes, which
+    carries the affinities from one sweep to the next.
     """
 
     def __init__(self, user_side: SweepSide, item_side: SweepSide) -> None:
@@ -228,6 +324,38 @@ class SweepPlan:
             )
         self.user_side = user_side
         self.item_side = item_side
+        self._item_positions: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
+
+    @property
+    def item_positions(self) -> np.ndarray:
+        """The user-major position of every item-major entry.
+
+        :meth:`build` sets it; a plan assembled from two sides derives it
+        on first use, which assumes the item side is the transposition of
+        the user side that :meth:`build` makes.
+        """
+        with self._lock:
+            if self._item_positions is None:
+                self._item_positions = _transposed_positions(self.user_side.matrix).data
+            return self._item_positions
+
+    def fit_sides(self) -> Tuple[SweepSide, SweepSide]:
+        """``(item_side, user_side)`` copies for one fit's sweeps.
+
+        They share every array and workspace store with the plan's sides
+        and carry the fit's own :class:`CarriedAffinities`, so the fit's
+        first sweep computes its affinities and no other fit — nor a direct
+        sweep of the plan's own sides — reads or writes the values its
+        sweeps leave.
+        """
+        carried = CarriedAffinities(self.nnz, self.dtype)
+        sides = []
+        for side, positions in ((self.item_side, self.item_positions), (self.user_side, None)):
+            fit_side = copy.copy(side)
+            fit_side.carry = FitCarry(carried, positions)
+            sides.append(fit_side)
+        return sides[0], sides[1]
 
     @classmethod
     def build(
@@ -251,14 +379,23 @@ class SweepPlan:
         user_major = sp.csr_matrix(matrix)
         if user_major.data.dtype != target:
             user_major = user_major.astype(target)
-        item_major = sp.csr_matrix(user_major.T)
+        # One transposition, of the entries' user-major positions: it yields
+        # the item-major structure and the permutation the fit's carried
+        # affinities are read through; the values follow by a gather.
+        transposed = _transposed_positions(user_major)
+        item_major = sp.csr_matrix(
+            (user_major.data[transposed.data], transposed.indices, transposed.indptr),
+            shape=transposed.shape,
+        )
         user_side = SweepSide.build(
             user_major, row_positive_weights=user_weights, dtype=target
         )
         item_side = SweepSide.build(
             item_major, col_positive_weights=user_weights, dtype=target
         )
-        return cls(user_side=user_side, item_side=item_side)
+        plan = cls(user_side=user_side, item_side=item_side)
+        plan._item_positions = transposed.data
+        return plan
 
     @property
     def n_users(self) -> int:

@@ -39,6 +39,19 @@ keeps.  Under float32 the objective reductions now stay in float32 (the old
 ``np.bincount`` silently accumulated in float64), keeping every
 intermediate in the training dtype.
 
+**Carried start affinities.**  A trainer sweeps per-fit copies of its
+plan's sides (:meth:`~repro.core.backends.plan.SweepPlan.fit_sides`), and
+every such sweep after the fit's first reads its start affinities from the
+fit's carried array through its side's map instead of running the
+take/take/``einsum`` pass, then leaves there the affinities at the factors
+it returns: its start values, overwritten by each accepted row's candidate
+affinities as the line search accepts them (the nnz-wide evaluation keeps
+them in ``entry_a`` and puts its log terms in ``entry_c``).  The values are
+bit-identical to a recomputation, since each is the same ``einsum`` over
+the same ``K`` products in the other operand order.  Gathering the accepted
+entries takes one index array per backtrack level — the one ``compress``
+builds internally anyway — and a side without a carry does none of this.
+
 **Pruned line search — why it is exact.**  The kernel evaluates a candidate
 ``c`` of a row as ``v = fl(fl(pos + unk) + pen)`` with
 ``pos = -sum_e w_e log(1 - exp(-a_e))``, ``unk = fl(<c, unknown>)`` and
@@ -143,12 +156,13 @@ evaluations an unpruned search would make (21%; the tail-only bound left
 
 from __future__ import annotations
 
-from typing import Tuple
+from contextlib import nullcontext
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.backends.base import Backend, SweepStats
-from repro.core.backends.plan import SweepSide
+from repro.core.backends.plan import IN_PROCESS, SweepSide
 from repro.core.backends.workspace import SweepWorkspace, csr_row_sums_into
 from repro.core.objective import (
     ARMIJO_BETA,
@@ -160,6 +174,9 @@ from repro.core.objective import (
     safe_log1mexp_into,
 )
 from repro.exceptions import ConfigurationError
+
+#: A range's view of the carried affinities: ``(values, positions, read)``.
+Carried = Tuple[np.ndarray, Optional[np.ndarray], bool]
 
 
 class VectorizedBackend(Backend):
@@ -177,6 +194,34 @@ class VectorizedBackend(Backend):
         stop: int,
         total_col_sum: np.ndarray,
     ) -> Tuple[np.ndarray, SweepStats]:
+        carry = plan.carry
+        with nullcontext() if carry is None else carry.sweep(IN_PROCESS) as read:
+            carried = None if read is None else (carry.values, carry.positions, read)
+            return self._sweep_range(
+                plan, row_factors, col_factors, regularization, start, stop,
+                total_col_sum, carried,
+            )  # fmt: skip
+
+    def _sweep_range(
+        self,
+        plan: SweepSide,
+        row_factors: np.ndarray,
+        col_factors: np.ndarray,
+        regularization: float,
+        start: int,
+        stop: int,
+        total_col_sum: np.ndarray,
+        carried: Optional[Carried],
+    ) -> Tuple[np.ndarray, SweepStats]:
+        """One row range of a sweep: :meth:`_sweep_rows` once the carry is resolved.
+
+        ``carried`` is ``None`` (compute the start affinities, keep none) or
+        ``(values, positions, read)``: the user-major carried affinities,
+        the side's map into them (``None`` on the user side) and whether
+        they hold this range's start affinities.  The range's entries of
+        ``values`` are left holding the affinities at the returned factors;
+        no other entry is touched, so shards run concurrently.
+        """
         dtype = row_factors.dtype
         if not (col_factors.dtype == dtype and plan.dtype == dtype):
             raise ConfigurationError(
@@ -200,6 +245,7 @@ class VectorizedBackend(Backend):
                 col_factors,
                 regularization,
                 total_col_sum,
+                carried,
             )
         finally:
             store.release(workspace)
@@ -222,6 +268,7 @@ class VectorizedBackend(Backend):
         col_factors: np.ndarray,
         regularization: float,
         total_col_sum: np.ndarray,
+        carried: Optional[Carried] = None,
     ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], int, int, int]:
         """One sweep through the pooled arena; zero scratch allocations.
 
@@ -233,7 +280,9 @@ class VectorizedBackend(Backend):
         Returns ``(new_factors, (start_values, end_values), n_accepted,
         n_backtracks, n_evaluated)``: the row objectives ``Q(f_i)`` at the
         sweep's start and of the factors it returns, as the line search
-        evaluated them.
+        evaluated them.  With ``carried`` (see :meth:`_sweep_range`) the
+        start affinities are read from it or written to it, and every
+        accepted row's candidate affinities overwrite its entries.
         """
         n_local = ws.n_local
 
@@ -241,10 +290,30 @@ class VectorizedBackend(Backend):
         # mode="clip" everywhere: plan indices are in range by construction,
         # and clip mode lets ``take`` write straight into the pooled block
         # (mode="raise" buffers through a fresh temporary).
-        affinities = entry_affinities(
-            local_factors, ws.entry_rows, col_factors, ws.indices,
-            out=ws.entry_a, scratch=(ws.gather_rows, ws.gather_cols),
-        )  # fmt: skip
+        carry_map = None
+        if carried is not None:
+            carried_values, positions, read = carried
+            # This range's entries of the user-major values: a slice on the
+            # user side, a map (``carry_map``) on the item side.
+            span = slice(ws.first, ws.first + ws.nnz_local)
+            carry_map = None if positions is None else positions[span]
+        if carried is not None and read:
+            affinities = ws.entry_a
+            if carry_map is None:
+                np.copyto(affinities, carried_values[span])
+            else:
+                carried_values.take(carry_map, out=affinities, mode="clip")
+        else:
+            affinities = entry_affinities(
+                local_factors, ws.entry_rows, col_factors, ws.indices,
+                out=ws.entry_a, scratch=(ws.gather_rows, ws.gather_cols),
+            )  # fmt: skip
+            if carried is not None:
+                # Rows that accept no step keep these.
+                if carry_map is None:
+                    carried_values[span] = affinities
+                else:
+                    carried_values.put(carry_map, affinities, mode="clip")
         ratios = gradient_ratio_into(affinities, out=ws.entry_b, scratch=ws.entry_c)
         if ws.entry_weights is not None:
             np.multiply(ratios, ws.entry_weights, out=ratios)
@@ -375,8 +444,9 @@ class VectorizedBackend(Backend):
                 # value = (positive part + unknown part) + penalty, grouped
                 # left to right as in the allocating kernel.
                 values = VectorizedBackend._positive_parts(
-                    ws, candidates, eval_pos, eval_rows, col_factors
-                )
+                    ws, candidates, eval_pos, eval_rows, col_factors,
+                    keep_affinities=carried is not None,
+                )  # fmt: skip
                 tmp = ws.row_tmp2[:n_eval]
                 tail_unknown.compress(evaluate, out=tmp)
                 np.add(values, tmp, out=values)
@@ -405,6 +475,8 @@ class VectorizedBackend(Backend):
                 acc_values = ws.row_tmp2[:n_acc]
                 values.compress(eval_accepted, out=acc_values)
                 current_values[acc_rows] = acc_values
+                if carried is not None:
+                    VectorizedBackend._carry_accepted(ws, accepted, carried[0], carry_map)
             n_backtracks += n_active - n_acc
             n_next = n_active - n_acc
             if n_next:
@@ -468,6 +540,7 @@ class VectorizedBackend(Backend):
         cand_pos: np.ndarray,
         rows: np.ndarray,
         col_factors: np.ndarray,
+        keep_affinities: bool = False,
     ) -> np.ndarray:
         """``-sum_e w_e log(1 - exp(-a_e))`` of the rows the bound let through.
 
@@ -479,6 +552,10 @@ class VectorizedBackend(Backend):
         in pooled integer buffers via a compress / boundary-scatter / cumsum
         expansion instead of the allocating ``np.arange``/``np.repeat``
         machinery the old kernel rebuilt per backtrack iteration.
+
+        With ``keep_affinities`` the evaluated entries are recorded in
+        ``ws.evaluated`` and their candidate affinities stay in
+        ``ws.entry_a`` (the log terms go to ``ws.entry_c``).
         """
         n_eval = rows.shape[0]
         out = ws.candidate_values[:n_eval]
@@ -537,7 +614,9 @@ class VectorizedBackend(Backend):
                 candidates, rows_entries, col_factors, cols_entries,
                 out=ws.entry_a[:total], scratch=(ws.gather_rows, ws.gather_cols),
             )  # fmt: skip
-            log_terms = safe_log1mexp_into(affinities, out=affinities)
+            log_terms = safe_log1mexp_into(
+                affinities, out=ws.entry_c[:total] if keep_affinities else affinities
+            )
             if weights is not None:
                 if positions is None:
                     np.multiply(log_terms, weights, out=log_terms)
@@ -552,4 +631,44 @@ class VectorizedBackend(Backend):
             np.negative(out, out=out)
         else:
             out.fill(0)
+        if keep_affinities:
+            ws.evaluated = (total, rows_entries if total else None, positions)
         return out
+
+    @staticmethod
+    def _carry_accepted(
+        ws: SweepWorkspace,
+        accepted: np.ndarray,
+        values: np.ndarray,
+        carry_map: Optional[np.ndarray],
+    ) -> None:
+        """Write the accepted rows' candidate affinities into ``values``.
+
+        ``accepted`` flags the active rows; ``ws.evaluated`` and the
+        affinities in ``ws.entry_a`` are those :meth:`_positive_parts` just
+        evaluated with ``keep_affinities``.  An accepted candidate is the
+        row's returned factor, so these are the affinities at the point the
+        sweep returns.
+        """
+        total, cand_positions, positions = ws.evaluated
+        if not total:
+            return
+        keep = ws.entry_accepted[:total]
+        accepted.take(cand_positions, out=keep, mode="clip")
+        # One index array, as ``compress`` would build internally; ``take``
+        # in clip mode then gathers through it straight into pooled blocks.
+        selected = np.flatnonzero(keep)
+        n_keep = selected.shape[0]
+        kept = ws.entry_b[:n_keep]
+        ws.entry_a.take(selected, out=kept, mode="clip")
+        local = selected
+        if positions is not None:
+            local = ws.entry_row_ids[:n_keep]  # its candidate positions are read
+            positions.take(selected, out=local, mode="clip")
+        if carry_map is None:
+            np.add(local, ws.first, out=local)
+            values[local] = kept
+        else:
+            targets = ws.entry_col_ids[:n_keep]
+            carry_map.take(local, out=targets, mode="clip")
+            values[targets] = kept

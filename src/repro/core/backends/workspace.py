@@ -171,6 +171,8 @@ class SweepWorkspace:
         nnz = last - first
 
         self.start, self.stop = int(start), int(stop)
+        #: Offset of the shard's first entry in the side's CSR order.
+        self.first = first
         self.n_local, self.nnz_local, self.k = n, nnz, int(k)
         self.n_cols = side.n_cols
         self.dtype = dtype
@@ -280,6 +282,13 @@ class SweepWorkspace:
         self.sub_indptr = np.empty(n + 1, dtype=np.int64)
         self.arange_entries = np.arange(nnz, dtype=np.int64)
         self.entry_seg = np.empty(nnz, dtype=np.int64)
+        #: The entries of accepted rows when a sweep carries affinities,
+        #: viewed over ``entry_seg``'s bytes (free by then; nothing extra).
+        self.entry_accepted = self.entry_seg.view(np.bool_)
+        #: What the last nnz-wide evaluation that kept its affinities
+        #: covered: ``(total, candidate position of each entry, shard-local
+        #: CSR position of each entry or None for all of them in order)``.
+        self.evaluated = (0, None, None)
         self.entry_pos = np.empty(nnz, dtype=np.int64)
         self.entry_row_ids = np.empty(nnz, dtype=np.int64)
         self.entry_col_ids = np.empty(nnz, dtype=np.int64)

@@ -9,14 +9,18 @@ below a tolerance).  The step sizes follow the Armijo rule with the fixed
 constants of :mod:`repro.core.objective` (``ARMIJO_SIGMA``, ``ARMIJO_BETA``,
 ``MAX_BACKTRACKS``), which every backend reads where its line search runs.
 
-The trainer builds one :class:`~repro.core.backends.plan.SweepPlan` at the
-top of ``train`` — both sweep directions' CSR matrices, per-entry row
-indices, and R-OCuLaR entry weights — and drives every sweep through it, so
-no per-sweep ``tocoo()`` / transpose / weight recomputation survives in the
-hot loop.  It is agnostic to which backend performs the sweeps: a name is
-built at that backend's defaults and shut down after the fit, an instance
-(a sized or process pool, ``ParallelBackend(n_workers=..., executor=...)``)
-is borrowed.  It records the objective trajectory, per-sweep timings and
+The trainer obtains one :class:`~repro.core.backends.plan.SweepPlan` at
+the top of ``train`` — both sweep directions' CSR matrices, per-entry row
+indices, and R-OCuLaR entry weights — from its backend, which may keep the
+plan of its last fit on the same matrix, and drives every sweep through
+it, so no per-sweep ``tocoo()`` / transpose / weight recomputation
+survives in the hot loop.  The sweeps run on the fit's copies of the
+plan's sides, so each starts from the affinities the previous one left at
+the point it returned (:mod:`repro.core.backends.plan`).  It is agnostic to
+which backend performs the sweeps: a name is built at that backend's
+defaults and shut down after the fit, an instance (a sized or process
+pool, ``ParallelBackend(n_workers=..., executor=...)``) is borrowed.  It
+records the objective trajectory, per-sweep timings and
 :class:`~repro.core.backends.SweepStats` (consumed by the Figure 7 and
 Figure 8 benchmarks), and guarantees the objective is monotonically
 non-increasing across accepted iterations — a property the test-suite
@@ -62,7 +66,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import Backend, SweepPlan, SweepStats, get_backend
+from repro.core.backends import Backend, SweepStats, get_backend
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_2d,
@@ -354,10 +358,17 @@ class BlockCoordinateTrainer:
         )
 
         # All static sweep structure — both CSR orientations, per-entry row
-        # indices, and R-OCuLaR entry weights — is computed exactly once per
-        # fit.
-        plan = SweepPlan.build(matrix, user_weights=user_weights, dtype=user_factors.dtype)
+        # indices, and R-OCuLaR entry weights — is computed once per fit, or
+        # once per matrix by a backend that keeps its last plan.  The fit
+        # sweeps its own copies of the sides: they carry each sweep's end
+        # affinities into the next sweep's start.
+        with self.backend._fit_sides(matrix, user_weights, user_factors.dtype) as sides:
+            return self._sweep_sides(*sides, user_factors, item_factors, callback, constant_columns)
 
+    def _sweep_sides(
+        self, item_side, user_side, user_factors, item_factors, callback, constant_columns
+    ) -> Tuple[np.ndarray, np.ndarray, TrainingHistory]:
+        """:meth:`train`'s loop over the fit's two plan sides."""
         history = TrainingHistory(plateau_tolerance=self.plateau_tolerance)
         # Q_0 needs the first item sweep's start values; the penalties of
         # the starting factors are taken before that sweep replaces them.
@@ -376,7 +387,7 @@ class BlockCoordinateTrainer:
                     item_factors,
                     user_factors,
                     regularization=self.regularization,
-                    plan=plan.item_side,
+                    plan=item_side,
                 )
                 history.item_sweep_stats.append(item_stats)
             # User sweeps: rows are users, columns are items; the weight is
@@ -387,7 +398,7 @@ class BlockCoordinateTrainer:
                     user_factors,
                     item_factors,
                     regularization=self.regularization,
-                    plan=plan.user_side,
+                    plan=user_side,
                 )
                 history.user_sweep_stats.append(user_stats)
 
@@ -407,6 +418,8 @@ class BlockCoordinateTrainer:
             if constant_columns is not None:
                 user_factors[:, constant_columns[0]] = 1.0
                 item_factors[:, constant_columns[1]] = 1.0
+                # The reset moved the point the carried affinities are of.
+                item_side.carry.drop()
 
             if callback is not None and callback(iteration, history):
                 break

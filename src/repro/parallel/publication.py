@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,23 +103,30 @@ class PublishedKeys:
 
     def __init__(self, executor: Any) -> None:
         self._executor = executor
-        self._keys: set = set()
+        # Key -> the name it was last published under.
+        self._keys: Dict[Hashable, Optional[str]] = {}
 
     def slot(self, key: Hashable, array: np.ndarray) -> SharedArraySpec:
         """:meth:`PublicationTable.publish` on the executor, key recorded."""
-        self._keys.add(key)
-        return self._executor.publish(key, array)
+        self._keys[key] = None
+        spec = self._executor.publish(key, array)
+        self._keys[key] = spec.shm_name
+        return spec
 
     def static(self, array: np.ndarray) -> SharedArraySpec:
         """:meth:`PublicationTable.publish_static` on the executor, key recorded."""
         spec = self._executor.publish_static(array)
-        self._keys.add(_static_key(array))
+        self._keys[_static_key(array)] = spec.shm_name
         return spec
 
     def static_csr(self, matrix: sp.csr_matrix) -> SharedCsrSpec:
         """Publish a CSR matrix's three arrays as write-once static data."""
         specs = (self.static(getattr(matrix, field)) for field in CSR_FIELDS)
         return SharedCsrSpec(tuple(matrix.shape), *specs)
+
+    def names(self) -> List[str]:
+        """The segment names the recorded keys were last published under."""
+        return [name for name in self._keys.values() if name is not None]
 
     def release(self) -> None:
         """Unpublish every recorded key (already-retired ones are no-ops)."""

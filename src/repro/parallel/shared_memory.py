@@ -8,7 +8,8 @@ by composing the
 :class:`~repro.parallel.publication.PublicationTable` with a POSIX
 shared-memory store: write-once data (the sweep plan's CSR arrays) is copied
 into a segment once per fit, per-sweep data (the factor matrices) refreshes
-its slot's segment in place, and tasks carry only
+its slot's segment in place, a fit's carried affinities are one segment the
+workers write, and tasks carry only
 :class:`~repro.parallel.publication.SharedArraySpec` descriptors.
 
 This module is also the **worker side of every descriptor**:
@@ -18,7 +19,10 @@ agent's object cache, which fetches the bytes from the driver once per node
 — so worker functions run unchanged on local processes and on remote nodes.
 What workers rebuild over descriptors (serving engines, sweep sides) lives
 in one spec-keyed cache, :func:`cached_attach`, which also decides when a
-mapping may close: once no cached entry views it.
+mapping may close: once no cached entry views it.  Entries whose objects
+hold scratch (a sweep side's training arenas) free it as soon as the
+worker looks up an entry of another kind, so training scratch never sits
+beside a worker's serving memory.
 
 Lifecycle: the executor owns every segment it created and unlinks them all
 in :meth:`~SharedMemoryProcessExecutor.shutdown` — after shutdown there are
@@ -92,7 +96,9 @@ def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
     agent's object cache, which fetches the bytes from the driver's store
     the first time the name reaches the node.  Callers must treat the result
     as read-only: it is shared with the publishing process and every sibling
-    worker.
+    worker.  The one exception is a fit's carried affinities, which each
+    training shard writes at its own entries
+    (:mod:`repro.core.backends.parallel`).
     """
     if spec.remote:
         return _remote_cache().fetch(spec)
@@ -117,10 +123,15 @@ def spec_is_live(spec: SharedArraySpec) -> bool:
     """
     if spec.remote:
         return _remote_cache().is_live(spec.shm_name)
+    return _segment_linked(spec.shm_name)
+
+
+def _segment_linked(name: str) -> bool:
+    """Whether the shared-memory segment ``name`` still exists."""
     if os.path.isdir("/dev/shm"):
-        return os.path.exists(os.path.join("/dev/shm", spec.shm_name))
+        return os.path.exists(os.path.join("/dev/shm", name))
     try:
-        probe = shared_memory.SharedMemory(name=spec.shm_name)
+        probe = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         return False
     _unregister_attachment(probe)
@@ -150,6 +161,9 @@ def attach_shared_csr(spec: SharedCsrSpec) -> sp.csr_matrix:
 #: ndarray views exist — so a mapping is closed only once no entry views it.
 _CACHE: "OrderedDict[Any, Any]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+#: The kind (spec type) last looked up, if its entries hold scratch: a spec
+#: type says so by defining ``free_scratch(value)``.
+_SCRATCH_KIND: Optional[type] = None
 
 
 def cached_attach(spec: Any, build: Callable[[Any], Any], limit: int) -> Any:
@@ -161,10 +175,20 @@ def cached_attach(spec: Any, build: Callable[[Any], Any], limit: int) -> Any:
     ``spec``'s kind (its type) beyond ``limit`` — one kind never evicts
     another — then the new entry is built and every mapping no entry views
     is closed.  So a worker's mapped memory tracks the live publications,
-    not every publication it ever served.  Closing is safe only because the
-    worker loop is single-threaded: no task holds a view across this call.
+    not every publication it ever served.  A kind whose objects hold scratch
+    (its spec type defines ``free_scratch(value)``) has every cached entry
+    free it when a spec of another kind is next looked up; the entries
+    themselves stay.  Closing is safe only because the worker loop is
+    single-threaded: no task holds a view across this call.
     """
+    global _SCRATCH_KIND
+    kind = type(spec)
     with _CACHE_LOCK:
+        if _SCRATCH_KIND is not None and kind is not _SCRATCH_KIND:
+            for key, cached in _CACHE.items():
+                if type(key) is _SCRATCH_KIND:
+                    key.free_scratch(cached)
+        _SCRATCH_KIND = kind if hasattr(kind, "free_scratch") else None
         value = _CACHE.get(spec)
         if value is not None:
             _CACHE.move_to_end(spec)
@@ -180,6 +204,22 @@ def cached_attach(spec: Any, build: Callable[[Any], Any], limit: int) -> Any:
         for name in [name for name in _ATTACHMENTS if name not in viewed]:
             _close_attachment(name)
     return value
+
+
+def close_retired_attachments() -> None:
+    """Close the mappings of retired publications no cached entry views.
+
+    For a task to call before it maps anything outside the cache.  The
+    factor slots and carried affinities a fit publishes for itself are
+    mapped by its sweep tasks and viewed by no cached entry; a worker whose
+    cached sides stay hits across the fits on one matrix would otherwise
+    keep every ended fit's mapped.
+    """
+    with _CACHE_LOCK:
+        viewed = {array.shm_name for key in _CACHE for array in key.array_specs()}
+        for name in [name for name in _ATTACHMENTS if name not in viewed]:
+            if not _segment_linked(name):
+                _close_attachment(name)
 
 
 def drop_cached(names: Collection[str]) -> None:
@@ -221,8 +261,13 @@ class _SegmentStore:
             memory = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
             spec = SharedArraySpec(memory.name, tuple(array.shape), array.dtype.str)
             self._segments[spec.shm_name] = memory
-        buffer = self._segments[spec.shm_name].buf
-        np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=buffer)[...] = array
+        memory = self._segments[spec.shm_name]
+        np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=memory.buf)[...] = array
+        if pinned:
+            # Write-once data is never read back here: unmapped, its pages
+            # count against the workers that attach it, not this process.
+            # The segment stays linked until it is retired.
+            memory.close()
         return spec
 
     def retire(self, specs: List[SharedArraySpec]) -> None:

@@ -399,12 +399,10 @@ class RecommenderRuntime:
             if fit_kwargs.get("initial_factors") is None:
                 nnz = getattr(matrix, "nnz", None)
                 self._full_fit_nnz = int(nnz) if nnz is not None else None
-        # The fit's plan arrays are dead weight between fits; drop them now
-        # instead of letting them ride the executor's LRU.  Scoped to the
-        # warm backend's own keys (and serialised against its in-flight
-        # sweeps), so another fit sharing the backend and the serving
-        # generations are untouched.
-        self._backend.release_published()
+        # The warm backend keeps this fit's sweep plan, published, for the
+        # next fit on an equal matrix, and unpublishes it when a fit moves
+        # to another matrix or on close(); what the fit published for itself
+        # (factor slots, carried affinities) went when it ended.
         return model
 
     def refit(self, matrix=None, callback=None, mode: str = "cold"):

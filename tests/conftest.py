@@ -117,6 +117,33 @@ def failing_store_write(monkeypatch):
 
 
 @pytest.fixture()
+def kept_plan_names():
+    """``names(runtime)``: the segments of the sweep plan a runtime keeps.
+
+    After a fit the runtime's warm backend keeps that fit's plan published
+    for the next fit on the same matrix.  The names come from the keys the
+    backend recorded, and the count must be exactly one plan's arrays — four
+    per side (the CSR's three and the per-entry row index), the entry
+    weights of a weighted side, and on a process pool the item side's map
+    of the carried affinities — so a plan left behind by an earlier matrix,
+    or an ended fit's factor slots, cannot hide among them.
+    """
+    from repro.parallel.cluster import ClusterExecutor
+
+    def names(runtime):
+        backend = runtime.backend
+        kept = backend._plan.plan
+        sides = (kept.item_side, kept.user_side)
+        expected = sum(4 + (side.entry_weights is not None) for side in sides)
+        expected += not isinstance(runtime.executor, ClusterExecutor)
+        recorded = set(backend._published.names())
+        assert len(recorded) == expected
+        return recorded
+
+    return names
+
+
+@pytest.fixture()
 def worker_cache():
     """This test process plays the worker: start and end with an empty cache."""
     from repro.parallel import shared_memory as shm

@@ -230,7 +230,7 @@ print("done")
 # --------------------------------------------------------------------------- #
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestGenerationLifecycle:
-    def test_publish_swap_unlinks_old_generation(self, corpus, shm_ledger):
+    def test_publish_swap_unlinks_old_generation(self, corpus, shm_ledger, kept_plan_names):
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
             runtime.fit(_model(), corpus)
             first = runtime.publish()
@@ -249,8 +249,13 @@ class TestGenerationLifecycle:
             # released, left its factor pair free for the next one.
             assert _seen_names(second_spec) == _seen_names(first_spec)
             assert not (_factor_names(second_spec) & first_names)
+            # Beside them, only the sweep plan the warm backend keeps.
             live = set(runtime.executor.active_segment_names())
-            assert live == set(second_spec.segment_names()) | _factor_names(first_spec)
+            assert live == (
+                set(second_spec.segment_names())
+                | _factor_names(first_spec)
+                | kept_plan_names(runtime)
+            )
             assert live <= shm_ledger.entries()
             # The next generation rewrites that free pair in place.
             runtime.update()
@@ -375,7 +380,7 @@ class TestGenerationLifecycle:
 
     @pytest.mark.parametrize("executor", ["process", "cluster"])
     def test_pinned_generation_is_rewritten_only_after_release(
-        self, corpus, starmap_log, executor
+        self, corpus, starmap_log, executor, kept_plan_names
     ):
         # A session pins generation N while N+1 and N+2, fits with other
         # seeds, are published.  The pool serves N (one user per shard) with
@@ -411,8 +416,10 @@ class TestGenerationLifecycle:
             else:
                 # A cluster rewrite is a new object; the old one is evicted.
                 assert not (pinned & set(names()))
-            # The live generation, and the one free factor pair.
-            assert len(names()) == 5 + 2
+            # The live generation, the one free factor pair, and the sweep
+            # plan the warm backend keeps for the next fit.
+            live, kept = set(names()), kept_plan_names(runtime)
+            assert kept <= live and len(live - kept) == 5 + 2
             log.clear()
             got = runtime.recommend(request, shard_size=1).rankings
             assert log.dispatch() == ("descriptors", len(users))
@@ -420,7 +427,7 @@ class TestGenerationLifecycle:
 
     @pytest.mark.parametrize("borrowed", [False, True])
     def test_ingest_refit_update_publishes_new_seen_mask_and_factor_shapes(
-        self, corpus, shm_ledger, borrowed
+        self, corpus, shm_ledger, borrowed, kept_plan_names
     ):
         pool = SharedMemoryProcessExecutor(max_workers=2) if borrowed else None
         runtime = RecommenderRuntime(executor=pool) if borrowed else RecommenderRuntime(
@@ -458,7 +465,8 @@ class TestGenerationLifecycle:
         runtime.update()
         assert old.user_factors.shm_name not in shm_ledger.entries()
         live = set(runtime.published_spec.segment_names()) | _factor_names(new)
-        assert set(names()) == live
+        # The refit on the new matrix replaced the kept sweep plan.
+        assert set(names()) == live | kept_plan_names(runtime)
         # A session that outlives the close: nothing is left once the
         # executor is shut down, or, on a borrowed one, once it lets go.
         held = runtime.serving_session()
@@ -490,10 +498,11 @@ class TestGenerationLifecycle:
             for want, have in zip(expected, got):
                 assert np.array_equal(want, have)
 
-    def test_fold_in_places_nothing_on_the_pool(self, corpus, monkeypatch):
+    def test_fold_in_places_nothing_on_the_pool(self, corpus, monkeypatch, kept_plan_names):
         # Fold-in solves on the calling thread: neither a cold-start request
         # nor the fold-in that seeds a warm refit publishes a segment; the
-        # refit's only publications are its own plan, dropped when it ends.
+        # refit's only publication left is the sweep plan the backend keeps,
+        # which replaces the first fit's.
         from repro.runtime import service
 
         with RecommenderRuntime(executor="process", max_workers=2) as runtime:
@@ -501,6 +510,7 @@ class TestGenerationLifecycle:
             runtime.publish()
             names = runtime.executor.active_segment_names
             before = names()
+            kept_before = kept_plan_names(runtime)
             for row in range(5):
                 runtime.recommend(
                     RecommendRequest(interactions=[[row, row + 1, row + 7]] * 3, n_items=5)
@@ -520,7 +530,9 @@ class TestGenerationLifecycle:
             runtime.refit(mode="warm")
             assert runtime.last_refit_mode == "warm"
             assert seeded == [True]
-            assert names() == before
+            kept = kept_plan_names(runtime)
+            assert not kept & kept_before
+            assert set(names()) == (set(before) - kept_before) | kept
 
     def test_close_leaves_dev_shm_clean(self, corpus, shm_ledger):
         runtime = RecommenderRuntime(executor="process", max_workers=2)

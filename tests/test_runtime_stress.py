@@ -116,7 +116,7 @@ def _join_all(threads):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestFrontEndUnderChurn:
-    def test_mixed_requests_vs_refit_update_loop(self, corpus, shm_ledger):
+    def test_mixed_requests_vs_refit_update_loop(self, corpus, shm_ledger, kept_plan_names):
         ledger = _GenerationLedger()
         errors: list = []
         responses: list = []  # (kind, payload, BatchedResponse); append is atomic
@@ -195,15 +195,18 @@ class TestFrontEndUnderChurn:
                 for got, ref in zip(response.rankings, want):
                     assert np.array_equal(got, ref), (kind, response.generation)
             # All retired generations drained: the executor owns exactly the
-            # live publication (2 factor arrays + 3 seen-mask arrays) and the
-            # factor pair a released generation left free for the next one.
-            assert len(runtime.executor.active_segment_names()) == 5 + 2
+            # live publication (2 factor arrays + 3 seen-mask arrays), the
+            # factor pair a released generation left free for the next one,
+            # and the sweep plan the warm backend keeps for the next fit.
+            live = set(runtime.executor.active_segment_names())
+            kept = kept_plan_names(runtime)
+            assert kept <= live and len(live - kept) == 5 + 2
         shm_ledger.assert_gone()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestRuntimeSessionsUnderChurn:
-    def test_pinned_sessions_vs_refit_update_loop(self, corpus, shm_ledger):
+    def test_pinned_sessions_vs_refit_update_loop(self, corpus, shm_ledger, kept_plan_names):
         """PR-4 runtime + session hook race-freedom, no front-end involved."""
         ledger = _GenerationLedger()
         errors: list = []
@@ -249,8 +252,11 @@ class TestRuntimeSessionsUnderChurn:
                 want = ledger.expect_topn(generation, users, 5)
                 for got, ref in zip(rankings, want):
                     assert np.array_equal(got, ref), generation
-            # The live publication and the free factor pair, as above.
-            assert len(runtime.executor.active_segment_names()) == 5 + 2
+            # The live publication, the free factor pair and the kept plan,
+            # as above.
+            live = set(runtime.executor.active_segment_names())
+            kept = kept_plan_names(runtime)
+            assert kept <= live and len(live - kept) == 5 + 2
         shm_ledger.assert_gone()
 
     def test_ab_serving_two_pinned_generations(self, corpus, shm_ledger):
@@ -300,7 +306,7 @@ class TestRuntimeSessionsUnderChurn:
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="requires a /dev/shm mount")
 class TestIngestWarmRefitChurn:
-    def test_ingest_and_warm_refit_loop_vs_serving_traffic(self, corpus, shm_ledger):
+    def test_ingest_and_warm_refit_loop_vs_serving_traffic(self, corpus, shm_ledger, kept_plan_names):
         """Incremental lifecycle under load: ingest → serve-fresh-now → warm
         refit → update, in a background loop, while 16 client threads hammer
         known-user requests through pinned sessions.
@@ -401,8 +407,11 @@ class TestIngestWarmRefitChurn:
                     response.generation, [fresh_items], 5, N_SWEEPS
                 )
                 assert np.array_equal(response.rankings[1], want_fresh[0])
-            # The live publication and the free factor pair, as above.
-            assert len(runtime.executor.active_segment_names()) == 5 + 2
+            # The live publication, the free factor pair and the kept plan,
+            # as above.
+            live = set(runtime.executor.active_segment_names())
+            kept = kept_plan_names(runtime)
+            assert kept <= live and len(live - kept) == 5 + 2
         shm_ledger.assert_gone()
 
 
