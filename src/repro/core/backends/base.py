@@ -42,7 +42,7 @@ class SweepStats:
     workspace_allocations, workspace_reuses:
         How many of those workspaces were freshly built versus served from
         the plan side's free list.  After warm-up every sweep should be pure
-        reuse — the zero-allocation property the benchmark asserts.  The
+        reuse — the arena reuse the benchmark asserts.  The
         workspace fields are diagnostics, not results, so they are excluded
         from equality: sharded and serial sweeps of identical factors
         compare equal even though their arena layouts differ.

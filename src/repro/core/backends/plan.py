@@ -36,7 +36,6 @@ affinities as before.
 from __future__ import annotations
 
 import copy
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, List, Optional, Tuple
@@ -316,7 +315,9 @@ class SweepPlan:
     carries the affinities from one sweep to the next.
     """
 
-    def __init__(self, user_side: SweepSide, item_side: SweepSide) -> None:
+    def __init__(
+        self, user_side: SweepSide, item_side: SweepSide, item_positions: np.ndarray
+    ) -> None:
         if user_side.matrix.shape != item_side.matrix.shape[::-1]:
             raise ConfigurationError(
                 "user_side and item_side must be transposes of each other, got "
@@ -324,21 +325,8 @@ class SweepPlan:
             )
         self.user_side = user_side
         self.item_side = item_side
-        self._item_positions: Optional[np.ndarray] = None
-        self._lock = threading.Lock()
-
-    @property
-    def item_positions(self) -> np.ndarray:
-        """The user-major position of every item-major entry.
-
-        :meth:`build` sets it; a plan assembled from two sides derives it
-        on first use, which assumes the item side is the transposition of
-        the user side that :meth:`build` makes.
-        """
-        with self._lock:
-            if self._item_positions is None:
-                self._item_positions = _transposed_positions(self.user_side.matrix).data
-            return self._item_positions
+        #: The user-major position of every item-major entry.
+        self.item_positions = item_positions
 
     def fit_sides(self) -> Tuple[SweepSide, SweepSide]:
         """``(item_side, user_side)`` copies for one fit's sweeps.
@@ -393,9 +381,7 @@ class SweepPlan:
         item_side = SweepSide.build(
             item_major, col_positive_weights=user_weights, dtype=target
         )
-        plan = cls(user_side=user_side, item_side=item_side)
-        plan._item_positions = transposed.data
-        return plan
+        return cls(user_side, item_side, transposed.data)
 
     @property
     def n_users(self) -> int:

@@ -24,7 +24,7 @@ entry order.  Sweeping the range ``[a, b)`` therefore produces bit-for-bit
 the rows ``[a, b)`` of a full sweep — the invariant the sharded parallel
 backend builds on.
 
-Since the zero-allocation rewrite, all scratch lives in a pooled
+Every float block lives in a pooled
 :class:`~repro.core.backends.workspace.SweepWorkspace` acquired from the
 plan side's store: gathers go through ``ndarray.take(out=)`` (the array
 methods, not the ``np.*`` wrappers, whose Python layer a few-row fold-in
@@ -32,8 +32,13 @@ sweep pays dozens of times per backtrack level), sparse products
 through the workspace's plan-cached operators (the fit-constant
 ``positives`` CSR and the ``scatter`` CSR whose data is overwritten in
 place), and the gradient/objective/Armijo arithmetic runs in place.  The
-float64 factors are bit-identical to the pre-rewrite allocating kernel —
-identical operations in identical order, only the storage is reused — which
+line search's index bookkeeping is plain NumPy, fresh in each backtrack
+level: one ``np.flatnonzero`` per mask, fancy indexing for the surviving
+rows, and ``np.repeat`` for the entries of the rows a level evaluates —
+three int64 arrays as long as those entries, so a warm sweep's transient
+memory grows with nnz, never with nnz*K.  The float64 factors are
+bit-identical to the pre-workspace allocating kernel — identical operations
+in identical order, only the storage is reused — which
 ``tests/test_training_workspace.py`` asserts against the legacy replica it
 keeps.  Under float32 the objective reductions now stay in float32 (the old
 ``np.bincount`` silently accumulated in float64), keeping every
@@ -49,8 +54,8 @@ affinities as the line search accepts them (the nnz-wide evaluation keeps
 them in ``entry_a`` and puts its log terms in ``entry_c``).  The values are
 bit-identical to a recomputation, since each is the same ``einsum`` over
 the same ``K`` products in the other operand order.  Gathering the accepted
-entries takes one index array per backtrack level — the one ``compress``
-builds internally anyway — and a side without a carry does none of this.
+entries takes one ``np.flatnonzero`` per backtrack level, and a side without
+a carry does none of this.
 
 **Pruned line search — why it is exact.**  The kernel evaluates a candidate
 ``c`` of a row as ``v = fl(fl(pos + unk) + pen)`` with
@@ -270,7 +275,7 @@ class VectorizedBackend(Backend):
         total_col_sum: np.ndarray,
         carried: Optional[Carried] = None,
     ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], int, int, int]:
-        """One sweep through the pooled arena; zero scratch allocations.
+        """One sweep through the pooled arena.
 
         Every operation below replicates the allocating kernel's exact
         elementwise sequence and grouping (additions left-to-right, scalar
@@ -368,28 +373,24 @@ class VectorizedBackend(Backend):
         # holds the value of every returned factor.
         new_factors = local_factors.copy()
         start_values = current_values.copy()
-        # The still-active rows are kept compacted in ping-pong index/step
-        # buffers instead of a boolean mask: ``compress(out=)`` preserves
-        # order, so the compacted sets equal the old ``np.flatnonzero`` ones,
-        # and the per-row step values (``ARMIJO_BETA ** iteration``) are
-        # carried along.
-        cur_rows, cur_steps = ws.arange_rows, ws.step_a
-        cur_steps.fill(1.0)
-        nxt_rows, nxt_steps = ws.active_a, ws.step_b
-        n_active = n_local
+        # Every active row is at the same level, so one step (ARMIJO_BETA
+        # to the level, in the training dtype) serves them all; ``act``
+        # holds the still-active rows in order, like ``np.flatnonzero``.
+        step = local_factors.dtype.type(1.0)
+        beta = local_factors.dtype.type(ARMIJO_BETA)
+        act = np.arange(n_local)
         n_backtracks = n_evaluated = 0
 
         for _ in range(MAX_BACKTRACKS + 1):
+            n_active = act.shape[0]
             if n_active == 0:
                 break
-            act = cur_rows[:n_active]
-            steps = cur_steps[:n_active]
             grads = ws.grad_gather[:n_active]
             gradients.take(act, axis=0, out=grads, mode="clip")
             lf = ws.lf_rows[:n_active]
             local_factors.take(act, axis=0, out=lf, mode="clip")
             candidates = ws.cand_rows[:n_active]
-            np.multiply(grads, steps[:, np.newaxis], out=candidates)
+            np.multiply(grads, step, out=candidates)
             np.subtract(lf, candidates, out=candidates)
             np.maximum(0.0, candidates, out=candidates)
 
@@ -414,11 +415,9 @@ class VectorizedBackend(Backend):
             # without its nnz-wide evaluation.  The tail alone is one bound.
             bound_margin = ws.row_tmp[:n_active]
             np.add(tail_unknown, tail_penalty, out=bound_margin)
-            current = ws.row_tmp2[:n_active]
-            current_values.take(act, out=current, mode="clip")
+            current = current_values[act]
             np.subtract(bound_margin, current, out=bound_margin)
-            evaluate = ws.evaluate[:n_active]
-            np.less_equal(bound_margin, rhs, out=evaluate)
+            evaluate = bound_margin <= rhs
             if use_jensen and evaluate.any():
                 # Adding the Jensen bound L >= 0 of pos, in the full
                 # evaluation's order, rejects those rows and more, so it is
@@ -430,70 +429,43 @@ class VectorizedBackend(Backend):
                 np.add(margin, tail_unknown, out=margin)
                 np.add(margin, tail_penalty, out=margin)
                 np.subtract(margin, current, out=margin)
-                np.less_equal(margin, rhs, out=evaluate)
-            n_eval = int(np.count_nonzero(evaluate))
-            n_evaluated += n_eval
+                evaluate = margin <= rhs
+            eval_pos = np.flatnonzero(evaluate)
+            n_evaluated += eval_pos.shape[0]
 
-            accepted = ws.accepted[:n_active]
-            accepted.fill(False)
-            if n_eval:
-                eval_pos = ws.eval_pos[:n_eval]
-                ws.arange_rows[:n_active].compress(evaluate, out=eval_pos)
-                eval_rows = ws.eval_rows[:n_eval]
-                act.compress(evaluate, out=eval_rows)
+            if eval_pos.shape[0]:
+                eval_rows = act[eval_pos]
                 # value = (positive part + unknown part) + penalty, grouped
                 # left to right as in the allocating kernel.
-                values = VectorizedBackend._positive_parts(
-                    ws, candidates, eval_pos, eval_rows, col_factors,
-                    keep_affinities=carried is not None,
-                )  # fmt: skip
-                tmp = ws.row_tmp2[:n_eval]
-                tail_unknown.compress(evaluate, out=tmp)
-                np.add(values, tmp, out=values)
-                tail_penalty.compress(evaluate, out=tmp)
-                np.add(values, tmp, out=values)
-                current_values.take(eval_rows, out=tmp, mode="clip")
-                # The bound's margin is dead: its block takes the Armijo
-                # margin, so ``values`` survives for the accepted rows.
-                margin = ws.row_tmp[:n_eval]
-                np.subtract(values, tmp, out=margin)
-                rhs.compress(evaluate, out=tmp)
-                eval_accepted = ws.eval_accepted[:n_eval]
-                np.less_equal(margin, tmp, out=eval_accepted)
+                values, entries = VectorizedBackend._positive_parts(
+                    ws, candidates, eval_pos, eval_rows, col_factors
+                )
+                values += tail_unknown[eval_pos]
+                values += tail_penalty[eval_pos]
+                eval_accepted = values - current[eval_pos] <= rhs[eval_pos]
+                accepted = np.zeros(n_active, dtype=bool)
                 accepted[eval_pos] = eval_accepted
-
-            n_acc = int(np.count_nonzero(accepted))
-            if n_acc:
-                acc_rows = ws.accepted_rows[:n_acc]
-                act.compress(accepted, out=acc_rows)
-                # The local-factor gather is dead by now; reuse its block for
-                # the accepted candidates so the scatter reads compacted rows.
-                acc_cand = ws.lf_rows[:n_acc]
-                candidates.compress(accepted, axis=0, out=acc_cand)
-                new_factors[acc_rows] = acc_cand
-                # Accepted rows were all evaluated, in the same order.
-                acc_values = ws.row_tmp2[:n_acc]
-                values.compress(eval_accepted, out=acc_values)
-                current_values[acc_rows] = acc_values
-                if carried is not None:
-                    VectorizedBackend._carry_accepted(ws, accepted, carried[0], carry_map)
-            n_backtracks += n_active - n_acc
-            n_next = n_active - n_acc
-            if n_next:
-                rejected = ws.not_accepted[:n_active]
-                np.logical_not(accepted, out=rejected)
-                act.compress(rejected, out=nxt_rows[:n_next])
-                steps.compress(rejected, out=nxt_steps[:n_next])
-                np.multiply(nxt_steps[:n_next], ARMIJO_BETA, out=nxt_steps[:n_next])
-            cur_rows, cur_steps = nxt_rows, nxt_steps
-            nxt_rows = ws.active_b if cur_rows is ws.active_a else ws.active_a
-            nxt_steps = ws.step_b if cur_steps is ws.step_a else ws.step_a
-            n_active = n_next
+                acc_pos = np.flatnonzero(accepted)
+                if acc_pos.shape[0]:
+                    acc_rows = act[acc_pos]
+                    # The local-factor gather is dead by now; reuse its block
+                    # for the accepted candidates.
+                    acc_cand = ws.lf_rows[: acc_pos.shape[0]]
+                    candidates.take(acc_pos, axis=0, out=acc_cand, mode="clip")
+                    new_factors[acc_rows] = acc_cand
+                    current_values[acc_rows] = values[eval_accepted]
+                    if carried is not None:
+                        VectorizedBackend._carry_accepted(
+                            ws, accepted, entries, carried[0], carry_map
+                        )
+                    act = act[~accepted]
+            n_backtracks += act.shape[0]
+            step = step * beta
 
         return (
             new_factors,
             (start_values, current_values.copy()),
-            n_local - n_active,
+            n_local - act.shape[0],
             n_backtracks,
             n_evaluated,
         )
@@ -540,90 +512,49 @@ class VectorizedBackend(Backend):
         cand_pos: np.ndarray,
         rows: np.ndarray,
         col_factors: np.ndarray,
-        keep_affinities: bool = False,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, Optional[np.ndarray]]]:
         """``-sum_e w_e log(1 - exp(-a_e))`` of the rows the bound let through.
 
         ``rows[j]`` is a shard-local row whose Armijo candidate is
-        ``candidates[cand_pos[j]]``.  Writes into ``ws.candidate_values`` —
-        zero allocations.  When every row of the shard is evaluated the
-        plan's cached full-range entry structure is reused verbatim (no
-        index building at all); otherwise a sub-CSR over ``rows`` is built
-        in pooled integer buffers via a compress / boundary-scatter / cumsum
-        expansion instead of the allocating ``np.arange``/``np.repeat``
-        machinery the old kernel rebuilt per backtrack iteration.
+        ``candidates[cand_pos[j]]``.  The sums go into ``ws.candidate_values``,
+        the entries' candidate affinities stay in ``ws.entry_a`` and their
+        log terms go to ``ws.entry_c``.  When every row of the shard is
+        evaluated the workspace's full-range entry structure serves as is;
+        otherwise ``np.repeat`` lists the rows' entries in three fresh index
+        arrays as long as the entries evaluated (module docstring).
 
-        With ``keep_affinities`` the evaluated entries are recorded in
-        ``ws.evaluated`` and their candidate affinities stay in
-        ``ws.entry_a`` (the log terms go to ``ws.entry_c``).
+        Returns the sums and the evaluated entries: the candidate position
+        of each and its shard-local CSR position (``None`` when they are all
+        the shard's entries in order), what :meth:`_carry_accepted` reads.
         """
         n_eval = rows.shape[0]
         out = ws.candidate_values[:n_eval]
-        weights = ws.entry_weights
-        positions = None
-
         if n_eval == ws.n_local:
-            total = ws.nnz_local
-            rows_entries = ws.entry_rows
-            cols_entries = ws.indices
-            sub_indptr = ws.row_starts
+            cand_entries, positions = ws.entry_rows, None
+            cols_entries, sub_indptr = ws.indices, ws.row_starts
         else:
-            starts = ws.starts[:n_eval]
-            ws.row_starts.take(rows, out=starts, mode="clip")
-            counts = ws.counts[:n_eval]
-            np.add(rows, 1, out=counts)
-            ends = ws.ends[:n_eval]
-            ws.row_starts.take(counts, out=ends, mode="clip")
-            np.subtract(ends, starts, out=counts)
-            sub_indptr = ws.sub_indptr[: n_eval + 1]
-            sub_indptr[0] = 0
+            starts = ws.row_starts[rows]
+            counts = ws.row_starts[rows + 1] - starts
+            sub_indptr = np.zeros(n_eval + 1, dtype=np.int64)
             np.cumsum(counts, out=sub_indptr[1:])
-            total = int(sub_indptr[n_eval])
-            if total:
-                # Expand per-entry (candidate position, CSR position) for
-                # the evaluated rows without ``np.repeat`` (which cannot
-                # write into a pooled buffer): compress away empty rows,
-                # scatter ones at the segment boundaries, cumsum into
-                # segment ids, then gather.  Integer arithmetic — exact by
-                # construction.
-                nonempty = ws.nonempty[:n_eval]
-                np.greater(counts, 0, out=nonempty)
-                n_nonempty = int(np.count_nonzero(nonempty))
-                ne_rows = ws.ne_rows[:n_nonempty]
-                cand_pos.compress(nonempty, out=ne_rows)
-                ne_starts = ws.ne_starts[:n_nonempty]
-                starts.compress(nonempty, out=ne_starts)
-                ne_offsets = ws.ne_offsets[:n_nonempty]
-                sub_indptr[:n_eval].compress(nonempty, out=ne_offsets)
-                seg = ws.entry_seg[:total]
-                seg.fill(0)
-                seg[ne_offsets[1:]] = 1
-                np.cumsum(seg, out=seg)
-                rows_entries = ws.entry_row_ids[:total]
-                ne_rows.take(seg, out=rows_entries, mode="clip")
-                positions = ws.entry_pos[:total]
-                ne_starts.take(seg, out=positions, mode="clip")
-                cols_entries = ws.entry_col_ids[:total]
-                ne_offsets.take(seg, out=cols_entries, mode="clip")
-                np.subtract(ws.arange_entries[:total], cols_entries, out=cols_entries)
-                np.add(positions, cols_entries, out=positions)
-                ws.indices.take(positions, out=cols_entries, mode="clip")
+            cand_entries = np.repeat(cand_pos, counts)
+            # Entry j of the sub-CSR row r sits at starts[r] + j - sub_indptr[r].
+            positions = np.repeat(starts - sub_indptr[:-1], counts)
+            positions += np.arange(positions.shape[0])
+            cols_entries = ws.indices[positions]
 
+        total = cols_entries.shape[0]
         if total:
             affinities = entry_affinities(
-                candidates, rows_entries, col_factors, cols_entries,
+                candidates, cand_entries, col_factors, cols_entries,
                 out=ws.entry_a[:total], scratch=(ws.gather_rows, ws.gather_cols),
             )  # fmt: skip
-            log_terms = safe_log1mexp_into(
-                affinities, out=ws.entry_c[:total] if keep_affinities else affinities
-            )
+            log_terms = safe_log1mexp_into(affinities, out=ws.entry_c[:total])
+            weights = ws.entry_weights
             if weights is not None:
-                if positions is None:
-                    np.multiply(log_terms, weights, out=log_terms)
-                else:
-                    entry_w = ws.entry_b[:total]
-                    weights.take(positions, out=entry_w, mode="clip")
-                    np.multiply(log_terms, entry_w, out=log_terms)
+                if positions is not None:
+                    weights = weights.take(positions, out=ws.entry_b[:total], mode="clip")
+                np.multiply(log_terms, weights, out=log_terms)
             csr_row_sums_into(
                 sub_indptr, cols_entries, log_terms,
                 (n_eval, ws.n_cols), ws.ones_cols, out,
@@ -631,44 +562,29 @@ class VectorizedBackend(Backend):
             np.negative(out, out=out)
         else:
             out.fill(0)
-        if keep_affinities:
-            ws.evaluated = (total, rows_entries if total else None, positions)
-        return out
+        return out, (cand_entries, positions)
 
     @staticmethod
     def _carry_accepted(
         ws: SweepWorkspace,
         accepted: np.ndarray,
+        entries: Tuple[np.ndarray, Optional[np.ndarray]],
         values: np.ndarray,
         carry_map: Optional[np.ndarray],
     ) -> None:
         """Write the accepted rows' candidate affinities into ``values``.
 
-        ``accepted`` flags the active rows; ``ws.evaluated`` and the
-        affinities in ``ws.entry_a`` are those :meth:`_positive_parts` just
-        evaluated with ``keep_affinities``.  An accepted candidate is the
-        row's returned factor, so these are the affinities at the point the
-        sweep returns.
+        ``accepted`` flags the active rows; ``entries`` and the affinities in
+        ``ws.entry_a`` are those :meth:`_positive_parts` just evaluated.  An
+        accepted candidate is the row's returned factor, so these are the
+        affinities at the point the sweep returns.
         """
-        total, cand_positions, positions = ws.evaluated
-        if not total:
-            return
-        keep = ws.entry_accepted[:total]
-        accepted.take(cand_positions, out=keep, mode="clip")
-        # One index array, as ``compress`` would build internally; ``take``
-        # in clip mode then gathers through it straight into pooled blocks.
-        selected = np.flatnonzero(keep)
-        n_keep = selected.shape[0]
-        kept = ws.entry_b[:n_keep]
-        ws.entry_a.take(selected, out=kept, mode="clip")
-        local = selected
-        if positions is not None:
-            local = ws.entry_row_ids[:n_keep]  # its candidate positions are read
-            positions.take(selected, out=local, mode="clip")
+        cand_entries, positions = entries
+        local = np.flatnonzero(accepted[cand_entries])
+        kept = ws.entry_a.take(local, out=ws.entry_b[: local.shape[0]], mode="clip")
+        if positions is not None:  # from evaluated-entry to shard-local CSR order
+            local = positions[local]
         if carry_map is None:
-            np.add(local, ws.first, out=local)
-            values[local] = kept
+            values[ws.first : ws.first + ws.nnz_local][local] = kept
         else:
-            targets = ws.entry_col_ids[:n_keep]
-            carry_map.take(local, out=targets, mode="clip")
-            values[targets] = kept
+            values[carry_map[local]] = kept

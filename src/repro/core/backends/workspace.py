@@ -1,12 +1,11 @@
-"""Pooled scratch arenas for zero-allocation projected-gradient sweeps.
+"""Pooled scratch arenas for the vectorized projected-gradient sweeps.
 
-PR 8 made the *serving* hot path allocation-free with a buffer pool; this
-module does the same for the *training* hot path.  Profiling the vectorized
-kernel showed every sweep rebuilding structure that is constant for a fit —
-two ``sp.csr_matrix`` constructions (validation included), the shard-local
-entry row index, the ``np.arange``/``np.repeat`` entry-position machinery of
-every backtracking pass — and churning nnz-sized float temporaries
-(affinities, gradient ratios, log terms) on every call.
+PR 8 pooled the *serving* hot path's score blocks; this module pools the
+*training* hot path's float blocks.  Profiling the vectorized kernel showed
+every sweep rebuilding structure that is constant for a fit — two
+``sp.csr_matrix`` constructions (validation included) and the shard-local
+entry row index — and churning nnz-sized float temporaries (affinities,
+gradient ratios, log terms) and K-wide gathers on every call.
 
 A :class:`SweepWorkspace` owns all of that for one ``(row range, k, dtype)``
 shard of one :class:`~repro.core.backends.plan.SweepSide`:
@@ -16,18 +15,26 @@ shard of one :class:`~repro.core.backends.plan.SweepSide`:
   the plan's CSR data, never copied or revalidated again) and the
   ``scatter`` operator, whose data buffer (the per-entry gradient ratios)
   is overwritten in place each sweep;
-* every float/bool/int scratch array the kernel touches, so gathers run
-  through ``np.take(out=)``, sparse products through scipy's raw
-  ``csr_matvecs`` kernel into pooled blocks, and the gradient / objective /
-  Armijo arithmetic entirely in place.  The per-entry factor gathers go
-  through one cache-sized ``(block, k)`` pair
+* every float block the kernel computes in: the three nnz-wide entry
+  vectors, the ``(n, k)`` row blocks, the per-row vectors and the Jensen
+  bound's fit-constant vectors, so gathers run through ``take(out=)``,
+  sparse products through scipy's raw ``csr_matvecs`` kernel into pooled
+  blocks, and the gradient / objective / Armijo arithmetic in place.  The
+  per-entry factor gathers go through one cache-sized ``(block, k)`` pair
   (:func:`repro.core.objective.entry_affinities`), never an ``(nnz, k)``
   array, so an arena is O(nnz + n*k + block*k) bytes.
 
-After warm-up a sweep therefore performs **zero** large allocations (the
-returned factor array — caller-owned — is the one exception), which the
-store's stats counters prove and the training benchmark asserts, exactly
-like PR 8's pool-stats assertion.
+The arena holds no boolean and no per-sweep integer array: the line
+search's index bookkeeping (the active rows, the rows the bound lets
+through, the accepted ones, the entries of the rows it evaluates) is plain
+NumPy temporaries, made fresh in each backtrack level.  Besides the
+returned factors and row values, a warm sweep therefore allocates per-row
+index vectors and, in a level that evaluates a subset of the rows, three
+int64 arrays as long as those rows' entries, so its transient memory grows
+with nnz, never with nnz*k (``tests/test_training_workspace.py`` bounds a
+warm sweep's peak at the returned ``(n, k)`` block plus ``4 * nnz * 8``
+bytes).  The arenas themselves are built once per shard and reused, which
+the store's stats counters prove and the training benchmark asserts.
 
 A :class:`SweepWorkspaceStore` hangs off every ``SweepSide`` and hands
 workspaces out *exclusively* (take/release free list, at most
@@ -153,7 +160,7 @@ class SweepWorkspace:
     Construction gathers the *fit-constant* operator structure once — the
     rebased int64 CSR pointers/indices, the shard-local entry row ids, views
     of the plan's positive data and entry weights — and allocates every
-    scratch buffer the vectorized kernel needs, sized exactly for this
+    float block the vectorized kernel computes in, sized exactly for this
     shard.  After that, sweeps reuse the arena: the only thing that changes
     between sweeps is the bytes written into it.
 
@@ -183,8 +190,8 @@ class SweepWorkspace:
         # ---- plan-cached operator structure (constant for the fit) ---- #
         # The rebased int64 CSR skeleton is shared by the ``positives``
         # operator, the ``scatter`` operator, and the per-backtrack sub-CSR
-        # machinery.  int64 copies once here beat per-call casts inside
-        # scipy's kernels.
+        # of the evaluated rows.  int64 copies once here beat per-call casts
+        # inside scipy's kernels.
         row_starts = indptr[start : stop + 1].astype(np.int64)
         row_starts -= first
         self.row_starts = row_starts
@@ -233,7 +240,7 @@ class SweepWorkspace:
         # ---- per-entry scratch ---- #
         self.entry_a = np.empty(nnz, dtype=dtype)  # affinities -> log terms
         self.entry_b = np.empty(nnz, dtype=dtype)  # ratios == scatter data
-        self.entry_c = np.empty(nnz, dtype=dtype)  # expm1 denominator scratch
+        self.entry_c = np.empty(nnz, dtype=dtype)  # expm1 scratch, candidate logs
         # The one (block, k) pair every entry-affinity pass gathers through.
         block = min(nnz, affinity_block_entries(k, dtype))
         self.gather_rows = np.empty((block, k), dtype=dtype)
@@ -249,49 +256,14 @@ class SweepWorkspace:
         self.grad_gather = np.empty((n, k), dtype=dtype)
         self.jensen_means = np.empty((n, k), dtype=dtype)  # -P / W of every row
 
-        # ---- per-row vectors and masks ---- #
+        # ---- per-row vectors ---- #
         self.current_values = np.empty(n, dtype=dtype)
         self.candidate_values = np.empty(n, dtype=dtype)
         self.armijo_rhs = np.empty(n, dtype=dtype)
         self.row_tmp = np.empty(n, dtype=dtype)
-        self.row_tmp2 = np.empty(n, dtype=dtype)
         self.tail_unknown = np.empty(n, dtype=dtype)  # <cand, unknown sums>
         self.tail_penalty = np.empty(n, dtype=dtype)  # lambda * ||cand||^2
         self.tail_positive = np.empty(n, dtype=dtype)  # Jensen bound of pos
-        self.step_a = np.empty(n, dtype=dtype)
-        self.step_b = np.empty(n, dtype=dtype)
-        self.accepted = np.empty(n, dtype=bool)
-        self.not_accepted = np.empty(n, dtype=bool)
-        self.evaluate = np.empty(n, dtype=bool)  # rows the bound cannot reject
-        self.eval_accepted = np.empty(n, dtype=bool)
-        self.nonempty = np.empty(n, dtype=bool)
-
-        # ---- integer index scratch ---- #
-        self.arange_rows = np.arange(n, dtype=np.int64)
-        self.active_a = np.empty(n, dtype=np.int64)
-        self.active_b = np.empty(n, dtype=np.int64)
-        self.accepted_rows = np.empty(n, dtype=np.int64)
-        self.eval_pos = np.empty(n, dtype=np.int64)
-        self.eval_rows = np.empty(n, dtype=np.int64)
-        self.counts = np.empty(n, dtype=np.int64)
-        self.starts = np.empty(n, dtype=np.int64)
-        self.ends = np.empty(n, dtype=np.int64)
-        self.ne_rows = np.empty(n, dtype=np.int64)
-        self.ne_starts = np.empty(n, dtype=np.int64)
-        self.ne_offsets = np.empty(n, dtype=np.int64)
-        self.sub_indptr = np.empty(n + 1, dtype=np.int64)
-        self.arange_entries = np.arange(nnz, dtype=np.int64)
-        self.entry_seg = np.empty(nnz, dtype=np.int64)
-        #: The entries of accepted rows when a sweep carries affinities,
-        #: viewed over ``entry_seg``'s bytes (free by then; nothing extra).
-        self.entry_accepted = self.entry_seg.view(np.bool_)
-        #: What the last nnz-wide evaluation that kept its affinities
-        #: covered: ``(total, candidate position of each entry, shard-local
-        #: CSR position of each entry or None for all of them in order)``.
-        self.evaluated = (0, None, None)
-        self.entry_pos = np.empty(nnz, dtype=np.int64)
-        self.entry_row_ids = np.empty(nnz, dtype=np.int64)
-        self.entry_col_ids = np.empty(nnz, dtype=np.int64)
 
         owned = (
             self.row_starts, self.indices, self.entry_rows, self.ones_cols,
@@ -301,16 +273,7 @@ class SweepWorkspace:
             self.lf_rows, self.cand_rows, self.diff_rows, self.grad_gather,
             self.jensen_means, self.jensen_div, self.jensen_scale, self.jensen_offset,
             self.current_values, self.candidate_values, self.armijo_rhs,
-            self.row_tmp, self.row_tmp2, self.tail_unknown, self.tail_penalty,
-            self.tail_positive,
-            self.step_a, self.step_b,
-            self.accepted, self.not_accepted, self.evaluate, self.eval_accepted,
-            self.nonempty, self.arange_rows, self.active_a, self.active_b,
-            self.accepted_rows, self.eval_pos, self.eval_rows,
-            self.counts, self.starts, self.ends,
-            self.ne_rows, self.ne_starts, self.ne_offsets, self.sub_indptr,
-            self.arange_entries, self.entry_seg, self.entry_pos,
-            self.entry_row_ids, self.entry_col_ids,
+            self.row_tmp, self.tail_unknown, self.tail_penalty, self.tail_positive,
         )  # fmt: skip
         #: Total scratch bytes this arena owns (views of plan arrays excluded).
         self.nbytes = int(sum(array.nbytes for array in owned))
@@ -368,8 +331,8 @@ class WorkspaceStats:
     """Counters of one :class:`SweepWorkspaceStore`.
 
     ``allocations`` staying flat across sweeps while ``reuses`` grows is the
-    zero-allocation property the training hot path claims; the benchmark
-    suite asserts it, mirroring PR 8's serving pool stats.
+    arena reuse the training hot path claims; the benchmark suite asserts
+    it, mirroring PR 8's serving pool stats.
     """
 
     allocations: int

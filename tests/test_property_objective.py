@@ -194,9 +194,10 @@ def _bounds_and_positive_parts(matrix, candidates, col_factors, **weights):
         bounds = VectorizedBackend._positive_bounds(
             ws, candidates, rows, out=np.empty(n_rows, dtype=dtype)
         )
-        parts = VectorizedBackend._positive_parts(
+        parts, _ = VectorizedBackend._positive_parts(
             ws, candidates, rows, rows, col_factors
-        ).copy()
+        )
+        parts = parts.copy()
     finally:
         side.workspaces.release(ws)
     assert bounds.dtype == parts.dtype == dtype

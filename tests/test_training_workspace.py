@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import tracemalloc
 from typing import Tuple
 
 import numpy as np
@@ -625,6 +626,38 @@ class TestPrunedLineSearch:
         arena = plan.workspaces.acquire(plan, 0, plan.n_rows, 50, np.float64)
         assert arena.gather_rows.shape == (7, 50)
         assert np.array_equal(legacy, blocked)
+
+
+class TestTransientMemory:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("side_name", ["user", "item"])
+    def test_warm_sweep_transients_grow_with_nnz_not_nnz_times_k(self, side_name, weighted):
+        # A backtrack level lists the evaluated rows' entries in fresh int64
+        # index arrays, so a warm sweep allocates O(nnz) beyond the factors
+        # it returns; an (nnz, k) gather would be 16 * nnz * 8 bytes here.
+        rng = np.random.default_rng(0)
+        n_users, n_items, k = 200, 300, 16
+        matrix = sp.csr_matrix((rng.random((n_users, n_items)) < 0.3).astype(float))
+        factors = {
+            "user": rng.uniform(0.05, 0.9, size=(n_users, k)),
+            "item": rng.uniform(0.05, 0.9, size=(n_items, k)),
+        }
+        weights = rng.uniform(0.5, 2.5, n_users) if weighted else None
+        plan = SweepPlan.build(matrix, user_weights=weights)
+        side = plan.user_side if side_name == "user" else plan.item_side
+        other = "item" if side_name == "user" else "user"
+        assert side.nnz > 3 * side.n_rows * k  # nnz outweighs the (n, k) blocks
+        backend = VectorizedBackend()
+        args = (None, factors[side_name], factors[other], 1.0)
+        backend.sweep(*args, plan=side)  # builds the arena
+        tracemalloc.start()
+        try:
+            new_factors, stats = backend.sweep(*args, plan=side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.workspace_reuses == 1 and stats.n_evaluated_rows > 0
+        assert peak <= new_factors.nbytes + 4 * side.nnz * 8
 
 
 # --------------------------------------------------------------------------- #

@@ -115,3 +115,51 @@ def test_every_private_helper_is_used():
     assert offenders == [], "private helpers nothing in the package uses:\n" + "\n".join(
         offenders
     )
+
+
+def _self_attributes(function: ast.FunctionDef) -> dict:
+    """Attributes ``function`` assigns on ``self`` -> the line assigning each."""
+    return {
+        node.attr: node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def test_every_workspace_buffer_is_read():
+    # A buffer the sweep kernels stopped reading still costs its bytes in
+    # every arena.  Reads inside ``__init__`` (the ``owned`` byte tally, the
+    # arrays derived there) do not count.
+    backends = PACKAGE / "core" / "backends"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(backends.glob("*.py"))
+    }
+    workspace_class = next(
+        node
+        for node in trees["workspace.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "SweepWorkspace"
+    )
+    init = next(
+        node
+        for node in workspace_class.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    in_init = {id(node) for node in ast.walk(init)}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in in_init
+    }
+    offenders = [
+        f"workspace.py:{line}: {name}"
+        for name, line in sorted(_self_attributes(init).items(), key=lambda item: item[1])
+        if name not in read
+    ]
+    assert offenders == [], "SweepWorkspace attributes nothing reads:\n" + "\n".join(offenders)
